@@ -13,16 +13,20 @@ from .dataset import (
     synth_generate,
 )
 from .evaluation import dm_test, mae, rmse, rmse_reduction
-from .linear import PenaltySpec, fit_linear, predict_linear
+from .linear import LinearModel, PenaltySpec, fit_linear
 from .shapley import BackgroundSet, exact_shapley, explain_matrix, global_importance, tree_shap
-from .svr import KernelSpec, fit_svr, predict_svr
+from .svr import KernelSpec, SvrModel, fit_svr
 from .trees import (
+    BoostedModel,
     BoostParams,
+    ForestModel,
     ForestParams,
+    Tree,
     fit_gradient_boosting,
     fit_random_forest,
     fit_regression_tree,
-    predict_ensemble,
+    model_from_json,
+    model_to_json,
 )
 from .tuning import CvPlan, ParamGrid, grid_search, kfold_indices
 

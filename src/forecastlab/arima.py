@@ -303,11 +303,12 @@ def _common_window_aic(fit: ArimaFit, y, drop_front: int) -> float:
     return len(e) * math.log(sigma2) + 2.0 * (order.n_params + 1)
 
 
-def select_order(y, candidates, seed: int = 0) -> ArimaOrder:
-    """Minimum-AIC converged candidate; ties prefer fewer parameters, then
-    earlier list position. Candidates the series is too short for are
-    skipped. AIC is evaluated over the innovation window shared by every
-    candidate, otherwise conditioning depth would distort the comparison."""
+def select_order(y, candidates, seed: int = 0) -> ArimaFit:
+    """Fit of the minimum-AIC converged candidate (its order is `.order`);
+    ties prefer fewer parameters, then earlier list position. Candidates
+    the series is too short for are skipped. AIC is evaluated over the
+    innovation window shared by every candidate, otherwise conditioning
+    depth would distort the comparison."""
     candidates = list(candidates)
     if not candidates:
         raise ArimaError("empty candidate list")
@@ -326,5 +327,5 @@ def select_order(y, candidates, seed: int = 0) -> ArimaOrder:
     for idx, order, fit in fits:
         key = (_common_window_aic(fit, y, drop_front), order.n_params, idx)
         if best is None or key < best[0]:
-            best = (key, order)
+            best = (key, fit)
     return best[1]

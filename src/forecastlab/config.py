@@ -230,8 +230,7 @@ def parse_config(doc: dict, seed_override: int | None = None,
     master = int(doc.get("seed", 0) if seed_override is None else seed_override)
     try:
         cv = CvPlan(k=int(cv_doc.get("k", 5)),
-                    shuffle=bool(cv_doc.get("shuffle", False)),
-                    seed=derive_seed(master, "cv"))
+                    shuffle=bool(cv_doc.get("shuffle", False)))
     except ValueError as exc:
         raise ConfigError(f"bad cv plan: {exc}") from None
 

@@ -12,15 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Standardization
-from .linear import PenaltySpec, fit_linear, predict_linear
-from .svr import KernelSpec, fit_svr, predict_svr
-from .trees import (
-    BoostParams,
-    ForestParams,
-    fit_gradient_boosting,
-    fit_random_forest,
-    predict_ensemble,
-)
+from .linear import PenaltySpec, fit_linear
+from .svr import KernelSpec, fit_svr
+from .trees import BoostParams, ForestParams, fit_gradient_boosting, fit_random_forest
 
 FAMILIES = ("ols", "ridge", "lasso", "elastic_net", "random_forest",
             "boosting", "svr")
@@ -39,11 +33,7 @@ class Fitted:
     params: dict
 
     def predict(self, X) -> np.ndarray:
-        if self.family in ("random_forest", "boosting"):
-            return predict_ensemble(self.model, X)
-        if self.family == "svr":
-            return predict_svr(self.model, X)
-        return predict_linear(self.model, X)
+        return self.model.predict(X)
 
 
 def _as_kernel(params: dict) -> KernelSpec:

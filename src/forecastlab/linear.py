@@ -57,6 +57,17 @@ class LinearModel:
     def n_features(self) -> int:
         return self.coefficients.shape[0]
 
+    def predict(self, X) -> np.ndarray:
+        """b + X beta, standardizing X first when the model carries fit
+        statistics."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise ValueError(
+                f"expected {self.n_features} feature columns, got {X.shape}")
+        if self.standardization is not None:
+            X = self.standardization.transform(X)
+        return self.intercept + X @ self.coefficients
+
 
 def elastic_net_objective(X, y, intercept, beta, penalty: PenaltySpec) -> float:
     n = len(y)
@@ -100,7 +111,7 @@ def fit_linear(X, y, penalty: PenaltySpec,
     """Fit the elastic-net objective by cyclic coordinate descent.
 
     X is used as given (standardize upstream); `standardization`, when
-    provided, is stored so predict_linear can accept raw feature rows.
+    provided, is stored so LinearModel.predict can accept raw feature rows.
     Converged when the largest coordinate update in a sweep drops below
     1e-8, capped at 10,000 sweeps. Lasso zeros are exact.
     """
@@ -162,14 +173,3 @@ def lambda_max(X, y) -> float:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     return float(np.abs(X.T @ (y - y.mean())).max()) / len(y)
-
-
-def predict_linear(model: LinearModel, X) -> np.ndarray:
-    """b + X beta, standardizing X first when the model carries fit statistics."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise ValueError(
-            f"expected {model.n_features} feature columns, got {X.shape}")
-    if model.standardization is not None:
-        X = model.standardization.transform(X)
-    return model.intercept + X @ model.coefficients

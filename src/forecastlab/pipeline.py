@@ -77,7 +77,6 @@ class FittedEntry:
     fitted: object  # families.Fitted or ArimaFit
     best_params: dict
     cv_table: list | None
-    arima_order: arima_mod.ArimaOrder | None = None
     error: str | None = None
 
 
@@ -88,9 +87,8 @@ def fit_roster_member(config: RunConfig, family: str, train: SeriesFrame,
     y = train.column(config.schema.target)
     if family == BENCHMARK_FAMILY:
         seed = derive_seed(config.seed, "arima", test_months)
-        order = arima_mod.select_order(y, spec.candidates, seed=seed)
-        fit = arima_mod.fit_css(y, order, seed=seed)
-        return FittedEntry(family, fit, {"order": order.label()}, None, order)
+        fit = arima_mod.select_order(y, spec.candidates, seed=seed)
+        return FittedEntry(family, fit, {"order": fit.order.label()}, None)
     X = train.matrix(config.schema.features)
     seed = derive_seed(config.seed, "fit", family, test_months)
     grid = spec.param_grid()
@@ -107,7 +105,7 @@ def fit_roster_member(config: RunConfig, family: str, train: SeriesFrame,
 def forecast_window(entry: FittedEntry, config: RunConfig, train: SeriesFrame,
                     test: SeriesFrame) -> np.ndarray:
     if entry.family == BENCHMARK_FAMILY:
-        return arima_mod.forecast(entry.fitted, entry.arima_order,
+        return arima_mod.forecast(entry.fitted, entry.fitted.order,
                                   train.column(config.schema.target),
                                   test.n_rows)
     return entry.fitted.predict(test.matrix(config.schema.features))

@@ -9,9 +9,13 @@ elsewhere. Two engines compute the same quantity:
 
   * exact_shapley - enumerates all 2^p coalitions; valid for any
     predictor; guarded at p <= 15.
-  * tree_shap - per-background-row path decomposition over tree
-    ensembles; exact, so it must agree with the enumeration engine to
-    float precision rather than approximately.
+  * tree_shap - per-background-row path decomposition over the flat node
+    arrays of each (tree, scale) pair a tree model's `tree_terms()`
+    yields; exact, so it must agree with the enumeration engine to float
+    precision rather than approximately.
+
+explain_matrix predicts through the model's `.predict(X)`, or calls the
+model itself when it is a bare prediction function.
 
 Attributions plus the base value (mean model output over the background)
 always sum to the model's prediction for the explained row.
@@ -25,9 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linear import LinearModel, predict_linear
-from .svr import SvrModel, predict_svr
-from .trees import BoostedModel, ForestModel, TreeNode, predict_ensemble
+from .trees import Tree
 
 EXACT_MAX_FEATURES = 15
 EFFICIENCY_TOL = 1e-9
@@ -151,30 +153,38 @@ def _uv_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
     return pos, neg
 
 
-def _tree_phi(root: TreeNode, x: np.ndarray, background: np.ndarray,
+def _tree_phi(tree: Tree, x: np.ndarray, background: np.ndarray,
               phi: np.ndarray, scale: float):
     """Accumulate one tree's attributions for query row x over all background
     rows, batched by shared divergence pattern."""
     p = x.shape[0]
     B = background.shape[0]
     pos, neg = _uv_tables(p)
+    # list copies: scalar reads from lists are cheaper than from ndarrays
+    feature = tree.feature.tolist()
+    threshold = tree.threshold.tolist()
+    left = tree.children_left.tolist()
+    right = tree.children_right.tolist()
+    value = tree.value.tolist()
 
-    def recurse(node: TreeNode, rows: np.ndarray, u_feats: list, v_feats: list):
-        if node.is_leaf:
+    def recurse(node: int, rows: np.ndarray, u_feats: list, v_feats: list):
+        f = feature[node]
+        if f < 0:
             if u_feats or v_feats:
-                weight = scale * node.value * len(rows) / B
+                weight = scale * value[node] * len(rows) / B
                 u, v = len(u_feats), len(v_feats)
                 for i in u_feats:
                     phi[i] += weight * pos[u][v]
                 for i in v_feats:
                     phi[i] -= weight * neg[u][v]
             return
-        f, thr = node.feature, node.threshold
+        thr = threshold[node]
         x_left = x[f] <= thr
         z_left = background[rows, f] <= thr
         same = rows[z_left == x_left]
         diff = rows[z_left != x_left]
-        x_child, z_child = (node.left, node.right) if x_left else (node.right, node.left)
+        x_child, z_child = ((left[node], right[node]) if x_left
+                            else (right[node], left[node]))
         if same.size:
             recurse(x_child, same, u_feats, v_feats)
         if diff.size:
@@ -186,54 +196,37 @@ def _tree_phi(root: TreeNode, x: np.ndarray, background: np.ndarray,
                 recurse(x_child, diff, u_feats + [f], v_feats)
                 recurse(z_child, diff, u_feats, v_feats + [f])
 
-    recurse(root, np.arange(B), [], [])
+    recurse(0, np.arange(B), [], [])
 
 
 def tree_shap(model, x, background: BackgroundSet) -> np.ndarray:
     """Exact interventional Shapley values for a tree, forest, or boosted
-    ensemble; per-tree attributions combine linearly."""
+    ensemble; per-tree attributions combine linearly, each tree weighted by
+    the scale the model's `tree_terms()` pairs it with."""
     x = np.asarray(x, dtype=float).ravel()
     p = x.shape[0]
     if background.n_features != p:
         raise ValueError("background feature count mismatch")
-    phi = np.zeros(p)
-    if isinstance(model, TreeNode):
-        _tree_phi(model, x, background.rows, phi, 1.0)
-    elif isinstance(model, ForestModel):
-        for tree in model.trees:
-            _tree_phi(tree, x, background.rows, phi, 1.0 / len(model.trees))
-    elif isinstance(model, BoostedModel):
-        for tree in model.trees:
-            _tree_phi(tree, x, background.rows, phi, model.learning_rate)
-    else:
+    if not is_tree_model(model):
         raise TypeError(f"not a tree model: {type(model).__name__}")
+    phi = np.zeros(p)
+    for tree, scale in model.tree_terms():
+        _tree_phi(tree, x, background.rows, phi, scale)
     return phi
 
 
 def is_tree_model(model) -> bool:
-    return isinstance(model, (TreeNode, ForestModel, BoostedModel))
-
-
-def resolve_predictor(model):
-    """Model object (or bare callable) -> row-matrix prediction function."""
-    if is_tree_model(model):
-        return lambda X: predict_ensemble(model, X)
-    if isinstance(model, LinearModel):
-        return lambda X: predict_linear(model, X)
-    if isinstance(model, SvrModel):
-        return lambda X: predict_svr(model, X)
-    if callable(model):
-        return model
-    raise TypeError(f"cannot explain model of type {type(model).__name__}")
+    return hasattr(model, "tree_terms")
 
 
 def explain_matrix(model, rows, background: BackgroundSet) -> ShapMatrix:
     """Per-row attributions: tree models use the traversal engine, everything
-    else the exact enumeration engine."""
+    else the exact enumeration engine. `model` is any object with
+    `.predict(X)` or a bare prediction function."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise ValueError("rows must be a nonempty 2-d array")
-    predict = resolve_predictor(model)
+    predict = getattr(model, "predict", model)
     base = float(np.mean(predict(np.array(background.rows))))
     if is_tree_model(model):
         phi = np.stack([tree_shap(model, r, background) for r in rows])

@@ -83,6 +83,18 @@ class SvrModel:
     def n_features(self) -> int:
         return self.support_rows.shape[1]
 
+    def predict(self, X) -> np.ndarray:
+        """sum_i (alpha_i - alpha*_i) K(x_i, x) + b, standardizing raw rows
+        first when the model carries fit statistics."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise ValueError(f"expected {self.n_features} feature columns, "
+                             f"got {X.shape}")
+        if self.standardization is not None:
+            X = self.standardization.transform(X)
+        K = kernel_matrix(self.kernel, X, self.support_rows, self.gamma)
+        return K @ self.dual_coef + self.bias
+
 
 def fit_svr(X, y, C: float, epsilon: float, kernel: KernelSpec,
             standardization: Standardization | None = None,
@@ -150,16 +162,3 @@ def fit_svr(X, y, C: float, epsilon: float, kernel: KernelSpec,
         bias = float((m + M) / 2.0)
     return SvrModel(X, beta, bias, kernel, gamma, C, epsilon, standardization,
                     converged, updates)
-
-
-def predict_svr(model: SvrModel, X) -> np.ndarray:
-    """sum_i (alpha_i - alpha*_i) K(x_i, x) + b, standardizing raw rows first
-    when the model carries fit statistics."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise ValueError(f"expected {model.n_features} feature columns, "
-                         f"got {X.shape}")
-    if model.standardization is not None:
-        X = model.standardization.transform(X)
-    K = kernel_matrix(model.kernel, X, model.support_rows, model.gamma)
-    return K @ model.dual_coef + model.bias

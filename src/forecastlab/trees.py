@@ -9,31 +9,67 @@ g = -y, h = 1, lam = 0, which makes the gain variance reduction (up to
 the constant 1/2) and the leaf the sample mean. Thresholds sit at the
 midpoint of adjacent sorted values; ties go to the lowest feature index,
 then the lowest threshold, so refits are bit-reproducible.
+
+A tree is a set of parallel node arrays in preorder (the layout model.json
+stores), and every model here predicts through `.predict(X)`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
+_NODE_ARRAYS = (("feature", np.intp), ("threshold", float),
+                ("children_left", np.intp), ("children_right", np.intp),
+                ("value", float), ("cover", float))
 
-@dataclass
-class TreeNode:
-    """Split node (feature >= 0) or leaf (feature == -1, value set)."""
 
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float = 0.0
-    cover: float = 0.0
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """Node i splits on feature[i] (rows with x <= threshold[i] go to
+    children_left[i]) or is a leaf (feature == -1, children -1) predicting
+    value[i]. cover is the hessian sum that reached the node; node 0 is the
+    root and every node precedes its children."""
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+    feature: np.ndarray
+    threshold: np.ndarray
+    children_left: np.ndarray
+    children_right: np.ndarray
+    value: np.ndarray
+    cover: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in _NODE_ARRAYS:
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @cached_property
+    def _routing(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(left, right, depth) for predict_tree: the child arrays with each
+        leaf pointing at itself, so every row can take `depth` steps."""
+        left = self.children_left.tolist()
+        right = self.children_right.tolist()
+        depth, level = 0, [0]
+        while level := [c for i in level for c in (left[i], right[i]) if c >= 0]:
+            depth += 1
+        leaf = self.feature < 0
+        index = np.arange(len(leaf))
+        return (np.where(leaf, index, self.children_left),
+                np.where(leaf, index, self.children_right), depth)
+
+    def predict(self, X) -> np.ndarray:
+        return predict_tree(self, _as_rows(X, 0))
+
+    def tree_terms(self):
+        return ((self, 1.0),)
+
+    def to_doc(self) -> dict:
+        return {"kind": "tree", "tree": _tree_arrays(self)}
 
 
 @dataclass(frozen=True)
@@ -80,18 +116,57 @@ class BoostParams:
 
 @dataclass(frozen=True)
 class ForestModel:
-    trees: tuple[TreeNode, ...]
+    trees: tuple[Tree, ...]
     params: ForestParams
     n_features: int
+
+    def predict(self, X) -> np.ndarray:
+        X = _as_rows(X, self.n_features)
+        per_tree = np.stack([predict_tree(t, X) for t in self.trees])
+        return per_tree.mean(axis=0)
+
+    def tree_terms(self):
+        scale = 1.0 / len(self.trees)
+        return [(tree, scale) for tree in self.trees]
+
+    def to_doc(self) -> dict:
+        return {"kind": "forest", "n_features": self.n_features,
+                "trees": [_tree_arrays(t) for t in self.trees]}
 
 
 @dataclass(frozen=True)
 class BoostedModel:
     base_score: float
     learning_rate: float
-    trees: tuple[TreeNode, ...]
+    trees: tuple[Tree, ...]
     params: BoostParams = field(repr=False, default=None)
     n_features: int = 0
+
+    def predict(self, X) -> np.ndarray:
+        X = _as_rows(X, self.n_features)
+        out = np.full(X.shape[0], self.base_score)
+        for tree in self.trees:
+            out += self.learning_rate * predict_tree(tree, X)
+        return out
+
+    def tree_terms(self):
+        return [(tree, self.learning_rate) for tree in self.trees]
+
+    def to_doc(self) -> dict:
+        return {"kind": "boosted", "n_features": self.n_features,
+                "base_score": self.base_score,
+                "learning_rate": self.learning_rate,
+                "trees": [_tree_arrays(t) for t in self.trees]}
+
+
+def _as_rows(X, n_features: int) -> np.ndarray:
+    """2-d float rows; the column count is checked when n_features is set."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("X must be 2-d")
+    if n_features and X.shape[1] != n_features:
+        raise ValueError(f"expected {n_features} feature columns, got {X.shape[1]}")
+    return X
 
 
 def _tree_rng(seed: int, index: int) -> np.random.Generator:
@@ -133,13 +208,17 @@ def _best_split(X, g, h, feature_ids, reg_lambda, min_samples_leaf):
     return best[0], best[1], best_gain
 
 
-def _grow(X, g, h, depth, max_depth, reg_lambda, min_split_gain,
-          min_samples_leaf, max_features, rng):
+def _grow(nodes, X, g, h, depth, max_depth, reg_lambda, min_split_gain,
+          min_samples_leaf, max_features, rng) -> int:
+    """Append this node, then its left and right subtrees, to `nodes` as
+    [feature, threshold, left, right, value, cover] rows; returns its index."""
     G = g.sum()
     H = h.sum()
-    node = TreeNode(value=float(-G / (H + reg_lambda)), cover=float(H))
+    node = [-1, 0.0, -1, -1, float(-G / (H + reg_lambda)), float(H)]
+    nodes.append(node)
+    index = len(nodes) - 1
     if depth >= max_depth or len(g) < 2 * min_samples_leaf or len(g) < 2:
-        return node
+        return index
     p = X.shape[1]
     if max_features is not None and max_features < p:
         feats = np.sort(rng.choice(p, size=max_features, replace=False))
@@ -149,24 +228,24 @@ def _grow(X, g, h, depth, max_depth, reg_lambda, min_split_gain,
     # relative epsilon keeps float noise on constant targets from splitting
     gain_floor = min_split_gain + 1e-12 * (1.0 + abs(G * G / (H + reg_lambda)))
     if found is None or found[2] <= gain_floor:
-        return node
+        return index
     f, thr, _ = found
     mask = X[:, f] <= thr
-    node.feature = f
-    node.threshold = thr
-    node.left = _grow(X[mask], g[mask], h[mask], depth + 1, max_depth,
-                      reg_lambda, min_split_gain, min_samples_leaf,
-                      max_features, rng)
-    node.right = _grow(X[~mask], g[~mask], h[~mask], depth + 1, max_depth,
-                       reg_lambda, min_split_gain, min_samples_leaf,
-                       max_features, rng)
-    return node
+    node[0] = f
+    node[1] = thr
+    node[2] = _grow(nodes, X[mask], g[mask], h[mask], depth + 1, max_depth,
+                    reg_lambda, min_split_gain, min_samples_leaf,
+                    max_features, rng)
+    node[3] = _grow(nodes, X[~mask], g[~mask], h[~mask], depth + 1, max_depth,
+                    reg_lambda, min_split_gain, min_samples_leaf,
+                    max_features, rng)
+    return index
 
 
 def fit_regression_tree(X, y=None, gradients=None, hessians=None, *,
                         max_depth=6, min_samples_leaf=1, reg_lambda=0.0,
                         min_split_gain=0.0, max_features=None,
-                        rng=None) -> TreeNode:
+                        rng=None) -> Tree:
     """Grow one tree. Pass y for plain mode (mean leaves, variance gain) or
     gradients/hessians for boosting mode (leaf weight -G/(H+lam))."""
     X = np.asarray(X, dtype=float)
@@ -186,19 +265,24 @@ def fit_regression_tree(X, y=None, gradients=None, hessians=None, *,
         raise ValueError("row count mismatch")
     if rng is None:
         rng = np.random.default_rng(0)
-    return _grow(X, g, h, 0, max_depth, reg_lambda, min_split_gain,
-                 min_samples_leaf, max_features, rng)
+    nodes = []
+    _grow(nodes, X, g, h, 0, max_depth, reg_lambda, min_split_gain,
+          min_samples_leaf, max_features, rng)
+    return Tree(*zip(*nodes))
 
 
-def predict_tree(node: TreeNode, X) -> np.ndarray:
+def predict_tree(tree: Tree, X) -> np.ndarray:
+    """Route all rows at once, one vectorised step per tree level; a row
+    goes left when x <= threshold. Rows already at a leaf compare against
+    the leaf's placeholder split (the last column, threshold 0) and stay."""
     X = np.asarray(X, dtype=float)
-    out = np.empty(X.shape[0])
-    for i, row in enumerate(X):
-        cur = node
-        while not cur.is_leaf:
-            cur = cur.left if row[cur.feature] <= cur.threshold else cur.right
-        out[i] = cur.value
-    return out
+    left, right, depth = tree._routing
+    rows = np.arange(X.shape[0])
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    for _ in range(depth):
+        node = np.where(X[rows, tree.feature[node]] <= tree.threshold[node],
+                        left[node], right[node])
+    return tree.value[node]
 
 
 def fit_random_forest(X, y, params: ForestParams) -> ForestModel:
@@ -220,7 +304,9 @@ def fit_random_forest(X, y, params: ForestParams) -> ForestModel:
 
 
 def fit_gradient_boosting(X, y, params: BoostParams) -> BoostedModel:
-    """Squared-loss boosting: g = yhat - y, h = 1, sequential rounds."""
+    """Squared-loss boosting: g = yhat - y, h = 1, sequential rounds. A
+    column-subsampled round grows on its column slice and then maps the
+    slice's feature ids back to global column ids."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
@@ -233,133 +319,41 @@ def fit_gradient_boosting(X, y, params: BoostParams) -> BoostedModel:
         if params.subsample < 1.0:
             k = max(1, int(round(params.subsample * n)))
             rows = np.sort(rng.choice(n, size=k, replace=False))
-        cols = None
+        cols = np.arange(p)
         if params.colsample_bytree < 1.0:
             k = max(1, int(round(params.colsample_bytree * p)))
             cols = np.sort(rng.choice(p, size=k, replace=False))
-        g = yhat[rows] - y[rows]
-        Xs = X[rows]
         tree = fit_regression_tree(
-            Xs, gradients=g, max_depth=params.max_depth,
-            reg_lambda=params.reg_lambda, min_split_gain=params.min_split_gain,
-            max_features=None, rng=rng) if cols is None else _fit_on_columns(
-            Xs, g, cols, params, rng)
+            X[np.ix_(rows, cols)], gradients=yhat[rows] - y[rows],
+            max_depth=params.max_depth, reg_lambda=params.reg_lambda,
+            min_split_gain=params.min_split_gain, rng=rng)
+        tree = replace(tree, feature=np.where(tree.feature >= 0,
+                                              cols[tree.feature], -1))
         trees.append(tree)
         yhat += params.learning_rate * predict_tree(tree, X)
     return BoostedModel(base, params.learning_rate, tuple(trees), params, p)
 
 
-def _fit_on_columns(X, g, cols, params: BoostParams, rng) -> TreeNode:
-    """Column-subsampled round: fit on the slice, then restore global indices."""
-    tree = fit_regression_tree(
-        X[:, cols], gradients=g, max_depth=params.max_depth,
-        reg_lambda=params.reg_lambda, min_split_gain=params.min_split_gain,
-        rng=rng)
-    _remap_features(tree, cols)
-    return tree
-
-
-def _remap_features(node: TreeNode, cols):
-    if node.is_leaf:
-        return
-    node.feature = int(cols[node.feature])
-    _remap_features(node.left, cols)
-    _remap_features(node.right, cols)
-
-
-def predict_ensemble(model, X) -> np.ndarray:
-    """Dispatch over TreeNode / ForestModel / BoostedModel."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-d")
-    if isinstance(model, TreeNode):
-        return predict_tree(model, X)
-    if isinstance(model, ForestModel):
-        _check_columns(model.n_features, X)
-        if X.shape[0] == 0:
-            return np.empty(0)
-        per_tree = np.stack([predict_tree(t, X) for t in model.trees])
-        return per_tree.mean(axis=0)
-    if isinstance(model, BoostedModel):
-        _check_columns(model.n_features, X)
-        out = np.full(X.shape[0], model.base_score)
-        for tree in model.trees:
-            out += model.learning_rate * predict_tree(tree, X)
-        return out
-    raise TypeError(f"not an ensemble model: {type(model).__name__}")
-
-
-def _check_columns(expected: int, X):
-    if expected and X.shape[1] != expected:
-        raise ValueError(f"expected {expected} feature columns, got {X.shape[1]}")
-
-
 # --- JSON serialization: flat node arrays per tree --------------------------
 
-def tree_to_arrays(root: TreeNode) -> dict:
-    """Flatten to parallel node arrays (children of node i follow it in order)."""
-    feature, threshold, left, right, value, cover = [], [], [], [], [], []
-
-    def visit(node: TreeNode) -> int:
-        i = len(feature)
-        feature.append(int(node.feature))
-        threshold.append(float(node.threshold))
-        left.append(-1)
-        right.append(-1)
-        value.append(float(node.value))
-        cover.append(float(node.cover))
-        if not node.is_leaf:
-            left[i] = visit(node.left)
-            right[i] = visit(node.right)
-        return i
-
-    visit(root)
-    return {"feature": feature, "threshold": threshold,
-            "children_left": left, "children_right": right,
-            "value": value, "cover": cover}
-
-
-def tree_from_arrays(doc: dict) -> TreeNode:
-    def build(i: int) -> TreeNode:
-        node = TreeNode(feature=doc["feature"][i],
-                        threshold=doc["threshold"][i],
-                        value=doc["value"][i],
-                        cover=doc["cover"][i])
-        if node.feature >= 0:
-            node.left = build(doc["children_left"][i])
-            node.right = build(doc["children_right"][i])
-        return node
-
-    return build(0)
+def _tree_arrays(tree: Tree) -> dict:
+    return {name: getattr(tree, name).tolist() for name, _ in _NODE_ARRAYS}
 
 
 def model_to_json(model) -> str:
-    if isinstance(model, TreeNode):
-        doc = {"kind": "tree", "tree": tree_to_arrays(model)}
-    elif isinstance(model, ForestModel):
-        doc = {"kind": "forest", "n_features": model.n_features,
-               "trees": [tree_to_arrays(t) for t in model.trees]}
-    elif isinstance(model, BoostedModel):
-        doc = {"kind": "boosted", "n_features": model.n_features,
-               "base_score": model.base_score,
-               "learning_rate": model.learning_rate,
-               "trees": [tree_to_arrays(t) for t in model.trees]}
-    else:
-        raise TypeError(f"not an ensemble model: {type(model).__name__}")
-    return json.dumps(doc)
+    return json.dumps(model.to_doc())
 
 
 def model_from_json(text: str):
     doc = json.loads(text)
     kind = doc.get("kind")
     if kind == "tree":
-        return tree_from_arrays(doc["tree"])
+        return Tree(**doc["tree"])
+    trees = tuple(Tree(**t) for t in doc.get("trees", ()))
     if kind == "forest":
-        trees = tuple(tree_from_arrays(t) for t in doc["trees"])
         return ForestModel(trees, ForestParams(n_estimators=len(trees)),
                            doc.get("n_features", 0))
     if kind == "boosted":
-        trees = tuple(tree_from_arrays(t) for t in doc["trees"])
         return BoostedModel(doc["base_score"], doc["learning_rate"], trees,
                             None, doc.get("n_features", 0))
     raise ValueError(f"unknown model document kind {kind!r}")

@@ -2,8 +2,9 @@
 
 Folds default to contiguous time blocks (shuffle=false); cells are scored
 by mean validation MSE across folds and the full cv table is returned so
-the winner can always be audited against it. A failed fit records +inf
-for that cell rather than aborting the sweep.
+the winner can always be audited against it. A fit that fails with a
+ValueError (invalid cell, singular system) records +inf for that cell
+rather than aborting the sweep; any other exception propagates.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def grid_search(family: str, grid: ParamGrid, X, y, plan: CvPlan,
                 score = float((resid ** 2).mean())
                 if not math.isfinite(score):
                     score = math.inf
-            except Exception:
+            except ValueError:  # also LinAlgError and the package's errors
                 score = math.inf
             fold_mse.append(score)
         finite = [v for v in fold_mse if math.isfinite(v)]

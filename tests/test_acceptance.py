@@ -31,7 +31,7 @@ from forecastlab.interpretation import (
     fit_functional_form,
     zero_crossings,
 )
-from forecastlab.linear import PenaltySpec, fit_linear, lambda_max, predict_linear
+from forecastlab.linear import PenaltySpec, fit_linear, lambda_max
 from forecastlab.shapley import (
     BackgroundSet,
     exact_shapley,
@@ -46,7 +46,6 @@ from forecastlab.trees import (
     fit_gradient_boosting,
     fit_random_forest,
     fit_regression_tree,
-    predict_ensemble,
 )
 
 
@@ -84,7 +83,7 @@ def test_criterion_1_shapley_oracle_equivalence():
             seed=int(rng.integers(0, 2 ** 31))))
         background = BackgroundSet(rng.normal(size=(8, p)))
         queries = rng.normal(size=(10, p))
-        predict = lambda Z: predict_ensemble(model, Z)
+        predict = lambda Z: model.predict(Z)
         for x in queries:
             gap = np.abs(tree_shap(model, x, background)
                          - exact_shapley(predict, x, background)).max()
@@ -124,19 +123,19 @@ def test_criterion_2_axioms():
     phi = exact_shapley(f, X[0], background)
     assert phi[2] == 0.0 and phi[3] == 0.0 and phi[4] == 0.0
     tree = fit_regression_tree(X[:, :2], y, max_depth=2)
-    padded = lambda Z: predict_ensemble(tree, Z[:, :2])
+    padded = lambda Z: tree.predict(Z[:, :2])
     phi_tree = tree_shap(tree, X[0, :2], BackgroundSet(X[:12, :2]))
     # features absent from every path in a depth-2 stump stay exactly zero
     read = set()
 
     def visit(node):
-        if node.is_leaf:
+        if tree.feature[node] < 0:
             return
-        read.add(node.feature)
-        visit(node.left)
-        visit(node.right)
+        read.add(int(tree.feature[node]))
+        visit(tree.children_left[node])
+        visit(tree.children_right[node])
 
-    visit(tree)
+    visit(0)
     for j in range(2):
         if j not in read:
             assert phi_tree[j] == 0.0
@@ -315,15 +314,14 @@ def test_criterion_8_end_to_end(tmp_path):
         train, test = chrono_split(frame, SplitSpec(16))
         y_tr = train.column(schema.target)
         y_te = test.column(schema.target)
-        order = select_order(y_tr, ARIMA_CANDIDATES, seed=seed)
-        fit = fit_css(y_tr, order, seed=seed)
-        bench_rmse = float(np.sqrt(((y_te - forecast(fit, order, y_tr, 16)) ** 2).mean()))
+        fit = select_order(y_tr, ARIMA_CANDIDATES, seed=seed)
+        bench_rmse = float(np.sqrt(((y_te - forecast(fit, fit.order, y_tr, 16)) ** 2).mean()))
 
         X_tr = train.matrix(schema.features)
         model = fit_gradient_boosting(X_tr, y_tr, BoostParams(
             learning_rate=0.1, n_estimators=200, max_depth=3,
             subsample=0.8, colsample_bytree=0.8, seed=seed))
-        pred = predict_ensemble(model, test.matrix(schema.features))
+        pred = model.predict(test.matrix(schema.features))
         model_rmse = float(np.sqrt(((y_te - pred) ** 2).mean()))
         beats += model_rmse < bench_rmse
 

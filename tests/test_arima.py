@@ -156,20 +156,20 @@ class TestForecast:
 class TestSelectOrder:
     def test_singleton(self):
         y = sim_ar1(0.5, 0.0, 100, 1)
-        assert select_order(y, [ArimaOrder(1, 0, 0)], seed=0) == ArimaOrder(1, 0, 0)
+        assert select_order(y, [ArimaOrder(1, 0, 0)], seed=0).order == ArimaOrder(1, 0, 0)
 
     def test_recovers_ar1_in_most_seeds(self):
         cands = [ArimaOrder(0, 0, 0), ArimaOrder(1, 0, 0), ArimaOrder(2, 0, 0)]
         hits = 0
         for seed in range(20):
             y = sim_ar1(0.8, 1.0, 300, seed + 400)
-            hits += select_order(y, cands, seed=seed) == ArimaOrder(1, 0, 0)
+            hits += select_order(y, cands, seed=seed).order == ArimaOrder(1, 0, 0)
         assert hits >= 16
 
     def test_constant_series_degenerates_to_simplest(self):
         best = select_order(np.full(60, 2.0),
                             [ArimaOrder(0, 0, 0), ArimaOrder(1, 0, 0)], seed=0)
-        assert best == ArimaOrder(0, 0, 0)
+        assert best.order == ArimaOrder(0, 0, 0)
 
     def test_empty_candidates(self):
         with pytest.raises(ArimaError, match="empty"):

@@ -8,7 +8,6 @@ from forecastlab.linear import (
     elastic_net_objective,
     fit_linear,
     lambda_max,
-    predict_linear,
 )
 
 
@@ -56,7 +55,7 @@ class TestExactFits:
         y = x0 * 3.0
         model = fit_linear(X, y, PenaltySpec(0.0, 0.0))
         assert model.jitter_applied
-        np.testing.assert_allclose(predict_linear(model, X), y, atol=1e-4)
+        np.testing.assert_allclose(model.predict(X), y, atol=1e-4)
 
 
 class TestRidgeOracle:
@@ -122,18 +121,18 @@ class TestObjective:
 class TestPredict:
     def test_zero_coefficients_constant(self):
         model = LinearModel(4.5, np.zeros(2), PenaltySpec(1.0, 1.0))
-        np.testing.assert_array_equal(predict_linear(model, np.ones((3, 2))),
+        np.testing.assert_array_equal(model.predict(np.ones((3, 2))),
                                       [4.5, 4.5, 4.5])
 
     def test_single_active_coefficient(self):
         model = LinearModel(1.0, np.array([1.0, 0.0]), PenaltySpec(0.0, 0.0))
         np.testing.assert_array_equal(
-            predict_linear(model, np.array([[3.0, 99.0]])), [4.0])
+            model.predict(np.array([[3.0, 99.0]])), [4.0])
 
     def test_column_mismatch(self):
         model = LinearModel(0.0, np.zeros(2), PenaltySpec(0.0, 0.0))
         with pytest.raises(ValueError, match="feature columns"):
-            predict_linear(model, np.ones((3, 5)))
+            model.predict(np.ones((3, 5)))
 
     def test_noiseless_linear_dgp_residuals(self):
         schema = default_schema()
@@ -142,7 +141,7 @@ class TestPredict:
         X = frame.matrix(schema.features)
         y = frame.column(schema.target)
         model = fit_linear(X, y, PenaltySpec(0.0, 0.0))
-        np.testing.assert_allclose(predict_linear(model, X), y, atol=1e-8)
+        np.testing.assert_allclose(model.predict(X), y, atol=1e-8)
 
     def test_standardization_round_trip(self):
         rng = np.random.default_rng(12)
@@ -151,7 +150,7 @@ class TestPredict:
         Z = stats.transform(X)
         y = 2.0 + Z @ np.array([1.0, -1.0])
         model = fit_linear(Z, y, PenaltySpec(0.0, 0.0), standardization=stats)
-        np.testing.assert_allclose(predict_linear(model, X), y, atol=1e-10)
+        np.testing.assert_allclose(model.predict(X), y, atol=1e-10)
 
 
 class TestPenaltySpec:

@@ -16,11 +16,10 @@ from forecastlab.trees import (
     BoostParams,
     ForestModel,
     ForestParams,
-    TreeNode,
+    Tree,
     fit_gradient_boosting,
     fit_random_forest,
     fit_regression_tree,
-    predict_ensemble,
 )
 
 
@@ -77,8 +76,9 @@ class TestExactShapley:
 
 class TestTreeShap:
     def test_depth_one_tree_only_split_feature_attributed(self):
-        tree = TreeNode(feature=1, threshold=0.0,
-                        left=TreeNode(value=-1.0), right=TreeNode(value=3.0))
+        tree = Tree(feature=[1, -1, -1], threshold=[0.0, 0.0, 0.0],
+                    children_left=[1, -1, -1], children_right=[2, -1, -1],
+                    value=[0.0, -1.0, 3.0], cover=[0.0, 0.0, 0.0])
         bg = BackgroundSet(np.random.default_rng(2).normal(size=(6, 4)))
         phi = tree_shap(tree, np.array([0.0, 2.0, 0.0, 0.0]), bg)
         assert phi[0] == 0.0 and phi[2] == 0.0 and phi[3] == 0.0
@@ -89,7 +89,7 @@ class TestTreeShap:
         y = rng.normal(size=40)
         tree = fit_regression_tree(X, y, max_depth=4)
         bg = BackgroundSet(X[:7])
-        predict = lambda Z: predict_ensemble(tree, Z)
+        predict = lambda Z: tree.predict(Z)
         for r in range(5):
             np.testing.assert_allclose(tree_shap(tree, X[r], bg),
                                        exact_shapley(predict, X[r], bg),
@@ -102,7 +102,7 @@ class TestTreeShap:
             model, X = random_boosted_model(rng)
             bg = BackgroundSet(X[rng.choice(len(X), size=8, replace=False)])
             rows = X[rng.choice(len(X), size=5, replace=False)]
-            predict = lambda Z: predict_ensemble(model, Z)
+            predict = lambda Z: model.predict(Z)
             for x in rows:
                 diff = np.abs(tree_shap(model, x, bg)
                               - exact_shapley(predict, x, bg)).max()
@@ -116,7 +116,7 @@ class TestTreeShap:
         model = fit_random_forest(X, y, ForestParams(
             n_estimators=10, max_depth=3, max_features=2, seed=9))
         bg = BackgroundSet(X[:6])
-        predict = lambda Z: predict_ensemble(model, Z)
+        predict = lambda Z: model.predict(Z)
         for x in X[:4]:
             np.testing.assert_allclose(tree_shap(model, x, bg),
                                        exact_shapley(predict, x, bg), atol=1e-10)
@@ -162,7 +162,7 @@ class TestExplainMatrix:
         bg = BackgroundSet(X[:10])
         rows = X[:6]
 
-        from forecastlab.linear import fit_linear, predict_linear
+        from forecastlab.linear import fit_linear
         from forecastlab.svr import KernelSpec, fit_svr
 
         models = [

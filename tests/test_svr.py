@@ -8,7 +8,6 @@ from forecastlab.svr import (
     dual_objective,
     fit_svr,
     kernel_matrix,
-    predict_svr,
 )
 
 
@@ -36,7 +35,7 @@ class TestDegenerate:
                         kernel=KernelSpec("rbf", gamma=1.0))
         assert np.all(model.dual_coef == 0.0)
         assert model.bias == pytest.approx(3.0)
-        np.testing.assert_allclose(predict_svr(model, X), 3.0)
+        np.testing.assert_allclose(model.predict(X), 3.0)
 
     def test_parameter_validation(self):
         X = np.zeros((4, 1))
@@ -139,7 +138,7 @@ class TestPredict:
         X = np.linspace(0, 1, 5)[:, None]
         model = fit_svr(X, np.full(5, -2.0), C=1.0, epsilon=0.5,
                         kernel=KernelSpec("linear"))
-        np.testing.assert_allclose(predict_svr(model, X), -2.0)
+        np.testing.assert_allclose(model.predict(X), -2.0)
 
     def test_linear_kernel_equals_explicit_weights(self):
         rng = np.random.default_rng(8)
@@ -148,7 +147,7 @@ class TestPredict:
         model = fit_svr(X, y, C=10.0, epsilon=0.05, kernel=KernelSpec("linear"))
         w = (model.dual_coef[:, None] * X).sum(axis=0)
         Xq = rng.normal(size=(6, 3))
-        np.testing.assert_allclose(predict_svr(model, Xq),
+        np.testing.assert_allclose(model.predict(Xq),
                                    Xq @ w + model.bias, atol=1e-10)
 
     def test_rbf_large_gamma_interpolates_locally(self):
@@ -157,14 +156,14 @@ class TestPredict:
         eps = 0.01
         model = fit_svr(X, y, C=100.0, epsilon=eps,
                         kernel=KernelSpec("rbf", gamma=200.0), tol=1e-6)
-        np.testing.assert_allclose(predict_svr(model, X), y, atol=eps + 0.01)
+        np.testing.assert_allclose(model.predict(X), y, atol=eps + 0.01)
 
     def test_column_mismatch(self):
         X = np.zeros((5, 2))
         model = fit_svr(X, np.zeros(5), C=1.0, epsilon=0.1,
                         kernel=KernelSpec("linear"))
         with pytest.raises(ValueError, match="feature columns"):
-            predict_svr(model, np.zeros((2, 3)))
+            model.predict(np.zeros((2, 3)))
 
     def test_standardization_applied_on_raw_rows(self):
         rng = np.random.default_rng(9)
@@ -174,4 +173,4 @@ class TestPredict:
         y = Z @ np.array([1.0, 1.0])
         model = fit_svr(Z, y, C=10.0, epsilon=0.01,
                         kernel=KernelSpec("linear"), standardization=stats)
-        np.testing.assert_allclose(predict_svr(model, X), y, atol=0.1)
+        np.testing.assert_allclose(model.predict(X), y, atol=0.1)

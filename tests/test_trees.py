@@ -6,15 +6,54 @@ from forecastlab.trees import (
     BoostParams,
     ForestModel,
     ForestParams,
-    TreeNode,
+    Tree,
+    _tree_rng,
     fit_gradient_boosting,
     fit_random_forest,
     fit_regression_tree,
     model_from_json,
     model_to_json,
-    predict_ensemble,
     predict_tree,
 )
+
+
+def stump(feature, threshold, left_value, right_value):
+    """Root split on `feature` with two leaves, in preorder node arrays."""
+    return Tree(feature=[feature, -1, -1], threshold=[threshold, 0.0, 0.0],
+                children_left=[1, -1, -1], children_right=[2, -1, -1],
+                value=[0.0, left_value, right_value], cover=[0.0, 0.0, 0.0])
+
+
+def random_tree(rng, p, depth):
+    """Random preorder node arrays: every node above `depth` splits."""
+    nodes = []
+
+    def grow(d):
+        i = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, float(rng.normal()), 1.0])
+        if d < depth and rng.uniform() < 0.8:
+            nodes[i][0] = int(rng.integers(0, p))
+            nodes[i][1] = float(rng.choice([-0.5, 0.0, 0.5]))
+            nodes[i][2] = grow(d + 1)
+            nodes[i][3] = grow(d + 1)
+        return i
+
+    grow(0)
+    return Tree(*zip(*nodes))
+
+
+def walk_tree(tree, X):
+    """Per-row reference: follow the arrays from the root, <= goes left."""
+    out = []
+    for row in X:
+        node = 0
+        while tree.feature[node] >= 0:
+            if row[tree.feature[node]] <= tree.threshold[node]:
+                node = tree.children_left[node]
+            else:
+                node = tree.children_right[node]
+        out.append(tree.value[node])
+    return np.array(out)
 
 
 def brute_force_best_split(X, y):
@@ -37,8 +76,8 @@ class TestSingleTree:
     def test_constant_target_single_leaf(self):
         X = np.arange(10, dtype=float)[:, None]
         tree = fit_regression_tree(X, np.full(10, 3.7))
-        assert tree.is_leaf
-        assert tree.value == pytest.approx(3.7)
+        assert tree.feature.tolist() == [-1]
+        assert tree.value[0] == pytest.approx(3.7)
 
     def test_step_target_threshold_matches_enumeration_oracle(self):
         rng = np.random.default_rng(0)
@@ -46,19 +85,19 @@ class TestSingleTree:
         y = (X[:, 0] >= 0.5).astype(float)
         _, f_star, thr_star = brute_force_best_split(X, y)
         tree = fit_regression_tree(X, y, max_depth=1)
-        assert tree.feature == f_star
-        assert tree.threshold == pytest.approx(thr_star)
+        assert tree.feature[0] == f_star
+        assert tree.threshold[0] == pytest.approx(thr_star)
         # midpoint of the pair straddling the step
         lo = X[X[:, 0] < 0.5, 0].max()
         hi = X[X[:, 0] >= 0.5, 0].min()
-        assert tree.threshold == pytest.approx((lo + hi) / 2.0)
+        assert tree.threshold[0] == pytest.approx((lo + hi) / 2.0)
 
     def test_max_depth_zero_returns_mean_leaf(self):
         X = np.arange(6, dtype=float)[:, None]
         y = np.array([1.0, 2, 3, 4, 5, 6])
         tree = fit_regression_tree(X, y, max_depth=0)
-        assert tree.is_leaf
-        assert tree.value == pytest.approx(3.5)
+        assert tree.feature.tolist() == [-1]
+        assert tree.value[0] == pytest.approx(3.5)
 
     def test_each_row_reaches_one_leaf_and_regions_constant(self):
         rng = np.random.default_rng(1)
@@ -68,14 +107,14 @@ class TestSingleTree:
         preds = predict_tree(tree, X)
         leaves = set()
 
-        def collect(node, lo, hi):
-            if node.is_leaf:
-                leaves.add(node.value)
+        def collect(node):
+            if tree.feature[node] < 0:
+                leaves.add(tree.value[node])
                 return
-            collect(node.left, lo, hi)
-            collect(node.right, lo, hi)
+            collect(tree.children_left[node])
+            collect(tree.children_right[node])
 
-        collect(tree, None, None)
+        collect(0)
         assert set(np.round(preds, 12)).issubset({round(v, 12) for v in leaves})
 
     def test_empty_input_rejected(self):
@@ -89,7 +128,7 @@ class TestRandomForest:
         X = rng.normal(size=(30, 4))
         model = fit_random_forest(X, np.full(30, 1.25),
                                   ForestParams(n_estimators=5, max_depth=4, seed=0))
-        np.testing.assert_allclose(predict_ensemble(model, X), 1.25, atol=1e-12)
+        np.testing.assert_allclose(model.predict(X), 1.25, atol=1e-12)
 
     def test_same_seed_identical_forests(self):
         rng = np.random.default_rng(3)
@@ -98,7 +137,7 @@ class TestRandomForest:
         params = ForestParams(n_estimators=7, max_depth=3, max_features=2, seed=11)
         a = fit_random_forest(X, y, params)
         b = fit_random_forest(X, y, params)
-        np.testing.assert_array_equal(predict_ensemble(a, X), predict_ensemble(b, X))
+        np.testing.assert_array_equal(a.predict(X), b.predict(X))
         assert model_to_json(a) == model_to_json(b)
 
     def test_deeper_forest_fits_training_data_no_worse(self):
@@ -111,7 +150,7 @@ class TestRandomForest:
         for depth in (2, 9):
             model = fit_random_forest(X, y, ForestParams(
                 n_estimators=50, max_depth=depth, max_features=8, seed=5))
-            err = predict_ensemble(model, X) - y
+            err = model.predict(X) - y
             rmse[depth] = float(np.sqrt((err ** 2).mean()))
         assert rmse[9] <= rmse[2]
 
@@ -128,7 +167,7 @@ class TestRandomForest:
         model = fit_random_forest(X, y, ForestParams(n_estimators=9, max_depth=4,
                                                      seed=1))
         per_tree = np.stack([predict_tree(t, X) for t in model.trees])
-        pred = predict_ensemble(model, X)
+        pred = model.predict(X)
         assert np.all(pred >= per_tree.min(axis=0) - 1e-12)
         assert np.all(pred <= per_tree.max(axis=0) + 1e-12)
 
@@ -139,7 +178,7 @@ class TestGradientBoosting:
         X = rng.normal(size=(20, 2))
         y = rng.normal(size=20)
         model = fit_gradient_boosting(X, y, BoostParams(n_estimators=0))
-        np.testing.assert_allclose(predict_ensemble(model, X), y.mean(), atol=1e-12)
+        np.testing.assert_allclose(model.predict(X), y.mean(), atol=1e-12)
 
     def test_single_full_round_interpolates(self):
         rng = np.random.default_rng(6)
@@ -149,7 +188,7 @@ class TestGradientBoosting:
         model = fit_gradient_boosting(X, y, BoostParams(
             learning_rate=1.0, n_estimators=1, max_depth=16,
             subsample=1.0, colsample_bytree=1.0, reg_lambda=0.0))
-        np.testing.assert_allclose(predict_ensemble(model, X), y, atol=1e-9)
+        np.testing.assert_allclose(model.predict(X), y, atol=1e-9)
 
     def test_training_loss_non_increasing(self):
         rng = np.random.default_rng(7)
@@ -175,7 +214,7 @@ class TestGradientBoosting:
         manual = np.full(10, model.base_score)
         for tree in model.trees:
             manual += model.learning_rate * predict_tree(tree, X[:10])
-        np.testing.assert_allclose(predict_ensemble(model, X[:10]), manual,
+        np.testing.assert_allclose(model.predict(X[:10]), manual,
                                    atol=1e-12)
 
     def test_same_seed_identical_models(self):
@@ -193,7 +232,7 @@ class TestGradientBoosting:
         X = rng.normal(size=(20, 2))
         model = fit_gradient_boosting(X, rng.normal(size=20),
                                       BoostParams(n_estimators=3))
-        assert predict_ensemble(model, np.empty((0, 2))).shape == (0,)
+        assert model.predict(np.empty((0, 2))).shape == (0,)
 
     def test_column_mismatch_rejected(self):
         rng = np.random.default_rng(11)
@@ -201,16 +240,15 @@ class TestGradientBoosting:
         model = fit_gradient_boosting(X, rng.normal(size=20),
                                       BoostParams(n_estimators=2))
         with pytest.raises(ValueError, match="feature columns"):
-            predict_ensemble(model, np.zeros((4, 5)))
+            model.predict(np.zeros((4, 5)))
 
 
 class TestSerialization:
     def test_stump_piecewise_constant(self):
-        stump = TreeNode(feature=0, threshold=0.0,
-                         left=TreeNode(value=-1.0), right=TreeNode(value=2.0))
-        forest = ForestModel((stump,), ForestParams(n_estimators=1), 2)
+        forest = ForestModel((stump(0, 0.0, -1.0, 2.0),),
+                             ForestParams(n_estimators=1), 2)
         X = np.array([[-1.0, 9.0], [0.0, 9.0], [0.5, 9.0]])
-        np.testing.assert_array_equal(predict_ensemble(forest, X), [-1.0, -1.0, 2.0])
+        np.testing.assert_array_equal(forest.predict(X), [-1.0, -1.0, 2.0])
 
     def test_round_trip_all_kinds(self):
         rng = np.random.default_rng(12)
@@ -221,8 +259,8 @@ class TestSerialization:
         boost = fit_gradient_boosting(X, y, BoostParams(n_estimators=4, max_depth=2))
         for model in (tree, forest, boost):
             clone = model_from_json(model_to_json(model))
-            np.testing.assert_allclose(predict_ensemble(clone, X),
-                                       predict_ensemble(model, X), atol=1e-15)
+            np.testing.assert_allclose(clone.predict(X),
+                                       model.predict(X), atol=1e-15)
 
     def test_boosted_params_validated(self):
         with pytest.raises(ValueError):
@@ -231,3 +269,53 @@ class TestSerialization:
             BoostParams(subsample=0.0)
         with pytest.raises(ValueError):
             BoostParams(colsample_bytree=1.5)
+
+
+class TestFlatArrays:
+    def test_vectorised_predict_matches_row_walk(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            p = int(rng.integers(1, 5))
+            tree = random_tree(rng, p, depth=int(rng.integers(0, 6)))
+            # half the rows sit on the threshold grid {-0.5, 0, 0.5}, so
+            # many comparisons are exact ties
+            X = np.vstack([rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(20, p)),
+                           rng.normal(size=(20, p))])
+            np.testing.assert_array_equal(predict_tree(tree, X),
+                                          walk_tree(tree, X))
+
+    def test_fitted_forest_trees_match_row_walk(self):
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(50, 4))
+        model = fit_random_forest(X, rng.normal(size=50), ForestParams(
+            n_estimators=6, max_depth=5, max_features=2, seed=2))
+        for tree in model.trees:
+            np.testing.assert_array_equal(predict_tree(tree, X), walk_tree(tree, X))
+
+    def test_row_equal_to_threshold_goes_left(self):
+        tree = stump(0, 0.25, -1.0, 2.0)
+        X = np.array([[0.25], [np.nextafter(0.25, 1.0)], [np.nextafter(0.25, 0.0)]])
+        np.testing.assert_array_equal(predict_tree(tree, X), [-1.0, 2.0, -1.0])
+
+    def test_zero_rows_empty_output(self):
+        tree = random_tree(np.random.default_rng(15), 3, depth=3)
+        assert predict_tree(tree, np.empty((0, 3))).shape == (0,)
+        assert tree.predict(np.empty((0, 3))).shape == (0,)
+
+    def test_colsample_rounds_split_on_global_sampled_columns(self):
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(40, 8))
+        y = X[:, 6] - X[:, 7] + 0.1 * rng.normal(size=40)
+        params = BoostParams(n_estimators=15, max_depth=3,
+                             colsample_bytree=0.4, seed=4)
+        model = fit_gradient_boosting(X, y, params)
+        k = int(round(0.4 * 8))
+        seen = set()
+        for t, tree in enumerate(model.trees):
+            # with subsample=1 the column draw is the round's first draw
+            cols = _tree_rng(params.seed, t).choice(8, size=k, replace=False)
+            used = set(tree.feature[tree.feature >= 0].tolist())
+            assert used <= set(cols.tolist())
+            seen |= used
+        # slice-local ids are all < k; a global id at or above k proves the map
+        assert max(seen) >= k

@@ -116,6 +116,18 @@ class TestGridSearch:
         bad = [c for c in table if c.params["max_features"] == 99]
         assert math.isinf(bad[0].mean_mse)
 
+    def test_programming_error_propagates(self, monkeypatch):
+        import forecastlab.tuning as tuning
+
+        def broken(*args, **kwargs):
+            raise AttributeError("'Tree' object has no attribute 'left'")
+
+        monkeypatch.setattr(tuning, "fit_family", broken)
+        X, y = noisy_collinear(6)
+        with pytest.raises(AttributeError, match="left"):
+            grid_search("ridge", ParamGrid.from_dict({"lam": [0.1]}), X, y,
+                        CvPlan(k=3))
+
     def test_fold_assignment_independent_of_grid(self):
         plan = CvPlan(k=4, shuffle=True, seed=5)
         a = kfold_indices(40, plan)
