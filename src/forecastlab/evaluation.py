@@ -141,12 +141,13 @@ def metric_table(actual, forecasts: dict, benchmark: str,
         try:
             dm = dm_test(bench_err, actual - np.asarray(pred, dtype=float),
                          h=h, small_sample=small_sample)
-            dm_stat, dm_p = dm.statistic, dm.pvalue
-        except EvaluationError:
+            dm_stat, dm_p, note = dm.statistic, dm.pvalue, ""
+        except EvaluationError as exc:
             dm_stat = dm_p = None
+            note = f"dm skipped: {exc}"
         rows.append(MetricRow(name, mae(actual, pred), model_rmse,
                               rmse_reduction(bench_rmse, model_rmse),
-                              dm_stat, dm_p))
+                              dm_stat, dm_p, note=note))
     return rows
 
 

@@ -19,6 +19,7 @@ from .trees import BoostParams, ForestParams, fit_gradient_boosting, fit_random_
 FAMILIES = ("ols", "ridge", "lasso", "elastic_net", "random_forest",
             "boosting", "svr")
 STANDARDIZED_FAMILIES = ("ols", "ridge", "lasso", "elastic_net", "svr")
+TREE_FAMILIES = ("random_forest", "boosting")
 BENCHMARK_FAMILY = "arima"
 
 

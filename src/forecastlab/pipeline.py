@@ -19,7 +19,7 @@ from . import arima as arima_mod
 from .config import ConfigError, RunConfig, derive_seed
 from .dataset import DataError, SeriesFrame, SplitSpec, chrono_split, load_frame, log_transform, synth_generate
 from .evaluation import metric_csv_lines, metric_table
-from .families import BENCHMARK_FAMILY, fit_family
+from .families import BENCHMARK_FAMILY, TREE_FAMILIES, fit_family
 from .interpretation import (
     InterpretationError,
     dependence_data,
@@ -29,6 +29,7 @@ from .interpretation import (
     zero_crossings,
 )
 from .shapley import (
+    EXACT_MAX_FEATURES,
     BackgroundSet,
     explain_matrix,
     global_importance,
@@ -114,7 +115,9 @@ def forecast_window(entry: FittedEntry, config: RunConfig, train: SeriesFrame,
 def evaluate_split(config: RunConfig, frame: SeriesFrame, test_months: int,
                    warn=lambda msg: print(msg, file=sys.stderr)):
     """Fit every roster family on the split's training window and forecast
-    the held-out months. Failures degrade to None forecasts."""
+    the held-out months. A failed fit (ValueError, the base of every
+    package error and of LinAlgError) degrades to a None forecast; any
+    other exception is a bug and propagates."""
     train, test = chrono_split(frame, SplitSpec(test_months))
     forecasts: dict[str, np.ndarray | None] = {}
     entries: dict[str, FittedEntry] = {}
@@ -123,7 +126,7 @@ def evaluate_split(config: RunConfig, frame: SeriesFrame, test_months: int,
             entry = fit_roster_member(config, family, train, test_months)
             forecasts[family] = forecast_window(entry, config, train, test)
             entries[family] = entry
-        except Exception as exc:  # degrade, sweeps must finish
+        except ValueError as exc:  # degrade, sweeps must finish
             if family == BENCHMARK_FAMILY:
                 raise PipelineError(f"benchmark fit failed: {exc}") from exc
             warn(f"warning: {family} failed on {test_months}-month split: {exc}")
@@ -236,6 +239,11 @@ def cmd_explain(config: RunConfig, config_hash: str, model_id: str) -> dict:
                           "attributions to explain")
     if model_id not in config.model_ids:
         raise ConfigError(f"model {model_id!r} not in roster")
+    n_features = len(config.schema.features)
+    if model_id not in TREE_FAMILIES and n_features > EXACT_MAX_FEATURES:
+        raise ConfigError(f"explaining {model_id} needs exact coalition "
+                          f"enumeration, capped at {EXACT_MAX_FEATURES} "
+                          f"features; the schema has {n_features}")
     frame = load_data(config)
     _check_splits(config, frame)
     train, test = chrono_split(frame, SplitSpec(config.primary_split))

@@ -8,7 +8,10 @@ where compose takes x's values on S and background row b's values
 elsewhere. Two engines compute the same quantity:
 
   * exact_shapley - enumerates all 2^p coalitions; valid for any
-    predictor; guarded at p <= 15.
+    row-wise predictor; guarded at p <= 15. Coalitions are evaluated in
+    chunks: each chunk's composed rows (about CHUNK_ROWS of them) go
+    through one predict call, so `predict` must score every row
+    independently of the others in its batch.
   * tree_shap - per-background-row path decomposition over the flat node
     arrays of each (tree, scale) pair a tree model's `tree_terms()`
     yields; exact, so it must agree with the enumeration engine to float
@@ -33,6 +36,7 @@ from .trees import Tree
 
 EXACT_MAX_FEATURES = 15
 EFFICIENCY_TOL = 1e-9
+CHUNK_ROWS = 2048  # composed rows per exact_shapley predict call
 
 
 @dataclass(frozen=True)
@@ -98,8 +102,28 @@ def _coalition_weights(p: int) -> np.ndarray:
     return np.array([fact[s] * fact[p - s - 1] / fact[p] for s in range(p)])
 
 
+@lru_cache(maxsize=None)
+def _coalition_table(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """inside[mask, j] is True when feature j is in coalition `mask`;
+    sizes[mask] is the coalition's feature count. Both read-only."""
+    inside = (np.arange(1 << p)[:, None] >> np.arange(p)) & 1 == 1
+    sizes = inside.sum(axis=1)
+    inside.flags.writeable = False
+    sizes.flags.writeable = False
+    return inside, sizes
+
+
 def exact_shapley(predict, x, background: BackgroundSet) -> np.ndarray:
-    """Brute-force Shapley values by full coalition enumeration."""
+    """Brute-force Shapley values by full coalition enumeration.
+
+    `predict` must be row-wise: each output depends only on its own input
+    row, not on the other rows in the call. The 2^p coalitions are
+    evaluated in chunks of max(1, CHUNK_ROWS // B), each chunk's composed
+    rows in one predict call, and v(S) is each coalition's mean over its B
+    rows. phi_i adds its terms in ascending coalition order, one at a
+    time, so the result matches a per-coalition loop bit for bit whenever
+    `predict`'s per-row output does not depend on the batch size.
+    """
     x = np.asarray(x, dtype=float).ravel()
     p = x.shape[0]
     if p > EXACT_MAX_FEATURES:
@@ -109,21 +133,23 @@ def exact_shapley(predict, x, background: BackgroundSet) -> np.ndarray:
         raise ValueError("background feature count mismatch")
     B = background.size
     w = _coalition_weights(p)
+    inside, sizes = _coalition_table(p)
 
-    v = np.empty(1 << p)
-    members = [np.nonzero([(mask >> j) & 1 for j in range(p)])[0]
-               for mask in range(1 << p)]
-    for mask in range(1 << p):
-        composed = np.array(background.rows)
-        composed[:, members[mask]] = x[members[mask]]
-        v[mask] = float(np.mean(predict(composed)))
+    n = 1 << p
+    v = np.empty(n)
+    step = max(1, CHUNK_ROWS // B)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        composed = np.where(inside[lo:hi, None, :], x, background.rows)
+        preds = np.asarray(predict(composed.reshape((hi - lo) * B, p)))
+        v[lo:hi] = preds.reshape(hi - lo, B).mean(axis=1)
 
-    phi = np.zeros(p)
-    for mask in range(1 << p):
-        s = len(members[mask])
-        for i in range(p):
-            if not (mask >> i) & 1:
-                phi[i] += w[s] * (v[mask | (1 << i)] - v[mask])
+    phi = np.empty(p)
+    for i in range(p):
+        masks = np.flatnonzero(~inside[:, i])
+        terms = w[sizes[masks]] * (v[masks | (1 << i)] - v[masks])
+        # sequential sum from 0.0, the order of a per-coalition loop
+        phi[i] = np.cumsum(np.concatenate(([0.0], terms)))[-1]
     return phi
 
 

@@ -161,6 +161,24 @@ class TestExplain:
         assert main(["explain", "--config", cfg, "--model", "arima"]) == 2
         assert "arima" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family",
+                             ["ridge", "lasso", "elastic_net", "ols", "svr"])
+    def test_wide_schema_exact_family_fails_fast(self, tmp_path, capsys,
+                                                 monkeypatch, family):
+        import forecastlab.pipeline as pipeline
+
+        def never_fit(*args, **kwargs):
+            raise AssertionError("family fitted before the feature cap check")
+
+        monkeypatch.setattr(pipeline, "fit_roster_member", never_fit)
+        cfg = write_config(tmp_path, roster={
+            "arima": {"candidates": [[0, 0, 0]]}, family: {}})
+        assert len(load_config(cfg)[0].schema.features) == 16
+        assert main(["explain", "--config", cfg, "--model", family]) == 2
+        err = capsys.readouterr().err
+        assert "capped at 15 features" in err
+        assert "Traceback" not in err
+
     def test_unknown_model_rejected(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["explain", "--config", cfg, "--model", "mystery"]) == 2
@@ -175,6 +193,41 @@ class TestExplain:
         match, mismatch, errors = filecmp.cmpfiles(
             tmp_path / "a", tmp_path / "b", names, shallow=False)
         assert mismatch == [] and errors == []
+
+
+class TestEvaluateSplit:
+    def split_with_lasso_raising(self, tmp_path, monkeypatch, exc):
+        import forecastlab.pipeline as pipeline
+        real = pipeline.fit_roster_member
+
+        def lasso_raises(config, family, train, test_months):
+            if family == "lasso":
+                raise exc
+            return real(config, family, train, test_months)
+
+        monkeypatch.setattr(pipeline, "fit_roster_member", lasso_raises)
+        config, _ = load_config(write_config(tmp_path, roster={
+            "arima": {"candidates": [[0, 0, 0]]},
+            "lasso": {"grid": {"lam": [0.1]}}}))
+        warnings = []
+        result = pipeline.evaluate_split(config, pipeline.load_data(config),
+                                         16, warn=warnings.append)
+        return result, warnings
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        with pytest.raises(AttributeError, match="coef_"):
+            self.split_with_lasso_raising(tmp_path, monkeypatch, AttributeError(
+                "'LinearModel' object has no attribute 'coef_'"))
+
+    def test_value_error_degrades_to_none_forecast(self, tmp_path,
+                                                   monkeypatch):
+        (_, _, entries, forecasts), warnings = self.split_with_lasso_raising(
+            tmp_path, monkeypatch, ValueError("singular design"))
+        assert forecasts["lasso"] is None
+        assert entries["lasso"].error == "singular design"
+        assert len(forecasts["arima"]) == 16
+        assert warnings == ["warning: lasso failed on 16-month split: "
+                            "singular design"]
 
 
 class TestSynth:

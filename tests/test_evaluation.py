@@ -178,6 +178,17 @@ class TestMetricTable:
         assert rows[1].failed
         assert math.isnan(rows[1].rmse)
 
+    def test_dm_skip_reason_kept_in_note(self):
+        actual = np.arange(5.0)
+        rows = metric_table(actual, {"arima": actual + 1.0,
+                                     "ridge": actual + 0.5},
+                            benchmark="arima")
+        assert rows[1].dm_stat is None and rows[1].dm_pvalue is None
+        assert rows[1].note == "dm skipped: need at least 8 forecasts, got 5"
+        assert not rows[1].failed
+        assert rows[1].rmse_reduction_pct == 50.0
+        assert metric_csv_lines(rows)[2] == "ridge,0.5,0.5,50.0,,"
+
     def test_csv_lines_reparse_consistency(self):
         rng = np.random.default_rng(9)
         actual = rng.normal(size=20)

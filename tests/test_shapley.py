@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from forecastlab.families import fit_family
 from forecastlab.linear import LinearModel, PenaltySpec
 from forecastlab.shapley import (
+    CHUNK_ROWS,
     BackgroundSet,
     ShapMatrix,
+    _coalition_weights,
     exact_shapley,
     explain_matrix,
     global_importance,
@@ -72,6 +77,119 @@ class TestExactShapley:
         f = lambda X: X[:, 0] + X[:, 1]
         phi = exact_shapley(f, np.array([2.0, 2.0]), bg)
         assert phi[0] == phi[1]
+
+
+def loop_exact_shapley(predict, x, background):
+    """Reference oracle: one predict call per coalition, phi accumulated
+    mask by mask (the engine's original per-coalition loop)."""
+    x = np.asarray(x, dtype=float).ravel()
+    p = x.shape[0]
+    w = _coalition_weights(p)
+    v = np.empty(1 << p)
+    members = [np.nonzero([(mask >> j) & 1 for j in range(p)])[0]
+               for mask in range(1 << p)]
+    for mask in range(1 << p):
+        composed = np.array(background.rows)
+        composed[:, members[mask]] = x[members[mask]]
+        v[mask] = float(np.mean(predict(composed)))
+    phi = np.zeros(p)
+    for mask in range(1 << p):
+        s = len(members[mask])
+        for i in range(p):
+            if not (mask >> i) & 1:
+                phi[i] += w[s] * (v[mask | (1 << i)] - v[mask])
+    return phi
+
+
+def rowwise(Z):
+    return np.sin(Z[:, 0]) * Z[:, -1] + (Z ** 2).sum(axis=1) - Z[:, 0] * 0.5
+
+
+class CountingPredict:
+    def __init__(self, predict):
+        self.predict = predict
+        self.rows = []
+
+    def __call__(self, Z):
+        self.rows.append(Z.shape[0])
+        return self.predict(Z)
+
+
+class TestBatchedEnumeration:
+    def test_tree_models_bit_identical_to_loop(self):
+        rng = np.random.default_rng(20)
+        X = rng.normal(size=(80, 6))
+        y = X[:, 0] * X[:, 1] + rng.normal(size=80)
+        forest = fit_random_forest(X, y, ForestParams(
+            n_estimators=6, max_depth=4, max_features=3, seed=3))
+        boosted, Xb = random_boosted_model(rng, n=80, p=6)
+        for model, data in ((forest, X), (boosted, Xb)):
+            for B in (1, 5, 67):
+                bg = BackgroundSet(data[:B])
+                for x in data[70:73]:
+                    assert (exact_shapley(model.predict, x, bg).tobytes()
+                            == loop_exact_shapley(model.predict, x, bg).tobytes())
+
+    @pytest.mark.parametrize("p", [1, 5, 12])
+    def test_rowwise_function_bit_identical_to_loop(self, p):
+        rng = np.random.default_rng(21)
+        for B in (1, 5, 67, 68):
+            bg = BackgroundSet(rng.normal(size=(B, p)))
+            x = rng.normal(size=p)
+            assert (exact_shapley(rowwise, x, bg).tobytes()
+                    == loop_exact_shapley(rowwise, x, bg).tobytes())
+
+    @pytest.mark.parametrize("family,params", [
+        ("ridge", {"lam": 0.1}),
+        ("svr", {"C": 2.0, "epsilon": 0.05, "kernel": "rbf"}),
+    ])
+    @pytest.mark.parametrize("p", [1, 5, 12])
+    def test_blas_models_match_loop(self, family, params, p):
+        # gemv/gemm remainder paths may round the last bit differently
+        # when the batch grows, so agreement is to 1e-12, not bitwise
+        rng = np.random.default_rng(22 + p)
+        X = rng.normal(size=(80, p))
+        y = X @ rng.normal(size=p) + np.sin(X[:, 0]) + 0.1 * rng.normal(size=80)
+        model = fit_family(family, X, y, params).model
+        assert model.standardization is not None
+        for B in (1, 5, 67, 68):
+            bg = BackgroundSet(X[:B])
+            x = X[75]
+            np.testing.assert_allclose(
+                exact_shapley(model.predict, x, bg),
+                loop_exact_shapley(model.predict, x, bg), rtol=0, atol=1e-12)
+
+    def test_background_larger_than_chunk(self):
+        rng = np.random.default_rng(23)
+        bg = BackgroundSet(rng.normal(size=(CHUNK_ROWS + 3, 3)))
+        x = rng.normal(size=3)
+        counting = CountingPredict(rowwise)
+        phi = exact_shapley(counting, x, bg)
+        assert counting.rows == [CHUNK_ROWS + 3] * 8
+        assert phi.tobytes() == loop_exact_shapley(rowwise, x, bg).tobytes()
+
+    def test_background_not_dividing_chunk(self):
+        rng = np.random.default_rng(24)
+        B = 100
+        assert CHUNK_ROWS % B
+        bg = BackgroundSet(rng.normal(size=(B, 6)))
+        x = rng.normal(size=6)
+        counting = CountingPredict(rowwise)
+        phi = exact_shapley(counting, x, bg)
+        step = CHUNK_ROWS // B
+        assert counting.rows[-1] == (64 % step) * B
+        assert phi.tobytes() == loop_exact_shapley(rowwise, x, bg).tobytes()
+
+    @pytest.mark.parametrize("p,B", [(1, 1), (5, 67), (12, 68), (12, 1),
+                                     (3, CHUNK_ROWS + 1), (6, 100)])
+    def test_predict_calls_per_chunk(self, p, B):
+        rng = np.random.default_rng(25)
+        bg = BackgroundSet(rng.normal(size=(B, p)))
+        counting = CountingPredict(rowwise)
+        exact_shapley(counting, rng.normal(size=p), bg)
+        assert len(counting.rows) == math.ceil(2 ** p / max(1, CHUNK_ROWS // B))
+        assert sum(counting.rows) == 2 ** p * B
+        assert max(counting.rows) <= max(B, CHUNK_ROWS)
 
 
 class TestTreeShap:

@@ -4,6 +4,7 @@ from scipy.optimize import minimize
 
 from forecastlab.dataset import Standardization
 from forecastlab.svr import (
+    PREDICT_BLOCK_CELLS,
     KernelSpec,
     dual_objective,
     fit_svr,
@@ -174,3 +175,21 @@ class TestPredict:
         model = fit_svr(Z, y, C=10.0, epsilon=0.01,
                         kernel=KernelSpec("linear"), standardization=stats)
         np.testing.assert_allclose(model.predict(X), y, atol=0.1)
+
+    @pytest.mark.parametrize("kind", ["linear", "polynomial", "rbf"])
+    def test_blocked_rows_match_one_kernel_product(self, kind):
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(60, 4))
+        y = np.sin(X[:, 0]) + X[:, 1]
+        model = fit_svr(X, y, C=1.0, epsilon=0.05, kernel=KernelSpec(kind))
+        step = PREDICT_BLOCK_CELLS // 60 // 4 * 4
+        for rows in (0, 1, step, 3 * step + 5):
+            Xq = rng.normal(size=(rows, 4))
+            one = (kernel_matrix(model.kernel, Xq, model.support_rows,
+                                 model.gamma) @ model.dual_coef + model.bias)
+            got = model.predict(Xq)
+            assert got.shape == (rows,)
+            if rows <= step:  # a single block is the one product itself
+                assert got.tobytes() == one.tobytes()
+            else:
+                np.testing.assert_allclose(got, one, rtol=0, atol=1e-12)
