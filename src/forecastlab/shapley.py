@@ -12,9 +12,12 @@ elsewhere. Two engines compute the same quantity:
     chunks: each chunk's composed rows (about CHUNK_ROWS of them) go
     through one predict call, so `predict` must score every row
     independently of the others in its batch.
-  * tree_shap - per-background-row path decomposition over the flat node
-    arrays of each (tree, scale) pair a tree model's `tree_terms()`
-    yields; exact, so it must agree with the enumeration engine to float
+  * tree_shap - leaf-wise interventional TreeSHAP (Lundberg et al. 2020;
+    Laberge & Pequignot 2022) over the leaf-path tables of the trees a
+    tree model's `tree_terms()` yields: one array pass scores every
+    (query row, background row, leaf) triple of every tree, so
+    explain_matrix explains all rows at once and tree_shap is the one-row
+    case. Exact, so it must agree with the enumeration engine to float
     precision rather than approximately.
 
 explain_matrix predicts through the model's `.predict(X)`, or calls the
@@ -32,11 +35,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .trees import Tree
+from .trees import LeafPaths
 
 EXACT_MAX_FEATURES = 15
 EFFICIENCY_TOL = 1e-9
 CHUNK_ROWS = 2048  # composed rows per exact_shapley predict call
+TREE_CHUNK_TRIPLES = 1 << 15  # (query, background, leaf) triples a TreeSHAP pass holds
+_KEY_DIGITS = 31  # base-4 path digits per int64 group key word
 
 
 @dataclass(frozen=True)
@@ -179,66 +184,153 @@ def _uv_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
     return pos, neg
 
 
-def _tree_phi(tree: Tree, x: np.ndarray, background: np.ndarray,
-              phi: np.ndarray, scale: float):
-    """Accumulate one tree's attributions for query row x over all background
-    rows, batched by shared divergence pattern."""
-    p = x.shape[0]
-    B = background.shape[0]
+def _ensemble_paths(model):
+    """All leaf paths of a tree model, padded to its deepest tree, with each
+    leaf's tree index (tree_terms order) and scale * value; None for a
+    model without trees."""
+    terms = list(model.tree_terms())
+    if not terms:
+        return None
+    paths = LeafPaths.stack([tree._paths for tree, _ in terms])
+    tree_of = np.repeat(np.arange(len(terms)),
+                        [len(tree._paths.leaf) for tree, _ in terms])
+    weight = np.concatenate([scale * tree.value[tree._paths.leaf]
+                             for tree, scale in terms])
+    return paths, tree_of, weight
+
+
+class _PathSide:
+    """How a set of rows (query or background) meets every leaf path.
+
+    A row is off a path at step k when it goes the other way there.
+    by_feature[r, l, k] is set on the first step of each feature of leaf
+    l's path when row r is off at any step on that feature. keys pack the
+    per-step off flags, and feature_keys the by_feature flags, as base-4
+    digits into int64 words, _KEY_DIGITS steps a word, earlier steps more
+    significant, so any depth fits. inside[r, l]: row r reaches leaf l."""
+
+    def __init__(self, Z, paths):
+        depth = paths.feature.shape[1]
+        off = (Z[:, paths.feature] <= paths.threshold) != paths.go_left
+        by_feature = off
+        first = paths.first
+        repeats = np.nonzero(first != np.arange(depth))
+        if repeats[0].size:
+            by_feature = off.copy()
+            leaves, steps = repeats
+            for k in np.unique(steps):
+                ls = leaves[steps == k]
+                by_feature[:, ls, first[ls, k]] |= off[:, ls, k]
+                by_feature[:, ls, k] = False
+        self.by_feature = by_feature
+        self.keys = _key_words(off)
+        self.feature_keys = _key_words(by_feature)
+        self.inside = ~off.any(axis=2)
+
+
+def _key_words(bits: np.ndarray) -> list[np.ndarray]:
+    """(rows, leaves, depth) flags -> one (rows, leaves) int64 word per
+    _KEY_DIGITS steps, each flag a base-4 digit, earlier steps higher."""
+    depth = bits.shape[2]
+    words = []
+    for lo in range(0, depth, _KEY_DIGITS):
+        hi = min(lo + _KEY_DIGITS, depth)
+        place = 4 ** np.arange(_KEY_DIGITS - 1, _KEY_DIGITS - 1 - (hi - lo), -1,
+                               dtype=np.int64)
+        words.append(bits[:, :, lo:hi] @ place)
+    return words
+
+
+def _tree_shap_matrix(model, X: np.ndarray,
+                      background: BackgroundSet) -> np.ndarray:
+    """Interventional TreeSHAP for every row of X at once.
+
+    At each step of a leaf's path a (query row, background row) pair has a
+    digit: 0 when both rows follow the step, 1 when only the query row does
+    (the step's feature joins U), 2 when only the background row does (it
+    joins V). The pair reaches the leaf when every step has a digit and U
+    and V are disjoint, and it adds to phi when U and V are not both empty.
+    Pairs of one query row and tree with the same digit string (hence the
+    same leaf) form a group of `count` background rows. With
+    w = scale * value * count / B, the group adds w * pos[u][v] to phi_i for
+    i in U and subtracts w * neg[u][v] for i in V. Each phi[row, i] sums its
+    terms strictly in order from 0.0: trees in tree_terms order, then groups
+    in lexicographic digit-string order. That is the visit order of a
+    depth-first recursion that takes the query row's side first, so the
+    result equals that recursion bit for bit.
+
+    Background rows meet the paths once; query rows go through in chunks of
+    about TREE_CHUNK_TRIPLES (query, background, leaf) triples, at least one
+    row a chunk."""
+    n_rows, p = X.shape
+    if background.n_features != p:
+        raise ValueError("background feature count mismatch")
+    B = background.size
+    phi = np.zeros((n_rows, p))
+    ensemble = _ensemble_paths(model)
+    if ensemble is None or ensemble[0].feature.shape[1] == 0:
+        return phi  # no trees, or only single-leaf trees: no path to split
+    paths, tree_of, weight = ensemble
+    n_leaves = len(weight)
     pos, neg = _uv_tables(p)
-    # list copies: scalar reads from lists are cheaper than from ndarrays
-    feature = tree.feature.tolist()
-    threshold = tree.threshold.tolist()
-    left = tree.children_left.tolist()
-    right = tree.children_right.tolist()
-    value = tree.value.tolist()
-
-    def recurse(node: int, rows: np.ndarray, u_feats: list, v_feats: list):
-        f = feature[node]
-        if f < 0:
-            if u_feats or v_feats:
-                weight = scale * value[node] * len(rows) / B
-                u, v = len(u_feats), len(v_feats)
-                for i in u_feats:
-                    phi[i] += weight * pos[u][v]
-                for i in v_feats:
-                    phi[i] -= weight * neg[u][v]
-            return
-        thr = threshold[node]
-        x_left = x[f] <= thr
-        z_left = background[rows, f] <= thr
-        same = rows[z_left == x_left]
-        diff = rows[z_left != x_left]
-        x_child, z_child = ((left[node], right[node]) if x_left
-                            else (right[node], left[node]))
-        if same.size:
-            recurse(x_child, same, u_feats, v_feats)
-        if diff.size:
-            if f in u_feats:
-                recurse(x_child, diff, u_feats, v_feats)
-            elif f in v_feats:
-                recurse(z_child, diff, u_feats, v_feats)
-            else:
-                recurse(x_child, diff, u_feats + [f], v_feats)
-                recurse(z_child, diff, u_feats, v_feats + [f])
-
-    recurse(0, np.arange(B), [], [])
+    back = _PathSide(background.rows, paths)
+    back_keys = [w.T for w in back.keys]  # (leaves, B)
+    back_feature_keys = [w.T[None] for w in back.feature_keys]
+    back_inside = back.inside.T[None]
+    step = max(1, TREE_CHUNK_TRIPLES // (B * n_leaves))
+    for lo in range(0, n_rows, step):
+        hi = min(lo + step, n_rows)
+        query = _PathSide(X[lo:hi], paths)
+        # triples in (row, leaf, background row) order
+        ok = ~(query.inside[:, :, None] & back_inside)
+        for qw, bw in zip(query.feature_keys, back_feature_keys):
+            ok &= (qw[:, :, None] & bw) == 0
+        triples = np.flatnonzero(ok)
+        if triples.size == 0:
+            continue
+        q, rest = np.divmod(triples, n_leaves * B)
+        leaf, b = np.divmod(rest, B)
+        keys = [2 * qw[q, leaf] + bw[leaf, b]
+                for qw, bw in zip(query.keys, back_keys)]
+        tree = tree_of[leaf]
+        order = np.lexsort(keys[::-1] + [tree, q])
+        new = np.zeros(order.size, dtype=bool)
+        new[0] = True
+        for key in [q, tree] + keys:
+            new[1:] |= key[order[1:]] != key[order[:-1]]
+        starts = np.flatnonzero(new)
+        count = np.diff(np.append(starts, order.size))
+        first = order[starts]
+        gq, gleaf = q[first], leaf[first]
+        in_u = back.by_feature[b[first], gleaf]
+        in_v = query.by_feature[gq, gleaf]
+        u = in_u.sum(axis=1)
+        v = in_v.sum(axis=1)
+        w = weight[gleaf] * count / B
+        plus = w * pos[u, v]
+        minus = -(w * neg[u, v])
+        g, k = np.nonzero(in_u | in_v)
+        term = np.where(in_u[g, k], plus[g], minus[g])
+        seg = gq[g] * p + paths.feature[gleaf[g], k]
+        by_seg = np.argsort(seg, kind="stable")
+        seg = seg[by_seg]
+        seg_start = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
+        rank = np.arange(seg.size) - np.repeat(
+            seg_start, np.diff(np.append(seg_start, seg.size)))
+        acc = np.zeros((int(rank.max()) + 2, (hi - lo) * p))
+        acc[rank + 1, seg] = term[by_seg]
+        phi[lo:hi] = np.cumsum(acc, axis=0)[-1].reshape(hi - lo, p)
+    return phi
 
 
 def tree_shap(model, x, background: BackgroundSet) -> np.ndarray:
     """Exact interventional Shapley values for a tree, forest, or boosted
     ensemble; per-tree attributions combine linearly, each tree weighted by
     the scale the model's `tree_terms()` pairs it with."""
-    x = np.asarray(x, dtype=float).ravel()
-    p = x.shape[0]
-    if background.n_features != p:
-        raise ValueError("background feature count mismatch")
     if not is_tree_model(model):
         raise TypeError(f"not a tree model: {type(model).__name__}")
-    phi = np.zeros(p)
-    for tree, scale in model.tree_terms():
-        _tree_phi(tree, x, background.rows, phi, scale)
-    return phi
+    x = np.asarray(x, dtype=float).ravel()
+    return _tree_shap_matrix(model, x[None], background)[0]
 
 
 def is_tree_model(model) -> bool:
@@ -255,7 +347,7 @@ def explain_matrix(model, rows, background: BackgroundSet) -> ShapMatrix:
     predict = getattr(model, "predict", model)
     base = float(np.mean(predict(np.array(background.rows))))
     if is_tree_model(model):
-        phi = np.stack([tree_shap(model, r, background) for r in rows])
+        phi = _tree_shap_matrix(model, rows, background)
     else:
         phi = np.stack([exact_shapley(predict, r, background) for r in rows])
     return ShapMatrix(base, phi, predict(rows))

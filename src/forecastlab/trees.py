@@ -20,12 +20,52 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 _NODE_ARRAYS = (("feature", np.intp), ("threshold", float),
                 ("children_left", np.intp), ("children_right", np.intp),
                 ("value", float), ("cover", float))
+
+
+class LeafPaths(NamedTuple):
+    """A tree's root-to-leaf paths, one row per leaf (in preorder), padded
+    to the tree's depth. Step k of leaf l tests
+    `x[feature[l, k]] <= threshold[l, k]`, and a row follows the path there
+    when the outcome equals go_left[l, k]. Padding steps (feature 0,
+    threshold NaN, go_left False) are followed by every row, NaN included.
+    first[l, k] is the first step of the path that tests the same feature
+    (k itself on first use and on padding)."""
+
+    leaf: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    go_left: np.ndarray
+    first: np.ndarray
+
+    @classmethod
+    def padding(cls, n_leaves: int, depth: int) -> "LeafPaths":
+        """A table of n_leaves paths made of padding steps only."""
+        shape = (n_leaves, depth)
+        return cls(np.zeros(n_leaves, dtype=np.intp),
+                   np.zeros(shape, dtype=np.intp), np.full(shape, math.nan),
+                   np.zeros(shape, dtype=bool),
+                   np.tile(np.arange(depth, dtype=np.intp), (n_leaves, 1)))
+
+    @classmethod
+    def stack(cls, tables) -> "LeafPaths":
+        """The tables' leaves in order, every path padded to the deepest."""
+        out = cls.padding(sum(len(t.leaf) for t in tables),
+                          max(t.feature.shape[1] for t in tables))
+        lo = 0
+        for t in tables:
+            hi, depth = lo + len(t.leaf), t.feature.shape[1]
+            out.leaf[lo:hi] = t.leaf
+            for dst, src in zip(out[1:], t[1:]):
+                dst[lo:hi, :depth] = src
+            lo = hi
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,18 +89,52 @@ class Tree:
             object.__setattr__(self, name, arr)
 
     @cached_property
+    def _paths(self) -> LeafPaths:
+        """Every leaf's root-to-leaf path, from one walk of the tree."""
+        feature = self.feature.tolist()
+        threshold = self.threshold.tolist()
+        left = self.children_left.tolist()
+        right = self.children_right.tolist()
+        leaves, paths = [], []
+        stack = [(0, ())]
+        while stack:
+            node, path = stack.pop()
+            if feature[node] < 0:
+                leaves.append(node)
+                paths.append(path)
+            else:
+                stack.append((right[node], path + ((node, False),)))
+                stack.append((left[node], path + ((node, True),)))
+        depth = max(map(len, paths))
+        at, nodes, go_left, first = [], [], [], []
+        for l, path in enumerate(paths):
+            seen = {}
+            for k, (node, go) in enumerate(path):
+                at.append(l * depth + k)
+                nodes.append(node)
+                go_left.append(go)
+                first.append(seen.setdefault(feature[node], k))
+        at = np.array(at, dtype=np.intp)
+        nodes = np.array(nodes, dtype=np.intp)
+        table = LeafPaths.padding(len(leaves), depth)
+        table.leaf[:] = leaves
+        table.feature.flat[at] = self.feature[nodes]
+        table.threshold.flat[at] = self.threshold[nodes]
+        table.go_left.flat[at] = go_left
+        table.first.flat[at] = first
+        for arr in table:
+            arr.flags.writeable = False
+        return table
+
+    @cached_property
     def _routing(self) -> tuple[np.ndarray, np.ndarray, int]:
         """(left, right, depth) for predict_tree: the child arrays with each
         leaf pointing at itself, so every row can take `depth` steps."""
-        left = self.children_left.tolist()
-        right = self.children_right.tolist()
-        depth, level = 0, [0]
-        while level := [c for i in level for c in (left[i], right[i]) if c >= 0]:
-            depth += 1
         leaf = self.feature < 0
         index = np.arange(len(leaf))
         return (np.where(leaf, index, self.children_left),
-                np.where(leaf, index, self.children_right), depth)
+                np.where(leaf, index, self.children_right),
+                self._paths.feature.shape[1])
 
     def predict(self, X) -> np.ndarray:
         return predict_tree(self, _as_rows(X, 0))
@@ -175,37 +249,39 @@ def _tree_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _best_split(X, g, h, feature_ids, reg_lambda, min_samples_leaf):
-    """Exact greedy search over midpoints; returns (feature, threshold, gain)."""
-    best_gain = -math.inf
-    best = None
+    """Exact greedy search over midpoints of every candidate column at once;
+    returns (feature, threshold, gain) or None.
+
+    Each column's gains are its cumulative sums in stable sorted order, so
+    column j equals a search over that column alone. Its best threshold is
+    its first maximum (the lowest), and the first column holding the overall
+    maximum wins. A column whose first maximum is NaN never wins, nor does
+    one with no valid split (all gains -inf)."""
     G = g.sum()
     H = h.sum()
     parent_score = G * G / (H + reg_lambda)
     n = len(g)
-    for f in feature_ids:
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        if xs[0] == xs[-1]:
-            continue
-        gl = np.cumsum(g[order])[:-1]
-        hl = np.cumsum(h[order])[:-1]
-        counts = np.arange(1, n)
-        valid = xs[1:] != xs[:-1]
-        if min_samples_leaf > 1:
-            valid &= (counts >= min_samples_leaf) & (n - counts >= min_samples_leaf)
-        if not valid.any():
-            continue
-        gains = 0.5 * (gl * gl / (hl + reg_lambda)
-                       + (G - gl) ** 2 / (H - hl + reg_lambda)
-                       - parent_score)
-        gains[~valid] = -math.inf
-        k = int(np.argmax(gains))  # first max = lowest threshold
-        if gains[k] > best_gain:
-            best_gain = float(gains[k])
-            best = (f, float((xs[k] + xs[k + 1]) / 2.0))
-    if best is None:
+    cols = X[:, feature_ids]
+    order = np.argsort(cols, axis=0, kind="stable")
+    xs = np.take_along_axis(cols, order, axis=0)
+    gl = np.cumsum(g[order], axis=0)[:-1]
+    hl = np.cumsum(h[order], axis=0)[:-1]
+    valid = xs[1:] != xs[:-1]
+    if min_samples_leaf > 1:
+        counts = np.arange(1, n)[:, None]
+        valid &= (counts >= min_samples_leaf) & (n - counts >= min_samples_leaf)
+    gains = 0.5 * (gl * gl / (hl + reg_lambda)
+                   + (G - gl) ** 2 / (H - hl + reg_lambda)
+                   - parent_score)
+    gains[~valid] = -math.inf
+    k = np.argmax(gains, axis=0)  # first max = lowest threshold; NaN wins
+    column_best = gains[k, np.arange(len(k))]
+    column_best[np.isnan(column_best)] = -math.inf
+    j = int(np.argmax(column_best))
+    if not column_best[j] > -math.inf:
         return None
-    return best[0], best[1], best_gain
+    threshold = float((xs[k[j], j] + xs[k[j] + 1, j]) / 2.0)
+    return feature_ids[j], threshold, float(column_best[j])
 
 
 def _grow(nodes, X, g, h, depth, max_depth, reg_lambda, min_split_gain,

@@ -7,9 +7,11 @@ from forecastlab.families import fit_family
 from forecastlab.linear import LinearModel, PenaltySpec
 from forecastlab.shapley import (
     CHUNK_ROWS,
+    TREE_CHUNK_TRIPLES,
     BackgroundSet,
     ShapMatrix,
     _coalition_weights,
+    _uv_tables,
     exact_shapley,
     explain_matrix,
     global_importance,
@@ -192,6 +194,81 @@ class TestBatchedEnumeration:
         assert max(counting.rows) <= max(B, CHUNK_ROWS)
 
 
+def recursive_tree_shap(model, x, background):
+    """Reference oracle: the engine's original recursion, once per query row
+    and tree, splitting the background rows at every node they part from
+    the query row; phi accumulated leaf by leaf in visit order."""
+    x = np.asarray(x, dtype=float).ravel()
+    p = x.shape[0]
+    rows_b = background.rows
+    B = rows_b.shape[0]
+    pos, neg = _uv_tables(p)
+    phi = np.zeros(p)
+    for tree, scale in model.tree_terms():
+        feature = tree.feature.tolist()
+        threshold = tree.threshold.tolist()
+        left = tree.children_left.tolist()
+        right = tree.children_right.tolist()
+        value = tree.value.tolist()
+
+        def recurse(node, rows, u_feats, v_feats):
+            f = feature[node]
+            if f < 0:
+                if u_feats or v_feats:
+                    weight = scale * value[node] * len(rows) / B
+                    u, v = len(u_feats), len(v_feats)
+                    for i in u_feats:
+                        phi[i] += weight * pos[u][v]
+                    for i in v_feats:
+                        phi[i] -= weight * neg[u][v]
+                return
+            thr = threshold[node]
+            x_left = x[f] <= thr
+            z_left = rows_b[rows, f] <= thr
+            same = rows[z_left == x_left]
+            diff = rows[z_left != x_left]
+            x_child, z_child = ((left[node], right[node]) if x_left
+                                else (right[node], left[node]))
+            if same.size:
+                recurse(x_child, same, u_feats, v_feats)
+            if diff.size:
+                if f in u_feats:
+                    recurse(x_child, diff, u_feats, v_feats)
+                elif f in v_feats:
+                    recurse(z_child, diff, u_feats, v_feats)
+                else:
+                    recurse(x_child, diff, u_feats + [f], v_feats)
+                    recurse(z_child, diff, u_feats, v_feats + [f])
+
+        recurse(0, np.arange(B), [], [])
+    return phi
+
+
+def assert_matches_recursion(model, rows, background):
+    """explain_matrix and tree_shap both equal the recursion byte for byte,
+    row by row."""
+    m = explain_matrix(model, rows, background)
+    for r, x in enumerate(rows):
+        expected = recursive_tree_shap(model, x, background).tobytes()
+        assert m.phi[r].tobytes() == expected, r
+        assert tree_shap(model, x, background).tobytes() == expected, r
+    return m
+
+
+def chain_tree(depth, p, rng):
+    """Every left child a leaf, the right child the next split; step k
+    tests feature k % p at a threshold rising with k, so features repeat
+    along the path at different thresholds."""
+    nodes = []
+    for k in range(depth):
+        nodes.append([k % p, -1.0 + 2.0 * k / depth, len(nodes) + 1,
+                      len(nodes) + 2, 0.0, 1.0])
+        nodes.append([-1, 0.0, -1, -1, float(rng.normal()), 1.0])
+    nodes.append([-1, 0.0, -1, -1, float(rng.normal()), 1.0])
+    # preorder: node 2k splits, 2k+1 is its left leaf, 2k+2 its right child
+    return Tree(*zip(*nodes))
+
+
 class TestTreeShap:
     def test_depth_one_tree_only_split_feature_attributed(self):
         tree = Tree(feature=[1, -1, -1], threshold=[0.0, 0.0, 0.0],
@@ -262,6 +339,118 @@ class TestTreeShap:
         bg = BackgroundSet(X[:6])
         np.testing.assert_array_equal(tree_shap(model, X[0], bg),
                                       tree_shap(clone, X[0], bg))
+
+
+class TestArrayTreeShap:
+    def test_forests_bit_identical_to_recursion(self):
+        rng = np.random.default_rng(40)
+        for seed in range(6):
+            p = int(rng.integers(2, 9))
+            X = np.round(rng.normal(size=(50, p)), 1)  # repeated values
+            y = X[:, 0] * (X[:, -1] > 0) + rng.normal(size=50)
+            model = fit_random_forest(X, y, ForestParams(
+                n_estimators=int(rng.integers(1, 8)),
+                max_depth=int(rng.integers(1, 10)),
+                max_features=int(rng.integers(1, p + 1)), seed=seed))
+            bg = BackgroundSet(X[rng.choice(50, size=int(rng.integers(2, 20)))])
+            assert_matches_recursion(model, X[:8], bg)
+
+    def test_colsampled_boosted_models_bit_identical_to_recursion(self):
+        rng = np.random.default_rng(41)
+        for _ in range(6):
+            model, X = random_boosted_model(rng, n=40, p=7, depth=5, trees=25)
+            assert model.params.colsample_bytree < 1.0
+            bg = BackgroundSet(X[rng.choice(40, size=9, replace=False)])
+            assert_matches_recursion(model, X[:6], bg)
+
+    def test_feature_split_twice_along_a_path(self):
+        # root x0 <= 0; its left child x0 <= -1; its right child x1 <= 0.5,
+        # whose left child splits x0 again at 1
+        tree = Tree(
+            feature=[0, 0, -1, -1, 1, 0, -1, -1, -1],
+            threshold=[0.0, -1.0, 0.0, 0.0, 0.5, 1.0, 0.0, 0.0, 0.0],
+            children_left=[1, 2, -1, -1, 5, 6, -1, -1, -1],
+            children_right=[4, 3, -1, -1, 8, 7, -1, -1, -1],
+            value=[0.0, 0.0, -2.0, 1.0, 0.0, 0.5, 3.0, -1.5, 4.0],
+            cover=[1.0] * 9)
+        grid = np.array([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5])
+        rows = np.array([[a, b] for a in grid for b in grid[::2]])
+        assert_matches_recursion(tree, rows, BackgroundSet(rows[::3]))
+        x = np.array([1.5, 0.0])
+        np.testing.assert_allclose(tree_shap(tree, x, BackgroundSet(rows)),
+                                   exact_shapley(tree.predict, x,
+                                                 BackgroundSet(rows)),
+                                   atol=1e-12)
+
+    def test_single_leaf_tree_and_empty_ensemble_all_zero(self):
+        leaf = Tree(feature=[-1], threshold=[0.0], children_left=[-1],
+                    children_right=[-1], value=[2.5], cover=[1.0])
+        X = np.random.default_rng(42).normal(size=(5, 3))
+        bg = BackgroundSet(X[:3])
+        m = assert_matches_recursion(leaf, X, bg)
+        assert not m.phi.any() and m.base_value == 2.5
+        no_trees = BoostedModel(1.0, 0.1, (), None, 3)
+        assert not explain_matrix(no_trees, X, bg).phi.any()
+        # a stump next to a single-leaf tree: only the stump attributes
+        stump = Tree(feature=[1, -1, -1], threshold=[0.0, 0.0, 0.0],
+                     children_left=[1, -1, -1], children_right=[2, -1, -1],
+                     value=[0.0, -1.0, 3.0], cover=[0.0, 0.0, 0.0])
+        mixed = ForestModel((leaf, stump), ForestParams(n_estimators=2), 3)
+        assert_matches_recursion(mixed, X, bg)
+
+    def test_single_background_row(self):
+        rng = np.random.default_rng(43)
+        model, X = random_boosted_model(rng, n=40, p=5, depth=4, trees=12)
+        for b in range(3):
+            assert_matches_recursion(model, X[:10], BackgroundSet(X[b:b + 1]))
+
+    def test_queries_on_thresholds(self):
+        rng = np.random.default_rng(44)
+        X = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(60, 4))
+        y = X.sum(axis=1) + rng.normal(size=60)
+        model = fit_random_forest(X, y, ForestParams(
+            n_estimators=4, max_depth=6, max_features=2, seed=1))
+        # each query is a training row moved onto one split's threshold
+        rows = []
+        for tree in model.trees:
+            for node in np.flatnonzero(tree.feature >= 0)[:4]:
+                row = X[len(rows)].copy()
+                row[tree.feature[node]] = tree.threshold[node]
+                rows.append(row)
+        rows = np.array(rows)
+        bg = BackgroundSet(np.vstack([X[:6], rows[::4]]))
+        assert_matches_recursion(model, rows, bg)
+
+    def test_chain_deeper_than_one_key_word(self):
+        rng = np.random.default_rng(45)
+        p, depth = 3, 40
+        tree = chain_tree(depth, p, rng)
+        assert tree._paths.feature.shape[1] == depth
+        # rows survive to different depths; the all-1.05 rows reach the
+        # bottom, so pairs part beyond step 31
+        rows = np.vstack([rng.uniform(-1.0, 1.1, size=(8, p)),
+                          rng.uniform(0.5, 1.1, size=(8, p)),
+                          np.full((2, p), 1.05)])
+        assert_matches_recursion(tree, rows, BackgroundSet(rows[::2]))
+
+    def test_seventy_features(self):
+        rng = np.random.default_rng(46)
+        X = rng.normal(size=(40, 70))
+        y = X[:, 3] - X[:, 60] + rng.normal(size=40)
+        model = fit_random_forest(X, y, ForestParams(
+            n_estimators=3, max_depth=6, max_features=20, seed=2))
+        assert_matches_recursion(model, X[:4], BackgroundSet(X[10:22]))
+
+    def test_rows_across_chunks_equal_per_row_tree_shap(self):
+        rng = np.random.default_rng(47)
+        model, X = random_boosted_model(rng, n=80, p=6, depth=4, trees=20)
+        bg = BackgroundSet(X[:40])
+        leaves = sum(len(t._paths.leaf) for t, _ in model.tree_terms())
+        # more rows than one chunk holds
+        assert 80 > TREE_CHUNK_TRIPLES // (40 * leaves)
+        m = explain_matrix(model, X, bg)
+        for r, x in enumerate(X):
+            assert m.phi[r].tobytes() == tree_shap(model, x, bg).tobytes()
 
 
 class TestExplainMatrix:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from forecastlab.trees import (
     ForestModel,
     ForestParams,
     Tree,
+    _best_split,
     _tree_rng,
     fit_gradient_boosting,
     fit_random_forest,
@@ -56,6 +59,41 @@ def walk_tree(tree, X):
     return np.array(out)
 
 
+def loop_best_split(X, g, h, feature_ids, reg_lambda, min_samples_leaf):
+    """Reference oracle: the split search one candidate column at a time
+    (the kernel's original loop); returns (feature, threshold, gain)."""
+    best_gain = -math.inf
+    best = None
+    G = g.sum()
+    H = h.sum()
+    parent_score = G * G / (H + reg_lambda)
+    n = len(g)
+    for f in feature_ids:
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        if xs[0] == xs[-1]:
+            continue
+        gl = np.cumsum(g[order])[:-1]
+        hl = np.cumsum(h[order])[:-1]
+        counts = np.arange(1, n)
+        valid = xs[1:] != xs[:-1]
+        if min_samples_leaf > 1:
+            valid &= (counts >= min_samples_leaf) & (n - counts >= min_samples_leaf)
+        if not valid.any():
+            continue
+        gains = 0.5 * (gl * gl / (hl + reg_lambda)
+                       + (G - gl) ** 2 / (H - hl + reg_lambda)
+                       - parent_score)
+        gains[~valid] = -math.inf
+        k = int(np.argmax(gains))  # first max = lowest threshold
+        if gains[k] > best_gain:
+            best_gain = float(gains[k])
+            best = (f, float((xs[k] + xs[k + 1]) / 2.0))
+    if best is None:
+        return None
+    return best[0], best[1], best_gain
+
+
 def brute_force_best_split(X, y):
     """Oracle: enumerate every midpoint of adjacent sorted values per feature."""
     best = (-np.inf, None, None)
@@ -70,6 +108,88 @@ def brute_force_best_split(X, y):
             if gain > best[0]:
                 best = (gain, f, thr)
     return best
+
+
+def random_node(rng):
+    """One split-search input; many nodes tie, hold constant columns, use
+    non-unit or zero hessians, or have reg_lambda 0."""
+    n = int(rng.integers(2, 40))
+    p = int(rng.integers(1, 9))
+    kind = int(rng.integers(0, 3))
+    if kind == 0:  # coarse grid: ties across thresholds and features
+        X = rng.choice([0.0, 1.0, 2.0], size=(n, p))
+    elif kind == 1:
+        X = np.round(rng.normal(size=(n, p)), 1)
+    else:
+        X = rng.normal(size=(n, p))
+    if p > 1 and rng.uniform() < 0.3:  # duplicated column: a tie across features
+        X[:, int(rng.integers(1, p))] = X[:, 0]
+    if rng.uniform() < 0.3:
+        X[:, int(rng.integers(0, p))] = 1.5  # constant column
+    g = rng.normal(size=n)
+    if rng.uniform() < 0.4:
+        g = np.round(g)  # integer gradients: equal gains at several thresholds
+    h = np.ones(n) if rng.uniform() < 0.4 else rng.uniform(0.1, 3.0, size=n)
+    reg_lambda = float(rng.choice([0.0, 1.0]))
+    if rng.uniform() < 0.15:  # zero hessians: with reg_lambda 0 gains go NaN
+        h = np.where(rng.uniform(size=n) < 0.5, 0.0, h)
+        reg_lambda = 0.0
+    feats = np.sort(rng.choice(p, size=int(rng.integers(1, p + 1)),
+                               replace=False))
+    return X, g, h, feats, reg_lambda, int(rng.integers(1, 4))
+
+
+class TestSplitSearch:
+    def test_matches_loop_on_random_nodes(self):
+        rng = np.random.default_rng(30)
+        found = nan_nodes = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(1500):
+                args = random_node(rng)
+                expected = loop_best_split(*args)
+                assert _best_split(*args) == expected
+                found += expected is not None
+                nan_nodes += (args[4] == 0.0) and not args[2].all()
+        # the mix reaches both outcomes and the zero-hessian branch
+        assert 500 < found < 1500
+        assert nan_nodes > 50
+
+    def test_tie_across_features_takes_lowest_feature(self):
+        X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        g = np.array([-1.0, -1.0, 1.0, 1.0])
+        h = np.ones(4)
+        split = _best_split(X, g, h, np.arange(2), 0.0, 1)
+        assert split == loop_best_split(X, g, h, np.arange(2), 0.0, 1)
+        assert split[:2] == (0, 1.5)
+
+    def test_tie_across_thresholds_takes_lowest_threshold(self):
+        # splits after row 1 and after row 3 score the same
+        X = np.arange(6, dtype=float)[:, None]
+        g = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+        h = np.ones(6)
+        split = _best_split(X, g, h, np.arange(1), 0.0, 1)
+        assert split == loop_best_split(X, g, h, np.arange(1), 0.0, 1)
+        assert split[1] == 1.5
+
+    def test_nan_column_max_is_skipped(self):
+        # column 0: a 0/0 gain ranks first in argmax; column 1 finite
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 1.0]])
+        g = np.array([0.0, 1.0, -1.0, 2.0])
+        h = np.array([0.0, 1.0, 1.0, 1.0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            split = _best_split(X, g, h, np.arange(2), 0.0, 1)
+            assert split == loop_best_split(X, g, h, np.arange(2), 0.0, 1)
+        assert split[0] == 1
+
+    def test_all_constant_columns_no_split(self):
+        X = np.full((5, 3), 2.0)
+        g = np.arange(5, dtype=float)
+        assert _best_split(X, g, np.ones(5), np.arange(3), 0.0, 1) is None
+
+    def test_min_samples_leaf_excludes_every_split(self):
+        X = np.arange(5, dtype=float)[:, None]
+        g = np.arange(5, dtype=float)
+        assert _best_split(X, g, np.ones(5), np.arange(1), 0.0, 3) is None
 
 
 class TestSingleTree:
