@@ -9,7 +9,9 @@ where a and b are the expanded products of the nonseasonal and seasonal
 AR/MA polynomials. Innovations condition on the first len(a) values of w
 and on zero pre-sample innovations; the CSS objective sums the squared
 innovations and is minimized by a derivative-free simplex search started
-from the zero vector plus four seeded perturbations.
+from the zero vector plus four seeded perturbations. The objective is
+built once per fit: the lagged design of w depends on the order alone,
+so each evaluation only expands the polynomials, multiplies and filters.
 """
 
 from __future__ import annotations
@@ -135,13 +137,19 @@ def _unpack(theta, order: ArimaOrder):
     return c, phi, th, sphi, sth
 
 
-def _innovations(w, c, a, b):
-    """Conditional innovations for t >= len(a); pre-sample e = 0."""
-    k_ar = len(a)
-    m = len(w)
-    if k_ar:
-        idx = np.arange(k_ar, m)[:, None] - np.arange(1, k_ar + 1)[None, :]
-        z = w[k_ar:] - c - w[idx] @ a
+def _ar_design(w, k_ar: int):
+    """(lagged, target) for the AR recursion: row t - k_ar of lagged holds
+    w_{t-1}, ..., w_{t-k_ar} and target is w_t, for t >= k_ar."""
+    idx = np.arange(k_ar, len(w))[:, None] - np.arange(1, k_ar + 1)[None, :]
+    return w[idx], w[k_ar:]
+
+
+def _innovations(w, c, a, b, design=None):
+    """Conditional innovations for t >= len(a); pre-sample e = 0. `design`
+    is _ar_design(w, len(a)) when the caller already has it."""
+    if len(a):
+        lagged, target = design if design is not None else _ar_design(w, len(a))
+        z = target - c - lagged @ a
     else:
         z = w - c
     if len(b):
@@ -150,15 +158,26 @@ def _innovations(w, c, a, b):
     return z
 
 
-def _css(theta, w, order: ArimaOrder) -> float:
-    if not np.all(np.isfinite(theta)):
-        return 1e300
-    c, phi, th, sphi, sth = _unpack(theta, order)
-    a = _ar_lags(phi, sphi, order.s) if (order.p or order.P) else np.empty(0)
-    b = _ma_lags(th, sth, order.s) if (order.q or order.Q) else np.empty(0)
-    e = _innovations(w, c, a, b)
-    val = float(e @ e)
-    return val if math.isfinite(val) else 1e300
+def _css_objective(w, order: ArimaOrder):
+    """theta -> conditional sum of squared innovations of w under `order`
+    (1e300 where theta or the sum is not finite). The AR lag design depends
+    on the order alone, so it is built once here, not per evaluation."""
+    has_ar = bool(order.p or order.P)
+    has_ma = bool(order.q or order.Q)
+    design = _ar_design(w, order.p + order.s * order.P) if has_ar else None
+    no_lags = np.empty(0)
+
+    def css(theta) -> float:
+        if not all(map(math.isfinite, theta.tolist())):
+            return 1e300
+        c, phi, th, sphi, sth = _unpack(theta, order)
+        a = _ar_lags(phi, sphi, order.s) if has_ar else no_lags
+        b = _ma_lags(th, sth, order.s) if has_ma else no_lags
+        e = _innovations(w, c, a, b, design)
+        val = float(e @ e)
+        return val if math.isfinite(val) else 1e300
+
+    return css
 
 
 def _poly_roots_outside_unit(coefs) -> bool:
@@ -187,12 +206,13 @@ def fit_css(y, order: ArimaOrder, seed: int = 0) -> ArimaFit:
     for _ in range(4):
         starts.append(rng.normal(0.0, 0.1, size=dim))
 
+    css = _css_objective(w, order)
     best = None
     start_css = []
     any_success = False
     for x0 in starts:
-        start_css.append(_css(x0, w, order))
-        res = minimize(_css, x0, args=(w, order), method="Nelder-Mead",
+        start_css.append(css(x0))
+        res = minimize(css, x0, method="Nelder-Mead",
                        options={"maxiter": 600 * dim, "xatol": 1e-8,
                                 "fatol": 1e-10})
         any_success = any_success or bool(res.success)

@@ -8,6 +8,10 @@ Objective, for an n x p design X and target y:
 alpha mixes the penalties (0 = ridge, 1 = lasso); the intercept b is never
 penalized and is refitted as the mean of partial residuals each sweep.
 The lam = 0 path is solved by normal equations instead of iterating.
+
+A sweep updates the residual in place and holds beta as Python floats;
+the column views and the soft-threshold denominators are built once per
+fit, and beta goes back into its array once a sweep, for the objective.
 """
 
 from __future__ import annotations
@@ -133,28 +137,35 @@ def fit_linear(X, y, penalty: PenaltySpec,
     lam_l1 = penalty.lam * penalty.alpha
     lam_l2 = penalty.lam * (1.0 - penalty.alpha)
     col_ssq = (X * X).sum(axis=0) / n
+    # per-coordinate constants of a sweep: column views (strided, so each
+    # dot keeps its BLAS path) and soft-threshold denominators
+    cols = [X[:, j] for j in range(p)]
+    denoms = [float(col_ssq[j] + lam_l2) for j in range(p)]
 
     beta = np.zeros(p)
+    coef = [0.0] * p  # beta during a sweep, written back after it
     b = float(y.mean())
     r = y - b  # residual excluding nothing: y - b - X beta, beta = 0
+    scratch = np.empty(n)
     trace = []
     converged = False
     sweeps = 0
     for sweeps in range(1, MAX_SWEEPS + 1):
         max_delta = 0.0
         for j in range(p):
-            bj = beta[j]
+            col, bj = cols[j], coef[j]
             if bj != 0.0:
-                r += X[:, j] * bj
-            rho = float(X[:, j] @ r) / n
-            denom = col_ssq[j] + lam_l2
+                np.add(r, np.multiply(col, bj, out=scratch), out=r)
+            rho = float(col @ r) / n
+            denom = denoms[j]
             new = _soft_threshold(rho, lam_l1) / denom if denom > 0 else 0.0
             if new != 0.0:
-                r -= X[:, j] * new
-            beta[j] = new
+                np.subtract(r, np.multiply(col, new, out=scratch), out=r)
+            coef[j] = new
             max_delta = max(max_delta, abs(new - bj))
+        beta[:] = coef
         # refit intercept as the mean of partial residuals
-        new_b = float((r + b).mean())
+        new_b = float(np.add(r, b, out=scratch).mean())
         r += b - new_b
         max_delta = max(max_delta, abs(new_b - b))
         b = new_b

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .trees import LeafPaths
+from .trees import TreeModel
 
 EXACT_MAX_FEATURES = 15
 EFFICIENCY_TOL = 1e-9
@@ -184,21 +184,6 @@ def _uv_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
     return pos, neg
 
 
-def _ensemble_paths(model):
-    """All leaf paths of a tree model, padded to its deepest tree, with each
-    leaf's tree index (tree_terms order) and scale * value; None for a
-    model without trees."""
-    terms = list(model.tree_terms())
-    if not terms:
-        return None
-    paths = LeafPaths.stack([tree._paths for tree, _ in terms])
-    tree_of = np.repeat(np.arange(len(terms)),
-                        [len(tree._paths.leaf) for tree, _ in terms])
-    weight = np.concatenate([scale * tree.value[tree._paths.leaf]
-                             for tree, scale in terms])
-    return paths, tree_of, weight
-
-
 class _PathSide:
     """How a set of rows (query or background) meets every leaf path.
 
@@ -267,7 +252,7 @@ def _tree_shap_matrix(model, X: np.ndarray,
         raise ValueError("background feature count mismatch")
     B = background.size
     phi = np.zeros((n_rows, p))
-    ensemble = _ensemble_paths(model)
+    ensemble = model._leaf_paths
     if ensemble is None or ensemble[0].feature.shape[1] == 0:
         return phi  # no trees, or only single-leaf trees: no path to split
     paths, tree_of, weight = ensemble
@@ -334,7 +319,7 @@ def tree_shap(model, x, background: BackgroundSet) -> np.ndarray:
 
 
 def is_tree_model(model) -> bool:
-    return hasattr(model, "tree_terms")
+    return isinstance(model, TreeModel)
 
 
 def explain_matrix(model, rows, background: BackgroundSet) -> ShapMatrix:

@@ -11,6 +11,11 @@ bounds), solves the two-variable subproblem analytically, and clips to
 the box: the dual objective improves monotonically and sum(alpha -
 alpha*) stays exactly zero. The prediction bias comes from free support
 vectors, or the midpoint of the KKT interval when none are free.
+
+An update touches two entries of z, so the loop keeps z as Python
+floats, clips and re-classifies (I_up / I_low) only those two, and reads
+the pair's kernel columns from a contiguous copy made once per fit; the
+gradient update over all 2n entries is the only full-length arithmetic.
 """
 
 from __future__ import annotations
@@ -120,51 +125,76 @@ def fit_svr(X, y, C: float, epsilon: float, kernel: KernelSpec,
     n = X.shape[0]
     if n < 2:
         raise ValueError("need at least 2 rows")
-    if C <= 0:
+    if not C > 0:  # NaN too
         raise ValueError(f"C must be > 0, got {C}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
 
     gamma = kernel.resolved_gamma(X)
     K = kernel_matrix(kernel, X, X, gamma)
-    Kd = np.vstack([K, K])  # row t of the doubled problem maps to t mod n
+    # row t of the doubled problem maps to row t mod n of K; row ii of
+    # cols is column ii of that doubled matrix, stored contiguously
+    cols = np.ascontiguousarray(np.vstack([K, K]).T)
+    diag = K.diagonal().tolist()
+    cap = MAX_PAIR_UPDATES
+    Cf = float(C)
 
-    z = np.zeros(2 * n)
+    z = [0.0] * (2 * n)
     s = np.concatenate([np.ones(n), -np.ones(n)])
     grad = np.concatenate([epsilon - y, epsilon + y])
+    # row 0 of sides is -s*grad; row 1 is its negation s*grad, so one
+    # argmax per row finds the I_up maximum and the I_low minimum (same
+    # first-index ties and NaN handling as argmin on row 0)
+    signs = np.vstack([-s, s])
+    sides = np.empty((2, 2 * n))
+    # I_up and I_low membership, rows 0 and 1 (all of alpha and all of
+    # alpha* at z = 0); an update can change only the two entries it moves
+    member = np.vstack([s > 0, s < 0])
+    diff = np.empty(2 * n)
+    step = np.empty(2 * n)
 
     converged = False
     updates = 0
     m = M = 0.0
     while True:
-        neg_sg = -s * grad
-        in_up = np.where(s > 0, z < C, z > 0)
-        in_low = np.where(s > 0, z > 0, z < C)
-        i = int(np.argmax(np.where(in_up, neg_sg, -np.inf)))
-        j = int(np.argmin(np.where(in_low, neg_sg, np.inf)))
-        m, M = neg_sg[i], neg_sg[j]
+        np.multiply(signs, grad, out=sides)
+        i, j = np.where(member, sides, -np.inf).argmax(1).tolist()
+        m, M = sides.item(0, i), sides.item(0, j)
         if m - M <= tol:
             converged = True
             break
-        if updates >= MAX_PAIR_UPDATES:
+        if updates >= cap:
             break
 
         ii, jj = i % n, j % n
-        curv = K[ii, ii] + K[jj, jj] - 2.0 * K[ii, jj]
-        cap_i = (C - z[i]) if s[i] > 0 else z[i]
-        cap_j = z[j] if s[j] > 0 else (C - z[j])
+        curv = diag[ii] + diag[jj] - 2.0 * K.item(ii, jj)
+        cap_i = (Cf - z[i]) if i < n else z[i]
+        cap_j = z[j] if j < n else (Cf - z[j])
         delta = (m - M) / curv if curv > 1e-12 else np.inf
         delta = min(delta, cap_i, cap_j)
         if delta <= 0:
             break  # boundary-locked; KKT gap cannot be reduced further
-        z[i] += s[i] * delta
-        z[j] -= s[j] * delta
-        np.clip(z, 0.0, C, out=z)
-        grad += delta * s * (Kd[:, ii] - Kd[:, jj])
+        z[i] = z[i] + delta if i < n else z[i] - delta
+        z[j] = z[j] - delta if j < n else z[j] + delta
+        for t in (i, j):
+            # only these two entries moved. A step down is capped by the
+            # entry itself, so it stays >= 0; a step up to the cap can
+            # round past C and is clipped back, as np.clip over z would
+            zt = z[t]
+            if zt > Cf:
+                z[t] = zt = Cf
+            up, low = zt < Cf, zt > 0.0
+            member[0, t], member[1, t] = (up, low) if t < n else (low, up)
+        np.subtract(cols[ii], cols[jj], out=diff)
+        np.multiply(s, delta, out=step)
+        np.multiply(step, diff, out=step)
+        np.add(grad, step, out=grad)
         updates += 1
         if monitor is not None:
-            monitor(z.copy(), z[:n] - z[n:])
+            za = np.array(z)
+            monitor(za, za[:n] - za[n:])
 
+    z = np.array(z)
     beta = z[:n] - z[n:]
     neg_sg = -s * grad
     free = (z > 1e-9 * C) & (z < C * (1 - 1e-9))

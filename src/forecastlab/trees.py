@@ -68,8 +68,31 @@ class LeafPaths(NamedTuple):
         return out
 
 
+class TreeModel:
+    """Base of the tree models: each yields its (tree, scale) pairs through
+    `tree_terms()`, and TreeSHAP reads them stacked from `_leaf_paths`."""
+
+    @cached_property
+    def _leaf_paths(self) -> tuple[LeafPaths, np.ndarray, np.ndarray] | None:
+        """Every leaf path of tree_terms(), padded to the deepest tree, with
+        each leaf's term index and scale * value; None without trees. Built
+        on first use, so only explained models pay for it."""
+        terms = list(self.tree_terms())
+        if not terms:
+            return None
+        tables = [tree._paths for tree, _ in terms]
+        paths = LeafPaths.stack(tables)
+        tree_of = np.repeat(np.arange(len(terms)),
+                            [len(t.leaf) for t in tables])
+        weight = np.concatenate([scale * tree.value[t.leaf]
+                                 for (tree, scale), t in zip(terms, tables)])
+        for arr in (*paths, tree_of, weight):
+            arr.flags.writeable = False
+        return paths, tree_of, weight
+
+
 @dataclass(frozen=True, eq=False)
-class Tree:
+class Tree(TreeModel):
     """Node i splits on feature[i] (rows with x <= threshold[i] go to
     children_left[i]) or is a leaf (feature == -1, children -1) predicting
     value[i]. cover is the hessian sum that reached the node; node 0 is the
@@ -130,11 +153,15 @@ class Tree:
     def _routing(self) -> tuple[np.ndarray, np.ndarray, int]:
         """(left, right, depth) for predict_tree: the child arrays with each
         leaf pointing at itself, so every row can take `depth` steps."""
+        left = self.children_left.tolist()
+        right = self.children_right.tolist()
+        depth, level = 0, [0]
+        while level := [c for i in level for c in (left[i], right[i]) if c >= 0]:
+            depth += 1
         leaf = self.feature < 0
         index = np.arange(len(leaf))
         return (np.where(leaf, index, self.children_left),
-                np.where(leaf, index, self.children_right),
-                self._paths.feature.shape[1])
+                np.where(leaf, index, self.children_right), depth)
 
     def predict(self, X) -> np.ndarray:
         return predict_tree(self, _as_rows(X, 0))
@@ -189,7 +216,7 @@ class BoostParams:
 
 
 @dataclass(frozen=True)
-class ForestModel:
+class ForestModel(TreeModel):
     trees: tuple[Tree, ...]
     params: ForestParams
     n_features: int
@@ -209,7 +236,7 @@ class ForestModel:
 
 
 @dataclass(frozen=True)
-class BoostedModel:
+class BoostedModel(TreeModel):
     base_score: float
     learning_rate: float
     trees: tuple[Tree, ...]

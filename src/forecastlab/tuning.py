@@ -128,16 +128,21 @@ def grid_search(family: str, grid: ParamGrid, X, y, plan: CvPlan,
     y = np.asarray(y, dtype=float)
     folds = kfold_indices(len(y), plan)
     all_idx = np.arange(len(y))
+    # each fold's rows are sliced once and shared by every cell; no family
+    # writes into the arrays it fits on or predicts
+    splits = []
+    for val_idx in folds:
+        train_idx = np.setdiff1d(all_idx, val_idx, assume_unique=True)
+        splits.append((X[train_idx], y[train_idx], X[val_idx], y[val_idx]))
 
     table: list[CvCell] = []
     for params in grid.cells():
         fold_mse = []
-        for val_idx in folds:
-            train_idx = np.setdiff1d(all_idx, val_idx, assume_unique=True)
+        for X_train, y_train, X_val, y_val in splits:
             try:
-                fitted = fit_family(family, X[train_idx], y[train_idx],
-                                    params, seed=seed)
-                resid = fitted.predict(X[val_idx]) - y[val_idx]
+                fitted = fit_family(family, X_train, y_train, params,
+                                    seed=seed)
+                resid = fitted.predict(X_val) - y_val
                 score = float((resid ** 2).mean())
                 if not math.isfinite(score):
                     score = math.inf

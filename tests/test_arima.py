@@ -1,10 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
+from scipy.signal import lfilter
 
 from forecastlab.arima import (
     ArimaError,
     ArimaFit,
     ArimaOrder,
+    _ar_lags,
+    _css_objective,
+    _ma_lags,
+    _unpack,
     default_order_candidates,
     difference,
     fit_css,
@@ -34,6 +42,76 @@ def zero_fit(order, intercept=0.0):
     return ArimaFit(order, intercept, (0.0,) * order.p, (0.0,) * order.q,
                     (0.0,) * order.P, (0.0,) * order.Q, sigma2=1.0, css=1.0,
                     aic=0.0, converged=True, n_eff=10, start_css=(1.0,))
+
+
+def loop_css(theta, w, order):
+    """Reference oracle: the CSS objective rebuilding the AR lag design on
+    every evaluation (the solver's original form)."""
+    if not np.all(np.isfinite(theta)):
+        return 1e300
+    c, phi, th, sphi, sth = _unpack(theta, order)
+    a = _ar_lags(phi, sphi, order.s) if (order.p or order.P) else np.empty(0)
+    b = _ma_lags(th, sth, order.s) if (order.q or order.Q) else np.empty(0)
+    k_ar = len(a)
+    if k_ar:
+        idx = np.arange(k_ar, len(w))[:, None] - np.arange(1, k_ar + 1)[None, :]
+        e = w[k_ar:] - c - w[idx] @ a
+    else:
+        e = w - c
+    if len(b):
+        e = lfilter([1.0], np.concatenate([[1.0], b]), e)
+    val = float(e @ e)
+    return val if math.isfinite(val) else 1e300
+
+
+CSS_ORDERS = [ArimaOrder(1, 0, 0), ArimaOrder(3, 1, 0), ArimaOrder(0, 0, 1),
+              ArimaOrder(0, 1, 3), ArimaOrder(2, 0, 2), ArimaOrder(1, 1, 1),
+              ArimaOrder(1, 0, 0, 1, 0, 0, 4), ArimaOrder(0, 0, 0, 0, 1, 1, 4),
+              ArimaOrder(2, 1, 1, 1, 1, 1, 4), ArimaOrder(0, 0, 0)]
+
+
+class TestCssEquivalence:
+    """The per-fit CSS objective equals the original per-call objective bit
+    for bit, so Nelder-Mead walks the same simplex."""
+
+    def test_random_evaluations(self):
+        rng = np.random.default_rng(2026)
+        big = 0
+        for case in range(600):
+            order = CSS_ORDERS[case % len(CSS_ORDERS)]
+            y = np.cumsum(rng.normal(size=int(rng.integers(40, 90))))
+            w = difference(y, order.d, order.D, order.s)
+            css = _css_objective(w, order)
+            scale = (0.05, 0.5, 3.0, 50.0)[case % 4]
+            for _ in range(5):
+                theta = rng.normal(0.0, scale, size=order.n_params)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got, want = css(theta), loop_css(theta, w, order)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                big += got == 1e300
+        assert big > 0  # explosive thetas overflowed to the 1e300 sentinel
+
+    def test_non_finite_theta(self):
+        order = ArimaOrder(1, 0, 1)
+        w = np.linspace(-1.0, 1.0, 30)
+        css = _css_objective(w, order)
+        for bad in (np.nan, np.inf, -np.inf):
+            theta = np.array([0.1, bad, 0.2])
+            assert css(theta) == loop_css(theta, w, order) == 1e300
+
+    @pytest.mark.parametrize("order", CSS_ORDERS[::3])
+    def test_nelder_mead_walk(self, order):
+        rng = np.random.default_rng(9)
+        y = np.cumsum(rng.normal(size=70))
+        w = difference(y, order.d, order.D, order.s)
+        x0 = rng.normal(0.0, 0.1, size=order.n_params)
+        opts = {"maxiter": 200 * order.n_params, "xatol": 1e-8, "fatol": 1e-10}
+        got = minimize(_css_objective(w, order), x0, method="Nelder-Mead",
+                       options=opts)
+        want = minimize(loop_css, x0, args=(w, order), method="Nelder-Mead",
+                        options=opts)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert (got.fun, got.nfev, got.nit) == (want.fun, want.nfev, want.nit)
 
 
 class TestDifference:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import forecastlab.linear as linear_mod
 from forecastlab.dataset import Standardization, default_schema, linear_dgp, synth_generate
 from forecastlab.linear import (
+    CONVERGENCE_TOL,
     LinearModel,
     PenaltySpec,
     elastic_net_objective,
@@ -30,6 +32,104 @@ def orthonormalized(rng, n, p):
     raw -= raw.mean(axis=0)
     q, _ = np.linalg.qr(raw)
     return q * np.sqrt(n)
+
+
+def loop_fit_linear(X, y, penalty):
+    """Reference oracle for lam > 0: the coordinate-descent sweep indexing
+    X[:, j] and beta[j] in place on every step (the solver's original form).
+    Reads the sweep cap from the module, so patching it caps both."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, p = X.shape
+    lam_l1 = penalty.lam * penalty.alpha
+    lam_l2 = penalty.lam * (1.0 - penalty.alpha)
+    col_ssq = (X * X).sum(axis=0) / n
+    beta = np.zeros(p)
+    b = float(y.mean())
+    r = y - b
+    trace = []
+    converged = False
+    sweeps = 0
+    for sweeps in range(1, linear_mod.MAX_SWEEPS + 1):
+        max_delta = 0.0
+        for j in range(p):
+            bj = beta[j]
+            if bj != 0.0:
+                r += X[:, j] * bj
+            rho = float(X[:, j] @ r) / n
+            denom = col_ssq[j] + lam_l2
+            soft = (rho - lam_l1 if rho > lam_l1
+                    else rho + lam_l1 if rho < -lam_l1 else 0.0)
+            new = soft / denom if denom > 0 else 0.0
+            if new != 0.0:
+                r -= X[:, j] * new
+            beta[j] = new
+            max_delta = max(max_delta, abs(new - bj))
+        new_b = float((r + b).mean())
+        r += b - new_b
+        max_delta = max(max_delta, abs(new_b - b))
+        b = new_b
+        trace.append(elastic_net_objective(X, y, b, beta, penalty))
+        if max_delta < CONVERGENCE_TOL:
+            converged = True
+            break
+    return LinearModel(b, beta, penalty, converged=converged, n_sweeps=sweeps,
+                       objective_trace=tuple(trace))
+
+
+def assert_same_linear(got, want):
+    assert np.float64(got.intercept).tobytes() == np.float64(want.intercept).tobytes()
+    assert got.coefficients.tobytes() == want.coefficients.tobytes()
+    assert (np.array(got.objective_trace).tobytes()
+            == np.array(want.objective_trace).tobytes())
+    assert (got.converged, got.n_sweeps) == (want.converged, want.n_sweeps)
+
+
+class TestLoopEquivalence:
+    """fit_linear equals the original sweep bit for bit on every field."""
+
+    def test_random_problems(self, monkeypatch):
+        monkeypatch.setattr(linear_mod, "MAX_SWEEPS", 1000)
+        rng = np.random.default_rng(2025)
+        zeros = 0
+        for case in range(330):
+            n = int(rng.integers(3, 40))
+            p = 1 if case % 10 == 0 else int(rng.integers(2, 9))
+            X = rng.normal(size=(n, p))
+            if p >= 2:
+                X[:, 1] = 0.7 * X[:, 0] + 0.3 * X[:, 1]
+            if case % 3 == 0:
+                X = Standardization.fit(X).transform(X)
+            if case % 7 == 0:
+                X[:, -1] = 0.0  # denominator from lam_l2 alone
+            y = X @ rng.normal(size=p) + rng.normal(size=n)
+            alpha = (0.0, 0.5, 1.0, float(rng.uniform()))[case % 4]
+            lam = float(np.exp(rng.uniform(np.log(1e-3), np.log(2.0))))
+            penalty = PenaltySpec(lam, alpha)
+            got = fit_linear(X, y, penalty)
+            assert_same_linear(got, loop_fit_linear(X, y, penalty))
+            zeros += alpha == 1.0 and bool((got.coefficients == 0.0).any())
+        assert zeros > 20  # exact lasso zeros were reached and matched
+
+    def test_zero_column_pure_lasso(self):
+        # denom = 0: the coordinate stays at exactly 0.0
+        rng = np.random.default_rng(3)
+        X = np.column_stack([rng.normal(size=12), np.zeros(12)])
+        y = rng.normal(size=12)
+        for alpha in (0.0, 1.0):
+            penalty = PenaltySpec(0.1, alpha)
+            got = fit_linear(X, y, penalty)
+            assert_same_linear(got, loop_fit_linear(X, y, penalty))
+            assert got.coefficients[1] == 0.0
+
+    def test_sweep_cap(self, monkeypatch):
+        monkeypatch.setattr(linear_mod, "MAX_SWEEPS", 2)
+        rng = np.random.default_rng(4)
+        X = centered_design(rng, 30, 4, corr=0.9)
+        y = rng.normal(size=30)
+        got = fit_linear(X, y, PenaltySpec(0.01, 0.5))
+        assert_same_linear(got, loop_fit_linear(X, y, PenaltySpec(0.01, 0.5)))
+        assert (got.converged, got.n_sweeps) == (False, 2)
 
 
 class TestExactFits:

@@ -341,6 +341,29 @@ class TestTreeShap:
                                       tree_shap(clone, X[0], bg))
 
 
+class TestLeafPathCache:
+    def test_stacked_once_per_model(self):
+        rng = np.random.default_rng(48)
+        boosted, X = random_boosted_model(rng, trees=6)
+        forest = fit_random_forest(X, rng.normal(size=len(X)), ForestParams(
+            n_estimators=3, max_depth=4, seed=1))
+        bg = BackgroundSet(X[:8])
+        for model in (boosted, forest, forest.trees[0]):
+            first = tree_shap(model, X[0], bg)
+            table = model._leaf_paths
+            paths, tree_of, weight = table
+            assert not any(a.flags.writeable for a in (*paths, tree_of, weight))
+            m = explain_matrix(model, X[:3], bg)
+            assert model._leaf_paths is table
+            assert m.phi[0].tobytes() == first.tobytes()
+
+    def test_empty_booster_has_no_table(self):
+        model = BoostedModel(0.5, 0.1, (), BoostParams(n_estimators=1), 2)
+        assert model._leaf_paths is None
+        assert not tree_shap(model, np.zeros(2),
+                             BackgroundSet(np.ones((3, 2)))).any()
+
+
 class TestArrayTreeShap:
     def test_forests_bit_identical_to_recursion(self):
         rng = np.random.default_rng(40)

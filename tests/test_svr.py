@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import forecastlab.svr as svr_mod
 from forecastlab.dataset import Standardization
 from forecastlab.svr import (
+    KKT_TOL,
     PREDICT_BLOCK_CELLS,
     KernelSpec,
+    SvrModel,
     dual_objective,
     fit_svr,
     kernel_matrix,
@@ -27,6 +30,197 @@ def qp_oracle(X, y, C, eps, spec):
                    method="SLSQP", options={"maxiter": 1000, "ftol": 1e-14})
     assert res.success
     return res.x[:n] - res.x[n:]
+
+
+def loop_fit_svr(X, y, C, epsilon, kernel, standardization=None,
+                 monitor=None, tol=KKT_TOL):
+    """Reference oracle: the SMO loop that rebuilds every mask, clips all of
+    z and gathers Kd's columns on each update (the solver's original form).
+    Reads the update cap and the kernel from the module, so patching them
+    changes both."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = X.shape[0]
+    gamma = kernel.resolved_gamma(X)
+    K = svr_mod.kernel_matrix(kernel, X, X, gamma)
+    Kd = np.vstack([K, K])
+    z = np.zeros(2 * n)
+    s = np.concatenate([np.ones(n), -np.ones(n)])
+    grad = np.concatenate([epsilon - y, epsilon + y])
+    converged = False
+    updates = 0
+    m = M = 0.0
+    while True:
+        neg_sg = -s * grad
+        in_up = np.where(s > 0, z < C, z > 0)
+        in_low = np.where(s > 0, z > 0, z < C)
+        i = int(np.argmax(np.where(in_up, neg_sg, -np.inf)))
+        j = int(np.argmin(np.where(in_low, neg_sg, np.inf)))
+        m, M = neg_sg[i], neg_sg[j]
+        if m - M <= tol:
+            converged = True
+            break
+        if updates >= svr_mod.MAX_PAIR_UPDATES:
+            break
+        ii, jj = i % n, j % n
+        curv = K[ii, ii] + K[jj, jj] - 2.0 * K[ii, jj]
+        cap_i = (C - z[i]) if s[i] > 0 else z[i]
+        cap_j = z[j] if s[j] > 0 else (C - z[j])
+        delta = (m - M) / curv if curv > 1e-12 else np.inf
+        delta = min(delta, cap_i, cap_j)
+        if delta <= 0:
+            break
+        z[i] += s[i] * delta
+        z[j] -= s[j] * delta
+        np.clip(z, 0.0, C, out=z)
+        grad += delta * s * (Kd[:, ii] - Kd[:, jj])
+        updates += 1
+        if monitor is not None:
+            monitor(z.copy(), z[:n] - z[n:])
+    beta = z[:n] - z[n:]
+    neg_sg = -s * grad
+    free = (z > 1e-9 * C) & (z < C * (1 - 1e-9))
+    if free.any():
+        bias = float(neg_sg[free].mean())
+    else:
+        bias = float((m + M) / 2.0)
+    return SvrModel(X, beta, bias, kernel, gamma, C, epsilon, standardization,
+                    converged, updates)
+
+
+def assert_same_svr(got, want):
+    assert got.support_rows.tobytes() == want.support_rows.tobytes()
+    assert got.dual_coef.tobytes() == want.dual_coef.tobytes()
+    assert np.float64(got.bias).tobytes() == np.float64(want.bias).tobytes()
+    assert (got.gamma, got.C, got.epsilon) == (want.gamma, want.C, want.epsilon)
+    assert (got.converged, got.n_updates) == (want.converged, want.n_updates)
+
+
+def random_svr_problem(rng):
+    """A small SVR fit: kernel, size, box and tube vary; about one problem
+    in four repeats rows, so some pairs have zero curvature."""
+    n = int(rng.integers(2, 25))
+    p = int(rng.integers(1, 4))
+    X = rng.normal(size=(n, p))
+    if rng.random() < 0.25:
+        X = X[rng.integers(0, max(1, n // 2), size=n)]
+    y = X @ rng.normal(size=p) + rng.normal(scale=0.3, size=n)
+    kind = ("linear", "rbf", "polynomial")[int(rng.integers(3))]
+    spec = KernelSpec(kind, degree=int(rng.integers(1, 4)),
+                      gamma=None if rng.random() < 0.5 else float(rng.uniform(0.2, 2)),
+                      coef0=float(rng.choice([0.0, 1.0])))
+    C = float(rng.choice([0.05, 0.3, 1.0, 4.0]))
+    eps = float(rng.choice([0.0, 0.01, 0.1, 0.5]))
+    return X, y, C, eps, spec
+
+
+class TestLoopEquivalence:
+    """fit_svr equals the original loop bit for bit: every field of the
+    model and every monitored iterate."""
+
+    def test_random_problems(self, monkeypatch):
+        # a lower cap keeps the few slow (linear, large C) fits short
+        monkeypatch.setattr(svr_mod, "MAX_PAIR_UPDATES", 2000)
+        rng = np.random.default_rng(2024)
+        kinds, zero_curv, capped = set(), 0, 0
+        for _ in range(320):
+            X, y, C, eps, spec = random_svr_problem(rng)
+            got_seen, want_seen = [], []
+            got = fit_svr(X, y, C, eps, spec, monitor=lambda z, b: got_seen.append(
+                (z.tobytes(), b.tobytes())))
+            want = loop_fit_svr(X, y, C, eps, spec, monitor=lambda z, b: want_seen.append(
+                (z.tobytes(), b.tobytes())))
+            assert_same_svr(got, want)
+            assert got_seen == want_seen
+            kinds.add(spec.kind)
+            zero_curv += len(np.unique(X, axis=0)) < len(X)
+            capped += not got.converged
+        assert kinds == {"linear", "rbf", "polynomial"}
+        assert zero_curv > 30
+        assert capped >= 1
+
+    def test_duplicate_rows_zero_curvature(self):
+        # every pair of distinct rows is a duplicate pair: curv = 0, so each
+        # step moves the full box cap
+        X = np.repeat(np.array([[0.0], [1.0]]), 3, axis=0)
+        y = np.array([0.0, 0.5, 1.0, 2.0, 2.5, 3.0])
+        for kind in ("linear", "rbf", "polynomial"):
+            spec = KernelSpec(kind, gamma=1.0)
+            got = fit_svr(X, y, 2.0, 0.1, spec)
+            assert_same_svr(got, loop_fit_svr(X, y, 2.0, 0.1, spec))
+            assert got.n_updates > 0
+
+    def test_boundary_locked_exit(self, monkeypatch):
+        # no gap meets tol = -inf, so a fit ends at the update cap or when
+        # the pair's step is <= 0 (gap <= 0: the boundary-locked exit)
+        monkeypatch.setattr(svr_mod, "MAX_PAIR_UPDATES", 300)
+        rng = np.random.default_rng(11)
+        locked = 0
+        for _ in range(40):
+            X, y, C, eps, spec = random_svr_problem(rng)
+            got = fit_svr(X, y, C, eps, spec, tol=-np.inf)
+            assert_same_svr(got, loop_fit_svr(X, y, C, eps, spec, tol=-np.inf))
+            assert not got.converged
+            locked += got.n_updates < 300
+        assert locked >= 8
+        # all rows inside the tube: the first step is already <= 0
+        X = np.arange(4.0)[:, None]
+        y = np.array([0.0, 0.1, 0.05, 0.0])
+        got = fit_svr(X, y, 1.0, 0.5, KernelSpec("rbf"), tol=-np.inf)
+        assert_same_svr(got, loop_fit_svr(X, y, 1.0, 0.5, KernelSpec("rbf"),
+                                          tol=-np.inf))
+        assert (got.converged, got.n_updates) == (False, 0)
+
+    def test_step_rounding_past_the_box_is_clipped(self):
+        # one capped step up here lands a rounding error above C
+        # (z + (C - z) > C), so the clip changes z
+        X = np.array([[-0.28], [0.13], [0.21], [-1.31], [0.8], [0.56], [0.03],
+                      [-0.77], [-0.97], [0.36], [2.61]])
+        y = np.array([-1.08, 1.2, 0.96, -1.5, -0.26, 0.4, 0.26, 1.17, 1.43,
+                      -1.65, 1.63])
+        spec = KernelSpec("polynomial", gamma=1.0)
+        got_seen, want_seen = [], []
+        got = fit_svr(X, y, 0.3, 0.01, spec,
+                      monitor=lambda z, b: got_seen.append(z.tobytes()))
+        want = loop_fit_svr(X, y, 0.3, 0.01, spec,
+                            monitor=lambda z, b: want_seen.append(z.tobytes()))
+        assert_same_svr(got, want)
+        assert got_seen == want_seen
+
+    def test_asymmetric_kernel_matrix(self, monkeypatch):
+        # the solver reads the pair's kernel columns, never rows: a kernel
+        # matrix that is not exactly symmetric must give the same fit
+        exact = svr_mod.kernel_matrix
+
+        def skewed(spec, A, B, gamma):
+            K = exact(spec, A, B, gamma)
+            return K + 1e-3 * np.triu(np.ones_like(K), 1)
+
+        monkeypatch.setattr(svr_mod, "kernel_matrix", skewed)
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            X, y, C, eps, spec = random_svr_problem(rng)
+            got = fit_svr(X, y, C, eps, spec)
+            assert_same_svr(got, loop_fit_svr(X, y, C, eps, spec))
+
+    def test_update_cap(self, monkeypatch):
+        monkeypatch.setattr(svr_mod, "MAX_PAIR_UPDATES", 3)
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            X, y, C, eps, spec = random_svr_problem(rng)
+            got_seen, want_seen = [], []
+            got = fit_svr(X, y, C, eps, spec,
+                          monitor=lambda z, b: got_seen.append(z.tobytes()))
+            want = loop_fit_svr(X, y, C, eps, spec,
+                                monitor=lambda z, b: want_seen.append(z.tobytes()))
+            assert_same_svr(got, want)
+            assert got_seen == want_seen
+            assert got.n_updates <= 3
+
+    def test_nan_box_rejected(self):
+        with pytest.raises(ValueError, match="C must be > 0"):
+            fit_svr(np.zeros((4, 1)), np.zeros(4), C=float("nan"),
+                    epsilon=0.1, kernel=KernelSpec("linear"))
 
 
 class TestDegenerate:

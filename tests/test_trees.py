@@ -412,6 +412,21 @@ class TestFlatArrays:
         for tree in model.trees:
             np.testing.assert_array_equal(predict_tree(tree, X), walk_tree(tree, X))
 
+    def test_routing_depth_leaves_leaf_paths_unbuilt(self):
+        # predicting takes its depth from the child arrays; the leaf-path
+        # table is left for TreeSHAP, and agrees with it on the depth
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(40, 3))
+        trees = [random_tree(rng, 3, depth=int(rng.integers(0, 7)))
+                 for _ in range(30)]
+        trees += fit_random_forest(X, rng.normal(size=40), ForestParams(
+            n_estimators=4, max_depth=8, seed=3)).trees
+        trees.append(stump(1, 0.0, 1.0, 2.0))
+        for tree in trees:
+            tree.predict(X)
+            assert "_paths" not in tree.__dict__
+            assert tree._routing[2] == tree._paths.feature.shape[1]
+
     def test_row_equal_to_threshold_goes_left(self):
         tree = stump(0, 0.25, -1.0, 2.0)
         X = np.array([[0.25], [np.nextafter(0.25, 1.0)], [np.nextafter(0.25, 0.0)]])

@@ -185,6 +185,23 @@ class TestFamilies:
             assert pred.shape == (40,)
             assert np.all(np.isfinite(pred))
 
+    def test_families_leave_inputs_unwritten(self):
+        # grid_search shares one slice of each fold across every cell
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(30, 3))
+        y = X[:, 0] + 0.1 * rng.normal(size=30)
+        X.flags.writeable = False
+        y.flags.writeable = False
+        params = {"random_forest": {"n_estimators": 3, "max_depth": 2},
+                  "boosting": {"n_estimators": 3, "subsample": 0.5,
+                               "colsample_bytree": 0.5},
+                  "svr": {"C": 1.0, "kernel": "linear"},
+                  "ridge": {"lam": 0.1}, "lasso": {"lam": 0.1},
+                  "elastic_net": {"lam": 0.1}}
+        for family in FAMILIES:
+            fitted = fit_family(family, X, y, params.get(family, {}), seed=1)
+            fitted.predict(X)
+
     def test_predictions_on_raw_scale_after_standardization(self):
         rng = np.random.default_rng(7)
         X = rng.normal(100, 20, size=(50, 2))
