@@ -1,9 +1,13 @@
-"""Run configuration: a single JSON document with a fixed key schema.
+"""Run configuration: a single JSON document, read through dataclasses.
 
-Unknown keys anywhere in the document are errors. One master seed
-determines every downstream RNG through `derive_seed(master, *tags)`:
-sha256 over "master|tag|tag|..." truncated to 63 bits. Purpose tags used
-by the pipeline:
+Each section is one dataclass, read by `read_section`: its field names are
+the keys, its field defaults are the defaults, and its __post_init__
+converts and checks the values. A roster family's `grid` names only
+parameters the family reads (families.GRID_PARAMS).
+
+One master seed determines every downstream RNG through
+`derive_seed(master, *tags)`: sha256 over "master|tag|tag|..." truncated
+to 63 bits. Purpose tags used by the pipeline:
 
     ("synth",)                      synthetic data generation
     ("cv", test_months)             fold shuffling
@@ -16,15 +20,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .arima import ArimaOrder, default_order_candidates
-from .dataset import ColumnSchema, DgpSpec, default_schema
-from .families import BENCHMARK_FAMILY, FAMILIES
+from .dataset import ColumnSchema, DgpSpec, boolean, coerce_fields, default_schema, listed, optional
+from .families import BENCHMARK_FAMILY, FAMILIES, GRID_PARAMS
 from .tuning import CvPlan, ParamGrid, default_grid
-
-DEFAULT_SPLIT_MONTHS = (24, 16, 12, 9, 6)
-DEFAULT_PRIMARY_SPLIT = 16
 
 
 class ConfigError(ValueError):
@@ -37,61 +38,131 @@ def derive_seed(master: int, *tags) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def _require_keys(mapping: dict, allowed: set, where: str):
-    unknown = set(mapping) - allowed
+def read_section(cls, doc, where: str, skip=(), **given):
+    """Build dataclass `cls` from the JSON mapping `doc`, whose keys are the
+    field names less `skip` and less the fields `given` here. A TypeError or
+    ValueError from the construction becomes a ConfigError naming `where`."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a mapping, got {doc!r}")
+    keys = {f.name for f in fields(cls)} - set(skip) - set(given)
+    unknown = set(doc) - keys
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+    absent = keys - set(doc)
+    missing = [f.name for f in fields(cls)
+               if f.name in absent and f.default is f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{where} requires key(s) {missing}")
+    try:
+        return cls(**doc, **given)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+# per synth kind: (coefficients, intercept) unless the section sets them
+_SYNTH_KINDS = {"linear": ((2.0, -3.0, 0.5), 1.0),
+                "nonlinear": ((2.0, 1.5, -2.0), 3.0)}
 
 
 @dataclass(frozen=True)
 class SynthSpec:
-    kind: str = "nonlinear"
+    kind: str = "nonlinear"  # linear | nonlinear
     n: int = 84
     drivers: tuple[str, ...] = ("ATMD", "CC", "IR")
-    coefficients: tuple[float, ...] = ()
-    intercept: float | None = None
+    coefficients: tuple[float, ...] = ()  # empty: the kind's
+    intercept: float | None = None  # None: the kind's
     noise_scale: float = 0.25
     noise_ar: float = 0.3
 
+    def __post_init__(self):
+        coerce_fields(self, n=int, drivers=listed(),
+                      coefficients=listed(float), intercept=optional(float),
+                      noise_scale=float, noise_ar=float)
+        if self.kind not in _SYNTH_KINDS:
+            raise ValueError(f"unknown synth kind {self.kind!r}")
+        n_coefs = len(self.coefficients or _SYNTH_KINDS[self.kind][0])
+        if n_coefs != len(self.drivers) or (self.kind == "nonlinear"
+                                            and n_coefs != 3):
+            raise ValueError(f"{self.kind} synth takes one coefficient per "
+                             f"driver (nonlinear: 3); got {n_coefs} for "
+                             f"{len(self.drivers)} drivers")
+
     def to_dgp(self) -> DgpSpec:
-        defaults = {"linear": ((2.0, -3.0, 0.5), 1.0),
-                    "nonlinear": ((2.0, 1.5, -2.0), 3.0)}
-        if self.kind not in defaults:
-            raise ConfigError(f"unknown synth kind {self.kind!r}")
-        coefs, intercept = defaults[self.kind]
-        if self.coefficients:
-            coefs = self.coefficients
+        coefs, intercept = _SYNTH_KINDS[self.kind]
         if self.intercept is not None:
             intercept = self.intercept
-        return DgpSpec(self.kind, self.drivers, tuple(coefs), intercept,
-                       self.noise_scale, self.noise_ar)
+        return DgpSpec(self.kind, self.drivers, self.coefficients or coefs,
+                       intercept, self.noise_scale, self.noise_ar)
 
 
 @dataclass(frozen=True)
 class DataSpec:
-    csv_path: str | None = None
-    synth: SynthSpec | None = None
+    csv: str | None = None  # path of the input CSV
+    synth: SynthSpec | None = None  # the default data when csv is None
 
     def __post_init__(self):
-        if (self.csv_path is None) == (self.synth is None):
-            raise ConfigError("data must specify exactly one of csv | synth")
+        coerce_fields(self, csv=optional(str))
+        if self.csv is not None and self.synth is not None:
+            raise ValueError("give csv or synth, not both")
+        if self.csv is None and not isinstance(self.synth, SynthSpec):
+            synth = {} if self.synth is None else self.synth
+            object.__setattr__(self, "synth",
+                               read_section(SynthSpec, synth, "data.synth"))
+
+
+def _order(item) -> ArimaOrder:
+    if not isinstance(item, list) or len(item) not in (3, 7):
+        raise ValueError(f"a candidate must be [p,d,q] or [p,d,q,P,D,Q,s], "
+                         f"got {item!r}")
+    return ArimaOrder(*map(int, item))
+
+
+def _orders(value) -> tuple[ArimaOrder, ...]:
+    if value == "default":
+        return tuple(default_order_candidates())
+    return tuple(map(_order, listed()(value)))
 
 
 @dataclass(frozen=True)
 class FamilySpec:
     family: str
     grid: dict = field(default_factory=dict)  # empty: shipped default grid
-    candidates: tuple[ArimaOrder, ...] = ()  # benchmark only
+    # benchmark only: orders, or "default" for the shipped order grid
+    candidates: tuple[ArimaOrder, ...] | str = "default"
+
+    def __post_init__(self):
+        if self.family == BENCHMARK_FAMILY:
+            coerce_fields(self, candidates=_orders)
+            return
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown roster family {self.family!r}")
+        if not isinstance(self.grid, dict):
+            raise TypeError(f"grid must be a mapping, got {self.grid!r}")
+        allowed = GRID_PARAMS[self.family]
+        unknown = sorted(set(self.grid) - set(allowed))
+        if unknown:
+            raise ValueError(f"{self.family} reads no grid parameter "
+                             f"{unknown}; it reads {list(allowed) or 'none'}")
+        self.param_grid()  # checks every value list
 
     def param_grid(self) -> ParamGrid:
         mapping = self.grid if self.grid else default_grid(self.family)
         return ParamGrid.from_dict(mapping)
 
 
+def _small_sample(value) -> bool | None:
+    return None if value is None or value == "auto" else boolean(value)
+
+
 @dataclass(frozen=True)
 class DmOptions:
     h: int = 1
-    small_sample: bool | None = None  # None: automatic below 50 forecasts
+    small_sample: bool | None = None  # None ("auto"): below 50 forecasts
+
+    def __post_init__(self):
+        coerce_fields(self, h=int, small_sample=_small_sample)
 
 
 @dataclass(frozen=True)
@@ -101,21 +172,54 @@ class ExplainOptions:
     outlier_k: float = 1.5
     outlier_axis: str = "x"  # x | shap
 
+    def __post_init__(self):
+        coerce_fields(self, background_cap=int, outlier_k=float)
+        if self.rows not in ("train", "test"):
+            raise ValueError(f"rows must be train or test, got {self.rows!r}")
+        if self.outlier_axis not in ("x", "shap"):
+            raise ValueError(f"outlier_axis must be x or shap, "
+                             f"got {self.outlier_axis!r}")
 
-@dataclass(frozen=True)
+
+def _read_roster(doc) -> tuple[FamilySpec, ...]:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"roster must be a mapping, got {doc!r}")
+    return tuple(
+        read_section(FamilySpec, {} if body is None else body,
+                     f"roster.{family}", family=family,
+                     skip=("grid",) if family == BENCHMARK_FAMILY
+                     else ("candidates",))
+        for family, body in doc.items())
+
+
+# no section takes a seed: every stream derives from the master seed
+_SECTIONS = {"data": DataSpec, "schema": ColumnSchema, "cv": CvPlan,
+             "dm": DmOptions, "explain": ExplainOptions}
+
+
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
-    seed: int
-    out_dir: str
+    seed: int = 0
+    out_dir: str = "out"
     data: DataSpec
-    schema: ColumnSchema
+    schema: ColumnSchema = field(default_factory=default_schema)
     roster: tuple[FamilySpec, ...]
-    split_months: tuple[int, ...] = DEFAULT_SPLIT_MONTHS
-    primary_split: int = DEFAULT_PRIMARY_SPLIT
-    cv: CvPlan = CvPlan(k=5, shuffle=False)
+    split_months: tuple[int, ...] = (24, 16, 12, 9, 6)
+    primary_split: int = 16
+    cv: CvPlan = CvPlan()
     dm: DmOptions = DmOptions()
     explain: ExplainOptions = ExplainOptions()
 
     def __post_init__(self):
+        coerce_fields(self, seed=int, out_dir=str, split_months=listed(int),
+                      primary_split=int)
+        for name, cls in _SECTIONS.items():
+            value = getattr(self, name)
+            if not isinstance(value, cls):
+                object.__setattr__(self, name, read_section(
+                    cls, value, name, skip=("seed",)))
+        if not isinstance(self.roster, tuple):
+            object.__setattr__(self, "roster", _read_roster(self.roster))
         if not self.roster:
             raise ConfigError("roster must not be empty")
         names = [f.family for f in self.roster]
@@ -143,137 +247,15 @@ class RunConfig:
         return ordered
 
 
-def _parse_order(item) -> ArimaOrder:
-    if not isinstance(item, list) or len(item) not in (3, 7):
-        raise ConfigError(f"arima candidate must be [p,d,q] or "
-                          f"[p,d,q,P,D,Q,s], got {item!r}")
-    try:
-        return ArimaOrder(*[int(v) for v in item])
-    except ValueError as exc:
-        raise ConfigError(f"bad arima candidate {item!r}: {exc}") from None
-
-
-def _parse_roster(doc: dict) -> tuple[FamilySpec, ...]:
-    if not isinstance(doc, dict):
-        raise ConfigError("roster must be a mapping")
-    specs = []
-    for family, body in doc.items():
-        if family != BENCHMARK_FAMILY and family not in FAMILIES:
-            raise ConfigError(f"unknown roster family {family!r}")
-        body = body or {}
-        if family == BENCHMARK_FAMILY:
-            _require_keys(body, {"candidates"}, f"roster.{family}")
-            raw = body.get("candidates", "default")
-            if raw == "default":
-                candidates = tuple(default_order_candidates())
-            else:
-                candidates = tuple(_parse_order(item) for item in raw)
-            specs.append(FamilySpec(family, candidates=candidates))
-        else:
-            _require_keys(body, {"grid"}, f"roster.{family}")
-            grid = body.get("grid", {})
-            if not isinstance(grid, dict):
-                raise ConfigError(f"roster.{family}.grid must be a mapping")
-            specs.append(FamilySpec(family, grid=grid))
-    return tuple(specs)
-
-
 def parse_config(doc: dict, seed_override: int | None = None,
                  out_override: str | None = None) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    _require_keys(doc, {"seed", "out_dir", "data", "schema", "roster",
-                        "split_months", "primary_split", "cv", "dm",
-                        "explain"}, "config")
-    if "data" not in doc:
-        raise ConfigError("config requires a data section")
-    if "roster" not in doc:
-        raise ConfigError("config requires a roster section")
-
-    data_doc = doc["data"]
-    _require_keys(data_doc, {"csv", "synth"}, "data")
-    if "csv" in data_doc and "synth" in data_doc:
-        raise ConfigError("data must specify exactly one of csv | synth")
-    if "csv" in data_doc:
-        data = DataSpec(csv_path=str(data_doc["csv"]))
-    else:
-        synth_doc = data_doc.get("synth", {})
-        _require_keys(synth_doc, {"kind", "n", "drivers", "coefficients",
-                                  "intercept", "noise_scale", "noise_ar"},
-                      "data.synth")
-        data = DataSpec(synth=SynthSpec(
-            kind=synth_doc.get("kind", "nonlinear"),
-            n=int(synth_doc.get("n", 84)),
-            drivers=tuple(synth_doc.get("drivers", ("ATMD", "CC", "IR"))),
-            coefficients=tuple(synth_doc.get("coefficients", ())),
-            intercept=synth_doc.get("intercept"),
-            noise_scale=float(synth_doc.get("noise_scale", 0.25)),
-            noise_ar=float(synth_doc.get("noise_ar", 0.3))))
-
-    if "schema" in doc:
-        schema_doc = doc["schema"]
-        _require_keys(schema_doc, {"target", "features", "log_columns"}, "schema")
-        try:
-            schema = ColumnSchema(
-                target=schema_doc["target"],
-                features=tuple(schema_doc["features"]),
-                log_columns=tuple(schema_doc.get("log_columns", ())))
-        except KeyError as exc:
-            raise ConfigError(f"schema requires {exc.args[0]!r}") from None
-        except ValueError as exc:
-            raise ConfigError(f"bad schema: {exc}") from None
-    else:
-        schema = default_schema()
-
-    cv_doc = doc.get("cv", {})
-    _require_keys(cv_doc, {"k", "shuffle"}, "cv")
-    master = int(doc.get("seed", 0) if seed_override is None else seed_override)
-    try:
-        cv = CvPlan(k=int(cv_doc.get("k", 5)),
-                    shuffle=bool(cv_doc.get("shuffle", False)))
-    except ValueError as exc:
-        raise ConfigError(f"bad cv plan: {exc}") from None
-
-    dm_doc = doc.get("dm", {})
-    _require_keys(dm_doc, {"h", "small_sample"}, "dm")
-    small = dm_doc.get("small_sample", "auto")
-    if small == "auto":
-        small = None
-    elif not isinstance(small, bool):
-        raise ConfigError("dm.small_sample must be true, false, or \"auto\"")
-    dm = DmOptions(h=int(dm_doc.get("h", 1)), small_sample=small)
-
-    ex_doc = doc.get("explain", {})
-    _require_keys(ex_doc, {"rows", "background_cap", "outlier_k",
-                           "outlier_axis"}, "explain")
-    rows = ex_doc.get("rows", "train")
-    if rows not in ("train", "test"):
-        raise ConfigError("explain.rows must be train or test")
-    axis = ex_doc.get("outlier_axis", "x")
-    if axis not in ("x", "shap"):
-        raise ConfigError("explain.outlier_axis must be x or shap")
-    explain = ExplainOptions(rows=rows,
-                             background_cap=int(ex_doc.get("background_cap", 100)),
-                             outlier_k=float(ex_doc.get("outlier_k", 1.5)),
-                             outlier_axis=axis)
-
-    split_months = tuple(int(v) for v in doc.get("split_months",
-                                                 DEFAULT_SPLIT_MONTHS))
-    try:
-        return RunConfig(
-            seed=master,
-            out_dir=str(doc.get("out_dir", "out") if out_override is None
-                        else out_override),
-            data=data,
-            schema=schema,
-            roster=_parse_roster(doc["roster"]),
-            split_months=split_months,
-            primary_split=int(doc.get("primary_split", DEFAULT_PRIMARY_SPLIT)),
-            cv=cv, dm=dm, explain=explain)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if seed_override is not None:
+        doc = {**doc, "seed": seed_override}
+    if out_override is not None:
+        doc = {**doc, "out_dir": out_override}
+    return read_section(RunConfig, doc, "config")
 
 
 def load_config(path: str, seed_override: int | None = None,

@@ -24,6 +24,39 @@ class DataError(ValueError):
     """Raised for any ingestion or validation failure, with row/column context."""
 
 
+def coerce_fields(obj, **conversions):
+    """For a frozen dataclass's __post_init__: replace each named field by
+    its conversion. A failed conversion is a ValueError naming the field."""
+    for name, convert in conversions.items():
+        try:
+            value = convert(getattr(obj, name))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name}: {exc}") from None
+        object.__setattr__(obj, name, value)
+
+
+def listed(convert=None):
+    """Conversion of a JSON list to a tuple, item by item when `convert` is
+    given. A string or a scalar is an error, never split."""
+    def to_tuple(value):
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {value!r}")
+        return tuple(value if convert is None else map(convert, value))
+    return to_tuple
+
+
+def optional(convert):
+    """Conversion that passes None through."""
+    return lambda value: None if value is None else convert(value)
+
+
+def boolean(value) -> bool:
+    """Conversion that accepts only true or false, not a truthy value."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ColumnSchema:
     """Names the target column, the ordered feature columns, and which to log."""
@@ -33,8 +66,7 @@ class ColumnSchema:
     log_columns: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "features", tuple(self.features))
-        object.__setattr__(self, "log_columns", tuple(self.log_columns))
+        coerce_fields(self, features=listed(), log_columns=listed())
         if self.target in self.features:
             raise DataError(f"target {self.target!r} also listed as a feature")
         names = (self.target,) + self.features

@@ -11,12 +11,12 @@ The lam = 0 path is solved by normal equations instead of iterating.
 
 A sweep updates the residual in place and holds beta as Python floats;
 the column views and the soft-threshold denominators are built once per
-fit, and beta goes back into its array once a sweep, for the objective.
+fit, and beta becomes an array once, after the last sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class LinearModel:
     converged: bool = True
     n_sweeps: int = 0
     jitter_applied: bool = False
-    objective_trace: tuple[float, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         coefs = np.asarray(self.coefficients, dtype=float)
@@ -129,10 +128,8 @@ def fit_linear(X, y, penalty: PenaltySpec,
 
     if penalty.lam == 0.0:
         b, beta, jitter = _fit_unpenalized(X, y)
-        obj = elastic_net_objective(X, y, b, beta, penalty)
         return LinearModel(b, beta, penalty, standardization,
-                           converged=True, n_sweeps=0, jitter_applied=jitter,
-                           objective_trace=(obj,))
+                           converged=True, n_sweeps=0, jitter_applied=jitter)
 
     lam_l1 = penalty.lam * penalty.alpha
     lam_l2 = penalty.lam * (1.0 - penalty.alpha)
@@ -142,12 +139,10 @@ def fit_linear(X, y, penalty: PenaltySpec,
     cols = [X[:, j] for j in range(p)]
     denoms = [float(col_ssq[j] + lam_l2) for j in range(p)]
 
-    beta = np.zeros(p)
-    coef = [0.0] * p  # beta during a sweep, written back after it
+    coef = [0.0] * p  # beta, as Python floats
     b = float(y.mean())
     r = y - b  # residual excluding nothing: y - b - X beta, beta = 0
     scratch = np.empty(n)
-    trace = []
     converged = False
     sweeps = 0
     for sweeps in range(1, MAX_SWEEPS + 1):
@@ -163,20 +158,17 @@ def fit_linear(X, y, penalty: PenaltySpec,
                 np.subtract(r, np.multiply(col, new, out=scratch), out=r)
             coef[j] = new
             max_delta = max(max_delta, abs(new - bj))
-        beta[:] = coef
         # refit intercept as the mean of partial residuals
         new_b = float(np.add(r, b, out=scratch).mean())
         r += b - new_b
         max_delta = max(max_delta, abs(new_b - b))
         b = new_b
-        trace.append(elastic_net_objective(X, y, b, beta, penalty))
         if max_delta < CONVERGENCE_TOL:
             converged = True
             break
 
-    return LinearModel(b, beta, penalty, standardization,
-                       converged=converged, n_sweeps=sweeps,
-                       objective_trace=tuple(trace))
+    return LinearModel(b, np.array(coef, dtype=float), penalty,
+                       standardization, converged=converged, n_sweeps=sweeps)
 
 
 def lambda_max(X, y) -> float:

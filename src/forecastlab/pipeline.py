@@ -55,10 +55,10 @@ def load_data(config: RunConfig) -> SeriesFrame:
                                config.data.synth.to_dgp())
     else:
         try:
-            with open(config.data.csv_path, encoding="utf-8") as fh:
+            with open(config.data.csv, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise DataError(f"cannot read {config.data.csv_path!r}: {exc}") from None
+            raise DataError(f"cannot read {config.data.csv!r}: {exc}") from None
         frame = load_frame(text, config.schema)
     if config.schema.log_columns:
         frame = log_transform(frame, config.schema.log_columns)
@@ -75,7 +75,7 @@ def _check_splits(config: RunConfig, frame: SeriesFrame):
 @dataclass
 class FittedEntry:
     family: str
-    fitted: object  # families.Fitted or ArimaFit
+    model: object  # the fitted family model, or the ArimaFit
     best_params: dict
     cv_table: list | None
     error: str | None = None
@@ -99,17 +99,17 @@ def fit_roster_member(config: RunConfig, family: str, train: SeriesFrame,
         best, table = grid_search(family, grid, X, y, plan, seed=seed)
     else:
         best, table = {}, None
-    fitted = fit_family(family, X, y, best, seed=seed)
-    return FittedEntry(family, fitted, best, table)
+    model = fit_family(family, X, y, best, seed=seed)
+    return FittedEntry(family, model, best, table)
 
 
 def forecast_window(entry: FittedEntry, config: RunConfig, train: SeriesFrame,
                     test: SeriesFrame) -> np.ndarray:
     if entry.family == BENCHMARK_FAMILY:
-        return arima_mod.forecast(entry.fitted, entry.fitted.order,
+        return arima_mod.forecast(entry.model, entry.model.order,
                                   train.column(config.schema.target),
                                   test.n_rows)
-    return entry.fitted.predict(test.matrix(config.schema.features))
+    return entry.model.predict(test.matrix(config.schema.features))
 
 
 def evaluate_split(config: RunConfig, frame: SeriesFrame, test_months: int,
@@ -255,7 +255,7 @@ def cmd_explain(config: RunConfig, config_hash: str, model_id: str) -> dict:
     background = BackgroundSet.from_training(
         X_train, cap=config.explain.background_cap,
         seed=derive_seed(config.seed, "background"))
-    model = entry.fitted.model
+    model = entry.model
     matrix = explain_matrix(model, X_rows, background)
 
     os.makedirs(config.out_dir, exist_ok=True)

@@ -24,6 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dataset import coerce_fields, optional
+
 _NODE_ARRAYS = (("feature", np.intp), ("threshold", float),
                 ("children_left", np.intp), ("children_right", np.intp),
                 ("value", float), ("cover", float))
@@ -182,6 +184,8 @@ class ForestParams:
     seed: int = 0
 
     def __post_init__(self):
+        coerce_fields(self, n_estimators=int, max_depth=int,
+                      max_features=optional(int), min_samples_leaf=int)
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         if self.max_features is not None and self.max_features < 1:
@@ -199,10 +203,12 @@ class BoostParams:
     colsample_bytree: float = 1.0
     reg_lambda: float = 1.0
     min_split_gain: float = 0.0
-    base_score: float | None = None  # None: mean of y
     seed: int = 0
 
     def __post_init__(self):
+        coerce_fields(self, learning_rate=float, n_estimators=int,
+                      max_depth=int, subsample=float, colsample_bytree=float,
+                      reg_lambda=float, min_split_gain=float)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if not 0.0 < self.subsample <= 1.0:
@@ -413,7 +419,7 @@ def fit_gradient_boosting(X, y, params: BoostParams) -> BoostedModel:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
-    base = float(y.mean()) if params.base_score is None else float(params.base_score)
+    base = float(y.mean())
     yhat = np.full(n, base)
     trees = []
     for t in range(params.n_estimators):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import boolean, coerce_fields
 from .families import fit_family
 
 # hyperparameter search ranges shipped as defaults, discretized to 10
@@ -63,6 +64,7 @@ class CvPlan:
     seed: int = 0
 
     def __post_init__(self):
+        coerce_fields(self, k=int, shuffle=boolean)
         if self.k < 2:
             raise TuningError(f"k must be >= 2, got {self.k}")
 
@@ -77,10 +79,11 @@ class ParamGrid:
     def from_dict(cls, mapping: dict) -> "ParamGrid":
         axes = []
         for name, values in mapping.items():
-            values = tuple(values)
-            if not values:
-                raise TuningError(f"empty value list for parameter {name!r}")
-            axes.append((name, values))
+            if (not isinstance(values, (list, tuple)) or not values
+                    or any(isinstance(v, (list, tuple, dict)) for v in values)):
+                raise TuningError(f"parameter {name!r} needs a non-empty "
+                                  f"list of single values, got {values!r}")
+            axes.append((name, tuple(values)))
         return cls(tuple(axes))
 
     def cells(self) -> list[dict]:
@@ -140,9 +143,9 @@ def grid_search(family: str, grid: ParamGrid, X, y, plan: CvPlan,
         fold_mse = []
         for X_train, y_train, X_val, y_val in splits:
             try:
-                fitted = fit_family(family, X_train, y_train, params,
-                                    seed=seed)
-                resid = fitted.predict(X_val) - y_val
+                model = fit_family(family, X_train, y_train, params,
+                                   seed=seed)
+                resid = model.predict(X_val) - y_val
                 score = float((resid ** 2).mean())
                 if not math.isfinite(score):
                     score = math.inf

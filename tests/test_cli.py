@@ -7,7 +7,19 @@ import numpy as np
 import pytest
 
 from forecastlab.cli import main
-from forecastlab.config import ConfigError, load_config, parse_config
+from forecastlab.arima import ArimaOrder, default_order_candidates
+from forecastlab.config import (
+    ConfigError,
+    DataSpec,
+    DmOptions,
+    ExplainOptions,
+    SynthSpec,
+    load_config,
+    parse_config,
+)
+from forecastlab.dataset import ColumnSchema, default_schema
+from forecastlab.families import GRID_PARAMS, fit_family
+from forecastlab.tuning import CvPlan
 from forecastlab.evaluation import rmse_reduction
 
 
@@ -276,6 +288,179 @@ class TestExitCodes:
             tmp_path, split_months=[80, 16], primary_split=16,
             data={"synth": {"kind": "nonlinear", "n": 70}})
         assert main(["run", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("overrides", [
+        {"data": {"synth": {"n": "abc"}}},
+        {"dm": {"h": "x"}},
+        {"seed": "x"},
+        {"split_months": 5},
+        {"schema": {"target": "INF", "features": 5}},
+        {"roster": {"arima": {"candidates": 5}}},
+        {"data": 5},
+        {"explain": {"background_cap": "x"}},
+        {"cv": []},
+        {"cv": {"k": 3, "shuffle": "false"}},
+        {"data": {"synth": {"drivers": "ATMD"}}},
+        {"data": {"synth": {"coefficients": [1.0]}}},
+        {"data": {"synth": {"kind": "linear", "drivers": ["CC", "IR"]}}},
+        {"roster": {"arima": {}, "ridge": {"grid": {"lam": 5}}}},
+        {"roster": {"arima": {}, "ridge": {"grid": {"lam": [[0.1]]}}}},
+        {"roster": {"arima": {}, "ridge": {"grid": {"lamda": [0.9]}}}},
+        {"roster": {"arima": {}, "ols": {"grid": {"lam": [0.9]}}}},
+        {"roster": {"arima": {}, "boosting": {"grid": {"base_score": [0.0]}}}},
+    ], ids=["synth.n", "dm.h", "seed", "split_months", "schema.features",
+            "arima.candidates", "data", "explain.background_cap", "cv-list",
+            "cv.shuffle-string", "synth.drivers-string",
+            "synth.coefficients-short", "synth.drivers-without-coefficients",
+            "grid-scalar", "grid-nested-list",
+            "ridge-lamda", "ols-lam", "boosting-base_score"])
+    def test_malformed_value_exits_2_before_fitting(self, tmp_path, capsys,
+                                                    monkeypatch, overrides):
+        import forecastlab.pipeline as pipeline
+
+        def never_fit(*args, **kwargs):
+            raise AssertionError("family fitted before the config was checked")
+
+        monkeypatch.setattr(pipeline, "fit_roster_member", never_fit)
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
+
+QUICKSTART = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                          "quickstart.json")
+
+
+def orders(*items):
+    return tuple(ArimaOrder(*item) for item in items)
+
+
+class TestConfigFields:
+    """Each key lands on its field and each absent key on its documented
+    default, with the values the configs have always parsed to."""
+
+    def test_absent_keys_take_documented_defaults(self):
+        config = parse_config({"data": {}, "roster": {"arima": {}}})
+        assert (config.seed, config.out_dir) == (0, "out")
+        assert config.data == DataSpec(csv=None, synth=SynthSpec(
+            kind="nonlinear", n=84, drivers=("ATMD", "CC", "IR"),
+            coefficients=(), intercept=None, noise_scale=0.25, noise_ar=0.3))
+        assert config.schema == default_schema()
+        assert config.split_months == (24, 16, 12, 9, 6)
+        assert config.primary_split == 16
+        assert config.cv == CvPlan(k=5, shuffle=False, seed=0)
+        assert config.dm == DmOptions(h=1, small_sample=None)
+        assert config.explain == ExplainOptions(
+            rows="train", background_cap=100, outlier_k=1.5, outlier_axis="x")
+        assert [(f.family, f.grid) for f in config.roster] == [("arima", {})]
+        assert config.roster[0].candidates == tuple(default_order_candidates())
+
+    def test_quickstart(self):
+        config, _ = load_config(QUICKSTART)
+        doc = json.load(open(QUICKSTART))
+        assert (config.seed, config.out_dir) == (42, "out")
+        assert config.data.csv is None
+        assert config.data.synth == SynthSpec(n=84, noise_scale=0.25)
+        assert config.schema == default_schema()
+        assert config.split_months == (24, 16, 12, 9, 6)
+        assert config.primary_split == 16
+        assert config.cv == CvPlan(k=5, shuffle=False)
+        assert config.dm == DmOptions(h=1, small_sample=None)
+        assert config.explain == ExplainOptions()
+        assert config.model_ids == list(doc["roster"])
+        assert config.roster_spec("arima").candidates == orders(
+            (0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 1), (1, 1, 0))
+        for spec in config.roster[1:]:
+            assert spec.grid == doc["roster"][spec.family]["grid"]
+
+    def test_in_test_document(self, tmp_path):
+        config, _ = load_config(write_config(tmp_path))
+        assert (config.seed, config.out_dir) == (7, str(tmp_path / "out"))
+        assert config.data.synth == SynthSpec(
+            kind="nonlinear", n=70, noise_scale=0.25)
+        assert (config.split_months, config.primary_split) == ((16, 6), 16)
+        assert config.cv == CvPlan(k=3, shuffle=False)
+        assert config.dm == DmOptions()
+        assert config.model_ids == ["arima", "lasso", "boosting"]
+        assert config.roster_spec("arima").candidates == orders(
+            (0, 0, 0), (1, 0, 0))
+        assert config.roster_spec("lasso").grid == {"lam": [0.01, 0.1]}
+
+    def test_every_key_set(self):
+        config = parse_config({
+            "seed": 3, "out_dir": "o",
+            "data": {"synth": {"kind": "linear", "n": 90,
+                               "drivers": ["CC", "IR"],
+                               "coefficients": [1, 2], "intercept": 2,
+                               "noise_scale": 0, "noise_ar": 0.1}},
+            "schema": {"target": "INF", "features": ["CC", "IR", "ATMD"],
+                       "log_columns": ["CC"]},
+            "split_months": [12, 6], "primary_split": 6,
+            "cv": {"k": 4, "shuffle": True},
+            "dm": {"h": 2, "small_sample": False},
+            "explain": {"rows": "test", "background_cap": 50,
+                        "outlier_k": 2, "outlier_axis": "shap"},
+            "roster": {
+                "arima": {"candidates": [[1, 0, 0], [1, 0, 0, 1, 0, 0, 12]]},
+                "svr": {"grid": {"C": [1], "epsilon": [0.1], "degree": [2],
+                                 "gamma": [0.5], "coef0": [1.0],
+                                 "kernel": ["polynomial"]}}},
+        })
+        assert (config.seed, config.out_dir) == (3, "o")
+        assert config.data.synth == SynthSpec(
+            "linear", 90, ("CC", "IR"), (1.0, 2.0), 2.0, 0.0, 0.1)
+        assert config.schema == ColumnSchema("INF", ("CC", "IR", "ATMD"),
+                                             ("CC",))
+        assert (config.split_months, config.primary_split) == ((12, 6), 6)
+        assert config.cv == CvPlan(k=4, shuffle=True)
+        assert config.dm == DmOptions(h=2, small_sample=False)
+        assert config.explain == ExplainOptions("test", 50, 2.0, "shap")
+        assert config.roster_spec("arima").candidates == orders(
+            (1, 0, 0), (1, 0, 0, 1, 0, 0, 12))
+        assert config.roster_spec("svr").param_grid().cells() == [
+            {"C": 1, "epsilon": 0.1, "degree": 2, "gamma": 0.5, "coef0": 1.0,
+             "kernel": "polynomial"}]
+
+    def test_csv_data(self):
+        config = parse_config({"data": {"csv": "in.csv"},
+                               "roster": {"arima": {"candidates": "default"}}})
+        assert config.data == DataSpec(csv="in.csv")
+        assert len(config.roster_spec("arima").candidates) == 256
+
+    @pytest.mark.parametrize("family", sorted(GRID_PARAMS))
+    def test_every_grid_name_is_read(self, family):
+        # each accepted name reaches the fitted model's parameters
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(30, 3))
+        y = X[:, 0] + 0.1 * rng.normal(size=30)
+        for name in GRID_PARAMS[family]:
+            spec = parse_config({"data": {}, "roster": {
+                "arima": {}, family: {"grid": {name: [GRID_VALUES[name]]}}}})
+            cell = spec.roster_spec(family).param_grid().cells()[0]
+            model = fit_family(family, X, y, cell)
+            assert read_back(model, name) == GRID_VALUES[name], name
+
+
+GRID_VALUES = {"lam": 0.2, "alpha": 0.3, "n_estimators": 2, "max_depth": 2,
+               "max_features": 2, "min_samples_leaf": 2, "learning_rate": 0.2,
+               "subsample": 0.5, "colsample_bytree": 0.5, "reg_lambda": 0.5,
+               "min_split_gain": 0.1, "C": 2.0, "epsilon": 0.2,
+               "kernel": "polynomial", "degree": 2, "gamma": 0.5,
+               "coef0": 1.0}
+
+
+def read_back(model, name):
+    if name in ("lam", "alpha"):
+        return getattr(model.penalty, name)
+    if name in ("C", "epsilon"):
+        return getattr(model, name)
+    if name == "kernel":
+        return model.kernel.kind
+    if name in ("degree", "gamma", "coef0"):
+        return getattr(model.kernel, name)
+    return getattr(model.params, name)
 
 
 class TestConfigParsing:

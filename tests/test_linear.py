@@ -47,7 +47,6 @@ def loop_fit_linear(X, y, penalty):
     beta = np.zeros(p)
     b = float(y.mean())
     r = y - b
-    trace = []
     converged = False
     sweeps = 0
     for sweeps in range(1, linear_mod.MAX_SWEEPS + 1):
@@ -69,19 +68,15 @@ def loop_fit_linear(X, y, penalty):
         r += b - new_b
         max_delta = max(max_delta, abs(new_b - b))
         b = new_b
-        trace.append(elastic_net_objective(X, y, b, beta, penalty))
         if max_delta < CONVERGENCE_TOL:
             converged = True
             break
-    return LinearModel(b, beta, penalty, converged=converged, n_sweeps=sweeps,
-                       objective_trace=tuple(trace))
+    return LinearModel(b, beta, penalty, converged=converged, n_sweeps=sweeps)
 
 
 def assert_same_linear(got, want):
     assert np.float64(got.intercept).tobytes() == np.float64(want.intercept).tobytes()
     assert got.coefficients.tobytes() == want.coefficients.tobytes()
-    assert (np.array(got.objective_trace).tobytes()
-            == np.array(want.objective_trace).tobytes())
     assert (got.converged, got.n_sweeps) == (want.converged, want.n_sweeps)
 
 
@@ -108,6 +103,12 @@ class TestLoopEquivalence:
             penalty = PenaltySpec(lam, alpha)
             got = fit_linear(X, y, penalty)
             assert_same_linear(got, loop_fit_linear(X, y, penalty))
+            if case % 10 == 0:  # every sweep's iterate, not only the last
+                for cap in (1, 2, 3):
+                    monkeypatch.setattr(linear_mod, "MAX_SWEEPS", cap)
+                    assert_same_linear(fit_linear(X, y, penalty),
+                                       loop_fit_linear(X, y, penalty))
+                monkeypatch.setattr(linear_mod, "MAX_SWEEPS", 1000)
             zeros += alpha == 1.0 and bool((got.coefficients == 0.0).any())
         assert zeros > 20  # exact lasso zeros were reached and matched
 
@@ -200,13 +201,22 @@ class TestLassoOracle:
 
 
 class TestObjective:
-    def test_non_increasing_per_sweep(self):
+    def test_non_increasing_per_sweep(self, monkeypatch):
+        # the iterate after sweep k is the fit capped at k sweeps
         rng = np.random.default_rng(10)
         X = centered_design(rng, 60, 5, corr=0.8)
         y = X @ rng.normal(size=5) + rng.normal(size=60)
         for lam, alpha in [(0.1, 0.5), (0.5, 1.0), (0.3, 0.0)]:
-            model = fit_linear(X, y, PenaltySpec(lam, alpha))
-            trace = np.asarray(model.objective_trace)
+            penalty = PenaltySpec(lam, alpha)
+            n_sweeps = fit_linear(X, y, penalty).n_sweeps
+            assert n_sweeps >= 2
+            trace = []
+            for k in range(1, n_sweeps + 1):
+                monkeypatch.setattr(linear_mod, "MAX_SWEEPS", k)
+                model = fit_linear(X, y, penalty)
+                trace.append(elastic_net_objective(
+                    X, y, model.intercept, model.coefficients, penalty))
+            monkeypatch.undo()
             assert np.all(np.diff(trace) <= 1e-12)
 
     def test_converges_within_cap(self):

@@ -152,7 +152,7 @@ class TestBatchedEnumeration:
         rng = np.random.default_rng(22 + p)
         X = rng.normal(size=(80, p))
         y = X @ rng.normal(size=p) + np.sin(X[:, 0]) + 0.1 * rng.normal(size=80)
-        model = fit_family(family, X, y, params).model
+        model = fit_family(family, X, y, params)
         assert model.standardization is not None
         for B in (1, 5, 67, 68):
             bg = BackgroundSet(X[:B])

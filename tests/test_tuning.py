@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from forecastlab.families import FAMILIES, Fitted, fit_family
+from forecastlab.families import FAMILIES, fit_family
+from forecastlab.linear import LinearModel
+from forecastlab.svr import SvrModel
+from forecastlab.trees import BoostedModel, ForestModel
 from forecastlab.tuning import (
     CvPlan,
     ParamGrid,
@@ -179,9 +182,10 @@ class TestFamilies:
             "svr": {"C": 5.0, "epsilon": 0.05, "kernel": "rbf"},
         }
         for family, params in small.items():
-            fitted = fit_family(family, X, y, params, seed=1)
-            assert isinstance(fitted, Fitted)
-            pred = fitted.predict(X)
+            model = fit_family(family, X, y, params, seed=1)
+            assert isinstance(model, (LinearModel, SvrModel, ForestModel,
+                                      BoostedModel))
+            pred = model.predict(X)
             assert pred.shape == (40,)
             assert np.all(np.isfinite(pred))
 
