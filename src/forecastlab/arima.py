@@ -12,16 +12,23 @@ innovations and is minimized by a derivative-free simplex search started
 from the zero vector plus four seeded perturbations. The objective is
 built once per fit: the lagged design of w depends on the order alone,
 so each evaluation only expands the polynomials, multiplies and filters.
+
+The simplex search (Nelder & Mead 1965, Computer Journal 7(4)) is a port
+of scipy 1.17.1 `scipy.optimize._optimize._minimize_neldermead` with
+adaptive=False, no bounds, no maxfev and no callback. It repeats that code
+operation for operation, so a fit is byte-identical to
+`minimize(method="Nelder-Mead")` without importing scipy.optimize. The MA
+filter is scipy.signal.lfilter, imported only when there is an MA
+polynomial to filter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 
 class ArimaError(ValueError):
@@ -144,15 +151,16 @@ def _ar_design(w, k_ar: int):
     return w[idx], w[k_ar:]
 
 
-def _innovations(w, c, a, b, design=None):
-    """Conditional innovations for t >= len(a); pre-sample e = 0. `design`
-    is _ar_design(w, len(a)) when the caller already has it."""
+def _innovations(w, c, a, b):
+    """Conditional innovations for t >= len(a); pre-sample e = 0."""
     if len(a):
-        lagged, target = design if design is not None else _ar_design(w, len(a))
+        lagged, target = _ar_design(w, len(a))
         z = target - c - lagged @ a
     else:
         z = w - c
     if len(b):
+        from scipy.signal import lfilter
+
         # e_t = z_t - sum b_k e_{t-k}, zero initial conditions
         z = lfilter([1.0], np.concatenate([[1.0], b]), z)
     return z
@@ -160,24 +168,116 @@ def _innovations(w, c, a, b, design=None):
 
 def _css_objective(w, order: ArimaOrder):
     """theta -> conditional sum of squared innovations of w under `order`
-    (1e300 where theta or the sum is not finite). The AR lag design depends
-    on the order alone, so it is built once here, not per evaluation."""
+    (1e300 where theta or the sum is not finite), computed as _innovations
+    does. The AR lag design depends on the order alone, so it is built once
+    here, not per evaluation, and so is the lfilter lookup."""
     has_ar = bool(order.p or order.P)
     has_ma = bool(order.q or order.Q)
-    design = _ar_design(w, order.p + order.s * order.P) if has_ar else None
-    no_lags = np.empty(0)
+    if has_ar:
+        lagged, target = _ar_design(w, order.p + order.s * order.P)
+    if has_ma:
+        from scipy.signal import lfilter
 
     def css(theta) -> float:
         if not all(map(math.isfinite, theta.tolist())):
             return 1e300
         c, phi, th, sphi, sth = _unpack(theta, order)
-        a = _ar_lags(phi, sphi, order.s) if has_ar else no_lags
-        b = _ma_lags(th, sth, order.s) if has_ma else no_lags
-        e = _innovations(w, c, a, b, design)
-        val = float(e @ e)
+        if has_ar:
+            z = target - c - lagged @ _ar_lags(phi, sphi, order.s)
+        else:
+            z = w - c
+        if has_ma:
+            b = _ma_lags(th, sth, order.s)
+            z = lfilter([1.0], np.concatenate([[1.0], b]), z)
+        val = float(z @ z)
         return val if math.isfinite(val) else 1e300
 
     return css
+
+
+class _Simplex(NamedTuple):
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+
+
+def _nelder_mead(func, x0, maxiter: int, xatol: float,
+                 fatol: float) -> _Simplex:
+    """scipy 1.17.1 `_minimize_neldermead` with adaptive=False, no bounds,
+    maxfev or callback: the same initial simplex (x0, then x0 with entry k
+    scaled by 1.05, or set to 0.00025 where it is 0), the same unstable
+    argsort/take reorders (twice before the loop, as there), the same
+    reflect/expand/contract/shrink arithmetic, and a copy of each vertex
+    handed to `func`. Its coefficients rho=1, chi=2, psi=sigma=0.5 are
+    folded into the constants 2, 3, 1.5 and 0.5 that scipy forms from them,
+    and its exact multiplications by rho=1 are dropped, so every rounding
+    step is scipy's."""
+    x0 = np.asarray(x0, dtype=float).flatten()
+    N = len(x0)
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        nfev += 1
+        return func(np.copy(x))
+
+    sim = np.tile(x0, (N + 1, 1))
+    for k in range(N):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+
+    fsim = np.array([f(vertex) for vertex in sim], dtype=float)
+    ind = np.argsort(fsim)
+    sim = np.take(sim, ind, 0)
+    fsim = np.take(fsim, ind, 0)
+    ind = np.argsort(fsim)
+    fsim = np.take(fsim, ind, 0)
+    sim = np.take(sim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.abs(sim[1:] - sim[0]).max() <= xatol
+                and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            if fxe < fxr:
+                sim[-1] = xe
+                fsim[-1] = fxe
+            else:
+                sim[-1] = xr
+                fsim[-1] = fxr
+        elif fxr < fsim[-2]:
+            sim[-1] = xr
+            fsim[-1] = fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1] = xc
+                fsim[-1] = fxc
+            else:  # shrink every vertex halfway toward the best
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    return _Simplex(sim[0], np.min(fsim), iterations, nfev,
+                    iterations < maxiter)
 
 
 def _poly_roots_outside_unit(coefs) -> bool:
@@ -212,9 +312,8 @@ def fit_css(y, order: ArimaOrder, seed: int = 0) -> ArimaFit:
     any_success = False
     for x0 in starts:
         start_css.append(css(x0))
-        res = minimize(css, x0, method="Nelder-Mead",
-                       options={"maxiter": 600 * dim, "xatol": 1e-8,
-                                "fatol": 1e-10})
+        res = _nelder_mead(css, x0, maxiter=600 * dim, xatol=1e-8,
+                           fatol=1e-10)
         any_success = any_success or bool(res.success)
         if best is None or res.fun < best.fun:
             best = res

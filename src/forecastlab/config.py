@@ -135,6 +135,8 @@ class FamilySpec:
     def __post_init__(self):
         if self.family == BENCHMARK_FAMILY:
             coerce_fields(self, candidates=_orders)
+            if not self.candidates:
+                raise ValueError("candidates must not be empty")
             return
         if self.family not in FAMILIES:
             raise ValueError(f"unknown roster family {self.family!r}")
@@ -163,6 +165,8 @@ class DmOptions:
 
     def __post_init__(self):
         coerce_fields(self, h=int, small_sample=_small_sample)
+        if self.h < 1:
+            raise ValueError(f"h must be >= 1, got {self.h}")
 
 
 @dataclass(frozen=True)

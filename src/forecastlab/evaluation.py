@@ -5,6 +5,10 @@ benchmark first, so a positive statistic means the candidate forecast b is
 the more accurate one. The long-run variance of d is the Bartlett-kernel
 estimate truncated at lag h-1. Small samples (n < 50 by default) switch to
 the Harvey-Leybourne-Newbold corrected statistic against t_{n-1}.
+
+The two-sided p-value is 2*stdtr(n-1, -|stat|) or 2*ndtr(-|stat|), the
+values scipy.stats.t.sf and norm.sf return. dm_test imports scipy.special
+for them when it first runs, so nothing else in this module loads scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 SMALL_SAMPLE_N = 50
 
@@ -91,13 +94,15 @@ def dm_test(errors_a, errors_b, h: int = 1,
     if lrv <= 0:
         raise EvaluationError("nonpositive long-run variance: loss "
                               "differential series is degenerate")
+    from scipy.special import ndtr, stdtr
+
     stat = dbar / math.sqrt(lrv / n)
     if small_sample:
         correction = math.sqrt((n + 1 - 2 * h + h * (h - 1) / n) / n)
         stat *= correction
-        pvalue = 2.0 * float(stats.t.sf(abs(stat), df=n - 1))
+        pvalue = 2.0 * float(stdtr(n - 1, -abs(stat)))
     else:
-        pvalue = 2.0 * float(stats.norm.sf(abs(stat)))
+        pvalue = 2.0 * float(ndtr(-abs(stat)))
     return DmResult(float(stat), pvalue, n, h - 1, small_sample)
 
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.signal import lfilter
 
+from forecastlab import arima
 from forecastlab.arima import (
     ArimaError,
     ArimaFit,
@@ -12,6 +13,7 @@ from forecastlab.arima import (
     _ar_lags,
     _css_objective,
     _ma_lags,
+    _nelder_mead,
     _unpack,
     default_order_candidates,
     difference,
@@ -112,6 +114,121 @@ class TestCssEquivalence:
                         options=opts)
         assert got.x.tobytes() == want.x.tobytes()
         assert (got.fun, got.nfev, got.nit) == (want.fun, want.nfev, want.nit)
+
+
+
+def scipy_nelder_mead(func, x0, maxiter, xatol, fatol):
+    """The oracle: scipy's Nelder-Mead under the options fit_css passes."""
+    return minimize(func, x0, method="Nelder-Mead",
+                    options={"maxiter": maxiter, "xatol": xatol,
+                             "fatol": fatol})
+
+
+def same_walk(func, x0, maxiter, xatol=1e-8, fatol=1e-10):
+    """Run the port and the oracle from x0; assert they agree bit for bit."""
+    got = _nelder_mead(func, x0, maxiter, xatol, fatol)
+    want = scipy_nelder_mead(func, x0, maxiter, xatol, fatol)
+    assert got.x.tobytes() == want.x.tobytes()
+    assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
+    assert (got.nit, got.nfev, got.success) == (want.nit, want.nfev,
+                                                 want.success)
+    return got
+
+
+def starts(rng, dim):
+    """Zero, all-nonzero, mixed zero/nonzero and wide starts."""
+    mixed = rng.normal(0.0, 0.3, size=dim)
+    mixed[rng.random(dim) < 0.5] = 0.0
+    return [np.zeros(dim), rng.normal(0.0, 0.1, size=dim), mixed,
+            rng.normal(0.0, 3.0, size=dim)]
+
+
+def sphere(x):
+    return float(((x - 0.7) ** 2).sum())
+
+
+def terraced(x):
+    # integer plateaus: most vertices tie exactly, so argsort order matters
+    return float(np.floor(4.0 * ((x - 0.7) ** 2).sum()))
+
+
+def fenced(x):
+    # 1e300 outside the unit ball, which holds the minimizer near its edge
+    if float(x @ x) > 1.0:
+        return 1e300
+    return float(((x - 0.9 / math.sqrt(len(x))) ** 2).sum())
+
+
+def flat(x):
+    return 1e300  # every vertex ties; the simplex can only shrink
+
+
+def rosenbrock(x):
+    if len(x) == 1:
+        return float((1.0 - x[0]) ** 2)
+    return float((100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                  + (1.0 - x[:-1]) ** 2).sum())
+
+
+class TestNelderMead:
+    """arima._nelder_mead walks scipy's simplex bit for bit: the same x
+    bytes, fun, nit, nfev and success as minimize(method="Nelder-Mead") on
+    30 CSS walks, 160 synthetic walks over dimensions 1-8 and 24 walks
+    stopped by maxiter. fit_css gives the same ArimaFit with either."""
+
+    @pytest.mark.parametrize("order", CSS_ORDERS, ids=ArimaOrder.label)
+    def test_css_walks(self, order):
+        rng = np.random.default_rng(17)
+        y = np.cumsum(rng.normal(size=48))
+        w = difference(y, order.d, order.D, order.s)
+        css = _css_objective(w, order)
+        for x0 in starts(rng, order.n_params)[:3]:
+            with np.errstate(over="ignore", invalid="ignore"):
+                same_walk(css, x0, 600 * order.n_params)
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_synthetic_walks(self, dim):
+        rng = np.random.default_rng(dim)
+        seen = {}
+        for func in (sphere, terraced, fenced, flat, rosenbrock):
+            values = seen[func] = []
+
+            def tallied(x, func=func, values=values):
+                values.append(func(x))
+                return values[-1]
+
+            for x0 in starts(rng, dim):
+                same_walk(tallied, x0, 100 * dim, xatol=1e-4, fatol=1e-4)
+        assert len(set(seen[terraced])) < len(seen[terraced])  # exact ties
+        assert 1e300 in seen[fenced] and min(seen[fenced]) < 1e300
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_maxiter_cap(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        capped = 0
+        for func, maxiter in ((rosenbrock, 3), (terraced, 10),
+                              (rosenbrock, 25)):
+            got = same_walk(func, rng.normal(0.0, 1.0, size=dim), maxiter)
+            assert got.success == (got.nit < maxiter)
+            capped += not got.success
+        assert capped >= 2
+
+    def test_fit_css_unchanged_under_scipy(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        y = (np.cumsum(rng.normal(size=48))
+             + np.tile(0.3 * np.arange(12.0), 4))
+        ported = {}
+        for order in default_order_candidates():
+            if order.n_params > 3 or len(ported) == 24:
+                continue
+            try:
+                ported[order] = fit_css(y, order, seed=3)
+            except ArimaError:
+                pass
+        monkeypatch.setattr(arima, "_nelder_mead", scipy_nelder_mead)
+        assert len(ported) == 24
+        for order, fit in ported.items():
+            assert fit_css(y, order, seed=3) == fit
 
 
 class TestDifference:

@@ -308,20 +308,24 @@ class TestExitCodes:
         {"roster": {"arima": {}, "ridge": {"grid": {"lamda": [0.9]}}}},
         {"roster": {"arima": {}, "ols": {"grid": {"lam": [0.9]}}}},
         {"roster": {"arima": {}, "boosting": {"grid": {"base_score": [0.0]}}}},
+        {"dm": {"h": 0}},
+        {"roster": {"arima": {"candidates": []}}},
     ], ids=["synth.n", "dm.h", "seed", "split_months", "schema.features",
             "arima.candidates", "data", "explain.background_cap", "cv-list",
             "cv.shuffle-string", "synth.drivers-string",
             "synth.coefficients-short", "synth.drivers-without-coefficients",
             "grid-scalar", "grid-nested-list",
-            "ridge-lamda", "ols-lam", "boosting-base_score"])
+            "ridge-lamda", "ols-lam", "boosting-base_score", "dm.h-zero",
+            "arima.candidates-empty"])
     def test_malformed_value_exits_2_before_fitting(self, tmp_path, capsys,
                                                     monkeypatch, overrides):
         import forecastlab.pipeline as pipeline
 
-        def never_fit(*args, **kwargs):
-            raise AssertionError("family fitted before the config was checked")
+        def never_called(*args, **kwargs):
+            raise AssertionError("called before the config was checked")
 
-        monkeypatch.setattr(pipeline, "fit_roster_member", never_fit)
+        monkeypatch.setattr(pipeline, "load_data", never_called)
+        monkeypatch.setattr(pipeline, "fit_roster_member", never_called)
         cfg = write_config(tmp_path, **overrides)
         assert main(["run", "--config", cfg]) == 2
         err = capsys.readouterr().err

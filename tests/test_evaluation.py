@@ -157,6 +157,31 @@ class TestDmTest:
         with pytest.raises(EvaluationError, match="at least 8"):
             dm_test(np.ones(4), np.zeros(4))
 
+    def test_tails_equal_scipy_stats_bitwise(self):
+        from scipy import stats  # the oracle; dm_test uses scipy.special
+
+        rng = np.random.default_rng(8)
+        scored = {True: 0, False: 0}
+        for case in range(600):
+            n = int(rng.integers(8, 121))
+            h = int(rng.integers(1, 5))
+            a = rng.normal(size=n) * rng.uniform(0.3, 4.0)
+            b = rng.normal(size=n)
+            small = (None, True, False)[case % 3]
+            try:
+                res = dm_test(a, b, h=h, small_sample=small)
+            except EvaluationError:  # nonpositive long-run variance at h > 1
+                continue
+            x = abs(res.statistic)
+            if res.small_sample:
+                want = 2.0 * float(stats.t.sf(x, df=n - 1))
+            else:
+                want = 2.0 * float(stats.norm.sf(x))
+            assert (np.float64(res.pvalue).tobytes()
+                    == np.float64(want).tobytes())
+            scored[res.small_sample] += 1
+        assert min(scored.values()) >= 150
+
 
 class TestMetricTable:
     def test_layout_benchmark_first_blank_cells(self):

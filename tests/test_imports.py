@@ -1,0 +1,90 @@
+"""Which scipy modules each command loads, checked in fresh interpreters.
+
+Start-up, config loading, data loading, `synth` and `explain` load no scipy
+module. `run` loads what its fits and scores use, when they first use it:
+with AR-only benchmark candidates that is scipy.special (the DM tails) and
+nothing else from scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import forecastlab
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(forecastlab.__file__)))
+QUICKSTART = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                          "quickstart.json")
+
+LIST_SCIPY = """
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+START_UP = """
+import json, sys
+import forecastlab
+from forecastlab import cli
+from forecastlab.config import load_config
+from forecastlab.pipeline import load_data
+quickstart, tiny, out = sys.argv[1:]
+config, _ = load_config(quickstart)
+load_data(config)
+assert cli.main(["synth", "--config", tiny, "--out", out]) == 0
+assert cli.main(["explain", "--config", tiny, "--out", out,
+                 "--model", "random_forest"]) == 0
+""" + LIST_SCIPY
+
+RUN = """
+import json, sys
+from forecastlab import cli
+tiny, out = sys.argv[1:]
+assert cli.main(["run", "--config", tiny, "--out", out]) == 0
+""" + LIST_SCIPY
+
+SPECIAL = "import json, sys\nimport scipy.special\n" + LIST_SCIPY
+
+
+def scipy_modules(script, *args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=cwd,
+                          env=env, capture_output=True, text=True,
+                          check=True)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def tiny_config(tmp_path):
+    doc = {
+        "seed": 3,
+        "data": {"synth": {"kind": "nonlinear", "n": 60}},
+        "split_months": [12],
+        "primary_split": 12,
+        "cv": {"k": 3, "shuffle": False},
+        "roster": {
+            "arima": {"candidates": [[0, 0, 0], [1, 0, 0], [2, 1, 0]]},
+            "lasso": {"grid": {"lam": [0.1]}},
+            "random_forest": {"grid": {"n_estimators": [5], "max_depth": [3],
+                                       "max_features": [4]}},
+        },
+    }
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_start_up_synth_and_explain_load_no_scipy(tmp_path):
+    loaded = scipy_modules(START_UP, QUICKSTART, tiny_config(tmp_path),
+                           str(tmp_path / "out"), cwd=tmp_path)
+    assert loaded == set()
+    assert (tmp_path / "out" / "importance.csv").exists()
+
+
+def test_ar_only_run_loads_only_scipy_special(tmp_path):
+    loaded = scipy_modules(RUN, tiny_config(tmp_path), str(tmp_path / "out"),
+                           cwd=tmp_path)
+    assert "scipy.special" in loaded
+    assert loaded <= scipy_modules(SPECIAL, cwd=tmp_path)
+    assert (tmp_path / "out" / "metrics.csv").exists()
