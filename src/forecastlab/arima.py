@@ -9,17 +9,19 @@ where a and b are the expanded products of the nonseasonal and seasonal
 AR/MA polynomials. Innovations condition on the first len(a) values of w
 and on zero pre-sample innovations; the CSS objective sums the squared
 innovations and is minimized by a derivative-free simplex search started
-from the zero vector plus four seeded perturbations. The objective is
-built once per fit: the lagged design of w depends on the order alone,
-so each evaluation only expands the polynomials, multiplies and filters.
+from the zero vector plus four seeded perturbations. One recursion,
+built by `_innovations` once per differenced series and order, computes
+the innovations for the CSS objective, `forecast` and the AIC of order
+selection: the lagged design of w depends on the order alone, so each
+evaluation only expands the polynomials, multiplies and filters.
 
 The simplex search (Nelder & Mead 1965, Computer Journal 7(4)) is a port
 of scipy 1.17.1 `scipy.optimize._optimize._minimize_neldermead` with
 adaptive=False, no bounds, no maxfev and no callback. It repeats that code
 operation for operation, so a fit is byte-identical to
 `minimize(method="Nelder-Mead")` without importing scipy.optimize. The MA
-filter is scipy.signal.lfilter, imported only when there is an MA
-polynomial to filter.
+filter is scipy.signal.lfilter, which `_innovations` looks up, once per
+build and only when the order has MA terms.
 """
 
 from __future__ import annotations
@@ -58,6 +60,10 @@ class ArimaOrder:
     def n_params(self) -> int:
         return 1 + self.p + self.q + self.P + self.Q  # incl. intercept
 
+    @property
+    def k_ar(self) -> int:  # degree of the expanded AR polynomial
+        return self.p + self.s * self.P
+
     def label(self) -> str:
         base = f"({self.p},{self.d},{self.q})"
         if self.s > 1:
@@ -83,35 +89,24 @@ class ArimaFit:
     ma_invertible: bool = True
 
 
-def difference(y, d: int, D: int = 0, s: int = 1) -> np.ndarray:
-    """Apply D seasonal differences, then d ordinary ones."""
+def _chain(y, d: int, D: int, s: int) -> list[np.ndarray]:
+    """y and each series after it along the differencing chain: D seasonal
+    differences, then d ordinary ones. The last is the differenced series."""
     y = np.asarray(y, dtype=float)
     if len(y) <= d + D * s:
         raise ArimaError(f"series of length {len(y)} too short for "
                          f"d={d}, D={D}, s={s}")
+    chain = [y]
     for _ in range(D):
-        y = y[s:] - y[:-s]
+        chain.append(chain[-1][s:] - chain[-1][:-s])
     for _ in range(d):
-        y = np.diff(y)
-    return y
+        chain.append(np.diff(chain[-1]))
+    return chain
 
 
-def _stages(y, order: ArimaOrder):
-    """All intermediate series along the differencing chain, for inversion."""
-    y = np.asarray(y, dtype=float)
-    seasonal = [y]
-    for _ in range(order.D):
-        cur = seasonal[-1]
-        if len(cur) <= order.s:
-            raise ArimaError("series too short to difference")
-        seasonal.append(cur[order.s:] - cur[:-order.s])
-    ordinary = [seasonal[-1]]
-    for _ in range(order.d):
-        cur = ordinary[-1]
-        if len(cur) <= 1:
-            raise ArimaError("series too short to difference")
-        ordinary.append(np.diff(cur))
-    return seasonal, ordinary
+def difference(y, d: int, D: int = 0, s: int = 1) -> np.ndarray:
+    """Apply D seasonal differences, then d ordinary ones."""
+    return _chain(y, d, D, s)[-1]
 
 
 def _poly_lags(nonseasonal, seasonal, s: int, sign: float) -> np.ndarray:
@@ -144,51 +139,42 @@ def _unpack(theta, order: ArimaOrder):
     return c, phi, th, sphi, sth
 
 
-def _ar_design(w, k_ar: int):
-    """(lagged, target) for the AR recursion: row t - k_ar of lagged holds
-    w_{t-1}, ..., w_{t-k_ar} and target is w_t, for t >= k_ar."""
-    idx = np.arange(k_ar, len(w))[:, None] - np.arange(1, k_ar + 1)[None, :]
-    return w[idx], w[k_ar:]
-
-
-def _innovations(w, c, a, b):
-    """Conditional innovations for t >= len(a); pre-sample e = 0."""
-    if len(a):
-        lagged, target = _ar_design(w, len(a))
-        z = target - c - lagged @ a
-    else:
-        z = w - c
-    if len(b):
+def _innovations(w, order: ArimaOrder):
+    """(c, phi, theta, sphi, stheta) -> conditional innovations of w under
+    `order`, for t >= order.k_ar, with pre-sample innovations zero. The AR
+    lag design depends on the order alone, so it is built once here, not
+    per call, and so is the lfilter lookup."""
+    k_ar, s = order.k_ar, order.s
+    has_ma = bool(order.q or order.Q)
+    if k_ar:  # row t - k_ar of lagged holds w_{t-1}, ..., w_{t-k_ar}
+        idx = np.arange(k_ar, len(w))[:, None] - np.arange(1, k_ar + 1)[None, :]
+        lagged, target = w[idx], w[k_ar:]
+    if has_ma:
         from scipy.signal import lfilter
 
-        # e_t = z_t - sum b_k e_{t-k}, zero initial conditions
-        z = lfilter([1.0], np.concatenate([[1.0], b]), z)
-    return z
+    def innovations(c, phi, th, sphi, sth) -> np.ndarray:
+        if k_ar:
+            z = target - c - lagged @ _ar_lags(phi, sphi, s)
+        else:
+            z = w - c
+        if has_ma:
+            # e_t = z_t - sum b_k e_{t-k}, zero initial conditions
+            b = _ma_lags(th, sth, s)
+            z = lfilter([1.0], np.concatenate([[1.0], b]), z)
+        return z
+
+    return innovations
 
 
 def _css_objective(w, order: ArimaOrder):
     """theta -> conditional sum of squared innovations of w under `order`
-    (1e300 where theta or the sum is not finite), computed as _innovations
-    does. The AR lag design depends on the order alone, so it is built once
-    here, not per evaluation, and so is the lfilter lookup."""
-    has_ar = bool(order.p or order.P)
-    has_ma = bool(order.q or order.Q)
-    if has_ar:
-        lagged, target = _ar_design(w, order.p + order.s * order.P)
-    if has_ma:
-        from scipy.signal import lfilter
+    (1e300 where theta or the sum is not finite)."""
+    innovations = _innovations(w, order)
 
     def css(theta) -> float:
         if not all(map(math.isfinite, theta.tolist())):
             return 1e300
-        c, phi, th, sphi, sth = _unpack(theta, order)
-        if has_ar:
-            z = target - c - lagged @ _ar_lags(phi, sphi, order.s)
-        else:
-            z = w - c
-        if has_ma:
-            b = _ma_lags(th, sth, order.s)
-            z = lfilter([1.0], np.concatenate([[1.0], b]), z)
+        z = innovations(*_unpack(theta, order))
         val = float(z @ z)
         return val if math.isfinite(val) else 1e300
 
@@ -321,8 +307,7 @@ def fit_css(y, order: ArimaOrder, seed: int = 0) -> ArimaFit:
     converged = bool(any_success and improved)
 
     c, phi, th, sphi, sth = _unpack(best.x, order)
-    a = _ar_lags(phi, sphi, order.s) if (order.p or order.P) else np.empty(0)
-    n_eff = len(w) - len(a)
+    n_eff = len(w) - order.k_ar
     if n_eff < 1:
         raise ArimaError("no effective observations after conditioning")
     css = float(best.fun)
@@ -330,35 +315,31 @@ def fit_css(y, order: ArimaOrder, seed: int = 0) -> ArimaFit:
     sigma2 = max(css / n_eff, 1e-13 * scale)  # floor absorbs optimizer noise
     aic = n_eff * math.log(sigma2) + 2.0 * (dim + 1)
 
-    seasonal_ar_ok = (_poly_roots_outside_unit(a)
-                      if (order.p or order.P) else True)
-    seasonal_ma_ok = (_poly_roots_outside_unit(-_ma_lags(th, sth, order.s))
-                      if (order.q or order.Q) else True)
+    ar_ok = _poly_roots_outside_unit(_ar_lags(phi, sphi, order.s))
+    ma_ok = _poly_roots_outside_unit(-_ma_lags(th, sth, order.s))
     return ArimaFit(order, float(c), tuple(phi), tuple(th), tuple(sphi),
                     tuple(sth), sigma2, css, float(aic), converged, n_eff,
-                    tuple(start_css), seasonal_ar_ok, seasonal_ma_ok)
+                    tuple(start_css), ar_ok, ma_ok)
 
 
-def forecast(fit: ArimaFit, order: ArimaOrder, y, h: int) -> np.ndarray:
-    """Recursive expectation h steps ahead, inverted back to the y scale.
+def forecast(fit: ArimaFit, y, h: int) -> np.ndarray:
+    """Recursive expectation h steps ahead under `fit.order`, inverted back
+    to the y scale.
 
     Future innovations are zero; in-sample innovations come from the same
     conditional pass used when fitting.
     """
     if h < 1:
         raise ArimaError(f"horizon must be >= 1, got {h}")
-    if order != fit.order:
-        raise ArimaError("order does not match the fit")
-    y = np.asarray(y, dtype=float)
-    seasonal, ordinary = _stages(y, order)
-    w = ordinary[-1]
+    order = fit.order
+    chain = _chain(y, order.d, order.D, order.s)
+    w = chain[-1]
 
-    a = (_ar_lags(fit.ar, fit.sar, order.s)
-         if (order.p or order.P) else np.empty(0))
-    b = (_ma_lags(fit.ma, fit.sma, order.s)
-         if (order.q or order.Q) else np.empty(0))
+    a = _ar_lags(fit.ar, fit.sar, order.s)
+    b = _ma_lags(fit.ma, fit.sma, order.s)
     k_ar, k_ma = len(a), len(b)
-    e_in = _innovations(w, fit.intercept, a, b)
+    e_in = _innovations(w, order)(fit.intercept, fit.ar, fit.ma, fit.sar,
+                                  fit.sma)
     m = len(w)
     w_ext = list(w)
     e_ext = [0.0] * k_ar + list(e_in) + [0.0] * h  # future innovations zero
@@ -373,17 +354,14 @@ def forecast(fit: ArimaFit, order: ArimaOrder, y, h: int) -> np.ndarray:
     fc = np.asarray(w_ext[m:])
 
     # invert ordinary differencing, deepest stage first
-    for level in range(order.d, 0, -1):
-        prev = ordinary[level - 1]
+    for prev in reversed(chain[order.D:-1]):
         fc = prev[-1] + np.cumsum(fc)
-    # then seasonal
-    for level in range(order.D, 0, -1):
-        prev = seasonal[level - 1]
-        out = np.empty(h)
-        for j in range(h):
-            past = prev[len(prev) - order.s + j] if j < order.s else out[j - order.s]
-            out[j] = fc[j] + past
-        fc = out
+    # then seasonal: each season position accumulates its own steps, from
+    # the last observed value at that position
+    s = order.s
+    for prev in reversed(chain[:order.D]):
+        steps = np.concatenate([prev[-s:], fc, np.zeros(-h % s)])
+        fc = np.cumsum(steps.reshape(-1, s), axis=0)[1:].ravel()[:h]
     return fc
 
 
@@ -407,13 +385,10 @@ def _common_window_aic(fit: ArimaFit, y, drop_front: int) -> float:
     so candidates with different conditioning depths stay comparable."""
     order = fit.order
     w = difference(y, order.d, order.D, order.s)
-    a = (_ar_lags(fit.ar, fit.sar, order.s)
-         if (order.p or order.P) else np.empty(0))
-    b = (_ma_lags(fit.ma, fit.sma, order.s)
-         if (order.q or order.Q) else np.empty(0))
-    e = _innovations(w, fit.intercept, a, b)
+    e = _innovations(w, order)(fit.intercept, fit.ar, fit.ma, fit.sar,
+                               fit.sma)
     # innovation t sits at original index d + D*s + k_ar + t
-    skip = drop_front - (order.d + order.D * order.s + len(a))
+    skip = drop_front - (order.d + order.D * order.s + order.k_ar)
     e = e[max(skip, 0):]
     if not len(e):
         return math.inf
@@ -441,7 +416,7 @@ def select_order(y, candidates, seed: int = 0) -> ArimaFit:
     fits = [(i, o, f) for i, o, f in fits if f.converged]
     if not fits:
         raise ArimaError("no candidate order produced a converged fit")
-    drop_front = max(o.d + o.D * o.s + o.p + o.s * o.P for _, o, _ in fits)
+    drop_front = max(o.d + o.D * o.s + o.k_ar for _, o, _ in fits)
     best = None
     for idx, order, fit in fits:
         key = (_common_window_aic(fit, y, drop_front), order.n_params, idx)

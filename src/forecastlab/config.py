@@ -3,7 +3,8 @@
 Each section is one dataclass, read by `read_section`: its field names are
 the keys, its field defaults are the defaults, and its __post_init__
 converts and checks the values. A roster family's `grid` names only
-parameters the family reads (families.GRID_PARAMS).
+parameters the family reads (families.GRID_PARAMS), and each of its values
+must build the family's parameters (families.family_params) on its own.
 
 One master seed determines every downstream RNG through
 `derive_seed(master, *tags)`: sha256 over "master|tag|tag|..." truncated
@@ -24,7 +25,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 from .arima import ArimaOrder, default_order_candidates
 from .dataset import ColumnSchema, DgpSpec, boolean, coerce_fields, default_schema, listed, optional
-from .families import BENCHMARK_FAMILY, FAMILIES, GRID_PARAMS
+from .families import BENCHMARK_FAMILY, FAMILIES, GRID_PARAMS, family_params
 from .tuning import CvPlan, ParamGrid, default_grid
 
 
@@ -147,7 +148,13 @@ class FamilySpec:
         if unknown:
             raise ValueError(f"{self.family} reads no grid parameter "
                              f"{unknown}; it reads {list(allowed) or 'none'}")
-        self.param_grid()  # checks every value list
+        for name, values in self.param_grid().axes:  # checks each list
+            for value in values:
+                try:
+                    family_params(self.family, {name: value})
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"grid value {name}={value!r}: "
+                                     f"{exc}") from None
 
     def param_grid(self) -> ParamGrid:
         mapping = self.grid if self.grid else default_grid(self.family)

@@ -43,6 +43,25 @@ class FamilyError(ValueError):
     pass
 
 
+def family_params(family: str, cell: dict, seed: int = 0):
+    """The solver parameters of one grid cell of `family`; a name the cell
+    leaves out takes its default. A value of the wrong type or out of range
+    raises TypeError or ValueError."""
+    if family == "random_forest":
+        return ForestParams(**cell, seed=seed)
+    if family == "boosting":
+        return BoostParams(**cell, seed=seed)
+    if family == "svr":
+        cell = dict(cell)
+        C = float(cell.pop("C", 1.0))
+        epsilon = float(cell.pop("epsilon", 0.1))
+        return C, epsilon, KernelSpec(cell.pop("kernel", "rbf"), **cell)
+    lam = 0.0 if family == "ols" else float(cell.get("lam", 0.0))
+    alpha = {"ols": 0.0, "ridge": 0.0, "lasso": 1.0}.get(
+        family, float(cell.get("alpha", 0.5)))
+    return PenaltySpec(lam, alpha)
+
+
 def fit_family(family: str, X, y, params: dict, seed: int = 0):
     """Fit one family with the given hyperparameter cell; returns the model,
     which predicts through `.predict(X)`."""
@@ -51,21 +70,16 @@ def fit_family(family: str, X, y, params: dict, seed: int = 0):
     if family not in FAMILIES:
         raise FamilyError(f"unknown model family {family!r}")
 
+    params = family_params(family, params, seed)
     if family == "random_forest":
-        return fit_random_forest(X, y, ForestParams(**params, seed=seed))
+        return fit_random_forest(X, y, params)
     if family == "boosting":
-        return fit_gradient_boosting(X, y, BoostParams(**params, seed=seed))
+        return fit_gradient_boosting(X, y, params)
 
     stats = Standardization.fit(X)
     Z = stats.transform(X)
     if family == "svr":
-        params = dict(params)
-        C = float(params.pop("C", 1.0))
-        epsilon = float(params.pop("epsilon", 0.1))
-        kernel = KernelSpec(params.pop("kernel", "rbf"), **params)
+        C, epsilon, kernel = params
         return fit_svr(Z, y, C=C, epsilon=epsilon, kernel=kernel,
                        standardization=stats)
-    lam = 0.0 if family == "ols" else float(params.get("lam", 0.0))
-    alpha = {"ols": 0.0, "ridge": 0.0, "lasso": 1.0}.get(
-        family, float(params.get("alpha", 0.5)))
-    return fit_linear(Z, y, PenaltySpec(lam, alpha), standardization=stats)
+    return fit_linear(Z, y, params, standardization=stats)

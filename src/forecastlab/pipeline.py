@@ -18,7 +18,7 @@ import numpy as np
 from . import arima as arima_mod
 from .config import ConfigError, RunConfig, derive_seed
 from .dataset import DataError, SeriesFrame, SplitSpec, chrono_split, load_frame, log_transform, synth_generate
-from .evaluation import metric_csv_lines, metric_table
+from .evaluation import mae, metric_csv_lines, metric_table, rmse
 from .families import BENCHMARK_FAMILY, TREE_FAMILIES, fit_family
 from .interpretation import (
     InterpretationError,
@@ -48,11 +48,15 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+def _synth_frame(config: RunConfig) -> SeriesFrame:
+    synth = config.data.synth
+    return synth_generate(derive_seed(config.seed, "synth"), synth.n,
+                          config.schema, synth.to_dgp())
+
+
 def load_data(config: RunConfig) -> SeriesFrame:
     if config.data.synth is not None:
-        frame = synth_generate(derive_seed(config.seed, "synth"),
-                               config.data.synth.n, config.schema,
-                               config.data.synth.to_dgp())
+        frame = _synth_frame(config)
     else:
         try:
             with open(config.data.csv, encoding="utf-8") as fh:
@@ -106,14 +110,18 @@ def fit_roster_member(config: RunConfig, family: str, train: SeriesFrame,
 def forecast_window(entry: FittedEntry, config: RunConfig, train: SeriesFrame,
                     test: SeriesFrame) -> np.ndarray:
     if entry.family == BENCHMARK_FAMILY:
-        return arima_mod.forecast(entry.model, entry.model.order,
+        return arima_mod.forecast(entry.model,
                                   train.column(config.schema.target),
                                   test.n_rows)
     return entry.model.predict(test.matrix(config.schema.features))
 
 
+def _stderr(msg: str):
+    print(msg, file=sys.stderr)
+
+
 def evaluate_split(config: RunConfig, frame: SeriesFrame, test_months: int,
-                   warn=lambda msg: print(msg, file=sys.stderr)):
+                   warn=_stderr):
     """Fit every roster family on the split's training window and forecast
     the held-out months. A failed fit (ValueError, the base of every
     package error and of LinAlgError) degrades to a None forecast; any
@@ -147,14 +155,13 @@ def _provenance(config: RunConfig, config_hash: str) -> str:
     return f"# config_sha256={config_hash} seed={config.seed}"
 
 
-def cmd_run(config: RunConfig, config_hash: str, warn=None) -> dict:
+def cmd_run(config: RunConfig, config_hash: str, warn=_stderr) -> dict:
     """Primary-split pipeline: tune, refit, forecast, score; writes
     forecasts.csv, metrics.csv, and one cv_<family>.csv per tuned family."""
     frame = load_data(config)
     _check_splits(config, frame)
-    kwargs = {} if warn is None else {"warn": warn}
     train, test, entries, forecasts = evaluate_split(
-        config, frame, config.primary_split, **kwargs)
+        config, frame, config.primary_split, warn)
     os.makedirs(config.out_dir, exist_ok=True)
     prov = _provenance(config, config_hash)
 
@@ -184,25 +191,23 @@ def cmd_run(config: RunConfig, config_hash: str, warn=None) -> dict:
             "train": train, "test": test}
 
 
-def cmd_sweep(config: RunConfig, config_hash: str, warn=None) -> list[tuple]:
+def cmd_sweep(config: RunConfig, config_hash: str,
+              warn=_stderr) -> list[tuple]:
     """Re-tune and re-score every roster family across all split windows;
     writes split_sweep.csv with one (model, test_months) row each."""
     frame = load_data(config)
     _check_splits(config, frame)
-    kwargs = {} if warn is None else {"warn": warn}
     records = []
     for months in config.split_months:
-        _, test, _, forecasts = evaluate_split(config, frame, months, **kwargs)
+        _, test, _, forecasts = evaluate_split(config, frame, months, warn)
         actual = test.column(config.schema.target)
         for name in config.model_ids:
             pred = forecasts[name]
             if pred is None:
                 records.append((name, months, math.nan, math.nan))
             else:
-                err = actual - pred
-                records.append((name, months,
-                                float(np.sqrt((err ** 2).mean())),
-                                float(np.abs(err).mean())))
+                records.append((name, months, rmse(actual, pred),
+                                mae(actual, pred)))
     os.makedirs(config.out_dir, exist_ok=True)
     lines = ["model,test_months,rmse,mae"]
     for name, months, rmse_v, mae_v in records:
@@ -218,9 +223,7 @@ def cmd_synth(config: RunConfig, config_hash: str) -> str:
     """Materialize the configured synthetic dataset as a loadable CSV."""
     if config.data.synth is None:
         raise ConfigError("synth command requires a data.synth section")
-    frame = synth_generate(derive_seed(config.seed, "synth"),
-                           config.data.synth.n, config.schema,
-                           config.data.synth.to_dgp())
+    frame = _synth_frame(config)
     os.makedirs(config.out_dir, exist_ok=True)
     lines = ["date," + ",".join(frame.columns)]
     for i, label in enumerate(frame.month_labels()):

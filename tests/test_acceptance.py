@@ -260,7 +260,7 @@ def test_criterion_6_arima_recovery():
     y = sim_ar1(0.7, 0.5, 300, 77)
     order = ArimaOrder(1, 0, 0)
     fit = fit_css(y, order, seed=0)
-    fc = forecast(fit, order, y, 12)
+    fc = forecast(fit, y, 12)
     c, phi = fit.intercept, fit.ar[0]
     closed = np.array([c * (1 - phi ** h) / (1 - phi) + phi ** h * y[-1]
                        for h in range(1, 13)])
@@ -315,7 +315,7 @@ def test_criterion_8_end_to_end(tmp_path):
         y_tr = train.column(schema.target)
         y_te = test.column(schema.target)
         fit = select_order(y_tr, ARIMA_CANDIDATES, seed=seed)
-        bench_rmse = float(np.sqrt(((y_te - forecast(fit, fit.order, y_tr, 16)) ** 2).mean()))
+        bench_rmse = float(np.sqrt(((y_te - forecast(fit, y_tr, 16)) ** 2).mean()))
 
         X_tr = train.matrix(schema.features)
         model = fit_gradient_boosting(X_tr, y_tr, BoostParams(

@@ -310,13 +310,20 @@ class TestExitCodes:
         {"roster": {"arima": {}, "boosting": {"grid": {"base_score": [0.0]}}}},
         {"dm": {"h": 0}},
         {"roster": {"arima": {"candidates": []}}},
+        {"roster": {"arima": {}, "lasso": {"grid": {"lam": ["x"]}}}},
+        {"roster": {"arima": {}, "svr": {"grid": {
+            "C": ["big"], "epsilon": [0.1], "kernel": ["linear"]}}}},
+        {"roster": {"arima": {}, "random_forest": {"grid": {
+            "max_depth": ["deep"]}}}},
+        {"roster": {"arima": {}, "boosting": {"grid": {"subsample": [1.5]}}}},
     ], ids=["synth.n", "dm.h", "seed", "split_months", "schema.features",
             "arima.candidates", "data", "explain.background_cap", "cv-list",
             "cv.shuffle-string", "synth.drivers-string",
             "synth.coefficients-short", "synth.drivers-without-coefficients",
             "grid-scalar", "grid-nested-list",
             "ridge-lamda", "ols-lam", "boosting-base_score", "dm.h-zero",
-            "arima.candidates-empty"])
+            "arima.candidates-empty", "lasso-lam-string", "svr-C-string",
+            "random_forest-max_depth-string", "boosting-subsample-range"])
     def test_malformed_value_exits_2_before_fitting(self, tmp_path, capsys,
                                                     monkeypatch, overrides):
         import forecastlab.pipeline as pipeline
