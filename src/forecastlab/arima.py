@@ -15,12 +15,23 @@ the innovations for the CSS objective, `forecast` and the AIC of order
 selection: the lagged design of w depends on the order alone, so each
 evaluation only expands the polynomials, multiplies and filters.
 
-The simplex search (Nelder & Mead 1965, Computer Journal 7(4)) is a port
-of scipy 1.17.1 `scipy.optimize._optimize._minimize_neldermead` with
-adaptive=False, no bounds, no maxfev and no callback. It repeats that code
-operation for operation, so a fit is byte-identical to
-`minimize(method="Nelder-Mead")` without importing scipy.optimize. The MA
-filter is scipy.signal.lfilter, which `_innovations` looks up, once per
+Each evaluation reads the parameters once, as a list of Python floats,
+and `_expand` expands a lag polynomial from it by scattering each
+coefficient and each nonseasonal-by-seasonal product to its own lag. No
+two terms share a lag, because `ArimaOrder` rejects p >= s with P >= 1
+and q >= s with Q >= 1, as statsmodels' SARIMAX does. So every lag holds
+the value that `np.convolve` of the two factors gives, which adds the one
+product to exact zeros (only the sign of a zero lag may differ).
+
+The simplex search (Nelder & Mead 1965, Computer Journal 7(4)) repeats
+scipy 1.17.1 `scipy.optimize._optimize._minimize_neldermead` with
+adaptive=False, no bounds, no maxfev and no callback, operation for
+operation, on lists of Python floats: every vertex update is the same IEEE
+double arithmetic in the same order, the centroid adds each column in row
+order to 0.0 as `np.add.reduce` does, and the reorders stay on numpy's
+argsort, whose order of tied values is scipy's. So a fit is byte-identical
+to `minimize(method="Nelder-Mead")` without importing scipy.optimize. The
+MA filter is scipy.signal.lfilter, which `_innovations` looks up, once per
 build and only when the order has MA terms.
 """
 
@@ -28,6 +39,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +68,10 @@ class ArimaOrder:
             raise ArimaError("season length must be >= 1")
         if (self.P or self.D or self.Q) and self.s <= 1:
             raise ArimaError("seasonal terms require s > 1")
+        if (self.P and self.p >= self.s) or (self.Q and self.q >= self.s):
+            raise ArimaError(f"{self.label()} puts lag(s) in both the "
+                             f"seasonal and non-seasonal components: p must "
+                             f"be < s when P > 0, and q < s when Q > 0")
 
     @property
     def n_params(self) -> int:
@@ -63,6 +80,14 @@ class ArimaOrder:
     @property
     def k_ar(self) -> int:  # degree of the expanded AR polynomial
         return self.p + self.s * self.P
+
+    def split(self, theta) -> tuple:
+        """(c, phi, theta, Phi, Theta) of a parameter list laid out as
+        [c, phi_1..p, theta_1..q, Phi_1..P, Theta_1..Q]."""
+        i = 1 + self.p
+        j = i + self.q
+        k = j + self.P
+        return theta[0], theta[1:i], theta[i:j], theta[j:k], theta[k:]
 
     def label(self) -> str:
         base = f"({self.p},{self.d},{self.q})"
@@ -88,6 +113,11 @@ class ArimaFit:
     ar_stationary: bool = True
     ma_invertible: bool = True
 
+    @property
+    def theta(self) -> list:
+        """The parameters as the list `ArimaOrder.split` reads."""
+        return [self.intercept, *self.ar, *self.ma, *self.sar, *self.sma]
+
 
 def _chain(y, d: int, D: int, s: int) -> list[np.ndarray]:
     """y and each series after it along the differencing chain: D seasonal
@@ -109,41 +139,36 @@ def difference(y, d: int, D: int = 0, s: int = 1) -> np.ndarray:
     return _chain(y, d, D, s)[-1]
 
 
-def _poly_lags(nonseasonal, seasonal, s: int, sign: float) -> np.ndarray:
-    """Lag-1.. coefficients of (1 + sign*sum c_k L^k)(1 + sign*sum C_k L^{ks})."""
-    a = np.concatenate([[1.0], sign * np.asarray(nonseasonal, dtype=float)])
-    b = np.zeros(1 + len(seasonal) * s)
-    b[0] = 1.0
-    for k, coef in enumerate(seasonal, start=1):
-        b[k * s] = sign * coef
-    return np.convolve(a, b)[1:]
+def _expand(coefs, scoefs, s: int, cross: float) -> list:
+    """Lags 1.. of (1 + sum_i c_i L^i)(1 + sum_k C_k L^{ks}) for n = len(coefs)
+    < s (or no scoefs): c_i at lag i, C_k at lag ks, cross * (c_i * C_k) at
+    lag i + ks and 0.0 at every other lag up to n + s * len(scoefs)."""
+    lags = list(coefs)
+    gap = [0.0] * (s - len(lags) - 1)
+    for C in scoefs:
+        lags += gap
+        lags.append(C)
+        lags += [cross * (c * C) for c in coefs]
+    return lags
 
 
 def _ar_lags(phi, sphi, s: int) -> np.ndarray:
-    """a_k such that the AR recursion reads w_t = c + sum a_k w_{t-k} + ..."""
-    return -_poly_lags(phi, sphi, s, -1.0)
+    """a_k such that the AR recursion reads w_t = c + sum a_k w_{t-k} + ...,
+    from (1 - sum phi_i L^i)(1 - sum Phi_k L^{ks})."""
+    return np.array(_expand(phi, sphi, s, -1.0), dtype=float)
 
 
 def _ma_lags(theta, stheta, s: int) -> np.ndarray:
     """b_k such that the MA part reads e_t + sum b_k e_{t-k}."""
-    return _poly_lags(theta, stheta, s, 1.0)
-
-
-def _unpack(theta, order: ArimaOrder):
-    c = theta[0]
-    i = 1
-    phi = theta[i:i + order.p]; i += order.p
-    th = theta[i:i + order.q]; i += order.q
-    sphi = theta[i:i + order.P]; i += order.P
-    sth = theta[i:i + order.Q]
-    return c, phi, th, sphi, sth
+    return np.array(_expand(theta, stheta, s, 1.0), dtype=float)
 
 
 def _innovations(w, order: ArimaOrder):
-    """(c, phi, theta, sphi, stheta) -> conditional innovations of w under
-    `order`, for t >= order.k_ar, with pre-sample innovations zero. The AR
-    lag design depends on the order alone, so it is built once here, not
-    per call, and so is the lfilter lookup."""
+    """theta -> conditional innovations of w under `order`, for t >= order.k_ar,
+    with pre-sample innovations zero. theta is a list laid out as
+    `ArimaOrder.split` reads it. The AR lag design depends on the order
+    alone, so it is built once here, not per call, and so is the lfilter
+    lookup."""
     k_ar, s = order.k_ar, order.s
     has_ma = bool(order.q or order.Q)
     if k_ar:  # row t - k_ar of lagged holds w_{t-1}, ..., w_{t-k_ar}
@@ -151,16 +176,17 @@ def _innovations(w, order: ArimaOrder):
         lagged, target = w[idx], w[k_ar:]
     if has_ma:
         from scipy.signal import lfilter
+    split = order.split
 
-    def innovations(c, phi, th, sphi, sth) -> np.ndarray:
+    def innovations(theta) -> np.ndarray:
+        c, phi, th, sphi, sth = split(theta)
         if k_ar:
-            z = target - c - lagged @ _ar_lags(phi, sphi, s)
+            z = target - c - lagged @ _expand(phi, sphi, s, -1.0)
         else:
             z = w - c
         if has_ma:
             # e_t = z_t - sum b_k e_{t-k}, zero initial conditions
-            b = _ma_lags(th, sth, s)
-            z = lfilter([1.0], np.concatenate([[1.0], b]), z)
+            z = lfilter([1.0], [1.0, *_expand(th, sth, s, 1.0)], z)
         return z
 
     return innovations
@@ -172,9 +198,10 @@ def _css_objective(w, order: ArimaOrder):
     innovations = _innovations(w, order)
 
     def css(theta) -> float:
-        if not all(map(math.isfinite, theta.tolist())):
+        theta = theta.tolist()
+        if not all(map(math.isfinite, theta)):
             return 1e300
-        z = innovations(*_unpack(theta, order))
+        z = innovations(theta)
         val = float(z @ z)
         return val if math.isfinite(val) else 1e300
 
@@ -189,48 +216,64 @@ class _Simplex(NamedTuple):
     success: bool
 
 
+def _centroid(vertices) -> list:
+    """`np.add.reduce(vertices, 0) / len(vertices)` on lists: each column
+    added in row order to 0.0, as numpy does (so -0.0 columns sum to 0.0).
+    Not `sum`, which compensates from Python 3.12."""
+    n = len(vertices)
+    return [reduce(add, column, 0.0) / n for column in zip(*vertices)]
+
+
+def _by_value(sim, fsim) -> tuple[list, list]:
+    """Vertices and values reordered by numpy's default argsort of fsim,
+    whose order of tied values (unstable, and not that of `sorted`) is
+    scipy's."""
+    ind = np.array(fsim).argsort().tolist()
+    return [sim[i] for i in ind], [fsim[i] for i in ind]
+
+
 def _nelder_mead(func, x0, maxiter: int, xatol: float,
                  fatol: float) -> _Simplex:
     """scipy 1.17.1 `_minimize_neldermead` with adaptive=False, no bounds,
-    maxfev or callback: the same initial simplex (x0, then x0 with entry k
-    scaled by 1.05, or set to 0.00025 where it is 0), the same unstable
-    argsort/take reorders (twice before the loop, as there), the same
-    reflect/expand/contract/shrink arithmetic, and a copy of each vertex
-    handed to `func`. Its coefficients rho=1, chi=2, psi=sigma=0.5 are
-    folded into the constants 2, 3, 1.5 and 0.5 that scipy forms from them,
-    and its exact multiplications by rho=1 are dropped, so every rounding
-    step is scipy's."""
-    x0 = np.asarray(x0, dtype=float).flatten()
+    maxfev or callback, on lists of Python floats: the same initial simplex
+    (x0, then x0 with entry k scaled by 1.05, or set to 0.00025 where it is
+    0), the same `np.argsort` reorders (twice before the loop, as there),
+    the same reflect/expand/contract/shrink arithmetic, and a fresh
+    float64 array of each vertex handed to `func`. Its coefficients rho=1,
+    chi=2, psi=sigma=0.5 are folded into the constants 2, 3, 1.5 and 0.5
+    that scipy forms from them, and its exact multiplications by rho=1 are
+    dropped, so every rounding step is scipy's. `all(abs(d) <= tol)` has
+    the truth value of scipy's `max(abs(d)) <= tol`, NaN included."""
+    x0 = np.asarray(x0, dtype=float).flatten().tolist()
     N = len(x0)
     nfev = 0
 
     def f(x):
         nonlocal nfev
         nfev += 1
-        return func(np.copy(x))
+        return func(np.array(x, dtype=float))
 
-    sim = np.tile(x0, (N + 1, 1))
+    sim = [x0]
     for k in range(N):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+        vertex = list(x0)
+        vertex[k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+        sim.append(vertex)
 
-    fsim = np.array([f(vertex) for vertex in sim], dtype=float)
-    ind = np.argsort(fsim)
-    sim = np.take(sim, ind, 0)
-    fsim = np.take(fsim, ind, 0)
-    ind = np.argsort(fsim)
-    fsim = np.take(fsim, ind, 0)
-    sim = np.take(sim, ind, 0)
+    fsim = [f(vertex) for vertex in sim]
+    sim, fsim = _by_value(*_by_value(sim, fsim))  # scipy sorts twice here
 
     iterations = 1
     while iterations < maxiter:
-        if (np.abs(sim[1:] - sim[0]).max() <= xatol
-                and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+        best, worst = sim[0], sim[-1]
+        if (all(abs(v - b) <= xatol
+                for vertex in sim[1:] for v, b in zip(vertex, best))
+                and all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = 2 * xbar - sim[-1]
+        xbar = _centroid(sim[:-1])
+        xr = [2 * u - v for u, v in zip(xbar, worst)]
         fxr = f(xr)
         if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
+            xe = [3 * u - 2 * v for u, v in zip(xbar, worst)]
             fxe = f(xe)
             if fxe < fxr:
                 sim[-1] = xe
@@ -243,11 +286,11 @@ def _nelder_mead(func, x0, maxiter: int, xatol: float,
             fsim[-1] = fxr
         else:
             if fxr < fsim[-1]:  # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
+                xc = [1.5 * u - 0.5 * v for u, v in zip(xbar, worst)]
                 fxc = f(xc)
                 accept = fxc <= fxr
             else:  # inside contraction
-                xc = 0.5 * xbar + 0.5 * sim[-1]
+                xc = [0.5 * u + 0.5 * v for u, v in zip(xbar, worst)]
                 fxc = f(xc)
                 accept = fxc < fsim[-1]
             if accept:
@@ -255,15 +298,13 @@ def _nelder_mead(func, x0, maxiter: int, xatol: float,
                 fsim[-1] = fxc
             else:  # shrink every vertex halfway toward the best
                 for j in range(1, N + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    sim[j] = [u + 0.5 * (v - u) for u, v in zip(best, sim[j])]
                     fsim[j] = f(sim[j])
         iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        sim, fsim = _by_value(sim, fsim)
 
-    return _Simplex(sim[0], np.min(fsim), iterations, nfev,
-                    iterations < maxiter)
+    return _Simplex(np.array(sim[0], dtype=float), np.min(fsim), iterations,
+                    nfev, iterations < maxiter)
 
 
 def _poly_roots_outside_unit(coefs) -> bool:
@@ -306,7 +347,7 @@ def fit_css(y, order: ArimaOrder, seed: int = 0) -> ArimaFit:
     improved = best.fun <= min(start_css) + 1e-12
     converged = bool(any_success and improved)
 
-    c, phi, th, sphi, sth = _unpack(best.x, order)
+    c, phi, th, sphi, sth = order.split(best.x.tolist())
     n_eff = len(w) - order.k_ar
     if n_eff < 1:
         raise ArimaError("no effective observations after conditioning")
@@ -338,8 +379,7 @@ def forecast(fit: ArimaFit, y, h: int) -> np.ndarray:
     a = _ar_lags(fit.ar, fit.sar, order.s)
     b = _ma_lags(fit.ma, fit.sma, order.s)
     k_ar, k_ma = len(a), len(b)
-    e_in = _innovations(w, order)(fit.intercept, fit.ar, fit.ma, fit.sar,
-                                  fit.sma)
+    e_in = _innovations(w, order)(fit.theta)
     m = len(w)
     w_ext = list(w)
     e_ext = [0.0] * k_ar + list(e_in) + [0.0] * h  # future innovations zero
@@ -385,8 +425,7 @@ def _common_window_aic(fit: ArimaFit, y, drop_front: int) -> float:
     so candidates with different conditioning depths stay comparable."""
     order = fit.order
     w = difference(y, order.d, order.D, order.s)
-    e = _innovations(w, order)(fit.intercept, fit.ar, fit.ma, fit.sar,
-                               fit.sma)
+    e = _innovations(w, order)(fit.theta)
     # innovation t sits at original index d + D*s + k_ar + t
     skip = drop_front - (order.d + order.D * order.s + order.k_ar)
     e = e[max(skip, 0):]

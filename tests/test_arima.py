@@ -10,13 +10,14 @@ from forecastlab.arima import (
     ArimaError,
     ArimaFit,
     ArimaOrder,
+    _Simplex,
     _ar_lags,
+    _centroid,
     _common_window_aic,
     _css_objective,
     _ma_lags,
     _nelder_mead,
     _poly_roots_outside_unit,
-    _unpack,
     default_order_candidates,
     difference,
     fit_css,
@@ -48,24 +49,64 @@ def zero_fit(order, intercept=0.0):
                     aic=0.0, converged=True, n_eff=10, start_css=(1.0,))
 
 
-def loop_css(theta, w, order):
-    """Reference oracle: the CSS objective rebuilding the AR lag design on
-    every evaluation (the solver's original form)."""
-    if not np.all(np.isfinite(theta)):
-        return 1e300
-    c, phi, th, sphi, sth = _unpack(theta, order)
-    a = _ar_lags(phi, sphi, order.s) if (order.p or order.P) else np.empty(0)
-    b = _ma_lags(th, sth, order.s) if (order.q or order.Q) else np.empty(0)
-    k_ar = len(a)
+def loop_unpack(theta, order):
+    """Reference oracle: (c, phi, theta, Phi, Theta) sliced from an array."""
+    c = theta[0]
+    i = 1
+    phi = theta[i:i + order.p]; i += order.p
+    th = theta[i:i + order.q]; i += order.q
+    sphi = theta[i:i + order.P]; i += order.P
+    sth = theta[i:i + order.Q]
+    return c, phi, th, sphi, sth
+
+
+def loop_poly_lags(nonseasonal, seasonal, s, sign):
+    """Reference oracle: lag-1.. coefficients of
+    (1 + sign*sum c_k L^k)(1 + sign*sum C_k L^{ks}) by np.convolve."""
+    a = np.concatenate([[1.0], sign * np.asarray(nonseasonal, dtype=float)])
+    b = np.zeros(1 + len(seasonal) * s)
+    b[0] = 1.0
+    for k, coef in enumerate(seasonal, start=1):
+        b[k * s] = sign * coef
+    return np.convolve(a, b)[1:]
+
+
+def loop_ar_lags(phi, sphi, s):
+    return -loop_poly_lags(phi, sphi, s, -1.0)
+
+
+def loop_ma_lags(theta, stheta, s):
+    return loop_poly_lags(theta, stheta, s, 1.0)
+
+
+def loop_css_objective(w, order):
+    """Reference oracle: the CSS objective with the AR lag design built once
+    and the lag polynomials expanded by np.convolve on every evaluation."""
+    k_ar, s = order.k_ar, order.s
+    has_ma = bool(order.q or order.Q)
     if k_ar:
         idx = np.arange(k_ar, len(w))[:, None] - np.arange(1, k_ar + 1)[None, :]
-        e = w[k_ar:] - c - w[idx] @ a
-    else:
-        e = w - c
-    if len(b):
-        e = lfilter([1.0], np.concatenate([[1.0], b]), e)
-    val = float(e @ e)
-    return val if math.isfinite(val) else 1e300
+        lagged, target = w[idx], w[k_ar:]
+
+    def css(theta):
+        if not all(map(math.isfinite, theta.tolist())):
+            return 1e300
+        c, phi, th, sphi, sth = loop_unpack(theta, order)
+        if k_ar:
+            z = target - c - lagged @ loop_ar_lags(phi, sphi, s)
+        else:
+            z = w - c
+        if has_ma:
+            b = loop_ma_lags(th, sth, s)
+            z = lfilter([1.0], np.concatenate([[1.0], b]), z)
+        val = float(z @ z)
+        return val if math.isfinite(val) else 1e300
+
+    return css
+
+
+def loop_css(theta, w, order):
+    return loop_css_objective(w, order)(theta)
 
 
 CSS_ORDERS = [ArimaOrder(1, 0, 0), ArimaOrder(3, 1, 0), ArimaOrder(0, 0, 1),
@@ -118,6 +159,64 @@ class TestCssEquivalence:
         assert (got.fun, got.nfev, got.nit) == (want.fun, want.nfev, want.nit)
 
 
+def planted_thetas(rng, dim, count):
+    """Random thetas at three scales; six in eight have -0.0, NaN, +-inf or
+    +-1e300 (whose products overflow) planted in some entries."""
+    out = []
+    for n in range(count):
+        theta = rng.normal(0.0, (0.02, 0.15, 0.8)[n % 3], size=dim)
+        hit = rng.random(dim) < 0.4
+        plant = (None, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e300,
+                 None)[n % 8]
+        if plant is not None:
+            theta[hit] = plant
+        out.append(theta)
+    return out
+
+
+def scatter_orders():
+    """Every p, q < s at s in {2, 3, 4, 12}, with P, Q in 0..2 in turn."""
+    for s in (2, 3, 4, 12):
+        for n, (p, q) in enumerate((p, q) for p in range(s)
+                                   for q in range(s)):
+            P, Q = ((1, 1), (2, 1), (1, 2), (0, 1), (1, 0), (2, 2))[n % 6]
+            yield ArimaOrder(p, 0, q, P, 0, Q, s)
+
+
+class TestLagScatter:
+    """The lag polynomials expanded by scattering each coefficient and
+    product to its own lag give the CSS objective of the np.convolve
+    expansion bit for bit, and equal lag vectors (==, since the sign of a
+    zero lag may differ)."""
+
+    def test_css_and_lags_equal_the_convolution(self):
+        rng = np.random.default_rng(909)
+        seen = []
+        for order in scatter_orders():
+            w = np.cumsum(rng.normal(size=order.k_ar + 30))
+            got_css = _css_objective(w, order)
+            want_css = loop_css_objective(w, order)
+            for theta in planted_thetas(rng, order.n_params, 30):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got, want = got_css(theta), want_css(theta)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                seen.append(got)
+                if not np.all(np.isfinite(theta)):
+                    continue
+                c, phi, th, sphi, sth = loop_unpack(theta, order)
+                with np.errstate(over="ignore"):
+                    pairs = ((_ar_lags(phi, sphi, order.s),
+                              loop_ar_lags(phi, sphi, order.s)),
+                             (_ma_lags(th, sth, order.s),
+                              loop_ma_lags(th, sth, order.s)))
+                for lags, loop in pairs:
+                    assert lags.dtype == np.float64
+                    assert lags.shape == loop.shape
+                    assert np.array_equal(lags, loop)
+        assert len(seen) >= 5000
+        # 3/8 of the thetas are not finite, 2/8 hold +-1e300 entries
+        assert seen.count(1e300) > 2000 and len(set(seen)) > 1500
+
 
 def loop_innovations(w, c, a, b):
     """Reference oracle: innovations from expanded lags a and b, with the AR
@@ -135,9 +234,9 @@ def loop_innovations(w, c, a, b):
 
 def loop_lags(fit):
     order = fit.order
-    a = (_ar_lags(fit.ar, fit.sar, order.s)
+    a = (loop_ar_lags(fit.ar, fit.sar, order.s)
          if (order.p or order.P) else np.empty(0))
-    b = (_ma_lags(fit.ma, fit.sma, order.s)
+    b = (loop_ma_lags(fit.ma, fit.sma, order.s)
          if (order.q or order.Q) else np.empty(0))
     return a, b
 
@@ -289,6 +388,87 @@ def same_walk(func, x0, maxiter, xatol=1e-8, fatol=1e-10):
     return got
 
 
+def numpy_nelder_mead(func, x0, maxiter, xatol, fatol):
+    """Reference oracle: the simplex on numpy arrays, scipy's code with
+    rho=1, chi=2, psi=sigma=0.5 folded into its constants."""
+    x0 = np.asarray(x0, dtype=float).flatten()
+    N = len(x0)
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        nfev += 1
+        return func(np.copy(x))
+
+    sim = np.tile(x0, (N + 1, 1))
+    for k in range(N):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+
+    fsim = np.array([f(vertex) for vertex in sim], dtype=float)
+    ind = np.argsort(fsim)
+    sim = np.take(sim, ind, 0)
+    fsim = np.take(fsim, ind, 0)
+    ind = np.argsort(fsim)
+    fsim = np.take(fsim, ind, 0)
+    sim = np.take(sim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.abs(sim[1:] - sim[0]).max() <= xatol
+                and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            if fxe < fxr:
+                sim[-1] = xe
+                fsim[-1] = fxe
+            else:
+                sim[-1] = xr
+                fsim[-1] = fxr
+        elif fxr < fsim[-2]:
+            sim[-1] = xr
+            fsim[-1] = fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1] = xc
+                fsim[-1] = fxc
+            else:
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    return _Simplex(sim[0], np.min(fsim), iterations, nfev,
+                    iterations < maxiter)
+
+
+def same_as_numpy(func, x0, maxiter, xatol=1e-8, fatol=1e-10):
+    """Run the list simplex and the numpy oracle from x0; assert they agree
+    bit for bit."""
+    got = _nelder_mead(func, x0, maxiter, xatol, fatol)
+    want = numpy_nelder_mead(func, x0, maxiter, xatol, fatol)
+    assert got.x.dtype == np.float64 and got.x.tobytes() == want.x.tobytes()
+    assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
+    assert (got.nit, got.nfev, got.success) == (want.nit, want.nfev,
+                                                 want.success)
+    return got
+
+
 def starts(rng, dim):
     """Zero, all-nonzero, mixed zero/nonzero and wide starts."""
     mixed = rng.normal(0.0, 0.3, size=dim)
@@ -383,6 +563,59 @@ class TestNelderMead:
         assert len(ported) == 24
         for order, fit in ported.items():
             assert fit_css(y, order, seed=3) == fit
+
+
+def scribbled(x):
+    # overwrites its argument, which must be a fresh float64 copy
+    assert type(x) is np.ndarray and x.dtype == np.float64
+    value = sphere(x)
+    x[:] = 123.0
+    return value
+
+
+class TestPythonSimplex:
+    """The simplex on Python floats walks the numpy-array simplex bit for
+    bit on the CSS and synthetic walks of TestNelderMead, from starts that
+    also hold -0.0 entries, and its centroid adds rows as np.add.reduce."""
+
+    @pytest.mark.parametrize("order", CSS_ORDERS, ids=ArimaOrder.label)
+    def test_css_walks(self, order):
+        rng = np.random.default_rng(17)
+        y = np.cumsum(rng.normal(size=48))
+        w = difference(y, order.d, order.D, order.s)
+        css = _css_objective(w, order)
+        for x0 in starts(rng, order.n_params):
+            with np.errstate(over="ignore", invalid="ignore"):
+                same_as_numpy(css, x0, 600 * order.n_params)
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_synthetic_walks(self, dim):
+        rng = np.random.default_rng(dim)
+        for func in (sphere, terraced, fenced, flat, rosenbrock, scribbled):
+            for x0 in starts(rng, dim) + [-starts(rng, dim)[2]]:
+                same_as_numpy(func, x0, 100 * dim, xatol=1e-4, fatol=1e-4)
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_maxiter_cap(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        for func, maxiter in ((rosenbrock, 3), (terraced, 10),
+                              (rosenbrock, 25)):
+            same_as_numpy(func, rng.normal(0.0, 1.0, size=dim), maxiter)
+
+    def test_centroid_adds_rows_in_order(self):
+        # numpy adds to 0.0, so -0.0 columns sum to 0.0, and 1e16 + 1.0 -
+        # 1e16 rounds to 0.0 (1.0 when compensated, as sum() is from 3.12)
+        rows = [[-0.0, 1e16, 0.1], [-0.0, 1.0, 0.2], [-0.0, -1e16, 0.3]]
+        want = np.add.reduce(np.array(rows), 0) / 3
+        assert np.array(_centroid(rows)).tobytes() == want.tobytes()
+        rng = np.random.default_rng(4)
+        for n in range(1, 10):
+            for _ in range(20):
+                rows = rng.normal(0.0, 10.0 ** rng.integers(-3, 17),
+                                  size=(n, n))
+                want = np.add.reduce(rows, 0) / n
+                got = np.array(_centroid(rows.tolist()))
+                assert got.tobytes() == want.tobytes()
 
 
 class TestDifference:
@@ -538,3 +771,16 @@ class TestOrderValidation:
     def test_negative_rejected(self):
         with pytest.raises(ArimaError):
             ArimaOrder(p=-1)
+
+    @pytest.mark.parametrize("s", [2, 4, 12])
+    def test_lags_in_both_components_rejected(self, s):
+        for kwargs in ({"p": s, "P": 1}, {"p": s + 1, "P": 2, "d": 1},
+                       {"q": s, "Q": 1}, {"q": 2 * s, "Q": 1, "D": 1}):
+            with pytest.raises(ArimaError, match="both the seasonal"):
+                ArimaOrder(s=s, **kwargs)
+        # below the period, or without the seasonal factor, no lags meet
+        for kwargs in ({"p": s - 1, "P": 2, "q": s - 1, "Q": 2},
+                       {"p": s, "q": 2 * s, "D": 1}):
+            order = ArimaOrder(s=s, **kwargs)
+            assert len(_ar_lags((0.1,) * order.p, (0.1,) * order.P, s)) \
+                == order.k_ar

@@ -316,6 +316,10 @@ class TestExitCodes:
         {"roster": {"arima": {}, "random_forest": {"grid": {
             "max_depth": ["deep"]}}}},
         {"roster": {"arima": {}, "boosting": {"grid": {"subsample": [1.5]}}}},
+        {"roster": {"arima": {"candidates": [[12, 0, 0, 1, 0, 0, 12]]}}},
+        {"roster": {"arima": {"candidates": [[0, 0, 4, 0, 0, 1, 4]]}}},
+        {"roster": {"arima": {}, "svr": {"grid": {"C": [-1]}}}},
+        {"roster": {"arima": {}, "svr": {"grid": {"epsilon": [-0.1]}}}},
     ], ids=["synth.n", "dm.h", "seed", "split_months", "schema.features",
             "arima.candidates", "data", "explain.background_cap", "cv-list",
             "cv.shuffle-string", "synth.drivers-string",
@@ -323,7 +327,9 @@ class TestExitCodes:
             "grid-scalar", "grid-nested-list",
             "ridge-lamda", "ols-lam", "boosting-base_score", "dm.h-zero",
             "arima.candidates-empty", "lasso-lam-string", "svr-C-string",
-            "random_forest-max_depth-string", "boosting-subsample-range"])
+            "random_forest-max_depth-string", "boosting-subsample-range",
+            "arima.candidates-overlap-ar", "arima.candidates-overlap-ma",
+            "svr-C-negative", "svr-epsilon-negative"])
     def test_malformed_value_exits_2_before_fitting(self, tmp_path, capsys,
                                                     monkeypatch, overrides):
         import forecastlab.pipeline as pipeline

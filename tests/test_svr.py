@@ -4,6 +4,7 @@ from scipy.optimize import minimize
 
 import forecastlab.svr as svr_mod
 from forecastlab.dataset import Standardization
+from forecastlab.families import family_params
 from forecastlab.svr import (
     KKT_TOL,
     PREDICT_BLOCK_CELLS,
@@ -221,6 +222,16 @@ class TestLoopEquivalence:
         with pytest.raises(ValueError, match="C must be > 0"):
             fit_svr(np.zeros((4, 1)), np.zeros(4), C=float("nan"),
                     epsilon=0.1, kernel=KernelSpec("linear"))
+
+    @pytest.mark.parametrize("cell,match", [
+        ({"C": 0.0}, "C must be > 0"), ({"C": -1}, "C must be > 0"),
+        ({"C": float("nan")}, "C must be > 0"),
+        ({"epsilon": -0.1}, "epsilon must be >= 0")])
+    def test_grid_cell_rejected_before_fitting(self, cell, match):
+        with pytest.raises(ValueError, match=match):
+            family_params("svr", cell)
+        assert family_params("svr", {"C": 0.5, "epsilon": 0.0})[:2] == (0.5,
+                                                                         0.0)
 
 
 class TestDegenerate:
