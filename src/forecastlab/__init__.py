@@ -4,12 +4,11 @@ from .arima import ArimaOrder, difference, fit_css, forecast, select_order
 from .dataset import (
     ColumnSchema,
     SeriesFrame,
-    SplitSpec,
+    SynthSpec,
     chrono_split,
     default_schema,
     load_frame,
     log_transform,
-    standardize_fit_apply,
     synth_generate,
 )
 from .evaluation import dm_test, mae, rmse, rmse_reduction

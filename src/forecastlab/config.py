@@ -24,7 +24,7 @@ import json
 from dataclasses import MISSING, dataclass, field, fields
 
 from .arima import ArimaOrder, default_order_candidates
-from .dataset import ColumnSchema, DgpSpec, boolean, coerce_fields, default_schema, listed, optional
+from .dataset import ColumnSchema, DataError, SynthSpec, boolean, coerce_fields, default_schema, listed, optional
 from .families import BENCHMARK_FAMILY, FAMILIES, GRID_PARAMS, family_params
 from .tuning import CvPlan, ParamGrid, default_grid
 
@@ -60,42 +60,6 @@ def read_section(cls, doc, where: str, skip=(), **given):
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
-
-
-# per synth kind: (coefficients, intercept) unless the section sets them
-_SYNTH_KINDS = {"linear": ((2.0, -3.0, 0.5), 1.0),
-                "nonlinear": ((2.0, 1.5, -2.0), 3.0)}
-
-
-@dataclass(frozen=True)
-class SynthSpec:
-    kind: str = "nonlinear"  # linear | nonlinear
-    n: int = 84
-    drivers: tuple[str, ...] = ("ATMD", "CC", "IR")
-    coefficients: tuple[float, ...] = ()  # empty: the kind's
-    intercept: float | None = None  # None: the kind's
-    noise_scale: float = 0.25
-    noise_ar: float = 0.3
-
-    def __post_init__(self):
-        coerce_fields(self, n=int, drivers=listed(),
-                      coefficients=listed(float), intercept=optional(float),
-                      noise_scale=float, noise_ar=float)
-        if self.kind not in _SYNTH_KINDS:
-            raise ValueError(f"unknown synth kind {self.kind!r}")
-        n_coefs = len(self.coefficients or _SYNTH_KINDS[self.kind][0])
-        if n_coefs != len(self.drivers) or (self.kind == "nonlinear"
-                                            and n_coefs != 3):
-            raise ValueError(f"{self.kind} synth takes one coefficient per "
-                             f"driver (nonlinear: 3); got {n_coefs} for "
-                             f"{len(self.drivers)} drivers")
-
-    def to_dgp(self) -> DgpSpec:
-        coefs, intercept = _SYNTH_KINDS[self.kind]
-        if self.intercept is not None:
-            intercept = self.intercept
-        return DgpSpec(self.kind, self.drivers, self.coefficients or coefs,
-                       intercept, self.noise_scale, self.noise_ar)
 
 
 @dataclass(frozen=True)
@@ -185,6 +149,11 @@ class ExplainOptions:
 
     def __post_init__(self):
         coerce_fields(self, background_cap=int, outlier_k=float)
+        if self.background_cap < 1:
+            raise ValueError(f"background_cap must be >= 1, "
+                             f"got {self.background_cap}")
+        if not self.outlier_k >= 0:  # NaN too
+            raise ValueError(f"outlier_k must be >= 0, got {self.outlier_k}")
         if self.rows not in ("train", "test"):
             raise ValueError(f"rows must be train or test, got {self.rows!r}")
         if self.outlier_axis not in ("x", "shap"):
@@ -244,6 +213,21 @@ class RunConfig:
         for m in self.split_months:
             if m < 1:
                 raise ConfigError(f"split months must be >= 1, got {m}")
+        if self.data.synth is not None:
+            try:
+                self.data.synth.driver_columns(self.schema)
+            except DataError as exc:
+                raise ConfigError(f"data.synth: {exc}") from None
+        n_features = len(self.schema.features)
+        for spec in self.roster:
+            if spec.family != "random_forest":
+                continue
+            for value in spec.grid.get("max_features", ()):
+                cap = family_params(spec.family, {"max_features": value}).max_features
+                if cap is not None and cap > n_features:
+                    raise ConfigError(
+                        f"roster.random_forest: grid value max_features="
+                        f"{value!r} exceeds the schema's {n_features} features")
 
     def roster_spec(self, family: str) -> FamilySpec:
         for spec in self.roster:

@@ -82,21 +82,9 @@ class ColumnSchema:
         return (self.target,) + self.features
 
 
-def default_schema(log_columns: tuple[str, ...] = ()) -> ColumnSchema:
+def default_schema() -> ColumnSchema:
     """The 16-regressor monthly layout used throughout the bundled configs."""
-    return ColumnSchema(target=DEFAULT_TARGET, features=DEFAULT_FEATURES,
-                        log_columns=log_columns)
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Number of trailing months held out for testing."""
-
-    test_months: int
-
-    def __post_init__(self):
-        if self.test_months < 1:
-            raise DataError(f"test_months must be >= 1, got {self.test_months}")
+    return ColumnSchema(target=DEFAULT_TARGET, features=DEFAULT_FEATURES)
 
 
 @dataclass(frozen=True)
@@ -250,11 +238,11 @@ def log_transform(frame: SeriesFrame, columns) -> SeriesFrame:
     return frame.with_data(data)
 
 
-def chrono_split(frame: SeriesFrame, spec: SplitSpec) -> tuple[SeriesFrame, SeriesFrame]:
+def chrono_split(frame: SeriesFrame, test_months: int) -> tuple[SeriesFrame, SeriesFrame]:
     """First n-m rows for training, last m for testing; order preserved."""
-    m = spec.test_months
-    if m >= frame.n_rows:
-        raise DataError(f"test_months {m} must be < n_rows {frame.n_rows}")
+    m = test_months
+    if not 1 <= m < frame.n_rows:
+        raise DataError(f"test_months must be in 1..{frame.n_rows - 1}, got {m}")
     train = SeriesFrame(frame.start_year, frame.start_month, frame.columns,
                         frame.data[:-m])
     base = frame.start_year * 12 + (frame.start_month - 1) + (frame.n_rows - m)
@@ -266,103 +254,92 @@ def chrono_split(frame: SeriesFrame, spec: SplitSpec) -> tuple[SeriesFrame, Seri
 class Standardization:
     """Per-feature center/scale computed on training data (population sd)."""
 
-    names: tuple[str, ...]
     means: np.ndarray
     scales: np.ndarray
 
     @classmethod
-    def fit(cls, X: np.ndarray, names=()) -> "Standardization":
+    def fit(cls, X: np.ndarray) -> "Standardization":
         X = np.asarray(X, dtype=float)
         means = X.mean(axis=0)
         scales = X.std(axis=0)  # population (1/n) sd
         scales = np.where(scales == 0.0, 1.0, scales)  # zero-variance guard
-        return cls(tuple(names) if names else tuple(f"x{j}" for j in range(X.shape[1])),
-                   means, scales)
+        return cls(means, scales)
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=float) - self.means) / self.scales
 
-    def inverse(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=float) * self.scales + self.means
 
-
-def standardize_fit_apply(train: SeriesFrame, test: SeriesFrame, features):
-    """Standardize the named feature columns with train statistics only.
-
-    Returns transformed copies of both frames plus the Standardization used.
-    """
-    features = list(features)
-    stats = Standardization.fit(train.matrix(features), features)
-    out = []
-    for frame in (train, test):
-        data = frame.data.copy()
-        for k, name in enumerate(features):
-            j = frame.column_index(name)
-            data[:, j] = (data[:, j] - stats.means[k]) / stats.scales[k]
-        out.append(frame.with_data(data))
-    return out[0], out[1], stats
+# per synth kind: (coefficients, intercept) unless the spec sets them
+_SYNTH_KINDS = {"linear": ((2.0, -3.0, 0.5), 1.0),
+                "nonlinear": ((2.0, 1.5, -2.0), 3.0)}
 
 
 @dataclass(frozen=True)
-class DgpSpec:
-    """Synthetic data generating process: which drivers feed the target and how.
+class SynthSpec:
+    """Synthetic data generating process; the fields are the data.synth keys.
 
     `kind` selects the functional form, `drivers` records the true signal
     columns so downstream checks can verify recovered importance rankings.
-    Target noise is AR(1) with coefficient `noise_ar` and innovation scale
+    Empty `coefficients` and a None `intercept` take the kind's. Target
+    noise is AR(1) with coefficient `noise_ar` and innovation scale
     `noise_scale`; scale 0 makes the target exactly the declared function.
     """
 
-    kind: str
-    drivers: tuple[str, ...]
-    coefficients: tuple[float, ...]
-    intercept: float = 0.0
+    kind: str = "nonlinear"  # linear | nonlinear
+    n: int = 84
+    drivers: tuple[str, ...] = ("ATMD", "CC", "IR")
+    coefficients: tuple[float, ...] = ()  # empty: the kind's
+    intercept: float | None = None  # None: the kind's
     noise_scale: float = 0.25
     noise_ar: float = 0.3
+
+    def __post_init__(self):
+        coerce_fields(self, n=int, drivers=listed(),
+                      coefficients=listed(float), intercept=optional(float),
+                      noise_scale=float, noise_ar=float)
+        if self.kind not in _SYNTH_KINDS:
+            raise DataError(f"unknown synth kind {self.kind!r}")
+        if self.n < 40:
+            raise DataError(f"synthetic frames need n >= 40, got {self.n}")
+        n_coefs = len(self.coefficients or _SYNTH_KINDS[self.kind][0])
+        if n_coefs != len(self.drivers) or (self.kind == "nonlinear"
+                                            and n_coefs != 3):
+            raise DataError(f"{self.kind} synth takes one coefficient per "
+                            f"driver (nonlinear: 3); got {n_coefs} for "
+                            f"{len(self.drivers)} drivers")
+
+    def driver_columns(self, schema: ColumnSchema) -> list[int]:
+        """Positions of the drivers among the schema's features."""
+        for d in self.drivers:
+            if d not in schema.features:
+                raise DataError(f"synth driver {d!r} not among schema features")
+        return [schema.features.index(d) for d in self.drivers]
 
     def signal(self, driver_values: np.ndarray) -> np.ndarray:
         """Noiseless target as a function of the driver columns (in order)."""
         D = np.asarray(driver_values, dtype=float)
-        if D.ndim == 1:
-            D = D[:, None]
-        if D.shape[1] != len(self.drivers):
-            raise DataError(f"expected {len(self.drivers)} driver columns")
-        c = self.coefficients
+        coefs, intercept = _SYNTH_KINDS[self.kind]
+        c = self.coefficients or coefs
+        if self.intercept is not None:
+            intercept = self.intercept
         if self.kind == "linear":
-            return self.intercept + D @ np.asarray(c, dtype=float)
-        if self.kind == "nonlinear":
-            # additive smooth nonlinearity: sine, centered quadratic, linear
-            return (self.intercept
-                    + c[0] * np.sin(1.2 * (D[:, 0] - 5.0))
-                    + c[1] * (D[:, 1] - 5.0) ** 2
-                    + c[2] * (D[:, 2] - 5.0))
-        raise DataError(f"unknown dgp kind {self.kind!r}")
+            return intercept + D @ np.asarray(c, dtype=float)
+        # additive smooth nonlinearity: sine, centered quadratic, linear
+        return (intercept
+                + c[0] * np.sin(1.2 * (D[:, 0] - 5.0))
+                + c[1] * (D[:, 1] - 5.0) ** 2
+                + c[2] * (D[:, 2] - 5.0))
 
 
-def linear_dgp(drivers=("ATMD", "CC", "IR"), coefficients=(2.0, -3.0, 0.5),
-               intercept=1.0, noise_scale=0.25, noise_ar=0.3) -> DgpSpec:
-    return DgpSpec("linear", tuple(drivers), tuple(coefficients), intercept,
-                   noise_scale, noise_ar)
-
-
-def nonlinear_dgp(drivers=("ATMD", "CC", "IR"), coefficients=(2.0, 1.5, -2.0),
-                  intercept=3.0, noise_scale=0.25, noise_ar=0.3) -> DgpSpec:
-    return DgpSpec("nonlinear", tuple(drivers), tuple(coefficients), intercept,
-                   noise_scale, noise_ar)
-
-
-def synth_generate(seed: int, n: int, schema: ColumnSchema, dgp: DgpSpec) -> SeriesFrame:
+def synth_generate(seed: int, schema: ColumnSchema, spec: SynthSpec) -> SeriesFrame:
     """Deterministic synthetic monthly panel with a declared target process.
 
     Features are independent stationary AR(1) processes around level 5 with
-    unit stationary variance; the target is dgp.signal over the driver
+    unit stationary variance; the target is spec.signal over the driver
     columns plus AR(1) noise.
     """
-    if n < 40:
-        raise DataError(f"synthetic frames need n >= 40, got {n}")
-    for d in dgp.drivers:
-        if d not in schema.features:
-            raise DataError(f"dgp driver {d!r} not among schema features")
+    didx = spec.driver_columns(schema)
+    n = spec.n
     rng = np.random.default_rng(seed)
     p = len(schema.features)
     rhos = 0.5 + 0.4 * ((np.arange(p) * 7) % 10) / 9.0  # fixed spread in [0.5, 0.9]
@@ -376,13 +353,12 @@ def synth_generate(seed: int, n: int, schema: ColumnSchema, dgp: DgpSpec) -> Ser
             x = rho * x + innov_sd * rng.normal()
     X += 5.0
 
-    didx = [schema.features.index(d) for d in dgp.drivers]
-    y = dgp.signal(X[:, didx])
-    if dgp.noise_scale > 0:
+    y = spec.signal(X[:, didx])
+    if spec.noise_scale > 0:
         u = 0.0
         noise = np.empty(n)
         for t in range(n):
-            u = dgp.noise_ar * u + dgp.noise_scale * rng.normal()
+            u = spec.noise_ar * u + spec.noise_scale * rng.normal()
             noise[t] = u
         y = y + noise
 

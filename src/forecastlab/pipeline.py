@@ -17,7 +17,7 @@ import numpy as np
 
 from . import arima as arima_mod
 from .config import ConfigError, RunConfig, derive_seed
-from .dataset import DataError, SeriesFrame, SplitSpec, chrono_split, load_frame, log_transform, synth_generate
+from .dataset import DataError, SeriesFrame, chrono_split, load_frame, log_transform, synth_generate
 from .evaluation import mae, metric_csv_lines, metric_table, rmse
 from .families import BENCHMARK_FAMILY, TREE_FAMILIES, fit_family
 from .interpretation import (
@@ -49,9 +49,8 @@ def _fmt(v) -> str:
 
 
 def _synth_frame(config: RunConfig) -> SeriesFrame:
-    synth = config.data.synth
-    return synth_generate(derive_seed(config.seed, "synth"), synth.n,
-                          config.schema, synth.to_dgp())
+    return synth_generate(derive_seed(config.seed, "synth"), config.schema,
+                          config.data.synth)
 
 
 def load_data(config: RunConfig) -> SeriesFrame:
@@ -126,7 +125,7 @@ def evaluate_split(config: RunConfig, frame: SeriesFrame, test_months: int,
     the held-out months. A failed fit (ValueError, the base of every
     package error and of LinAlgError) degrades to a None forecast; any
     other exception is a bug and propagates."""
-    train, test = chrono_split(frame, SplitSpec(test_months))
+    train, test = chrono_split(frame, test_months)
     forecasts: dict[str, np.ndarray | None] = {}
     entries: dict[str, FittedEntry] = {}
     for family in config.model_ids:
@@ -249,7 +248,7 @@ def cmd_explain(config: RunConfig, config_hash: str, model_id: str) -> dict:
                           f"features; the schema has {n_features}")
     frame = load_data(config)
     _check_splits(config, frame)
-    train, test = chrono_split(frame, SplitSpec(config.primary_split))
+    train, test = chrono_split(frame, config.primary_split)
     entry = fit_roster_member(config, model_id, train, config.primary_split)
 
     features = config.schema.features

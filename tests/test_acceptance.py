@@ -17,11 +17,10 @@ import pytest
 from forecastlab.arima import ArimaOrder, fit_css, forecast, select_order
 from forecastlab.cli import main as cli_main
 from forecastlab.dataset import (
-    SplitSpec,
     Standardization,
+    SynthSpec,
     chrono_split,
     default_schema,
-    nonlinear_dgp,
     synth_generate,
 )
 from forecastlab.evaluation import dm_test, rmse_reduction
@@ -307,11 +306,11 @@ ARIMA_CANDIDATES = [ArimaOrder(0, 0, 0), ArimaOrder(1, 0, 0),
 def test_criterion_8_end_to_end(tmp_path):
     started = time.perf_counter()
     schema = default_schema()
-    dgp = nonlinear_dgp()
+    spec = SynthSpec(n=84)
     beats, top3 = 0, 0
     for seed in range(20):
-        frame = synth_generate(1000 + seed, 84, schema, dgp)
-        train, test = chrono_split(frame, SplitSpec(16))
+        frame = synth_generate(1000 + seed, schema, spec)
+        train, test = chrono_split(frame, 16)
         y_tr = train.column(schema.target)
         y_te = test.column(schema.target)
         fit = select_order(y_tr, ARIMA_CANDIDATES, seed=seed)
@@ -328,7 +327,7 @@ def test_criterion_8_end_to_end(tmp_path):
         background = BackgroundSet.from_training(X_tr, cap=32, seed=seed)
         matrix = explain_matrix(model, X_tr, background)
         ranked = global_importance(matrix, schema.features)
-        top3 += {name for name, _ in ranked[:3]} == set(dgp.drivers)
+        top3 += {name for name, _ in ranked[:3]} == set(spec.drivers)
 
     assert beats >= 18, f"boosting beat the benchmark in only {beats}/20 seeds"
     assert top3 >= 18, f"drivers ranked top-3 in only {top3}/20 seeds"

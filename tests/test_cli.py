@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 import math
 import os
@@ -13,11 +14,10 @@ from forecastlab.config import (
     DataSpec,
     DmOptions,
     ExplainOptions,
-    SynthSpec,
     load_config,
     parse_config,
 )
-from forecastlab.dataset import ColumnSchema, default_schema
+from forecastlab.dataset import ColumnSchema, SynthSpec, default_schema
 from forecastlab.families import GRID_PARAMS, fit_family
 from forecastlab.tuning import CvPlan
 from forecastlab.evaluation import rmse_reduction
@@ -252,6 +252,29 @@ class TestSynth:
         frame = load_frame(text, default_schema())
         assert frame.n_rows == 70
 
+    # sha256 of synth.csv at seed 42, provenance line included; a None
+    # synth section stands for configs/quickstart.json
+    @pytest.mark.parametrize("synth, digest", [
+        (None,
+         "eb4929237bbffe7cf1734b1f1fe626a43b746307a50ef7a0ab377097d9264316"),
+        ({"kind": "linear", "n": 120, "noise_ar": 0.6},
+         "2715af05194b9526c39788aeec0b54ecafb1d82d1d876030e8b1a0d3be5af73e"),
+        ({"kind": "linear", "n": 60, "drivers": ["CC", "IR"],
+          "coefficients": [1.5, -0.5], "intercept": 2.0, "noise_scale": 0.5},
+         "8bd03897a4810303063ca2c618a8381a07c24779e7fd30dbdc0a4bef12a572fd"),
+    ], ids=["quickstart", "linear", "linear-set"])
+    def test_synth_csv_bytes_pinned(self, tmp_path, synth, digest):
+        cfg = tmp_path / "cfg.json"
+        if synth is None:
+            cfg = QUICKSTART
+        else:
+            cfg.write_text(json.dumps({"seed": 42, "data": {"synth": synth},
+                                       "roster": {"arima": {}}}))
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        data = (out / "synth.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_synth_requires_synth_data(self, tmp_path):
         cfg = write_config(tmp_path, data={"csv": "whatever.csv"})
         assert main(["synth", "--config", cfg]) == 2
@@ -320,6 +343,14 @@ class TestExitCodes:
         {"roster": {"arima": {"candidates": [[0, 0, 4, 0, 0, 1, 4]]}}},
         {"roster": {"arima": {}, "svr": {"grid": {"C": [-1]}}}},
         {"roster": {"arima": {}, "svr": {"grid": {"epsilon": [-0.1]}}}},
+        {"explain": {"background_cap": 0}},
+        {"explain": {"background_cap": -1}},
+        {"explain": {"outlier_k": -0.5}},
+        {"explain": {"outlier_k": float("nan")}},
+        {"roster": {"arima": {}, "random_forest": {"grid": {
+            "max_features": [99]}}}},
+        {"schema": {"target": "INF", "features": ["CC", "IR", "EM"]}},
+        {"data": {"synth": {"n": 10}}},
     ], ids=["synth.n", "dm.h", "seed", "split_months", "schema.features",
             "arima.candidates", "data", "explain.background_cap", "cv-list",
             "cv.shuffle-string", "synth.drivers-string",
@@ -329,7 +360,11 @@ class TestExitCodes:
             "arima.candidates-empty", "lasso-lam-string", "svr-C-string",
             "random_forest-max_depth-string", "boosting-subsample-range",
             "arima.candidates-overlap-ar", "arima.candidates-overlap-ma",
-            "svr-C-negative", "svr-epsilon-negative"])
+            "svr-C-negative", "svr-epsilon-negative",
+            "explain.background_cap-zero", "explain.background_cap-negative",
+            "explain.outlier_k-negative", "explain.outlier_k-nan",
+            "random_forest-max_features-over-schema",
+            "synth.drivers-not-in-schema", "synth.n-short"])
     def test_malformed_value_exits_2_before_fitting(self, tmp_path, capsys,
                                                     monkeypatch, overrides):
         import forecastlab.pipeline as pipeline

@@ -7,15 +7,12 @@ from forecastlab.dataset import (
     ColumnSchema,
     DataError,
     SeriesFrame,
-    SplitSpec,
     Standardization,
+    SynthSpec,
     chrono_split,
     default_schema,
-    linear_dgp,
     load_frame,
     log_transform,
-    nonlinear_dgp,
-    standardize_fit_apply,
     synth_generate,
 )
 
@@ -100,7 +97,7 @@ class TestLogTransform:
 class TestChronoSplit:
     def test_84_16(self):
         frame = make_frame(np.arange(168).reshape(84, 2))
-        train, test = chrono_split(frame, SplitSpec(test_months=16))
+        train, test = chrono_split(frame, 16)
         assert train.n_rows == 68 and test.n_rows == 16
         np.testing.assert_array_equal(train.data, frame.data[:68])
         np.testing.assert_array_equal(test.data, frame.data[68:])
@@ -110,78 +107,80 @@ class TestChronoSplit:
 
     def test_small_split(self):
         frame = make_frame(np.arange(20).reshape(10, 2))
-        train, test = chrono_split(frame, SplitSpec(2))
+        train, test = chrono_split(frame, 2)
         assert train.n_rows == 8 and test.n_rows == 2
 
     def test_degenerate_split_rejected(self):
         frame = make_frame(np.arange(20).reshape(10, 2))
         with pytest.raises(DataError):
-            chrono_split(frame, SplitSpec(10))
+            chrono_split(frame, 10)
 
     def test_concat_recovers_frame(self):
         frame = make_frame(np.random.default_rng(1).normal(size=(30, 2)))
-        train, test = chrono_split(frame, SplitSpec(7))
+        train, test = chrono_split(frame, 7)
         np.testing.assert_array_equal(
             np.vstack([train.data, test.data]), frame.data)
 
 
 class TestStandardize:
     def test_hand_computed_population_sd(self):
-        train = make_frame([[0, 1], [0, 2], [0, 3]])
-        test = make_frame([[0, 2]])
-        tr, te, stats = standardize_fit_apply(train, test, ["a"])
+        train = np.array([[1.0], [2.0], [3.0]])
+        stats = Standardization.fit(train)
         np.testing.assert_allclose(stats.means, [2.0])
         np.testing.assert_allclose(stats.scales, [math.sqrt(2.0 / 3.0)], atol=1e-12)
-        np.testing.assert_allclose(tr.column("a"), [-1.2247448, 0.0, 1.2247448],
-                                   atol=1e-6)
-        np.testing.assert_allclose(te.column("a"), [0.0], atol=1e-12)
-        assert abs(tr.column("a").mean()) < 1e-10
-        assert abs(tr.column("a").std() - 1.0) < 1e-10
+        z = stats.transform(train)[:, 0]
+        np.testing.assert_allclose(z, [-1.2247448, 0.0, 1.2247448], atol=1e-6)
+        np.testing.assert_allclose(stats.transform([[2.0]]), [[0.0]], atol=1e-12)
+        assert abs(z.mean()) < 1e-10
+        assert abs(z.std() - 1.0) < 1e-10
 
     def test_constant_column_scale_one(self):
-        train = make_frame([[0, 7], [0, 7], [0, 7]])
-        tr, _, stats = standardize_fit_apply(train, train, ["a"])
+        train = np.array([[7.0], [7.0], [7.0]])
+        stats = Standardization.fit(train)
         assert stats.scales[0] == 1.0
-        np.testing.assert_allclose(tr.column("a"), [0, 0, 0])
+        np.testing.assert_allclose(stats.transform(train)[:, 0], [0, 0, 0])
 
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         X = rng.normal(3, 4, size=(20, 3))
         stats = Standardization.fit(X)
-        np.testing.assert_allclose(stats.inverse(stats.transform(X)), X, atol=1e-12)
+        np.testing.assert_allclose(stats.transform(X) * stats.scales + stats.means,
+                                   X, atol=1e-12)
 
     def test_train_stats_independent_of_test(self):
-        train = make_frame(np.random.default_rng(4).normal(size=(12, 2)))
-        test_a = make_frame(np.zeros((3, 2)))
-        test_b = make_frame(np.full((5, 2), 99.0))
-        _, _, s1 = standardize_fit_apply(train, test_a, ["a"])
-        _, _, s2 = standardize_fit_apply(train, test_b, ["a"])
-        np.testing.assert_array_equal(s1.means, s2.means)
-        np.testing.assert_array_equal(s1.scales, s2.scales)
+        train = np.random.default_rng(4).normal(size=(12, 2))
+        stats = Standardization.fit(train)
+        means, scales = stats.means.copy(), stats.scales.copy()
+        for test in (np.zeros((3, 2)), np.full((5, 2), 99.0)):
+            np.testing.assert_array_equal(
+                stats.transform(test),
+                (test - train.mean(axis=0)) / train.std(axis=0))
+        np.testing.assert_array_equal(stats.means, means)
+        np.testing.assert_array_equal(stats.scales, scales)
 
 
 class TestSynthGenerate:
     def test_same_seed_bit_identical(self):
         schema = default_schema()
-        a = synth_generate(7, 60, schema, nonlinear_dgp())
-        b = synth_generate(7, 60, schema, nonlinear_dgp())
+        a = synth_generate(7, schema, SynthSpec(n=60))
+        b = synth_generate(7, schema, SynthSpec(n=60))
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_zero_noise_target_is_declared_function(self):
         schema = default_schema()
-        dgp = nonlinear_dgp(noise_scale=0.0)
-        frame = synth_generate(11, 50, schema, dgp)
-        drivers = frame.matrix(dgp.drivers)
-        np.testing.assert_allclose(frame.column(schema.target), dgp.signal(drivers),
+        spec = SynthSpec(n=50, noise_scale=0.0)
+        frame = synth_generate(11, schema, spec)
+        drivers = frame.matrix(spec.drivers)
+        np.testing.assert_allclose(frame.column(schema.target), spec.signal(drivers),
                                    atol=1e-12)
 
     def test_linear_dgp_ols_recovery(self):
         # oracle: normal equations on the generated design
         schema = default_schema()
-        dgp = linear_dgp(coefficients=(2.0, -3.0, 0.5), intercept=1.0,
-                         noise_scale=0.0)
-        frame = synth_generate(5, 80, schema, dgp)
-        X = frame.matrix(dgp.drivers)
+        spec = SynthSpec(kind="linear", n=80, coefficients=(2.0, -3.0, 0.5),
+                         intercept=1.0, noise_scale=0.0)
+        frame = synth_generate(5, schema, spec)
+        X = frame.matrix(spec.drivers)
         y = frame.column(schema.target)
         A = np.column_stack([np.ones(len(y)), X])
         beta = np.linalg.lstsq(A, y, rcond=None)[0]
@@ -189,13 +188,11 @@ class TestSynthGenerate:
 
     def test_too_short_rejected(self):
         with pytest.raises(DataError):
-            synth_generate(1, 10, default_schema(), linear_dgp())
+            SynthSpec(kind="linear", n=10)
 
     def test_unknown_kind_rejected(self):
-        from forecastlab.dataset import DgpSpec
-        bad = DgpSpec("mystery", ("ATMD",), (1.0,))
-        with pytest.raises(DataError, match="unknown dgp"):
-            synth_generate(1, 50, default_schema(), bad)
+        with pytest.raises(DataError, match="unknown synth kind"):
+            SynthSpec(kind="mystery", drivers=("ATMD",), coefficients=(1.0,))
 
 
 class TestSchema:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import forecastlab.linear as linear_mod
-from forecastlab.dataset import Standardization, default_schema, linear_dgp, synth_generate
+from forecastlab.dataset import Standardization, SynthSpec, default_schema, synth_generate
 from forecastlab.linear import (
     CONVERGENCE_TOL,
     LinearModel,
@@ -246,8 +246,8 @@ class TestPredict:
 
     def test_noiseless_linear_dgp_residuals(self):
         schema = default_schema()
-        dgp = linear_dgp(noise_scale=0.0)
-        frame = synth_generate(3, 60, schema, dgp)
+        spec = SynthSpec(kind="linear", n=60, noise_scale=0.0)
+        frame = synth_generate(3, schema, spec)
         X = frame.matrix(schema.features)
         y = frame.column(schema.target)
         model = fit_linear(X, y, PenaltySpec(0.0, 0.0))

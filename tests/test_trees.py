@@ -261,9 +261,9 @@ class TestRandomForest:
         assert model_to_json(a) == model_to_json(b)
 
     def test_deeper_forest_fits_training_data_no_worse(self):
-        from forecastlab.dataset import default_schema, nonlinear_dgp, synth_generate
+        from forecastlab.dataset import SynthSpec, default_schema, synth_generate
         schema = default_schema()
-        frame = synth_generate(21, 80, schema, nonlinear_dgp())
+        frame = synth_generate(21, schema, SynthSpec(n=80))
         X = frame.matrix(schema.features)
         y = frame.column(schema.target)
         rmse = {}
