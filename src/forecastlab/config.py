@@ -120,8 +120,10 @@ class FamilySpec:
                     raise ValueError(f"grid value {name}={value!r}: "
                                      f"{exc}") from None
 
-    def param_grid(self) -> ParamGrid:
-        mapping = self.grid if self.grid else default_grid(self.family)
+    def param_grid(self, n_features: int | None = None) -> ParamGrid:
+        """The cell grid; an empty `grid` takes the shipped default, fitted
+        to `n_features` columns when given (see tuning.default_grid)."""
+        mapping = self.grid or default_grid(self.family, n_features)
         return ParamGrid.from_dict(mapping)
 
 

@@ -282,7 +282,8 @@ class SynthSpec:
     columns so downstream checks can verify recovered importance rankings.
     Empty `coefficients` and a None `intercept` take the kind's. Target
     noise is AR(1) with coefficient `noise_ar` and innovation scale
-    `noise_scale`; scale 0 makes the target exactly the declared function.
+    `noise_scale` (finite, >= 0); scale 0 makes the target exactly the
+    declared function.
     """
 
     kind: str = "nonlinear"  # linear | nonlinear
@@ -301,6 +302,9 @@ class SynthSpec:
             raise DataError(f"unknown synth kind {self.kind!r}")
         if self.n < 40:
             raise DataError(f"synthetic frames need n >= 40, got {self.n}")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise DataError(f"noise_scale must be finite and >= 0, "
+                            f"got {self.noise_scale}")
         n_coefs = len(self.coefficients or _SYNTH_KINDS[self.kind][0])
         if n_coefs != len(self.drivers) or (self.kind == "nonlinear"
                                             and n_coefs != 3):

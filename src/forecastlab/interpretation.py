@@ -132,14 +132,15 @@ def filter_outliers(points, k: float = 1.5) -> FilterResult:
         q1, q3 = np.percentile(xs, [25, 75])
         fence_lo = q1 - k * (q3 - q1)
         fence_hi = q3 + k * (q3 - q1)
-        inside = [p for p in kept if fence_lo <= p.x_value <= fence_hi]
+        fenced = ((fence_lo <= xs) & (xs <= fence_hi)).tolist()
+        inside = [p for p, ok in zip(kept, fenced) if ok]
         if len(inside) == len(kept):
             break
         if len(inside) < 4:
             if not applied:
                 return FilterResult(tuple(points), (), applied=False)
             break
-        removed.extend(p.row_index for p in kept if p not in inside)
+        removed.extend(p.row_index for p, ok in zip(kept, fenced) if not ok)
         kept = inside
         applied = True
     return FilterResult(tuple(kept), tuple(removed), applied)

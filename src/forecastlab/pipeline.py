@@ -95,7 +95,7 @@ def fit_roster_member(config: RunConfig, family: str, train: SeriesFrame,
         return FittedEntry(family, fit, {"order": fit.order.label()}, None)
     X = train.matrix(config.schema.features)
     seed = derive_seed(config.seed, "fit", family, test_months)
-    grid = spec.param_grid()
+    grid = spec.param_grid(X.shape[1])
     plan = CvPlan(config.cv.k, config.cv.shuffle,
                   derive_seed(config.seed, "cv", test_months))
     if grid.axes:
@@ -183,9 +183,9 @@ def cmd_run(config: RunConfig, config_hash: str, warn=_stderr) -> dict:
     for family, entry in entries.items():
         if entry.cv_table:
             spec = config.roster_spec(family)
+            grid = spec.param_grid(len(config.schema.features))
             _write(os.path.join(config.out_dir, f"cv_{family}.csv"),
-                   cv_table_csv_lines(family, spec.param_grid(), entry.cv_table),
-                   prov)
+                   cv_table_csv_lines(family, grid, entry.cv_table), prov)
     return {"entries": entries, "forecasts": forecasts, "metrics": rows,
             "train": train, "test": test}
 

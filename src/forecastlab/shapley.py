@@ -21,7 +21,15 @@ elsewhere. Two engines compute the same quantity:
     precision rather than approximately.
 
 explain_matrix predicts through the model's `.predict(X)`, or calls the
-model itself when it is a bare prediction function.
+model itself when it is a bare prediction function. A model that carries a
+`standardization` (linear and SVR families) is enumerated in its
+standardized space: the explained rows and the background are standardized
+once, and exact_shapley scores composed rows on the model's copy without
+that step. This is exact, not approximate: (z - mean_j) / scale_j acts on
+each element of column j alone, so standardizing a composed row equals
+composing standardized rows bit for bit, and the two paths feed predict
+the same values. The base value and predictions still come from the model
+on raw rows.
 
 Attributions plus the base value (mean model output over the background)
 always sum to the model's prediction for the explained row.
@@ -30,7 +38,7 @@ always sum to the model's prediction for the explained row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -142,11 +150,18 @@ def exact_shapley(predict, x, background: BackgroundSet) -> np.ndarray:
 
     n = 1 << p
     v = np.empty(n)
-    step = max(1, CHUNK_ROWS // B)
+    step = min(max(1, CHUNK_ROWS // B), n)
+    # contiguous operands for a full chunk: x on every row and the
+    # background once per coalition; np.where on them runs about twice as
+    # fast as on broadcast views
+    x_rows = np.tile(x, (step * B, 1))
+    back_rows = np.tile(background.rows, (step, 1))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        composed = np.where(inside[lo:hi, None, :], x, background.rows)
-        preds = np.asarray(predict(composed.reshape((hi - lo) * B, p)))
+        size = (hi - lo) * B
+        mask = np.repeat(inside[lo:hi], B, axis=0)
+        composed = np.where(mask, x_rows[:size], back_rows[:size])
+        preds = np.asarray(predict(composed))
         v[lo:hi] = preds.reshape(hi - lo, B).mean(axis=1)
 
     phi = np.empty(p)
@@ -334,7 +349,15 @@ def explain_matrix(model, rows, background: BackgroundSet) -> ShapMatrix:
     if is_tree_model(model):
         phi = _tree_shap_matrix(model, rows, background)
     else:
-        phi = np.stack([exact_shapley(predict, r, background) for r in rows])
+        inner, space, back = predict, rows, background
+        stats = getattr(model, "standardization", None)
+        if stats is not None:
+            # enumerate in the model's standardized space: transform works
+            # per element, so it commutes with composing rows bit for bit
+            inner = replace(model, standardization=None).predict
+            space = stats.transform(rows)
+            back = BackgroundSet(stats.transform(background.rows))
+        phi = np.stack([exact_shapley(inner, r, back) for r in space])
     return ShapMatrix(base, phi, predict(rows))
 
 

@@ -29,7 +29,10 @@ def _int_logspace(lo: int, hi: int, num: int = 10) -> list[int]:
     return sorted({int(round(v)) for v in vals})
 
 
-def default_grid(family: str) -> dict:
+def default_grid(family: str, n_features: int | None = None) -> dict:
+    """The shipped grid of `family`. Given the design's `n_features`, each
+    random_forest max_features value is clipped to it, duplicates dropped
+    and the order kept, so no cell asks for more columns than there are."""
     grids = {
         "ols": {},
         "ridge": {"lam": _logspace(0.001, 0.9)},
@@ -50,7 +53,11 @@ def default_grid(family: str) -> dict:
     }
     if family not in grids:
         raise ValueError(f"no default grid for family {family!r}")
-    return grids[family]
+    grid = grids[family]
+    if n_features is not None and "max_features" in grid:
+        grid["max_features"] = list(dict.fromkeys(
+            min(v, n_features) for v in grid["max_features"]))
+    return grid
 
 
 class TuningError(ValueError):

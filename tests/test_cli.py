@@ -351,6 +351,9 @@ class TestExitCodes:
             "max_features": [99]}}}},
         {"schema": {"target": "INF", "features": ["CC", "IR", "EM"]}},
         {"data": {"synth": {"n": 10}}},
+        {"data": {"synth": {"noise_scale": -5}}},
+        {"data": {"synth": {"noise_scale": float("nan")}}},
+        {"data": {"synth": {"noise_scale": float("inf")}}},
     ], ids=["synth.n", "dm.h", "seed", "split_months", "schema.features",
             "arima.candidates", "data", "explain.background_cap", "cv-list",
             "cv.shuffle-string", "synth.drivers-string",
@@ -364,7 +367,9 @@ class TestExitCodes:
             "explain.background_cap-zero", "explain.background_cap-negative",
             "explain.outlier_k-negative", "explain.outlier_k-nan",
             "random_forest-max_features-over-schema",
-            "synth.drivers-not-in-schema", "synth.n-short"])
+            "synth.drivers-not-in-schema", "synth.n-short",
+            "synth.noise_scale-negative", "synth.noise_scale-nan",
+            "synth.noise_scale-inf"])
     def test_malformed_value_exits_2_before_fitting(self, tmp_path, capsys,
                                                     monkeypatch, overrides):
         import forecastlab.pipeline as pipeline
@@ -537,6 +542,26 @@ class TestConfigParsing:
         })
         grid = config.roster_spec("ridge").param_grid()
         assert len(grid.cells()) == 10
+
+    def test_default_forest_grid_fits_the_schema(self, monkeypatch):
+        import forecastlab.pipeline as pipeline
+
+        config = parse_config({
+            "seed": 1, "data": {"synth": {}},
+            "schema": {"target": "INF", "features": ["ATMD", "CC", "IR"]},
+            "roster": {"arima": {}, "random_forest": {}},
+        })
+        grids = []
+
+        def first_cell(family, grid, *args, **kwargs):
+            grids.append(grid)
+            return grid.cells()[0], None
+
+        monkeypatch.setattr(pipeline, "grid_search", first_cell)
+        frame = pipeline.load_data(config)
+        pipeline.fit_roster_member(config, "random_forest", frame, 12)
+        (grid,) = grids
+        assert dict(grid.axes)["max_features"] == (2, 3)
 
     def test_hash_stable_under_out_dir(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -1,7 +1,8 @@
 """Which scipy modules each command loads, checked in fresh interpreters.
 
-Start-up, config loading, data loading, `synth` and `explain` load no scipy
-module. `run` loads what its fits and scores use, when they first use it:
+Start-up, config loading, data loading, `synth` and `explain` (TreeSHAP for
+random_forest, exact enumeration for ridge on a 12-feature schema) load no
+scipy module. `run` loads what its fits and scores use, when they first use it:
 with AR-only benchmark candidates that is scipy.special (the DM tails) and
 nothing else from scipy.
 """
@@ -12,6 +13,7 @@ import subprocess
 import sys
 
 import forecastlab
+from forecastlab.dataset import default_schema
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(forecastlab.__file__)))
 QUICKSTART = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
@@ -28,12 +30,14 @@ import forecastlab
 from forecastlab import cli
 from forecastlab.config import load_config
 from forecastlab.pipeline import load_data
-quickstart, tiny, out = sys.argv[1:]
+quickstart, tiny, narrow, out = sys.argv[1:]
 config, _ = load_config(quickstart)
 load_data(config)
 assert cli.main(["synth", "--config", tiny, "--out", out]) == 0
 assert cli.main(["explain", "--config", tiny, "--out", out,
                  "--model", "random_forest"]) == 0
+assert cli.main(["explain", "--config", narrow, "--out", out + "-ridge",
+                 "--model", "ridge"]) == 0
 """ + LIST_SCIPY
 
 RUN = """
@@ -56,7 +60,7 @@ def scipy_modules(script, *args, cwd):
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
-def tiny_config(tmp_path):
+def tiny_config(tmp_path, name="tiny", **overrides):
     doc = {
         "seed": 3,
         "data": {"synth": {"kind": "nonlinear", "n": 60}},
@@ -70,16 +74,30 @@ def tiny_config(tmp_path):
                                        "max_features": [4]}},
         },
     }
-    path = tmp_path / "tiny.json"
+    doc.update(overrides)
+    path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc))
     return str(path)
 
 
+def narrow_config(tmp_path):
+    """12 features (the synthetic drivers among them), within exact
+    enumeration's 15-feature cap, with ridge in the roster."""
+    features = list(default_schema().features[:12])
+    return tiny_config(
+        tmp_path, "narrow", schema={"target": "INF", "features": features},
+        explain={"rows": "test"},
+        roster={"arima": {"candidates": [[0, 0, 0]]},
+                "ridge": {"grid": {"lam": [0.1]}}})
+
+
 def test_start_up_synth_and_explain_load_no_scipy(tmp_path):
     loaded = scipy_modules(START_UP, QUICKSTART, tiny_config(tmp_path),
-                           str(tmp_path / "out"), cwd=tmp_path)
+                           narrow_config(tmp_path), str(tmp_path / "out"),
+                           cwd=tmp_path)
     assert loaded == set()
     assert (tmp_path / "out" / "importance.csv").exists()
+    assert (tmp_path / "out-ridge" / "shap_values.csv").exists()
 
 
 def test_ar_only_run_loads_only_scipy_special(tmp_path):

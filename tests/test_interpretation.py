@@ -4,6 +4,7 @@ import pytest
 from forecastlab.interpretation import (
     CrossingReport,
     DependencePoint,
+    FilterResult,
     InterpretationError,
     PolyFit,
     dependence_data,
@@ -109,6 +110,77 @@ class TestFilterOutliers:
             twice = filter_outliers(once.points)
             assert twice.points == once.points
             assert twice.removed == ()
+
+
+def loop_filter_outliers(points, k=1.5):
+    """Reference oracle: the original filter, which finds the dropped points
+    by a membership test against the kept list."""
+    points = list(points)
+    kept = points
+    removed = []
+    applied = False
+    while True:
+        xs = np.array([p.x_value for p in kept])
+        q1, q3 = np.percentile(xs, [25, 75])
+        fence_lo = q1 - k * (q3 - q1)
+        fence_hi = q3 + k * (q3 - q1)
+        inside = [p for p in kept if fence_lo <= p.x_value <= fence_hi]
+        if len(inside) == len(kept):
+            break
+        if len(inside) < 4:
+            if not applied:
+                return FilterResult(tuple(points), (), applied=False)
+            break
+        removed.extend(p.row_index for p in kept if p not in inside)
+        kept = inside
+        applied = True
+    return FilterResult(tuple(kept), tuple(removed), applied)
+
+
+def flipped(points):
+    """The points with their axes swapped, as the pipeline filters them
+    when outlier_axis is "shap"."""
+    return [DependencePoint(p.row_index, p.shap_value, p.x_value,
+                            p.color_value) for p in points]
+
+
+def random_point_set(rng):
+    """Small integers, so values repeat and often sit exactly on a fence,
+    plus far outliers, NaNs and duplicated points."""
+    n = int(rng.integers(1, 40))
+    xs = rng.integers(-5, 6, size=n).astype(float)
+    ys = rng.integers(-3, 4, size=n).astype(float)
+    for arr in (xs, ys):
+        far = rng.random(n) < 0.1
+        arr[far] = rng.choice([-1e3, -40.0, 25.0, 1e6], size=far.sum())
+        if rng.random() < 0.3:
+            arr[rng.integers(n)] = np.nan
+    points = [DependencePoint(i, float(x), float(y),
+                              None if i % 3 else float(i))
+              for i, (x, y) in enumerate(zip(xs, ys))]
+    for _ in range(int(rng.integers(0, 4))):  # equal points, distinct objects
+        p = points[int(rng.integers(n))]
+        points.insert(int(rng.integers(len(points) + 1)),
+                      DependencePoint(p.row_index, p.x_value, p.shap_value,
+                                      p.color_value))
+    return points
+
+
+class TestFilterMatchesMembershipOracle:
+    def test_random_point_sets(self):
+        rng = np.random.default_rng(50)
+        applied = 0
+        for _ in range(600):
+            points = random_point_set(rng)
+            k = float(rng.choice([0.0, 0.5, 1.0, 1.5, 2.0]))
+            for axis in (points, flipped(points)):
+                res = filter_outliers(axis, k=k)
+                ref = loop_filter_outliers(axis, k=k)
+                assert [id(p) for p in res.points] == [id(p) for p in ref.points]
+                assert res.removed == ref.removed
+                assert res.applied is ref.applied
+                applied += res.applied
+        assert applied > 500
 
 
 class TestFunctionalForm:

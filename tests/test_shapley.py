@@ -194,6 +194,84 @@ class TestBatchedEnumeration:
         assert max(counting.rows) <= max(B, CHUNK_ROWS)
 
 
+def raw_space_phi(model, rows, background):
+    """Reference oracle: enumeration through the model's own predict on raw
+    composed rows, one exact_shapley call per row."""
+    return np.stack([exact_shapley(model.predict, r, background) for r in rows])
+
+
+STANDARDIZING = [
+    ("ridge", {"lam": 0.1}),
+    ("lasso", {"lam": 0.05}),
+    ("elastic_net", {"lam": 0.05, "alpha": 0.5}),
+    ("ols", {}),
+    ("svr", {"C": 2.0, "epsilon": 0.05, "kernel": "linear"}),
+    ("svr", {"C": 2.0, "epsilon": 0.05, "kernel": "rbf"}),
+    ("svr", {"C": 1.0, "epsilon": 0.05, "kernel": "polynomial", "degree": 2,
+             "coef0": 1.0}),
+]
+STANDARDIZING_IDS = [f"{f}-{p['kernel']}" if "kernel" in p else f
+                     for f, p in STANDARDIZING]
+
+
+class TestStandardizedEnumeration:
+    """explain_matrix enumerates standardizing models on their
+    standardization-free copy over standardized rows; its attributions
+    must equal raw-space enumeration byte for byte."""
+
+    @staticmethod
+    def fitted(family, params, p, rng, n=40, constant=None):
+        X = rng.normal(loc=3.0, scale=2.0, size=(n, p))
+        if constant is not None:
+            X[:, constant] = 7.5
+        y = X @ rng.normal(size=p) + np.sin(X[:, 0]) + 0.1 * rng.normal(size=n)
+        return fit_family(family, X, y, params), X
+
+    def assert_bytes_equal(self, model, rows, bg):
+        m = explain_matrix(model, rows, bg)
+        assert m.phi.tobytes() == raw_space_phi(model, rows, bg).tobytes()
+        assert m.base_value == float(np.mean(model.predict(bg.rows)))
+        assert m.predictions.tobytes() == model.predict(rows).tobytes()
+
+    @pytest.mark.parametrize("family,params", STANDARDIZING,
+                             ids=STANDARDIZING_IDS)
+    @pytest.mark.parametrize("p", [1, 5, 12])
+    def test_phi_bytes_equal_raw_space(self, family, params, p):
+        rng = np.random.default_rng(30 + p)
+        model, X = self.fitted(family, params, p, rng)
+        assert model.standardization is not None
+        n_rows = 2 if p == 12 else 4
+        for B in (1, 5, 67, 68):
+            bg = BackgroundSet(rng.normal(loc=3.0, scale=2.0, size=(B, p)))
+            self.assert_bytes_equal(model, X[:n_rows], bg)
+
+    @pytest.mark.parametrize("family,params", STANDARDIZING,
+                             ids=STANDARDIZING_IDS)
+    def test_constant_training_column(self, family, params):
+        # the zero-variance column keeps scale 1 and its mean as center
+        rng = np.random.default_rng(40)
+        model, X = self.fitted(family, params, 5, rng, constant=2)
+        assert model.standardization.scales[2] == 1.0
+        rows = X[:4].copy()
+        rows[1:, 2] = [-1.0, 7.5, 30.0]
+        self.assert_bytes_equal(model, rows, BackgroundSet(X[10:17]))
+
+    @pytest.mark.parametrize("family,params", STANDARDIZING,
+                             ids=STANDARDIZING_IDS)
+    def test_rows_outside_training_range(self, family, params):
+        rng = np.random.default_rng(41)
+        model, X = self.fitted(family, params, 6, rng)
+        rows = np.vstack([X.max(axis=0) * 10 + 50, X.min(axis=0) * 10 - 50,
+                          -X[0] * 1e6, np.full(6, 1e-300)])
+        self.assert_bytes_equal(model, rows, BackgroundSet(X[:9]))
+
+    def test_model_without_standardization_unchanged(self):
+        rng = np.random.default_rng(42)
+        X = rng.normal(size=(30, 4))
+        model = LinearModel(0.5, rng.normal(size=4), PenaltySpec(0.0, 0.0))
+        self.assert_bytes_equal(model, X[:3], BackgroundSet(X[5:12]))
+
+
 def recursive_tree_shap(model, x, background):
     """Reference oracle: the engine's original recursion, once per query row
     and tree, splitting the background rows at every node they part from

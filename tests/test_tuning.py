@@ -166,6 +166,26 @@ class TestDefaultGrids:
     def test_svr_kernels(self):
         assert default_grid("svr")["kernel"] == ["linear", "polynomial", "rbf"]
 
+    @pytest.mark.parametrize("p,expected", [
+        (1, [1]), (3, [2, 3]), (16, [2, 3, 4, 6, 7, 9, 12, 15, 16])])
+    def test_forest_max_features_clipped_to_width(self, p, expected):
+        shipped = default_grid("random_forest")
+        grid = default_grid("random_forest", p)
+        assert grid["max_features"] == expected
+        assert shipped["max_features"] == [2, 3, 4, 6, 7, 9, 12, 15, 20]
+        for name in ("max_depth", "n_estimators"):
+            assert grid[name] == shipped[name]
+        rng = np.random.default_rng(0)
+        X, y = rng.normal(size=(12, p)), rng.normal(size=12)
+        for value in grid["max_features"]:  # every cell can be fitted
+            fit_family("random_forest", X, y, {
+                "max_features": value, "n_estimators": 1, "max_depth": 2})
+
+    def test_width_leaves_other_families_alone(self):
+        for family in FAMILIES:
+            if family != "random_forest":
+                assert default_grid(family, 1) == default_grid(family)
+
 
 class TestFamilies:
     def test_all_families_fit_and_predict(self):
