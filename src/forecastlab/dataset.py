@@ -30,7 +30,7 @@ def coerce_fields(obj, **conversions):
     for name, convert in conversions.items():
         try:
             value = convert(getattr(obj, name))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{name}: {exc}") from None
         object.__setattr__(obj, name, value)
 
@@ -48,6 +48,14 @@ def listed(convert=None):
 def optional(convert):
     """Conversion that passes None through."""
     return lambda value: None if value is None else convert(value)
+
+
+def finite(value) -> float:
+    """Conversion to a float that rejects NaN and infinities."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
 
 
 def boolean(value) -> bool:

@@ -8,6 +8,7 @@ each family reads from a grid cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -55,10 +56,10 @@ def family_params(family: str, cell: dict, seed: int = 0):
         cell = dict(cell)
         C = float(cell.pop("C", 1.0))
         epsilon = float(cell.pop("epsilon", 0.1))
-        if not C > 0:  # NaN too
-            raise ValueError(f"C must be > 0, got {C}")
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+        if not 0.0 < C < math.inf:  # NaN too
+            raise ValueError(f"C must be > 0 and finite, got {C}")
+        if not 0.0 <= epsilon < math.inf:
+            raise ValueError(f"epsilon must be >= 0 and finite, got {epsilon}")
         return C, epsilon, KernelSpec(cell.pop("kernel", "rbf"), **cell)
     lam = 0.0 if family == "ols" else float(cell.get("lam", 0.0))
     alpha = {"ols": 0.0, "ridge": 0.0, "lasso": 1.0}.get(

@@ -9,9 +9,22 @@ alpha mixes the penalties (0 = ridge, 1 = lasso); the intercept b is never
 penalized and is refitted as the mean of partial residuals each sweep.
 The lam = 0 path is solved by normal equations instead of iterating.
 
-A sweep updates the residual in place and holds beta as Python floats;
-the column views and the soft-threshold denominators are built once per
-fit, and beta becomes an array once, after the last sweep.
+A sweep holds beta as Python floats (an array once, after the last sweep)
+and updates the residual r in place. Each coordinate costs one BLAS dot and
+at most three in-place ufunc calls, and every step keeps the bits of the
+plain sweep (`r += x_j * b_j; rho = x_j @ r / n; ...; r -= x_j * new`):
+
+* rho is the bound `.dot` of the strided view X[:, j]: the same ddot, on
+  the same stride and length, as `X[:, j] @ r`, without matmul's dispatch.
+  The stride matters, because BLAS sums a contiguous vector in another
+  order.
+* The add-back of x_j * b_j reuses the product last subtracted for that
+  coordinate, kept in a (p, n) buffer: b_j is the value that product was
+  made with, and a product rounds the same from any operand layout, so
+  the products are taken from contiguous column copies.
+* The soft threshold is inlined, with the same comparisons and divisions.
+* The intercept is refit as `add.reduce(r + b) / n`, which is what
+  `.mean()` computes, less its Python-side overhead.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Standardization
+from .dataset import Standardization, coerce_fields, finite
 
 CONVERGENCE_TOL = 1e-8
 MAX_SWEEPS = 10_000
@@ -32,6 +45,7 @@ class PenaltySpec:
     alpha: float
 
     def __post_init__(self):
+        coerce_fields(self, lam=finite, alpha=finite)
         if self.lam < 0:
             raise ValueError(f"lambda must be >= 0, got {self.lam}")
         if not 0.0 <= self.alpha <= 1.0:
@@ -81,14 +95,6 @@ def elastic_net_objective(X, y, intercept, beta, penalty: PenaltySpec) -> float:
     return loss + pen
 
 
-def _soft_threshold(z: float, t: float) -> float:
-    if z > t:
-        return z - t
-    if z < -t:
-        return z + t
-    return 0.0
-
-
 def _fit_unpenalized(X, y):
     """Normal equations; near-singular designs get a 1e-10 ridge jitter."""
     n = X.shape[0]
@@ -134,34 +140,46 @@ def fit_linear(X, y, penalty: PenaltySpec,
     lam_l1 = penalty.lam * penalty.alpha
     lam_l2 = penalty.lam * (1.0 - penalty.alpha)
     col_ssq = (X * X).sum(axis=0) / n
-    # per-coordinate constants of a sweep: column views (strided, so each
-    # dot keeps its BLAS path) and soft-threshold denominators
-    cols = [X[:, j] for j in range(p)]
-    denoms = [float(col_ssq[j] + lam_l2) for j in range(p)]
+    # products[j] is x_j * beta_j as last subtracted from r (see the module
+    # docstring). A coordinate whose denominator is not > 0 stays 0.0 on
+    # every sweep, so it is left out.
+    products = np.empty((p, n))
+    coords = [(j, X[:, j].dot, col, products[j], denom)
+              for j, (col, denom) in enumerate(zip(
+                  np.ascontiguousarray(X.T), (col_ssq + lam_l2).tolist()))
+              if denom > 0]
+    add, subtract, multiply = np.add, np.subtract, np.multiply
 
     coef = [0.0] * p  # beta, as Python floats
     b = float(y.mean())
     r = y - b  # residual excluding nothing: y - b - X beta, beta = 0
-    scratch = np.empty(n)
     converged = False
     sweeps = 0
     for sweeps in range(1, MAX_SWEEPS + 1):
         max_delta = 0.0
-        for j in range(p):
-            col, bj = cols[j], coef[j]
+        for j, dot, col, product, denom in coords:
+            bj = coef[j]
             if bj != 0.0:
-                np.add(r, np.multiply(col, bj, out=scratch), out=r)
-            rho = float(col @ r) / n
-            denom = denoms[j]
-            new = _soft_threshold(rho, lam_l1) / denom if denom > 0 else 0.0
+                add(r, product, out=r)
+            rho = float(dot(r)) / n
+            if rho > lam_l1:  # soft threshold
+                new = (rho - lam_l1) / denom
+            elif rho < -lam_l1:
+                new = (rho + lam_l1) / denom
+            else:
+                new = 0.0
             if new != 0.0:
-                np.subtract(r, np.multiply(col, new, out=scratch), out=r)
+                subtract(r, multiply(col, new, out=product), out=r)
             coef[j] = new
-            max_delta = max(max_delta, abs(new - bj))
+            delta = abs(new - bj)
+            if delta > max_delta:
+                max_delta = delta
         # refit intercept as the mean of partial residuals
-        new_b = float(np.add(r, b, out=scratch).mean())
+        new_b = float(add.reduce(r + b)) / n
         r += b - new_b
-        max_delta = max(max_delta, abs(new_b - b))
+        delta = abs(new_b - b)
+        if delta > max_delta:
+            max_delta = delta
         b = new_b
         if max_delta < CONVERGENCE_TOL:
             converged = True

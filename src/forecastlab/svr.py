@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Standardization, coerce_fields, optional
+from .dataset import Standardization, coerce_fields, finite, optional
 
 KKT_TOL = 1e-3
 MAX_PAIR_UPDATES = 100_000
@@ -39,7 +39,7 @@ class KernelSpec:
     coef0: float = 0.0
 
     def __post_init__(self):
-        coerce_fields(self, degree=int, gamma=optional(float), coef0=float)
+        coerce_fields(self, degree=int, gamma=optional(finite), coef0=finite)
         if self.kind not in ("linear", "polynomial", "rbf"):
             raise ValueError(f"unknown kernel {self.kind!r}")
         if self.degree < 1:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import coerce_fields, optional
+from .dataset import coerce_fields, finite, optional
 
 _NODE_ARRAYS = (("feature", np.intp), ("threshold", float),
                 ("children_left", np.intp), ("children_right", np.intp),
@@ -206,9 +206,9 @@ class BoostParams:
     seed: int = 0
 
     def __post_init__(self):
-        coerce_fields(self, learning_rate=float, n_estimators=int,
-                      max_depth=int, subsample=float, colsample_bytree=float,
-                      reg_lambda=float, min_split_gain=float)
+        coerce_fields(self, learning_rate=finite, n_estimators=int,
+                      max_depth=int, subsample=finite, colsample_bytree=finite,
+                      reg_lambda=finite, min_split_gain=finite)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if not 0.0 < self.subsample <= 1.0:

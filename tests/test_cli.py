@@ -354,6 +354,21 @@ class TestExitCodes:
         {"data": {"synth": {"noise_scale": -5}}},
         {"data": {"synth": {"noise_scale": float("nan")}}},
         {"data": {"synth": {"noise_scale": float("inf")}}},
+        {"roster": {"arima": {}, "ridge": {"grid": {
+            "lam": [0.1, float("nan")]}}}},
+        {"roster": {"arima": {}, "elastic_net": {"grid": {
+            "lam": [float("inf")]}}}},
+        {"roster": {"arima": {}, "boosting": {"grid": {
+            "learning_rate": [float("inf")]}}}},
+        {"roster": {"arima": {}, "boosting": {"grid": {
+            "min_split_gain": [float("nan")]}}}},
+        {"roster": {"arima": {}, "svr": {"grid": {"gamma": [float("nan")]}}}},
+        {"roster": {"arima": {}, "svr": {"grid": {"C": [float("inf")]}}}},
+        {"roster": {"arima": {}, "svr": {"grid": {
+            "epsilon": [float("nan")]}}}},
+        {"roster": {"arima": {}, "random_forest": {"grid": {
+            "max_depth": [float("inf")]}}}},
+        {"seed": float("inf")},
     ], ids=["synth.n", "dm.h", "seed", "split_months", "schema.features",
             "arima.candidates", "data", "explain.background_cap", "cv-list",
             "cv.shuffle-string", "synth.drivers-string",
@@ -369,7 +384,10 @@ class TestExitCodes:
             "random_forest-max_features-over-schema",
             "synth.drivers-not-in-schema", "synth.n-short",
             "synth.noise_scale-negative", "synth.noise_scale-nan",
-            "synth.noise_scale-inf"])
+            "synth.noise_scale-inf", "ridge-lam-nan", "elastic_net-lam-inf",
+            "boosting-learning_rate-inf", "boosting-min_split_gain-nan",
+            "svr-gamma-nan", "svr-C-inf", "svr-epsilon-nan",
+            "random_forest-max_depth-inf", "seed-inf"])
     def test_malformed_value_exits_2_before_fitting(self, tmp_path, capsys,
                                                     monkeypatch, overrides):
         import forecastlab.pipeline as pipeline

@@ -112,6 +112,36 @@ class TestLoopEquivalence:
             zeros += alpha == 1.0 and bool((got.coefficients == 0.0).any())
         assert zeros > 20  # exact lasso zeros were reached and matched
 
+    def test_benchmark_shapes(self, monkeypatch):
+        # the benchmark fits n = 54-108 rows on 12 or 16 standardized
+        # columns; the dot's length and stride choose its BLAS kernel, so
+        # the small random problems above do not cover these shapes
+        monkeypatch.setattr(linear_mod, "MAX_SWEEPS", 1000)
+        rng = np.random.default_rng(2026)
+        sweeps = []
+        for case in range(32):
+            n = (54, 68, 96, 108)[case % 4]
+            p = (12, 16)[case // 4 % 2]
+            X = rng.normal(size=(n, p))
+            X[:, 1] = X[:, 0] + 0.01 * X[:, 1]  # near-collinear pair
+            X = Standardization.fit(X).transform(X)
+            y = X @ rng.normal(size=p) + rng.normal(size=n)
+            if case % 2:
+                # half-units sum exactly: the mean is exactly zero, and the
+                # zeros are -0.0
+                y = np.round(2.0 * y) / 2.0
+                y[:3] = 0.0
+                y[-1] = -y[:-1].sum()
+                y[y == 0.0] = -0.0
+                assert y.mean() == 0.0 and np.signbit(y[:3]).all()
+            lam = (1e-3, 1e-2, 0.1, 0.9)[case // 2 % 4]
+            alpha = (0.0, 0.05, 0.5, 0.95, 1.0)[case % 5]
+            penalty = PenaltySpec(lam, alpha)
+            got = fit_linear(X, y, penalty)
+            assert_same_linear(got, loop_fit_linear(X, y, penalty))
+            sweeps.append(got.n_sweeps)
+        assert max(sweeps) >= 200  # some fits ran hundreds of sweeps
+
     def test_zero_column_pure_lasso(self):
         # denom = 0: the coordinate stays at exactly 0.0
         rng = np.random.default_rng(3)
