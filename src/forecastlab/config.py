@@ -2,9 +2,9 @@
 
 Each section is one dataclass, read by `read_section`: its field names are
 the keys, its field defaults are the defaults, and its __post_init__
-converts and checks the values. A roster family's `grid` names only
-parameters the family reads (families.GRID_PARAMS), and each of its values
-must build the family's parameters (families.family_params) on its own.
+converts and checks the values. Every value of a roster family's grid,
+its shipped default included, must pass the family's one cell check
+(`families.FAMILIES[name].params`) on its own, against the schema's width.
 
 One master seed determines every downstream RNG through
 `derive_seed(master, *tags)`: sha256 over "master|tag|tag|..." truncated
@@ -25,8 +25,8 @@ from dataclasses import MISSING, dataclass, field, fields
 
 from .arima import ArimaOrder, default_order_candidates
 from .dataset import ColumnSchema, DataError, SynthSpec, boolean, coerce_fields, default_schema, listed, optional
-from .families import BENCHMARK_FAMILY, FAMILIES, GRID_PARAMS, family_params
-from .tuning import CvPlan, ParamGrid, default_grid
+from .families import BENCHMARK_FAMILY, FAMILIES
+from .tuning import CvPlan, ParamGrid
 
 
 class ConfigError(ValueError):
@@ -107,23 +107,11 @@ class FamilySpec:
             raise ValueError(f"unknown roster family {self.family!r}")
         if not isinstance(self.grid, dict):
             raise TypeError(f"grid must be a mapping, got {self.grid!r}")
-        allowed = GRID_PARAMS[self.family]
-        unknown = sorted(set(self.grid) - set(allowed))
-        if unknown:
-            raise ValueError(f"{self.family} reads no grid parameter "
-                             f"{unknown}; it reads {list(allowed) or 'none'}")
-        for name, values in self.param_grid().axes:  # checks each list
-            for value in values:
-                try:
-                    family_params(self.family, {name: value})
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"grid value {name}={value!r}: "
-                                     f"{exc}") from None
+        ParamGrid.from_dict(self.grid)  # checks each list; RunConfig each value
 
     def param_grid(self, n_features: int | None = None) -> ParamGrid:
-        """The cell grid; an empty `grid` takes the shipped default, fitted
-        to `n_features` columns when given (see tuning.default_grid)."""
-        mapping = self.grid or default_grid(self.family, n_features)
+        """The cell grid; an empty `grid` takes Family.default_grid(n_features)."""
+        mapping = self.grid or FAMILIES[self.family].default_grid(n_features)
         return ParamGrid.from_dict(mapping)
 
 
@@ -221,15 +209,15 @@ class RunConfig:
             except DataError as exc:
                 raise ConfigError(f"data.synth: {exc}") from None
         n_features = len(self.schema.features)
-        for spec in self.roster:
-            if spec.family != "random_forest":
-                continue
-            for value in spec.grid.get("max_features", ()):
-                cap = family_params(spec.family, {"max_features": value}).max_features
-                if cap is not None and cap > n_features:
-                    raise ConfigError(
-                        f"roster.random_forest: grid value max_features="
-                        f"{value!r} exceeds the schema's {n_features} features")
+        for spec in [s for s in self.roster if s.family != BENCHMARK_FAMILY]:
+            for name, values in spec.param_grid(n_features).axes:
+                for value in values:
+                    try:
+                        FAMILIES[spec.family].params({name: value},
+                                                     n_features=n_features)
+                    except (TypeError, ValueError) as exc:
+                        raise ConfigError(f"roster.{spec.family}: grid value "
+                                          f"{name}={value!r}: {exc}") from None
 
     def roster_spec(self, family: str) -> FamilySpec:
         for spec in self.roster:

@@ -304,15 +304,14 @@ class SynthSpec:
 
     def __post_init__(self):
         coerce_fields(self, n=int, drivers=listed(),
-                      coefficients=listed(float), intercept=optional(float),
-                      noise_scale=float, noise_ar=float)
+                      coefficients=listed(finite), intercept=optional(finite),
+                      noise_scale=finite, noise_ar=finite)
         if self.kind not in _SYNTH_KINDS:
             raise DataError(f"unknown synth kind {self.kind!r}")
         if self.n < 40:
             raise DataError(f"synthetic frames need n >= 40, got {self.n}")
-        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
-            raise DataError(f"noise_scale must be finite and >= 0, "
-                            f"got {self.noise_scale}")
+        if self.noise_scale < 0:
+            raise DataError(f"noise_scale must be >= 0, got {self.noise_scale}")
         n_coefs = len(self.coefficients or _SYNTH_KINDS[self.kind][0])
         if n_coefs != len(self.drivers) or (self.kind == "nonlinear"
                                             and n_coefs != 3):

@@ -19,7 +19,7 @@ from . import arima as arima_mod
 from .config import ConfigError, RunConfig, derive_seed
 from .dataset import DataError, SeriesFrame, chrono_split, load_frame, log_transform, synth_generate
 from .evaluation import mae, metric_csv_lines, metric_table, rmse
-from .families import BENCHMARK_FAMILY, TREE_FAMILIES, fit_family
+from .families import BENCHMARK_FAMILY, FAMILIES, fit_family
 from .interpretation import (
     InterpretationError,
     dependence_data,
@@ -33,7 +33,6 @@ from .shapley import (
     BackgroundSet,
     explain_matrix,
     global_importance,
-    is_tree_model,
     shap_csv_lines,
 )
 from .trees import model_to_json
@@ -182,8 +181,7 @@ def cmd_run(config: RunConfig, config_hash: str, warn=_stderr) -> dict:
 
     for family, entry in entries.items():
         if entry.cv_table:
-            spec = config.roster_spec(family)
-            grid = spec.param_grid(len(config.schema.features))
+            grid = config.roster_spec(family).param_grid(len(config.schema.features))
             _write(os.path.join(config.out_dir, f"cv_{family}.csv"),
                    cv_table_csv_lines(family, grid, entry.cv_table), prov)
     return {"entries": entries, "forecasts": forecasts, "metrics": rows,
@@ -242,14 +240,17 @@ def cmd_explain(config: RunConfig, config_hash: str, model_id: str) -> dict:
     if model_id not in config.model_ids:
         raise ConfigError(f"model {model_id!r} not in roster")
     n_features = len(config.schema.features)
-    if model_id not in TREE_FAMILIES and n_features > EXACT_MAX_FEATURES:
+    if not FAMILIES[model_id].trees and n_features > EXACT_MAX_FEATURES:
         raise ConfigError(f"explaining {model_id} needs exact coalition "
                           f"enumeration, capped at {EXACT_MAX_FEATURES} "
                           f"features; the schema has {n_features}")
     frame = load_data(config)
     _check_splits(config, frame)
     train, test = chrono_split(frame, config.primary_split)
-    entry = fit_roster_member(config, model_id, train, config.primary_split)
+    try:
+        entry = fit_roster_member(config, model_id, train, config.primary_split)
+    except ValueError as exc:  # the base of every package error
+        raise PipelineError(f"{model_id} fit failed: {exc}") from exc
 
     features = config.schema.features
     X_train = train.matrix(features)
@@ -263,7 +264,7 @@ def cmd_explain(config: RunConfig, config_hash: str, model_id: str) -> dict:
     os.makedirs(config.out_dir, exist_ok=True)
     prov = _provenance(config, config_hash)
 
-    if is_tree_model(model):
+    if FAMILIES[model_id].trees:
         with open(os.path.join(config.out_dir, "model.json"), "w",
                   encoding="utf-8", newline="\n") as fh:
             fh.write(model_to_json(model))

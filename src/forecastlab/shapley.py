@@ -328,14 +328,10 @@ def tree_shap(model, x, background: BackgroundSet) -> np.ndarray:
     """Exact interventional Shapley values for a tree, forest, or boosted
     ensemble; per-tree attributions combine linearly, each tree weighted by
     the scale the model's `tree_terms()` pairs it with."""
-    if not is_tree_model(model):
+    if not isinstance(model, TreeModel):
         raise TypeError(f"not a tree model: {type(model).__name__}")
     x = np.asarray(x, dtype=float).ravel()
     return _tree_shap_matrix(model, x[None], background)[0]
-
-
-def is_tree_model(model) -> bool:
-    return isinstance(model, TreeModel)
 
 
 def explain_matrix(model, rows, background: BackgroundSet) -> ShapMatrix:
@@ -347,7 +343,7 @@ def explain_matrix(model, rows, background: BackgroundSet) -> ShapMatrix:
         raise ValueError("rows must be a nonempty 2-d array")
     predict = getattr(model, "predict", model)
     base = float(np.mean(predict(np.array(background.rows))))
-    if is_tree_model(model):
+    if isinstance(model, TreeModel):
         phi = _tree_shap_matrix(model, rows, background)
     else:
         inner, space, back = predict, rows, background

@@ -18,47 +18,6 @@ import numpy as np
 from .dataset import boolean, coerce_fields
 from .families import fit_family
 
-# hyperparameter search ranges shipped as defaults, discretized to 10
-# log-spaced points per continuous range (explicit value lists kept as-is)
-def _logspace(lo: float, hi: float, num: int = 10) -> list[float]:
-    return [float(v) for v in np.exp(np.linspace(math.log(lo), math.log(hi), num))]
-
-
-def _int_logspace(lo: int, hi: int, num: int = 10) -> list[int]:
-    vals = np.exp(np.linspace(math.log(lo), math.log(hi), num))
-    return sorted({int(round(v)) for v in vals})
-
-
-def default_grid(family: str, n_features: int | None = None) -> dict:
-    """The shipped grid of `family`. Given the design's `n_features`, each
-    random_forest max_features value is clipped to it, duplicates dropped
-    and the order kept, so no cell asks for more columns than there are."""
-    grids = {
-        "ols": {},
-        "ridge": {"lam": _logspace(0.001, 0.9)},
-        "lasso": {"lam": _logspace(0.001, 0.9)},
-        "elastic_net": {"lam": _logspace(0.001, 0.9),
-                        "alpha": _logspace(0.05, 0.95)},
-        "random_forest": {"max_depth": _int_logspace(2, 50),
-                          "max_features": _int_logspace(2, 20),
-                          "n_estimators": _int_logspace(10, 1000)},
-        "boosting": {"learning_rate": _logspace(0.005, 0.5),
-                     "n_estimators": _int_logspace(10, 1000),
-                     "max_depth": [2, 4, 6, 8, 10],
-                     "subsample": _logspace(0.1, 0.9),
-                     "colsample_bytree": _logspace(0.1, 0.9)},
-        "svr": {"C": _logspace(0.1, 50),
-                "epsilon": _logspace(0.0005, 1.0),
-                "kernel": ["linear", "polynomial", "rbf"]},
-    }
-    if family not in grids:
-        raise ValueError(f"no default grid for family {family!r}")
-    grid = grids[family]
-    if n_features is not None and "max_features" in grid:
-        grid["max_features"] = list(dict.fromkeys(
-            min(v, n_features) for v in grid["max_features"]))
-    return grid
-
 
 class TuningError(ValueError):
     pass

@@ -18,7 +18,7 @@ from forecastlab.config import (
     parse_config,
 )
 from forecastlab.dataset import ColumnSchema, SynthSpec, default_schema
-from forecastlab.families import GRID_PARAMS, fit_family
+from forecastlab.families import FAMILIES, fit_family
 from forecastlab.tuning import CvPlan
 from forecastlab.evaluation import rmse_reduction
 
@@ -189,6 +189,21 @@ class TestExplain:
         assert main(["explain", "--config", cfg, "--model", family]) == 2
         err = capsys.readouterr().err
         assert "capped at 15 features" in err
+        assert "Traceback" not in err
+
+    def test_unfittable_family_exits_2(self, tmp_path, capsys):
+        # ridge's shrinkage leaves residuals near 1e159, whose squares
+        # overflow, so every grid cell scores inf and tuning fails
+        cfg = write_config(
+            tmp_path, schema={"target": "INF", "features": ["ATMD", "CC", "IR"]},
+            data={"synth": {"kind": "linear", "n": 70, "drivers": ["CC"],
+                            "coefficients": [1e160]}},
+            roster={"arima": {"candidates": [[0, 0, 0]]},
+                    "ridge": {"grid": {"lam": [0.1]}}})
+        with np.errstate(over="ignore"):
+            assert main(["explain", "--config", cfg, "--model", "ridge"]) == 2
+        err = capsys.readouterr().err
+        assert "ridge fit failed: every ridge grid cell failed" in err
         assert "Traceback" not in err
 
     def test_unknown_model_rejected(self, tmp_path):
@@ -369,6 +384,9 @@ class TestExitCodes:
         {"roster": {"arima": {}, "random_forest": {"grid": {
             "max_depth": [float("inf")]}}}},
         {"seed": float("inf")},
+        {"data": {"synth": {"noise_ar": float("inf")}}},
+        {"data": {"synth": {"coefficients": [1.0, float("inf"), 0.5]}}},
+        {"data": {"synth": {"intercept": float("nan")}}},
     ], ids=["synth.n", "dm.h", "seed", "split_months", "schema.features",
             "arima.candidates", "data", "explain.background_cap", "cv-list",
             "cv.shuffle-string", "synth.drivers-string",
@@ -387,7 +405,8 @@ class TestExitCodes:
             "synth.noise_scale-inf", "ridge-lam-nan", "elastic_net-lam-inf",
             "boosting-learning_rate-inf", "boosting-min_split_gain-nan",
             "svr-gamma-nan", "svr-C-inf", "svr-epsilon-nan",
-            "random_forest-max_depth-inf", "seed-inf"])
+            "random_forest-max_depth-inf", "seed-inf", "synth.noise_ar-inf",
+            "synth.coefficients-inf", "synth.intercept-nan"])
     def test_malformed_value_exits_2_before_fitting(self, tmp_path, capsys,
                                                     monkeypatch, overrides):
         import forecastlab.pipeline as pipeline
@@ -504,13 +523,13 @@ class TestConfigFields:
         assert config.data == DataSpec(csv="in.csv")
         assert len(config.roster_spec("arima").candidates) == 256
 
-    @pytest.mark.parametrize("family", sorted(GRID_PARAMS))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_every_grid_name_is_read(self, family):
         # each accepted name reaches the fitted model's parameters
         rng = np.random.default_rng(0)
         X = rng.normal(size=(30, 3))
         y = X[:, 0] + 0.1 * rng.normal(size=30)
-        for name in GRID_PARAMS[family]:
+        for name in FAMILIES[family].grid_names:
             spec = parse_config({"data": {}, "roster": {
                 "arima": {}, family: {"grid": {name: [GRID_VALUES[name]]}}}})
             cell = spec.roster_spec(family).param_grid().cells()[0]

@@ -4,7 +4,7 @@ from scipy.optimize import minimize
 
 import forecastlab.svr as svr_mod
 from forecastlab.dataset import Standardization
-from forecastlab.families import family_params
+from forecastlab.families import FAMILIES
 from forecastlab.svr import (
     KKT_TOL,
     PREDICT_BLOCK_CELLS,
@@ -229,9 +229,9 @@ class TestLoopEquivalence:
         ({"epsilon": -0.1}, "epsilon must be >= 0")])
     def test_grid_cell_rejected_before_fitting(self, cell, match):
         with pytest.raises(ValueError, match=match):
-            family_params("svr", cell)
-        assert family_params("svr", {"C": 0.5, "epsilon": 0.0})[:2] == (0.5,
-                                                                         0.0)
+            FAMILIES["svr"].params(cell)
+        assert FAMILIES["svr"].params({"C": 0.5, "epsilon": 0.0})[:2] == (
+            0.5, 0.0)
 
 
 class TestDegenerate:

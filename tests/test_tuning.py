@@ -12,7 +12,6 @@ from forecastlab.tuning import (
     ParamGrid,
     TuningError,
     cv_table_csv_lines,
-    default_grid,
     grid_search,
     kfold_indices,
 )
@@ -148,6 +147,10 @@ class TestGridSearch:
         assert lines[1].startswith("ridge,0.1,")
 
 
+def default_grid(family, n_features=None):
+    return FAMILIES[family].default_grid(n_features)
+
+
 class TestDefaultGrids:
     def test_every_family_has_a_grid(self):
         for family in FAMILIES:
@@ -180,6 +183,10 @@ class TestDefaultGrids:
         for value in grid["max_features"]:  # every cell can be fitted
             fit_family("random_forest", X, y, {
                 "max_features": value, "n_estimators": 1, "max_depth": 2})
+        for family in FAMILIES.values():  # every shipped value passes the check
+            for name, values in family.default_grid(p).items():
+                for value in values:
+                    family.params({name: value}, n_features=p)
 
     def test_width_leaves_other_families_alone(self):
         for family in FAMILIES:
@@ -233,6 +240,28 @@ class TestFamilies:
         fitted = fit_family("ridge", X, y, {"lam": 0.001}, seed=0)
         resid = fitted.predict(X) - y
         assert float(np.sqrt((resid ** 2).mean())) < 0.1
+
+    def test_solvers_looked_up_at_call_time(self, monkeypatch):
+        # a wrapper put in place of the module global sees every fit
+        import forecastlab.families as families
+        calls = []
+        for name in ("fit_linear", "fit_svr"):
+            real = getattr(families, name)
+
+            def counting(*args, real=real, name=name, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(families, name, counting)
+        X, y = noisy_collinear(9)
+        fit_family("ridge", X, y, {"lam": 0.1})
+        fit_family("svr", X, y, {"C": 1.0, "kernel": "linear"})
+        assert calls == ["fit_linear", "fit_svr"]
+
+    def test_name_the_family_does_not_read_rejected(self):
+        X, y = noisy_collinear(10)
+        with pytest.raises(ValueError, match="ridge reads no grid parameter"):
+            fit_family("ridge", X, y, {"alpha": 0.3})
 
     def test_unknown_family(self):
         from forecastlab.families import FamilyError
