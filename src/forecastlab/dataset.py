@@ -1,7 +1,8 @@
 """Monthly multivariate series: ingestion, transforms, splitting, synthesis.
 
 A SeriesFrame is an immutable panel of contiguous monthly observations.
-All operations here are pure: they validate, then return new frames.
+All operations here but read_frame are pure: they validate, then return
+new frames.
 """
 
 from __future__ import annotations
@@ -229,6 +230,15 @@ def load_frame(source: str, schema: ColumnSchema) -> SeriesFrame:
     raw = np.asarray(values, dtype=float)
     idx = [names.index(n) for n in ordered]
     return SeriesFrame(year0, month0, tuple(ordered), raw[:, idx])
+
+
+def read_frame(path: str, schema: ColumnSchema) -> SeriesFrame:
+    """load_frame on the file at `path`; an unreadable file is a DataError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return load_frame(fh.read(), schema)
+    except OSError as exc:
+        raise DataError(f"cannot read {path!r}: {exc}") from None
 
 
 def log_transform(frame: SeriesFrame, columns) -> SeriesFrame:

@@ -154,17 +154,3 @@ def metric_table(actual, forecasts: dict, benchmark: str,
                               rmse_reduction(bench_rmse, model_rmse),
                               dm_stat, dm_p, note=note))
     return rows
-
-
-def metric_csv_lines(rows: list[MetricRow]) -> list[str]:
-    def cell(v):
-        if v is None or (isinstance(v, float) and math.isnan(v)):
-            return ""
-        return repr(float(v))
-
-    lines = ["model,mae,rmse,rmse_reduction_pct,dm_stat,dm_pvalue"]
-    for r in rows:
-        lines.append(",".join([r.model, cell(r.mae), cell(r.rmse),
-                               cell(r.rmse_reduction_pct), cell(r.dm_stat),
-                               cell(r.dm_pvalue)]))
-    return lines

@@ -2,10 +2,10 @@
 outlier-filtered polynomial functional forms, zero crossings, and
 summary-plot data.
 
-Outlier filtering fences on the feature axis with Tukey's k*IQR rule and
-iterates to a fixed point, so filtering an already-filtered point set
-changes nothing; a pass that would leave fewer than four points is not
-applied.
+Outlier filtering fences the feature value or the attribution (its `axis`)
+with Tukey's k*IQR rule and iterates to a fixed point, so filtering an
+already-filtered point set changes nothing; a pass that would leave fewer
+than four points is not applied.
 """
 
 from __future__ import annotations
@@ -117,18 +117,19 @@ def _auto_color(X, x, phi, skip: int) -> int | None:
     return best
 
 
-def filter_outliers(points, k: float = 1.5) -> FilterResult:
-    """Drop points whose x_value falls outside [Q1 - k*IQR, Q3 + k*IQR],
-    re-fencing until no point is outside; see the module docstring for the
-    idempotence and minimum-size guarantees."""
+def filter_outliers(points, k: float = 1.5, axis: str = "x") -> FilterResult:
+    """Drop points whose x_value (axis "x") or shap_value (axis "shap") is
+    outside [Q1 - k*IQR, Q3 + k*IQR], re-fencing until no point is outside;
+    see the module docstring for idempotence and the minimum size."""
     points = list(points)
     if not points:
         raise InterpretationError("no points to filter")
+    field = {"x": "x_value", "shap": "shap_value"}[axis]
     kept = points
     removed: list[int] = []
     applied = False
     while True:
-        xs = np.array([p.x_value for p in kept])
+        xs = np.array([getattr(p, field) for p in kept])
         q1, q3 = np.percentile(xs, [25, 75])
         fence_lo = q1 - k * (q3 - q1)
         fence_hi = q3 + k * (q3 - q1)

@@ -1,9 +1,14 @@
 """End-to-end orchestration: tune, refit, forecast, score, and explain.
 
-Every output file starts with a provenance comment (config hash + master
-seed) and all floats are written with shortest-roundtrip repr, so reruns
-under the same config and seed are byte-identical.
-"""
+`OutputDir` writes every output byte, UTF-8 with "\n" line ends, so reruns
+under the same config and seed are byte-identical. A CSV file is a
+provenance line (`# config_sha256=<hash> seed=<seed>`), any `# key=value`
+lines (shap_values.csv's base_value), a header and the rows. A cell is
+empty for None, `repr(float(v))` for a Python or numpy float and `str(v)`
+for anything else. So metrics.csv and split_sweep.csv pass a NaN figure as
+None, to leave it blank, and cv_<family>.csv passes grid values through
+`str`. The JSON files, model.json and functional_form.json, are one
+document each."""
 
 from __future__ import annotations
 
@@ -12,13 +17,14 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from . import arima as arima_mod
 from .config import ConfigError, RunConfig, derive_seed
-from .dataset import DataError, SeriesFrame, chrono_split, load_frame, log_transform, synth_generate
-from .evaluation import mae, metric_csv_lines, metric_table, rmse
+from .dataset import SeriesFrame, chrono_split, log_transform, read_frame, synth_generate
+from .evaluation import MetricRow, mae, metric_table, rmse
 from .families import BENCHMARK_FAMILY, FAMILIES, fit_family
 from .interpretation import (
     InterpretationError,
@@ -28,23 +34,62 @@ from .interpretation import (
     summary_plot_data,
     zero_crossings,
 )
-from .shapley import (
-    EXACT_MAX_FEATURES,
-    BackgroundSet,
-    explain_matrix,
-    global_importance,
-    shap_csv_lines,
-)
+from .shapley import (EXACT_MAX_FEATURES, BackgroundSet, ShapMatrix,
+                      explain_matrix, global_importance)
 from .trees import model_to_json
-from .tuning import CvPlan, cv_table_csv_lines, grid_search
+from .tuning import CvPlan, grid_search
 
 
 class PipelineError(ValueError):
     pass
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
+def _line(cells) -> str:
+    """One CSV line, each cell by the rule in the module docstring."""
+    return ",".join([repr(float(v)) if isinstance(v, (float, np.floating))
+                     else "" if v is None else str(v) for v in cells])
+
+
+class OutputDir:
+    """The one writer of output files. Making one creates the directory."""
+
+    def __init__(self, path: str, config_hash: str, seed: int):
+        os.makedirs(path, exist_ok=True)
+        self.path = path
+        self.provenance = f"# config_sha256={config_hash} seed={seed}"
+
+    def text(self, name: str, text: str) -> str:
+        path = os.path.join(self.path, name)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text + "\n")
+        return path
+
+    def csv(self, name: str, header, rows, comments=()) -> str:
+        """`comments` are (key, value) pairs, one `# key=value` line each."""
+        lines = [self.provenance]
+        lines += [f"# {key}={_line([value])}" for key, value in comments]
+        lines.append(",".join(header))
+        lines += map(_line, rows)
+        return self.text(name, "\n".join(lines))
+
+
+def _blank_nan(v):
+    return None if v is None or math.isnan(v) else v
+
+
+def write_metrics(out: OutputDir, rows: list[MetricRow]):
+    figures = ("mae", "rmse", "rmse_reduction_pct", "dm_stat", "dm_pvalue")
+    out.csv("metrics.csv", ("model", *figures),
+            [(r.model, *(_blank_nan(getattr(r, f)) for f in figures))
+             for r in rows])
+
+
+def write_shap_values(out: OutputDir, m: ShapMatrix, X, features):
+    out.csv("shap_values.csv",
+            ("row_index", "feature", "feature_value", "shap_value"),
+            [(r, name, X[r, j], m.phi[r, j])
+             for r in range(m.n_rows) for j, name in enumerate(features)],
+            comments=[("base_value", m.base_value)])
 
 
 def _synth_frame(config: RunConfig) -> SeriesFrame:
@@ -56,12 +101,7 @@ def load_data(config: RunConfig) -> SeriesFrame:
     if config.data.synth is not None:
         frame = _synth_frame(config)
     else:
-        try:
-            with open(config.data.csv, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise DataError(f"cannot read {config.data.csv!r}: {exc}") from None
-        frame = load_frame(text, config.schema)
+        frame = read_frame(config.data.csv, config.schema)
     if config.schema.log_columns:
         frame = log_transform(frame, config.schema.log_columns)
     return frame
@@ -141,18 +181,6 @@ def evaluate_split(config: RunConfig, frame: SeriesFrame, test_months: int,
     return train, test, entries, forecasts
 
 
-def _write(path: str, lines: list[str], provenance: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(provenance + "\n")
-        fh.write("\n".join(lines))
-        if lines:
-            fh.write("\n")
-
-
-def _provenance(config: RunConfig, config_hash: str) -> str:
-    return f"# config_sha256={config_hash} seed={config.seed}"
-
-
 def cmd_run(config: RunConfig, config_hash: str, warn=_stderr) -> dict:
     """Primary-split pipeline: tune, refit, forecast, score; writes
     forecasts.csv, metrics.csv, and one cv_<family>.csv per tuned family."""
@@ -160,30 +188,25 @@ def cmd_run(config: RunConfig, config_hash: str, warn=_stderr) -> dict:
     _check_splits(config, frame)
     train, test, entries, forecasts = evaluate_split(
         config, frame, config.primary_split, warn)
-    os.makedirs(config.out_dir, exist_ok=True)
-    prov = _provenance(config, config_hash)
+    out = OutputDir(config.out_dir, config_hash, config.seed)
 
     actual = test.column(config.schema.target)
     rows = metric_table(actual, forecasts, BENCHMARK_FAMILY,
                         h=config.dm.h, small_sample=config.dm.small_sample)
-    _write(os.path.join(config.out_dir, "metrics.csv"),
-           metric_csv_lines(rows), prov)
+    write_metrics(out, rows)
 
     ids = config.model_ids
-    lines = ["date,actual," + ",".join(ids)]
-    for i, label in enumerate(test.month_labels()):
-        cells = [label, _fmt(actual[i])]
-        for name in ids:
-            pred = forecasts[name]
-            cells.append("" if pred is None else _fmt(pred[i]))
-        lines.append(",".join(cells))
-    _write(os.path.join(config.out_dir, "forecasts.csv"), lines, prov)
+    out.csv("forecasts.csv", ("date", "actual", *ids),
+            [(label, actual[i], *(None if forecasts[name] is None
+                                  else forecasts[name][i] for name in ids))
+             for i, label in enumerate(test.month_labels())])
 
     for family, entry in entries.items():
-        if entry.cv_table:
-            grid = config.roster_spec(family).param_grid(len(config.schema.features))
-            _write(os.path.join(config.out_dir, f"cv_{family}.csv"),
-                   cv_table_csv_lines(family, grid, entry.cv_table), prov)
+        if entry.cv_table:  # each cell's params name the grid's axes in order
+            out.csv(f"cv_{family}.csv", ("family", *entry.cv_table[0].params,
+                                         "mean_mse", "sd_mse", "rank"),
+                    [(family, *map(str, c.params.values()), c.mean_mse,
+                      c.sd_mse, c.rank) for c in entry.cv_table])
     return {"entries": entries, "forecasts": forecasts, "metrics": rows,
             "train": train, "test": test}
 
@@ -200,19 +223,12 @@ def cmd_sweep(config: RunConfig, config_hash: str,
         actual = test.column(config.schema.target)
         for name in config.model_ids:
             pred = forecasts[name]
-            if pred is None:
-                records.append((name, months, math.nan, math.nan))
-            else:
-                records.append((name, months, rmse(actual, pred),
-                                mae(actual, pred)))
-    os.makedirs(config.out_dir, exist_ok=True)
-    lines = ["model,test_months,rmse,mae"]
-    for name, months, rmse_v, mae_v in records:
-        bad = math.isnan(rmse_v)
-        lines.append(f"{name},{months},{'' if bad else _fmt(rmse_v)},"
-                     f"{'' if bad else _fmt(mae_v)}")
-    _write(os.path.join(config.out_dir, "split_sweep.csv"), lines,
-           _provenance(config, config_hash))
+            figures = ((None, None) if pred is None
+                       else (rmse(actual, pred), mae(actual, pred)))
+            records.append((name, months, *map(_blank_nan, figures)))
+    out = OutputDir(config.out_dir, config_hash, config.seed)
+    out.csv("split_sweep.csv", ("model", "test_months", "rmse", "mae"),
+            records)
     return records
 
 
@@ -221,13 +237,9 @@ def cmd_synth(config: RunConfig, config_hash: str) -> str:
     if config.data.synth is None:
         raise ConfigError("synth command requires a data.synth section")
     frame = _synth_frame(config)
-    os.makedirs(config.out_dir, exist_ok=True)
-    lines = ["date," + ",".join(frame.columns)]
-    for i, label in enumerate(frame.month_labels()):
-        lines.append(label + "," + ",".join(_fmt(v) for v in frame.data[i]))
-    path = os.path.join(config.out_dir, "synth.csv")
-    _write(path, lines, _provenance(config, config_hash))
-    return path
+    out = OutputDir(config.out_dir, config_hash, config.seed)
+    return out.csv("synth.csv", ("date", *frame.columns),
+                   zip(frame.month_labels(), *frame.data.T))
 
 
 def cmd_explain(config: RunConfig, config_hash: str, model_id: str) -> dict:
@@ -258,82 +270,52 @@ def cmd_explain(config: RunConfig, config_hash: str, model_id: str) -> dict:
     background = BackgroundSet.from_training(
         X_train, cap=config.explain.background_cap,
         seed=derive_seed(config.seed, "background"))
-    model = entry.model
-    matrix = explain_matrix(model, X_rows, background)
+    try:
+        matrix = explain_matrix(entry.model, X_rows, background)
+    except ValueError as exc:  # ShapMatrix's efficiency check
+        raise PipelineError(f"{model_id} attributions failed: {exc}") from exc
 
-    os.makedirs(config.out_dir, exist_ok=True)
-    prov = _provenance(config, config_hash)
-
+    out = OutputDir(config.out_dir, config_hash, config.seed)
     if FAMILIES[model_id].trees:
-        with open(os.path.join(config.out_dir, "model.json"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write(model_to_json(model))
-            fh.write("\n")
-
+        out.text("model.json", model_to_json(entry.model))
     ranked = global_importance(matrix, features)
-    lines = ["rank,feature,mean_abs_shap"]
-    for rank, (name, value) in enumerate(ranked, start=1):
-        lines.append(f"{rank},{name},{_fmt(value)}")
-    _write(os.path.join(config.out_dir, "importance.csv"), lines, prov)
-
-    _write(os.path.join(config.out_dir, "shap_values.csv"),
-           shap_csv_lines(matrix, X_rows, features), prov)
-
-    lines = ["row_index,prediction"]
-    for r, pred in enumerate(matrix.predictions):
-        lines.append(f"{r},{_fmt(pred)}")
-    _write(os.path.join(config.out_dir, "predictions.csv"), lines, prov)
-
-    lines = ["feature,row_index,shap_value,normalized_value"]
-    for rec in summary_plot_data(matrix, X_rows, features):
-        lines.append(f"{rec.feature},{rec.row_index},{_fmt(rec.shap_value)},"
-                     f"{_fmt(rec.normalized_value)}")
-    _write(os.path.join(config.out_dir, "summary_plot.csv"), lines, prov)
+    out.csv("importance.csv", ("rank", "feature", "mean_abs_shap"),
+            [(rank, *item) for rank, item in enumerate(ranked, start=1)])
+    write_shap_values(out, matrix, X_rows, features)
+    out.csv("predictions.csv", ("row_index", "prediction"),
+            enumerate(matrix.predictions))
+    columns = ("feature", "row_index", "shap_value", "normalized_value")
+    out.csv("summary_plot.csv", columns, map(attrgetter(*columns),
+            summary_plot_data(matrix, X_rows, features)))
 
     forms = {}
     for feature in features:
         points = dependence_data(matrix, X_rows, feature, features,
                                  color_by="auto")
-        lines = ["row_index,x_value,shap_value,color_value"]
-        for p in points:
-            color = "" if p.color_value is None else _fmt(p.color_value)
-            lines.append(f"{p.row_index},{_fmt(p.x_value)},"
-                         f"{_fmt(p.shap_value)},{color}")
-        _write(os.path.join(config.out_dir, f"dependence_{feature}.csv"),
-               lines, prov)
+        columns = ("row_index", "x_value", "shap_value", "color_value")
+        out.csv(f"dependence_{feature}.csv", columns,
+                map(attrgetter(*columns), points))
         forms[feature] = _functional_form_entry(points, config)
 
     doc = {"config_sha256": config_hash, "seed": config.seed,
            "model": model_id, "features": forms}
-    with open(os.path.join(config.out_dir, "functional_form.json"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out.text("functional_form.json", json.dumps(doc, indent=2, sort_keys=True))
     return {"matrix": matrix, "importance": ranked, "entry": entry,
             "forms": forms}
 
 
 def _functional_form_entry(points, config: RunConfig) -> dict:
-    if config.explain.outlier_axis == "shap":
-        flipped = [type(p)(p.row_index, p.shap_value, p.x_value, p.color_value)
-                   for p in points]
-        filt = filter_outliers(flipped, k=config.explain.outlier_k)
-        keep = {p.row_index for p in filt.points}
-        kept = [p for p in points if p.row_index in keep]
-        removed = tuple(sorted(p.row_index for p in points
-                               if p.row_index not in keep))
-    else:
-        filt = filter_outliers(points, k=config.explain.outlier_k)
-        kept, removed = list(filt.points), filt.removed
+    filt = filter_outliers(points, k=config.explain.outlier_k,
+                           axis=config.explain.outlier_axis)
+    counts = {"n_points": len(filt.points),
+              "outliers_removed": sorted(filt.removed)}
     try:
-        fit = fit_functional_form(kept)
+        fit = fit_functional_form(filt.points)
     except InterpretationError as exc:
-        return {"error": str(exc), "n_points": len(kept),
-                "outliers_removed": sorted(removed)}
-    xs = [p.x_value for p in kept]
+        return {"error": str(exc), **counts}
+    xs = [p.x_value for p in filt.points]
     report = zero_crossings(fit, (min(xs), max(xs)))
     return {"degree": fit.degree,
             "coefficients": [float(c) for c in fit.coefficients],
-            "r2": fit.r2, "adj_r2": fit.adj_r2, "n_points": fit.n_points,
-            "crossings": [float(r) for r in report.roots],
-            "outliers_removed": sorted(removed)}
+            "r2": fit.r2, "adj_r2": fit.adj_r2,
+            "crossings": [float(r) for r in report.roots], **counts}

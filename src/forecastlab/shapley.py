@@ -369,16 +369,3 @@ def global_importance(m: ShapMatrix, feature_names=None) -> list[tuple[str, floa
     imp = np.abs(m.phi).mean(axis=0)
     order = sorted(range(len(names)), key=lambda j: (-imp[j], j))
     return [(names[j], float(imp[j])) for j in order]
-
-
-def shap_csv_lines(m: ShapMatrix, X, feature_names) -> list[str]:
-    """Rows of the export table: row_index,feature,feature_value,shap_value,
-    preceded by a base-value header record."""
-    X = np.asarray(X, dtype=float)
-    names = tuple(feature_names)
-    lines = [f"# base_value={float(m.base_value)!r}",
-             "row_index,feature,feature_value,shap_value"]
-    for r in range(m.n_rows):
-        for j, name in enumerate(names):
-            lines.append(f"{r},{name},{float(X[r, j])!r},{float(m.phi[r, j])!r}")
-    return lines

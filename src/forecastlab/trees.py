@@ -351,27 +351,26 @@ def _grow(nodes, X, g, h, depth, max_depth, reg_lambda, min_split_gain,
     return index
 
 
-def fit_regression_tree(X, y=None, gradients=None, hessians=None, *,
-                        max_depth=6, min_samples_leaf=1, reg_lambda=0.0,
+def fit_regression_tree(X, y=None, gradients=None, *, max_depth=6,
+                        min_samples_leaf=1, reg_lambda=0.0,
                         min_split_gain=0.0, max_features=None,
                         rng=None) -> Tree:
     """Grow one tree. Pass y for plain mode (mean leaves, variance gain) or
-    gradients/hessians for boosting mode (leaf weight -G/(H+lam))."""
+    gradients for boosting mode (leaf weight -G/(H+lam)). Boosting uses
+    squared loss, so every hessian is 1 and H is the node's row count."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("X must be a nonempty 2-d array")
     if y is not None:
         g = -np.asarray(y, dtype=float)
-        h = np.ones(len(g))
         reg_lambda = 0.0
+    elif gradients is None:
+        raise ValueError("provide y or gradients")
     else:
-        if gradients is None:
-            raise ValueError("provide y or gradients")
         g = np.asarray(gradients, dtype=float)
-        h = (np.ones(len(g)) if hessians is None
-             else np.asarray(hessians, dtype=float))
     if len(g) != X.shape[0]:
         raise ValueError("row count mismatch")
+    h = np.ones(len(g))
     if rng is None:
         rng = np.random.default_rng(0)
     nodes = []

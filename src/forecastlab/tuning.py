@@ -61,10 +61,6 @@ class ParamGrid:
         combos = itertools.product(*[a[1] for a in self.axes])
         return [dict(zip(names, combo)) for combo in combos]
 
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(a[0] for a in self.axes)
-
 
 @dataclass(frozen=True)
 class CvCell:
@@ -134,15 +130,3 @@ def grid_search(family: str, grid: ParamGrid, X, y, plan: CvPlan,
     if math.isinf(best.mean_mse):
         raise TuningError(f"every {family} grid cell failed")
     return dict(best.params), table
-
-
-def cv_table_csv_lines(family: str, grid: ParamGrid,
-                       table: list[CvCell]) -> list[str]:
-    names = list(grid.param_names)
-    lines = ["family," + ",".join(names + ["mean_mse", "sd_mse", "rank"])]
-    for cell in table:
-        vals = [str(cell.params[n]) for n in names]
-        lines.append(",".join([family] + vals
-                              + [repr(float(cell.mean_mse)),
-                                 repr(float(cell.sd_mse)), str(cell.rank)]))
-    return lines

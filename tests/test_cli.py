@@ -206,6 +206,21 @@ class TestExplain:
         assert "ridge fit failed: every ridge grid cell failed" in err
         assert "Traceback" not in err
 
+    def test_efficiency_violation_exits_2(self, tmp_path, capsys):
+        # on a target near 1e160 the ridge fit succeeds, but rounding leaves
+        # base value plus attributions far more than 1e-9 off a prediction
+        cfg = write_config(
+            tmp_path, schema={"target": "INF", "features": ["ATMD", "CC", "IR"]},
+            data={"synth": {"intercept": 1e160}},
+            roster={"arima": {"candidates": [[1, 0, 0]]},
+                    "ridge": {"grid": {"lam": [0.1]}}})
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["explain", "--config", cfg, "--model", "ridge"]) == 2
+        err = capsys.readouterr().err
+        assert "ridge attributions failed: efficiency violated by" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "out")
+
     def test_unknown_model_rejected(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["explain", "--config", cfg, "--model", "mystery"]) == 2
@@ -293,6 +308,108 @@ class TestSynth:
     def test_synth_requires_synth_data(self, tmp_path):
         cfg = write_config(tmp_path, data={"csv": "whatever.csv"})
         assert main(["synth", "--config", cfg]) == 2
+
+
+# sha256 of every output file of the config below, as the per-module
+# formatters wrote them before pipeline.OutputDir replaced them. The config
+# reaches paths no benchmark workload does: a family whose refit fails
+# (blank metric, forecast and sweep cells), a null grid value printed as
+# None, explained test rows and outliers fenced on the shap axis.
+OUTPUT_DIGESTS = {
+    "boosting/dependence_ATMD.csv":
+        "8fa9ebba010d17be23a9ea66d68c3214bdb5729f8e1dc41affc3084b65bb8548",
+    "boosting/dependence_CC.csv":
+        "72fd7d1d7b6422af58998c82d126ace712f99dac0d8f6c0dac00cddc3a2ffa9b",
+    "boosting/dependence_EM.csv":
+        "6aa1b4c580ec5d41bfcbaaee6b100a2e2beec4e9d569e085fd7fdd724c33280b",
+    "boosting/dependence_IR.csv":
+        "ab4d6741e5732350fa0229f57c273b83292b28742628ff756fcb8460ac363449",
+    "boosting/functional_form.json":
+        "1689f37a92a88c01bea6fde9f553705ac651e59bfe1214b4be4437080dd64578",
+    "boosting/importance.csv":
+        "20f83ab858cd608c6043ab968ba03ac4f97f67900b279904fab5201daa0b2d11",
+    "boosting/model.json":
+        "395d29a2451df88cfeaef0ef606242d7e4cf13540c9060daa00e880279e44837",
+    "boosting/predictions.csv":
+        "b2aa8938acbdf61ce57a05f1af43426b487c4cacfcc30839d8e396059df82bdb",
+    "boosting/shap_values.csv":
+        "2a60ecca9b93cf48144df5f56d175ee6a28fda1e165a9e5b7b621aa303afb4e7",
+    "boosting/summary_plot.csv":
+        "6396291a08e0ce5be06b3b8692e4b32a0117c704556f7ff191b148d50be2e0fb",
+    "lasso/dependence_ATMD.csv":
+        "ac9bab7f8d6ccf26298336096d9bfe64296261c25d25d1bbe2bbc53557bc9d05",
+    "lasso/dependence_CC.csv":
+        "0e1c05a89b92dfd8a28151955e30905e746c9061edc3676087fbef2f135ee8bb",
+    "lasso/dependence_EM.csv":
+        "64b3a9332558b32e88a2e235cb20b8542133ea4589f7047c20dd43e4451e2a5d",
+    "lasso/dependence_IR.csv":
+        "ffae0a5935c312e8ca72a53eb658bb90fc75de865ca31697bdfcaa8452fde753",
+    "lasso/functional_form.json":
+        "80e83f752743556f9eae8bcd7a89aac71b34c583ff8c13ee237dfe5e7324298b",
+    "lasso/importance.csv":
+        "bf51fd5ac14ab6ccda06ee750755d323072b24d41de45ca8edf7bfbd19a6253f",
+    "lasso/predictions.csv":
+        "375a2f748432c78a9255ceb7c82d2b5441fcafae009db56f8cdf74e508f584ea",
+    "lasso/shap_values.csv":
+        "40881c262721bc6ad370fd9b61f1f5115e831173c857540ff13586dd97c2cd33",
+    "lasso/summary_plot.csv":
+        "a14341bec3ff1cc2d7b19f8255bc79e19a7542548d916a68fb97179cfe83a607",
+    "run/cv_boosting.csv":
+        "da02ca1d34041ae5dc21651a23e3fe2a4bc13943d9ddc63cd0d50e4e3d4a2004",
+    "run/cv_lasso.csv":
+        "d1d162dbdf32baf40298599953a21d05ce05d6ed7e807213a9e402df47203fed",
+    "run/cv_random_forest.csv":
+        "0ee137eaa850ce0c5a2f5d4c9abcc4207d9d26c8b622d385d397411a44e272d9",
+    "run/forecasts.csv":
+        "ec9dae5b6ce3b5e588ad0297eca579c1b49f335e941ebfd7b1d79785cac0c135",
+    "run/metrics.csv":
+        "001b34d526686b68d588859dce128f689ea97806adeaf6bc9e5b4e53341a5743",
+    "sweep/split_sweep.csv":
+        "9cbe7335428697f9335528d64d4f33d8fc6d05c431bc35983a7b4409818ca54f",
+    "synth/synth.csv":
+        "2a7ffe9fa5205e231e6f1309fa5443c3b6e89c421f5e282dbc6c17aaa4f97205",
+}
+
+
+class TestOutputBytes:
+    def test_every_file_pinned(self, tmp_path, monkeypatch):
+        import forecastlab.pipeline as pipeline
+        real = pipeline.fit_family
+
+        def ridge_refit_fails(family, *args, **kwargs):
+            if family == "ridge":
+                raise ValueError("refit refused")
+            return real(family, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fit_family", ridge_refit_fails)
+        cfg = write_config(
+            tmp_path,
+            data={"synth": {"kind": "nonlinear", "n": 60, "noise_scale": 0.25}},
+            schema={"target": "INF", "features": ["ATMD", "CC", "IR", "EM"]},
+            split_months=[12, 6], primary_split=12,
+            explain={"rows": "test", "outlier_axis": "shap"},
+            roster={
+                "arima": {"candidates": [[0, 0, 0], [1, 0, 0]]},
+                "lasso": {"grid": {"lam": [0.01, 0.1]}},
+                "ridge": {"grid": {"lam": [0.1]}},
+                "random_forest": {"grid": {"n_estimators": [4],
+                                           "max_depth": [2],
+                                           "max_features": [None, 2]}},
+                "boosting": {"grid": {"learning_rate": [0.1],
+                                      "n_estimators": [20], "max_depth": [2],
+                                      "subsample": [0.8],
+                                      "colsample_bytree": [0.8]}},
+            })
+        digests = {}
+        for argv in (["run"], ["sweep"], ["synth"],
+                     ["explain", "--model", "boosting"],
+                     ["explain", "--model", "lasso"]):
+            out = tmp_path / argv[-1]
+            assert main([*argv, "--config", cfg, "--out", str(out)]) == 0
+            for name in sorted(os.listdir(out)):
+                digests[f"{argv[-1]}/{name}"] = hashlib.sha256(
+                    (out / name).read_bytes()).hexdigest()
+        assert digests == OUTPUT_DIGESTS
 
 
 class TestExitCodes:

@@ -8,11 +8,11 @@ from forecastlab.evaluation import (
     MetricRow,
     dm_test,
     mae,
-    metric_csv_lines,
     metric_table,
     rmse,
     rmse_reduction,
 )
+from forecastlab.pipeline import OutputDir, write_metrics
 
 # published benchmark comparison this workbench reproduces arithmetically:
 # (mae, rmse, printed reduction %) with the first row as the benchmark
@@ -28,6 +28,12 @@ REFERENCE_TABLE = [
     ("svr", 0.315, 0.368, 45.07),
 ]
 ML_ROWS = ("ridge", "lasso", "elastic_net", "random_forest", "xgb", "svr")
+
+
+def metric_lines(tmp_path, rows):
+    """metrics.csv as the writer leaves it, below its provenance line."""
+    write_metrics(OutputDir(str(tmp_path), "0" * 12, 0), rows)
+    return (tmp_path / "metrics.csv").read_text().splitlines()[1:]
 
 
 class TestPointMetrics:
@@ -203,7 +209,7 @@ class TestMetricTable:
         assert rows[1].failed
         assert math.isnan(rows[1].rmse)
 
-    def test_dm_skip_reason_kept_in_note(self):
+    def test_dm_skip_reason_kept_in_note(self, tmp_path):
         actual = np.arange(5.0)
         rows = metric_table(actual, {"arima": actual + 1.0,
                                      "ridge": actual + 0.5},
@@ -212,9 +218,9 @@ class TestMetricTable:
         assert rows[1].note == "dm skipped: need at least 8 forecasts, got 5"
         assert not rows[1].failed
         assert rows[1].rmse_reduction_pct == 50.0
-        assert metric_csv_lines(rows)[2] == "ridge,0.5,0.5,50.0,,"
+        assert metric_lines(tmp_path, rows)[2] == "ridge,0.5,0.5,50.0,,"
 
-    def test_csv_lines_reparse_consistency(self):
+    def test_csv_lines_reparse_consistency(self, tmp_path):
         rng = np.random.default_rng(9)
         actual = rng.normal(size=20)
         rows = metric_table(actual, {
@@ -222,7 +228,7 @@ class TestMetricTable:
             "ridge": actual + 0.5 * rng.normal(size=20),
             "lasso": actual + 0.4 * rng.normal(size=20),
         }, benchmark="arima")
-        lines = metric_csv_lines(rows)
+        lines = metric_lines(tmp_path, rows)
         header = lines[0].split(",")
         bench_rmse = None
         for line in lines[1:]:

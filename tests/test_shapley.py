@@ -15,7 +15,6 @@ from forecastlab.shapley import (
     exact_shapley,
     explain_matrix,
     global_importance,
-    shap_csv_lines,
     tree_shap,
 )
 from forecastlab.trees import (
@@ -654,9 +653,13 @@ class TestBackgroundSet:
         with pytest.raises(ValueError):
             BackgroundSet(np.empty((0, 3)))
 
-    def test_csv_lines_layout(self):
+    def test_csv_lines_layout(self, tmp_path):
+        from forecastlab.pipeline import OutputDir, write_shap_values
+
         m = ShapMatrix(1.5, np.array([[0.25, -0.75]]), np.array([1.0]))
-        lines = shap_csv_lines(m, np.array([[10.0, 20.0]]), ["u", "v"])
+        write_shap_values(OutputDir(str(tmp_path), "0" * 12, 0), m,
+                          np.array([[10.0, 20.0]]), ["u", "v"])
+        lines = (tmp_path / "shap_values.csv").read_text().splitlines()[1:]
         assert lines[0] == "# base_value=1.5"
         assert lines[1] == "row_index,feature,feature_value,shap_value"
         assert lines[2] == "0,u,10.0,0.25"

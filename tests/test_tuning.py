@@ -11,7 +11,6 @@ from forecastlab.tuning import (
     CvPlan,
     ParamGrid,
     TuningError,
-    cv_table_csv_lines,
     grid_search,
     kfold_indices,
 )
@@ -137,11 +136,17 @@ class TestGridSearch:
         for fa, fb in zip(a, b):
             np.testing.assert_array_equal(fa, fb)
 
-    def test_csv_export_layout(self):
-        X, y = noisy_collinear(5)
-        grid = ParamGrid.from_dict({"lam": [0.1, 0.9]})
-        _, table = grid_search("ridge", grid, X, y, CvPlan(k=3))
-        lines = cv_table_csv_lines("ridge", grid, table)
+    def test_csv_export_layout(self, tmp_path):
+        from forecastlab.config import parse_config
+        from forecastlab.pipeline import cmd_run
+
+        config = parse_config({
+            "out_dir": str(tmp_path), "data": {"synth": {"n": 40}},
+            "split_months": [8], "primary_split": 8, "cv": {"k": 3},
+            "roster": {"arima": {"candidates": [[0, 0, 0]]},
+                       "ridge": {"grid": {"lam": [0.1, 0.9]}}}})
+        cmd_run(config, "0" * 12)
+        lines = (tmp_path / "cv_ridge.csv").read_text().splitlines()[1:]
         assert lines[0] == "family,lam,mean_mse,sd_mse,rank"
         assert len(lines) == 3
         assert lines[1].startswith("ridge,0.1,")
