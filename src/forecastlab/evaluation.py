@@ -40,9 +40,20 @@ def mae(actual, pred) -> float:
     return float(np.abs(a - p).mean())
 
 
+def _scaled(*errors):
+    """(errors / 2**k, 2**k): k is 0 while the largest magnitude is below
+    2**250 (fourth powers summed over 2**20 rows stay finite) or not
+    finite, else the exponent that brings it below 1. The division is
+    exact, and the DM statistic and p-value do not depend on k."""
+    big = max(float(np.abs(e).max()) for e in errors)
+    k = math.frexp(big)[1] if 2.0 ** 250 <= big < math.inf else 0
+    return [e / 2.0 ** k for e in errors], 2.0 ** k
+
+
 def rmse(actual, pred) -> float:
     a, p = _check_pair(actual, pred)
-    return float(np.sqrt(((a - p) ** 2).mean()))
+    (e,), scale = _scaled(a - p)
+    return float(np.sqrt((e ** 2).mean()) * scale)
 
 
 def rmse_reduction(benchmark_rmse: float, model_rmse: float) -> float:
@@ -82,6 +93,7 @@ def dm_test(errors_a, errors_b, h: int = 1,
     if small_sample is None:
         small_sample = n < SMALL_SAMPLE_N
 
+    (a, b), _ = _scaled(a, b)
     d = a * a - b * b
     if not d.any():
         return DmResult(0.0, 1.0, n, h - 1, small_sample)

@@ -118,7 +118,6 @@ def _check_splits(config: RunConfig, frame: SeriesFrame):
 class FittedEntry:
     family: str
     model: object  # the fitted family model, or the ArimaFit
-    best_params: dict
     cv_table: list | None
     error: str | None = None
 
@@ -131,7 +130,7 @@ def fit_roster_member(config: RunConfig, family: str, train: SeriesFrame,
     if family == BENCHMARK_FAMILY:
         seed = derive_seed(config.seed, "arima", test_months)
         fit = arima_mod.select_order(y, spec.candidates, seed=seed)
-        return FittedEntry(family, fit, {"order": fit.order.label()}, None)
+        return FittedEntry(family, fit, None)
     X = train.matrix(config.schema.features)
     seed = derive_seed(config.seed, "fit", family, test_months)
     grid = spec.param_grid(X.shape[1])
@@ -142,7 +141,7 @@ def fit_roster_member(config: RunConfig, family: str, train: SeriesFrame,
     else:
         best, table = {}, None
     model = fit_family(family, X, y, best, seed=seed)
-    return FittedEntry(family, model, best, table)
+    return FittedEntry(family, model, table)
 
 
 def forecast_window(entry: FittedEntry, config: RunConfig, train: SeriesFrame,
@@ -177,7 +176,7 @@ def evaluate_split(config: RunConfig, frame: SeriesFrame, test_months: int,
                 raise PipelineError(f"benchmark fit failed: {exc}") from exc
             warn(f"warning: {family} failed on {test_months}-month split: {exc}")
             forecasts[family] = None
-            entries[family] = FittedEntry(family, None, {}, None, error=str(exc))
+            entries[family] = FittedEntry(family, None, None, error=str(exc))
     return train, test, entries, forecasts
 
 

@@ -4,14 +4,16 @@ One split kernel serves both families. Boosting mode scores a split by
 
     gain = 0.5 * (GL^2/(HL + lam) + GR^2/(HR + lam) - G^2/(H + lam))
 
-with leaf weight -G/(H + lam); plain mode is the same kernel run on
-g = -y, h = 1, lam = 0, which makes the gain variance reduction (up to
-the constant 1/2) and the leaf the sample mean. Thresholds sit at the
-midpoint of adjacent sorted values; ties go to the lowest feature index,
-then the lowest threshold, so refits are bit-reproducible.
+with leaf weight -G/(H + lam). Squared loss makes every hessian 1, so H
+is a node's row count. Plain mode is the same kernel run on g = -y,
+lam = 0, which makes the gain variance reduction (up to the constant 1/2)
+and the leaf the sample mean. Thresholds sit at the midpoint of adjacent
+sorted values; ties go to the lowest feature index, then the lowest
+threshold, so refits are bit-reproducible.
 
 A tree is a set of parallel node arrays in preorder (the layout model.json
-stores), and every model here predicts through `.predict(X)`.
+stores; cover is the row count), and every model here predicts through
+`.predict(X)`.
 """
 
 from __future__ import annotations
@@ -97,8 +99,8 @@ class TreeModel:
 class Tree(TreeModel):
     """Node i splits on feature[i] (rows with x <= threshold[i] go to
     children_left[i]) or is a leaf (feature == -1, children -1) predicting
-    value[i]. cover is the hessian sum that reached the node; node 0 is the
-    root and every node precedes its children."""
+    value[i]. cover is the number of rows that reached the node (its
+    hessian sum); node 0 is the root and every node precedes its children."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -281,74 +283,35 @@ def _tree_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
-def _best_split(X, g, h, feature_ids, reg_lambda, min_samples_leaf):
-    """Exact greedy search over midpoints of every candidate column at once;
-    returns (feature, threshold, gain) or None.
+def _best_split(cols, g, reg_lambda, min_samples_leaf):
+    """Exact greedy search over midpoints of every column of `cols` at once;
+    returns (column position, threshold, gain) or None.
 
+    Hessians are 1, so the hessian sum left of a threshold is its row count.
     Each column's gains are its cumulative sums in stable sorted order, so
     column j equals a search over that column alone. Its best threshold is
     its first maximum (the lowest), and the first column holding the overall
-    maximum wins. A column whose first maximum is NaN never wins, nor does
-    one with no valid split (all gains -inf)."""
-    G = g.sum()
-    H = h.sum()
-    parent_score = G * G / (H + reg_lambda)
+    maximum wins. A gain is NaN only when g holds NaN or the parent score
+    overflows; then no gain exceeds -inf, and there is no split."""
     n = len(g)
-    cols = X[:, feature_ids]
+    G = g.sum()
     order = np.argsort(cols, axis=0, kind="stable")
     xs = np.take_along_axis(cols, order, axis=0)
     gl = np.cumsum(g[order], axis=0)[:-1]
-    hl = np.cumsum(h[order], axis=0)[:-1]
+    hl = np.arange(1.0, n)[:, None]
     valid = xs[1:] != xs[:-1]
     if min_samples_leaf > 1:
-        counts = np.arange(1, n)[:, None]
-        valid &= (counts >= min_samples_leaf) & (n - counts >= min_samples_leaf)
+        valid &= (hl >= min_samples_leaf) & (n - hl >= min_samples_leaf)
     gains = 0.5 * (gl * gl / (hl + reg_lambda)
-                   + (G - gl) ** 2 / (H - hl + reg_lambda)
-                   - parent_score)
+                   + (G - gl) ** 2 / (n - hl + reg_lambda)
+                   - G * G / (n + reg_lambda))
     gains[~valid] = -math.inf
-    k = np.argmax(gains, axis=0)  # first max = lowest threshold; NaN wins
-    column_best = gains[k, np.arange(len(k))]
-    column_best[np.isnan(column_best)] = -math.inf
+    column_best = gains.max(axis=0)
     j = int(np.argmax(column_best))
     if not column_best[j] > -math.inf:
         return None
-    threshold = float((xs[k[j], j] + xs[k[j] + 1, j]) / 2.0)
-    return feature_ids[j], threshold, float(column_best[j])
-
-
-def _grow(nodes, X, g, h, depth, max_depth, reg_lambda, min_split_gain,
-          min_samples_leaf, max_features, rng) -> int:
-    """Append this node, then its left and right subtrees, to `nodes` as
-    [feature, threshold, left, right, value, cover] rows; returns its index."""
-    G = g.sum()
-    H = h.sum()
-    node = [-1, 0.0, -1, -1, float(-G / (H + reg_lambda)), float(H)]
-    nodes.append(node)
-    index = len(nodes) - 1
-    if depth >= max_depth or len(g) < 2 * min_samples_leaf or len(g) < 2:
-        return index
-    p = X.shape[1]
-    if max_features is not None and max_features < p:
-        feats = np.sort(rng.choice(p, size=max_features, replace=False))
-    else:
-        feats = np.arange(p)
-    found = _best_split(X, g, h, feats, reg_lambda, min_samples_leaf)
-    # relative epsilon keeps float noise on constant targets from splitting
-    gain_floor = min_split_gain + 1e-12 * (1.0 + abs(G * G / (H + reg_lambda)))
-    if found is None or found[2] <= gain_floor:
-        return index
-    f, thr, _ = found
-    mask = X[:, f] <= thr
-    node[0] = f
-    node[1] = thr
-    node[2] = _grow(nodes, X[mask], g[mask], h[mask], depth + 1, max_depth,
-                    reg_lambda, min_split_gain, min_samples_leaf,
-                    max_features, rng)
-    node[3] = _grow(nodes, X[~mask], g[~mask], h[~mask], depth + 1, max_depth,
-                    reg_lambda, min_split_gain, min_samples_leaf,
-                    max_features, rng)
-    return index
+    k = int(np.argmax(gains[:, j]))  # first max = lowest threshold
+    return j, float((xs[k, j] + xs[k + 1, j]) / 2.0), float(column_best[j])
 
 
 def fit_regression_tree(X, y=None, gradients=None, *, max_depth=6,
@@ -356,8 +319,11 @@ def fit_regression_tree(X, y=None, gradients=None, *, max_depth=6,
                         min_split_gain=0.0, max_features=None,
                         rng=None) -> Tree:
     """Grow one tree. Pass y for plain mode (mean leaves, variance gain) or
-    gradients for boosting mode (leaf weight -G/(H+lam)). Boosting uses
-    squared loss, so every hessian is 1 and H is the node's row count."""
+    gradients for boosting mode (leaf weight -G/(n+lam)); squared loss
+    makes every hessian 1. Nodes pop from one preorder stack of (rows,
+    depth, the node whose right child this is) and push their right child
+    first, so they are numbered, and draw max_features columns, in
+    preorder: a split node's left child is the next node."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("X must be a nonempty 2-d array")
@@ -370,12 +336,37 @@ def fit_regression_tree(X, y=None, gradients=None, *, max_depth=6,
         g = np.asarray(gradients, dtype=float)
     if len(g) != X.shape[0]:
         raise ValueError("row count mismatch")
-    h = np.ones(len(g))
     if rng is None:
         rng = np.random.default_rng(0)
-    nodes = []
-    _grow(nodes, X, g, h, 0, max_depth, reg_lambda, min_split_gain,
-          min_samples_leaf, max_features, rng)
+    p = X.shape[1]
+    draw = max_features is not None and max_features < p
+    feats = np.arange(p)
+    nodes = []  # [feature, threshold, left, right, value, cover] rows
+    stack = [(np.arange(len(g)), 0, None)]
+    while stack:
+        rows, depth, right_of = stack.pop()
+        if right_of is not None:
+            right_of[3] = len(nodes)
+        n = len(rows)
+        node_g = g[rows]
+        G = node_g.sum()
+        node = [-1, 0.0, -1, -1, float(-G / (n + reg_lambda)), float(n)]
+        nodes.append(node)
+        if depth >= max_depth or n < 2 * min_samples_leaf or n < 2:
+            continue
+        if draw:
+            feats = np.sort(rng.choice(p, size=max_features, replace=False))
+        cols = X[np.ix_(rows, feats)]
+        found = _best_split(cols, node_g, reg_lambda, min_samples_leaf)
+        # relative epsilon keeps float noise on constant targets from splitting
+        floor = min_split_gain + 1e-12 * (1.0 + abs(G * G / (n + reg_lambda)))
+        if found is None or found[2] <= floor:
+            continue
+        j, threshold, _ = found
+        node[:3] = feats[j], threshold, len(nodes)
+        left = cols[:, j] <= threshold
+        stack.append((rows[~left], depth + 1, node))
+        stack.append((rows[left], depth + 1, None))
     return Tree(*zip(*nodes))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,8 +67,7 @@ class CvCell:
     params: dict
     mean_mse: float
     sd_mse: float
-    rank: int = 0
-    fold_mse: tuple[float, ...] = field(default=(), repr=False)
+    rank: int
 
 
 def kfold_indices(n: int, plan: CvPlan) -> list[np.ndarray]:
@@ -100,8 +99,9 @@ def grid_search(family: str, grid: ParamGrid, X, y, plan: CvPlan,
         train_idx = np.setdiff1d(all_idx, val_idx, assume_unique=True)
         splits.append((X[train_idx], y[train_idx], X[val_idx], y[val_idx]))
 
-    table: list[CvCell] = []
-    for params in grid.cells():
+    cells = grid.cells()
+    scores = []
+    for params in cells:
         fold_mse = []
         for X_train, y_train, X_val, y_val in splits:
             try:
@@ -114,18 +114,15 @@ def grid_search(family: str, grid: ParamGrid, X, y, plan: CvPlan,
             except ValueError:  # also LinAlgError and the package's errors
                 score = math.inf
             fold_mse.append(score)
-        finite = [v for v in fold_mse if math.isfinite(v)]
-        if len(finite) == len(fold_mse):
-            mean = float(np.mean(fold_mse))
-            sd = float(np.std(fold_mse))
+        if all(math.isfinite(v) for v in fold_mse):
+            scores.append((float(np.mean(fold_mse)), float(np.std(fold_mse))))
         else:
-            mean, sd = math.inf, math.inf
-        table.append(CvCell(params, mean, sd, fold_mse=tuple(fold_mse)))
+            scores.append((math.inf, math.inf))
 
-    order = sorted(range(len(table)), key=lambda i: (table[i].mean_mse, i))
+    order = sorted(range(len(cells)), key=lambda i: (scores[i][0], i))
     ranks = {i: r + 1 for r, i in enumerate(order)}
-    table = [CvCell(c.params, c.mean_mse, c.sd_mse, ranks[i], c.fold_mse)
-             for i, c in enumerate(table)]
+    table = [CvCell(params, *scores[i], ranks[i])
+             for i, params in enumerate(cells)]
     best = table[order[0]]
     if math.isinf(best.mean_mse):
         raise TuningError(f"every {family} grid cell failed")

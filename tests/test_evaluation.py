@@ -67,6 +67,13 @@ class TestPointMetrics:
         with pytest.raises(EvaluationError):
             rmse([1.0], [1.0, 2.0])
 
+    def test_rmse_finite_at_1e160(self):
+        # each squared error overflows, the RMSE does not
+        assert rmse(np.zeros(2), [3e160, 4e160]) == pytest.approx(
+            math.sqrt(12.5) * 1e160, rel=1e-15)
+        assert rmse([-1e160, 1e160], np.zeros(2)) == pytest.approx(1e160,
+                                                                   rel=1e-15)
+
 
 class TestRmseReduction:
     def test_published_rows_within_rounding(self):
@@ -187,6 +194,35 @@ class TestDmTest:
                     == np.float64(want).tobytes())
             scored[res.small_sample] += 1
         assert min(scored.values()) >= 150
+
+
+class TestOverflowScale:
+    SCALE = 2.0 ** 532  # about 1.4e160; a power of two, so scaling is exact
+
+    def test_dm_test_invariant_at_1e160(self):
+        # at 2**340 (about 2e102) the squares are finite but the variance's
+        # fourth powers are not
+        rng = np.random.default_rng(10)
+        for n in (12, 60):
+            a = rng.normal(size=n) * 1.5
+            b = rng.normal(size=n)
+            for h, scale in ((1, self.SCALE), (3, self.SCALE), (1, 2.0 ** 340)):
+                assert dm_test(a * scale, b * scale, h=h) == dm_test(a, b, h=h)
+
+    def test_metric_table_finite_at_1e160(self):
+        rng = np.random.default_rng(11)
+        actual = np.zeros(20)
+        errors = {"arima": rng.normal(size=20), "ridge": 0.5 * rng.normal(size=20)}
+        plain = metric_table(actual, errors, benchmark="arima")
+        big = metric_table(actual, {k: v * self.SCALE for k, v in errors.items()},
+                           benchmark="arima")
+        for p, b in zip(plain, big):
+            assert b.mae == p.mae * self.SCALE
+            assert b.rmse == p.rmse * self.SCALE
+            assert (b.rmse_reduction_pct, b.dm_stat, b.dm_pvalue) == (
+                p.rmse_reduction_pct, p.dm_stat, p.dm_pvalue)
+            assert b.note == p.note == ""
+        assert math.isfinite(big[1].rmse_reduction_pct)
 
 
 class TestMetricTable:

@@ -110,9 +110,19 @@ def brute_force_best_split(X, y):
     return best
 
 
+def split_at(X, g, feature_ids, reg_lambda, min_samples_leaf):
+    """_best_split on the candidate columns, with the winning position
+    mapped back to its feature id, as loop_best_split reports it."""
+    found = _best_split(X[:, feature_ids], g, reg_lambda, min_samples_leaf)
+    if found is None:
+        return None
+    j, threshold, gain = found
+    return feature_ids[j], threshold, gain
+
+
 def random_node(rng):
-    """One split-search input; many nodes tie, hold constant columns, use
-    non-unit or zero hessians, or have reg_lambda 0."""
+    """One split-search input; many nodes tie, hold constant columns, have
+    reg_lambda 0, or carry overflow-scale gradients."""
     n = int(rng.integers(2, 40))
     p = int(rng.integers(1, 9))
     kind = int(rng.integers(0, 3))
@@ -129,67 +139,183 @@ def random_node(rng):
     g = rng.normal(size=n)
     if rng.uniform() < 0.4:
         g = np.round(g)  # integer gradients: equal gains at several thresholds
-    h = np.ones(n) if rng.uniform() < 0.4 else rng.uniform(0.1, 3.0, size=n)
+    if rng.uniform() < 0.15:  # the parent score overflows: gains go NaN
+        g = g * 1e200
     reg_lambda = float(rng.choice([0.0, 1.0]))
-    if rng.uniform() < 0.15:  # zero hessians: with reg_lambda 0 gains go NaN
-        h = np.where(rng.uniform(size=n) < 0.5, 0.0, h)
-        reg_lambda = 0.0
     feats = np.sort(rng.choice(p, size=int(rng.integers(1, p + 1)),
                                replace=False))
-    return X, g, h, feats, reg_lambda, int(rng.integers(1, 4))
+    return X, g, feats, reg_lambda, int(rng.integers(1, 4))
 
 
 class TestSplitSearch:
     def test_matches_loop_on_random_nodes(self):
         rng = np.random.default_rng(30)
         found = nan_nodes = 0
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(1500):
-                args = random_node(rng)
-                expected = loop_best_split(*args)
-                assert _best_split(*args) == expected
+                X, g, feats, reg_lambda, msl = random_node(rng)
+                expected = loop_best_split(X, g, np.ones(len(g)), feats,
+                                           reg_lambda, msl)
+                assert split_at(X, g, feats, reg_lambda, msl) == expected
                 found += expected is not None
-                nan_nodes += (args[4] == 0.0) and not args[2].all()
-        # the mix reaches both outcomes and the zero-hessian branch
+                nan_nodes += not math.isfinite(g.sum() ** 2)
+        # the mix reaches both outcomes and the overflow branch
         assert 500 < found < 1500
         assert nan_nodes > 50
 
     def test_tie_across_features_takes_lowest_feature(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         g = np.array([-1.0, -1.0, 1.0, 1.0])
-        h = np.ones(4)
-        split = _best_split(X, g, h, np.arange(2), 0.0, 1)
-        assert split == loop_best_split(X, g, h, np.arange(2), 0.0, 1)
+        split = split_at(X, g, np.arange(2), 0.0, 1)
+        assert split == loop_best_split(X, g, np.ones(4), np.arange(2), 0.0, 1)
         assert split[:2] == (0, 1.5)
 
     def test_tie_across_thresholds_takes_lowest_threshold(self):
         # splits after row 1 and after row 3 score the same
         X = np.arange(6, dtype=float)[:, None]
         g = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
-        h = np.ones(6)
-        split = _best_split(X, g, h, np.arange(1), 0.0, 1)
-        assert split == loop_best_split(X, g, h, np.arange(1), 0.0, 1)
+        split = split_at(X, g, np.arange(1), 0.0, 1)
+        assert split == loop_best_split(X, g, np.ones(6), np.arange(1), 0.0, 1)
         assert split[1] == 1.5
 
     def test_nan_column_max_is_skipped(self):
-        # column 0: a 0/0 gain ranks first in argmax; column 1 finite
+        # G*G overflows, so column 0's first gain is inf - inf = NaN and
+        # ranks first in argmax; every other gain is NaN or -inf
         X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 1.0]])
-        g = np.array([0.0, 1.0, -1.0, 2.0])
-        h = np.array([0.0, 1.0, 1.0, 1.0])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            split = _best_split(X, g, h, np.arange(2), 0.0, 1)
-            assert split == loop_best_split(X, g, h, np.arange(2), 0.0, 1)
-        assert split[0] == 1
+        g = np.array([0.0, 1.0, -1.0, 2.0]) * 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            split = split_at(X, g, np.arange(2), 0.0, 1)
+            assert split == loop_best_split(X, g, np.ones(4), np.arange(2),
+                                            0.0, 1)
+        assert split is None
 
     def test_all_constant_columns_no_split(self):
         X = np.full((5, 3), 2.0)
         g = np.arange(5, dtype=float)
-        assert _best_split(X, g, np.ones(5), np.arange(3), 0.0, 1) is None
+        assert split_at(X, g, np.arange(3), 0.0, 1) is None
 
     def test_min_samples_leaf_excludes_every_split(self):
         X = np.arange(5, dtype=float)[:, None]
         g = np.arange(5, dtype=float)
-        assert _best_split(X, g, np.ones(5), np.arange(1), 0.0, 3) is None
+        assert split_at(X, g, np.arange(1), 0.0, 3) is None
+
+
+NODE_ARRAYS = ("feature", "threshold", "children_left", "children_right",
+               "value", "cover")
+
+
+def recursive_grow(nodes, X, g, h, depth, max_depth, reg_lambda,
+                   min_split_gain, min_samples_leaf, max_features, rng):
+    """Reference oracle: the recursive grower the preorder stack replaced.
+    It copies X, g and the all-ones hessians h into both children and
+    appends [feature, threshold, left, right, value, cover] rows to
+    `nodes`; returns the node's index."""
+    G = g.sum()
+    H = h.sum()
+    node = [-1, 0.0, -1, -1, float(-G / (H + reg_lambda)), float(H)]
+    nodes.append(node)
+    index = len(nodes) - 1
+    if depth >= max_depth or len(g) < 2 * min_samples_leaf or len(g) < 2:
+        return index
+    p = X.shape[1]
+    if max_features is not None and max_features < p:
+        feats = np.sort(rng.choice(p, size=max_features, replace=False))
+    else:
+        feats = np.arange(p)
+    found = loop_best_split(X, g, h, feats, reg_lambda, min_samples_leaf)
+    gain_floor = min_split_gain + 1e-12 * (1.0 + abs(G * G / (H + reg_lambda)))
+    if found is None or found[2] <= gain_floor:
+        return index
+    f, thr, _ = found
+    mask = X[:, f] <= thr
+    node[0] = f
+    node[1] = thr
+    node[2] = recursive_grow(nodes, X[mask], g[mask], h[mask], depth + 1,
+                             max_depth, reg_lambda, min_split_gain,
+                             min_samples_leaf, max_features, rng)
+    node[3] = recursive_grow(nodes, X[~mask], g[~mask], h[~mask], depth + 1,
+                             max_depth, reg_lambda, min_split_gain,
+                             min_samples_leaf, max_features, rng)
+    return index
+
+
+def recursive_fit_tree(X, y=None, gradients=None, *, max_depth=6,
+                       min_samples_leaf=1, reg_lambda=0.0, min_split_gain=0.0,
+                       max_features=None, rng=None) -> Tree:
+    """fit_regression_tree as the recursive oracle grows it."""
+    X = np.asarray(X, dtype=float)
+    if y is not None:
+        g = -np.asarray(y, dtype=float)
+        reg_lambda = 0.0
+    else:
+        g = np.asarray(gradients, dtype=float)
+    nodes = []
+    recursive_grow(nodes, X, g, np.ones(len(g)), 0, max_depth, reg_lambda,
+                   min_split_gain, min_samples_leaf, max_features, rng)
+    return Tree(*zip(*nodes))
+
+
+def random_problem(rng):
+    """fit_regression_tree arguments over plain and boosting mode,
+    max_features draws, min_samples_leaf 1-3, reg_lambda, min_split_gain,
+    ties, constant targets and overflow-scale gradients; returns
+    (X, kwargs, seed)."""
+    n = int(rng.integers(1, 40))
+    p = int(rng.integers(1, 6))
+    kind = int(rng.integers(0, 3))
+    if kind == 0:  # coarse grid: ties across thresholds and features
+        X = rng.choice([0.0, 1.0, 2.0], size=(n, p))
+    elif kind == 1:
+        X = np.round(rng.normal(size=(n, p)), 1)
+    else:
+        X = rng.normal(size=(n, p))
+    if p > 1 and rng.uniform() < 0.3:  # duplicated column: a tie across features
+        X[:, int(rng.integers(1, p))] = X[:, 0]
+    target = rng.normal(size=n)
+    if rng.uniform() < 0.4:
+        target = np.round(target)  # equal gains at several thresholds
+    elif rng.uniform() < 0.2:  # constant: only float noise could split it
+        target = np.full(n, rng.normal())
+    kwargs = dict(
+        max_depth=int(rng.integers(0, 7)),
+        min_samples_leaf=int(rng.integers(1, 4)),
+        reg_lambda=float(rng.choice([0.0, 0.5, 1.0, 2.0])),
+        min_split_gain=float(rng.choice([0.0, 0.0, 0.05, 0.5])),
+        # p + 1 asks for more columns than there are: all are searched
+        max_features=(None if rng.uniform() < 0.4
+                      else int(rng.integers(1, p + 2))))
+    if rng.uniform() < 0.5:
+        kwargs["y"] = target
+    else:
+        if rng.uniform() < 0.1:  # the parent score overflows: no split
+            target = target * 1e200
+        kwargs["gradients"] = target
+    return X, kwargs, int(rng.integers(0, 2 ** 31))
+
+
+class TestPreorderGrowth:
+    def test_node_arrays_equal_recursive_oracle(self):
+        rng = np.random.default_rng(31)
+        reached = dict(plain=0, boosting=0, drawn=0, min_leaf=0, overflow=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(600):
+                X, kwargs, seed = random_problem(rng)
+                tree = fit_regression_tree(
+                    X, rng=np.random.default_rng(seed), **kwargs)
+                oracle = recursive_fit_tree(
+                    X, rng=np.random.default_rng(seed), **kwargs)
+                for name in NODE_ARRAYS:
+                    a, b = getattr(tree, name), getattr(oracle, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+                split = len(tree.feature) > 1
+                mode = "plain" if "y" in kwargs else "boosting"
+                reached[mode] += split
+                reached["drawn"] += split and (kwargs["max_features"] or 9) < X.shape[1]
+                reached["min_leaf"] += split and kwargs["min_samples_leaf"] > 1
+                reached["overflow"] += mode == "boosting" and not np.isfinite(
+                    kwargs["gradients"].sum() ** 2)
+        # every axis is reached by trees that split (overflow never splits)
+        assert min(reached.values()) >= 20, reached
 
 
 class TestSingleTree:
