@@ -15,6 +15,11 @@ the innovations for the CSS objective, `forecast` and the AIC of order
 selection: the lagged design of w depends on the order alone, so each
 evaluation only expands the polynomials, multiplies and filters.
 
+Innovations are linear in w and the intercept. So when w reaches 2**250,
+where its squares would soon overflow, `fit_css` and the selection AIC work
+on w divided by a power of two, exactly, and scale the intercept, the sums
+of squares and the AIC back; `forecast` needs no scaling.
+
 Each evaluation reads the parameters once, as a list of Python floats,
 and `_expand` expands a lag polynomial from it by scattering each
 coefficient and each nonseasonal-by-seasonal product to its own lag. No
@@ -44,6 +49,8 @@ from operator import add
 from typing import NamedTuple
 
 import numpy as np
+
+from .evaluation import pow2_scaled
 
 
 class ArimaError(ValueError):
@@ -325,7 +332,8 @@ def fit_css(y, order: ArimaOrder, seed: int = 0) -> ArimaFit:
     if len(y) < needed:
         raise ArimaError(f"need at least {needed} observations for "
                          f"{order.label()}, got {len(y)}")
-    w = difference(y, order.d, order.D, order.s)
+    # w / 2**k from 2**250 up, so that squares stay finite (module docstring)
+    (w,), unit = pow2_scaled(difference(y, order.d, order.D, order.s))
 
     dim = order.n_params
     rng = np.random.default_rng(seed)
@@ -354,13 +362,15 @@ def fit_css(y, order: ArimaOrder, seed: int = 0) -> ArimaFit:
     css = float(best.fun)
     scale = 1.0 + float(w @ w) / len(w)
     sigma2 = max(css / n_eff, 1e-13 * scale)  # floor absorbs optimizer noise
-    aic = n_eff * math.log(sigma2) + 2.0 * (dim + 1)
+    aic = n_eff * (math.log(sigma2) + 2.0 * math.log(unit)) + 2.0 * (dim + 1)
 
     ar_ok = _poly_roots_outside_unit(_ar_lags(phi, sphi, order.s))
     ma_ok = _poly_roots_outside_unit(-_ma_lags(th, sth, order.s))
-    return ArimaFit(order, float(c), tuple(phi), tuple(th), tuple(sphi),
-                    tuple(sth), sigma2, css, float(aic), converged, n_eff,
-                    tuple(start_css), ar_ok, ma_ok)
+    # sums of squares in y's units (inf beyond the float range)
+    return ArimaFit(order, float(c) * unit, tuple(phi), tuple(th),
+                    tuple(sphi), tuple(sth), sigma2 * unit * unit,
+                    css * unit * unit, float(aic), converged, n_eff,
+                    tuple(v * unit * unit for v in start_css), ar_ok, ma_ok)
 
 
 def forecast(fit: ArimaFit, y, h: int) -> np.ndarray:
@@ -424,8 +434,10 @@ def _common_window_aic(fit: ArimaFit, y, drop_front: int) -> float:
     """AIC over the innovations whose original-series index is >= drop_front,
     so candidates with different conditioning depths stay comparable."""
     order = fit.order
-    w = difference(y, order.d, order.D, order.s)
-    e = _innovations(w, order)(fit.theta)
+    (w,), unit = pow2_scaled(difference(y, order.d, order.D, order.s))
+    theta = fit.theta
+    theta[0] /= unit  # the intercept in the units fit_css fitted it in
+    e = _innovations(w, order)(theta)
     # innovation t sits at original index d + D*s + k_ar + t
     skip = drop_front - (order.d + order.D * order.s + order.k_ar)
     e = e[max(skip, 0):]
@@ -433,7 +445,8 @@ def _common_window_aic(fit: ArimaFit, y, drop_front: int) -> float:
         return math.inf
     scale = 1.0 + float(w @ w) / len(w)
     sigma2 = max(float(e @ e) / len(e), 1e-13 * scale)
-    return len(e) * math.log(sigma2) + 2.0 * (order.n_params + 1)
+    return (len(e) * (math.log(sigma2) + 2.0 * math.log(unit))
+            + 2.0 * (order.n_params + 1))
 
 
 def select_order(y, candidates, seed: int = 0) -> ArimaFit:

@@ -40,19 +40,20 @@ def mae(actual, pred) -> float:
     return float(np.abs(a - p).mean())
 
 
-def _scaled(*errors):
+def pow2_scaled(*errors):
     """(errors / 2**k, 2**k): k is 0 while the largest magnitude is below
     2**250 (fourth powers summed over 2**20 rows stay finite) or not
-    finite, else the exponent that brings it below 1. The division is
-    exact, and the DM statistic and p-value do not depend on k."""
+    finite, else the exponent that brings it into [1, 2), so 2**k is at
+    most 2**1023. The division is exact, and the DM statistic and p-value
+    do not depend on k."""
     big = max(float(np.abs(e).max()) for e in errors)
-    k = math.frexp(big)[1] if 2.0 ** 250 <= big < math.inf else 0
+    k = math.frexp(big)[1] - 1 if 2.0 ** 250 <= big < math.inf else 0
     return [e / 2.0 ** k for e in errors], 2.0 ** k
 
 
 def rmse(actual, pred) -> float:
     a, p = _check_pair(actual, pred)
-    (e,), scale = _scaled(a - p)
+    (e,), scale = pow2_scaled(a - p)
     return float(np.sqrt((e ** 2).mean()) * scale)
 
 
@@ -93,7 +94,7 @@ def dm_test(errors_a, errors_b, h: int = 1,
     if small_sample is None:
         small_sample = n < SMALL_SAMPLE_N
 
-    (a, b), _ = _scaled(a, b)
+    (a, b), _ = pow2_scaled(a, b)
     d = a * a - b * b
     if not d.any():
         return DmResult(0.0, 1.0, n, h - 1, small_sample)
@@ -162,7 +163,9 @@ def metric_table(actual, forecasts: dict, benchmark: str,
         except EvaluationError as exc:
             dm_stat = dm_p = None
             note = f"dm skipped: {exc}"
-        rows.append(MetricRow(name, mae(actual, pred), model_rmse,
-                              rmse_reduction(bench_rmse, model_rmse),
+        # a benchmark that forecast every month exactly leaves no reduction
+        reduction = (rmse_reduction(bench_rmse, model_rmse)
+                     if bench_rmse > 0 else None)
+        rows.append(MetricRow(name, mae(actual, pred), model_rmse, reduction,
                               dm_stat, dm_p, note=note))
     return rows

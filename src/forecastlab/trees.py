@@ -11,6 +11,11 @@ and the leaf the sample mean. Thresholds sit at the midpoint of adjacent
 sorted values; ties go to the lowest feature index, then the lowest
 threshold, so refits are bit-reproducible.
 
+Split search reads presorted column blocks, the exact greedy layout of
+Chen & Guestrin (2016, KDD, sec. 4.1): each tree stable-sorts its columns
+once, at the root, and a child's block is its parent's, filtered by the
+split, so no node sorts.
+
 A tree is a set of parallel node arrays in preorder (the layout model.json
 stores; cover is the row count), and every model here predicts through
 `.predict(X)`.
@@ -21,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -283,35 +288,44 @@ def _tree_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
-def _best_split(cols, g, reg_lambda, min_samples_leaf):
-    """Exact greedy search over midpoints of every column of `cols` at once;
-    returns (column position, threshold, gain) or None.
+@lru_cache(maxsize=1024)
+def _side_counts(n: int, reg_lambda: float) -> tuple[np.ndarray, np.ndarray]:
+    """(hl + lam, n - hl + lam) for the row counts hl = 1..n-1 left of each
+    threshold of an n-row node; read-only, as every such node shares them."""
+    hl = np.arange(1.0, n)
+    out = (hl + reg_lambda, n - hl + reg_lambda)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
-    Hessians are 1, so the hessian sum left of a threshold is its row count.
-    Each column's gains are its cumulative sums in stable sorted order, so
-    column j equals a search over that column alone. Its best threshold is
-    its first maximum (the lowest), and the first column holding the overall
-    maximum wins. A gain is NaN only when g holds NaN or the parent score
-    overflows; then no gain exceeds -inf, and there is no split."""
-    n = len(g)
-    G = g.sum()
-    order = np.argsort(cols, axis=0, kind="stable")
-    xs = np.take_along_axis(cols, order, axis=0)
-    gl = np.cumsum(g[order], axis=0)[:-1]
-    hl = np.arange(1.0, n)[:, None]
-    valid = xs[1:] != xs[:-1]
-    if min_samples_leaf > 1:
-        valid &= (hl >= min_samples_leaf) & (n - hl >= min_samples_leaf)
-    gains = 0.5 * (gl * gl / (hl + reg_lambda)
-                   + (G - gl) ** 2 / (n - hl + reg_lambda)
+
+def _best_split(xs, gs, G, reg_lambda, min_samples_leaf):
+    """Exact greedy search over midpoints of presorted columns; returns
+    (column position, threshold, gain) or None.
+
+    Row j of xs is one candidate column's values in stable sorted order,
+    row j of gs the node's gradients in that order, and G their sum in
+    row-index order. Hessians are 1, so the hessian sum left of a threshold
+    is its row count. Row j's gains are its cumulative sums, so it equals
+    a search over that column alone. The first maximum in row-major order
+    wins: the first row holding the overall maximum, at its lowest
+    threshold. A gain is NaN only when gs holds NaN or the parent score
+    overflows; then the first NaN is that maximum, and there is no split."""
+    n = xs.shape[1]
+    gl = gs[:, :-1].cumsum(axis=1)
+    left, right = _side_counts(n, reg_lambda)
+    invalid = xs[:, 1:] == xs[:, :-1]
+    if min_samples_leaf > 1:  # a side would hold fewer rows
+        invalid[:, :min_samples_leaf - 1] = True
+        invalid[:, n - min_samples_leaf:] = True
+    gains = 0.5 * (gl * gl / left + (G - gl) ** 2 / right
                    - G * G / (n + reg_lambda))
-    gains[~valid] = -math.inf
-    column_best = gains.max(axis=0)
-    j = int(np.argmax(column_best))
-    if not column_best[j] > -math.inf:
+    np.putmask(gains, invalid, -math.inf)
+    j, k = divmod(int(gains.argmax()), n - 1)
+    best = gains[j, k]
+    if not best > -math.inf:
         return None
-    k = int(np.argmax(gains[:, j]))  # first max = lowest threshold
-    return j, float((xs[k, j] + xs[k + 1, j]) / 2.0), float(column_best[j])
+    return j, float((xs[j, k] + xs[j, k + 1]) / 2.0), float(best)
 
 
 def fit_regression_tree(X, y=None, gradients=None, *, max_depth=6,
@@ -320,10 +334,18 @@ def fit_regression_tree(X, y=None, gradients=None, *, max_depth=6,
                         rng=None) -> Tree:
     """Grow one tree. Pass y for plain mode (mean leaves, variance gain) or
     gradients for boosting mode (leaf weight -G/(n+lam)); squared loss
-    makes every hessian 1. Nodes pop from one preorder stack of (rows,
-    depth, the node whose right child this is) and push their right child
-    first, so they are numbered, and draw max_features columns, in
-    preorder: a split node's left child is the next node."""
+    makes every hessian 1.
+
+    Each column is stable-sorted once, at the root. A node's rows are
+    ascending, and row c of its (p, rows) block holds the same rows in
+    column c's sorted order. A child's block is its parent's, each row
+    filtered by the split mask: a stable partition, so it is what a stable
+    sort of the child's rows would give. Nodes pop from one preorder stack
+    of (rows, parent block, split mask, depth, the node whose right child
+    this is), so only a node that may split filters its block; the root's
+    entry holds its own block and the mask slice(None). Nodes push their
+    right child first, so they are numbered, and draw max_features
+    columns, in preorder: a split node's left child is the next node."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("X must be a nonempty 2-d array")
@@ -341,32 +363,41 @@ def fit_regression_tree(X, y=None, gradients=None, *, max_depth=6,
     p = X.shape[1]
     draw = max_features is not None and max_features < p
     feats = np.arange(p)
+    XT = X.T.copy()
+    min_rows = max(2, 2 * min_samples_leaf)
     nodes = []  # [feature, threshold, left, right, value, cover] rows
-    stack = [(np.arange(len(g)), 0, None)]
+    stack = [(np.arange(len(g)), XT.argsort(axis=1, kind="stable"),
+              slice(None), 0, None)]
     while stack:
-        rows, depth, right_of = stack.pop()
+        rows, blk, keep, depth, right_of = stack.pop()
         if right_of is not None:
             right_of[3] = len(nodes)
         n = len(rows)
-        node_g = g[rows]
-        G = node_g.sum()
+        G = np.add.reduce(g[rows])  # in row order: a sorted sum has other bits
         node = [-1, 0.0, -1, -1, float(-G / (n + reg_lambda)), float(n)]
         nodes.append(node)
-        if depth >= max_depth or n < 2 * min_samples_leaf or n < 2:
+        if depth >= max_depth or n < min_rows:
             continue
+        blk = blk[keep].reshape(p, n)
         if draw:
-            feats = np.sort(rng.choice(p, size=max_features, replace=False))
-        cols = X[np.ix_(rows, feats)]
-        found = _best_split(cols, node_g, reg_lambda, min_samples_leaf)
+            feats = rng.choice(p, size=max_features, replace=False)
+            feats.sort()
+            cand = blk[feats]
+        else:
+            cand = blk
+        found = _best_split(XT[feats[:, None], cand], g[cand], G, reg_lambda,
+                            min_samples_leaf)
         # relative epsilon keeps float noise on constant targets from splitting
         floor = min_split_gain + 1e-12 * (1.0 + abs(G * G / (n + reg_lambda)))
         if found is None or found[2] <= floor:
             continue
         j, threshold, _ = found
         node[:3] = feats[j], threshold, len(nodes)
-        left = cols[:, j] <= threshold
-        stack.append((rows[~left], depth + 1, node))
-        stack.append((rows[left], depth + 1, None))
+        x = XT[feats[j]]
+        left = x[rows] <= threshold
+        go = x[blk] <= threshold
+        stack.append((rows[~left], blk, ~go, depth + 1, node))
+        stack.append((rows[left], blk, go, depth + 1, None))
     return Tree(*zip(*nodes))
 
 

@@ -24,6 +24,7 @@ from forecastlab.arima import (
     forecast,
     select_order,
 )
+from forecastlab.evaluation import pow2_scaled
 
 
 def sim_ar1(phi, c, n, seed, burn=50):
@@ -690,6 +691,38 @@ class TestFitCss:
         y = np.cumsum(rng.normal(size=300))  # random walk, phi ~ 1
         fit = fit_css(y, ArimaOrder(1, 0, 0), seed=0)
         assert abs(fit.ar[0]) > 0.95
+
+
+class TestOverflowScale:
+    """A differenced series at or above 2**250 is fitted divided by a power
+    of two, so the CSS and AIC stay finite and the simplex leaves its start."""
+
+    ORDERS = [ArimaOrder(1, 0, 0), ArimaOrder(0, 1, 1), ArimaOrder(2, 1, 0),
+              ArimaOrder(1, 0, 1, 1, 0, 0, 12)]
+
+    def test_fit_equals_fit_of_divided_series(self):
+        y = fixture_series(21) * 2.0 ** 530  # about 3.5e159
+        for order in self.ORDERS:
+            (_,), unit = pow2_scaled(difference(y, order.d, order.D, order.s))
+            assert unit > 2.0 ** 250
+            fit = fit_css(y, order, seed=3)
+            small = fit_css(y / unit, order, seed=3)
+            coefs = lambda f: np.array([*f.ar, *f.ma, *f.sar, *f.sma]).tobytes()
+            assert coefs(fit) == coefs(small)
+            assert fit.intercept == small.intercept * unit
+            assert fit.css == small.css * unit * unit
+            assert fit.converged == small.converged
+            assert fit.aic == pytest.approx(
+                small.aic + 2 * fit.n_eff * math.log(unit), rel=1e-12)
+            fc = forecast(fit, y, 12)
+            assert np.isfinite(fc).all()
+            np.testing.assert_array_equal(fc, forecast(small, y / unit, 12) * unit)
+
+    def test_selection_finite_and_converged(self):
+        y = fixture_series(22) * 2.0 ** 530
+        best = select_order(y, self.ORDERS, seed=0)
+        assert best.converged and math.isfinite(best.aic)
+        assert np.isfinite(forecast(best, y, 6)).all()
 
 
 class TestForecast:

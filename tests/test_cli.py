@@ -8,19 +8,21 @@ import numpy as np
 import pytest
 
 from forecastlab.cli import main
-from forecastlab.arima import ArimaOrder, default_order_candidates
+from forecastlab import pipeline
+from forecastlab.arima import ArimaOrder, default_order_candidates, fit_css
 from forecastlab.config import (
     ConfigError,
     DataSpec,
     DmOptions,
     ExplainOptions,
+    derive_seed,
     load_config,
     parse_config,
 )
-from forecastlab.dataset import ColumnSchema, SynthSpec, default_schema
+from forecastlab.dataset import ColumnSchema, SynthSpec, chrono_split, default_schema
 from forecastlab.families import FAMILIES, fit_family
 from forecastlab.tuning import CvPlan
-from forecastlab.evaluation import rmse_reduction
+from forecastlab.evaluation import pow2_scaled, rmse_reduction
 
 
 def write_config(path, **overrides):
@@ -91,6 +93,29 @@ class TestRun:
         assert len(rows) == 1
         assert rows[0][0] == "arima"
         assert rows[0][3] == ""
+
+    def test_target_near_1e160_forecast_by_arima(self, tmp_path):
+        # CSS squares of the series overflow, so arima fits it divided by a
+        # power of two: the same coefficients, and forecasts of its level
+        # instead of the all-zero start
+        cfg = write_config(
+            tmp_path, schema={"target": "INF", "features": ["ATMD", "CC", "IR"]},
+            data={"synth": {"intercept": 1e160}},
+            roster={"arima": {"candidates": [[1, 0, 0]]},
+                    "ridge": {"grid": {"lam": [0.1]}}})
+        assert main(["run", "--config", cfg]) == 0
+        _, rows = read_csv(tmp_path / "out" / "forecasts.csv")
+        actual = [float(r[1]) for r in rows]
+        assert [float(r[2]) for r in rows] == pytest.approx(actual, rel=1e-12)
+        config, _ = load_config(cfg)
+        y = chrono_split(pipeline.load_data(config), 16)[0].column("INF")
+        (_,), unit = pow2_scaled(y)
+        seed = derive_seed(config.seed, "arima", 16)
+        fit = fit_css(y, ArimaOrder(1, 0, 0), seed=seed)
+        small = fit_css(y / unit, ArimaOrder(1, 0, 0), seed=seed)
+        assert unit > 1.0 and fit.ar != (0.0,)
+        assert np.array(fit.ar).tobytes() == np.array(small.ar).tobytes()
+        assert fit.intercept == small.intercept * unit
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -74,6 +74,10 @@ class TestPointMetrics:
         assert rmse([-1e160, 1e160], np.zeros(2)) == pytest.approx(1e160,
                                                                    rel=1e-15)
 
+    def test_rmse_finite_near_float_max(self):
+        # 2**1024 is not a float, so the scaling stops at 2**1023
+        assert rmse([1.5e308, -1.5e308], np.zeros(2)) == 1.5e308
+
 
 class TestRmseReduction:
     def test_published_rows_within_rounding(self):
@@ -226,6 +230,13 @@ class TestOverflowScale:
 
 
 class TestMetricTable:
+    def test_exact_benchmark_leaves_reduction_blank(self):
+        actual = np.arange(16.0)
+        rows = metric_table(actual, {"arima": actual.copy(),
+                                     "ridge": actual + 0.5}, benchmark="arima")
+        assert (rows[0].rmse, rows[1].rmse) == (0.0, 0.5)
+        assert rows[1].rmse_reduction_pct is None
+
     def test_layout_benchmark_first_blank_cells(self):
         rng = np.random.default_rng(8)
         actual = rng.normal(size=16)

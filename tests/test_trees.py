@@ -111,9 +111,13 @@ def brute_force_best_split(X, y):
 
 
 def split_at(X, g, feature_ids, reg_lambda, min_samples_leaf):
-    """_best_split on the candidate columns, with the winning position
-    mapped back to its feature id, as loop_best_split reports it."""
-    found = _best_split(X[:, feature_ids], g, reg_lambda, min_samples_leaf)
+    """_best_split on the candidate columns, stable-sorted as a node's
+    block holds them, with the winning position mapped back to its
+    feature id, as loop_best_split reports it."""
+    cols = X[:, feature_ids].T
+    order = np.argsort(cols, axis=1, kind="stable")
+    found = _best_split(np.take_along_axis(cols, order, axis=1), g[order],
+                        g.sum(), reg_lambda, min_samples_leaf)
     if found is None:
         return None
     j, threshold, gain = found
@@ -258,9 +262,11 @@ def recursive_fit_tree(X, y=None, gradients=None, *, max_depth=6,
 def random_problem(rng):
     """fit_regression_tree arguments over plain and boosting mode,
     max_features draws, min_samples_leaf 1-3, reg_lambda, min_split_gain,
-    ties, constant targets and overflow-scale gradients; returns
-    (X, kwargs, seed)."""
-    n = int(rng.integers(1, 40))
+    ties, constant targets, overflow-scale gradients and bootstrap samples
+    (repeated rows, as a forest draws them); returns (X, kwargs, seed,
+    whether the rows were resampled)."""
+    boot = rng.uniform() < 0.3
+    n = int(rng.integers(1, 120 if boot else 40))  # bootstraps forest-sized
     p = int(rng.integers(1, 6))
     kind = int(rng.integers(0, 3))
     if kind == 0:  # coarse grid: ties across thresholds and features
@@ -276,6 +282,9 @@ def random_problem(rng):
         target = np.round(target)  # equal gains at several thresholds
     elif rng.uniform() < 0.2:  # constant: only float noise could split it
         target = np.full(n, rng.normal())
+    if boot:  # repeated rows: equal rows at different indices
+        idx = rng.integers(0, n, size=n)
+        X, target = X[idx], target[idx]
     kwargs = dict(
         max_depth=int(rng.integers(0, 7)),
         min_samples_leaf=int(rng.integers(1, 4)),
@@ -290,32 +299,56 @@ def random_problem(rng):
         if rng.uniform() < 0.1:  # the parent score overflows: no split
             target = target * 1e200
         kwargs["gradients"] = target
-    return X, kwargs, int(rng.integers(0, 2 ** 31))
+    return X, kwargs, int(rng.integers(0, 2 ** 31)), boot
 
 
 class TestPreorderGrowth:
     def test_node_arrays_equal_recursive_oracle(self):
         rng = np.random.default_rng(31)
-        reached = dict(plain=0, boosting=0, drawn=0, min_leaf=0, overflow=0)
+        reached = dict(plain=0, boosting=0, drawn=0, min_leaf=0, overflow=0,
+                       bootstrap=0)
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(600):
-                X, kwargs, seed = random_problem(rng)
-                tree = fit_regression_tree(
-                    X, rng=np.random.default_rng(seed), **kwargs)
-                oracle = recursive_fit_tree(
-                    X, rng=np.random.default_rng(seed), **kwargs)
+                X, kwargs, seed, boot = random_problem(rng)
+                tree_rng = np.random.default_rng(seed)
+                oracle_rng = np.random.default_rng(seed)
+                tree = fit_regression_tree(X, rng=tree_rng, **kwargs)
+                oracle = recursive_fit_tree(X, rng=oracle_rng, **kwargs)
                 for name in NODE_ARRAYS:
                     a, b = getattr(tree, name), getattr(oracle, name)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+                # the same draws, in the same order
+                assert (tree_rng.bit_generator.state
+                        == oracle_rng.bit_generator.state)
                 split = len(tree.feature) > 1
                 mode = "plain" if "y" in kwargs else "boosting"
                 reached[mode] += split
                 reached["drawn"] += split and (kwargs["max_features"] or 9) < X.shape[1]
                 reached["min_leaf"] += split and kwargs["min_samples_leaf"] > 1
+                reached["bootstrap"] += split and boot
                 reached["overflow"] += mode == "boosting" and not np.isfinite(
                     kwargs["gradients"].sum() ** 2)
         # every axis is reached by trees that split (overflow never splits)
         assert min(reached.values()) >= 20, reached
+
+    def test_forest_trees_equal_recursive_oracle(self):
+        # bootstrap rows repeat, and a coarse grid ties distinct rows in
+        # every column: ties a stable sort keeps in row-index order, and
+        # columns that induce one partition with sums of different bits
+        rng = np.random.default_rng(32)
+        X = rng.choice([0.0, 1.0, 2.0], size=(68, 6))
+        y = rng.normal(size=68)
+        params = ForestParams(n_estimators=40, max_depth=6, max_features=4,
+                              seed=5)
+        forest = fit_random_forest(X, y, params)
+        for t, tree in enumerate(forest.trees):
+            tree_rng = _tree_rng(params.seed, t)
+            idx = tree_rng.integers(0, 68, size=68)
+            oracle = recursive_fit_tree(X[idx], y[idx], max_depth=6,
+                                        max_features=4, rng=tree_rng)
+            for name in NODE_ARRAYS:
+                a, b = getattr(tree, name), getattr(oracle, name)
+                assert a.tobytes() == b.tobytes(), (t, name)
 
 
 class TestSingleTree:
