@@ -86,15 +86,6 @@ class LinearModel:
         return self.intercept + X @ self.coefficients
 
 
-def elastic_net_objective(X, y, intercept, beta, penalty: PenaltySpec) -> float:
-    n = len(y)
-    r = y - intercept - X @ beta
-    loss = 0.5 * float(r @ r) / n
-    pen = penalty.lam * (penalty.alpha * float(np.abs(beta).sum())
-                         + 0.5 * (1.0 - penalty.alpha) * float(beta @ beta))
-    return loss + pen
-
-
 def _fit_unpenalized(X, y):
     """Normal equations; near-singular designs get a 1e-10 ridge jitter."""
     n = X.shape[0]
@@ -187,10 +178,3 @@ def fit_linear(X, y, penalty: PenaltySpec,
 
     return LinearModel(b, np.array(coef, dtype=float), penalty,
                        standardization, converged=converged, n_sweeps=sweeps)
-
-
-def lambda_max(X, y) -> float:
-    """Smallest lasso lambda annihilating every coefficient: max_j |x_j'(y-ybar)|/n."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return float(np.abs(X.T @ (y - y.mean())).max()) / len(y)

@@ -66,13 +66,6 @@ def kernel_matrix(spec: KernelSpec, A, B, gamma: float) -> np.ndarray:
     return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
-def dual_objective(beta, K, y, epsilon) -> float:
-    """Maximization-form dual value of a coefficient vector."""
-    beta = np.asarray(beta, dtype=float)
-    return float(-0.5 * beta @ K @ beta - epsilon * np.abs(beta).sum()
-                 + np.asarray(y, dtype=float) @ beta)
-
-
 @dataclass(frozen=True)
 class SvrModel:
     support_rows: np.ndarray  # all training rows; zero-coef rows are non-SVs

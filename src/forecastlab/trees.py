@@ -18,7 +18,8 @@ split, so no node sorts.
 
 A tree is a set of parallel node arrays in preorder (the layout model.json
 stores; cover is the row count), and every model here predicts through
-`.predict(X)`.
+`.predict(X)`. TreeSHAP reads one leaf-path table per explained model,
+built in one walk of its trees; no tree keeps a table of its own.
 """
 
 from __future__ import annotations
@@ -39,62 +40,71 @@ _NODE_ARRAYS = (("feature", np.intp), ("threshold", float),
 
 
 class LeafPaths(NamedTuple):
-    """A tree's root-to-leaf paths, one row per leaf (in preorder), padded
-    to the tree's depth. Step k of leaf l tests
-    `x[feature[l, k]] <= threshold[l, k]`, and a row follows the path there
-    when the outcome equals go_left[l, k]. Padding steps (feature 0,
-    threshold NaN, go_left False) are followed by every row, NaN included.
-    first[l, k] is the first step of the path that tests the same feature
-    (k itself on first use and on padding)."""
+    """The root-to-leaf paths of a tree model, one row per leaf (trees in
+    tree_terms order, each tree's leaves in preorder), padded to the
+    deepest path. Step k of leaf l tests `x[feature[l, k]] <= threshold[l, k]`,
+    and a row follows the path there when the outcome equals go_left[l, k].
+    Padding steps (feature 0, threshold NaN, go_left False) are followed by
+    every row, NaN included. first[l, k] is the first step of the path that
+    tests the same feature (k itself on first use and on padding)."""
 
-    leaf: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
     go_left: np.ndarray
     first: np.ndarray
 
-    @classmethod
-    def padding(cls, n_leaves: int, depth: int) -> "LeafPaths":
-        """A table of n_leaves paths made of padding steps only."""
-        shape = (n_leaves, depth)
-        return cls(np.zeros(n_leaves, dtype=np.intp),
-                   np.zeros(shape, dtype=np.intp), np.full(shape, math.nan),
-                   np.zeros(shape, dtype=bool),
-                   np.tile(np.arange(depth, dtype=np.intp), (n_leaves, 1)))
-
-    @classmethod
-    def stack(cls, tables) -> "LeafPaths":
-        """The tables' leaves in order, every path padded to the deepest."""
-        out = cls.padding(sum(len(t.leaf) for t in tables),
-                          max(t.feature.shape[1] for t in tables))
-        lo = 0
-        for t in tables:
-            hi, depth = lo + len(t.leaf), t.feature.shape[1]
-            out.leaf[lo:hi] = t.leaf
-            for dst, src in zip(out[1:], t[1:]):
-                dst[lo:hi, :depth] = src
-            lo = hi
-        return out
-
 
 class TreeModel:
     """Base of the tree models: each yields its (tree, scale) pairs through
-    `tree_terms()`, and TreeSHAP reads them stacked from `_leaf_paths`."""
+    `tree_terms()`, and TreeSHAP reads their one leaf-path table from
+    `_leaf_paths`."""
 
     @cached_property
     def _leaf_paths(self) -> tuple[LeafPaths, np.ndarray, np.ndarray] | None:
-        """Every leaf path of tree_terms(), padded to the deepest tree, with
-        each leaf's term index and scale * value; None without trees. Built
-        on first use, so only explained models pay for it."""
+        """Every leaf path of tree_terms(), with each leaf's term index and
+        scale * value; None without trees. Built in one walk of each tree on
+        first use, so only explained models pay for it."""
         terms = list(self.tree_terms())
         if not terms:
             return None
-        tables = [tree._paths for tree, _ in terms]
-        paths = LeafPaths.stack(tables)
-        tree_of = np.repeat(np.arange(len(terms)),
-                            [len(t.leaf) for t in tables])
-        weight = np.concatenate([scale * tree.value[t.leaf]
-                                 for (tree, scale), t in zip(terms, tables)])
+        tree_of, weight = [], []
+        leaf, step, feature, threshold, go_left, first = [], [], [], [], [], []
+        for t, (tree, scale) in enumerate(terms):
+            feat = tree.feature.tolist()
+            thresh = tree.threshold.tolist()
+            left = tree.children_left.tolist()
+            right = tree.children_right.tolist()
+            value = tree.value.tolist()
+            stack = [(0, ())]
+            while stack:
+                node, path = stack.pop()
+                f = feat[node]
+                if f >= 0:  # right pushed first: leaves come out in preorder
+                    thr = thresh[node]
+                    stack.append((right[node], path + ((f, thr, False),)))
+                    stack.append((left[node], path + ((f, thr, True),)))
+                    continue
+                seen = {}
+                for k, (f, thr, go) in enumerate(path):
+                    leaf.append(len(weight))
+                    step.append(k)
+                    feature.append(f)
+                    threshold.append(thr)
+                    go_left.append(go)
+                    first.append(seen.setdefault(f, k))
+                tree_of.append(t)
+                weight.append(scale * value[node])
+        shape = (len(weight), max(step, default=-1) + 1)
+        paths = LeafPaths(np.zeros(shape, dtype=np.intp),
+                          np.full(shape, math.nan),
+                          np.zeros(shape, dtype=bool),
+                          np.tile(np.arange(shape[1], dtype=np.intp),
+                                  (shape[0], 1)))
+        at = (np.array(leaf, dtype=np.intp), np.array(step, dtype=np.intp))
+        for arr, values in zip(paths, (feature, threshold, go_left, first)):
+            arr[at] = values
+        tree_of = np.array(tree_of, dtype=np.intp)
+        weight = np.array(weight)
         for arr in (*paths, tree_of, weight):
             arr.flags.writeable = False
         return paths, tree_of, weight
@@ -119,44 +129,6 @@ class Tree(TreeModel):
             arr = np.array(getattr(self, name), dtype=dtype)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    @cached_property
-    def _paths(self) -> LeafPaths:
-        """Every leaf's root-to-leaf path, from one walk of the tree."""
-        feature = self.feature.tolist()
-        threshold = self.threshold.tolist()
-        left = self.children_left.tolist()
-        right = self.children_right.tolist()
-        leaves, paths = [], []
-        stack = [(0, ())]
-        while stack:
-            node, path = stack.pop()
-            if feature[node] < 0:
-                leaves.append(node)
-                paths.append(path)
-            else:
-                stack.append((right[node], path + ((node, False),)))
-                stack.append((left[node], path + ((node, True),)))
-        depth = max(map(len, paths))
-        at, nodes, go_left, first = [], [], [], []
-        for l, path in enumerate(paths):
-            seen = {}
-            for k, (node, go) in enumerate(path):
-                at.append(l * depth + k)
-                nodes.append(node)
-                go_left.append(go)
-                first.append(seen.setdefault(feature[node], k))
-        at = np.array(at, dtype=np.intp)
-        nodes = np.array(nodes, dtype=np.intp)
-        table = LeafPaths.padding(len(leaves), depth)
-        table.leaf[:] = leaves
-        table.feature.flat[at] = self.feature[nodes]
-        table.threshold.flat[at] = self.threshold[nodes]
-        table.go_left.flat[at] = go_left
-        table.first.flat[at] = first
-        for arr in table:
-            arr.flags.writeable = False
-        return table
 
     @cached_property
     def _routing(self) -> tuple[np.ndarray, np.ndarray, int]:

@@ -30,7 +30,7 @@ from forecastlab.interpretation import (
     fit_functional_form,
     zero_crossings,
 )
-from forecastlab.linear import PenaltySpec, fit_linear, lambda_max
+from forecastlab.linear import PenaltySpec, fit_linear
 from forecastlab.shapley import (
     BackgroundSet,
     exact_shapley,
@@ -46,6 +46,13 @@ from forecastlab.trees import (
     fit_random_forest,
     fit_regression_tree,
 )
+
+
+def lambda_max(X, y) -> float:
+    """Smallest lasso lambda annihilating every coefficient: max_j |x_j'(y-ybar)|/n."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return float(np.abs(X.T @ (y - y.mean())).max()) / len(y)
 
 
 def criterion(number, description):

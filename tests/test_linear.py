@@ -7,10 +7,24 @@ from forecastlab.linear import (
     CONVERGENCE_TOL,
     LinearModel,
     PenaltySpec,
-    elastic_net_objective,
     fit_linear,
-    lambda_max,
 )
+
+
+def elastic_net_objective(X, y, intercept, beta, penalty: PenaltySpec) -> float:
+    n = len(y)
+    r = y - intercept - X @ beta
+    loss = 0.5 * float(r @ r) / n
+    pen = penalty.lam * (penalty.alpha * float(np.abs(beta).sum())
+                         + 0.5 * (1.0 - penalty.alpha) * float(beta @ beta))
+    return loss + pen
+
+
+def lambda_max(X, y) -> float:
+    """Smallest lasso lambda annihilating every coefficient: max_j |x_j'(y-ybar)|/n."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return float(np.abs(X.T @ (y - y.mean())).max()) / len(y)
 
 
 def centered_design(rng, n, p, corr=0.3):

@@ -26,6 +26,8 @@ from forecastlab.trees import (
     fit_gradient_boosting,
     fit_random_forest,
     fit_regression_tree,
+    model_from_json,
+    model_to_json,
 )
 
 
@@ -409,13 +411,136 @@ class TestTreeShap:
             tree_shap(lambda X: X.sum(axis=1), np.zeros(2), bg)
 
     def test_attributions_survive_json_round_trip(self):
-        from forecastlab.trees import model_from_json, model_to_json
         rng = np.random.default_rng(14)
         model, X = random_boosted_model(rng, trees=6)
         clone = model_from_json(model_to_json(model))
         bg = BackgroundSet(X[:6])
         np.testing.assert_array_equal(tree_shap(model, X[0], bg),
                                       tree_shap(clone, X[0], bg))
+
+
+def padded_paths(n_leaves, depth):
+    """[leaf, feature, threshold, go_left, first] of n_leaves paths made of
+    padding steps only."""
+    shape = (n_leaves, depth)
+    return [np.zeros(n_leaves, dtype=np.intp), np.zeros(shape, dtype=np.intp),
+            np.full(shape, math.nan), np.zeros(shape, dtype=bool),
+            np.tile(np.arange(depth, dtype=np.intp), (n_leaves, 1))]
+
+
+def tree_leaf_paths(tree):
+    """One tree's table, padded to its own depth: its leaves in preorder and
+    their paths, from one walk of the tree."""
+    feature = tree.feature.tolist()
+    left = tree.children_left.tolist()
+    right = tree.children_right.tolist()
+    leaves, paths = [], []
+    stack = [(0, ())]
+    while stack:
+        node, path = stack.pop()
+        if feature[node] < 0:
+            leaves.append(node)
+            paths.append(path)
+        else:
+            stack.append((right[node], path + ((node, False),)))
+            stack.append((left[node], path + ((node, True),)))
+    depth = max(map(len, paths))
+    at, nodes, go_left, first = [], [], [], []
+    for l, path in enumerate(paths):
+        seen = {}
+        for k, (node, go) in enumerate(path):
+            at.append(l * depth + k)
+            nodes.append(node)
+            go_left.append(go)
+            first.append(seen.setdefault(feature[node], k))
+    at = np.array(at, dtype=np.intp)
+    nodes = np.array(nodes, dtype=np.intp)
+    table = padded_paths(len(leaves), depth)
+    table[0][:] = leaves
+    table[1].flat[at] = tree.feature[nodes]
+    table[2].flat[at] = tree.threshold[nodes]
+    table[3].flat[at] = go_left
+    table[4].flat[at] = first
+    return table
+
+
+def stacked_leaf_paths(model):
+    """Reference oracle: the table built in two stages. Each tree's table is
+    padded to the deepest tree and copied into one stacked table, whose leaf
+    column looks up the weights. Returns (feature, threshold, go_left,
+    first, tree_of, weight), or None without trees."""
+    terms = list(model.tree_terms())
+    if not terms:
+        return None
+    tables = [tree_leaf_paths(tree) for tree, _ in terms]
+    out = padded_paths(sum(len(t[0]) for t in tables),
+                       max(t[1].shape[1] for t in tables))
+    lo = 0
+    for t in tables:
+        hi, depth = lo + len(t[0]), t[1].shape[1]
+        out[0][lo:hi] = t[0]
+        for dst, src in zip(out[1:], t[1:]):
+            dst[lo:hi, :depth] = src
+        lo = hi
+    tree_of = np.repeat(np.arange(len(terms)), [len(t[0]) for t in tables])
+    weight = np.concatenate([scale * tree.value[t[0]]
+                             for (tree, scale), t in zip(terms, tables)])
+    return (*out[1:], tree_of, weight)
+
+
+def leaf_path_models(rng):
+    """Tree models of every kind that TreeSHAP explains."""
+    for _ in range(60):
+        n, p = int(rng.integers(8, 60)), int(rng.integers(1, 8))
+        X = rng.normal(size=(n, p))
+        if rng.random() < 0.5:
+            X = np.round(X, 1)  # repeated values
+        draw = int(rng.integers(1, p + 1)) if rng.random() < 0.7 else None
+        yield fit_random_forest(X, X[:, 0] + rng.normal(size=n), ForestParams(
+            n_estimators=int(rng.integers(1, 7)),
+            max_depth=int(rng.integers(0, 10)), max_features=draw,
+            min_samples_leaf=int(rng.integers(1, 4)),
+            seed=int(rng.integers(0, 2**31))))
+    for _ in range(60):
+        model, _ = random_boosted_model(rng, n=int(rng.integers(10, 50)),
+                                        p=int(rng.integers(2, 8)), depth=6,
+                                        trees=12)
+        assert model.params.subsample < 1.0
+        assert model.params.colsample_bytree < 1.0
+        yield model
+    for _ in range(40):
+        n, p = int(rng.integers(4, 30)), int(rng.integers(1, 5))
+        X = rng.normal(size=(n, p))
+        trees = tuple(fit_regression_tree(X, rng.normal(size=n),
+                                          max_depth=int(rng.integers(0, 2)))
+                      for _ in range(int(rng.integers(1, 6))))
+        yield ForestModel(trees, ForestParams(n_estimators=len(trees)), p)
+        yield trees[-1]
+    chain = chain_tree(40, 3, rng)
+    yield chain
+    yield BoostedModel(0.0, 0.3, (chain, Tree([-1], [0.0], [-1], [-1], [1.5],
+                                              [1.0])), None, 3)
+    yield BoostedModel(0.5, 0.1, (), BoostParams(n_estimators=1), 2)
+
+
+class TestLeafPathTable:
+    def test_equals_two_stage_oracle(self):
+        models = list(leaf_path_models(np.random.default_rng(49)))
+        models += [model_from_json(model_to_json(m)) for m in models[::4]]
+        assert len(models) >= 200
+        widths = set()
+        for model in models:
+            want = stacked_leaf_paths(model)
+            if want is None:
+                assert model._leaf_paths is None
+                continue
+            paths, tree_of, weight = model._leaf_paths
+            widths.add(paths.feature.shape[1])
+            for got, ref in zip((*paths, tree_of, weight), want):
+                assert got.dtype == ref.dtype
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+        assert 0 in widths and 40 in widths
 
 
 class TestLeafPathCache:
@@ -525,7 +650,7 @@ class TestArrayTreeShap:
         rng = np.random.default_rng(45)
         p, depth = 3, 40
         tree = chain_tree(depth, p, rng)
-        assert tree._paths.feature.shape[1] == depth
+        assert tree._leaf_paths[0].feature.shape[1] == depth
         # rows survive to different depths; the all-1.05 rows reach the
         # bottom, so pairs part beyond step 31
         rows = np.vstack([rng.uniform(-1.0, 1.1, size=(8, p)),
@@ -545,7 +670,7 @@ class TestArrayTreeShap:
         rng = np.random.default_rng(47)
         model, X = random_boosted_model(rng, n=80, p=6, depth=4, trees=20)
         bg = BackgroundSet(X[:40])
-        leaves = sum(len(t._paths.leaf) for t, _ in model.tree_terms())
+        leaves = len(model._leaf_paths[2])
         # more rows than one chunk holds
         assert 80 > TREE_CHUNK_TRIPLES // (40 * leaves)
         m = explain_matrix(model, X, bg)

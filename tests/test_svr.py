@@ -10,10 +10,16 @@ from forecastlab.svr import (
     PREDICT_BLOCK_CELLS,
     KernelSpec,
     SvrModel,
-    dual_objective,
     fit_svr,
     kernel_matrix,
 )
+
+
+def dual_objective(beta, K, y, epsilon) -> float:
+    """Maximization-form dual value of a coefficient vector."""
+    beta = np.asarray(beta, dtype=float)
+    return float(-0.5 * beta @ K @ beta - epsilon * np.abs(beta).sum()
+                 + np.asarray(y, dtype=float) @ beta)
 
 
 def qp_oracle(X, y, C, eps, spec):

@@ -583,8 +583,8 @@ class TestFlatArrays:
         trees.append(stump(1, 0.0, 1.0, 2.0))
         for tree in trees:
             tree.predict(X)
-            assert "_paths" not in tree.__dict__
-            assert tree._routing[2] == tree._paths.feature.shape[1]
+            assert "_leaf_paths" not in tree.__dict__
+            assert tree._routing[2] == tree._leaf_paths[0].feature.shape[1]
 
     def test_row_equal_to_threshold_goes_left(self):
         tree = stump(0, 0.25, -1.0, 2.0)
