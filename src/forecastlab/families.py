@@ -2,8 +2,8 @@
 
 A `Family` owns its grid names, the one check of a grid cell (`params`), the
 fit, the shipped grid and whether TreeSHAP explains it (`trees`). Linear and
-SVR families standardize on the rows they are fitted on (the statistics
-travel with the model); tree families train on raw values. Each `fit` calls
+SVR families fit on rows standardized by their own statistics and return a
+`Standardized` model; tree families train on raw values. Each `fit` calls
 its solver by this module's global name at call time, never through a stored
 function object, so a wrapper put in place of that global sees every fit.
 """
@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import shapley
 from .dataset import Standardization
 from .linear import PenaltySpec, fit_linear
 from .svr import KernelSpec, fit_svr
@@ -38,6 +39,26 @@ def _logspace(lo: float, hi: float, num: int = 10) -> list[float]:
 
 def _int_logspace(lo: int, hi: int, num: int = 10) -> list[int]:
     return sorted({int(round(v)) for v in _logspace(lo, hi, num)})
+
+
+@dataclass(frozen=True)
+class Standardized:
+    """A linear or SVR model fitted on rows standardized by `stats`, the
+    statistics of its training rows; `predict` takes raw rows. It is explained
+    in that space: the rows and the background are standardized once, and the
+    inner model is explained on them. That is exact: (z - mean_j) / scale_j
+    acts on each element of column j alone, so standardizing a composed row
+    equals composing standardized rows bit for bit."""
+
+    stats: Standardization
+    model: object
+
+    def predict(self, X) -> np.ndarray:
+        return self.model.predict(self.stats.transform(X))
+
+    def attributions(self, rows, background) -> np.ndarray:
+        back = shapley.BackgroundSet(self.stats.transform(background.rows))
+        return shapley.attributions(self.model, self.stats.transform(rows), back)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +92,7 @@ class LinearFamily(Family):
 
     def fit(self, X, y, params):
         stats = Standardization.fit(X)
-        return fit_linear(stats.transform(X), y, params, standardization=stats)
+        return Standardized(stats, fit_linear(stats.transform(X), y, params))
 
 
 class SvrFamily(Family):
@@ -86,7 +107,7 @@ class SvrFamily(Family):
 
     def fit(self, X, y, params):  # params: C, epsilon, kernel
         stats = Standardization.fit(X)
-        return fit_svr(stats.transform(X), y, *params, standardization=stats)
+        return Standardized(stats, fit_svr(stats.transform(X), y, *params))
 
 
 class ForestFamily(Family):

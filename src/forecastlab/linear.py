@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Standardization, coerce_fields, finite
+from .dataset import coerce_fields, finite
 
 CONVERGENCE_TOL = 1e-8
 MAX_SWEEPS = 10_000
@@ -57,7 +57,6 @@ class LinearModel:
     intercept: float
     coefficients: np.ndarray
     penalty: PenaltySpec
-    standardization: Standardization | None = None
     converged: bool = True
     n_sweeps: int = 0
     jitter_applied: bool = False
@@ -75,14 +74,11 @@ class LinearModel:
         return self.coefficients.shape[0]
 
     def predict(self, X) -> np.ndarray:
-        """b + X beta, standardizing X first when the model carries fit
-        statistics."""
+        """b + X beta."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(
                 f"expected {self.n_features} feature columns, got {X.shape}")
-        if self.standardization is not None:
-            X = self.standardization.transform(X)
         return self.intercept + X @ self.coefficients
 
 
@@ -106,14 +102,12 @@ def _fit_unpenalized(X, y):
     return float(sol[0]), sol[1:], jitter
 
 
-def fit_linear(X, y, penalty: PenaltySpec,
-               standardization: Standardization | None = None) -> LinearModel:
+def fit_linear(X, y, penalty: PenaltySpec) -> LinearModel:
     """Fit the elastic-net objective by cyclic coordinate descent.
 
-    X is used as given (standardize upstream); `standardization`, when
-    provided, is stored so LinearModel.predict can accept raw feature rows.
-    Converged when the largest coordinate update in a sweep drops below
-    1e-8, capped at 10,000 sweeps. Lasso zeros are exact.
+    X is used as given (standardize upstream). Converged when the largest
+    coordinate update in a sweep drops below 1e-8, capped at 10,000 sweeps.
+    Lasso zeros are exact.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -125,8 +119,8 @@ def fit_linear(X, y, penalty: PenaltySpec,
 
     if penalty.lam == 0.0:
         b, beta, jitter = _fit_unpenalized(X, y)
-        return LinearModel(b, beta, penalty, standardization,
-                           converged=True, n_sweeps=0, jitter_applied=jitter)
+        return LinearModel(b, beta, penalty, converged=True, n_sweeps=0,
+                           jitter_applied=jitter)
 
     lam_l1 = penalty.lam * penalty.alpha
     lam_l2 = penalty.lam * (1.0 - penalty.alpha)
@@ -177,4 +171,4 @@ def fit_linear(X, y, penalty: PenaltySpec,
             break
 
     return LinearModel(b, np.array(coef, dtype=float), penalty,
-                       standardization, converged=converged, n_sweeps=sweeps)
+                       converged=converged, n_sweeps=sweeps)

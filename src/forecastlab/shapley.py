@@ -16,20 +16,13 @@ elsewhere. Two engines compute the same quantity:
     Laberge & Pequignot 2022) over the leaf-path tables of the trees a
     tree model's `tree_terms()` yields: one array pass scores every
     (query row, background row, leaf) triple of every tree, so
-    explain_matrix explains all rows at once and tree_shap is the one-row
+    tree_shap_matrix explains all rows at once and tree_shap is the one-row
     case. Exact, so it must agree with the enumeration engine to float
     precision rather than approximately.
 
-explain_matrix predicts through the model's `.predict(X)`, or calls the
-model itself when it is a bare prediction function. A model that carries a
-`standardization` (linear and SVR families) is enumerated in its
-standardized space: the explained rows and the background are standardized
-once, and exact_shapley scores composed rows on the model's copy without
-that step. This is exact, not approximate: (z - mean_j) / scale_j acts on
-each element of column j alone, so standardizing a composed row equals
-composing standardized rows bit for bit, and the two paths feed predict
-the same values. The base value and predictions still come from the model
-on raw rows.
+explain_matrix predicts through the model's `.predict(X)`, or calls a bare
+prediction function. A model with an `attributions(rows, background)` method
+picks its own engine (tree models run TreeSHAP); any other is enumerated.
 
 Attributions plus the base value (mean model output over the background)
 always sum to the model's prediction for the explained row.
@@ -38,12 +31,10 @@ always sum to the model's prediction for the explained row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .trees import TreeModel
 
 EXACT_MAX_FEATURES = 15
 EFFICIENCY_TOL = 1e-9
@@ -242,8 +233,7 @@ def _key_words(bits: np.ndarray) -> list[np.ndarray]:
     return words
 
 
-def _tree_shap_matrix(model, X: np.ndarray,
-                      background: BackgroundSet) -> np.ndarray:
+def tree_shap_matrix(model, X: np.ndarray, background: BackgroundSet) -> np.ndarray:
     """Interventional TreeSHAP for every row of X at once.
 
     At each step of a leaf's path a (query row, background row) pair has a
@@ -328,34 +318,31 @@ def tree_shap(model, x, background: BackgroundSet) -> np.ndarray:
     """Exact interventional Shapley values for a tree, forest, or boosted
     ensemble; per-tree attributions combine linearly, each tree weighted by
     the scale the model's `tree_terms()` pairs it with."""
-    if not isinstance(model, TreeModel):
+    if not hasattr(model, "tree_terms"):
         raise TypeError(f"not a tree model: {type(model).__name__}")
     x = np.asarray(x, dtype=float).ravel()
-    return _tree_shap_matrix(model, x[None], background)[0]
+    return tree_shap_matrix(model, x[None], background)[0]
+
+
+def attributions(model, rows: np.ndarray, background: BackgroundSet) -> np.ndarray:
+    """phi per row from the model's own `attributions(rows, background)`, or
+    else by exact enumeration of its `.predict(X)` or bare function."""
+    own = getattr(model, "attributions", None)
+    if own is not None:
+        return own(rows, background)
+    predict = getattr(model, "predict", model)
+    return np.stack([exact_shapley(predict, r, background) for r in rows])
 
 
 def explain_matrix(model, rows, background: BackgroundSet) -> ShapMatrix:
-    """Per-row attributions: tree models use the traversal engine, everything
-    else the exact enumeration engine. `model` is any object with
-    `.predict(X)` or a bare prediction function."""
+    """Per-row attributions from the engine the model picks (`attributions`).
+    `model` is any object with `.predict(X)` or a bare prediction function."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise ValueError("rows must be a nonempty 2-d array")
     predict = getattr(model, "predict", model)
     base = float(np.mean(predict(np.array(background.rows))))
-    if isinstance(model, TreeModel):
-        phi = _tree_shap_matrix(model, rows, background)
-    else:
-        inner, space, back = predict, rows, background
-        stats = getattr(model, "standardization", None)
-        if stats is not None:
-            # enumerate in the model's standardized space: transform works
-            # per element, so it commutes with composing rows bit for bit
-            inner = replace(model, standardization=None).predict
-            space = stats.transform(rows)
-            back = BackgroundSet(stats.transform(background.rows))
-        phi = np.stack([exact_shapley(inner, r, back) for r in space])
-    return ShapMatrix(base, phi, predict(rows))
+    return ShapMatrix(base, attributions(model, rows, background), predict(rows))
 
 
 def global_importance(m: ShapMatrix, feature_names=None) -> list[tuple[str, float]]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Standardization, coerce_fields, finite, optional
+from .dataset import coerce_fields, finite, optional
 
 KKT_TOL = 1e-3
 MAX_PAIR_UPDATES = 100_000
@@ -75,7 +75,6 @@ class SvrModel:
     gamma: float
     C: float
     epsilon: float
-    standardization: Standardization | None = None
     converged: bool = True
     n_updates: int = 0
 
@@ -84,8 +83,7 @@ class SvrModel:
         return self.support_rows.shape[1]
 
     def predict(self, X) -> np.ndarray:
-        """sum_i (alpha_i - alpha*_i) K(x_i, x) + b, standardizing raw rows
-        first when the model carries fit statistics.
+        """sum_i (alpha_i - alpha*_i) K(x_i, x) + b.
 
         Rows go through the kernel in blocks of about PREDICT_BLOCK_CELLS
         kernel entries, so a large X keeps its kernel temporaries
@@ -94,8 +92,6 @@ class SvrModel:
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} feature columns, "
                              f"got {X.shape}")
-        if self.standardization is not None:
-            X = self.standardization.transform(X)
         # whole groups of 4 rows: BLAS matrix-vector kernels round rows in
         # groups of 4, so aligned blocks keep a row's bits in most cases
         step = max(4, PREDICT_BLOCK_CELLS // self.support_rows.shape[0] // 4 * 4)
@@ -108,7 +104,6 @@ class SvrModel:
 
 
 def fit_svr(X, y, C: float, epsilon: float, kernel: KernelSpec,
-            standardization: Standardization | None = None,
             monitor=None, tol: float = KKT_TOL) -> SvrModel:
     """SMO fit; terminates when the worst KKT violation is <= tol (1e-3
     default), or returns the best iterate with converged=False after
@@ -196,5 +191,4 @@ def fit_svr(X, y, C: float, epsilon: float, kernel: KernelSpec,
         bias = float(neg_sg[free].mean())
     else:
         bias = float((m + M) / 2.0)
-    return SvrModel(X, beta, bias, kernel, gamma, C, epsilon, standardization,
-                    converged, updates)
+    return SvrModel(X, beta, bias, kernel, gamma, C, epsilon, converged, updates)

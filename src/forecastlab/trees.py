@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import shapley
 from .dataset import coerce_fields, finite, optional
 
 _NODE_ARRAYS = (("feature", np.intp), ("threshold", float),
@@ -56,8 +57,11 @@ class LeafPaths(NamedTuple):
 
 class TreeModel:
     """Base of the tree models: each yields its (tree, scale) pairs through
-    `tree_terms()`, and TreeSHAP reads their one leaf-path table from
-    `_leaf_paths`."""
+    `tree_terms()`, and `attributions` runs TreeSHAP on their one leaf-path
+    table, `_leaf_paths`."""
+
+    def attributions(self, rows, background) -> np.ndarray:
+        return shapley.tree_shap_matrix(self, rows, background)
 
     @cached_property
     def _leaf_paths(self) -> tuple[LeafPaths, np.ndarray, np.ndarray] | None:

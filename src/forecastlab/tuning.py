@@ -108,7 +108,8 @@ def grid_search(family: str, grid: ParamGrid, X, y, plan: CvPlan,
                 model = fit_family(family, X_train, y_train, params,
                                    seed=seed)
                 resid = model.predict(X_val) - y_val
-                score = float((resid ** 2).mean())
+                with np.errstate(over="ignore"):  # scored inf below
+                    score = float((resid ** 2).mean())
                 if not math.isfinite(score):
                     score = math.inf
             except ValueError:  # also LinAlgError and the package's errors

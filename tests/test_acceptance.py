@@ -24,6 +24,7 @@ from forecastlab.dataset import (
     synth_generate,
 )
 from forecastlab.evaluation import dm_test, rmse_reduction
+from forecastlab.families import Standardized
 from forecastlab.interpretation import (
     DependencePoint,
     filter_outliers,
@@ -169,10 +170,10 @@ def test_criterion_3_linear_closed_form():
 
     # standardizing model: raw-scale slope is coef / scale
     stats = Standardization.fit(X)
-    scaled = fit_linear(stats.transform(X), y, PenaltySpec(0.2, 0.5),
-                        standardization=stats)
+    scaled = Standardized(stats, fit_linear(stats.transform(X), y,
+                                            PenaltySpec(0.2, 0.5)))
     matrix = explain_matrix(scaled, X[:10], background)
-    raw_beta = scaled.coefficients / stats.scales
+    raw_beta = scaled.model.coefficients / stats.scales
     np.testing.assert_allclose(matrix.phi, raw_beta * (X[:10] - bg_mean),
                                atol=1e-10)
 

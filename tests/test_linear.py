@@ -3,6 +3,7 @@ import pytest
 
 import forecastlab.linear as linear_mod
 from forecastlab.dataset import Standardization, SynthSpec, default_schema, synth_generate
+from forecastlab.families import Standardized
 from forecastlab.linear import (
     CONVERGENCE_TOL,
     LinearModel,
@@ -303,7 +304,7 @@ class TestPredict:
         stats = Standardization.fit(X)
         Z = stats.transform(X)
         y = 2.0 + Z @ np.array([1.0, -1.0])
-        model = fit_linear(Z, y, PenaltySpec(0.0, 0.0), standardization=stats)
+        model = Standardized(stats, fit_linear(Z, y, PenaltySpec(0.0, 0.0)))
         np.testing.assert_allclose(model.predict(X), y, atol=1e-10)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from forecastlab.families import fit_family
+from forecastlab.families import Standardized, fit_family
 from forecastlab.linear import LinearModel, PenaltySpec
 from forecastlab.shapley import (
     CHUNK_ROWS,
@@ -154,7 +154,7 @@ class TestBatchedEnumeration:
         X = rng.normal(size=(80, p))
         y = X @ rng.normal(size=p) + np.sin(X[:, 0]) + 0.1 * rng.normal(size=80)
         model = fit_family(family, X, y, params)
-        assert model.standardization is not None
+        assert isinstance(model, Standardized)
         for B in (1, 5, 67, 68):
             bg = BackgroundSet(X[:B])
             x = X[75]
@@ -216,9 +216,9 @@ STANDARDIZING_IDS = [f"{f}-{p['kernel']}" if "kernel" in p else f
 
 
 class TestStandardizedEnumeration:
-    """explain_matrix enumerates standardizing models on their
-    standardization-free copy over standardized rows; its attributions
-    must equal raw-space enumeration byte for byte."""
+    """explain_matrix enumerates a `Standardized` model's inner model over
+    standardized rows; its attributions must equal raw-space enumeration
+    byte for byte."""
 
     @staticmethod
     def fitted(family, params, p, rng, n=40, constant=None):
@@ -240,7 +240,7 @@ class TestStandardizedEnumeration:
     def test_phi_bytes_equal_raw_space(self, family, params, p):
         rng = np.random.default_rng(30 + p)
         model, X = self.fitted(family, params, p, rng)
-        assert model.standardization is not None
+        assert isinstance(model, Standardized)
         n_rows = 2 if p == 12 else 4
         for B in (1, 5, 67, 68):
             bg = BackgroundSet(rng.normal(loc=3.0, scale=2.0, size=(B, p)))
@@ -252,7 +252,7 @@ class TestStandardizedEnumeration:
         # the zero-variance column keeps scale 1 and its mean as center
         rng = np.random.default_rng(40)
         model, X = self.fitted(family, params, 5, rng, constant=2)
-        assert model.standardization.scales[2] == 1.0
+        assert model.stats.scales[2] == 1.0
         rows = X[:4].copy()
         rows[1:, 2] = [-1.0, 7.5, 30.0]
         self.assert_bytes_equal(model, rows, BackgroundSet(X[10:17]))
@@ -708,6 +708,25 @@ class TestExplainMatrix:
             m = explain_matrix(model, rows, bg)
             np.testing.assert_allclose(m.base_value + m.phi.sum(axis=1),
                                        m.predictions, atol=1e-9)
+
+    def test_model_supplies_its_own_attributions(self):
+        # efficient but not Shapley: all credit goes to feature 0, where
+        # enumeration of X.sum(1) would give each feature its own share
+        class OwnEngine:
+            def predict(self, X):
+                return X.sum(axis=1)
+
+            def attributions(self, rows, background):
+                phi = np.zeros_like(rows)
+                phi[:, 0] = self.predict(rows) - self.predict(background.rows).mean()
+                return phi
+
+        X = np.random.default_rng(12).normal(size=(7, 3))
+        m = explain_matrix(OwnEngine(), X[:4], BackgroundSet(X[4:]))
+        np.testing.assert_array_equal(m.phi[:, 1:], np.zeros((4, 2)))
+        np.testing.assert_allclose(m.phi[:, 0],
+                                   X[:4].sum(axis=1) - X[4:].sum(axis=1).mean(),
+                                   rtol=0, atol=1e-12)
 
     def test_constant_model_rows_equal_background_zero(self):
         X = np.random.default_rng(9).normal(size=(8, 3))

@@ -4,7 +4,7 @@ from scipy.optimize import minimize
 
 import forecastlab.svr as svr_mod
 from forecastlab.dataset import Standardization
-from forecastlab.families import FAMILIES
+from forecastlab.families import FAMILIES, Standardized
 from forecastlab.svr import (
     KKT_TOL,
     PREDICT_BLOCK_CELLS,
@@ -39,8 +39,7 @@ def qp_oracle(X, y, C, eps, spec):
     return res.x[:n] - res.x[n:]
 
 
-def loop_fit_svr(X, y, C, epsilon, kernel, standardization=None,
-                 monitor=None, tol=KKT_TOL):
+def loop_fit_svr(X, y, C, epsilon, kernel, monitor=None, tol=KKT_TOL):
     """Reference oracle: the SMO loop that rebuilds every mask, clips all of
     z and gathers Kd's columns on each update (the solver's original form).
     Reads the update cap and the kernel from the module, so patching them
@@ -91,8 +90,7 @@ def loop_fit_svr(X, y, C, epsilon, kernel, standardization=None,
         bias = float(neg_sg[free].mean())
     else:
         bias = float((m + M) / 2.0)
-    return SvrModel(X, beta, bias, kernel, gamma, C, epsilon, standardization,
-                    converged, updates)
+    return SvrModel(X, beta, bias, kernel, gamma, C, epsilon, converged, updates)
 
 
 def assert_same_svr(got, want):
@@ -383,8 +381,8 @@ class TestPredict:
         stats = Standardization.fit(X)
         Z = stats.transform(X)
         y = Z @ np.array([1.0, 1.0])
-        model = fit_svr(Z, y, C=10.0, epsilon=0.01,
-                        kernel=KernelSpec("linear"), standardization=stats)
+        model = Standardized(stats, fit_svr(Z, y, C=10.0, epsilon=0.01,
+                                            kernel=KernelSpec("linear")))
         np.testing.assert_allclose(model.predict(X), y, atol=0.1)
 
     @pytest.mark.parametrize("kind", ["linear", "polynomial", "rbf"])

@@ -215,8 +215,8 @@ class TestFamilies:
         }
         for family, params in small.items():
             model = fit_family(family, X, y, params, seed=1)
-            assert isinstance(model, (LinearModel, SvrModel, ForestModel,
-                                      BoostedModel))
+            assert isinstance(getattr(model, "model", model),
+                              (LinearModel, SvrModel, ForestModel, BoostedModel))
             pred = model.predict(X)
             assert pred.shape == (40,)
             assert np.all(np.isfinite(pred))
