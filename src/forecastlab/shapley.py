@@ -14,11 +14,13 @@ elsewhere. Two engines compute the same quantity:
     independently of the others in its batch.
   * tree_shap - leaf-wise interventional TreeSHAP (Lundberg et al. 2020;
     Laberge & Pequignot 2022) over the leaf-path tables of the trees a
-    tree model's `tree_terms()` yields: one array pass scores every
-    (query row, background row, leaf) triple of every tree, so
-    tree_shap_matrix explains all rows at once and tree_shap is the one-row
-    case. Exact, so it must agree with the enumeration engine to float
-    precision rather than approximately.
+    tree model's `tree_terms()` yields. Background rows that leave a leaf's
+    path at the same steps give the same terms, so one array pass scores
+    every (query row, leaf, background group) triple, weighted by the
+    group's row count; one bincount adds each phi entry's terms to +0.0 in
+    the recursion's order, and such a sum is never -0.0. tree_shap_matrix
+    explains all rows at once and tree_shap is the one-row case. Exact, so
+    it must agree with the enumeration engine to float precision.
 
 explain_matrix predicts through the model's `.predict(X)`, or calls a bare
 prediction function. A model with an `attributions(rows, background)` method
@@ -39,7 +41,7 @@ import numpy as np
 EXACT_MAX_FEATURES = 15
 EFFICIENCY_TOL = 1e-9
 CHUNK_ROWS = 2048  # composed rows per exact_shapley predict call
-TREE_CHUNK_TRIPLES = 1 << 15  # (query, background, leaf) triples a TreeSHAP pass holds
+TREE_CHUNK_TRIPLES = 1 << 15  # (query row, leaf, background group) triples a chunk holds
 _KEY_DIGITS = 31  # base-4 path digits per int64 group key word
 
 
@@ -233,6 +235,24 @@ def _key_words(bits: np.ndarray) -> list[np.ndarray]:
     return words
 
 
+def _background_groups(rows, paths):
+    """Each leaf's background rows grouped by their _PathSide.keys words, with
+    one lexsort over leaf and key words: per group its leaf, row count, and
+    keys, feature_keys, inside and by_feature, the same for all its rows."""
+    back = _PathSide(rows, paths)
+    B = rows.shape[0]
+    keys = [w.T.ravel() for w in back.keys]  # (leaf, row) pairs, leaf-major
+    leaf = np.repeat(np.arange(len(paths.feature)), B)
+    order = np.lexsort(keys[::-1] + [leaf])
+    changed = np.diff([key[order] for key in [leaf] + keys], axis=1).any(axis=0)
+    starts = np.flatnonzero(np.r_[True, changed])  # where the leaf or a word changes
+    leaf, row = np.divmod(order[starts], B)
+    return (leaf, np.diff(np.append(starts, order.size)),
+            [w[row, leaf] for w in back.keys],
+            [w[row, leaf] for w in back.feature_keys],
+            back.inside[row, leaf], back.by_feature[row, leaf])
+
+
 def tree_shap_matrix(model, X: np.ndarray, background: BackgroundSet) -> np.ndarray:
     """Interventional TreeSHAP for every row of X at once.
 
@@ -241,18 +261,18 @@ def tree_shap_matrix(model, X: np.ndarray, background: BackgroundSet) -> np.ndar
     (the step's feature joins U), 2 when only the background row does (it
     joins V). The pair reaches the leaf when every step has a digit and U
     and V are disjoint, and it adds to phi when U and V are not both empty.
-    Pairs of one query row and tree with the same digit string (hence the
-    same leaf) form a group of `count` background rows. With
+    A digit string is twice the query row's off-pattern plus the background
+    row's, so the pairs of one query row and tree with one digit string
+    (hence one leaf) are that row and a group of `count` background rows of
+    one leaf and off-pattern; the groups are found once a call. With
     w = scale * value * count / B, the group adds w * pos[u][v] to phi_i for
-    i in U and subtracts w * neg[u][v] for i in V. Each phi[row, i] sums its
-    terms strictly in order from 0.0: trees in tree_terms order, then groups
-    in lexicographic digit-string order. That is the visit order of a
-    depth-first recursion that takes the query row's side first, so the
-    result equals that recursion bit for bit.
-
-    Background rows meet the paths once; query rows go through in chunks of
-    about TREE_CHUNK_TRIPLES (query, background, leaf) triples, at least one
-    row a chunk."""
+    i in U and subtracts w * neg[u][v] for i in V. bincount adds each
+    phi[row, i]'s terms strictly in order to 0.0 (a sum from +0.0 is never
+    -0.0, so +0.0 terms change nothing): trees in tree_terms order, then
+    groups in lexicographic digit-string order. That is the visit order of
+    a depth-first recursion that takes the query row's side first, so the
+    result equals that recursion bit for bit. Query rows go through in
+    chunks of about TREE_CHUNK_TRIPLES triples, at least one row a chunk."""
     n_rows, p = X.shape
     if background.n_features != p:
         raise ValueError("background feature count mismatch")
@@ -262,55 +282,34 @@ def tree_shap_matrix(model, X: np.ndarray, background: BackgroundSet) -> np.ndar
     if ensemble is None or ensemble[0].feature.shape[1] == 0:
         return phi  # no trees, or only single-leaf trees: no path to split
     paths, tree_of, weight = ensemble
-    n_leaves = len(weight)
     pos, neg = _uv_tables(p)
-    back = _PathSide(background.rows, paths)
-    back_keys = [w.T for w in back.keys]  # (leaves, B)
-    back_feature_keys = [w.T[None] for w in back.feature_keys]
-    back_inside = back.inside.T[None]
-    step = max(1, TREE_CHUNK_TRIPLES // (B * n_leaves))
+    g_leaf, count, g_keys, g_feature_keys, g_inside, g_in_u = \
+        _background_groups(background.rows, paths)
+    g_u = g_in_u.sum(axis=1)
+
+    def chunk_phi(rows):
+        # (query row, group) pairs, row-major; a chunk's arrays die with the call
+        query = _PathSide(rows, paths)
+        ok = ~(query.inside[:, g_leaf] & g_inside)
+        for qw, gw in zip(query.feature_keys, g_feature_keys):
+            ok &= (qw[:, g_leaf] & gw) == 0
+        q, g = np.divmod(np.flatnonzero(ok), len(count))
+        leaf = g_leaf[g]
+        keys = [2 * qw[q, leaf] + gw[g] for qw, gw in zip(query.keys, g_keys)]
+        order = np.lexsort(keys[::-1] + [tree_of[leaf], q])
+        q, g, leaf = q[order], g[order], leaf[order]
+        in_u, in_v = g_in_u[g], query.by_feature[q, leaf]
+        u, v = g_u[g], query.by_feature.sum(axis=2)[q, leaf]
+        w = weight[leaf] * count[g] / B
+        plus, minus = w * pos[u, v], -(w * neg[u, v])
+        e, k = np.nonzero(in_u | in_v)
+        term = np.where(in_u[e, k], plus[e], minus[e])
+        seg = q[e] * p + paths.feature[leaf[e], k]
+        return np.bincount(seg, weights=term, minlength=len(rows) * p)
+
+    step = max(1, TREE_CHUNK_TRIPLES // len(count))
     for lo in range(0, n_rows, step):
-        hi = min(lo + step, n_rows)
-        query = _PathSide(X[lo:hi], paths)
-        # triples in (row, leaf, background row) order
-        ok = ~(query.inside[:, :, None] & back_inside)
-        for qw, bw in zip(query.feature_keys, back_feature_keys):
-            ok &= (qw[:, :, None] & bw) == 0
-        triples = np.flatnonzero(ok)
-        if triples.size == 0:
-            continue
-        q, rest = np.divmod(triples, n_leaves * B)
-        leaf, b = np.divmod(rest, B)
-        keys = [2 * qw[q, leaf] + bw[leaf, b]
-                for qw, bw in zip(query.keys, back_keys)]
-        tree = tree_of[leaf]
-        order = np.lexsort(keys[::-1] + [tree, q])
-        new = np.zeros(order.size, dtype=bool)
-        new[0] = True
-        for key in [q, tree] + keys:
-            new[1:] |= key[order[1:]] != key[order[:-1]]
-        starts = np.flatnonzero(new)
-        count = np.diff(np.append(starts, order.size))
-        first = order[starts]
-        gq, gleaf = q[first], leaf[first]
-        in_u = back.by_feature[b[first], gleaf]
-        in_v = query.by_feature[gq, gleaf]
-        u = in_u.sum(axis=1)
-        v = in_v.sum(axis=1)
-        w = weight[gleaf] * count / B
-        plus = w * pos[u, v]
-        minus = -(w * neg[u, v])
-        g, k = np.nonzero(in_u | in_v)
-        term = np.where(in_u[g, k], plus[g], minus[g])
-        seg = gq[g] * p + paths.feature[gleaf[g], k]
-        by_seg = np.argsort(seg, kind="stable")
-        seg = seg[by_seg]
-        seg_start = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
-        rank = np.arange(seg.size) - np.repeat(
-            seg_start, np.diff(np.append(seg_start, seg.size)))
-        acc = np.zeros((int(rank.max()) + 2, (hi - lo) * p))
-        acc[rank + 1, seg] = term[by_seg]
-        phi[lo:hi] = np.cumsum(acc, axis=0)[-1].reshape(hi - lo, p)
+        phi[lo:lo + step] = chunk_phi(X[lo:lo + step]).reshape(-1, p)
     return phi
 
 

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from forecastlab import shapley
 from forecastlab.families import Standardized, fit_family
 from forecastlab.linear import LinearModel, PenaltySpec
 from forecastlab.shapley import (
@@ -11,11 +13,13 @@ from forecastlab.shapley import (
     BackgroundSet,
     ShapMatrix,
     _coalition_weights,
+    _PathSide,
     _uv_tables,
     exact_shapley,
     explain_matrix,
     global_importance,
     tree_shap,
+    tree_shap_matrix,
 )
 from forecastlab.trees import (
     BoostedModel,
@@ -323,6 +327,71 @@ def recursive_tree_shap(model, x, background):
     return phi
 
 
+def triple_tree_shap_matrix(model, X, background):
+    """Reference oracle: the array kernel before background grouping. It
+    scores every (query row, leaf, background row) triple, regroups the
+    surviving triples of one query row and tree by digit string with a
+    lexsort, and sums each phi[row, i] with a stable argsort and a padded
+    cumsum from 0.0."""
+    n_rows, p = X.shape
+    B = background.size
+    phi = np.zeros((n_rows, p))
+    ensemble = model._leaf_paths
+    if ensemble is None or ensemble[0].feature.shape[1] == 0:
+        return phi
+    paths, tree_of, weight = ensemble
+    n_leaves = len(weight)
+    pos, neg = _uv_tables(p)
+    back = _PathSide(background.rows, paths)
+    back_keys = [w.T for w in back.keys]  # (leaves, B)
+    back_feature_keys = [w.T[None] for w in back.feature_keys]
+    back_inside = back.inside.T[None]
+    step = max(1, TREE_CHUNK_TRIPLES // (B * n_leaves))
+    for lo in range(0, n_rows, step):
+        hi = min(lo + step, n_rows)
+        query = _PathSide(X[lo:hi], paths)
+        # triples in (row, leaf, background row) order
+        ok = ~(query.inside[:, :, None] & back_inside)
+        for qw, bw in zip(query.feature_keys, back_feature_keys):
+            ok &= (qw[:, :, None] & bw) == 0
+        triples = np.flatnonzero(ok)
+        if triples.size == 0:
+            continue
+        q, rest = np.divmod(triples, n_leaves * B)
+        leaf, b = np.divmod(rest, B)
+        keys = [2 * qw[q, leaf] + bw[leaf, b]
+                for qw, bw in zip(query.keys, back_keys)]
+        tree = tree_of[leaf]
+        order = np.lexsort(keys[::-1] + [tree, q])
+        new = np.zeros(order.size, dtype=bool)
+        new[0] = True
+        for key in [q, tree] + keys:
+            new[1:] |= key[order[1:]] != key[order[:-1]]
+        starts = np.flatnonzero(new)
+        count = np.diff(np.append(starts, order.size))
+        first = order[starts]
+        gq, gleaf = q[first], leaf[first]
+        in_u = back.by_feature[b[first], gleaf]
+        in_v = query.by_feature[gq, gleaf]
+        u = in_u.sum(axis=1)
+        v = in_v.sum(axis=1)
+        w = weight[gleaf] * count / B
+        plus = w * pos[u, v]
+        minus = -(w * neg[u, v])
+        g, k = np.nonzero(in_u | in_v)
+        term = np.where(in_u[g, k], plus[g], minus[g])
+        seg = gq[g] * p + paths.feature[gleaf[g], k]
+        by_seg = np.argsort(seg, kind="stable")
+        seg = seg[by_seg]
+        seg_start = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
+        rank = np.arange(seg.size) - np.repeat(
+            seg_start, np.diff(np.append(seg_start, seg.size)))
+        acc = np.zeros((int(rank.max()) + 2, (hi - lo) * p))
+        acc[rank + 1, seg] = term[by_seg]
+        phi[lo:hi] = np.cumsum(acc, axis=0)[-1].reshape(hi - lo, p)
+    return phi
+
+
 def assert_matches_recursion(model, rows, background):
     """explain_matrix and tree_shap both equal the recursion byte for byte,
     row by row."""
@@ -489,7 +558,8 @@ def stacked_leaf_paths(model):
 
 
 def leaf_path_models(rng):
-    """Tree models of every kind that TreeSHAP explains."""
+    """Tree models of every kind that TreeSHAP explains, each with rows of
+    its width."""
     for _ in range(60):
         n, p = int(rng.integers(8, 60)), int(rng.integers(1, 8))
         X = rng.normal(size=(n, p))
@@ -500,32 +570,37 @@ def leaf_path_models(rng):
             n_estimators=int(rng.integers(1, 7)),
             max_depth=int(rng.integers(0, 10)), max_features=draw,
             min_samples_leaf=int(rng.integers(1, 4)),
-            seed=int(rng.integers(0, 2**31))))
+            seed=int(rng.integers(0, 2**31)))), X
     for _ in range(60):
-        model, _ = random_boosted_model(rng, n=int(rng.integers(10, 50)),
+        model, X = random_boosted_model(rng, n=int(rng.integers(10, 50)),
                                         p=int(rng.integers(2, 8)), depth=6,
                                         trees=12)
         assert model.params.subsample < 1.0
         assert model.params.colsample_bytree < 1.0
-        yield model
+        yield model, X
     for _ in range(40):
         n, p = int(rng.integers(4, 30)), int(rng.integers(1, 5))
         X = rng.normal(size=(n, p))
         trees = tuple(fit_regression_tree(X, rng.normal(size=n),
                                           max_depth=int(rng.integers(0, 2)))
                       for _ in range(int(rng.integers(1, 6))))
-        yield ForestModel(trees, ForestParams(n_estimators=len(trees)), p)
-        yield trees[-1]
+        yield ForestModel(trees, ForestParams(n_estimators=len(trees)), p), X
+        yield trees[-1], X
     chain = chain_tree(40, 3, rng)
-    yield chain
+    # rows part from the path at many depths; the first ones part beyond
+    # step 31 or reach the bottom
+    grid = np.linspace(-1.0, 1.1, 8)
+    X = np.stack(np.meshgrid(grid, grid[1::2], grid[::-3]),
+                 axis=-1).reshape(-1, 3)[::-1]
+    yield chain, X
     yield BoostedModel(0.0, 0.3, (chain, Tree([-1], [0.0], [-1], [-1], [1.5],
-                                              [1.0])), None, 3)
-    yield BoostedModel(0.5, 0.1, (), BoostParams(n_estimators=1), 2)
+                                              [1.0])), None, 3), X
+    yield BoostedModel(0.5, 0.1, (), BoostParams(n_estimators=1), 2), X[:, :2]
 
 
 class TestLeafPathTable:
     def test_equals_two_stage_oracle(self):
-        models = list(leaf_path_models(np.random.default_rng(49)))
+        models = [m for m, _ in leaf_path_models(np.random.default_rng(49))]
         models += [model_from_json(model_to_json(m)) for m in models[::4]]
         assert len(models) >= 200
         widths = set()
@@ -670,12 +745,87 @@ class TestArrayTreeShap:
         rng = np.random.default_rng(47)
         model, X = random_boosted_model(rng, n=80, p=6, depth=4, trees=20)
         bg = BackgroundSet(X[:40])
-        leaves = len(model._leaf_paths[2])
-        # more rows than one chunk holds
-        assert 80 > TREE_CHUNK_TRIPLES // (40 * leaves)
+        # a chunk holds TREE_CHUNK_TRIPLES // groups rows, a group being the
+        # background rows that meet one leaf's path the same way
+        back = _PathSide(bg.rows, model._leaf_paths[0])
+        words = np.stack([w.T for w in back.keys], axis=-1)  # (leaves, B, words)
+        groups = sum(len(np.unique(leaf, axis=0)) for leaf in words)
+        assert groups < 40 * len(words)
+        # more rows than one chunk holds: at least two chunks
+        assert 80 > TREE_CHUNK_TRIPLES // groups
         m = explain_matrix(model, X, bg)
         for r, x in enumerate(X):
             assert m.phi[r].tobytes() == tree_shap(model, x, bg).tobytes()
+
+
+def oracle_cases(rng):
+    """(model, rows, background) for every model of leaf_path_models and a
+    70-feature forest. Backgrounds hold one row, distinct rows, or rows
+    drawn with repeats; queries are training rows, background rows, and
+    training rows moved onto split thresholds."""
+    models = list(leaf_path_models(np.random.default_rng(49)))
+    X = rng.normal(size=(40, 70))
+    models.append((fit_random_forest(X, X[:, 3] - X[:, 60] + rng.normal(size=40),
+                                     ForestParams(n_estimators=3, max_depth=6,
+                                                  max_features=20, seed=2)), X))
+    for model, X in models:
+        n = len(X)
+        kind = int(rng.integers(3))
+        if kind == 0:
+            bg = X[[int(rng.integers(n))]]
+        elif kind == 1:
+            bg = X[rng.choice(n, size=min(n, int(rng.integers(2, 20))),
+                              replace=False)]
+        else:
+            bg = X[rng.integers(0, max(1, n // 4), size=int(rng.integers(2, 40)))]
+        rows = [X[:6], bg[:2]]
+        paths = model._leaf_paths[0] if model._leaf_paths else None
+        if paths is not None:
+            steps = np.flatnonzero(~np.isnan(paths.threshold))
+            if steps.size:
+                at = rng.choice(steps, size=min(3, steps.size), replace=False)
+                moved = X[rng.integers(0, n, size=at.size)].copy()
+                moved[np.arange(at.size), paths.feature.flat[at]] = \
+                    paths.threshold.flat[at]
+                rows.append(moved)
+        yield model, np.vstack(rows), BackgroundSet(bg)
+
+
+class TestGroupedTreeShap:
+    """tree_shap_matrix, which pairs query rows with groups of background
+    rows, equals the triple kernel byte for byte."""
+
+    @pytest.mark.parametrize("budget", [TREE_CHUNK_TRIPLES, 1, 97])
+    def test_bytes_equal_triple_oracle(self, budget, monkeypatch):
+        monkeypatch.setattr(shapley, "TREE_CHUNK_TRIPLES", budget)
+        cases = list(oracle_cases(np.random.default_rng(51)))
+        assert len(cases) >= 200
+        sizes = [bg.size for _, _, bg in cases]
+        assert 1 in sizes and 70 in {rows.shape[1] for _, rows, _ in cases}
+        assert any(len(np.unique(bg.rows, axis=0)) < bg.size
+                   for _, _, bg in cases)
+        for model, rows, bg in cases:
+            want = triple_tree_shap_matrix(model, rows, bg)
+            assert tree_shap_matrix(model, rows, bg).tobytes() == want.tobytes()
+
+    def test_one_call_memory_peak(self):
+        # the bench shape of explain-forest: 68 rows of 16 features explained
+        # against themselves by a forest of 5 depth-9 trees
+        rng = np.random.default_rng(50)
+        X = rng.normal(size=(68, 16))
+        y = X[:, 0] * X[:, 1] + X[:, 2] + rng.normal(size=68)
+        model = fit_random_forest(X, y, ForestParams(
+            n_estimators=5, max_depth=9, max_features=8, seed=42))
+        bg = BackgroundSet(X)
+        first = tree_shap_matrix(model, X, bg)  # builds the cached tables
+        tracemalloc.start()
+        try:
+            again = tree_shap_matrix(model, X, bg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert again.tobytes() == first.tobytes()
+        assert peak <= 2.5e6
 
 
 class TestExplainMatrix:
