@@ -102,16 +102,19 @@ def _auto_color(X, x, phi, skip: int) -> int | None:
     resid = phi - A @ coef
     if np.std(resid) < 1e-15:
         resid = phi - phi.mean()  # fall back to raw attribution spread
+    sr = np.std(resid)
+    if sr < 1e-15:
+        return None
+    centered = resid - resid.mean()
     best, best_corr = None, 0.0
     for c in range(X.shape[1]):
         if c == skip:
             continue
         col = X[:, c]
-        sc, sr = np.std(col), np.std(resid)
-        if sc < 1e-15 or sr < 1e-15:
+        sc = np.std(col)
+        if sc < 1e-15:
             continue
-        corr = abs(float(np.mean((col - col.mean()) * (resid - resid.mean())))
-                   / (sc * sr))
+        corr = abs(float(np.mean((col - col.mean()) * centered)) / (sc * sr))
         if corr > best_corr + 1e-15:
             best, best_corr = c, corr
     return best
@@ -229,8 +232,9 @@ def summary_plot_data(m: ShapMatrix, X, feature_names) -> list[SummaryRecord]:
     for feature, _ in ranked:
         j = names.index(feature)
         col = X[:, j]
-        span = float(col.max() - col.min())
+        lo = col.min()
+        span = float(col.max() - lo)
         for r in range(m.n_rows):
-            norm = 0.5 if span == 0.0 else float((col[r] - col.min()) / span)
+            norm = 0.5 if span == 0.0 else float((col[r] - lo) / span)
             records.append(SummaryRecord(feature, r, float(m.phi[r, j]), norm))
     return records

@@ -8,10 +8,9 @@ where compose takes x's values on S and background row b's values
 elsewhere. Two engines compute the same quantity:
 
   * exact_shapley - enumerates all 2^p coalitions; valid for any
-    row-wise predictor; guarded at p <= 15. Coalitions are evaluated in
-    chunks: each chunk's composed rows (about CHUNK_ROWS of them) go
-    through one predict call, so `predict` must score every row
-    independently of the others in its batch.
+    row-wise predictor; guarded at p <= 15. Its predict calls walk blocks
+    of coalitions in Gray-code order, each rewriting one column, so
+    `predict` must score every row independently of its batch.
   * tree_shap - leaf-wise interventional TreeSHAP (Lundberg et al. 2020;
     Laberge & Pequignot 2022) over the leaf-path tables of the trees a
     tree model's `tree_terms()` yields. Background rows that leave a leaf's
@@ -40,7 +39,7 @@ import numpy as np
 
 EXACT_MAX_FEATURES = 15
 EFFICIENCY_TOL = 1e-9
-CHUNK_ROWS = 2048  # composed rows per exact_shapley predict call
+CHUNK_ROWS = 4096  # cap on composed rows per exact_shapley predict call
 TREE_CHUNK_TRIPLES = 1 << 15  # (query row, leaf, background group) triples a chunk holds
 _KEY_DIGITS = 31  # base-4 path digits per int64 group key word
 
@@ -123,13 +122,14 @@ def exact_shapley(predict, x, background: BackgroundSet) -> np.ndarray:
     """Brute-force Shapley values by full coalition enumeration.
 
     `predict` must be row-wise: each output depends only on its own input
-    row, not on the other rows in the call. The 2^p coalitions are
-    evaluated in chunks of max(1, CHUNK_ROWS // B), each chunk's composed
-    rows in one predict call, and v(S) is each coalition's mean over its B
-    rows. phi_i adds its terms in ascending coalition order, one at a
-    time, so the result matches a per-coalition loop bit for bit whenever
-    `predict`'s per-row output does not depend on the batch size.
-    """
+    row, not on the other rows in the call. Each call scores B composed
+    rows for each of `slots` coalitions (the largest power of two <=
+    max(1, CHUNK_ROWS // B), at most 2^p), one per pattern of the top
+    log2(slots) features; the calls walk the rest in reflected Gray-code
+    order, rewriting one column each. v(S) sums S's B outputs in background
+    order and divides by B, and phi_i adds its terms in ascending coalition
+    order one at a time, so phi matches a per-coalition loop bit for bit
+    whenever `predict`'s per-row output does not depend on the batch."""
     x = np.asarray(x, dtype=float).ravel()
     p = x.shape[0]
     if p > EXACT_MAX_FEATURES:
@@ -141,22 +141,19 @@ def exact_shapley(predict, x, background: BackgroundSet) -> np.ndarray:
     w = _coalition_weights(p)
     inside, sizes = _coalition_table(p)
 
-    n = 1 << p
-    v = np.empty(n)
-    step = min(max(1, CHUNK_ROWS // B), n)
-    # contiguous operands for a full chunk: x on every row and the
-    # background once per coalition; np.where on them runs about twice as
-    # fast as on broadcast views
-    x_rows = np.tile(x, (step * B, 1))
-    back_rows = np.tile(background.rows, (step, 1))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        size = (hi - lo) * B
-        mask = np.repeat(inside[lo:hi], B, axis=0)
-        composed = np.where(mask, x_rows[:size], back_rows[:size])
-        preds = np.asarray(predict(composed))
-        # .mean(axis=1) is this sum divided by B, less its Python overhead
-        v[lo:hi] = np.add.reduce(preds.reshape(hi - lo, B), axis=1) / B
+    v = np.empty(1 << p)
+    H = min(max(1, CHUNK_ROWS // B).bit_length() - 1, p)
+    high = np.arange(1 << H) << (p - H)
+    buf = np.empty((1 << H, B, p))  # C order: the reshape below is a view
+    np.copyto(buf, np.where(inside[high][:, None, :], x, background.rows))
+    low = 0
+    for g in range(1 << (p - H)):
+        if g:  # step g flips feature ctz(g)
+            j = (g & -g).bit_length() - 1
+            low ^= 1 << j
+            buf[:, :, j] = x[j] if low >> j & 1 else background.rows[:, j]
+        preds = np.asarray(predict(buf.reshape(-1, p)))
+        v[high | low] = np.add.reduce(preds.reshape(len(high), B), axis=1) / B
 
     phi = np.empty(p)
     for i in range(p):
@@ -197,52 +194,54 @@ class _PathSide:
     """How a set of rows (query or background) meets every leaf path.
 
     A row is off a path at step k when it goes the other way there.
-    by_feature[r, l, k] is set on the first step of each feature of leaf
-    l's path when row r is off at any step on that feature. keys pack the
-    per-step off flags, and feature_keys the by_feature flags, as base-4
-    digits into int64 words, _KEY_DIGITS steps a word, earlier steps more
-    significant, so any depth fits. inside[r, l]: row r reaches leaf l."""
+    by_feature[r, l, k] is set on the first step of each feature of leaf l's
+    path (`repeats`: _repeated_steps(paths)) when row r is off at any step
+    on that feature. keys pack the per-step off flags, and feature_keys the
+    by_feature flags, as base-4 digits into int64 words, _KEY_DIGITS steps a
+    word, earlier steps more significant, so any depth fits. inside[r, l]:
+    row r reaches leaf l."""
 
-    def __init__(self, Z, paths):
-        depth = paths.feature.shape[1]
+    def __init__(self, Z, paths, repeats):
         off = (Z[:, paths.feature] <= paths.threshold) != paths.go_left
-        by_feature = off
-        first = paths.first
-        repeats = np.nonzero(first != np.arange(depth))
-        if repeats[0].size:
-            by_feature = off.copy()
-            leaves, steps = repeats
-            for k in np.unique(steps):
-                ls = leaves[steps == k]
-                by_feature[:, ls, first[ls, k]] |= off[:, ls, k]
-                by_feature[:, ls, k] = False
+        by_feature = off.copy() if repeats else off
+        for k, leaves, first in repeats:
+            by_feature[:, leaves, first] |= off[:, leaves, k]
+            by_feature[:, leaves, k] = False
         self.by_feature = by_feature
         self.keys = _key_words(off)
         self.feature_keys = _key_words(by_feature)
         self.inside = ~off.any(axis=2)
 
 
+def _repeated_steps(paths) -> list[tuple]:
+    """(k, leaves, their first step on k's feature) per step k that retests."""
+    leaves, steps = np.nonzero(paths.first != np.arange(paths.first.shape[1]))
+    return [(k, ls, paths.first[ls, k])
+            for k in np.unique(steps).tolist() for ls in [leaves[steps == k]]]
+
+
 def _key_words(bits: np.ndarray) -> list[np.ndarray]:
     """(rows, leaves, depth) flags -> one (rows, leaves) int64 word per
-    _KEY_DIGITS steps, each flag a base-4 digit, earlier steps higher."""
+    _KEY_DIGITS steps, each flag a base-4 digit, earlier steps higher; one
+    step at a time, so the block is never copied to int64 as a whole."""
     depth = bits.shape[2]
     words = []
     for lo in range(0, depth, _KEY_DIGITS):
-        hi = min(lo + _KEY_DIGITS, depth)
-        place = 4 ** np.arange(_KEY_DIGITS - 1, _KEY_DIGITS - 1 - (hi - lo), -1,
-                               dtype=np.int64)
-        words.append(bits[:, :, lo:hi] @ place)
+        word = np.zeros(bits.shape[:2], dtype=np.int64)
+        for k in range(lo, min(lo + _KEY_DIGITS, depth)):
+            word |= np.left_shift(bits[:, :, k], 2 * (lo + _KEY_DIGITS - 1 - k),
+                                  dtype=np.int64)
+        words.append(word)
     return words
 
 
-def _background_groups(rows, paths):
-    """Each leaf's background rows grouped by their _PathSide.keys words, with
+def _background_groups(back: _PathSide):
+    """Each leaf's background rows (`back`) grouped by their keys words, with
     one lexsort over leaf and key words: per group its leaf, row count, and
     keys, feature_keys, inside and by_feature, the same for all its rows."""
-    back = _PathSide(rows, paths)
-    B = rows.shape[0]
+    B, n_leaves = back.inside.shape
     keys = [w.T.ravel() for w in back.keys]  # (leaf, row) pairs, leaf-major
-    leaf = np.repeat(np.arange(len(paths.feature)), B)
+    leaf = np.repeat(np.arange(n_leaves), B)
     order = np.lexsort(keys[::-1] + [leaf])
     changed = np.diff([key[order] for key in [leaf] + keys], axis=1).any(axis=0)
     starts = np.flatnonzero(np.r_[True, changed])  # where the leaf or a word changes
@@ -283,13 +282,14 @@ def tree_shap_matrix(model, X: np.ndarray, background: BackgroundSet) -> np.ndar
         return phi  # no trees, or only single-leaf trees: no path to split
     paths, tree_of, weight = ensemble
     pos, neg = _uv_tables(p)
+    repeats = _repeated_steps(paths)
     g_leaf, count, g_keys, g_feature_keys, g_inside, g_in_u = \
-        _background_groups(background.rows, paths)
+        _background_groups(_PathSide(background.rows, paths, repeats))
     g_u = g_in_u.sum(axis=1)
 
     def chunk_phi(rows):
         # (query row, group) pairs, row-major; a chunk's arrays die with the call
-        query = _PathSide(rows, paths)
+        query = _PathSide(rows, paths, repeats)
         ok = ~(query.inside[:, g_leaf] & g_inside)
         for qw, gw in zip(query.feature_keys, g_feature_keys):
             ok &= (qw[:, g_leaf] & gw) == 0

@@ -14,6 +14,7 @@ from forecastlab.shapley import (
     ShapMatrix,
     _coalition_weights,
     _PathSide,
+    _repeated_steps,
     _uv_tables,
     exact_shapley,
     explain_matrix,
@@ -108,18 +109,103 @@ def loop_exact_shapley(predict, x, background):
     return phi
 
 
+def chunked_exact_shapley(predict, x, background, chunk_rows=2048):
+    """Reference oracle: the enumeration engine before the Gray-code walk.
+    Coalitions go in ascending order, max(1, chunk_rows // B) a predict call,
+    each chunk composed by one np.where over a repeated membership mask."""
+    x = np.asarray(x, dtype=float).ravel()
+    p = x.shape[0]
+    B = background.size
+    w = _coalition_weights(p)
+    inside = (np.arange(1 << p)[:, None] >> np.arange(p)) & 1 == 1
+    sizes = inside.sum(axis=1)
+    n = 1 << p
+    v = np.empty(n)
+    step = min(max(1, chunk_rows // B), n)
+    x_rows = np.tile(x, (step * B, 1))
+    back_rows = np.tile(background.rows, (step, 1))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        size = (hi - lo) * B
+        mask = np.repeat(inside[lo:hi], B, axis=0)
+        composed = np.where(mask, x_rows[:size], back_rows[:size])
+        preds = np.asarray(predict(composed))
+        v[lo:hi] = np.add.reduce(preds.reshape(hi - lo, B), axis=1) / B
+    phi = np.empty(p)
+    for i in range(p):
+        masks = np.flatnonzero(~inside[:, i])
+        terms = w[sizes[masks]] * (v[masks | (1 << i)] - v[masks])
+        phi[i] = np.cumsum(np.concatenate(([0.0], terms)))[-1]
+    return phi
+
+
 def rowwise(Z):
     return np.sin(Z[:, 0]) * Z[:, -1] + (Z ** 2).sum(axis=1) - Z[:, 0] * 0.5
 
 
 class CountingPredict:
+    """Records each call's row count and which columns changed since the
+    previous call (None for the first call)."""
+
     def __init__(self, predict):
         self.predict = predict
         self.rows = []
+        self.changed = []
+        self.last = None
 
     def __call__(self, Z):
         self.rows.append(Z.shape[0])
+        if self.last is not None and self.last.shape == Z.shape:
+            self.changed.append(np.flatnonzero((self.last != Z).any(axis=0)).tolist())
+        elif self.last is not None:
+            self.changed.append(None)
+        self.last = np.array(Z)
         return self.predict(Z)
+
+
+def four_row_aligned(predict):
+    """predict on the call padded with zero rows to a multiple of 4 rows.
+    BLAS matrix-vector kernels score rows in groups of 4 and a call's last
+    len % 4 rows by another kernel, which may round a row's sum differently
+    in the last bit. Padded, every row gets the 4-row kernel's bits
+    whatever the call's size, so two call layouts can be compared bytewise."""
+    def aligned(Z):
+        pad = np.zeros((-len(Z) % 4, Z.shape[1]))
+        return np.asarray(predict(np.vstack([Z, pad])))[:len(Z)]
+    return aligned
+
+
+def slot_count(p, B):
+    """The largest power of two <= max(1, CHUNK_ROWS // B), at most 2**p."""
+    slots = 1
+    while slots * 2 <= min(max(1, CHUNK_ROWS // B), 2 ** p):
+        slots *= 2
+    return slots
+
+
+LINEAR = [("ridge", {"lam": 0.1}), ("lasso", {"lam": 0.05}),
+          ("elastic_net", {"lam": 0.05, "alpha": 0.5}), ("ols", {})]
+SVR = [("svr", {"C": 2.0, "epsilon": 0.05, "kernel": "linear"}),
+       ("svr", {"C": 2.0, "epsilon": 0.05, "kernel": "rbf"}),
+       ("svr", {"C": 1.0, "epsilon": 0.05, "kernel": "polynomial", "degree": 2,
+                "coef0": 1.0})]
+
+
+def enumeration_cases(rng, families, n_cases):
+    """(fitted inner model, x, background) with p in 1..12 and B in 1..130;
+    the first cases pin B = 1 and a B that 4 does not divide."""
+    for case in range(n_cases):
+        family, params = families[case % len(families)]
+        p = int(rng.integers(1, 13))
+        B = [1, 67][case] if case < 2 else int(rng.integers(1, 131))
+        X = rng.normal(size=(60, p))
+        y = X @ rng.normal(size=p) + 0.1 * rng.normal(size=60)
+        model = fit_family(family, X, y, params).model
+        yield model, rng.normal(size=p), BackgroundSet(rng.normal(size=(B, p)))
+
+
+def assert_close_relative(phi, want, rel):
+    assert np.abs(phi - want).max() <= rel * np.abs(want).max()
 
 
 class TestBatchedEnumeration:
@@ -166,6 +252,38 @@ class TestBatchedEnumeration:
                 exact_shapley(model.predict, x, bg),
                 loop_exact_shapley(model.predict, x, bg), rtol=0, atol=1e-12)
 
+    def test_linear_families_bytes_equal_chunked(self):
+        # every case is bytewise equal once each call is 4-row aligned; a
+        # case whose calls already are (both engines) is equal as it stands,
+        # and a ragged one only in the last bits of a few rows' sums
+        cases = list(enumeration_cases(np.random.default_rng(60), LINEAR, 160))
+        sizes = [bg.size for _, _, bg in cases]
+        assert 1 in sizes and any(B % 4 for B in sizes)
+        unpadded = 0
+        for model, x, bg in cases:
+            new, old = CountingPredict(model.predict), CountingPredict(model.predict)
+            phi, want = exact_shapley(new, x, bg), chunked_exact_shapley(old, x, bg)
+            if not any(n % 4 for n in new.rows + old.rows):
+                assert phi.tobytes() == want.tobytes()
+                unpadded += 1
+            else:
+                assert_close_relative(phi, want, 1e-15)
+            aligned = four_row_aligned(model.predict)
+            assert (exact_shapley(aligned, x, bg).tobytes()
+                    == chunked_exact_shapley(aligned, x, bg).tobytes())
+        assert unpadded >= 100 and len(cases) - unpadded >= 20
+
+    def test_svr_kernels_match_chunked(self):
+        # SvrModel.predict scores rows in blocks of whole 4-row groups, so
+        # where a row falls in a block moves with the call's size; aligned
+        # calls are bytewise equal, raw ones agree to 1e-15 of max |phi|
+        for model, x, bg in enumeration_cases(np.random.default_rng(61), SVR, 45):
+            assert_close_relative(exact_shapley(model.predict, x, bg),
+                                  chunked_exact_shapley(model.predict, x, bg), 1e-15)
+            aligned = four_row_aligned(model.predict)
+            assert (exact_shapley(aligned, x, bg).tobytes()
+                    == chunked_exact_shapley(aligned, x, bg).tobytes())
+
     def test_background_larger_than_chunk(self):
         rng = np.random.default_rng(23)
         bg = BackgroundSet(rng.normal(size=(CHUNK_ROWS + 3, 3)))
@@ -176,27 +294,35 @@ class TestBatchedEnumeration:
         assert phi.tobytes() == loop_exact_shapley(rowwise, x, bg).tobytes()
 
     def test_background_not_dividing_chunk(self):
+        # B = 100: 40 coalitions would fit a call, 32 slots are used, and
+        # the 2**3 steps of the low 3 features make 8 calls of 3200 rows
         rng = np.random.default_rng(24)
         B = 100
-        assert CHUNK_ROWS % B
-        bg = BackgroundSet(rng.normal(size=(B, 6)))
-        x = rng.normal(size=6)
+        assert CHUNK_ROWS % B and slot_count(8, B) == 32
+        bg = BackgroundSet(rng.normal(size=(B, 8)))
+        x = rng.normal(size=8)
         counting = CountingPredict(rowwise)
         phi = exact_shapley(counting, x, bg)
-        step = CHUNK_ROWS // B
-        assert counting.rows[-1] == (64 % step) * B
+        assert counting.rows == [32 * B] * 8
         assert phi.tobytes() == loop_exact_shapley(rowwise, x, bg).tobytes()
 
     @pytest.mark.parametrize("p,B", [(1, 1), (5, 67), (12, 68), (12, 1),
-                                     (3, CHUNK_ROWS + 1), (6, 100)])
+                                     (3, 2049), (3, CHUNK_ROWS + 1), (6, 100)])
     def test_predict_calls_per_chunk(self, p, B):
         rng = np.random.default_rng(25)
         bg = BackgroundSet(rng.normal(size=(B, p)))
         counting = CountingPredict(rowwise)
         exact_shapley(counting, rng.normal(size=p), bg)
-        assert len(counting.rows) == math.ceil(2 ** p / max(1, CHUNK_ROWS // B))
+        slots = slot_count(p, B)
+        low = p - slots.bit_length() + 1
+        # 2**low calls of slots * B rows: each coalition's B rows once
+        assert counting.rows == [slots * B] * 2 ** low
         assert sum(counting.rows) == 2 ** p * B
         assert max(counting.rows) <= max(B, CHUNK_ROWS)
+        # reflected Gray order over the low features: call g rewrites only
+        # the column of feature ctz(g)
+        assert counting.changed == [[(g & -g).bit_length() - 1]
+                                    for g in range(1, 2 ** low)]
 
 
 def raw_space_phi(model, rows, background):
@@ -270,6 +396,26 @@ class TestStandardizedEnumeration:
                           -X[0] * 1e6, np.full(6, 1e-300)])
         self.assert_bytes_equal(model, rows, BackgroundSet(X[:9]))
 
+    @pytest.mark.parametrize("family,params", STANDARDIZING,
+                             ids=STANDARDIZING_IDS)
+    def test_fortran_ordered_rows(self, family, params):
+        # the standardization keeps Fortran-ordered rows Fortran-ordered (a
+        # BackgroundSet copies to C order); the composed rows still reach
+        # predict C-ordered, and the bytes equal those of C-ordered inputs
+        rng = np.random.default_rng(43)
+        model, X = self.fitted(family, params, 6, rng)
+        rows, bg = np.asfortranarray(X[:4]), BackgroundSet(np.asfortranarray(X[10:19]))
+        assert model.stats.transform(rows).flags.f_contiguous
+        assert not rows.flags.c_contiguous
+        self.assert_bytes_equal(model, rows, bg)
+        want = explain_matrix(model, X[:4].copy(), BackgroundSet(X[10:19].copy()))
+        assert explain_matrix(model, rows, bg).phi.tobytes() == want.phi.tobytes()
+
+        def c_ordered(Z):
+            assert Z.flags.c_contiguous
+            return model.predict(Z)
+        exact_shapley(c_ordered, rows[0], bg)
+
     def test_model_without_standardization_unchanged(self):
         rng = np.random.default_rng(42)
         X = rng.normal(size=(30, 4))
@@ -342,14 +488,14 @@ def triple_tree_shap_matrix(model, X, background):
     paths, tree_of, weight = ensemble
     n_leaves = len(weight)
     pos, neg = _uv_tables(p)
-    back = _PathSide(background.rows, paths)
+    back = _PathSide(background.rows, paths, _repeated_steps(paths))
     back_keys = [w.T for w in back.keys]  # (leaves, B)
     back_feature_keys = [w.T[None] for w in back.feature_keys]
     back_inside = back.inside.T[None]
     step = max(1, TREE_CHUNK_TRIPLES // (B * n_leaves))
     for lo in range(0, n_rows, step):
         hi = min(lo + step, n_rows)
-        query = _PathSide(X[lo:hi], paths)
+        query = _PathSide(X[lo:hi], paths, _repeated_steps(paths))
         # triples in (row, leaf, background row) order
         ok = ~(query.inside[:, :, None] & back_inside)
         for qw, bw in zip(query.feature_keys, back_feature_keys):
@@ -747,7 +893,8 @@ class TestArrayTreeShap:
         bg = BackgroundSet(X[:40])
         # a chunk holds TREE_CHUNK_TRIPLES // groups rows, a group being the
         # background rows that meet one leaf's path the same way
-        back = _PathSide(bg.rows, model._leaf_paths[0])
+        paths = model._leaf_paths[0]
+        back = _PathSide(bg.rows, paths, _repeated_steps(paths))
         words = np.stack([w.T for w in back.keys], axis=-1)  # (leaves, B, words)
         groups = sum(len(np.unique(leaf, axis=0)) for leaf in words)
         assert groups < 40 * len(words)
