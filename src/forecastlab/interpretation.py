@@ -82,7 +82,7 @@ def dependence_data(m: ShapMatrix, X, feature: str, feature_names,
 
     color_idx = None
     if color_by == "auto":
-        color_idx = _auto_color(X, x, phi, j)
+        color_idx, _ = _auto_color(X, x, phi, j)
     elif color_by is not None:
         if color_by not in names:
             raise InterpretationError(f"unknown feature {color_by!r}")
@@ -95,8 +95,12 @@ def dependence_data(m: ShapMatrix, X, feature: str, feature_names,
     return points
 
 
-def _auto_color(X, x, phi, skip: int) -> int | None:
-    """Candidate whose raw values best explain what the linear trend misses."""
+def _auto_color(X, x, phi, skip: int) -> tuple[int | None, float]:
+    """Candidate whose raw values best explain what the linear trend misses,
+    and its |correlation| with the residuals; (None, 0.0) when none does.
+    Every column is scored in one pass over the rows of a C-ordered X.T, with
+    the same pairwise sums as a per-column loop; the scan then takes the
+    first column that beats the best by more than 1e-15."""
     A = np.column_stack([np.ones_like(x), x])
     coef, *_ = np.linalg.lstsq(A, phi, rcond=None)
     resid = phi - A @ coef
@@ -104,20 +108,20 @@ def _auto_color(X, x, phi, skip: int) -> int | None:
         resid = phi - phi.mean()  # fall back to raw attribution spread
     sr = np.std(resid)
     if sr < 1e-15:
-        return None
+        return None, 0.0
     centered = resid - resid.mean()
+    XT = np.ascontiguousarray(X.T)
+    sc = np.std(XT, axis=1).tolist()
+    cov = np.mean((XT - XT.mean(axis=1, keepdims=True)) * centered, axis=1).tolist()
+    sr = float(sr)
     best, best_corr = None, 0.0
-    for c in range(X.shape[1]):
-        if c == skip:
+    for c in range(len(sc)):
+        if c == skip or sc[c] < 1e-15:
             continue
-        col = X[:, c]
-        sc = np.std(col)
-        if sc < 1e-15:
-            continue
-        corr = abs(float(np.mean((col - col.mean()) * centered)) / (sc * sr))
+        corr = abs(cov[c] / (sc[c] * sr))
         if corr > best_corr + 1e-15:
             best, best_corr = c, corr
-    return best
+    return best, best_corr
 
 
 def filter_outliers(points, k: float = 1.5, axis: str = "x") -> FilterResult:

@@ -39,7 +39,7 @@ import numpy as np
 
 EXACT_MAX_FEATURES = 15
 EFFICIENCY_TOL = 1e-9
-CHUNK_ROWS = 4096  # cap on composed rows per exact_shapley predict call
+CHUNK_ROWS = 8192  # cap on composed rows per exact_shapley predict call
 TREE_CHUNK_TRIPLES = 1 << 15  # (query row, leaf, background group) triples a chunk holds
 _KEY_DIGITS = 31  # base-4 path digits per int64 group key word
 
@@ -118,6 +118,16 @@ def _coalition_table(p: int) -> tuple[np.ndarray, np.ndarray]:
     return inside, sizes
 
 
+@lru_cache(maxsize=None)
+def _phi_weights(p: int) -> np.ndarray:
+    """Row i: the weight w[|S|] of each coalition S without feature i, in
+    ascending order of S; (p, 2^(p-1)), read-only."""
+    inside, sizes = _coalition_table(p)
+    weights = _coalition_weights(p)[np.stack([sizes[~inside[:, i]] for i in range(p)])]
+    weights.flags.writeable = False
+    return weights
+
+
 def exact_shapley(predict, x, background: BackgroundSet) -> np.ndarray:
     """Brute-force Shapley values by full coalition enumeration.
 
@@ -138,14 +148,15 @@ def exact_shapley(predict, x, background: BackgroundSet) -> np.ndarray:
     if background.n_features != p:
         raise ValueError("background feature count mismatch")
     B = background.size
-    w = _coalition_weights(p)
-    inside, sizes = _coalition_table(p)
+    inside, _ = _coalition_table(p)
 
     v = np.empty(1 << p)
     H = min(max(1, CHUNK_ROWS // B).bit_length() - 1, p)
     high = np.arange(1 << H) << (p - H)
+    v_steps = v.reshape(1 << H, -1)  # v_steps[s, low] is v[high[s] | low]
     buf = np.empty((1 << H, B, p))  # C order: the reshape below is a view
-    np.copyto(buf, np.where(inside[high][:, None, :], x, background.rows))
+    buf[:] = background.rows
+    np.copyto(buf, x, where=inside[high][:, None, :])
     low = 0
     for g in range(1 << (p - H)):
         if g:  # step g flips feature ctz(g)
@@ -153,15 +164,17 @@ def exact_shapley(predict, x, background: BackgroundSet) -> np.ndarray:
             low ^= 1 << j
             buf[:, :, j] = x[j] if low >> j & 1 else background.rows[:, j]
         preds = np.asarray(predict(buf.reshape(-1, p)))
-        v[high | low] = np.add.reduce(preds.reshape(len(high), B), axis=1) / B
+        np.add.reduce(preds.reshape(len(high), B), axis=1, out=v_steps[:, low])
+    v /= B
 
-    phi = np.empty(p)
+    # row i: v(S | i) - v(S) for each S without i, ascending, then weighted
+    # and summed from 0.0 one term at a time, a per-coalition loop's order
+    terms = np.zeros((p, 1 + (1 << (p - 1))))
     for i in range(p):
-        masks = np.flatnonzero(~inside[:, i])
-        terms = w[sizes[masks]] * (v[masks | (1 << i)] - v[masks])
-        # sequential sum from 0.0, the order of a per-coalition loop
-        phi[i] = np.cumsum(np.concatenate(([0.0], terms)))[-1]
-    return phi
+        pairs = v.reshape(-1, 2, 1 << i)  # [:, 1] holds S | i, [:, 0] holds S
+        np.subtract(pairs[:, 1], pairs[:, 0], out=terms[i, 1:].reshape(-1, 1 << i))
+    terms[:, 1:] *= _phi_weights(p)
+    return np.add.accumulate(terms, axis=1, out=terms)[:, -1].copy()
 
 
 # --- interventional tree traversal ------------------------------------------
@@ -199,10 +212,14 @@ class _PathSide:
     on that feature. keys pack the per-step off flags, and feature_keys the
     by_feature flags, as base-4 digits into int64 words, _KEY_DIGITS steps a
     word, earlier steps more significant, so any depth fits. inside[r, l]:
-    row r reaches leaf l."""
+    row r reaches leaf l. The off flags are compared a step at a time, so
+    only one (rows, leaves) block of feature values is gathered at once."""
 
     def __init__(self, Z, paths, repeats):
-        off = (Z[:, paths.feature] <= paths.threshold) != paths.go_left
+        off = np.empty((Z.shape[0],) + paths.feature.shape, dtype=bool)
+        for k in range(paths.feature.shape[1]):
+            np.not_equal(Z[:, paths.feature[:, k]] <= paths.threshold[:, k],
+                         paths.go_left[:, k], out=off[:, :, k])
         by_feature = off.copy() if repeats else off
         for k, leaves, first in repeats:
             by_feature[:, leaves, first] |= off[:, leaves, k]
@@ -243,7 +260,10 @@ def _background_groups(back: _PathSide):
     keys = [w.T.ravel() for w in back.keys]  # (leaf, row) pairs, leaf-major
     leaf = np.repeat(np.arange(n_leaves), B)
     order = np.lexsort(keys[::-1] + [leaf])
-    changed = np.diff([key[order] for key in [leaf] + keys], axis=1).any(axis=0)
+    changed = np.zeros(order.size - 1, dtype=bool)
+    for key in [leaf] + keys:
+        ordered = key[order]
+        changed |= ordered[1:] != ordered[:-1]
     starts = np.flatnonzero(np.r_[True, changed])  # where the leaf or a word changes
     leaf, row = np.divmod(order[starts], B)
     return (leaf, np.diff(np.append(starts, order.size)),

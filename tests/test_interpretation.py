@@ -7,6 +7,7 @@ from forecastlab.interpretation import (
     FilterResult,
     InterpretationError,
     PolyFit,
+    _auto_color,
     dependence_data,
     filter_outliers,
     fit_functional_form,
@@ -68,6 +69,79 @@ class TestDependenceData:
         m, X = self.make_matrix()
         with pytest.raises(InterpretationError, match="unknown feature"):
             dependence_data(m, X, "zzz", ["a", "b", "c"])
+
+
+def loop_auto_color(X, x, phi, skip):
+    """Reference oracle: the per-column loop, which makes separate std and
+    mean calls on each strided column of X."""
+    A = np.column_stack([np.ones_like(x), x])
+    coef, *_ = np.linalg.lstsq(A, phi, rcond=None)
+    resid = phi - A @ coef
+    if np.std(resid) < 1e-15:
+        resid = phi - phi.mean()
+    sr = np.std(resid)
+    if sr < 1e-15:
+        return None, 0.0
+    centered = resid - resid.mean()
+    best, best_corr = None, 0.0
+    for c in range(X.shape[1]):
+        if c == skip:
+            continue
+        col = X[:, c]
+        sc = np.std(col)
+        if sc < 1e-15:
+            continue
+        corr = abs(float(np.mean((col - col.mean()) * centered)) / (sc * sr))
+        if corr > best_corr + 1e-15:
+            best, best_corr = c, corr
+    return best, best_corr
+
+
+def random_color_case(rng):
+    """(X, x, phi, skip) with 3-130 rows and 2-16 columns at scales 1e-3 to
+    1e3, C or Fortran order; columns may be constant, rounded, or copies of
+    another column (scaled by 1, -3 or 0.1, so their scores tie or nearly
+    tie), and phi may be zero, exactly linear in x, or depend on another
+    column."""
+    n, p = int(rng.integers(3, 131)), int(rng.integers(2, 17))
+    scales = 10.0 ** rng.uniform(-3, 3, size=p)
+    X = rng.normal(size=(n, p)) * scales + rng.normal(size=p) * scales
+    if rng.random() < 0.3:
+        X = np.round(X, int(rng.integers(0, 3)))
+    for c in np.flatnonzero(rng.random(p) < 0.15):
+        X[:, c] = rng.choice([0.0, 0.1, 7.5, -1e3])
+    for c in np.flatnonzero(rng.random(p) < 0.2):  # ties and near-ties
+        X[:, c] = X[:, int(rng.integers(p))] * rng.choice([1.0, -3.0, 0.1])
+    if rng.random() < 0.5:
+        X = np.asfortranarray(X)
+    skip = int(rng.integers(p))
+    x = X[:, skip]
+    kind = int(rng.integers(5))
+    if kind == 0:
+        phi = np.zeros(n)
+    elif kind == 1:
+        phi = float(rng.normal()) * x + float(rng.normal())
+    elif kind == 2:
+        phi = np.round(rng.normal(size=n), 1)
+    else:
+        other = X[:, int(rng.integers(p))]
+        phi = x * other / (scales.max() ** 2) + 0.1 * rng.normal(size=n)
+    return X, x, phi, skip
+
+
+class TestAutoColorMatchesLoop:
+    def test_random_matrices(self):
+        rng = np.random.default_rng(70)
+        chosen, uncolored, fortran = 0, 0, 0
+        for _ in range(2400):
+            X, x, phi, skip = random_color_case(rng)
+            got, want = _auto_color(X, x, phi, skip), loop_auto_color(X, x, phi, skip)
+            assert got[0] == want[0]
+            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+            chosen += got[0] is not None
+            uncolored += got[0] is None
+            fortran += not X.flags.c_contiguous
+        assert chosen > 1000 and uncolored > 200 and fortran > 1000
 
 
 class TestFilterOutliers:

@@ -12,8 +12,10 @@ from forecastlab.shapley import (
     TREE_CHUNK_TRIPLES,
     BackgroundSet,
     ShapMatrix,
+    _coalition_table,
     _coalition_weights,
     _PathSide,
+    _phi_weights,
     _repeated_steps,
     _uv_tables,
     exact_shapley,
@@ -223,10 +225,26 @@ class TestBatchedEnumeration:
                     assert (exact_shapley(model.predict, x, bg).tobytes()
                             == loop_exact_shapley(model.predict, x, bg).tobytes())
 
-    @pytest.mark.parametrize("p", [1, 5, 12])
+    @pytest.mark.parametrize("p", [1, 5, 12, 15])
+    def test_tree_models_bit_identical_to_loop_across_p(self, p):
+        # small models, so the per-coalition oracle stays cheap at p = 15
+        rng = np.random.default_rng(26 + p)
+        X = rng.normal(size=(80, p))
+        y = X[:, 0] * X[:, -1] + rng.normal(size=80)
+        forest = fit_random_forest(X, y, ForestParams(
+            n_estimators=2, max_depth=4, max_features=max(1, p // 2), seed=3))
+        boosted, Xb = random_boosted_model(rng, n=80, p=p, depth=3, trees=4)
+        sizes = (1, 5, 67) if p < 12 else (5,) if p == 15 else (1, 67)
+        for model, data in ((forest, X), (boosted, Xb)):
+            for B in sizes:
+                bg = BackgroundSet(data[:B])
+                assert (exact_shapley(model.predict, data[75], bg).tobytes()
+                        == loop_exact_shapley(model.predict, data[75], bg).tobytes())
+
+    @pytest.mark.parametrize("p", [1, 5, 12, 15])
     def test_rowwise_function_bit_identical_to_loop(self, p):
         rng = np.random.default_rng(21)
-        for B in (1, 5, 67, 68):
+        for B in (1, 5, 67, 68) if p < 15 else (1, 68):
             bg = BackgroundSet(rng.normal(size=(B, p)))
             x = rng.normal(size=p)
             assert (exact_shapley(rowwise, x, bg).tobytes()
@@ -241,11 +259,11 @@ class TestBatchedEnumeration:
         # gemv/gemm remainder paths may round the last bit differently
         # when the batch grows, so agreement is to 1e-12, not bitwise
         rng = np.random.default_rng(22 + p)
-        X = rng.normal(size=(80, p))
-        y = X @ rng.normal(size=p) + np.sin(X[:, 0]) + 0.1 * rng.normal(size=80)
+        X = rng.normal(size=(100, p))
+        y = X @ rng.normal(size=p) + np.sin(X[:, 0]) + 0.1 * rng.normal(size=100)
         model = fit_family(family, X, y, params)
         assert isinstance(model, Standardized)
-        for B in (1, 5, 67, 68):
+        for B in (1, 5, 67, 68, 100):
             bg = BackgroundSet(X[:B])
             x = X[75]
             np.testing.assert_allclose(
@@ -294,20 +312,21 @@ class TestBatchedEnumeration:
         assert phi.tobytes() == loop_exact_shapley(rowwise, x, bg).tobytes()
 
     def test_background_not_dividing_chunk(self):
-        # B = 100: 40 coalitions would fit a call, 32 slots are used, and
-        # the 2**3 steps of the low 3 features make 8 calls of 3200 rows
+        # B = 100: 81 coalitions would fit a call, 64 slots are used, and
+        # the 2**2 steps of the low 2 features make 4 calls of 6400 rows
         rng = np.random.default_rng(24)
         B = 100
-        assert CHUNK_ROWS % B and slot_count(8, B) == 32
+        assert CHUNK_ROWS % B and slot_count(8, B) == 64
         bg = BackgroundSet(rng.normal(size=(B, 8)))
         x = rng.normal(size=8)
         counting = CountingPredict(rowwise)
         phi = exact_shapley(counting, x, bg)
-        assert counting.rows == [32 * B] * 8
+        assert counting.rows == [64 * B] * 4
         assert phi.tobytes() == loop_exact_shapley(rowwise, x, bg).tobytes()
 
     @pytest.mark.parametrize("p,B", [(1, 1), (5, 67), (12, 68), (12, 1),
-                                     (3, 2049), (3, CHUNK_ROWS + 1), (6, 100)])
+                                     (3, 2049), (3, 4097), (3, CHUNK_ROWS + 1),
+                                     (6, 100)])
     def test_predict_calls_per_chunk(self, p, B):
         rng = np.random.default_rng(25)
         bg = BackgroundSet(rng.normal(size=(B, p)))
@@ -323,6 +342,26 @@ class TestBatchedEnumeration:
         # the column of feature ctz(g)
         assert counting.changed == [[(g & -g).bit_length() - 1]
                                     for g in range(1, 2 ** low)]
+
+
+class TestPhiWeightCache:
+    def test_read_only_and_built_once_per_p(self):
+        _phi_weights.cache_clear()
+        for p in (3, 7, 3, 7, 3):
+            exact_shapley(rowwise, np.arange(p, dtype=float),
+                          BackgroundSet(np.ones((2, p))))
+        info = _phi_weights.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 3, 2)
+        for p in (3, 7):
+            inside, sizes = _coalition_table(p)
+            w = _coalition_weights(p)
+            weights = _phi_weights(p)
+            assert weights.shape == (p, 2 ** (p - 1))
+            with pytest.raises(ValueError, match="read-only"):
+                weights[0, 0] = 1.0
+            for i in range(p):
+                masks = np.flatnonzero(~inside[:, i])
+                assert weights[i].tobytes() == w[sizes[masks]].tobytes()
 
 
 def raw_space_phi(model, rows, background):
@@ -955,14 +994,16 @@ class TestGroupedTreeShap:
             want = triple_tree_shap_matrix(model, rows, bg)
             assert tree_shap_matrix(model, rows, bg).tobytes() == want.tobytes()
 
-    def test_one_call_memory_peak(self):
-        # the bench shape of explain-forest: 68 rows of 16 features explained
-        # against themselves by a forest of 5 depth-9 trees
+    @staticmethod
+    def one_call_peak(n_trees):
+        """tracemalloc peak of one tree_shap_matrix call at the bench shape
+        of explain-forest: 68 rows of 16 features explained against
+        themselves by a forest of depth-9 trees."""
         rng = np.random.default_rng(50)
         X = rng.normal(size=(68, 16))
         y = X[:, 0] * X[:, 1] + X[:, 2] + rng.normal(size=68)
         model = fit_random_forest(X, y, ForestParams(
-            n_estimators=5, max_depth=9, max_features=8, seed=42))
+            n_estimators=n_trees, max_depth=9, max_features=8, seed=42))
         bg = BackgroundSet(X)
         first = tree_shap_matrix(model, X, bg)  # builds the cached tables
         tracemalloc.start()
@@ -972,7 +1013,17 @@ class TestGroupedTreeShap:
         finally:
             tracemalloc.stop()
         assert again.tobytes() == first.tobytes()
-        assert peak <= 2.5e6
+        return peak
+
+    def test_one_call_memory_peak(self):
+        # 5 trees: the (query row, group) term arrays set the peak, 1.70 MB
+        assert self.one_call_peak(5) <= 1.87e6
+
+    def test_many_trees_memory_peak(self):
+        # 30 trees: grouping the background sets the peak, 5.92 MB; a whole
+        # (rows, leaves, depth) float gather or one stacked block of key
+        # differences would push it past the bound
+        assert self.one_call_peak(30) <= 6.5e6
 
 
 class TestExplainMatrix:
