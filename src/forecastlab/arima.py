@@ -35,22 +35,38 @@ operation, on lists of Python floats: every vertex update is the same IEEE
 double arithmetic in the same order, the centroid adds each column in row
 order to 0.0 as `np.add.reduce` does, and the reorders stay on numpy's
 argsort, whose order of tied values is scipy's. So a fit is byte-identical
-to `minimize(method="Nelder-Mead")` without importing scipy.optimize. The
-MA filter is scipy.signal.lfilter, which `_innovations` looks up, once per
-build and only when the order has MA terms.
+to `minimize(method="Nelder-Mead")` without importing scipy.optimize.
+
+The MA filter is `_linear_filter`, scipy's compiled direct-form II
+transposed kernel from the `scipy.signal._sigtools` extension, called with
+the arguments `scipy.signal.lfilter` passes it whenever the denominator has
+more than one coefficient, as every MA order's does. So each innovation is
+lfilter's to the bit, without lfilter's Python-side checks and without
+running `scipy/signal/__init__.py`, which imports most of scipy. The
+extension is loaded by `_linear_filter_kernel` the first time an order with
+MA terms is built, once per process, and registered under its package name,
+so a later `import scipy.signal` reuses it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec, spec_from_file_location
 from operator import add
 from typing import NamedTuple
 
 import numpy as np
 
 from .evaluation import pow2_scaled
+
+# the numerator of every MA filter; the kernel reads it and never writes it
+ONE = np.ones(1)
+ONE.flags.writeable = False
 
 
 class ArimaError(ValueError):
@@ -170,19 +186,43 @@ def _ma_lags(theta, stheta, s: int) -> np.ndarray:
     return np.array(_expand(theta, stheta, s, 1.0), dtype=float)
 
 
+@cache
+def _linear_filter_kernel():
+    """`_linear_filter(b, a, x, axis)` of scipy.signal._sigtools, loaded
+    from its extension file without running scipy/signal/__init__.py (the
+    module already in sys.modules when scipy.signal was imported first)."""
+    name = "scipy.signal._sigtools"
+    module = sys.modules.get(name)
+    if module is None:
+        import scipy
+        found = PathFinder.find_spec(
+            "_sigtools", [os.path.join(scipy.__path__[0], "signal")])
+        if found is None or found.origin is None:
+            raise ImportError(f"no {name} extension in {scipy.__path__[0]}")
+        spec = spec_from_file_location(name, found.origin)
+        module = module_from_spec(spec)
+        sys.modules[name] = module  # before exec, as the import system does
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[name]
+            raise
+    return module._linear_filter
+
+
 def _innovations(w, order: ArimaOrder):
     """theta -> conditional innovations of w under `order`, for t >= order.k_ar,
     with pre-sample innovations zero. theta is a list laid out as
     `ArimaOrder.split` reads it. The AR lag design depends on the order
-    alone, so it is built once here, not per call, and so is the lfilter
-    lookup."""
+    alone, so it is built once here, not per call, and so is the filter
+    kernel lookup."""
     k_ar, s = order.k_ar, order.s
     has_ma = bool(order.q or order.Q)
     if k_ar:  # row t - k_ar of lagged holds w_{t-1}, ..., w_{t-k_ar}
         idx = np.arange(k_ar, len(w))[:, None] - np.arange(1, k_ar + 1)[None, :]
         lagged, target = w[idx], w[k_ar:]
     if has_ma:
-        from scipy.signal import lfilter
+        linear_filter = _linear_filter_kernel()
     split = order.split
 
     def innovations(theta) -> np.ndarray:
@@ -192,8 +232,10 @@ def _innovations(w, order: ArimaOrder):
         else:
             z = w - c
         if has_ma:
-            # e_t = z_t - sum b_k e_{t-k}, zero initial conditions
-            z = lfilter([1.0], [1.0, *_expand(th, sth, s, 1.0)], z)
+            # e_t = z_t - sum b_k e_{t-k}, zero initial conditions; lfilter's
+            # own call for a denominator of more than one coefficient
+            z = linear_filter(ONE, np.array([1.0, *_expand(th, sth, s, 1.0)]),
+                              z, -1)
         return z
 
     return innovations

@@ -15,6 +15,7 @@ from forecastlab.arima import (
     _centroid,
     _common_window_aic,
     _css_objective,
+    _innovations,
     _ma_lags,
     _nelder_mead,
     _poly_roots_outside_unit,
@@ -370,6 +371,93 @@ class TestOnePath:
         for order in ONE_PATH_ORDERS:
             a = _ar_lags((0.1,) * order.p, (0.1,) * order.P, order.s)
             assert order.k_ar == len(a)
+
+MA_EDGE_ORDERS = [ArimaOrder(0, 0, 1), ArimaOrder(0, 0, 3), ArimaOrder(2, 0, 2),
+                  ArimaOrder(0, 0, 2, 0, 0, 1, 4),
+                  ArimaOrder(1, 0, 1, 1, 0, 2, 4),
+                  ArimaOrder(0, 0, 1, 0, 0, 1, 12)]
+
+
+def edge_series(rng, n):
+    """n draws with -0.0, +-1e300, +-inf or NaN planted in some entries."""
+    w = rng.normal(size=n)
+    for plant in (0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, np.nan):
+        w[rng.random(n) < 0.08] = plant
+    return w
+
+
+class TestMaFilterEdges:
+    """The MA filter kernel gives scipy.signal.lfilter's bytes (the
+    `loop_innovations` and `loop_css_objective` oracles) on inputs the
+    benchmark never reaches: series no longer than the MA polynomial,
+    non-finite and signed-zero entries, and seasonal expansions whose
+    zero-coefficient lags are explicit zeros of either sign."""
+
+    def check(self, w, order, theta):
+        c, phi, th, sphi, sth = order.split(theta)
+        a = _ar_lags(phi, sphi, order.s) if order.k_ar else np.empty(0)
+        b = _ma_lags(th, sth, order.s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _innovations(w, order)(theta)
+            want = loop_innovations(w, c, a, b)
+            got_css = _css_objective(w, order)(np.array(theta))
+            want_css = loop_css_objective(w, order)(np.array(theta))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert (np.float64(got_css).tobytes()
+                == np.float64(want_css).tobytes())
+        return got
+
+    @pytest.mark.parametrize("order", MA_EDGE_ORDERS, ids=ArimaOrder.label)
+    def test_series_shorter_than_the_polynomial(self, order):
+        rng = np.random.default_rng(77)
+        k_ma = order.q + order.s * order.Q
+        lengths = sorted({1, 2, order.k_ar + 1, order.k_ar + k_ma,
+                          order.k_ar + k_ma + 1})
+        for n in lengths:
+            if n <= order.k_ar:
+                continue
+            for _ in range(5):
+                theta = rng.normal(0.0, 0.5, size=order.n_params).tolist()
+                got = self.check(rng.normal(size=n), order, theta)
+                assert len(got) == n - order.k_ar
+
+    @pytest.mark.parametrize("order", MA_EDGE_ORDERS, ids=ArimaOrder.label)
+    def test_signed_zero_huge_and_non_finite_entries(self, order):
+        rng = np.random.default_rng(78)
+        for n in (1, 9, 40):
+            if n <= order.k_ar:
+                continue
+            for _ in range(8):
+                theta = rng.normal(0.0, 0.5, size=order.n_params).tolist()
+                self.check(edge_series(rng, n), order, theta)
+        # a series of zeros of either sign through zero coefficients
+        w = np.array([0.0, -0.0] * 10)
+        for theta in ([0.0] * order.n_params, [-0.0] * order.n_params):
+            self.check(w, order, theta)
+            self.check(-w, order, theta)
+
+    def test_seasonal_zero_coefficient_lags(self):
+        rng = np.random.default_rng(79)
+        order = ArimaOrder(0, 0, 3, 0, 0, 2, 4)
+        w = rng.normal(size=50)
+        for th in ([0.0, 0.0, 0.0], [0.4, 0.0, -0.0], [-0.0, 0.3, 0.0]):
+            for sth in ([0.0, 0.5], [-0.0, -0.0], [0.7, 0.0]):
+                theta = [0.2, *th, *sth]
+                self.check(w, order, theta)
+                self.check(edge_series(rng, 50), order, theta)
+
+    def test_numerator_stays_read_only_one(self):
+        y = sim_ma1(0.5, 0.2, 80, seed=3)
+        for order in (ArimaOrder(0, 0, 1), ArimaOrder(0, 1, 1, 0, 1, 1, 12)):
+            fit = fit_css(y, order, seed=1)
+            forecast(fit, y, 6)
+        assert not arima.ONE.flags.writeable
+        assert arima.ONE.dtype == np.float64 and arima.ONE.shape == (1,)
+        assert arima.ONE.tobytes() == np.ones(1).tobytes()
+        with pytest.raises(ValueError):
+            arima.ONE[0] = 2.0
+
 
 def scipy_nelder_mead(func, x0, maxiter, xatol, fatol):
     """The oracle: scipy's Nelder-Mead under the options fit_css passes."""
