@@ -402,17 +402,21 @@ def fit_css(y, order: ArimaOrder, seed: int = 0) -> ArimaFit:
     if n_eff < 1:
         raise ArimaError("no effective observations after conditioning")
     css = float(best.fun)
-    scale = 1.0 + float(w @ w) / len(w)
-    sigma2 = max(css / n_eff, 1e-13 * scale)  # floor absorbs optimizer noise
-    aic = n_eff * (math.log(sigma2) + 2.0 * math.log(unit)) + 2.0 * (dim + 1)
+    sigma2, aic = _sigma2_aic(css, n_eff, w, unit, dim)
 
     ar_ok = _poly_roots_outside_unit(_ar_lags(phi, sphi, order.s))
     ma_ok = _poly_roots_outside_unit(-_ma_lags(th, sth, order.s))
     # sums of squares in y's units (inf beyond the float range)
     return ArimaFit(order, float(c) * unit, tuple(phi), tuple(th),
                     tuple(sphi), tuple(sth), sigma2 * unit * unit,
-                    css * unit * unit, float(aic), converged, n_eff,
+                    css * unit * unit, aic, converged, n_eff,
                     tuple(v * unit * unit for v in start_css), ar_ok, ma_ok)
+
+
+def _sigma2_aic(sse: float, n: int, w, unit: float, n_params: int):
+    """sigma2 and AIC (in y's units) of n innovations of w = y / unit."""
+    sigma2 = max(sse / n, 1e-13 * (1.0 + float(w @ w) / len(w)))  # floor absorbs optimizer noise
+    return sigma2, n * (math.log(sigma2) + 2.0 * math.log(unit)) + 2.0 * (n_params + 1)
 
 
 def forecast(fit: ArimaFit, y, h: int) -> np.ndarray:
@@ -485,10 +489,7 @@ def _common_window_aic(fit: ArimaFit, y, drop_front: int) -> float:
     e = e[max(skip, 0):]
     if not len(e):
         return math.inf
-    scale = 1.0 + float(w @ w) / len(w)
-    sigma2 = max(float(e @ e) / len(e), 1e-13 * scale)
-    return (len(e) * (math.log(sigma2) + 2.0 * math.log(unit))
-            + 2.0 * (order.n_params + 1))
+    return _sigma2_aic(float(e @ e), len(e), w, unit, order.n_params)[1]
 
 
 def select_order(y, candidates, seed: int = 0) -> ArimaFit:

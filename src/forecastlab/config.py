@@ -2,8 +2,10 @@
 
 Each section is one dataclass, read by `read_section`: its field names are
 the keys, its field defaults are the defaults, and its __post_init__
-converts and checks the values. Every value of a roster family's grid,
-its shipped default included, must pass the family's one cell check
+converts and checks the values. The roster's benchmark reads only
+`candidates` (`BenchmarkSpec`), every other family only `grid` (`FamilySpec`).
+Every value of a family's grid, its shipped default included, must pass the
+family's one cell check
 (`families.FAMILIES[name].params`) on its own, against the schema's width.
 
 One master seed determines every downstream RNG through
@@ -24,9 +26,11 @@ import json
 from dataclasses import MISSING, dataclass, field, fields
 
 from .arima import ArimaOrder, default_order_candidates
-from .dataset import ColumnSchema, DataError, SynthSpec, boolean, coerce_fields, default_schema, listed, optional
-from .families import BENCHMARK_FAMILY, FAMILIES
+from .dataset import ColumnSchema, DataError, SynthSpec, boolean, coerce_fields, default_schema, integer, listed, optional
+from .families import FAMILIES
 from .tuning import CvPlan, ParamGrid
+
+BENCHMARK_FAMILY = "arima"  # the univariate benchmark, chosen by order selection
 
 
 class ConfigError(ValueError):
@@ -81,7 +85,7 @@ def _order(item) -> ArimaOrder:
     if not isinstance(item, list) or len(item) not in (3, 7):
         raise ValueError(f"a candidate must be [p,d,q] or [p,d,q,P,D,Q,s], "
                          f"got {item!r}")
-    return ArimaOrder(*map(int, item))
+    return ArimaOrder(*map(integer, item))
 
 
 def _orders(value) -> tuple[ArimaOrder, ...]:
@@ -91,18 +95,22 @@ def _orders(value) -> tuple[ArimaOrder, ...]:
 
 
 @dataclass(frozen=True)
+class BenchmarkSpec:
+    family: str
+    candidates: tuple[ArimaOrder, ...] | str = "default"  # "default": the shipped order grid
+
+    def __post_init__(self):
+        coerce_fields(self, candidates=_orders)
+        if not self.candidates:
+            raise ValueError("candidates must not be empty")
+
+
+@dataclass(frozen=True)
 class FamilySpec:
     family: str
     grid: dict = field(default_factory=dict)  # empty: shipped default grid
-    # benchmark only: orders, or "default" for the shipped order grid
-    candidates: tuple[ArimaOrder, ...] | str = "default"
 
     def __post_init__(self):
-        if self.family == BENCHMARK_FAMILY:
-            coerce_fields(self, candidates=_orders)
-            if not self.candidates:
-                raise ValueError("candidates must not be empty")
-            return
         if self.family not in FAMILIES:
             raise ValueError(f"unknown roster family {self.family!r}")
         if not isinstance(self.grid, dict):
@@ -125,7 +133,7 @@ class DmOptions:
     small_sample: bool | None = None  # None ("auto"): below 50 forecasts
 
     def __post_init__(self):
-        coerce_fields(self, h=int, small_sample=_small_sample)
+        coerce_fields(self, h=integer, small_sample=_small_sample)
         if self.h < 1:
             raise ValueError(f"h must be >= 1, got {self.h}")
 
@@ -138,7 +146,7 @@ class ExplainOptions:
     outlier_axis: str = "x"  # x | shap
 
     def __post_init__(self):
-        coerce_fields(self, background_cap=int, outlier_k=float)
+        coerce_fields(self, background_cap=integer, outlier_k=float)
         if self.background_cap < 1:
             raise ValueError(f"background_cap must be >= 1, "
                              f"got {self.background_cap}")
@@ -151,14 +159,12 @@ class ExplainOptions:
                              f"got {self.outlier_axis!r}")
 
 
-def _read_roster(doc) -> tuple[FamilySpec, ...]:
+def _read_roster(doc) -> tuple[BenchmarkSpec | FamilySpec, ...]:
     if not isinstance(doc, dict):
         raise ConfigError(f"roster must be a mapping, got {doc!r}")
     return tuple(
-        read_section(FamilySpec, {} if body is None else body,
-                     f"roster.{family}", family=family,
-                     skip=("grid",) if family == BENCHMARK_FAMILY
-                     else ("candidates",))
+        read_section({BENCHMARK_FAMILY: BenchmarkSpec}.get(family, FamilySpec),
+                     {} if body is None else body, f"roster.{family}", family=family)
         for family, body in doc.items())
 
 
@@ -173,7 +179,7 @@ class RunConfig:
     out_dir: str = "out"
     data: DataSpec
     schema: ColumnSchema = field(default_factory=default_schema)
-    roster: tuple[FamilySpec, ...]
+    roster: tuple[BenchmarkSpec | FamilySpec, ...]  # in document order
     split_months: tuple[int, ...] = (24, 16, 12, 9, 6)
     primary_split: int = 16
     cv: CvPlan = CvPlan()
@@ -181,8 +187,8 @@ class RunConfig:
     explain: ExplainOptions = ExplainOptions()
 
     def __post_init__(self):
-        coerce_fields(self, seed=int, out_dir=str, split_months=listed(int),
-                      primary_split=int)
+        coerce_fields(self, seed=integer, out_dir=str,
+                      split_months=listed(integer), primary_split=integer)
         for name, cls in _SECTIONS.items():
             value = getattr(self, name)
             if not isinstance(value, cls):
@@ -209,7 +215,7 @@ class RunConfig:
             except DataError as exc:
                 raise ConfigError(f"data.synth: {exc}") from None
         n_features = len(self.schema.features)
-        for spec in [s for s in self.roster if s.family != BENCHMARK_FAMILY]:
+        for spec in self.families:
             for name, values in spec.param_grid(n_features).axes:
                 for value in values:
                     try:
@@ -219,17 +225,20 @@ class RunConfig:
                         raise ConfigError(f"roster.{spec.family}: grid value "
                                           f"{name}={value!r}: {exc}") from None
 
-    def roster_spec(self, family: str) -> FamilySpec:
+    def roster_spec(self, family: str) -> BenchmarkSpec | FamilySpec:
         for spec in self.roster:
             if spec.family == family:
                 return spec
         raise ConfigError(f"family {family!r} not in roster")
 
     @property
+    def families(self) -> tuple[FamilySpec, ...]:
+        """The roster without the benchmark, in document order."""
+        return tuple(s for s in self.roster if isinstance(s, FamilySpec))
+
+    @property
     def model_ids(self) -> list[str]:
-        ordered = [BENCHMARK_FAMILY]
-        ordered += [f.family for f in self.roster if f.family != BENCHMARK_FAMILY]
-        return ordered
+        return [BENCHMARK_FAMILY] + [s.family for s in self.families]
 
 
 def parse_config(doc: dict, seed_override: int | None = None,

@@ -59,6 +59,13 @@ def finite(value) -> float:
     return value
 
 
+def integer(value) -> int:
+    """Conversion to an int that rejects booleans and non-integral floats."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def boolean(value) -> bool:
     """Conversion that accepts only true or false, not a truthy value."""
     if not isinstance(value, bool):
@@ -313,7 +320,7 @@ class SynthSpec:
     noise_ar: float = 0.3
 
     def __post_init__(self):
-        coerce_fields(self, n=int, drivers=listed(),
+        coerce_fields(self, n=integer, drivers=listed(),
                       coefficients=listed(finite), intercept=optional(finite),
                       noise_scale=finite, noise_ar=finite)
         if self.kind not in _SYNTH_KINDS:

@@ -21,8 +21,6 @@ from .linear import PenaltySpec, fit_linear
 from .svr import KernelSpec, fit_svr
 from .trees import BoostParams, ForestParams, fit_gradient_boosting, fit_random_forest
 
-BENCHMARK_FAMILY = "arima"
-
 
 class FamilyError(ValueError):
     pass

@@ -16,16 +16,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
 
 from . import arima as arima_mod
-from .config import ConfigError, RunConfig, derive_seed
+from .config import BENCHMARK_FAMILY, ConfigError, RunConfig, derive_seed
 from .dataset import SeriesFrame, chrono_split, log_transform, read_frame, synth_generate
 from .evaluation import MetricRow, mae, metric_table, rmse
-from .families import BENCHMARK_FAMILY, FAMILIES, fit_family
+from .families import FAMILIES, fit_family
 from .interpretation import (
     InterpretationError,
     dependence_data,
@@ -114,43 +113,21 @@ def _check_splits(config: RunConfig, frame: SeriesFrame):
                               f"{frame.n_rows} rows of data")
 
 
-@dataclass
-class FittedEntry:
-    family: str
-    model: object  # the fitted family model, or the ArimaFit
-    cv_table: list | None
-    error: str | None = None
-
-
 def fit_roster_member(config: RunConfig, family: str, train: SeriesFrame,
-                      test_months: int) -> FittedEntry:
-    """Tune on the training window, then refit the winning cell on all of it."""
-    spec = config.roster_spec(family)
-    y = train.column(config.schema.target)
-    if family == BENCHMARK_FAMILY:
-        seed = derive_seed(config.seed, "arima", test_months)
-        fit = arima_mod.select_order(y, spec.candidates, seed=seed)
-        return FittedEntry(family, fit, None)
+                      test_months: int) -> tuple[object, list | None]:
+    """Tune a family on the training window, then refit the winning cell on
+    all of it. Returns the model and the cv table (None for an empty grid)."""
     X = train.matrix(config.schema.features)
+    y = train.column(config.schema.target)
     seed = derive_seed(config.seed, "fit", family, test_months)
-    grid = spec.param_grid(X.shape[1])
+    grid = config.roster_spec(family).param_grid(X.shape[1])
     plan = CvPlan(config.cv.k, config.cv.shuffle,
                   derive_seed(config.seed, "cv", test_months))
     if grid.axes:
         best, table = grid_search(family, grid, X, y, plan, seed=seed)
     else:
         best, table = {}, None
-    model = fit_family(family, X, y, best, seed=seed)
-    return FittedEntry(family, model, table)
-
-
-def forecast_window(entry: FittedEntry, config: RunConfig, train: SeriesFrame,
-                    test: SeriesFrame) -> np.ndarray:
-    if entry.family == BENCHMARK_FAMILY:
-        return arima_mod.forecast(entry.model,
-                                  train.column(config.schema.target),
-                                  test.n_rows)
-    return entry.model.predict(test.matrix(config.schema.features))
+    return fit_family(family, X, y, best, seed=seed), table
 
 
 def _stderr(msg: str):
@@ -159,25 +136,32 @@ def _stderr(msg: str):
 
 def evaluate_split(config: RunConfig, frame: SeriesFrame, test_months: int,
                    warn=_stderr):
-    """Fit every roster family on the split's training window and forecast
-    the held-out months. A failed fit (ValueError, the base of every
-    package error and of LinAlgError) degrades to a None forecast; any
-    other exception is a bug and propagates."""
+    """Fit the benchmark and every roster family on the split's training
+    window and forecast the held-out months; returns (train, test, cv
+    tables, forecasts). A failed family fit (ValueError, the base of every
+    package error and of LinAlgError) degrades to a None forecast; any other
+    exception is a bug and propagates."""
     train, test = chrono_split(frame, test_months)
-    forecasts: dict[str, np.ndarray | None] = {}
-    entries: dict[str, FittedEntry] = {}
-    for family in config.model_ids:
+    y = train.column(config.schema.target)
+    try:
+        fit = arima_mod.select_order(
+            y, config.roster_spec(BENCHMARK_FAMILY).candidates,
+            seed=derive_seed(config.seed, "arima", test_months))
+        forecasts = {BENCHMARK_FAMILY: arima_mod.forecast(fit, y, test.n_rows)}
+    except ValueError as exc:
+        raise PipelineError(f"benchmark fit failed: {exc}") from exc
+    X_test = test.matrix(config.schema.features)
+    tables = {}
+    for spec in config.families:
+        family = spec.family
         try:
-            entry = fit_roster_member(config, family, train, test_months)
-            forecasts[family] = forecast_window(entry, config, train, test)
-            entries[family] = entry
+            model, table = fit_roster_member(config, family, train, test_months)
+            forecasts[family] = model.predict(X_test)
+            tables[family] = table
         except ValueError as exc:  # degrade, sweeps must finish
-            if family == BENCHMARK_FAMILY:
-                raise PipelineError(f"benchmark fit failed: {exc}") from exc
             warn(f"warning: {family} failed on {test_months}-month split: {exc}")
             forecasts[family] = None
-            entries[family] = FittedEntry(family, None, None, error=str(exc))
-    return train, test, entries, forecasts
+    return train, test, tables, forecasts
 
 
 def cmd_run(config: RunConfig, config_hash: str, warn=_stderr) -> dict:
@@ -185,7 +169,7 @@ def cmd_run(config: RunConfig, config_hash: str, warn=_stderr) -> dict:
     forecasts.csv, metrics.csv, and one cv_<family>.csv per tuned family."""
     frame = load_data(config)
     _check_splits(config, frame)
-    train, test, entries, forecasts = evaluate_split(
+    train, test, tables, forecasts = evaluate_split(
         config, frame, config.primary_split, warn)
     out = OutputDir(config.out_dir, config_hash, config.seed)
 
@@ -200,13 +184,13 @@ def cmd_run(config: RunConfig, config_hash: str, warn=_stderr) -> dict:
                                   else forecasts[name][i] for name in ids))
              for i, label in enumerate(test.month_labels())])
 
-    for family, entry in entries.items():
-        if entry.cv_table:  # each cell's params name the grid's axes in order
-            out.csv(f"cv_{family}.csv", ("family", *entry.cv_table[0].params,
+    for family, table in tables.items():
+        if table:  # each cell's params name the grid's axes in order
+            out.csv(f"cv_{family}.csv", ("family", *table[0].params,
                                          "mean_mse", "sd_mse", "rank"),
                     [(family, *map(str, c.params.values()), c.mean_mse,
-                      c.sd_mse, c.rank) for c in entry.cv_table])
-    return {"entries": entries, "forecasts": forecasts, "metrics": rows,
+                      c.sd_mse, c.rank) for c in table])
+    return {"tables": tables, "forecasts": forecasts, "metrics": rows,
             "train": train, "test": test}
 
 
@@ -259,7 +243,7 @@ def cmd_explain(config: RunConfig, config_hash: str, model_id: str) -> dict:
     _check_splits(config, frame)
     train, test = chrono_split(frame, config.primary_split)
     try:
-        entry = fit_roster_member(config, model_id, train, config.primary_split)
+        model, _ = fit_roster_member(config, model_id, train, config.primary_split)
     except ValueError as exc:  # the base of every package error
         raise PipelineError(f"{model_id} fit failed: {exc}") from exc
 
@@ -270,13 +254,13 @@ def cmd_explain(config: RunConfig, config_hash: str, model_id: str) -> dict:
         X_train, cap=config.explain.background_cap,
         seed=derive_seed(config.seed, "background"))
     try:
-        matrix = explain_matrix(entry.model, X_rows, background)
+        matrix = explain_matrix(model, X_rows, background)
     except ValueError as exc:  # ShapMatrix's efficiency check
         raise PipelineError(f"{model_id} attributions failed: {exc}") from exc
 
     out = OutputDir(config.out_dir, config_hash, config.seed)
     if FAMILIES[model_id].trees:
-        out.text("model.json", model_to_json(entry.model))
+        out.text("model.json", model_to_json(model))
     ranked = global_importance(matrix, features)
     out.csv("importance.csv", ("rank", "feature", "mean_abs_shap"),
             [(rank, *item) for rank, item in enumerate(ranked, start=1)])
@@ -299,7 +283,7 @@ def cmd_explain(config: RunConfig, config_hash: str, model_id: str) -> dict:
     doc = {"config_sha256": config_hash, "seed": config.seed,
            "model": model_id, "features": forms}
     out.text("functional_form.json", json.dumps(doc, indent=2, sort_keys=True))
-    return {"matrix": matrix, "importance": ranked, "entry": entry,
+    return {"matrix": matrix, "importance": ranked, "model": model,
             "forms": forms}
 
 

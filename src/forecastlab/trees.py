@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import shapley
-from .dataset import coerce_fields, finite, optional
+from .dataset import coerce_fields, finite, integer, optional
 
 _NODE_ARRAYS = (("feature", np.intp), ("threshold", float),
                 ("children_left", np.intp), ("children_right", np.intp),
@@ -167,8 +167,8 @@ class ForestParams:
     seed: int = 0
 
     def __post_init__(self):
-        coerce_fields(self, n_estimators=int, max_depth=int,
-                      max_features=optional(int), min_samples_leaf=int)
+        coerce_fields(self, n_estimators=integer, max_depth=integer,
+                      max_features=optional(integer), min_samples_leaf=integer)
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         if self.max_features is not None and self.max_features < 1:
@@ -189,8 +189,8 @@ class BoostParams:
     seed: int = 0
 
     def __post_init__(self):
-        coerce_fields(self, learning_rate=finite, n_estimators=int,
-                      max_depth=int, subsample=finite, colsample_bytree=finite,
+        coerce_fields(self, learning_rate=finite, n_estimators=integer,
+                      max_depth=integer, subsample=finite, colsample_bytree=finite,
                       reg_lambda=finite, min_split_gain=finite)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")

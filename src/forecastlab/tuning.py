@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import boolean, coerce_fields
+from .dataset import boolean, coerce_fields, integer
 from .families import fit_family
 
 
@@ -30,7 +30,7 @@ class CvPlan:
     seed: int = 0
 
     def __post_init__(self):
-        coerce_fields(self, k=int, shuffle=boolean)
+        coerce_fields(self, k=integer, shuffle=boolean)
         if self.k < 2:
             raise TuningError(f"k must be >= 2, got {self.k}")
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -287,10 +288,10 @@ class TestEvaluateSplit:
 
     def test_value_error_degrades_to_none_forecast(self, tmp_path,
                                                    monkeypatch):
-        (_, _, entries, forecasts), warnings = self.split_with_lasso_raising(
+        (_, _, tables, forecasts), warnings = self.split_with_lasso_raising(
             tmp_path, monkeypatch, ValueError("singular design"))
         assert forecasts["lasso"] is None
-        assert entries["lasso"].error == "singular design"
+        assert "lasso" not in tables
         assert len(forecasts["arima"]) == 16
         assert warnings == ["warning: lasso failed on 16-month split: "
                             "singular design"]
@@ -528,6 +529,15 @@ class TestExitCodes:
         {"data": {"synth": {"noise_ar": float("inf")}}},
         {"data": {"synth": {"coefficients": [1.0, float("inf"), 0.5]}}},
         {"data": {"synth": {"intercept": float("nan")}}},
+        {"cv": {"k": 3.5}},
+        {"seed": 7.5},
+        {"dm": {"h": True}},
+        {"roster": {"arima": {"candidates": [[1.9, 0, 0]]}}},
+        {"roster": {"arima": {}, "random_forest": {"grid": {
+            "max_depth": [2.7]}}}},
+        {"roster": {"arima": {}, "random_forest": {"grid": {
+            "n_estimators": [True]}}}},
+        {"roster": {"arima": {}, "svr": {"grid": {"degree": [2.5]}}}},
     ], ids=["synth.n", "dm.h", "seed", "split_months", "schema.features",
             "arima.candidates", "data", "explain.background_cap", "cv-list",
             "cv.shuffle-string", "synth.drivers-string",
@@ -547,7 +557,10 @@ class TestExitCodes:
             "boosting-learning_rate-inf", "boosting-min_split_gain-nan",
             "svr-gamma-nan", "svr-C-inf", "svr-epsilon-nan",
             "random_forest-max_depth-inf", "seed-inf", "synth.noise_ar-inf",
-            "synth.coefficients-inf", "synth.intercept-nan"])
+            "synth.coefficients-inf", "synth.intercept-nan", "cv.k-fraction",
+            "seed-fraction", "dm.h-bool", "arima.candidates-fraction",
+            "random_forest-max_depth-fraction",
+            "random_forest-n_estimators-bool", "svr-degree-fraction"])
     def test_malformed_value_exits_2_before_fitting(self, tmp_path, capsys,
                                                     monkeypatch, overrides):
         import forecastlab.pipeline as pipeline
@@ -566,6 +579,7 @@ class TestExitCodes:
 
 QUICKSTART = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                           "quickstart.json")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def orders(*items):
@@ -589,7 +603,7 @@ class TestConfigFields:
         assert config.dm == DmOptions(h=1, small_sample=None)
         assert config.explain == ExplainOptions(
             rows="train", background_cap=100, outlier_k=1.5, outlier_axis="x")
-        assert [(f.family, f.grid) for f in config.roster] == [("arima", {})]
+        assert [f.family for f in config.roster] == ["arima"]
         assert config.roster[0].candidates == tuple(default_order_candidates())
 
     def test_quickstart(self):
@@ -658,6 +672,14 @@ class TestConfigFields:
             {"C": 1, "epsilon": 0.1, "degree": 2, "gamma": 0.5, "coef0": 1.0,
              "kernel": "polynomial"}]
 
+    def test_integral_float_reads_as_int(self):
+        config = parse_config({"data": {"synth": {"n": 84.0}},
+                               "cv": {"k": 3.0},
+                               "roster": {"arima": {"candidates": [[1.0, 0, 0]]}}})
+        assert (config.data.synth.n, config.cv.k) == (84, 3)
+        assert type(config.cv.k) is int
+        assert config.roster_spec("arima").candidates == orders((1, 0, 0))
+
     def test_csv_data(self):
         config = parse_config({"data": {"csv": "in.csv"},
                                "roster": {"arima": {"candidates": "default"}}})
@@ -706,6 +728,23 @@ class TestConfigParsing:
                 "seed": 1, "data": {"synth": {}},
                 "roster": {"lasso": {}},
             })
+
+    @pytest.mark.parametrize("roster, message", [
+        ({"arima": {"grid": {}}}, "unknown key(s) ['grid'] in roster.arima"),
+        ({"arima": {}, "ridge": {"candidates": "default"}},
+         "unknown key(s) ['candidates'] in roster.ridge"),
+    ], ids=["arima-grid", "ridge-candidates"])
+    def test_roster_cross_keys_rejected(self, roster, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config({"data": {}, "roster": roster})
+        assert str(info.value) == message
+
+    def test_readme_json_blocks_parse(self):
+        with open(README, encoding="utf-8") as fh:
+            blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
+        assert blocks
+        for block in blocks:
+            parse_config(json.loads(block))
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigError, match="unknown roster family"):
