@@ -12,8 +12,10 @@ innovations and is minimized by a derivative-free simplex search started
 from the zero vector plus four seeded perturbations. One recursion,
 built by `_innovations` once per differenced series and order, computes
 the innovations for the CSS objective, `forecast` and the AIC of order
-selection: the lagged design of w depends on the order alone, so each
-evaluation only expands the polynomials, multiplies and filters.
+selection: the lagged design of w, the parameter slice bounds and which
+polynomials have a seasonal factor depend on the order alone, so each
+evaluation only slices, expands the seasonal products, multiplies and
+filters.
 
 Innovations are linear in w and the intercept. So when w reaches 2**250,
 where its squares would soon overflow, `fit_css` and the selection AIC work
@@ -32,10 +34,13 @@ The simplex search (Nelder & Mead 1965, Computer Journal 7(4)) repeats
 scipy 1.17.1 `scipy.optimize._optimize._minimize_neldermead` with
 adaptive=False, no bounds, no maxfev and no callback, operation for
 operation, on lists of Python floats: every vertex update is the same IEEE
-double arithmetic in the same order, the centroid adds each column in row
-order to 0.0 as `np.add.reduce` does, and the reorders stay on numpy's
-argsort, whose order of tied values is scipy's. So a fit is byte-identical
-to `minimize(method="Nelder-Mead")` without importing scipy.optimize.
+double arithmetic in the same order, and the centroid adds each column in
+row order to 0.0 as `np.add.reduce` does. A reorder whose ascending order
+is unique (one new value, not NaN and tied with none of the others) moves
+the new vertex to its place by bisection; every other reorder stays on
+numpy's argsort, whose order of tied values is scipy's. So a fit is
+byte-identical to `minimize(method="Nelder-Mead")` without importing
+scipy.optimize.
 
 The MA filter is `_linear_filter`, scipy's compiled direct-form II
 transposed kernel from the `scipy.signal._sigtools` extension, called with
@@ -53,6 +58,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, reduce
 from importlib.machinery import PathFinder
@@ -104,12 +110,18 @@ class ArimaOrder:
     def k_ar(self) -> int:  # degree of the expanded AR polynomial
         return self.p + self.s * self.P
 
-    def split(self, theta) -> tuple:
-        """(c, phi, theta, Phi, Theta) of a parameter list laid out as
+    @property
+    def bounds(self) -> tuple[int, int, int]:
+        """Where phi, theta and Phi end in the parameter list laid out as
         [c, phi_1..p, theta_1..q, Phi_1..P, Theta_1..Q]."""
         i = 1 + self.p
         j = i + self.q
-        k = j + self.P
+        return i, j, j + self.P
+
+    def split(self, theta) -> tuple:
+        """(c, phi, theta, Phi, Theta) of a parameter list laid out as
+        `bounds` reads it."""
+        i, j, k = self.bounds
         return theta[0], theta[1:i], theta[i:j], theta[j:k], theta[k:]
 
     def label(self) -> str:
@@ -213,29 +225,36 @@ def _linear_filter_kernel():
 def _innovations(w, order: ArimaOrder):
     """theta -> conditional innovations of w under `order`, for t >= order.k_ar,
     with pre-sample innovations zero. theta is a list laid out as
-    `ArimaOrder.split` reads it. The AR lag design depends on the order
-    alone, so it is built once here, not per call, and so is the filter
-    kernel lookup."""
+    `ArimaOrder.split` reads it. What depends on the order alone is worked
+    out once here, not per call: the AR lag design, the parameter slice
+    bounds, the filter kernel lookup and whether a polynomial has a seasonal
+    factor to expand (without one, `_expand` returns its coefficients)."""
     k_ar, s = order.k_ar, order.s
+    i, j, k = order.bounds
     has_ma = bool(order.q or order.Q)
     if k_ar:  # row t - k_ar of lagged holds w_{t-1}, ..., w_{t-k_ar}
         idx = np.arange(k_ar, len(w))[:, None] - np.arange(1, k_ar + 1)[None, :]
         lagged, target = w[idx], w[k_ar:]
+        dot = lagged.dot
     if has_ma:
         linear_filter = _linear_filter_kernel()
-    split = order.split
+    seasonal_ar, seasonal_ma = bool(order.P), bool(order.Q)
 
     def innovations(theta) -> np.ndarray:
-        c, phi, th, sphi, sth = split(theta)
         if k_ar:
-            z = target - c - lagged @ _expand(phi, sphi, s, -1.0)
+            a = theta[1:i]
+            if seasonal_ar:
+                a = _expand(a, theta[j:k], s, -1.0)
+            z = target - theta[0] - dot(a)
         else:
-            z = w - c
+            z = w - theta[0]
         if has_ma:
+            b = theta[i:j]
+            if seasonal_ma:
+                b = _expand(b, theta[k:], s, 1.0)
             # e_t = z_t - sum b_k e_{t-k}, zero initial conditions; lfilter's
             # own call for a denominator of more than one coefficient
-            z = linear_filter(ONE, np.array([1.0, *_expand(th, sth, s, 1.0)]),
-                              z, -1)
+            z = linear_filter(ONE, np.array([1.0, *b]), z, -1)
         return z
 
     return innovations
@@ -251,7 +270,7 @@ def _css_objective(w, order: ArimaOrder):
         if not all(map(math.isfinite, theta)):
             return 1e300
         z = innovations(theta)
-        val = float(z @ z)
+        val = float(z.dot(z))
         return val if math.isfinite(val) else 1e300
 
     return css
@@ -276,9 +295,16 @@ def _centroid(vertices) -> list:
 def _by_value(sim, fsim) -> tuple[list, list]:
     """Vertices and values reordered by numpy's default argsort of fsim,
     whose order of tied values (unstable, and not that of `sorted`) is
-    scipy's."""
+    scipy's. `_nelder_mead` falls back to it whenever that order could
+    differ from the one ascending order (a shrink, a tie, two NaNs)."""
     ind = np.array(fsim).argsort().tolist()
     return [sim[i] for i in ind], [fsim[i] for i in ind]
+
+
+def _ascending(values) -> bool:
+    """True when each value is < the next: no two compare equal (-0.0 ==
+    0.0 counts as a tie) and, but for a lone value, none is NaN."""
+    return all(u < v for u, v in zip(values, values[1:]))
 
 
 def _nelder_mead(func, x0, maxiter: int, xatol: float,
@@ -292,7 +318,17 @@ def _nelder_mead(func, x0, maxiter: int, xatol: float,
     chi=2, psi=sigma=0.5 are folded into the constants 2, 3, 1.5 and 0.5
     that scipy forms from them, and its exact multiplications by rho=1 are
     dropped, so every rounding step is scipy's. `all(abs(d) <= tol)` has
-    the truth value of scipy's `max(abs(d)) <= tol`, NaN included."""
+    the truth value of scipy's `max(abs(d)) <= tol`, NaN included, and the
+    f-spread is tested first because both tests are pure.
+
+    An iteration that is not a shrink replaces only the worst vertex, and
+    the other N are in argsort's order. The new value is never NaN: it won
+    a `<` or `<=` comparison. When the other N values strictly ascend (one
+    of them alone may be NaN, which sorts last) and the new value equals
+    none of them, the order of all N + 1 values is unique, so argsort,
+    stable or not, gives it: the new vertex is moved to its `bisect_left`
+    place instead. Any other reorder (a shrink, a tie, two NaNs) stays on
+    `_by_value`."""
     x0 = np.asarray(x0, dtype=float).flatten().tolist()
     N = len(x0)
     nfev = 0
@@ -310,13 +346,14 @@ def _nelder_mead(func, x0, maxiter: int, xatol: float,
 
     fsim = [f(vertex) for vertex in sim]
     sim, fsim = _by_value(*_by_value(sim, fsim))  # scipy sorts twice here
+    ordered = _ascending(fsim[:-1])  # the N values that stay in place
 
     iterations = 1
     while iterations < maxiter:
         best, worst = sim[0], sim[-1]
-        if (all(abs(v - b) <= xatol
-                for vertex in sim[1:] for v, b in zip(vertex, best))
-                and all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])):
+        if (all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])
+                and all(abs(v - b) <= xatol
+                        for vertex in sim[1:] for v, b in zip(vertex, best))):
             break
         xbar = _centroid(sim[:-1])
         xr = [2 * u - v for u, v in zip(xbar, worst)]
@@ -349,8 +386,18 @@ def _nelder_mead(func, x0, maxiter: int, xatol: float,
                 for j in range(1, N + 1):
                     sim[j] = [u + 0.5 * (v - u) for u, v in zip(best, sim[j])]
                     fsim[j] = f(sim[j])
+                ordered = False
         iterations += 1
-        sim, fsim = _by_value(sim, fsim)
+        if ordered:  # the other N values still strictly ascend
+            fx = fsim[-1]
+            k = bisect_left(fsim, fx, 0, N)
+            ordered = k == N or fsim[k] != fx  # and none ties the new one
+        if ordered:
+            sim.insert(k, sim.pop())
+            fsim.insert(k, fsim.pop())
+        else:
+            sim, fsim = _by_value(sim, fsim)
+            ordered = _ascending(fsim[:-1])
 
     return _Simplex(np.array(sim[0], dtype=float), np.min(fsim), iterations,
                     nfev, iterations < maxiter)

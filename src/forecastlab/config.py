@@ -26,7 +26,7 @@ import json
 from dataclasses import MISSING, dataclass, field, fields
 
 from .arima import ArimaOrder, default_order_candidates
-from .dataset import ColumnSchema, DataError, SynthSpec, boolean, coerce_fields, default_schema, integer, listed, optional
+from .dataset import ColumnSchema, DataError, SynthSpec, boolean, coerce_fields, default_schema, integer, listed, number, optional
 from .families import FAMILIES
 from .tuning import CvPlan, ParamGrid
 
@@ -146,7 +146,7 @@ class ExplainOptions:
     outlier_axis: str = "x"  # x | shap
 
     def __post_init__(self):
-        coerce_fields(self, background_cap=integer, outlier_k=float)
+        coerce_fields(self, background_cap=integer, outlier_k=number)
         if self.background_cap < 1:
             raise ValueError(f"background_cap must be >= 1, "
                              f"got {self.background_cap}")

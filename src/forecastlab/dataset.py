@@ -51,17 +51,26 @@ def optional(convert):
     return lambda value: None if value is None else convert(value)
 
 
+def number(value) -> float:
+    """Conversion to a float that rejects booleans and strings, which
+    `float` would read as 1.0 or parse."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def finite(value) -> float:
-    """Conversion to a float that rejects NaN and infinities."""
-    value = float(value)
+    """Conversion to a float (as `number`) that rejects NaN and infinities."""
+    value = number(value)
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {value!r}")
     return value
 
 
 def integer(value) -> int:
-    """Conversion to an int that rejects booleans and non-integral floats."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """Conversion to an int that rejects booleans, strings and non-integral
+    floats."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 

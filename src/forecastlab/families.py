@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import shapley
-from .dataset import Standardization
+from .dataset import Standardization, number
 from .linear import PenaltySpec, fit_linear
 from .svr import KernelSpec, fit_svr
 from .trees import BoostParams, ForestParams, fit_gradient_boosting, fit_random_forest
@@ -95,8 +95,8 @@ class LinearFamily(Family):
 
 class SvrFamily(Family):
     def _build(self, cell, seed, n_features):
-        C = float(cell.pop("C", 1.0))
-        epsilon = float(cell.pop("epsilon", 0.1))
+        C = number(cell.pop("C", 1.0))
+        epsilon = number(cell.pop("epsilon", 0.1))
         if not 0.0 < C < math.inf:  # NaN too
             raise ValueError(f"C must be > 0 and finite, got {C}")
         if not 0.0 <= epsilon < math.inf:

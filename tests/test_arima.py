@@ -593,11 +593,63 @@ def rosenbrock(x):
                   + (1.0 - x[:-1]) ** 2).sum())
 
 
+def holed(x):
+    # NaN on a slab the walks cross: NaN sorts last, and a simplex that
+    # holds two NaN values takes the argsort reorder
+    if abs(x[0] - 0.6) < 0.05:
+        return math.nan
+    return sphere(x)
+
+
+def signed_zero(x):
+    # a ring of -0.0 beside 0.0 around the minimizer, lower inside and
+    # higher outside: argsort ties -0.0 with 0.0, so their order is its own
+    value = sphere(x)
+    if 0.05 <= value < 0.2:
+        return -0.0 if x[0] < 0.7 else 0.0
+    return value - (0.05 if value < 0.05 else 0.2)
+
+
+def quantised(x):
+    # values on a 1/64 grid: a new value often equals a middle vertex's
+    return math.floor(64.0 * sphere(x)) / 64.0
+
+
+class Reorders:
+    """The reorders of `_nelder_mead` walks by path. A walk sorts twice
+    before its loop and reorders once after each of its nit - 1 passes;
+    wrapping the module global `arima._by_value` counts the argsort
+    reorders, and the other loop reorders are bisection insertions."""
+
+    def __init__(self, monkeypatch):
+        self.walks = self.passes = self.sorts = 0
+        by_value = arima._by_value
+
+        def counted(sim, fsim):
+            self.sorts += 1
+            return by_value(sim, fsim)
+
+        monkeypatch.setattr(arima, "_by_value", counted)
+
+    def add(self, walk):
+        self.walks += 1
+        self.passes += walk.nit - 1
+
+    @property
+    def fallbacks(self):
+        return self.sorts - 2 * self.walks
+
+    @property
+    def insertions(self):
+        return self.passes - self.fallbacks
+
+
 class TestNelderMead:
     """arima._nelder_mead walks scipy's simplex bit for bit: the same x
     bytes, fun, nit, nfev and success as minimize(method="Nelder-Mead") on
-    30 CSS walks, 160 synthetic walks over dimensions 1-8 and 24 walks
-    stopped by maxiter. fit_css gives the same ArimaFit with either."""
+    30 CSS walks, 256 synthetic walks over dimensions 1-8 (NaN, -0.0/0.0
+    and quantised objectives among them, so both reorder paths run) and 24
+    walks stopped by maxiter. fit_css gives the same ArimaFit with either."""
 
     @pytest.mark.parametrize("order", CSS_ORDERS, ids=ArimaOrder.label)
     def test_css_walks(self, order):
@@ -610,10 +662,12 @@ class TestNelderMead:
                 same_walk(css, x0, 600 * order.n_params)
 
     @pytest.mark.parametrize("dim", range(1, 9))
-    def test_synthetic_walks(self, dim):
+    def test_synthetic_walks(self, dim, monkeypatch):
         rng = np.random.default_rng(dim)
+        reorders = Reorders(monkeypatch)
         seen = {}
-        for func in (sphere, terraced, fenced, flat, rosenbrock):
+        for func in (sphere, terraced, fenced, flat, rosenbrock, holed,
+                     signed_zero, quantised):
             values = seen[func] = []
 
             def tallied(x, func=func, values=values):
@@ -621,9 +675,14 @@ class TestNelderMead:
                 return values[-1]
 
             for x0 in starts(rng, dim):
-                same_walk(tallied, x0, 100 * dim, xatol=1e-4, fatol=1e-4)
+                reorders.add(same_walk(tallied, x0, 100 * dim, xatol=1e-4,
+                                       fatol=1e-4))
         assert len(set(seen[terraced])) < len(seen[terraced])  # exact ties
         assert 1e300 in seen[fenced] and min(seen[fenced]) < 1e300
+        assert any(map(math.isnan, seen[holed]))
+        zeros = {math.copysign(1.0, v) for v in seen[signed_zero] if v == 0}
+        assert zeros == {-1.0, 1.0}
+        assert reorders.insertions >= 50 and reorders.fallbacks >= 50
 
     @pytest.mark.parametrize("dim", range(1, 9))
     def test_maxiter_cap(self, dim):
@@ -678,11 +737,15 @@ class TestPythonSimplex:
                 same_as_numpy(css, x0, 600 * order.n_params)
 
     @pytest.mark.parametrize("dim", range(1, 9))
-    def test_synthetic_walks(self, dim):
+    def test_synthetic_walks(self, dim, monkeypatch):
         rng = np.random.default_rng(dim)
-        for func in (sphere, terraced, fenced, flat, rosenbrock, scribbled):
+        reorders = Reorders(monkeypatch)
+        for func in (sphere, terraced, fenced, flat, rosenbrock, scribbled,
+                     holed, signed_zero, quantised):
             for x0 in starts(rng, dim) + [-starts(rng, dim)[2]]:
-                same_as_numpy(func, x0, 100 * dim, xatol=1e-4, fatol=1e-4)
+                reorders.add(same_as_numpy(func, x0, 100 * dim, xatol=1e-4,
+                                           fatol=1e-4))
+        assert reorders.insertions >= 50 and reorders.fallbacks >= 50
 
     @pytest.mark.parametrize("dim", range(1, 9))
     def test_maxiter_cap(self, dim):

@@ -538,6 +538,13 @@ class TestExitCodes:
         {"roster": {"arima": {}, "random_forest": {"grid": {
             "n_estimators": [True]}}}},
         {"roster": {"arima": {}, "svr": {"grid": {"degree": [2.5]}}}},
+        {"seed": "3"},
+        {"data": {"synth": {"noise_scale": True}}},
+        {"explain": {"outlier_k": True}},
+        {"explain": {"outlier_k": "1.5"}},
+        {"roster": {"arima": {}, "ridge": {"grid": {"lam": [True]}}}},
+        {"roster": {"arima": {}, "svr": {"grid": {"C": ["2"]}}}},
+        {"roster": {"arima": {}, "svr": {"grid": {"epsilon": [True]}}}},
     ], ids=["synth.n", "dm.h", "seed", "split_months", "schema.features",
             "arima.candidates", "data", "explain.background_cap", "cv-list",
             "cv.shuffle-string", "synth.drivers-string",
@@ -560,7 +567,10 @@ class TestExitCodes:
             "synth.coefficients-inf", "synth.intercept-nan", "cv.k-fraction",
             "seed-fraction", "dm.h-bool", "arima.candidates-fraction",
             "random_forest-max_depth-fraction",
-            "random_forest-n_estimators-bool", "svr-degree-fraction"])
+            "random_forest-n_estimators-bool", "svr-degree-fraction",
+            "seed-numeric-string", "synth.noise_scale-bool",
+            "explain.outlier_k-bool", "explain.outlier_k-numeric-string",
+            "ridge-lam-bool", "svr-C-numeric-string", "svr-epsilon-bool"])
     def test_malformed_value_exits_2_before_fitting(self, tmp_path, capsys,
                                                     monkeypatch, overrides):
         import forecastlab.pipeline as pipeline
