@@ -12,14 +12,15 @@ elsewhere. Two engines compute the same quantity:
     of coalitions in Gray-code order, each rewriting one column, so
     `predict` must score every row independently of its batch.
   * tree_shap - leaf-wise interventional TreeSHAP (Lundberg et al. 2020;
-    Laberge & Pequignot 2022) over the leaf-path tables of the trees a
-    tree model's `tree_terms()` yields. Background rows that leave a leaf's
-    path at the same steps give the same terms, so one array pass scores
-    every (query row, leaf, background group) triple, weighted by the
-    group's row count; one bincount adds each phi entry's terms to +0.0 in
-    the recursion's order, and such a sum is never -0.0. tree_shap_matrix
-    explains all rows at once and tree_shap is the one-row case. Exact, so
-    it must agree with the enumeration engine to float precision.
+    Laberge & Pequignot 2022) over one leaf-path table (`LeafPaths`) of
+    the trees a tree model's `tree_terms()` yields, which `leaf_paths`
+    builds in one walk and the model caches. Background rows that leave a
+    leaf's path at the same steps give the same terms, so one array pass
+    scores every (query row, leaf, background group) triple, weighted by
+    the group's row count; one bincount adds each phi entry's terms to
+    +0.0 in the recursion's order, and such a sum is never -0.0. It
+    explains a 2-d block of rows or one 1-d row. Exact, so it must agree
+    with the enumeration engine to float precision.
 
 explain_matrix predicts through the model's `.predict(X)`, or calls a bare
 prediction function. A model with an `attributions(rows, background)` method
@@ -34,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -182,7 +184,7 @@ def exact_shapley(predict, x, background: BackgroundSet) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _uv_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form coalition sums for a path forcing u features to the query
-    row and v features to the background row.
+    row and v features to the background row; both read-only.
 
     pos[u][v] weights a leaf's value in phi_i for i forced to the query side,
     neg[u][v] for i forced to the background side; both sum the Shapley
@@ -200,7 +202,79 @@ def _uv_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
                     pos[u][v] += c * w[u - 1 + k]
                 if u + k < p:
                     neg[u][v] += c * w[u + k]
+    pos.flags.writeable = False
+    neg.flags.writeable = False
     return pos, neg
+
+
+class LeafPaths(NamedTuple):
+    """The root-to-leaf paths of a tree model, one row per leaf (trees in
+    tree_terms order, each tree's leaves in preorder), padded to the
+    deepest path. Step k of leaf l tests `x[feature[l, k]] <= threshold[l, k]`,
+    and a row follows the path there when the outcome equals go_left[l, k].
+    Padding steps (feature 0, threshold NaN, go_left False) are followed by
+    every row, NaN included. repeats holds (k, leaves, first) for each step
+    k that retests a feature, k ascending: the leaves whose path does, in
+    ascending order, and each one's first step on that feature."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    go_left: np.ndarray
+    repeats: tuple
+
+
+def leaf_paths(terms) -> tuple[LeafPaths, np.ndarray, np.ndarray] | None:
+    """The LeafPaths of the (tree, scale) pairs `terms`, with each leaf's
+    term index and scale * value, all arrays read-only; None without trees.
+    One walk of each tree (a preorder stack whose entries carry their path's
+    steps), then one fancy-index scatter into each padded table array."""
+    tree_of, weight = [], []
+    leaf, step, feature, threshold, go_left = [], [], [], [], []
+    repeats = {}  # step k -> ([leaf], [its first step on k's feature])
+    for t, (tree, scale) in enumerate(terms):
+        feat = tree.feature.tolist()
+        thresh = tree.threshold.tolist()
+        left = tree.children_left.tolist()
+        right = tree.children_right.tolist()
+        value = tree.value.tolist()
+        stack = [(0, ())]
+        while stack:
+            node, path = stack.pop()
+            f = feat[node]
+            if f >= 0:  # right pushed first: leaves come out in preorder
+                thr = thresh[node]
+                stack.append((right[node], path + ((f, thr, False),)))
+                stack.append((left[node], path + ((f, thr, True),)))
+                continue
+            seen = {}
+            for k, (f, thr, go) in enumerate(path):
+                leaf.append(len(weight))
+                step.append(k)
+                feature.append(f)
+                threshold.append(thr)
+                go_left.append(go)
+                first = seen.setdefault(f, k)
+                if first != k:
+                    leaves, firsts = repeats.setdefault(k, ([], []))
+                    leaves.append(len(weight))
+                    firsts.append(first)
+            tree_of.append(t)
+            weight.append(scale * value[node])
+    if not weight:  # no trees: every tree has a leaf
+        return None
+    shape = (len(weight), max(step, default=-1) + 1)
+    table = (np.zeros(shape, dtype=np.intp), np.full(shape, math.nan),
+             np.zeros(shape, dtype=bool))
+    at = (np.array(leaf, dtype=np.intp), np.array(step, dtype=np.intp))
+    for arr, values in zip(table, (feature, threshold, go_left)):
+        arr[at] = values
+    repeats = tuple((k, *(np.array(a, dtype=np.intp) for a in pair))
+                    for k, pair in sorted(repeats.items()))
+    tree_of = np.array(tree_of, dtype=np.intp)
+    weight = np.array(weight)
+    for arr in (*table, tree_of, weight, *(a for _, *pair in repeats for a in pair)):
+        arr.flags.writeable = False
+    return LeafPaths(*table, repeats), tree_of, weight
 
 
 class _PathSide:
@@ -208,33 +282,26 @@ class _PathSide:
 
     A row is off a path at step k when it goes the other way there.
     by_feature[r, l, k] is set on the first step of each feature of leaf l's
-    path (`repeats`: _repeated_steps(paths)) when row r is off at any step
-    on that feature. keys pack the per-step off flags, and feature_keys the
-    by_feature flags, as base-4 digits into int64 words, _KEY_DIGITS steps a
-    word, earlier steps more significant, so any depth fits. inside[r, l]:
-    row r reaches leaf l. The off flags are compared a step at a time, so
-    only one (rows, leaves) block of feature values is gathered at once."""
+    path (paths.repeats) when row r is off at any step on that feature.
+    keys pack the per-step off flags, and feature_keys the by_feature flags,
+    as base-4 digits into int64 words, _KEY_DIGITS steps a word, earlier
+    steps more significant, so any depth fits. inside[r, l]: row r reaches
+    leaf l. The off flags are compared a step at a time, so only one
+    (rows, leaves) block of feature values is gathered at once."""
 
-    def __init__(self, Z, paths, repeats):
+    def __init__(self, Z, paths: LeafPaths):
         off = np.empty((Z.shape[0],) + paths.feature.shape, dtype=bool)
         for k in range(paths.feature.shape[1]):
             np.not_equal(Z[:, paths.feature[:, k]] <= paths.threshold[:, k],
                          paths.go_left[:, k], out=off[:, :, k])
-        by_feature = off.copy() if repeats else off
-        for k, leaves, first in repeats:
+        by_feature = off.copy() if paths.repeats else off
+        for k, leaves, first in paths.repeats:
             by_feature[:, leaves, first] |= off[:, leaves, k]
             by_feature[:, leaves, k] = False
         self.by_feature = by_feature
         self.keys = _key_words(off)
         self.feature_keys = _key_words(by_feature)
         self.inside = ~off.any(axis=2)
-
-
-def _repeated_steps(paths) -> list[tuple]:
-    """(k, leaves, their first step on k's feature) per step k that retests."""
-    leaves, steps = np.nonzero(paths.first != np.arange(paths.first.shape[1]))
-    return [(k, ls, paths.first[ls, k])
-            for k in np.unique(steps).tolist() for ls in [leaves[steps == k]]]
 
 
 def _key_words(bits: np.ndarray) -> list[np.ndarray]:
@@ -272,8 +339,11 @@ def _background_groups(back: _PathSide):
             back.inside[row, leaf], back.by_feature[row, leaf])
 
 
-def tree_shap_matrix(model, X: np.ndarray, background: BackgroundSet) -> np.ndarray:
-    """Interventional TreeSHAP for every row of X at once.
+def tree_shap(model, X, background: BackgroundSet) -> np.ndarray:
+    """Exact interventional Shapley values of a tree, forest or boosted
+    ensemble: (rows, p) for a 2-d X, (p,) for one 1-d row. Per-tree
+    attributions combine linearly, each tree weighted by the scale the
+    model's `tree_terms()` pairs it with.
 
     At each step of a leaf's path a (query row, background row) pair has a
     digit: 0 when both rows follow the step, 1 when only the query row does
@@ -292,24 +362,27 @@ def tree_shap_matrix(model, X: np.ndarray, background: BackgroundSet) -> np.ndar
     a depth-first recursion that takes the query row's side first, so the
     result equals that recursion bit for bit. Query rows go through in
     chunks of about TREE_CHUNK_TRIPLES triples, at least one row a chunk."""
-    n_rows, p = X.shape
+    if not hasattr(model, "tree_terms"):
+        raise TypeError(f"not a tree model: {type(model).__name__}")
+    X = np.asarray(X, dtype=float)
+    rows = X[None] if X.ndim == 1 else X
+    n_rows, p = rows.shape
     if background.n_features != p:
         raise ValueError("background feature count mismatch")
     B = background.size
     phi = np.zeros((n_rows, p))
     ensemble = model._leaf_paths
     if ensemble is None or ensemble[0].feature.shape[1] == 0:
-        return phi  # no trees, or only single-leaf trees: no path to split
+        return phi.reshape(X.shape)  # no trees, or only single leaves: no split
     paths, tree_of, weight = ensemble
     pos, neg = _uv_tables(p)
-    repeats = _repeated_steps(paths)
     g_leaf, count, g_keys, g_feature_keys, g_inside, g_in_u = \
-        _background_groups(_PathSide(background.rows, paths, repeats))
+        _background_groups(_PathSide(background.rows, paths))
     g_u = g_in_u.sum(axis=1)
 
-    def chunk_phi(rows):
+    def chunk_phi(block):
         # (query row, group) pairs, row-major; a chunk's arrays die with the call
-        query = _PathSide(rows, paths, repeats)
+        query = _PathSide(block, paths)
         ok = ~(query.inside[:, g_leaf] & g_inside)
         for qw, gw in zip(query.feature_keys, g_feature_keys):
             ok &= (qw[:, g_leaf] & gw) == 0
@@ -325,22 +398,12 @@ def tree_shap_matrix(model, X: np.ndarray, background: BackgroundSet) -> np.ndar
         e, k = np.nonzero(in_u | in_v)
         term = np.where(in_u[e, k], plus[e], minus[e])
         seg = q[e] * p + paths.feature[leaf[e], k]
-        return np.bincount(seg, weights=term, minlength=len(rows) * p)
+        return np.bincount(seg, weights=term, minlength=len(block) * p)
 
     step = max(1, TREE_CHUNK_TRIPLES // len(count))
     for lo in range(0, n_rows, step):
-        phi[lo:lo + step] = chunk_phi(X[lo:lo + step]).reshape(-1, p)
-    return phi
-
-
-def tree_shap(model, x, background: BackgroundSet) -> np.ndarray:
-    """Exact interventional Shapley values for a tree, forest, or boosted
-    ensemble; per-tree attributions combine linearly, each tree weighted by
-    the scale the model's `tree_terms()` pairs it with."""
-    if not hasattr(model, "tree_terms"):
-        raise TypeError(f"not a tree model: {type(model).__name__}")
-    x = np.asarray(x, dtype=float).ravel()
-    return tree_shap_matrix(model, x[None], background)[0]
+        phi[lo:lo + step] = chunk_phi(rows[lo:lo + step]).reshape(-1, p)
+    return phi.reshape(X.shape)
 
 
 def attributions(model, rows: np.ndarray, background: BackgroundSet) -> np.ndarray:

@@ -18,8 +18,9 @@ split, so no node sorts.
 
 A tree is a set of parallel node arrays in preorder (the layout model.json
 stores; cover is the row count), and every model here predicts through
-`.predict(X)`. TreeSHAP reads one leaf-path table per explained model,
-built in one walk of its trees; no tree keeps a table of its own.
+`.predict(X)`. An explained model caches the TreeSHAP leaf-path table of
+its trees, which `shapley` lays out and builds; no tree keeps a table of
+its own.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,78 +40,18 @@ _NODE_ARRAYS = (("feature", np.intp), ("threshold", float),
                 ("value", float), ("cover", float))
 
 
-class LeafPaths(NamedTuple):
-    """The root-to-leaf paths of a tree model, one row per leaf (trees in
-    tree_terms order, each tree's leaves in preorder), padded to the
-    deepest path. Step k of leaf l tests `x[feature[l, k]] <= threshold[l, k]`,
-    and a row follows the path there when the outcome equals go_left[l, k].
-    Padding steps (feature 0, threshold NaN, go_left False) are followed by
-    every row, NaN included. first[l, k] is the first step of the path that
-    tests the same feature (k itself on first use and on padding)."""
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    go_left: np.ndarray
-    first: np.ndarray
-
-
 class TreeModel:
     """Base of the tree models: each yields its (tree, scale) pairs through
-    `tree_terms()`, and `attributions` runs TreeSHAP on their one leaf-path
-    table, `_leaf_paths`."""
+    `tree_terms()`, and `attributions` runs `shapley.tree_shap` on them."""
 
     def attributions(self, rows, background) -> np.ndarray:
-        return shapley.tree_shap_matrix(self, rows, background)
+        return shapley.tree_shap(self, rows, background)
 
     @cached_property
-    def _leaf_paths(self) -> tuple[LeafPaths, np.ndarray, np.ndarray] | None:
-        """Every leaf path of tree_terms(), with each leaf's term index and
-        scale * value; None without trees. Built in one walk of each tree on
-        first use, so only explained models pay for it."""
-        terms = list(self.tree_terms())
-        if not terms:
-            return None
-        tree_of, weight = [], []
-        leaf, step, feature, threshold, go_left, first = [], [], [], [], [], []
-        for t, (tree, scale) in enumerate(terms):
-            feat = tree.feature.tolist()
-            thresh = tree.threshold.tolist()
-            left = tree.children_left.tolist()
-            right = tree.children_right.tolist()
-            value = tree.value.tolist()
-            stack = [(0, ())]
-            while stack:
-                node, path = stack.pop()
-                f = feat[node]
-                if f >= 0:  # right pushed first: leaves come out in preorder
-                    thr = thresh[node]
-                    stack.append((right[node], path + ((f, thr, False),)))
-                    stack.append((left[node], path + ((f, thr, True),)))
-                    continue
-                seen = {}
-                for k, (f, thr, go) in enumerate(path):
-                    leaf.append(len(weight))
-                    step.append(k)
-                    feature.append(f)
-                    threshold.append(thr)
-                    go_left.append(go)
-                    first.append(seen.setdefault(f, k))
-                tree_of.append(t)
-                weight.append(scale * value[node])
-        shape = (len(weight), max(step, default=-1) + 1)
-        paths = LeafPaths(np.zeros(shape, dtype=np.intp),
-                          np.full(shape, math.nan),
-                          np.zeros(shape, dtype=bool),
-                          np.tile(np.arange(shape[1], dtype=np.intp),
-                                  (shape[0], 1)))
-        at = (np.array(leaf, dtype=np.intp), np.array(step, dtype=np.intp))
-        for arr, values in zip(paths, (feature, threshold, go_left, first)):
-            arr[at] = values
-        tree_of = np.array(tree_of, dtype=np.intp)
-        weight = np.array(weight)
-        for arr in (*paths, tree_of, weight):
-            arr.flags.writeable = False
-        return paths, tree_of, weight
+    def _leaf_paths(self) -> tuple[shapley.LeafPaths, np.ndarray, np.ndarray] | None:
+        """TreeSHAP's leaf-path table of tree_terms() (`shapley.leaf_paths`),
+        built on first use, so only explained models pay for it."""
+        return shapley.leaf_paths(self.tree_terms())
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +147,7 @@ class BoostParams:
 @dataclass(frozen=True)
 class ForestModel(TreeModel):
     trees: tuple[Tree, ...]
-    params: ForestParams
+    params: ForestParams | None  # None: reloaded from model.json
     n_features: int
 
     def predict(self, X) -> np.ndarray:
@@ -229,7 +169,7 @@ class BoostedModel(TreeModel):
     base_score: float
     learning_rate: float
     trees: tuple[Tree, ...]
-    params: BoostParams = field(repr=False, default=None)
+    params: BoostParams | None = field(repr=False, default=None)
     n_features: int = 0
 
     def predict(self, X) -> np.ndarray:
@@ -457,9 +397,8 @@ def model_from_json(text: str):
         return Tree(**doc["tree"])
     trees = tuple(Tree(**t) for t in doc.get("trees", ()))
     if kind == "forest":
-        return ForestModel(trees, ForestParams(n_estimators=len(trees)),
-                           doc.get("n_features", 0))
+        return ForestModel(trees, None, doc["n_features"])
     if kind == "boosted":
         return BoostedModel(doc["base_score"], doc["learning_rate"], trees,
-                            None, doc.get("n_features", 0))
+                            None, doc["n_features"])
     raise ValueError(f"unknown model document kind {kind!r}")

@@ -828,6 +828,28 @@ class TestFitCss:
         fit = fit_css(y, ArimaOrder(2, 0, 1), seed=7)
         assert fit.css <= min(fit.start_css) + 1e-9
 
+    def test_capped_best_walk_not_converged(self, monkeypatch):
+        # four of the five walks meet their tolerance near CSS 307, but the
+        # fourth stops at the iteration cap near 215 and is the fit returned,
+        # so the fit has not converged
+        rng = np.random.default_rng(9)
+        e = rng.normal(size=140)
+        t = np.arange(140)
+        y = (0.3 * np.sin(2 * np.pi * t / 12)
+             + np.convolve(e, [1.0, 0.5, 0.3])[:140] + np.cumsum(e))
+        walks = []
+
+        def recorded(*args, **kwargs):
+            walks.append(walk(*args, **kwargs))
+            return walks[-1]
+
+        walk = arima._nelder_mead
+        monkeypatch.setattr(arima, "_nelder_mead", recorded)
+        fit = fit_css(y[:80], ArimaOrder(2, 0, 1), seed=9)
+        assert [w.success for w in walks] == [True, True, True, False, True]
+        assert fit.css == walks[3].fun < min(w.fun for w in walks if w.success)
+        assert not fit.converged
+
     def test_series_too_short(self):
         with pytest.raises(ArimaError, match="at least"):
             fit_css(np.arange(10.0), ArimaOrder(3, 0, 3))

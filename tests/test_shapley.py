@@ -16,13 +16,11 @@ from forecastlab.shapley import (
     _coalition_weights,
     _PathSide,
     _phi_weights,
-    _repeated_steps,
     _uv_tables,
     exact_shapley,
     explain_matrix,
     global_importance,
     tree_shap,
-    tree_shap_matrix,
 )
 from forecastlab.trees import (
     BoostedModel,
@@ -527,14 +525,14 @@ def triple_tree_shap_matrix(model, X, background):
     paths, tree_of, weight = ensemble
     n_leaves = len(weight)
     pos, neg = _uv_tables(p)
-    back = _PathSide(background.rows, paths, _repeated_steps(paths))
+    back = _PathSide(background.rows, paths)
     back_keys = [w.T for w in back.keys]  # (leaves, B)
     back_feature_keys = [w.T[None] for w in back.feature_keys]
     back_inside = back.inside.T[None]
     step = max(1, TREE_CHUNK_TRIPLES // (B * n_leaves))
     for lo in range(0, n_rows, step):
         hi = min(lo + step, n_rows)
-        query = _PathSide(X[lo:hi], paths, _repeated_steps(paths))
+        query = _PathSide(X[lo:hi], paths)
         # triples in (row, leaf, background row) order
         ok = ~(query.inside[:, :, None] & back_inside)
         for qw, bw in zip(query.feature_keys, back_feature_keys):
@@ -578,13 +576,15 @@ def triple_tree_shap_matrix(model, X, background):
 
 
 def assert_matches_recursion(model, rows, background):
-    """explain_matrix and tree_shap both equal the recursion byte for byte,
-    row by row."""
+    """explain_matrix (a block of rows) and tree_shap of each one row both
+    equal the recursion byte for byte, row by row."""
     m = explain_matrix(model, rows, background)
+    assert m.phi.shape == rows.shape
     for r, x in enumerate(rows):
         expected = recursive_tree_shap(model, x, background).tobytes()
         assert m.phi[r].tobytes() == expected, r
-        assert tree_shap(model, x, background).tobytes() == expected, r
+        phi = tree_shap(model, x, background)
+        assert phi.shape == x.shape and phi.tobytes() == expected, r
     return m
 
 
@@ -661,8 +661,17 @@ class TestTreeShap:
 
     def test_non_tree_model_rejected(self):
         bg = BackgroundSet(np.zeros((1, 2)))
-        with pytest.raises(TypeError, match="tree"):
-            tree_shap(lambda X: X.sum(axis=1), np.zeros(2), bg)
+        for X in (np.zeros(2), np.zeros((3, 2))):
+            with pytest.raises(TypeError, match="tree"):
+                tree_shap(lambda X: X.sum(axis=1), X, bg)
+
+    def test_uv_tables_read_only(self):
+        # every caller shares the cached tables
+        pos, neg = _uv_tables(4)
+        assert _uv_tables(4)[0] is pos and _uv_tables(4)[1] is neg
+        for table in (pos, neg):
+            with pytest.raises(ValueError, match="read-only"):
+                table[1, 0] = 1.0
 
     def test_attributions_survive_json_round_trip(self):
         rng = np.random.default_rng(14)
@@ -722,7 +731,9 @@ def stacked_leaf_paths(model):
     """Reference oracle: the table built in two stages. Each tree's table is
     padded to the deepest tree and copied into one stacked table, whose leaf
     column looks up the weights. Returns (feature, threshold, go_left,
-    first, tree_of, weight), or None without trees."""
+    first, tree_of, weight), or None without trees; first[l, k] is the first
+    step of leaf l's path on step k's feature (k itself on first use and on
+    padding)."""
     terms = list(model.tree_terms())
     if not terms:
         return None
@@ -783,12 +794,20 @@ def leaf_path_models(rng):
     yield BoostedModel(0.5, 0.1, (), BoostParams(n_estimators=1), 2), X[:, :2]
 
 
+def repeats_from_first(first):
+    """(k, leaves, first[leaves, k]) per step k where some path retests a
+    feature, k ascending, each k's leaves ascending."""
+    leaves, steps = np.nonzero(first != np.arange(first.shape[1]))
+    return [(k, ls, first[ls, k])
+            for k in np.unique(steps).tolist() for ls in [leaves[steps == k]]]
+
+
 class TestLeafPathTable:
     def test_equals_two_stage_oracle(self):
         models = [m for m, _ in leaf_path_models(np.random.default_rng(49))]
         models += [model_from_json(model_to_json(m)) for m in models[::4]]
         assert len(models) >= 200
-        widths = set()
+        widths, retests = set(), 0
         for model in models:
             want = stacked_leaf_paths(model)
             if want is None:
@@ -796,11 +815,22 @@ class TestLeafPathTable:
                 continue
             paths, tree_of, weight = model._leaf_paths
             widths.add(paths.feature.shape[1])
-            for got, ref in zip((*paths, tree_of, weight), want):
-                assert got.dtype == ref.dtype
-                assert got.shape == ref.shape
-                assert got.tobytes() == ref.tobytes()
+            feature, threshold, go_left, first, *rest = want
+            got = [*paths[:3], tree_of, weight]
+            ref = [feature, threshold, go_left, *rest]
+            repeats = repeats_from_first(first)
+            assert len(paths.repeats) == len(repeats)
+            for (k, *pair), (ref_k, *ref_pair) in zip(paths.repeats, repeats):
+                assert type(k) is int and k == ref_k
+                got += pair
+                ref += ref_pair
+            for a, b in zip(got, ref, strict=True):
+                assert a.dtype == b.dtype
+                assert a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            retests += len(repeats)
         assert 0 in widths and 40 in widths
+        assert retests
 
 
 class TestLeafPathCache:
@@ -814,7 +844,9 @@ class TestLeafPathCache:
             first = tree_shap(model, X[0], bg)
             table = model._leaf_paths
             paths, tree_of, weight = table
-            assert not any(a.flags.writeable for a in (*paths, tree_of, weight))
+            arrays = [*paths[:3], tree_of, weight]
+            arrays += [a for _, *pair in paths.repeats for a in pair]
+            assert not any(a.flags.writeable for a in arrays)
             m = explain_matrix(model, X[:3], bg)
             assert model._leaf_paths is table
             assert m.phi[0].tobytes() == first.tobytes()
@@ -933,7 +965,7 @@ class TestArrayTreeShap:
         # a chunk holds TREE_CHUNK_TRIPLES // groups rows, a group being the
         # background rows that meet one leaf's path the same way
         paths = model._leaf_paths[0]
-        back = _PathSide(bg.rows, paths, _repeated_steps(paths))
+        back = _PathSide(bg.rows, paths)
         words = np.stack([w.T for w in back.keys], axis=-1)  # (leaves, B, words)
         groups = sum(len(np.unique(leaf, axis=0)) for leaf in words)
         assert groups < 40 * len(words)
@@ -978,8 +1010,8 @@ def oracle_cases(rng):
 
 
 class TestGroupedTreeShap:
-    """tree_shap_matrix, which pairs query rows with groups of background
-    rows, equals the triple kernel byte for byte."""
+    """tree_shap, which pairs query rows with groups of background rows,
+    equals the triple kernel byte for byte."""
 
     @pytest.mark.parametrize("budget", [TREE_CHUNK_TRIPLES, 1, 97])
     def test_bytes_equal_triple_oracle(self, budget, monkeypatch):
@@ -992,11 +1024,11 @@ class TestGroupedTreeShap:
                    for _, _, bg in cases)
         for model, rows, bg in cases:
             want = triple_tree_shap_matrix(model, rows, bg)
-            assert tree_shap_matrix(model, rows, bg).tobytes() == want.tobytes()
+            assert tree_shap(model, rows, bg).tobytes() == want.tobytes()
 
     @staticmethod
     def one_call_peak(n_trees):
-        """tracemalloc peak of one tree_shap_matrix call at the bench shape
+        """tracemalloc peak of one tree_shap call at the bench shape
         of explain-forest: 68 rows of 16 features explained against
         themselves by a forest of depth-9 trees."""
         rng = np.random.default_rng(50)
@@ -1005,10 +1037,10 @@ class TestGroupedTreeShap:
         model = fit_random_forest(X, y, ForestParams(
             n_estimators=n_trees, max_depth=9, max_features=8, seed=42))
         bg = BackgroundSet(X)
-        first = tree_shap_matrix(model, X, bg)  # builds the cached tables
+        first = tree_shap(model, X, bg)  # builds the cached tables
         tracemalloc.start()
         try:
-            again = tree_shap_matrix(model, X, bg)
+            again = tree_shap(model, X, bg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1027,6 +1059,26 @@ class TestGroupedTreeShap:
 
 
 class TestExplainMatrix:
+    def test_forest_explained_by_one_tree_shap_call(self, monkeypatch):
+        # tree models reach the engine through the shapley module global, so
+        # a wrapper installed there sees the one call of a whole explanation
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(30, 4))
+        model = fit_random_forest(X, X[:, 0] + rng.normal(size=30), ForestParams(
+            n_estimators=4, max_depth=4, seed=1))
+        bg = BackgroundSet(X[:10])
+        want = explain_matrix(model, X[:6], bg).phi
+        engine, calls = shapley.tree_shap, []
+
+        def counted(*args):
+            calls.append(args)
+            return engine(*args)
+
+        monkeypatch.setattr(shapley, "tree_shap", counted)
+        phi = explain_matrix(model, X[:6], bg).phi
+        assert len(calls) == 1
+        assert phi.tobytes() == want.tobytes()
+
     def test_single_row_matches_engine(self):
         rng = np.random.default_rng(7)
         model, X = random_boosted_model(rng, trees=5)

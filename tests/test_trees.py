@@ -541,6 +541,21 @@ class TestSerialization:
             np.testing.assert_allclose(clone.predict(X),
                                        model.predict(X), atol=1e-15)
 
+    def test_reloaded_models_claim_no_training_params(self):
+        # model.json stores no training parameters, so a reloaded forest or
+        # booster reports none, and writes the same bytes again
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(30, 3))
+        y = rng.normal(size=30)
+        for model in (fit_random_forest(X, y, ForestParams(
+                          n_estimators=3, max_depth=2, max_features=2, seed=5)),
+                      fit_gradient_boosting(X, y, BoostParams(n_estimators=3))):
+            text = model_to_json(model)
+            clone = model_from_json(text)
+            assert model.params is not None and clone.params is None
+            assert clone.n_features == 3
+            assert model_to_json(clone) == text
+
     def test_boosted_params_validated(self):
         with pytest.raises(ValueError):
             BoostParams(learning_rate=0.0)
