@@ -286,14 +286,15 @@ class _PathSide:
     keys pack the per-step off flags, and feature_keys the by_feature flags,
     as base-4 digits into int64 words, _KEY_DIGITS steps a word, earlier
     steps more significant, so any depth fits. inside[r, l]: row r reaches
-    leaf l. The off flags are compared a step at a time, so only one
-    (rows, leaves) block of feature values is gathered at once."""
+    leaf l, that is, its keys words are all 0. The off flags are compared a
+    step at a time, so only one (rows, leaves) block of feature values is
+    gathered at once."""
 
     def __init__(self, Z, paths: LeafPaths):
         off = np.empty((Z.shape[0],) + paths.feature.shape, dtype=bool)
-        for k in range(paths.feature.shape[1]):
-            np.not_equal(Z[:, paths.feature[:, k]] <= paths.threshold[:, k],
-                         paths.go_left[:, k], out=off[:, :, k])
+        for k, (f, t, go) in enumerate(zip(paths.feature.T, paths.threshold.T,
+                                           paths.go_left.T)):
+            np.not_equal(Z.take(f, axis=1) <= t, go, out=off[:, :, k])
         by_feature = off.copy() if paths.repeats else off
         for k, leaves, first in paths.repeats:
             by_feature[:, leaves, first] |= off[:, leaves, k]
@@ -301,7 +302,7 @@ class _PathSide:
         self.by_feature = by_feature
         self.keys = _key_words(off)
         self.feature_keys = _key_words(by_feature)
-        self.inside = ~off.any(axis=2)
+        self.inside = np.logical_and.reduce([w == 0 for w in self.keys])
 
 
 def _key_words(bits: np.ndarray) -> list[np.ndarray]:
@@ -319,16 +320,37 @@ def _key_words(bits: np.ndarray) -> list[np.ndarray]:
     return words
 
 
-def _background_groups(back: _PathSide):
-    """Each leaf's background rows (`back`) grouped by their keys words, with
-    one lexsort over leaf and key words: per group its leaf, row count, and
-    keys, feature_keys, inside and by_feature, the same for all its rows."""
+def _one_word(depth: int, n_major: int) -> bool:
+    """Whether `_packed` keys for this depth hold majors below n_major."""
+    return depth <= _KEY_DIGITS and n_major <= 1 << (63 - 2 * depth)
+
+
+def _packed(word: np.ndarray, major, depth: int) -> np.ndarray:
+    """word, in place, as major << 2*depth | word >> (62 - 2*depth). A
+    `_key_words` word of depth <= _KEY_DIGITS keeps every digit in its
+    2*depth top bits, so when `_one_word` holds, the packed keys sort as
+    the (major, word) pairs do."""
+    word >>= 2 * (_KEY_DIGITS - depth)
+    word |= major << 2 * depth
+    return word
+
+
+def _background_groups(back: _PathSide, depth: int):
+    """Each leaf's background rows (`back`) grouped by their keys words:
+    per group its leaf, row count, and keys, feature_keys, inside and
+    by_feature, the same for all its rows. The (leaf, row) pairs, leaf-major,
+    are sorted once: one stable argsort of `_packed` keys when they fit one
+    word, else a lexsort over leaf and key words."""
     B, n_leaves = back.inside.shape
-    keys = [w.T.ravel() for w in back.keys]  # (leaf, row) pairs, leaf-major
-    leaf = np.repeat(np.arange(n_leaves), B)
-    order = np.lexsort(keys[::-1] + [leaf])
+    if _one_word(depth, n_leaves):
+        key = _packed(back.keys[0].T.copy(), np.arange(n_leaves)[:, None], depth)
+        keys = [key.ravel()]  # a view: the copy is leaf-major
+        order = np.argsort(keys[0], kind="stable")
+    else:
+        keys = [np.repeat(np.arange(n_leaves), B)] + [w.T.ravel() for w in back.keys]
+        order = np.lexsort(keys[::-1])
     changed = np.zeros(order.size - 1, dtype=bool)
-    for key in [leaf] + keys:
+    for key in keys:
         ordered = key[order]
         changed |= ordered[1:] != ordered[:-1]
     starts = np.flatnonzero(np.r_[True, changed])  # where the leaf or a word changes
@@ -360,8 +382,11 @@ def tree_shap(model, X, background: BackgroundSet) -> np.ndarray:
     -0.0, so +0.0 terms change nothing): trees in tree_terms order, then
     groups in lexicographic digit-string order. That is the visit order of
     a depth-first recursion that takes the query row's side first, so the
-    result equals that recursion bit for bit. Query rows go through in
-    chunks of about TREE_CHUNK_TRIPLES triples, at least one row a chunk."""
+    result equals that recursion bit for bit. A chunk's pairs take that
+    order from one stable argsort of `_packed` keys, (row, tree) above the
+    digits, when they fit one int64 word (`_one_word`), else from a lexsort.
+    Query rows go through in chunks of about TREE_CHUNK_TRIPLES triples, at
+    least one row a chunk."""
     if not hasattr(model, "tree_terms"):
         raise TypeError(f"not a tree model: {type(model).__name__}")
     X = np.asarray(X, dtype=float)
@@ -375,29 +400,43 @@ def tree_shap(model, X, background: BackgroundSet) -> np.ndarray:
     if ensemble is None or ensemble[0].feature.shape[1] == 0:
         return phi.reshape(X.shape)  # no trees, or only single leaves: no split
     paths, tree_of, weight = ensemble
+    n_leaves, depth = paths.feature.shape
+    n_trees = int(tree_of[-1]) + 1
     pos, neg = _uv_tables(p)
     g_leaf, count, g_keys, g_feature_keys, g_inside, g_in_u = \
-        _background_groups(_PathSide(background.rows, paths))
+        _background_groups(_PathSide(background.rows, paths), depth)
     g_u = g_in_u.sum(axis=1)
 
     def chunk_phi(block):
         # (query row, group) pairs, row-major; a chunk's arrays die with the call
         query = _PathSide(block, paths)
-        ok = ~(query.inside[:, g_leaf] & g_inside)
+        # take() and flat indices read the entries that [:, g_leaf],
+        # [q, leaf] and np.nonzero would, with less work per element
+        ok = ~(query.inside.take(g_leaf, axis=1) & g_inside)
         for qw, gw in zip(query.feature_keys, g_feature_keys):
-            ok &= (qw[:, g_leaf] & gw) == 0
+            ok &= (qw.take(g_leaf, axis=1) & gw) == 0
         q, g = np.divmod(np.flatnonzero(ok), len(count))
         leaf = g_leaf[g]
-        keys = [2 * qw[q, leaf] + gw[g] for qw, gw in zip(query.keys, g_keys)]
-        order = np.lexsort(keys[::-1] + [tree_of[leaf], q])
-        q, g, leaf = q[order], g[order], leaf[order]
-        in_u, in_v = g_in_u[g], query.by_feature[q, leaf]
-        u, v = g_u[g], query.by_feature.sum(axis=2)[q, leaf]
+        ql = q * n_leaves + leaf
+        keys = [2 * qw.ravel().take(ql) + gw[g] for qw, gw in zip(query.keys, g_keys)]
+        if _one_word(depth, len(block) * n_trees):
+            order = np.argsort(_packed(keys[0], q * n_trees + tree_of[leaf], depth),
+                               kind="stable")
+        else:
+            order = np.lexsort(keys[::-1] + [tree_of[leaf], q])
+        q, g, leaf, ql = q[order], g[order], leaf[order], ql[order]
         w = weight[leaf] * count[g] / B
-        plus, minus = w * pos[u, v], -(w * neg[u, v])
-        e, k = np.nonzero(in_u | in_v)
-        term = np.where(in_u[e, k], plus[e], minus[e])
-        seg = q[e] * p + paths.feature[leaf[e], k]
+        uv = (p + 1) * g_u[g] + query.by_feature.sum(axis=2).ravel().take(ql)
+        plus, minus = w * pos.ravel().take(uv), -(w * neg.ravel().take(uv))
+        in_u = g_in_u.take(g, axis=0).ravel()
+        in_v = query.by_feature.reshape(-1, depth).take(ql, axis=0).ravel()
+        on = np.flatnonzero(in_u | in_v)  # (pair, step) flags of U or V, row-major
+        # the term stage sets the call's peak: drop what it does not read
+        del keys, order, g, ql, w, uv, in_v
+        e, k = np.divmod(on, depth)
+        term = np.where(in_u.take(on), plus.take(e), minus.take(e))
+        del in_u, on, plus, minus
+        seg = q.take(e) * p + paths.feature.ravel().take(leaf.take(e) * depth + k)
         return np.bincount(seg, weights=term, minlength=len(block) * p)
 
     step = max(1, TREE_CHUNK_TRIPLES // len(count))

@@ -14,7 +14,10 @@ threshold, so refits are bit-reproducible.
 Split search reads presorted column blocks, the exact greedy layout of
 Chen & Guestrin (2016, KDD, sec. 4.1): each tree stable-sorts its columns
 once, at the root, and a child's block is its parent's, filtered by the
-split, so no node sorts.
+split, so no node sorts. A node that searches max_features columns gets
+exactly the columns, and leaves the generator in the state, of a per-node
+rng.choice draw; within numpy's Floyd range one rng.integers call draws
+a block of nodes' columns (`_ColumnDraw`).
 
 A tree is a set of parallel node arrays in preorder (the layout model.json
 stores; cover is the row count), and every model here predicts through
@@ -111,6 +114,8 @@ class ForestParams:
                       max_features=optional(integer), min_samples_leaf=integer)
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
+        if self.max_depth < 0:
+            raise ValueError("max_depth must be >= 0")
         if self.max_features is not None and self.max_features < 1:
             raise ValueError("max_features must be >= 1")
         if self.min_samples_leaf < 1:
@@ -134,6 +139,8 @@ class BoostParams:
                       reg_lambda=finite, min_split_gain=finite)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
+        if self.max_depth < 0:
+            raise ValueError("max_depth must be >= 0")
         if not 0.0 < self.subsample <= 1.0:
             raise ValueError("subsample must be in (0, 1]")
         if not 0.0 < self.colsample_bytree <= 1.0:
@@ -204,6 +211,75 @@ def _tree_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
+DRAW_BLOCK = 64  # nodes whose column draws one rng.integers call makes
+# above this many columns a node, the vectorised Floyd steps cost more
+# than per-node rng.choice calls
+DRAW_MAX_COLUMNS = 128
+
+
+class _ColumnDraw:
+    """Each call returns the next node's k < p columns, ascending: the
+    values np.sort(rng.choice(p, k, replace=False)) gives node by node,
+    with the same generator state after settle().
+
+    Where numpy's choice runs Floyd's algorithm (p <= 10,000 or
+    k <= p // 50), a node's draw is one bounded integer in [0, j] for each
+    j = p-k..p-1, whose Floyd set is the node's columns, then k-1 in
+    [0, j] for j = k-1..1, which only shuffle that set. One
+    rng.integers(0, highs, endpoint=True) call over DRAW_BLOCK nodes'
+    bounds consumes the stream as the per-node calls do, so a block's sets
+    come from one call and k vectorised Floyd steps. A block is drawn when
+    the last one runs out; settle() restores the state saved before the
+    first block and draws only the used nodes' integers again, in one call.
+    Outside Floyd's range, or above DRAW_MAX_COLUMNS, each node calls
+    rng.choice."""
+
+    def __init__(self, rng: np.random.Generator, p: int, k: int):
+        self.rng, self.p, self.k = rng, p, k
+        self.bulk = k <= DRAW_MAX_COLUMNS and (p <= 10_000 or k <= p // 50)
+        self.highs = np.concatenate([np.arange(p - k, p), np.arange(k - 1, 0, -1)])
+        self.used = self.drawn = 0
+        self.start = None  # generator state before the first block
+        self.sets = None  # the current block's column sets
+
+    def __call__(self) -> np.ndarray:
+        if not self.bulk:
+            cols = self.rng.choice(self.p, size=self.k, replace=False)
+            cols.sort()
+            return cols
+        if self.used == self.drawn:
+            if self.start is None:
+                self.start = self.rng.bit_generator.state
+            draws = self.rng.integers(0, np.tile(self.highs, DRAW_BLOCK),
+                                      endpoint=True)
+            self.sets = _floyd_sets(draws.reshape(DRAW_BLOCK, -1)[:, :self.k], self.p)
+            self.drawn += DRAW_BLOCK
+        self.used += 1
+        return self.sets[(self.used - 1) % DRAW_BLOCK]
+
+    def settle(self) -> None:
+        """Leave the generator where the per-node calls would have."""
+        if self.used < self.drawn:
+            self.rng.bit_generator.state = self.start
+            self.rng.integers(0, np.tile(self.highs, self.used), endpoint=True)
+
+
+def _floyd_sets(draws: np.ndarray, p: int) -> np.ndarray:
+    """Row r: the ascending Floyd set of draws[r], whose i-th value lies in
+    [0, p-k+i]; it joins the set unless already there, when p-k+i joins.
+    A flat (rows, p) membership array tests every row's step i at once."""
+    n, k = draws.shape
+    base = np.arange(0, n * p, p)
+    at = draws.T + base  # row i: each set's step-i value, flat
+    member = np.zeros(n * p, dtype=bool)
+    for i, step in enumerate(at):
+        taken = member[step]
+        step[taken] = base[taken] + (p - k + i)
+        member[step] = True
+    at -= base
+    return np.sort(at.T, axis=1)
+
+
 @lru_cache(maxsize=1024)
 def _side_counts(n: int, reg_lambda: float) -> tuple[np.ndarray, np.ndarray]:
     """(hl + lam, n - hl + lam) for the row counts hl = 1..n-1 left of each
@@ -228,14 +304,23 @@ def _best_split(xs, gs, G, reg_lambda, min_samples_leaf):
     threshold. A gain is NaN only when gs holds NaN or the parent score
     overflows; then the first NaN is that maximum, and there is no split."""
     n = xs.shape[1]
-    gl = gs[:, :-1].cumsum(axis=1)
+    gl = np.add.accumulate(gs[:, :-1], axis=1)  # cumsum's loop, less overhead
     left, right = _side_counts(n, reg_lambda)
     invalid = xs[:, 1:] == xs[:, :-1]
     if min_samples_leaf > 1:  # a side would hold fewer rows
         invalid[:, :min_samples_leaf - 1] = True
         invalid[:, n - min_samples_leaf:] = True
-    gains = 0.5 * (gl * gl / left + (G - gl) ** 2 / right
-                   - G * G / (n + reg_lambda))
+    # 0.5 * (gl*gl/left + (G-gl)**2/right - G*G/(n+lam)), each operation
+    # in that order, written into the cumsum buffer
+    t = G - gl
+    t *= t
+    t /= right
+    gl *= gl
+    gl /= left
+    gl += t
+    gl -= G * G / (n + reg_lambda)
+    gl *= 0.5
+    gains = gl
     np.putmask(gains, invalid, -math.inf)
     j, k = divmod(int(gains.argmax()), n - 1)
     best = gains[j, k]
@@ -259,9 +344,14 @@ def fit_regression_tree(X, y=None, gradients=None, *, max_depth=6,
     sort of the child's rows would give. Nodes pop from one preorder stack
     of (rows, parent block, split mask, depth, the node whose right child
     this is), so only a node that may split filters its block; the root's
-    entry holds its own block and the mask slice(None). Nodes push their
-    right child first, so they are numbered, and draw max_features
-    columns, in preorder: a split node's left child is the next node."""
+    entry holds its own block and no mask. A split computes the mask only
+    when a child may split (its depth is below max_depth and it holds at
+    least max(2, 2 * min_samples_leaf) rows); otherwise both children get
+    no block. Nodes push their right child first, so they are numbered,
+    and draw max_features columns, in preorder: a split node's left child
+    is the next node. The draws come from `_ColumnDraw`, which leaves rng
+    as the per-node rng.choice calls would; a tree with no drawing node
+    leaves it untouched."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("X must be a nonempty 2-d array")
@@ -274,16 +364,22 @@ def fit_regression_tree(X, y=None, gradients=None, *, max_depth=6,
         g = np.asarray(gradients, dtype=float)
     if len(g) != X.shape[0]:
         raise ValueError("row count mismatch")
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+    if min_samples_leaf < 1:
+        raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
+    if max_features is not None and max_features < 1:
+        raise ValueError(f"max_features must be >= 1, got {max_features}")
     if rng is None:
         rng = np.random.default_rng(0)
     p = X.shape[1]
-    draw = max_features is not None and max_features < p
+    draw = (_ColumnDraw(rng, p, max_features)
+            if max_features is not None and max_features < p else None)
     feats = np.arange(p)
     XT = X.T.copy()
     min_rows = max(2, 2 * min_samples_leaf)
     nodes = []  # [feature, threshold, left, right, value, cover] rows
-    stack = [(np.arange(len(g)), XT.argsort(axis=1, kind="stable"),
-              slice(None), 0, None)]
+    stack = [(np.arange(len(g)), XT.argsort(axis=1, kind="stable"), None, 0, None)]
     while stack:
         rows, blk, keep, depth, right_of = stack.pop()
         if right_of is not None:
@@ -294,11 +390,11 @@ def fit_regression_tree(X, y=None, gradients=None, *, max_depth=6,
         nodes.append(node)
         if depth >= max_depth or n < min_rows:
             continue
-        blk = blk[keep].reshape(p, n)
-        if draw:
-            feats = rng.choice(p, size=max_features, replace=False)
-            feats.sort()
-            cand = blk[feats]
+        if keep is not None:  # the root's block is its own
+            blk = blk.compress(keep.ravel()).reshape(p, n)
+        if draw is not None:
+            feats = draw()
+            cand = blk.take(feats, axis=0)
         else:
             cand = blk
         found = _best_split(XT[feats[:, None], cand], g[cand], G, reg_lambda,
@@ -311,9 +407,16 @@ def fit_regression_tree(X, y=None, gradients=None, *, max_depth=6,
         node[:3] = feats[j], threshold, len(nodes)
         x = XT[feats[j]]
         left = x[rows] <= threshold
-        go = x[blk] <= threshold
-        stack.append((rows[~left], blk, ~go, depth + 1, node))
-        stack.append((rows[left], blk, go, depth + 1, None))
+        rows_left, rows_right = rows[left], rows[~left]
+        if depth + 1 < max_depth and max(len(rows_left), len(rows_right)) >= min_rows:
+            go = x[blk] <= threshold
+            stack.append((rows_right, blk, ~go, depth + 1, node))
+            stack.append((rows_left, blk, go, depth + 1, None))
+        else:  # neither child splits, so neither reads a block
+            stack.append((rows_right, None, None, depth + 1, node))
+            stack.append((rows_left, None, None, depth + 1, None))
+    if draw is not None:
+        draw.settle()
     return Tree(*zip(*nodes))
 
 

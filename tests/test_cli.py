@@ -545,6 +545,9 @@ class TestExitCodes:
         {"roster": {"arima": {}, "ridge": {"grid": {"lam": [True]}}}},
         {"roster": {"arima": {}, "svr": {"grid": {"C": ["2"]}}}},
         {"roster": {"arima": {}, "svr": {"grid": {"epsilon": [True]}}}},
+        {"roster": {"arima": {}, "random_forest": {"grid": {
+            "max_depth": [-1]}}}},
+        {"roster": {"arima": {}, "boosting": {"grid": {"max_depth": [-2]}}}},
     ], ids=["synth.n", "dm.h", "seed", "split_months", "schema.features",
             "arima.candidates", "data", "explain.background_cap", "cv-list",
             "cv.shuffle-string", "synth.drivers-string",
@@ -570,7 +573,8 @@ class TestExitCodes:
             "random_forest-n_estimators-bool", "svr-degree-fraction",
             "seed-numeric-string", "synth.noise_scale-bool",
             "explain.outlier_k-bool", "explain.outlier_k-numeric-string",
-            "ridge-lam-bool", "svr-C-numeric-string", "svr-epsilon-bool"])
+            "ridge-lam-bool", "svr-C-numeric-string", "svr-epsilon-bool",
+            "random_forest-max_depth-negative", "boosting-max_depth-negative"])
     def test_malformed_value_exits_2_before_fitting(self, tmp_path, capsys,
                                                     monkeypatch, overrides):
         import forecastlab.pipeline as pipeline

@@ -1027,16 +1027,71 @@ class TestGroupedTreeShap:
             assert tree_shap(model, rows, bg).tobytes() == want.tobytes()
 
     @staticmethod
-    def one_call_peak(n_trees):
-        """tracemalloc peak of one tree_shap call at the bench shape
-        of explain-forest: 68 rows of 16 features explained against
-        themselves by a forest of depth-9 trees."""
+    def bench_forest(n_trees):
+        """The bench shape of explain-forest: 68 rows of 16 features, which
+        a forest of depth-9 trees explains against themselves."""
         rng = np.random.default_rng(50)
         X = rng.normal(size=(68, 16))
         y = X[:, 0] * X[:, 1] + X[:, 2] + rng.normal(size=68)
         model = fit_random_forest(X, y, ForestParams(
             n_estimators=n_trees, max_depth=9, max_features=8, seed=42))
-        bg = BackgroundSet(X)
+        return model, X, BackgroundSet(X)
+
+    @staticmethod
+    def counting_lexsort(monkeypatch):
+        """The key count of each np.lexsort call, appended as it is made."""
+        calls, lexsort = [], np.lexsort
+
+        def counting(keys):
+            calls.append(len(keys))
+            return lexsort(keys)
+
+        monkeypatch.setattr(np, "lexsort", counting)
+        return calls
+
+    def test_bench_shape_sorts_packed_keys(self, monkeypatch):
+        # depth 9 and 5 trees: every pair sort is one argsort of one int64
+        # key a pair, not a lexsort
+        model, X, bg = self.bench_forest(5)
+        assert model._leaf_paths[0].feature.shape[1] == 9
+        want = triple_tree_shap_matrix(model, X, bg)
+        calls = self.counting_lexsort(monkeypatch)
+        assert tree_shap(model, X, bg).tobytes() == want.tobytes()
+        assert calls == []
+
+    def test_lexsort_and_packed_sorts_equal_recursion(self, monkeypatch):
+        # chains keep every key in one word, but only 2**(63 - 2 * depth)
+        # majors fit above it: 8 at depth 30, 128 at depth 28. A lexsort
+        # over the background has 2 keys (word, leaf), one over a chunk's
+        # pairs 3 (word, tree, row)
+        rng = np.random.default_rng(52)
+        p = 3
+        two_chains = BoostedModel(0.0, 0.5, (chain_tree(30, p, rng),
+                                             chain_tree(30, p, rng)), None, p)
+        one_chain = chain_tree(28, p, rng)
+        # (model, rows, block sorts, one-row sorts): 62 leaves > 8, so the
+        # background of two_chains takes the lexsort; one_chain's 29 do not,
+        # but a 150-row chunk of it does
+        cases = [(two_chains, 12, [2, 3], [2]), (one_chain, 150, [3], [])]
+        calls = self.counting_lexsort(monkeypatch)
+        for model, n_rows, block_sorts, row_sorts in cases:
+            rows = rng.uniform(-1.0, 1.1, size=(n_rows, p))
+            rows[:2] = 1.05  # these reach the bottom of the chains
+            bg = BackgroundSet(rows[:5])
+            calls.clear()
+            phi = explain_matrix(model, rows, bg).phi
+            assert sorted(set(calls)) == block_sorts
+            for r, x in enumerate(rows):
+                calls.clear()
+                one = tree_shap(model, x, bg)
+                assert calls == row_sorts
+                expected = recursive_tree_shap(model, x, bg).tobytes()
+                assert phi[r].tobytes() == expected and one.tobytes() == expected, r
+
+    @classmethod
+    def one_call_peak(cls, n_trees):
+        """tracemalloc peak of one tree_shap call at the bench shape."""
+        model, X, bg = cls.bench_forest(n_trees)
         first = tree_shap(model, X, bg)  # builds the cached tables
         tracemalloc.start()
         try:
@@ -1048,7 +1103,7 @@ class TestGroupedTreeShap:
         return peak
 
     def test_one_call_memory_peak(self):
-        # 5 trees: the (query row, group) term arrays set the peak, 1.70 MB
+        # 5 trees: the (query row, group) term arrays set the peak, 1.38 MB
         assert self.one_call_peak(5) <= 1.87e6
 
     def test_many_trees_memory_peak(self):

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from forecastlab.trees import (
+    DRAW_BLOCK,
+    DRAW_MAX_COLUMNS,
     BoostedModel,
     BoostParams,
     ForestModel,
     ForestParams,
     Tree,
     _best_split,
+    _ColumnDraw,
+    _floyd_sets,
     _tree_rng,
     fit_gradient_boosting,
     fit_random_forest,
@@ -349,6 +353,130 @@ class TestPreorderGrowth:
             for name in NODE_ARRAYS:
                 a, b = getattr(tree, name), getattr(oracle, name)
                 assert a.tobytes() == b.tobytes(), (t, name)
+
+
+# (p, k) where numpy's choice runs Floyd's algorithm (p <= 10,000 or
+# k <= p // 50), on both sides of p = 10,000, and two pairs where it runs
+# its tail shuffle instead
+FLOYD_PAIRS = [(16, 8), (16, 1), (16, 15), (2, 1), (5, 4), (10000, 5000),
+               (10001, 100), (20000, 300), (70000, 2)]
+TAIL_SHUFFLE_PAIRS = [(10001, 300), (20000, 1000)]
+
+
+def bulk_draw(rng, p, k, nodes):
+    """The column sets of `nodes` nodes from one rng.integers call and
+    _floyd_sets."""
+    highs = np.concatenate([np.arange(p - k, p), np.arange(k - 1, 0, -1)])
+    draws = rng.integers(0, np.tile(highs, nodes), endpoint=True)
+    return _floyd_sets(draws.reshape(nodes, -1)[:, :k], p)
+
+
+def depth_of_nodes(tree):
+    depth = np.zeros(len(tree.feature), dtype=int)
+    for i in np.flatnonzero(tree.feature >= 0):  # preorder: parents first
+        depth[[tree.children_left[i], tree.children_right[i]]] = depth[i] + 1
+    return depth
+
+
+class TestColumnDraw:
+    @pytest.mark.parametrize("p, k", FLOYD_PAIRS)
+    def test_one_call_equals_choice_in_floyd_range(self, p, k):
+        nodes = 3 if p > 100 else DRAW_BLOCK + 3
+        for seed in range(30):
+            per_node = np.random.default_rng(seed)
+            want = [np.sort(per_node.choice(p, k, replace=False))
+                    for _ in range(nodes)]
+            one_call = np.random.default_rng(seed)
+            got = bulk_draw(one_call, p, k, nodes)
+            assert np.array_equal(got, want), seed
+            assert one_call.bit_generator.state == per_node.bit_generator.state
+
+    @pytest.mark.parametrize("p, k", TAIL_SHUFFLE_PAIRS)
+    def test_one_call_differs_outside_floyd_range(self, p, k):
+        # the reason _ColumnDraw keeps per-node calls there
+        for seed in range(30):
+            per_node = np.random.default_rng(seed)
+            want = [np.sort(per_node.choice(p, k, replace=False)) for _ in range(2)]
+            one_call = np.random.default_rng(seed)
+            got = bulk_draw(one_call, p, k, 2)
+            assert (not np.array_equal(got, want)
+                    or one_call.bit_generator.state != per_node.bit_generator.state)
+
+    @pytest.mark.parametrize("p, k", FLOYD_PAIRS + TAIL_SHUFFLE_PAIRS)
+    def test_draws_and_state_equal_per_node_choice(self, p, k):
+        # several blocks for narrow p, and every count of used nodes in a
+        # block: settle() must leave the per-node calls' state
+        counts = [1, 5] if p > 100 else [1, DRAW_BLOCK - 1, DRAW_BLOCK,
+                                         DRAW_BLOCK + 1, 2 * DRAW_BLOCK + 7]
+        for seed in range(30):
+            nodes = counts[seed % len(counts)]
+            per_node = np.random.default_rng(seed)
+            want = [np.sort(per_node.choice(p, k, replace=False))
+                    for _ in range(nodes)]
+            rng = np.random.default_rng(seed)
+            draw = _ColumnDraw(rng, p, k)
+            got = [draw() for _ in range(nodes)]
+            draw.settle()
+            for a, b in zip(got, want, strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), seed
+            assert rng.bit_generator.state == per_node.bit_generator.state
+        # the pairs where one call serves a block
+        bulk = k <= DRAW_MAX_COLUMNS and (p <= 10_000 or k <= p // 50)
+        assert _ColumnDraw(np.random.default_rng(0), p, k).bulk == bulk
+
+    def test_tree_refills_its_block(self):
+        # more drawing nodes than one block: the grower draws a second
+        # block and settles after it, as the per-node oracle draws
+        rng = np.random.default_rng(33)
+        X = rng.normal(size=(400, 6))
+        y = X[:, 0] + rng.normal(size=400)
+        tree_rng, oracle_rng = (np.random.default_rng(9) for _ in range(2))
+        tree = fit_regression_tree(X, y, max_depth=12, min_samples_leaf=2,
+                                   max_features=3, rng=tree_rng)
+        oracle = recursive_fit_tree(X, y, max_depth=12, min_samples_leaf=2,
+                                    max_features=3, rng=oracle_rng)
+        for name in NODE_ARRAYS:
+            assert getattr(tree, name).tobytes() == getattr(oracle, name).tobytes()
+        assert tree_rng.bit_generator.state == oracle_rng.bit_generator.state
+        drawing = (depth_of_nodes(tree) < 12) & (tree.cover >= 4)
+        assert drawing.sum() > DRAW_BLOCK
+
+    def test_no_drawing_node_leaves_generator_untouched(self):
+        rng = np.random.default_rng(34)
+        X = rng.normal(size=(20, 5))
+        y = rng.normal(size=20)
+        # a 20-row root draws only with depth left and min_samples_leaf <= 10
+        for kwargs, draws in [(dict(max_depth=0), False),
+                              (dict(max_depth=4, min_samples_leaf=11), False),
+                              (dict(max_depth=4, min_samples_leaf=10), True)]:
+            tree_rng = np.random.default_rng(5)
+            before = tree_rng.bit_generator.state
+            tree = fit_regression_tree(X, y, max_features=2, rng=tree_rng, **kwargs)
+            assert (tree_rng.bit_generator.state != before) == draws
+            assert draws or tree.feature.tolist() == [-1]
+
+
+class TestTreeArguments:
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(max_depth=-1), "max_depth"),
+        (dict(min_samples_leaf=0), "min_samples_leaf"),
+        (dict(min_samples_leaf=-3), "min_samples_leaf"),
+        (dict(max_features=0), "max_features"),
+        (dict(max_features=-1), "max_features"),
+    ])
+    def test_invalid_argument_named(self, kwargs, name):
+        X = np.arange(12, dtype=float).reshape(6, 2)
+        with pytest.raises(ValueError, match=name):
+            fit_regression_tree(X, np.arange(6.0), **kwargs)
+
+    def test_negative_depth_params_rejected(self):
+        with pytest.raises(ValueError, match="max_depth"):
+            ForestParams(max_depth=-1)
+        with pytest.raises(ValueError, match="max_depth"):
+            BoostParams(max_depth=-2)
+        # depth 0 stays valid: a mean leaf
+        assert ForestParams(max_depth=0).max_depth == 0
+        assert BoostParams(max_depth=0).max_depth == 0
 
 
 class TestSingleTree:
