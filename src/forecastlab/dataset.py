@@ -11,6 +11,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -373,7 +374,9 @@ def synth_generate(seed: int, schema: ColumnSchema, spec: SynthSpec) -> SeriesFr
 
     Features are independent stationary AR(1) processes around level 5 with
     unit stationary variance; the target is spec.signal over the driver
-    columns plus AR(1) noise.
+    columns plus AR(1) noise. Each feature's n + 1 normals (the last one
+    unused) and the noise's n are drawn in one call each, the stream of
+    per-draw calls; the recursions run on Python floats.
     """
     didx = spec.driver_columns(schema)
     n = spec.n
@@ -381,23 +384,19 @@ def synth_generate(seed: int, schema: ColumnSchema, spec: SynthSpec) -> SeriesFr
     p = len(schema.features)
     rhos = 0.5 + 0.4 * ((np.arange(p) * 7) % 10) / 9.0  # fixed spread in [0.5, 0.9]
     X = np.empty((n, p))
-    for j in range(p):
-        rho = rhos[j]
+    for j, rho in enumerate(rhos.tolist()):
         innov_sd = math.sqrt(1.0 - rho * rho)
-        x = rng.normal(0.0, 1.0)
-        for t in range(n):
-            X[t, j] = x
-            x = rho * x + innov_sd * rng.normal()
+        draws = rng.normal(0.0, 1.0, n + 1).tolist()
+        X[:, j] = list(accumulate(draws[1:n], initial=draws[0],
+                                  func=lambda x, z: rho * x + innov_sd * z))
     X += 5.0
 
     y = spec.signal(X[:, didx])
     if spec.noise_scale > 0:
-        u = 0.0
-        noise = np.empty(n)
-        for t in range(n):
-            u = spec.noise_ar * u + spec.noise_scale * rng.normal()
-            noise[t] = u
-        y = y + noise
+        ar, scale = spec.noise_ar, spec.noise_scale
+        y = y + np.array(list(accumulate(
+            rng.normal(0.0, 1.0, n).tolist(), initial=0.0,
+            func=lambda u, z: ar * u + scale * z))[1:])
 
     data = np.column_stack([y, X])
     return SeriesFrame(2015, 1, (schema.target,) + schema.features, data)

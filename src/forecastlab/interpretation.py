@@ -1,11 +1,12 @@
-"""Interpretation products built from a ShapMatrix: dependence-plot records,
-outlier-filtered polynomial functional forms, zero crossings, and
-summary-plot data.
+"""Interpretation products built from a ShapMatrix, as arrays: dependence
+and summary-plot columns (equal-length, for the pipeline's CSV writer),
+outlier-filtered polynomial functional forms, and zero crossings.
 
 Outlier filtering fences the feature value or the attribution (its `axis`)
 with Tukey's k*IQR rule and iterates to a fixed point, so filtering an
 already-filtered point set changes nothing; a pass that would leave fewer
-than four points is not applied.
+than four points is not applied. A point is named by its position in the
+given columns, for the dependence columns its explained row.
 """
 
 from __future__ import annotations
@@ -20,14 +21,6 @@ from .shapley import ShapMatrix, global_importance
 
 class InterpretationError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class DependencePoint:
-    row_index: int
-    x_value: float
-    shap_value: float
-    color_value: float | None = None
 
 
 @dataclass(frozen=True)
@@ -57,18 +50,27 @@ class CrossingReport:
 
 @dataclass(frozen=True)
 class FilterResult:
-    points: tuple[DependencePoint, ...]
-    removed: tuple[int, ...]  # row_index of each dropped point
+    kept: np.ndarray  # positions of the kept points, ascending
+    removed: tuple[int, ...]  # position of each dropped point, as dropped
     applied: bool  # False when filtering would leave < 4 points
 
 
+def column_stats(X) -> tuple[list[float], np.ndarray]:
+    """Each column's std and its centred values as rows of a C-ordered X.T:
+    what `auto` colouring reads of X for any feature, so computed once."""
+    XT = np.ascontiguousarray(np.asarray(X, dtype=float).T)
+    return np.std(XT, axis=1).tolist(), XT - XT.mean(axis=1, keepdims=True)
+
+
 def dependence_data(m: ShapMatrix, X, feature: str, feature_names,
-                    color_by: str | None = "auto") -> list[DependencePoint]:
-    """One point per explained row: raw feature value vs its attribution.
+                    color_by: str | None = "auto", stats=None):
+    """The columns (row_index, x_value, shap_value, color_value), one point
+    per explained row; color_value is None when no column colours them.
 
     color_by: explicit feature name, "auto" (pick the feature whose raw
     values correlate most with the residuals of a linear shap-vs-x fit),
-    or None for uncolored points.
+    or None for uncolored points. `stats`, column_stats(X), saves "auto"
+    recomputing it.
     """
     X = np.asarray(X, dtype=float)
     names = list(feature_names)
@@ -82,37 +84,34 @@ def dependence_data(m: ShapMatrix, X, feature: str, feature_names,
 
     color_idx = None
     if color_by == "auto":
-        color_idx, _ = _auto_color(X, x, phi, j)
+        color_idx, _ = _auto_color(column_stats(X) if stats is None else stats,
+                                   x, phi, j)
     elif color_by is not None:
         if color_by not in names:
             raise InterpretationError(f"unknown feature {color_by!r}")
         color_idx = names.index(color_by)
-
-    points = []
-    for r in range(m.n_rows):
-        color = float(X[r, color_idx]) if color_idx is not None else None
-        points.append(DependencePoint(r, float(x[r]), float(phi[r]), color))
-    return points
+    return (np.arange(m.n_rows), x, phi,
+            None if color_idx is None else X[:, color_idx])
 
 
-def _auto_color(X, x, phi, skip: int) -> tuple[int | None, float]:
+def _auto_color(stats, x, phi, skip: int) -> tuple[int | None, float]:
     """Candidate whose raw values best explain what the linear trend misses,
     and its |correlation| with the residuals; (None, 0.0) when none does.
-    Every column is scored in one pass over the rows of a C-ordered X.T, with
-    the same pairwise sums as a per-column loop; the scan then takes the
-    first column that beats the best by more than 1e-15."""
+    Every column is scored in one pass over the centred rows of `stats`
+    (column_stats of X), with the same pairwise sums as a per-column loop;
+    the scan then takes the first column that beats the best by more than
+    1e-15."""
     A = np.column_stack([np.ones_like(x), x])
     coef, *_ = np.linalg.lstsq(A, phi, rcond=None)
     resid = phi - A @ coef
-    if np.std(resid) < 1e-15:
-        resid = phi - phi.mean()  # fall back to raw attribution spread
     sr = np.std(resid)
     if sr < 1e-15:
+        resid = phi - phi.mean()  # fall back to raw attribution spread
+        sr = np.std(resid)
+    if sr < 1e-15:
         return None, 0.0
-    centered = resid - resid.mean()
-    XT = np.ascontiguousarray(X.T)
-    sc = np.std(XT, axis=1).tolist()
-    cov = np.mean((XT - XT.mean(axis=1, keepdims=True)) * centered, axis=1).tolist()
+    sc, centred_cols = stats
+    cov = np.mean(centred_cols * (resid - resid.mean()), axis=1).tolist()
     sr = float(sr)
     best, best_corr = None, 0.0
     for c in range(len(sc)):
@@ -124,44 +123,43 @@ def _auto_color(X, x, phi, skip: int) -> tuple[int | None, float]:
     return best, best_corr
 
 
-def filter_outliers(points, k: float = 1.5, axis: str = "x") -> FilterResult:
-    """Drop points whose x_value (axis "x") or shap_value (axis "shap") is
-    outside [Q1 - k*IQR, Q3 + k*IQR], re-fencing until no point is outside;
-    see the module docstring for idempotence and the minimum size."""
-    points = list(points)
-    if not points:
+def filter_outliers(x, shap, k: float = 1.5, axis: str = "x") -> FilterResult:
+    """Drop points whose x (axis "x") or shap (axis "shap") value is outside
+    [Q1 - k*IQR, Q3 + k*IQR], re-fencing until no point is outside; see the
+    module docstring for idempotence and the minimum size."""
+    values = np.asarray({"x": x, "shap": shap}[axis], dtype=float)
+    if not len(values):
         raise InterpretationError("no points to filter")
-    field = {"x": "x_value", "shap": "shap_value"}[axis]
-    kept = points
+    kept = np.arange(len(values))
     removed: list[int] = []
     applied = False
     while True:
-        xs = np.array([getattr(p, field) for p in kept])
+        xs = values[kept]
         q1, q3 = np.percentile(xs, [25, 75])
         fence_lo = q1 - k * (q3 - q1)
         fence_hi = q3 + k * (q3 - q1)
-        fenced = ((fence_lo <= xs) & (xs <= fence_hi)).tolist()
-        inside = [p for p, ok in zip(kept, fenced) if ok]
-        if len(inside) == len(kept):
+        fenced = (fence_lo <= xs) & (xs <= fence_hi)
+        inside = int(np.count_nonzero(fenced))
+        if inside == len(kept):
             break
-        if len(inside) < 4:
+        if inside < 4:
             if not applied:
-                return FilterResult(tuple(points), (), applied=False)
+                return FilterResult(np.arange(len(values)), (), applied=False)
             break
-        removed.extend(p.row_index for p, ok in zip(kept, fenced) if not ok)
-        kept = inside
+        removed.extend(kept[~fenced].tolist())
+        kept = kept[fenced]
         applied = True
-    return FilterResult(tuple(kept), tuple(removed), applied)
+    return FilterResult(kept, tuple(removed), applied)
 
 
-def fit_functional_form(points) -> PolyFit:
-    """Least-squares polynomials at degrees 1 and 2; adjusted R^2 picks the
-    winner, with ties (within 1e-9) going to the line."""
-    points = list(points)
-    if len(points) < 4:
-        raise InterpretationError(f"need at least 4 points, got {len(points)}")
-    x = np.array([p.x_value for p in points])
-    yv = np.array([p.shap_value for p in points])
+def fit_functional_form(x, y) -> PolyFit:
+    """Least-squares polynomials of y on x at degrees 1 and 2; adjusted R^2
+    picks the winner, with ties (within 1e-9) going to the line."""
+    x = np.asarray(x, dtype=float)
+    yv = np.asarray(y, dtype=float)
+    n = len(x)
+    if n < 4:
+        raise InterpretationError(f"need at least 4 points, got {n}")
     if np.ptp(x) == 0.0:
         raise InterpretationError("degenerate x values: all identical")
 
@@ -176,7 +174,6 @@ def fit_functional_form(points) -> PolyFit:
             r2 = 1.0 - ss_res / ss_tot
         else:
             r2 = 1.0 if ss_res < 1e-24 else 0.0
-        n = len(points)
         adj = 1.0 - (1.0 - r2) * (n - 1) / (n - 1 - degree)
         fits[degree] = PolyFit(degree, tuple(float(c) for c in coef), r2, adj, n)
 
@@ -215,30 +212,22 @@ def zero_crossings(fit: PolyFit, x_range) -> CrossingReport:
     return CrossingReport(tuple(float(r) for r in inside), (lo, hi))
 
 
-@dataclass(frozen=True)
-class SummaryRecord:
-    feature: str
-    row_index: int
-    shap_value: float
-    normalized_value: float  # feature raw value min-max scaled into [0, 1]
-
-
-def summary_plot_data(m: ShapMatrix, X, feature_names) -> list[SummaryRecord]:
-    """Per-(feature, row) records with min-max normalized raw values for
-    color mapping; features ordered by global importance. Constant columns
-    normalize to 0.5."""
+def summary_plot_data(m: ShapMatrix, X, feature_names):
+    """The columns (feature, row_index, shap_value, normalized_value), by
+    feature in global-importance order, then by row; raw values min-max
+    scaled into [0, 1] for color mapping, constant columns to 0.5."""
     X = np.asarray(X, dtype=float)
     names = list(feature_names)
     if X.shape != (m.n_rows, m.n_features):
         raise InterpretationError("shape mismatch between X and matrix")
-    ranked = global_importance(m, names)
-    records = []
-    for feature, _ in ranked:
-        j = names.index(feature)
+    order = [names.index(feature) for feature, _ in global_importance(m, names)]
+    n = m.n_rows
+    normalized = [np.empty(0)]  # so that no features gives empty columns
+    for j in order:
         col = X[:, j]
         lo = col.min()
         span = float(col.max() - lo)
-        for r in range(m.n_rows):
-            norm = 0.5 if span == 0.0 else float((col[r] - lo) / span)
-            records.append(SummaryRecord(feature, r, float(m.phi[r, j]), norm))
-    return records
+        normalized.append(np.full(n, 0.5) if span == 0.0 else (col - lo) / span)
+    return ([names[j] for j in order for _ in range(n)],
+            np.tile(np.arange(n), len(order)), m.phi[:, order].T.ravel(),
+            np.concatenate(normalized))

@@ -3,12 +3,14 @@
 `OutputDir` writes every output byte, UTF-8 with "\n" line ends, so reruns
 under the same config and seed are byte-identical. A CSV file is a
 provenance line (`# config_sha256=<hash> seed=<seed>`), any `# key=value`
-lines (shap_values.csv's base_value), a header and the rows. A cell is
-empty for None, `repr(float(v))` for a Python or numpy float and `str(v)`
-for anything else. So metrics.csv and split_sweep.csv pass a NaN figure as
-None, to leave it blank, and cv_<family>.csv passes grid values through
-`str`. The JSON files, model.json and functional_form.json, are one
-document each."""
+lines (shap_values.csv's base_value), a header and the rows, which writers
+pass as equal-length columns. A float64 array's cells are `repr` of its
+Python floats, an integer array's `str` of its ints; in any other column a
+cell is empty for None, `repr(float(v))` for a Python or numpy float and
+`str(v)` for anything else. So metrics.csv and split_sweep.csv pass a NaN
+figure as None, to leave it blank, and cv_<family>.csv passes grid values
+through `str`. The JSON files, model.json and functional_form.json, are
+one document each."""
 
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ import json
 import math
 import os
 import sys
-from operator import attrgetter
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .evaluation import MetricRow, mae, metric_table, rmse
 from .families import FAMILIES, fit_family
 from .interpretation import (
     InterpretationError,
+    column_stats,
     dependence_data,
     filter_outliers,
     fit_functional_form,
@@ -43,10 +45,16 @@ class PipelineError(ValueError):
     pass
 
 
-def _line(cells) -> str:
-    """One CSV line, each cell by the rule in the module docstring."""
-    return ",".join([repr(float(v)) if isinstance(v, (float, np.floating))
-                     else "" if v is None else str(v) for v in cells])
+def _cells(column) -> list[str]:
+    """A column's CSV cells, by the rule in the module docstring."""
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:
+            return list(map(repr, column.tolist()))
+        if column.dtype.kind in "iu":
+            return list(map(str, column.tolist()))
+    return [v if type(v) is str  # str(v) without the isinstance tests
+            else repr(float(v)) if isinstance(v, (float, np.floating))
+            else "" if v is None else str(v) for v in column]
 
 
 class OutputDir:
@@ -63,12 +71,13 @@ class OutputDir:
             fh.write(text + "\n")
         return path
 
-    def csv(self, name: str, header, rows, comments=()) -> str:
-        """`comments` are (key, value) pairs, one `# key=value` line each."""
+    def csv(self, name: str, header, columns, comments=()) -> str:
+        """A row per entry of the equal-length `columns`; `comments` are
+        (key, value) pairs, one `# key=value` line each."""
         lines = [self.provenance]
-        lines += [f"# {key}={_line([value])}" for key, value in comments]
+        lines += [f"# {key}={_cells([value])[0]}" for key, value in comments]
         lines.append(",".join(header))
-        lines += map(_line, rows)
+        lines += map(",".join, zip(*map(_cells, columns), strict=True))
         return self.text(name, "\n".join(lines))
 
 
@@ -78,16 +87,15 @@ def _blank_nan(v):
 
 def write_metrics(out: OutputDir, rows: list[MetricRow]):
     figures = ("mae", "rmse", "rmse_reduction_pct", "dm_stat", "dm_pvalue")
-    out.csv("metrics.csv", ("model", *figures),
-            [(r.model, *(_blank_nan(getattr(r, f)) for f in figures))
-             for r in rows])
+    out.csv("metrics.csv", ("model", *figures), zip(*(
+        (r.model, *(_blank_nan(getattr(r, f)) for f in figures)) for r in rows)))
 
 
 def write_shap_values(out: OutputDir, m: ShapMatrix, X, features):
     out.csv("shap_values.csv",
             ("row_index", "feature", "feature_value", "shap_value"),
-            [(r, name, X[r, j], m.phi[r, j])
-             for r in range(m.n_rows) for j, name in enumerate(features)],
+            (np.repeat(np.arange(m.n_rows), len(features)),
+             list(features) * m.n_rows, np.ravel(X), m.phi.ravel()),
             comments=[("base_value", m.base_value)])
 
 
@@ -180,16 +188,17 @@ def cmd_run(config: RunConfig, config_hash: str, warn=_stderr) -> dict:
 
     ids = config.model_ids
     out.csv("forecasts.csv", ("date", "actual", *ids),
-            [(label, actual[i], *(None if forecasts[name] is None
-                                  else forecasts[name][i] for name in ids))
-             for i, label in enumerate(test.month_labels())])
+            (test.month_labels(), actual,
+             *((None,) * test.n_rows if forecasts[name] is None
+               else forecasts[name] for name in ids)))
 
     for family, table in tables.items():
         if table:  # each cell's params name the grid's axes in order
             out.csv(f"cv_{family}.csv", ("family", *table[0].params,
                                          "mean_mse", "sd_mse", "rank"),
-                    [(family, *map(str, c.params.values()), c.mean_mse,
-                      c.sd_mse, c.rank) for c in table])
+                    ((family,) * len(table),
+                     *zip(*(map(str, c.params.values()) for c in table)),
+                     *zip(*((c.mean_mse, c.sd_mse, c.rank) for c in table))))
     return {"tables": tables, "forecasts": forecasts, "metrics": rows,
             "train": train, "test": test}
 
@@ -211,7 +220,7 @@ def cmd_sweep(config: RunConfig, config_hash: str,
             records.append((name, months, *map(_blank_nan, figures)))
     out = OutputDir(config.out_dir, config_hash, config.seed)
     out.csv("split_sweep.csv", ("model", "test_months", "rmse", "mae"),
-            records)
+            zip(*records))
     return records
 
 
@@ -222,7 +231,7 @@ def cmd_synth(config: RunConfig, config_hash: str) -> str:
     frame = _synth_frame(config)
     out = OutputDir(config.out_dir, config_hash, config.seed)
     return out.csv("synth.csv", ("date", *frame.columns),
-                   zip(frame.month_labels(), *frame.data.T))
+                   (frame.month_labels(), *frame.data.T))
 
 
 def cmd_explain(config: RunConfig, config_hash: str, model_id: str) -> dict:
@@ -263,22 +272,23 @@ def cmd_explain(config: RunConfig, config_hash: str, model_id: str) -> dict:
         out.text("model.json", model_to_json(model))
     ranked = global_importance(matrix, features)
     out.csv("importance.csv", ("rank", "feature", "mean_abs_shap"),
-            [(rank, *item) for rank, item in enumerate(ranked, start=1)])
+            (range(1, len(ranked) + 1), *zip(*ranked)))
     write_shap_values(out, matrix, X_rows, features)
     out.csv("predictions.csv", ("row_index", "prediction"),
-            enumerate(matrix.predictions))
-    columns = ("feature", "row_index", "shap_value", "normalized_value")
-    out.csv("summary_plot.csv", columns, map(attrgetter(*columns),
-            summary_plot_data(matrix, X_rows, features)))
+            (np.arange(matrix.n_rows), matrix.predictions))
+    out.csv("summary_plot.csv",
+            ("feature", "row_index", "shap_value", "normalized_value"),
+            summary_plot_data(matrix, X_rows, features))
 
     forms = {}
+    stats = column_stats(X_rows)
     for feature in features:
-        points = dependence_data(matrix, X_rows, feature, features,
-                                 color_by="auto")
-        columns = ("row_index", "x_value", "shap_value", "color_value")
-        out.csv(f"dependence_{feature}.csv", columns,
-                map(attrgetter(*columns), points))
-        forms[feature] = _functional_form_entry(points, config)
+        rows, x, shap, color = dependence_data(
+            matrix, X_rows, feature, features, color_by="auto", stats=stats)
+        out.csv(f"dependence_{feature}.csv",
+                ("row_index", "x_value", "shap_value", "color_value"),
+                (rows, x, shap, (None,) * len(rows) if color is None else color))
+        forms[feature] = _functional_form_entry(x, shap, config)
 
     doc = {"config_sha256": config_hash, "seed": config.seed,
            "model": model_id, "features": forms}
@@ -287,17 +297,17 @@ def cmd_explain(config: RunConfig, config_hash: str, model_id: str) -> dict:
             "forms": forms}
 
 
-def _functional_form_entry(points, config: RunConfig) -> dict:
-    filt = filter_outliers(points, k=config.explain.outlier_k,
+def _functional_form_entry(x, shap, config: RunConfig) -> dict:
+    filt = filter_outliers(x, shap, k=config.explain.outlier_k,
                            axis=config.explain.outlier_axis)
-    counts = {"n_points": len(filt.points),
+    counts = {"n_points": len(filt.kept),
               "outliers_removed": sorted(filt.removed)}
+    x, shap = x[filt.kept], shap[filt.kept]
     try:
-        fit = fit_functional_form(filt.points)
+        fit = fit_functional_form(x, shap)
     except InterpretationError as exc:
         return {"error": str(exc), **counts}
-    xs = [p.x_value for p in filt.points]
-    report = zero_crossings(fit, (min(xs), max(xs)))
+    report = zero_crossings(fit, (x.min(), x.max()))
     return {"degree": fit.degree,
             "coefficients": [float(c) for c in fit.coefficients],
             "r2": fit.r2, "adj_r2": fit.adj_r2,

@@ -226,16 +226,17 @@ class _ColumnDraw:
     k <= p // 50), a node's draw is one bounded integer in [0, j] for each
     j = p-k..p-1, whose Floyd set is the node's columns, then k-1 in
     [0, j] for j = k-1..1, which only shuffle that set. One
-    rng.integers(0, highs, endpoint=True) call over DRAW_BLOCK nodes'
+    rng.integers(0, highs, endpoint=True) call over a block of nodes'
     bounds consumes the stream as the per-node calls do, so a block's sets
-    come from one call and k vectorised Floyd steps. A block is drawn when
-    the last one runs out; settle() restores the state saved before the
-    first block and draws only the used nodes' integers again, in one call.
+    come from one call and k vectorised Floyd steps. A block of `block`
+    nodes is drawn when the last runs out; settle() restores the state
+    saved before the first and redraws the used nodes' integers at once.
     Outside Floyd's range, or above DRAW_MAX_COLUMNS, each node calls
     rng.choice."""
 
-    def __init__(self, rng: np.random.Generator, p: int, k: int):
-        self.rng, self.p, self.k = rng, p, k
+    def __init__(self, rng: np.random.Generator, p: int, k: int,
+                 block: int = DRAW_BLOCK):
+        self.rng, self.p, self.k, self.block = rng, p, k, block
         self.bulk = k <= DRAW_MAX_COLUMNS and (p <= 10_000 or k <= p // 50)
         self.highs = np.concatenate([np.arange(p - k, p), np.arange(k - 1, 0, -1)])
         self.used = self.drawn = 0
@@ -250,12 +251,12 @@ class _ColumnDraw:
         if self.used == self.drawn:
             if self.start is None:
                 self.start = self.rng.bit_generator.state
-            draws = self.rng.integers(0, np.tile(self.highs, DRAW_BLOCK),
+            draws = self.rng.integers(0, np.tile(self.highs, self.block),
                                       endpoint=True)
-            self.sets = _floyd_sets(draws.reshape(DRAW_BLOCK, -1)[:, :self.k], self.p)
-            self.drawn += DRAW_BLOCK
+            self.sets = _floyd_sets(draws.reshape(self.block, -1)[:, :self.k], self.p)
+            self.drawn += self.block
         self.used += 1
-        return self.sets[(self.used - 1) % DRAW_BLOCK]
+        return self.sets[(self.used - 1) % self.block]
 
     def settle(self) -> None:
         """Leave the generator where the per-node calls would have."""
@@ -351,7 +352,7 @@ def fit_regression_tree(X, y=None, gradients=None, *, max_depth=6,
     and draw max_features columns, in preorder: a split node's left child
     is the next node. The draws come from `_ColumnDraw`, which leaves rng
     as the per-node rng.choice calls would; a tree with no drawing node
-    leaves it untouched."""
+    leaves it untouched. No block exceeds the 2**max_depth - 1 nodes."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("X must be a nonempty 2-d array")
@@ -373,7 +374,8 @@ def fit_regression_tree(X, y=None, gradients=None, *, max_depth=6,
     if rng is None:
         rng = np.random.default_rng(0)
     p = X.shape[1]
-    draw = (_ColumnDraw(rng, p, max_features)
+    draw = (_ColumnDraw(rng, p, max_features,
+                        block=min(DRAW_BLOCK, 2 ** max_depth - 1))
             if max_features is not None and max_features < p else None)
     feats = np.arange(p)
     XT = X.T.copy()

@@ -26,7 +26,6 @@ from forecastlab.dataset import (
 from forecastlab.evaluation import dm_test, rmse_reduction
 from forecastlab.families import Standardized
 from forecastlab.interpretation import (
-    DependencePoint,
     filter_outliers,
     fit_functional_form,
     zero_crossings,
@@ -390,16 +389,15 @@ def test_criterion_9_interpretation_pipeline():
     X = np.column_stack([xs, rng.normal(size=30), rng.normal(size=30)])
     matrix = explain_matrix(f, X, background)
 
-    points = [DependencePoint(i, float(X[i, 0]), float(matrix.phi[i, 0]))
-              for i in range(30)]
-    filtered = filter_outliers(points)
-    assert {p.row_index for p in points} - {p.row_index for p in filtered.points} \
-        == {28, 29}
+    x, shap = X[:, 0], matrix.phi[:, 0]
+    filtered = filter_outliers(x, shap)
+    assert set(range(30)) - set(filtered.kept.tolist()) == {28, 29}
+    assert sorted(filtered.removed) == [28, 29]
 
-    fit = fit_functional_form(filtered.points)
+    fit = fit_functional_form(x[filtered.kept], shap[filtered.kept])
     assert fit.degree == 2
-    lo = min(p.x_value for p in filtered.points)
-    hi = max(p.x_value for p in filtered.points)
+    lo = x[filtered.kept].min()
+    hi = x[filtered.kept].max()
     report = zero_crossings(fit, (lo, hi))
     # analytic roots of (x-2)(x-7) - base = 0
     mid = (a_root + b_root) / 2.0
@@ -411,18 +409,17 @@ def test_criterion_9_interpretation_pipeline():
 
     # idempotence on every tested point set
     test_sets = [
-        points,
-        list(filtered.points),
-        [DependencePoint(i, float(v), 0.0)
-         for i, v in enumerate(rng.normal(size=25))],
-        [DependencePoint(i, float(v), 0.0)
-         for i, v in enumerate(rng.standard_cauchy(size=25))],
-        [DependencePoint(i, 3.3, float(i)) for i in range(8)],
+        (x, shap),
+        (x[filtered.kept], shap[filtered.kept]),
+        (rng.normal(size=25), np.zeros(25)),
+        (rng.standard_cauchy(size=25), np.zeros(25)),
+        (np.full(8, 3.3), np.arange(8.0)),
     ]
-    for point_set in test_sets:
-        once = filter_outliers(point_set)
-        twice = filter_outliers(once.points)
-        assert twice.points == once.points and twice.removed == ()
+    for xs, ys in test_sets:
+        once = filter_outliers(xs, ys)
+        twice = filter_outliers(xs[once.kept], ys[once.kept])
+        assert (twice.kept.tolist() == list(range(len(once.kept)))
+                and twice.removed == ())
 
 
 @criterion(10, "run, sweep, and explain are byte-identical across reruns")

@@ -1,13 +1,14 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
 from forecastlab.interpretation import (
     CrossingReport,
-    DependencePoint,
-    FilterResult,
     InterpretationError,
     PolyFit,
     _auto_color,
+    column_stats,
     dependence_data,
     filter_outliers,
     fit_functional_form,
@@ -18,8 +19,7 @@ from forecastlab.shapley import BackgroundSet, ShapMatrix, explain_matrix
 
 
 def pts(xs, ys):
-    return [DependencePoint(i, float(x), float(y))
-            for i, (x, y) in enumerate(zip(xs, ys))]
+    return np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
 
 
 class TestDependenceData:
@@ -32,21 +32,22 @@ class TestDependenceData:
 
     def test_one_point_per_row_order_preserved(self):
         m, X = self.make_matrix()
-        points = dependence_data(m, X, "b", ["a", "b", "c"], color_by=None)
-        assert len(points) == m.n_rows
-        assert [p.row_index for p in points] == list(range(m.n_rows))
-        np.testing.assert_allclose([p.x_value for p in points], X[:, 1])
-        np.testing.assert_allclose([p.shap_value for p in points], m.phi[:, 1])
+        rows, x, shap, _ = dependence_data(m, X, "b", ["a", "b", "c"],
+                                           color_by=None)
+        assert len(rows) == len(x) == len(shap) == m.n_rows
+        assert rows.tolist() == list(range(m.n_rows))
+        np.testing.assert_allclose(x, X[:, 1])
+        np.testing.assert_allclose(shap, m.phi[:, 1])
 
     def test_color_none_absent(self):
         m, X = self.make_matrix()
-        points = dependence_data(m, X, "a", ["a", "b", "c"], color_by=None)
-        assert all(p.color_value is None for p in points)
+        *_, color = dependence_data(m, X, "a", ["a", "b", "c"], color_by=None)
+        assert color is None
 
     def test_explicit_color(self):
         m, X = self.make_matrix()
-        points = dependence_data(m, X, "a", ["a", "b", "c"], color_by="c")
-        np.testing.assert_allclose([p.color_value for p in points], X[:, 2])
+        *_, color = dependence_data(m, X, "a", ["a", "b", "c"], color_by="c")
+        np.testing.assert_allclose(color, X[:, 2])
 
     def test_auto_color_finds_interaction_partner(self):
         # f = x0 * x1 with query rows offset from the background in x0, so
@@ -60,10 +61,14 @@ class TestDependenceData:
                                             rng.uniform(-1, 1, 8)]))
         f = lambda Z: Z[:, 0] * Z[:, 1]
         m = explain_matrix(f, X, bg)
-        points = dependence_data(m, X, "x0", ["x0", "x1", "x2"], color_by="auto")
-        ref = dependence_data(m, X, "x0", ["x0", "x1", "x2"], color_by="x1")
-        np.testing.assert_allclose([p.color_value for p in points],
-                                   [p.color_value for p in ref])
+        *_, color = dependence_data(m, X, "x0", ["x0", "x1", "x2"],
+                                    color_by="auto")
+        *_, ref = dependence_data(m, X, "x0", ["x0", "x1", "x2"], color_by="x1")
+        np.testing.assert_allclose(color, ref)
+        # precomputed column statistics pick the same column
+        *_, shared = dependence_data(m, X, "x0", ["x0", "x1", "x2"],
+                                     stats=column_stats(X))
+        assert shared.tobytes() == color.tobytes()
 
     def test_unknown_feature(self):
         m, X = self.make_matrix()
@@ -135,7 +140,8 @@ class TestAutoColorMatchesLoop:
         chosen, uncolored, fortran = 0, 0, 0
         for _ in range(2400):
             X, x, phi, skip = random_color_case(rng)
-            got, want = _auto_color(X, x, phi, skip), loop_auto_color(X, x, phi, skip)
+            got = _auto_color(column_stats(X), x, phi, skip)
+            want = loop_auto_color(X, x, phi, skip)
             assert got[0] == want[0]
             assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
             chosen += got[0] is not None
@@ -146,29 +152,26 @@ class TestAutoColorMatchesLoop:
 
 class TestFilterOutliers:
     def test_no_extremes_identity(self):
-        points = pts(np.linspace(0, 1, 10), np.zeros(10))
-        res = filter_outliers(points)
-        assert res.points == tuple(points)
+        res = filter_outliers(*pts(np.linspace(0, 1, 10), np.zeros(10)))
+        assert res.kept.tolist() == list(range(10))
         assert res.removed == ()
 
     def test_single_extreme_removed(self):
         xs = list(np.linspace(1.0, 2.0, 15)) + [150.0]
-        points = pts(xs, np.zeros(16))
-        res = filter_outliers(points)
+        res = filter_outliers(*pts(xs, np.zeros(16)))
         assert res.removed == (15,)
-        assert len(res.points) == 15
+        assert len(res.kept) == 15
 
     def test_identical_values_identity(self):
-        points = pts(np.full(8, 3.3), np.arange(8.0))
-        res = filter_outliers(points)
-        assert res.points == tuple(points)
+        res = filter_outliers(*pts(np.full(8, 3.3), np.arange(8.0)))
+        assert res.kept.tolist() == list(range(8))
 
     def test_never_below_four_points(self):
-        points = pts([0.0, 0.0001, 100.0, 10000.0, 1000000.0], np.zeros(5))
-        res = filter_outliers(points)
+        res = filter_outliers(*pts([0.0, 0.0001, 100.0, 10000.0, 1000000.0],
+                                   np.zeros(5)))
         if not res.applied:
-            assert res.points == tuple(points)
-        assert len(res.points) >= 4
+            assert res.kept.tolist() == list(range(5))
+        assert len(res.kept) >= 4
 
     def test_idempotent(self):
         rng = np.random.default_rng(2)
@@ -179,16 +182,20 @@ class TestFilterOutliers:
             pts(rng.standard_cauchy(size=25), rng.normal(size=25)),
             pts(np.linspace(0, 1, 6), np.ones(6)),
         ]
-        for points in cases:
-            once = filter_outliers(points)
-            twice = filter_outliers(once.points)
-            assert twice.points == once.points
+        for x, y in cases:
+            once = filter_outliers(x, y)
+            twice = filter_outliers(x[once.kept], y[once.kept])
+            assert twice.kept.tolist() == list(range(len(once.kept)))
             assert twice.removed == ()
 
 
+Point = namedtuple("Point", "row_index x_value shap_value color_value")
+
+
 def loop_filter_outliers(points, k=1.5):
-    """Reference oracle: the original filter, which finds the dropped points
-    by a membership test against the kept list."""
+    """Reference oracle: the original filter over point objects, which finds
+    the dropped points by a membership test against the kept list. Returns
+    (kept points, removed row indices, applied)."""
     points = list(points)
     kept = points
     removed = []
@@ -203,19 +210,19 @@ def loop_filter_outliers(points, k=1.5):
             break
         if len(inside) < 4:
             if not applied:
-                return FilterResult(tuple(points), (), applied=False)
+                return tuple(points), (), False
             break
         removed.extend(p.row_index for p in kept if p not in inside)
         kept = inside
         applied = True
-    return FilterResult(tuple(kept), tuple(removed), applied)
+    return tuple(kept), tuple(removed), applied
 
 
 def flipped(points):
     """The points with their axes swapped: filtering them on x is filtering
     the originals on shap."""
-    return [DependencePoint(p.row_index, p.shap_value, p.x_value,
-                            p.color_value) for p in points]
+    return [Point(p.row_index, p.shap_value, p.x_value, p.color_value)
+            for p in points]
 
 
 def positions(kept, points):
@@ -235,14 +242,13 @@ def random_point_set(rng):
         arr[far] = rng.choice([-1e3, -40.0, 25.0, 1e6], size=far.sum())
         if rng.random() < 0.3:
             arr[rng.integers(n)] = np.nan
-    points = [DependencePoint(i, float(x), float(y),
-                              None if i % 3 else float(i))
+    points = [Point(i, float(x), float(y), None if i % 3 else float(i))
               for i, (x, y) in enumerate(zip(xs, ys))]
     for _ in range(int(rng.integers(0, 4))):  # equal points, distinct objects
         p = points[int(rng.integers(n))]
         points.insert(int(rng.integers(len(points) + 1)),
-                      DependencePoint(p.row_index, p.x_value, p.shap_value,
-                                      p.color_value))
+                      Point(p.row_index, p.x_value, p.shap_value,
+                            p.color_value))
     return points
 
 
@@ -253,18 +259,20 @@ class TestFilterMatchesMembershipOracle:
         for _ in range(600):
             points = random_point_set(rng)
             k = float(rng.choice([0.0, 0.5, 1.0, 1.5, 2.0]))
+            rows = [p.row_index for p in points]
+            x = np.array([p.x_value for p in points])
+            shap = np.array([p.shap_value for p in points])
             swapped = flipped(points)
-            for given, axis, oracle in ((points, "x", points),
-                                        (swapped, "x", swapped),
-                                        (points, "shap", swapped)):
-                res = filter_outliers(given, k=k, axis=axis)
-                ref = loop_filter_outliers(oracle, k=k)
-                # the same positions kept, so the same objects when the
-                # oracle ran on the given points
-                assert positions(res.points, given) == positions(ref.points,
-                                                                 oracle)
-                assert res.removed == ref.removed
-                assert res.applied is ref.applied
+            for given, axis, oracle in (((x, shap), "x", points),
+                                        ((shap, x), "x", swapped),
+                                        ((x, shap), "shap", swapped)):
+                res = filter_outliers(*given, k=k, axis=axis)
+                kept, removed, ref_applied = loop_filter_outliers(oracle, k=k)
+                # the oracle's kept objects sit at the kept positions, and
+                # the dropped positions hold its removed row indices
+                assert res.kept.tolist() == positions(kept, oracle)
+                assert tuple(rows[i] for i in res.removed) == removed
+                assert res.applied is ref_applied
                 applied += res.applied
         assert applied > 750  # 250 per input
 
@@ -272,14 +280,14 @@ class TestFilterMatchesMembershipOracle:
 class TestFunctionalForm:
     def test_exact_line(self):
         xs = np.linspace(-2, 2, 9)
-        fit = fit_functional_form(pts(xs, 2 * xs - 1))
+        fit = fit_functional_form(*pts(xs, 2 * xs - 1))
         assert fit.degree == 1
         np.testing.assert_allclose(fit.coefficients, [-1.0, 2.0], atol=1e-10)
         assert fit.r2 == pytest.approx(1.0)
 
     def test_exact_parabola(self):
         xs = np.linspace(-2, 2, 9)
-        fit = fit_functional_form(pts(xs, xs ** 2))
+        fit = fit_functional_form(*pts(xs, xs ** 2))
         assert fit.degree == 2
         np.testing.assert_allclose(fit.coefficients, [0.0, 0.0, 1.0], atol=1e-10)
 
@@ -292,7 +300,7 @@ class TestFunctionalForm:
             rng = np.random.default_rng(seed + 40)
             xs = np.linspace(0, 5, 30)
             ys = 1.5 * xs - 2 + 0.01 * 5 * rng.normal(size=30)
-            if fit_functional_form(pts(xs, ys)).degree == 1:
+            if fit_functional_form(*pts(xs, ys)).degree == 1:
                 hits += 1
         assert hits >= 11
 
@@ -301,8 +309,7 @@ class TestFunctionalForm:
         for _ in range(10):
             xs = rng.normal(size=12)
             ys = rng.normal(size=12)
-            points = pts(xs, ys)
-            f1 = fit_functional_form(points[:4] + points[4:])  # any fit
+            f1 = fit_functional_form(*pts(xs, ys))  # any fit
             # nested models: compare r2 directly
             x = xs
             A1 = np.column_stack([np.ones(12), x])
@@ -313,11 +320,11 @@ class TestFunctionalForm:
 
     def test_too_few_points(self):
         with pytest.raises(InterpretationError, match="at least 4"):
-            fit_functional_form(pts([1, 2, 3], [1, 2, 3]))
+            fit_functional_form(*pts([1, 2, 3], [1, 2, 3]))
 
     def test_degenerate_x(self):
         with pytest.raises(InterpretationError, match="degenerate"):
-            fit_functional_form(pts([2, 2, 2, 2], [1, 2, 3, 4]))
+            fit_functional_form(*pts([2, 2, 2, 2], [1, 2, 3, 4]))
 
 
 class TestZeroCrossings:
@@ -352,31 +359,64 @@ class TestZeroCrossings:
                 assert abs(fit(root)) <= bound
 
 
+def loop_summary_records(m, X, names):
+    """Reference oracle: the original per-(feature, row) records."""
+    from forecastlab.shapley import global_importance
+    records = []
+    for feature, _ in global_importance(m, names):
+        j = names.index(feature)
+        col = X[:, j]
+        lo = col.min()
+        span = float(col.max() - lo)
+        for r in range(m.n_rows):
+            norm = 0.5 if span == 0.0 else float((col[r] - lo) / span)
+            records.append((feature, r, float(m.phi[r, j]), norm))
+    return records
+
+
 class TestSummaryPlot:
     def test_constant_feature_normalizes_to_half(self):
         phi = np.array([[1.0, 0.2], [0.5, -0.2]])
         m = ShapMatrix(0.0, phi, phi.sum(axis=1))
         X = np.array([[7.0, 1.0], [7.0, 2.0]])
-        records = summary_plot_data(m, X, ["const", "varying"])
-        const = [r for r in records if r.feature == "const"]
-        assert all(r.normalized_value == 0.5 for r in const)
+        features, _, _, normalized = summary_plot_data(m, X, ["const", "varying"])
+        const = [v for f, v in zip(features, normalized) if f == "const"]
+        assert const == [0.5, 0.5]
 
     def test_record_count(self):
         rng = np.random.default_rng(5)
         phi = rng.normal(size=(6, 4))
         m = ShapMatrix(0.0, phi, phi.sum(axis=1))
-        records = summary_plot_data(m, rng.normal(size=(6, 4)),
+        columns = summary_plot_data(m, rng.normal(size=(6, 4)),
                                     ["a", "b", "c", "d"])
-        assert len(records) == 24
+        assert [len(c) for c in columns] == [24] * 4
 
     def test_feature_order_matches_global_importance(self):
         from forecastlab.shapley import global_importance
         rng = np.random.default_rng(6)
         phi = rng.normal(size=(8, 3)) * np.array([0.1, 5.0, 1.0])
         m = ShapMatrix(0.0, phi, phi.sum(axis=1))
-        records = summary_plot_data(m, rng.normal(size=(8, 3)), ["a", "b", "c"])
+        features, *_ = summary_plot_data(m, rng.normal(size=(8, 3)),
+                                         ["a", "b", "c"])
         seen = []
-        for r in records:
-            if r.feature not in seen:
-                seen.append(r.feature)
+        for f in features:
+            if f not in seen:
+                seen.append(f)
         assert seen == [n for n, _ in global_importance(m, ["a", "b", "c"])]
+
+    def test_columns_equal_record_oracle_bits(self):
+        rng = np.random.default_rng(7)
+        names = ["a", "b", "c", "d", "e"]
+        for n in (1, 2, 9, 40):
+            X = rng.normal(size=(n, 5)) * 10.0 ** rng.uniform(-3, 3, size=5)
+            X[:, 1] = 3.25  # constant
+            X[:, 3] = np.round(X[:, 3])
+            phi = rng.normal(size=(n, 5))
+            m = ShapMatrix(0.0, phi, phi.sum(axis=1))
+            columns = summary_plot_data(m, X, names)
+            want = list(zip(*loop_summary_records(m, X, names)))
+            assert columns[0] == list(want[0])
+            assert columns[1].tolist() == list(want[1])
+            for got, ref in zip(columns[2:], want[2:]):
+                assert got.dtype == np.float64
+                assert got.tobytes() == np.array(ref).tobytes()

@@ -441,6 +441,48 @@ class TestColumnDraw:
         drawing = (depth_of_nodes(tree) < 12) & (tree.cover >= 4)
         assert drawing.sum() > DRAW_BLOCK
 
+    @pytest.mark.parametrize("p, k", [(16, 8), (16, 1), (5, 4), (2, 1)])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_block_of_a_shallow_tree_equals_choice(self, p, k, depth):
+        # a depth-d tree draws for at most 2**d - 1 nodes, its block size
+        block = 2 ** depth - 1
+        for nodes in range(1, block + 1):
+            per_node = np.random.default_rng(nodes)
+            want = [np.sort(per_node.choice(p, k, replace=False))
+                    for _ in range(nodes)]
+            rng = np.random.default_rng(nodes)
+            draw = _ColumnDraw(rng, p, k, block=block)
+            got = [draw() for _ in range(nodes)]
+            draw.settle()
+            for a, b in zip(got, want, strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert rng.bit_generator.state == per_node.bit_generator.state
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_shallow_tree_sizes_its_block(self, depth, monkeypatch):
+        import forecastlab.trees as trees_mod
+        blocks = []
+
+        class Recording(_ColumnDraw):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                blocks.append(self.block)
+
+        monkeypatch.setattr(trees_mod, "_ColumnDraw", Recording)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            X = rng.normal(size=(60, 8))
+            y = X[:, 0] * X[:, 1] + rng.normal(size=60)
+            tree_rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
+            tree = fit_regression_tree(X, y, max_depth=depth, max_features=3,
+                                       rng=tree_rng)
+            oracle = recursive_fit_tree(X, y, max_depth=depth, max_features=3,
+                                        rng=oracle_rng)
+            for name in NODE_ARRAYS:
+                assert getattr(tree, name).tobytes() == getattr(oracle, name).tobytes()
+            assert tree_rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert blocks == [2 ** depth - 1] * 10
+
     def test_no_drawing_node_leaves_generator_untouched(self):
         rng = np.random.default_rng(34)
         X = rng.normal(size=(20, 5))
