@@ -30,6 +30,13 @@ and q >= s with Q >= 1, as statsmodels' SARIMAX does. So every lag holds
 the value that `np.convolve` of the two factors gives, which adds the one
 product to exact zeros (only the sign of a zero lag may differ).
 
+No ufunc of an evaluation takes a Python float operand, which numpy
+would wrap on every call: the intercept is written into a 0-d float64
+array, and the MA lags into the filter's denominator buffer after its
+leading 1.0, both made once per order. The AR product is subtracted in
+place from a fresh `target - c`, so each call still returns a new array,
+which `forecast` and the selection AIC keep.
+
 The simplex search (Nelder & Mead 1965, Computer Journal 7(4)) repeats
 scipy 1.17.1 `scipy.optimize._optimize._minimize_neldermead` with
 adaptive=False, no bounds, no maxfev and no callback, operation for
@@ -60,9 +67,10 @@ import os
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec, spec_from_file_location
+from itertools import repeat
 from operator import add
 from typing import NamedTuple
 
@@ -238,23 +246,29 @@ def _innovations(w, order: ArimaOrder):
         dot = lagged.dot
     if has_ma:
         linear_filter = _linear_filter_kernel()
+        den = np.ones(1 + order.q + s * order.Q)  # [1, b_1, b_2, ...]
     seasonal_ar, seasonal_ma = bool(order.P), bool(order.Q)
+    subtract = np.subtract
+    c = np.zeros(())  # the intercept as a float64 operand
 
     def innovations(theta) -> np.ndarray:
+        c[()] = theta[0]
         if k_ar:
             a = theta[1:i]
             if seasonal_ar:
                 a = _expand(a, theta[j:k], s, -1.0)
-            z = target - theta[0] - dot(a)
+            z = subtract(target, c)
+            subtract(z, dot(a), z)
         else:
-            z = w - theta[0]
+            z = subtract(w, c)
         if has_ma:
             b = theta[i:j]
             if seasonal_ma:
                 b = _expand(b, theta[k:], s, 1.0)
             # e_t = z_t - sum b_k e_{t-k}, zero initial conditions; lfilter's
             # own call for a denominator of more than one coefficient
-            z = linear_filter(ONE, np.array([1.0, *b]), z, -1)
+            den[1:] = b
+            z = linear_filter(ONE, den, z, -1)
         return z
 
     return innovations
@@ -287,9 +301,13 @@ class _Simplex(NamedTuple):
 def _centroid(vertices) -> list:
     """`np.add.reduce(vertices, 0) / len(vertices)` on lists: each column
     added in row order to 0.0, as numpy does (so -0.0 columns sum to 0.0).
-    Not `sum`, which compensates from Python 3.12."""
+    Not `sum`, which compensates from Python 3.12. The running sums are
+    one lazy `map(add, ...)` per row, so no Python frame runs per column."""
     n = len(vertices)
-    return [reduce(add, column, 0.0) / n for column in zip(*vertices)]
+    sums = repeat(0.0)
+    for row in vertices:
+        sums = map(add, sums, row)
+    return [v / n for v in sums]
 
 
 def _by_value(sim, fsim) -> tuple[list, list]:
@@ -317,9 +335,13 @@ def _nelder_mead(func, x0, maxiter: int, xatol: float,
     float64 array of each vertex handed to `func`. Its coefficients rho=1,
     chi=2, psi=sigma=0.5 are folded into the constants 2, 3, 1.5 and 0.5
     that scipy forms from them, and its exact multiplications by rho=1 are
-    dropped, so every rounding step is scipy's. `all(abs(d) <= tol)` has
-    the truth value of scipy's `max(abs(d)) <= tol`, NaN included, and the
-    f-spread is tested first because both tests are pure.
+    dropped, so every rounding step is scipy's. The f-spread is tested
+    first, because both tests are pure, and from the two end values alone:
+    fsim is in argsort's order at the top of each pass (ascending, NaN
+    last) and rounding is monotone, so `abs(fsim[0] - fsim[-1])` is the
+    largest `abs(fsim[0] - fv)`, and a NaN anywhere makes it NaN, which
+    fails the test as scipy's NaN-propagating `max(abs(d)) <= tol` does.
+    The x-spread test `all(abs(d) <= tol)` has that truth value too.
 
     An iteration that is not a shrink replaces only the worst vertex, and
     the other N are in argsort's order. The new value is never NaN: it won
@@ -336,7 +358,7 @@ def _nelder_mead(func, x0, maxiter: int, xatol: float,
     def f(x):
         nonlocal nfev
         nfev += 1
-        return func(np.array(x, dtype=float))
+        return func(np.array(x))  # Python floats: a fresh float64 array
 
     sim = [x0]
     for k in range(N):
@@ -351,7 +373,7 @@ def _nelder_mead(func, x0, maxiter: int, xatol: float,
     iterations = 1
     while iterations < maxiter:
         best, worst = sim[0], sim[-1]
-        if (all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])
+        if (abs(fsim[0] - fsim[-1]) <= fatol
                 and all(abs(v - b) <= xatol
                         for vertex in sim[1:] for v, b in zip(vertex, best))):
             break

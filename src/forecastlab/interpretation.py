@@ -123,6 +123,37 @@ def _auto_color(stats, x, phi, skip: int) -> tuple[int | None, float]:
     return best, best_corr
 
 
+def _quartiles(xs) -> tuple[float, float]:
+    """`np.percentile(xs, [25, 75])` to the bit, without the `np.unique`
+    call that imports numpy.ma. As numpy does for the linear method: the
+    virtual index is (n - 1) * q, the neighbours are its floor and the next
+    position (both the last where it reaches n - 1), one `partition` of a
+    copy at numpy's own sorted kth list places them (so a zero quartile
+    keeps the sign numpy's gives it, which a full sort can change), a NaN
+    last makes both quartiles NaN, and `_lerp` blends the neighbours, from
+    the upper one when the weight is >= 0.5."""
+    n = len(xs)
+    picks = []
+    for q in (0.25, 0.75):
+        v = (n - 1) * q
+        lo = hi = -1
+        if v < n - 1:
+            lo = math.floor(v)
+            hi = lo + 1
+        picks.append((v - lo, lo, hi))
+    part = np.array(xs, dtype=float)
+    part.partition(sorted({0, -1, *(i for _, *ends in picks for i in ends)}))
+    last = part.item(-1)
+    if last != last:
+        return last, last
+    quartiles = []
+    for t, lo, hi in picks:
+        a, b = part.item(lo), part.item(hi)
+        d = b - a
+        quartiles.append(b - d * (1 - t) if t >= 0.5 else a + d * t)
+    return quartiles[0], quartiles[1]
+
+
 def filter_outliers(x, shap, k: float = 1.5, axis: str = "x") -> FilterResult:
     """Drop points whose x (axis "x") or shap (axis "shap") value is outside
     [Q1 - k*IQR, Q3 + k*IQR], re-fencing until no point is outside; see the
@@ -135,7 +166,7 @@ def filter_outliers(x, shap, k: float = 1.5, axis: str = "x") -> FilterResult:
     applied = False
     while True:
         xs = values[kept]
-        q1, q3 = np.percentile(xs, [25, 75])
+        q1, q3 = _quartiles(xs)
         fence_lo = q1 - k * (q3 - q1)
         fence_hi = q3 + k * (q3 - q1)
         fenced = (fence_lo <= xs) & (xs <= fence_hi)

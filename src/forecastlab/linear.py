@@ -25,6 +25,17 @@ plain sweep (`r += x_j * b_j; rho = x_j @ r / n; ...; r -= x_j * new`):
 * The soft threshold is inlined, with the same comparisons and divisions.
 * The intercept is refit as `add.reduce(r + b) / n`, which is what
   `.mean()` computes, less its Python-side overhead.
+
+What is left is numpy's per-call dispatch, so the loop keeps it at its
+floor: every ufunc gets its output positionally, a scalar operand (the
+new coefficient, the intercept) is written into one 0-d float64 array
+instead of passed as a Python float, which numpy would wrap on every
+call, and each coordinate's fields are one tuple, unpacked into locals.
+At bench shapes (n = 54-86, p = 12-16) a coordinate costs about 2.3 us,
+against 2.6 us with keyword outputs and Python-float operands.
+Covariance updates (Friedman, Hastie & Tibshirani 2010) or lockstep
+sweeps over a fold's grid would cost less, but they round differently,
+so they are left out.
 """
 
 from __future__ import annotations
@@ -123,6 +134,7 @@ def fit_linear(X, y, penalty: PenaltySpec) -> LinearModel:
                            jitter_applied=jitter)
 
     lam_l1 = penalty.lam * penalty.alpha
+    neg_l1 = -lam_l1
     lam_l2 = penalty.lam * (1.0 - penalty.alpha)
     col_ssq = (X * X).sum(axis=0) / n
     # products[j] is x_j * beta_j as last subtracted from r (see the module
@@ -134,7 +146,10 @@ def fit_linear(X, y, penalty: PenaltySpec) -> LinearModel:
                   np.ascontiguousarray(X.T), (col_ssq + lam_l2).tolist()))
               if denom > 0]
     add, subtract, multiply = np.add, np.subtract, np.multiply
+    scalar = np.zeros(())  # the ufuncs' float64 operand (module docstring)
+    tmp = np.empty(n)
 
+    nf = float(n)
     coef = [0.0] * p  # beta, as Python floats
     b = float(y.mean())
     r = y - b  # residual excluding nothing: y - b - X beta, beta = 0
@@ -144,24 +159,27 @@ def fit_linear(X, y, penalty: PenaltySpec) -> LinearModel:
         max_delta = 0.0
         for j, dot, col, product, denom in coords:
             bj = coef[j]
-            if bj != 0.0:
-                add(r, product, out=r)
-            rho = float(dot(r)) / n
+            if bj:  # != 0.0
+                add(r, product, r)
+            rho = float(dot(r)) / nf
             if rho > lam_l1:  # soft threshold
                 new = (rho - lam_l1) / denom
-            elif rho < -lam_l1:
+            elif rho < neg_l1:
                 new = (rho + lam_l1) / denom
             else:
                 new = 0.0
-            if new != 0.0:
-                subtract(r, multiply(col, new, out=product), out=r)
+            if new:  # != 0.0
+                scalar[()] = new
+                subtract(r, multiply(col, scalar, product), r)
             coef[j] = new
             delta = abs(new - bj)
             if delta > max_delta:
                 max_delta = delta
         # refit intercept as the mean of partial residuals
-        new_b = float(add.reduce(r + b)) / n
-        r += b - new_b
+        scalar[()] = b
+        new_b = float(add.reduce(add(r, scalar, tmp))) / nf
+        scalar[()] = b - new_b
+        add(r, scalar, r)
         delta = abs(new_b - b)
         if delta > max_delta:
             max_delta = delta

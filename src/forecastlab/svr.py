@@ -16,6 +16,18 @@ An update touches two entries of z, so the loop keeps z as Python
 floats, clips and re-classifies (I_up / I_low) only those two, and reads
 the pair's kernel columns from a contiguous copy made once per fit; the
 gradient update over all 2n entries is the only full-length arithmetic.
+
+The loop never forms the gradient itself. It keeps -s*grad and s*grad,
+the two rows the pair is chosen from, and updates each in place from
+step = delta * (Kd[:, i] - Kd[:, j]): the row -s*grad loses step and the
+row s*grad gains it. That is the plain update `grad += (s * delta) *
+(Kd[:, i] - Kd[:, j])` to the bit, because s is +-1 and negation is
+exact: s * delta * d rounds to s times the rounding of delta * d, and
+-s * (grad + u) rounds as (-s * grad) - s * u. So an update makes four
+full-length ufunc calls (subtract, multiply, subtract, add) besides the
+pair's `np.where` and argmax, where the plain form makes five, and delta
+and -inf go in as 0-d float64 arrays rather than as Python floats, which
+numpy would wrap on every call.
 """
 
 from __future__ import annotations
@@ -121,33 +133,36 @@ def fit_svr(X, y, C: float, epsilon: float, kernel: KernelSpec,
 
     gamma = kernel.resolved_gamma(X)
     K = kernel_matrix(kernel, X, X, gamma)
-    # row t of the doubled problem maps to row t mod n of K; row ii of
-    # cols is column ii of that doubled matrix, stored contiguously
-    cols = np.ascontiguousarray(np.vstack([K, K]).T)
+    # row t of the doubled problem maps to row t mod n of K; cols[ii] is
+    # column ii of that doubled matrix, stored contiguously
+    cols = list(np.ascontiguousarray(np.vstack([K, K]).T))
     diag = K.diagonal().tolist()
     cap = MAX_PAIR_UPDATES
     Cf = float(C)
+    where, subtract, multiply, add = np.where, np.subtract, np.multiply, np.add
 
     z = [0.0] * (2 * n)
     s = np.concatenate([np.ones(n), -np.ones(n)])
     grad = np.concatenate([epsilon - y, epsilon + y])
     # row 0 of sides is -s*grad; row 1 is its negation s*grad, so one
     # argmax per row finds the I_up maximum and the I_low minimum (same
-    # first-index ties and NaN handling as argmin on row 0)
-    signs = np.vstack([-s, s])
-    sides = np.empty((2, 2 * n))
+    # first-index ties and NaN handling as argmin on row 0). Both rows are
+    # updated in place, never grad (see the module docstring)
+    sides = np.vstack([-s * grad, s * grad])
+    neg_sg, sg = sides
     # I_up and I_low membership, rows 0 and 1 (all of alpha and all of
     # alpha* at z = 0); an update can change only the two entries it moves
     member = np.vstack([s > 0, s < 0])
-    diff = np.empty(2 * n)
+    in_up, in_low = member
     step = np.empty(2 * n)
+    scalar = np.zeros(())  # delta as a float64 operand
+    ninf = np.array(-np.inf)
 
     converged = False
     updates = 0
     m = M = 0.0
     while True:
-        np.multiply(signs, grad, out=sides)
-        i, j = np.where(member, sides, -np.inf).argmax(1).tolist()
+        i, j = where(member, sides, ninf).argmax(1).tolist()
         m, M = sides.item(0, i), sides.item(0, j)
         if m - M <= tol:
             converged = True
@@ -173,11 +188,11 @@ def fit_svr(X, y, C: float, epsilon: float, kernel: KernelSpec,
             if zt > Cf:
                 z[t] = zt = Cf
             up, low = zt < Cf, zt > 0.0
-            member[0, t], member[1, t] = (up, low) if t < n else (low, up)
-        np.subtract(cols[ii], cols[jj], out=diff)
-        np.multiply(s, delta, out=step)
-        np.multiply(step, diff, out=step)
-        np.add(grad, step, out=grad)
+            in_up[t], in_low[t] = (up, low) if t < n else (low, up)
+        scalar[()] = delta
+        multiply(subtract(cols[ii], cols[jj], step), scalar, step)
+        subtract(neg_sg, step, neg_sg)
+        add(sg, step, sg)
         updates += 1
         if monitor is not None:
             za = np.array(z)
@@ -185,7 +200,6 @@ def fit_svr(X, y, C: float, epsilon: float, kernel: KernelSpec,
 
     z = np.array(z)
     beta = z[:n] - z[n:]
-    neg_sg = -s * grad
     free = (z > 1e-9 * C) & (z < C * (1 - 1e-9))
     if free.any():
         bias = float(neg_sg[free].mean())

@@ -378,6 +378,37 @@ MA_EDGE_ORDERS = [ArimaOrder(0, 0, 1), ArimaOrder(0, 0, 3), ArimaOrder(2, 0, 2),
                   ArimaOrder(0, 0, 1, 0, 0, 1, 12)]
 
 
+class TestFreshInnovations:
+    """Each call of an `_innovations(w, order)` closure returns a new array
+    that shares no memory with w or with another call's result, so a
+    second call leaves the first result as it was: `forecast` and
+    `_common_window_aic` keep the array they are handed, and the closure
+    reuses its intercept and filter-denominator buffers between calls."""
+
+    @pytest.mark.parametrize("order", [
+        ArimaOrder(2, 0, 0), ArimaOrder(0, 0, 2), ArimaOrder(1, 0, 1),
+        ArimaOrder(1, 0, 1, 1, 0, 1, 4), ArimaOrder(0, 0, 0, 1, 0, 0, 4),
+        ArimaOrder(0, 0, 0, 0, 0, 1, 4), ArimaOrder(0, 0, 0)],
+        ids=ArimaOrder.label)
+    def test_a_second_call_leaves_the_first_result(self, order):
+        rng = np.random.default_rng(31)
+        w = rng.normal(size=40)
+        w_before = w.tobytes()
+        innovations = _innovations(w, order)
+        thetas = [rng.normal(0.0, 0.3, size=order.n_params).tolist()
+                  for _ in range(3)]
+        results = [innovations(theta) for theta in thetas]
+        for theta, got in zip(thetas, results):
+            # each result is still what a fresh closure computes for it
+            want = _innovations(w, order)(theta)
+            assert got.tobytes() == want.tobytes()
+            assert not np.shares_memory(got, w)
+        for one in range(3):
+            for other in range(one):
+                assert not np.shares_memory(results[one], results[other])
+        assert w.tobytes() == w_before
+
+
 def edge_series(rng, n):
     """n draws with -0.0, +-1e300, +-inf or NaN planted in some entries."""
     w = rng.normal(size=n)

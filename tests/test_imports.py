@@ -8,6 +8,9 @@ nothing else from scipy. A candidate order with MA terms adds one extension,
 scipy.signal._sigtools (the compiled filter kernel of the MA recursion),
 without scipy.signal itself, and a later `import scipy.signal` in the same
 interpreter reuses that extension and filters to the same bits.
+
+`explain` loads no numpy.ma either: the outlier filter's quartiles do not go
+through `np.percentile`, whose `np.unique` imports it (about 17 ms).
 """
 
 import json
@@ -60,6 +63,18 @@ assert cli.main(["sweep", "--config", config, "--out", out]) == 0
 """ + LIST_SCIPY
 
 SPECIAL = "import json, sys\nimport scipy.special\n" + LIST_SCIPY
+
+EXPLAIN_MA = """
+import json, sys
+from forecastlab import cli
+tiny, narrow, out = sys.argv[1:]
+assert cli.main(["explain", "--config", tiny, "--out", out,
+                 "--model", "random_forest"]) == 0
+forest = "numpy.ma" in sys.modules
+assert cli.main(["explain", "--config", narrow, "--out", out + "-ridge",
+                 "--model", "ridge"]) == 0
+print(json.dumps([forest, "numpy.ma" in sys.modules]))
+"""
 
 # one MA filter through the package's innovations and through lfilter, in
 # the order given by argv[1]; prints whether the bytes and modules agree
@@ -138,6 +153,16 @@ def test_start_up_synth_and_explain_load_no_scipy(tmp_path):
     assert loaded == set()
     assert (tmp_path / "out" / "importance.csv").exists()
     assert (tmp_path / "out-ridge" / "shap_values.csv").exists()
+
+
+def test_explain_loads_no_numpy_ma(tmp_path):
+    loaded = last_line(EXPLAIN_MA, tiny_config(tmp_path),
+                       narrow_config(tmp_path), str(tmp_path / "out"),
+                       cwd=tmp_path)
+    assert loaded == [False, False]  # after random_forest, then ridge
+    # both explains ran their outlier-filtered functional forms
+    assert (tmp_path / "out" / "functional_form.json").exists()
+    assert (tmp_path / "out-ridge" / "functional_form.json").exists()
 
 
 def test_ar_only_run_loads_only_scipy_special(tmp_path):

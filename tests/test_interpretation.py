@@ -8,6 +8,7 @@ from forecastlab.interpretation import (
     InterpretationError,
     PolyFit,
     _auto_color,
+    _quartiles,
     column_stats,
     dependence_data,
     filter_outliers,
@@ -148,6 +149,56 @@ class TestAutoColorMatchesLoop:
             uncolored += got[0] is None
             fortran += not X.flags.c_contiguous
         assert chosen > 1000 and uncolored > 200 and fortran > 1000
+
+
+def quartile_cases(rng):
+    """Finite arrays of 1-200 values: continuous draws, few-valued draws
+    with ties, +-0.0 mixes, +-1e300 beside ordinary values or +-1.7e308
+    alone (whose neighbour difference overflows) and constants, in turn."""
+    for case in range(600):
+        n = 1 + case % 200 if case < 400 else int(rng.integers(1, 201))
+        kind = case % 5
+        if kind == 0:
+            xs = rng.normal(0.0, 10.0 ** rng.integers(-3, 4), size=n)
+        elif kind == 1:
+            xs = rng.choice([-2.0, -0.5, 0.0, 1.0, 3.25], size=n)
+        elif kind == 2:
+            xs = rng.choice([0.0, -0.0, 0.0, -0.0, 1.5], size=n)
+        elif kind == 3 and case % 10 == 3:
+            xs = rng.choice([1.7e308, -1.7e308], size=n)
+        elif kind == 3:
+            xs = rng.choice([1e300, -1e300, 0.5, -0.0, 7.0], size=n)
+        else:
+            xs = np.full(n, rng.choice([0.0, -0.0, 1e300, -3.5]))
+        yield xs
+
+
+class TestQuartiles:
+    def test_equal_to_np_percentile_bits(self):
+        rng = np.random.default_rng(29)
+        remainders, negative_zero, overflowed = set(), 0, 0
+        for xs in quartile_cases(rng):
+            before = xs.tobytes()
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.percentile(xs, [25, 75])
+            got = np.array(_quartiles(xs))
+            assert got.tobytes() == want.tobytes(), xs
+            assert xs.tobytes() == before  # the input is not reordered
+            remainders.add((len(xs) - 1) % 4)
+            negative_zero += bool((np.signbit(want) & (want == 0)).any())
+            overflowed += not np.isfinite(want).all()
+        # every (n - 1) % 4 remainder, -0.0 quartiles and overflowed blends
+        # (inf, or NaN from inf * 0) were among the cases
+        assert remainders == {0, 1, 2, 3}
+        assert negative_zero >= 20 and overflowed >= 3
+
+    def test_non_finite_values_as_np_percentile(self):
+        for xs in ([np.inf], [np.nan, 1.0, 2.0], [1.0, -np.inf, 3.0, 4.0],
+                   [np.inf, 1.0, 2.0, np.inf, 5.0]):
+            xs = np.array(xs)
+            with np.errstate(invalid="ignore"):
+                want = np.percentile(xs, [25, 75])
+            assert np.array(_quartiles(xs)).tobytes() == want.tobytes()
 
 
 class TestFilterOutliers:

@@ -144,6 +144,30 @@ class TestLoopEquivalence:
         assert zero_curv > 30
         assert capped >= 1
 
+    def test_benchmark_shapes(self, monkeypatch):
+        # the benchmark fits n = 54-68 standardized rows on 16 columns over
+        # the quickstart's C and epsilon axes; the pair's column length
+        # chooses the ufunc loops, so the small random problems above do not
+        # cover these shapes. A lower cap keeps the large-C linear crawls
+        # short and still compares their capped iterates
+        monkeypatch.setattr(svr_mod, "MAX_PAIR_UPDATES", 4000)
+        rng = np.random.default_rng(2029)
+        updates, capped = [], 0
+        for n in (54, 68):
+            X = rng.normal(size=(n, 16))
+            X[:, 1] = X[:, 0] + 0.01 * X[:, 1]  # near-collinear pair
+            X = Standardization.fit(X).transform(X)
+            y = X @ rng.normal(size=16) + rng.normal(size=n)
+            for C in (0.3, 1.0, 10.0, 50.0):
+                for eps in (0.01, 0.065):
+                    for kind in ("linear", "rbf"):
+                        spec = KernelSpec(kind)
+                        got = fit_svr(X, y, C, eps, spec)
+                        assert_same_svr(got, loop_fit_svr(X, y, C, eps, spec))
+                        updates.append(got.n_updates)
+                        capped += not got.converged
+        assert min(updates) >= 20 and 4 <= capped < len(updates)
+
     def test_duplicate_rows_zero_curvature(self):
         # every pair of distinct rows is a duplicate pair: curv = 0, so each
         # step moves the full box cap
