@@ -213,14 +213,16 @@ class LeafPaths(NamedTuple):
     deepest path. Step k of leaf l tests `x[feature[l, k]] <= threshold[l, k]`,
     and a row follows the path there when the outcome equals go_left[l, k].
     Padding steps (feature 0, threshold NaN, go_left False) are followed by
-    every row, NaN included. repeats holds (k, leaves, first) for each step
-    k that retests a feature, k ascending: the leaves whose path does, in
-    ascending order, and each one's first step on that feature."""
+    every row, NaN included. fold lists the steps that retest a feature of
+    their path, in rounds: the r-th retest of each (leaf, feature) is in
+    round r, which holds (firsts, retests), flat indices l * depth + k of
+    the feature's first step and of the retesting step, by leaf and then
+    step. No first step appears twice in a round."""
 
     feature: np.ndarray
     threshold: np.ndarray
     go_left: np.ndarray
-    repeats: tuple
+    fold: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 def leaf_paths(terms) -> tuple[LeafPaths, np.ndarray, np.ndarray] | None:
@@ -230,7 +232,7 @@ def leaf_paths(terms) -> tuple[LeafPaths, np.ndarray, np.ndarray] | None:
     steps), then one fancy-index scatter into each padded table array."""
     tree_of, weight = [], []
     leaf, step, feature, threshold, go_left = [], [], [], [], []
-    repeats = {}  # step k -> ([leaf], [its first step on k's feature])
+    rounds = []  # round r: [(leaf, first step on the feature, step)]
     for t, (tree, scale) in enumerate(terms):
         feat = tree.feature.tolist()
         thresh = tree.threshold.tolist()
@@ -246,18 +248,19 @@ def leaf_paths(terms) -> tuple[LeafPaths, np.ndarray, np.ndarray] | None:
                 stack.append((right[node], path + ((f, thr, False),)))
                 stack.append((left[node], path + ((f, thr, True),)))
                 continue
-            seen = {}
+            seen = {}  # feature -> [its first step, its retests so far]
             for k, (f, thr, go) in enumerate(path):
                 leaf.append(len(weight))
                 step.append(k)
                 feature.append(f)
                 threshold.append(thr)
                 go_left.append(go)
-                first = seen.setdefault(f, k)
-                if first != k:
-                    leaves, firsts = repeats.setdefault(k, ([], []))
-                    leaves.append(len(weight))
-                    firsts.append(first)
+                first = seen.setdefault(f, [k, 0])
+                if first[0] != k:
+                    if first[1] == len(rounds):
+                        rounds.append([])
+                    rounds[first[1]].append((len(weight), first[0], k))
+                    first[1] += 1
             tree_of.append(t)
             weight.append(scale * value[node])
     if not weight:  # no trees: every tree has a leaf
@@ -268,13 +271,16 @@ def leaf_paths(terms) -> tuple[LeafPaths, np.ndarray, np.ndarray] | None:
     at = (np.array(leaf, dtype=np.intp), np.array(step, dtype=np.intp))
     for arr, values in zip(table, (feature, threshold, go_left)):
         arr[at] = values
-    repeats = tuple((k, *(np.array(a, dtype=np.intp) for a in pair))
-                    for k, pair in sorted(repeats.items()))
+    fold = []
+    for r in rounds:
+        l, first, k = np.array(r, dtype=np.intp).T
+        fold.append((l * shape[1] + first, l * shape[1] + k))
+    fold = tuple(fold)
     tree_of = np.array(tree_of, dtype=np.intp)
     weight = np.array(weight)
-    for arr in (*table, tree_of, weight, *(a for _, *pair in repeats for a in pair)):
+    for arr in (*table, *(a for pair in fold for a in pair), tree_of, weight):
         arr.flags.writeable = False
-    return LeafPaths(*table, repeats), tree_of, weight
+    return LeafPaths(*table, fold), tree_of, weight
 
 
 class _PathSide:
@@ -282,40 +288,48 @@ class _PathSide:
 
     A row is off a path at step k when it goes the other way there.
     by_feature[r, l, k] is set on the first step of each feature of leaf l's
-    path (paths.repeats) when row r is off at any step on that feature.
-    keys pack the per-step off flags, and feature_keys the by_feature flags,
-    as base-4 digits into int64 words, _KEY_DIGITS steps a word, earlier
-    steps more significant, so any depth fits. inside[r, l]: row r reaches
-    leaf l, that is, its keys words are all 0. The off flags are compared a
-    step at a time, so only one (rows, leaves) block of feature values is
-    gathered at once."""
+    path when row r is off at any step on that feature (paths.fold), and
+    clear on the steps that retest it. keys pack the per-step off flags,
+    and feature_keys the by_feature flags, as base-4 digits into int64
+    words, _KEY_DIGITS steps a word, earlier steps more significant, so
+    any depth fits. inside[r, l]: row r reaches leaf l, that is, its keys
+    words are all 0. The off flags are compared a step at a time, so only
+    one (rows, leaves) block of feature values is gathered at once. Both
+    flag blocks sit in one array, so one `_key_words` pass packs both."""
 
     def __init__(self, Z, paths: LeafPaths):
-        off = np.empty((Z.shape[0],) + paths.feature.shape, dtype=bool)
+        R = Z.shape[0]
+        flags = np.empty((2, R) + paths.feature.shape, dtype=bool)
+        off, by_feature = flags
         for k, (f, t, go) in enumerate(zip(paths.feature.T, paths.threshold.T,
                                            paths.go_left.T)):
             np.not_equal(Z.take(f, axis=1) <= t, go, out=off[:, :, k])
-        by_feature = off.copy() if paths.repeats else off
-        for k, leaves, first in paths.repeats:
-            by_feature[:, leaves, first] |= off[:, leaves, k]
-            by_feature[:, leaves, k] = False
-        self.by_feature = by_feature
-        self.keys = _key_words(off)
-        self.feature_keys = _key_words(by_feature)
+        by_feature[...] = off
+        flat, off_flat = by_feature.reshape(R, -1), off.reshape(R, -1)
+        for firsts, retests in paths.fold:
+            flat[:, firsts] |= off_flat[:, retests]
+            flat[:, retests] = False
+        words = _key_words(flags.reshape((2 * R,) + paths.feature.shape))
+        self.by_feature = by_feature.copy()  # not a view: off dies here
+        self.keys = [w[:R] for w in words]
+        self.feature_keys = [w[R:] for w in words]
         self.inside = np.logical_and.reduce([w == 0 for w in self.keys])
 
 
 def _key_words(bits: np.ndarray) -> list[np.ndarray]:
     """(rows, leaves, depth) flags -> one (rows, leaves) int64 word per
-    _KEY_DIGITS steps, each flag a base-4 digit, earlier steps higher; one
-    step at a time, so the block is never copied to int64 as a whole."""
+    _KEY_DIGITS steps, each flag a base-4 digit, earlier steps higher. A
+    word shifts and takes each step's flags in place, so the block is never
+    copied to int64 as a whole."""
     depth = bits.shape[2]
     words = []
     for lo in range(0, depth, _KEY_DIGITS):
+        hi = min(lo + _KEY_DIGITS, depth)
         word = np.zeros(bits.shape[:2], dtype=np.int64)
-        for k in range(lo, min(lo + _KEY_DIGITS, depth)):
-            word |= np.left_shift(bits[:, :, k], 2 * (lo + _KEY_DIGITS - 1 - k),
-                                  dtype=np.int64)
+        for k in range(lo, hi):
+            word <<= 2
+            word |= bits[:, :, k]
+        word <<= 2 * (lo + _KEY_DIGITS - hi)  # a short last word's digits on top
         words.append(word)
     return words
 

@@ -14,10 +14,13 @@ threshold, so refits are bit-reproducible.
 Split search reads presorted column blocks, the exact greedy layout of
 Chen & Guestrin (2016, KDD, sec. 4.1): each tree stable-sorts its columns
 once, at the root, and a child's block is its parent's, filtered by the
-split, so no node sorts. A node that searches max_features columns gets
-exactly the columns, and leaves the generator in the state, of a per-node
-rng.choice draw; within numpy's Floyd range one rng.integers call draws
-a block of nodes' columns (`_ColumnDraw`).
+split, so no node sorts. A node of at most SMALL_NODE_ROWS rows, and its
+subtree, grows on Python floats instead (`_small_split`), with the same
+IEEE operations in the same order, so both paths grow the same tree. A
+node that searches max_features columns gets exactly the columns, and
+leaves the generator in the state, of a per-node rng.choice draw; within
+numpy's Floyd range one rng.integers call draws a block of nodes' columns
+(`_ColumnDraw`).
 
 A tree is a set of parallel node arrays in preorder (the layout model.json
 stores; cover is the row count), and every model here predicts through
@@ -215,6 +218,8 @@ DRAW_BLOCK = 64  # nodes whose column draws one rng.integers call makes
 # above this many columns a node, the vectorised Floyd steps cost more
 # than per-node rng.choice calls
 DRAW_MAX_COLUMNS = 128
+# nodes of at most this many rows grow on Python floats (fit_regression_tree)
+SMALL_NODE_ROWS = 7
 
 
 class _ColumnDraw:
@@ -330,6 +335,65 @@ def _best_split(xs, gs, G, reg_lambda, min_samples_leaf):
     return j, float((xs[j, k] + xs[j, k + 1]) / 2.0), float(best)
 
 
+def _row_sum(values, rows) -> float:
+    """np.add.reduce of values[rows] for fewer than 8 rows, bit for bit:
+    numpy adds them in a plain loop from +0.0. Never builtin sum(), which
+    compensates from Python 3.12 on."""
+    total = 0.0
+    for r in rows:
+        total += values[r]
+    return total
+
+
+def _small_split(rows, feats, cols, g, G, reg_lambda, min_samples_leaf):
+    """_best_split on Python floats, for a node of at most SMALL_NODE_ROWS
+    rows; returns (column, threshold, gain) or None.
+
+    rows ascend, and cols[c] (column c) and g are lists. A column's stable
+    order is sorted() over the rows, its running sums add in that order
+    from the first value, as np.add.accumulate does, and each gain takes
+    _best_split's operations in its order, so every value has the same
+    bits. The first maximum wins, by column then threshold, and a NaN gain
+    means no split, as there."""
+    n = len(rows)
+    parent = G * G / (n + reg_lambda)
+    best, found = -math.inf, None
+    if n == 2 and min_samples_leaf == 1:  # one threshold; an order is one comparison
+        a, b = rows
+        side = 1 + reg_lambda
+        for f in feats:
+            x = cols[f]
+            xa, xb = x[a], x[b]
+            if xa != xb:
+                gl = g[a] if xa < xb else g[b]
+                d = G - gl
+                gain = (gl * gl / side + d * d / side - parent) * 0.5
+                if gain > best:
+                    best, found = gain, (f, (xa + xb) / 2.0, gain)
+                elif gain != gain:
+                    return None
+        return found
+    lo, hi = min_samples_leaf, n - min_samples_leaf  # rows a side may hold
+    for f in feats:
+        x = cols[f]
+        order = iter(sorted(rows, key=x.__getitem__))
+        r = next(order)
+        xl, gl = x[r], g[r]
+        for hl, r in enumerate(order, 1):  # hl rows lie left of x[r]
+            xr = x[r]
+            if xr != xl and lo <= hl <= hi:
+                d = G - gl
+                gain = (gl * gl / (hl + reg_lambda)
+                        + d * d / (n - hl + reg_lambda) - parent) * 0.5
+                if gain > best:
+                    best, found = gain, (f, (xl + xr) / 2.0, gain)
+                elif gain != gain:
+                    return None
+            xl = xr
+            gl += g[r]
+    return found
+
+
 def fit_regression_tree(X, y=None, gradients=None, *, max_depth=6,
                         min_samples_leaf=1, reg_lambda=0.0,
                         min_split_gain=0.0, max_features=None,
@@ -338,24 +402,37 @@ def fit_regression_tree(X, y=None, gradients=None, *, max_depth=6,
     gradients for boosting mode (leaf weight -G/(n+lam)); squared loss
     makes every hessian 1.
 
-    Each column is stable-sorted once, at the root. A node's rows are
-    ascending, and row c of its (p, rows) block holds the same rows in
-    column c's sorted order. A child's block is its parent's, each row
-    filtered by the split mask: a stable partition, so it is what a stable
-    sort of the child's rows would give. Nodes pop from one preorder stack
-    of (rows, parent block, split mask, depth, the node whose right child
-    this is), so only a node that may split filters its block; the root's
-    entry holds its own block and no mask. A split computes the mask only
-    when a child may split (its depth is below max_depth and it holds at
-    least max(2, 2 * min_samples_leaf) rows); otherwise both children get
-    no block. Nodes push their right child first, so they are numbered,
-    and draw max_features columns, in preorder: a split node's left child
-    is the next node. The draws come from `_ColumnDraw`, which leaves rng
-    as the per-node rng.choice calls would; a tree with no drawing node
-    leaves it untouched. No block exceeds the 2**max_depth - 1 nodes."""
+    Nodes pop from one preorder stack of (rows, parent block, split mask,
+    depth, the node whose right child this is). Nodes push their right
+    child first, so they are numbered, and draw max_features columns, in
+    preorder: a split node's left child is the next node. The draws come
+    from `_ColumnDraw`, which leaves rng as the per-node rng.choice calls
+    would; a tree with no drawing node leaves it untouched. No block
+    exceeds the 2**max_depth - 1 nodes.
+
+    A node of more than SMALL_NODE_ROWS rows searches arrays. Each column
+    is stable-sorted once, at the root; row c of a node's (p, n) block
+    holds its ascending rows in column c's sorted order, and a child's
+    block is its parent's, each row filtered by the split mask: a stable
+    partition, so it is what a stable sort of the child's rows would give.
+    A split computes the mask only when a child of more than
+    SMALL_NODE_ROWS rows may split (its depth is below max_depth and it
+    holds at least max(2, 2 * min_samples_leaf) rows).
+
+    A node of at most SMALL_NODE_ROWS rows, and its subtree, grows on
+    Python lists and floats, where about 20 numpy calls a node cost more
+    than the arithmetic: sorted() orders each drawn column's rows and
+    `_small_split` searches them. Its G is `_row_sum`, a plain loop from
+    +0.0, which is np.add.reduce below 8 elements; from 8 on numpy sums
+    pairwise, with 8 accumulators, hence the cutoff of 7. Both paths take
+    the same IEEE operations in the same order, so they grow the same
+    tree. sorted() orders NaN otherwise than a stable argsort, so a tree
+    whose X holds NaN grows every node on arrays."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("X must be a nonempty 2-d array")
+    if X.shape[1] == 0:
+        raise ValueError("X has no feature columns to split on")
     if y is not None:
         g = -np.asarray(y, dtype=float)
         reg_lambda = 0.0
@@ -371,52 +448,86 @@ def fit_regression_tree(X, y=None, gradients=None, *, max_depth=6,
         raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
     if max_features is not None and max_features < 1:
         raise ValueError(f"max_features must be >= 1, got {max_features}")
+    if reg_lambda < 0:
+        raise ValueError(f"reg_lambda must be >= 0, got {reg_lambda}")
     if rng is None:
         rng = np.random.default_rng(0)
-    p = X.shape[1]
+    N, p = X.shape
     draw = (_ColumnDraw(rng, p, max_features,
                         block=min(DRAW_BLOCK, 2 ** max_depth - 1))
             if max_features is not None and max_features < p else None)
-    feats = np.arange(p)
     XT = X.T.copy()
+    cols, gv = None, g.tolist()  # cols: XT as lists, made at the first small split
+    small = 0 if np.isnan(XT).any() else SMALL_NODE_ROWS
+    every, every_at = range(p), np.arange(p)[:, None]
     min_rows = max(2, 2 * min_samples_leaf)
     nodes = []  # [feature, threshold, left, right, value, cover] rows
-    stack = [(np.arange(len(g)), XT.argsort(axis=1, kind="stable"), None, 0, None)]
+    stack = [(list(range(N)), None, None, 0, None) if N <= small else
+             (np.arange(N), XT.argsort(axis=1, kind="stable"), None, 0, None)]
     while stack:
         rows, blk, keep, depth, right_of = stack.pop()
         if right_of is not None:
             right_of[3] = len(nodes)
         n = len(rows)
-        G = np.add.reduce(g[rows])  # in row order: a sorted sum has other bits
-        node = [-1, 0.0, -1, -1, float(-G / (n + reg_lambda)), float(n)]
+        # in row order: a sorted sum has other bits
+        G = (_row_sum(gv, rows) if n <= small
+             else float(np.add.reduce(g[rows])))
+        hess = n + reg_lambda  # 0 only on the empty side of an overflowed midpoint
+        node = [-1, 0.0, -1, -1,
+                -G / hess if hess else float(np.divide(-G, hess)), float(n)]
         nodes.append(node)
         if depth >= max_depth or n < min_rows:
             continue
+        feats = every if draw is None else draw()
+        # relative epsilon keeps float noise on constant targets from splitting
+        floor = min_split_gain + 1e-12 * (1.0 + abs(G * G / hess))
+        if n <= small:
+            if cols is None:
+                cols = XT.tolist()
+            found = _small_split(rows, every if draw is None else feats.tolist(),
+                                 cols, gv, G, reg_lambda, min_samples_leaf)
+            if found is None or found[2] <= floor:
+                continue
+            f, threshold, _ = found
+            node[:3] = f, threshold, len(nodes)
+            x = cols[f]
+            rows_left, rows_right = [], []
+            for r in rows:
+                (rows_left if x[r] <= threshold else rows_right).append(r)
+            stack.append((rows_right, None, None, depth + 1, node))
+            stack.append((rows_left, None, None, depth + 1, None))
+            continue
         if keep is not None:  # the root's block is its own
             blk = blk.compress(keep.ravel()).reshape(p, n)
-        if draw is not None:
-            feats = draw()
-            cand = blk.take(feats, axis=0)
+        if draw is None:
+            cand, at = blk, every_at
         else:
-            cand = blk
-        found = _best_split(XT[feats[:, None], cand], g[cand], G, reg_lambda,
+            cand, at = blk.take(feats, axis=0), feats[:, None]
+        found = _best_split(XT[at, cand], g[cand], G, reg_lambda,
                             min_samples_leaf)
-        # relative epsilon keeps float noise on constant targets from splitting
-        floor = min_split_gain + 1e-12 * (1.0 + abs(G * G / (n + reg_lambda)))
         if found is None or found[2] <= floor:
             continue
         j, threshold, _ = found
-        node[:3] = feats[j], threshold, len(nodes)
-        x = XT[feats[j]]
+        f = int(feats[j])
+        node[:3] = f, threshold, len(nodes)
+        x = XT[f]
         left = x[rows] <= threshold
         rows_left, rows_right = rows[left], rows[~left]
-        if depth + 1 < max_depth and max(len(rows_left), len(rows_right)) >= min_rows:
+        # only a child of more than `small` rows that may split reads a block
+        need = max(small + 1, min_rows) if depth + 1 < max_depth else N + 1
+        if max(len(rows_left), len(rows_right)) >= need:
             go = x[blk] <= threshold
-            stack.append((rows_right, blk, ~go, depth + 1, node))
-            stack.append((rows_left, blk, go, depth + 1, None))
-        else:  # neither child splits, so neither reads a block
-            stack.append((rows_right, None, None, depth + 1, node))
-            stack.append((rows_left, None, None, depth + 1, None))
+            reads = (blk, ~go), (blk, go)
+        else:
+            reads = (None, None), (None, None)
+        for sub, (sub_blk, keep), of in zip((rows_right, rows_left), reads,
+                                            (node, None)):
+            if len(sub) <= small:
+                stack.append((sub.tolist(), None, None, depth + 1, of))
+            elif len(sub) >= need:
+                stack.append((sub, sub_blk, keep, depth + 1, of))
+            else:
+                stack.append((sub, None, None, depth + 1, of))
     if draw is not None:
         draw.settle()
     return Tree(*zip(*nodes))

@@ -794,12 +794,18 @@ def leaf_path_models(rng):
     yield BoostedModel(0.5, 0.1, (), BoostParams(n_estimators=1), 2), X[:, :2]
 
 
-def repeats_from_first(first):
-    """(k, leaves, first[leaves, k]) per step k where some path retests a
-    feature, k ascending, each k's leaves ascending."""
-    leaves, steps = np.nonzero(first != np.arange(first.shape[1]))
-    return [(k, ls, first[ls, k])
-            for k in np.unique(steps).tolist() for ls in [leaves[steps == k]]]
+def fold_from_first(first):
+    """LeafPaths.fold from the first-step table: round r holds the r-th
+    retest of each (leaf, feature), as (first step, retest) flat indices,
+    by leaf and then step."""
+    depth = first.shape[1]
+    leaves, steps = np.nonzero(first != np.arange(depth))  # by leaf, then step
+    targets = leaves * depth + first[leaves, steps]
+    rounds = np.array([np.count_nonzero(targets[:i][leaves[:i] == leaves[i]]
+                                        == targets[i])
+                       for i in range(len(targets))], dtype=np.intp)
+    return [(targets[rounds == r], (leaves * depth + steps)[rounds == r])
+            for r in range(rounds.max(initial=-1) + 1)]
 
 
 class TestLeafPathTable:
@@ -818,17 +824,16 @@ class TestLeafPathTable:
             feature, threshold, go_left, first, *rest = want
             got = [*paths[:3], tree_of, weight]
             ref = [feature, threshold, go_left, *rest]
-            repeats = repeats_from_first(first)
-            assert len(paths.repeats) == len(repeats)
-            for (k, *pair), (ref_k, *ref_pair) in zip(paths.repeats, repeats):
-                assert type(k) is int and k == ref_k
+            fold = fold_from_first(first)
+            assert len(paths.fold) == len(fold)
+            for pair, ref_pair in zip(paths.fold, fold):
                 got += pair
                 ref += ref_pair
             for a, b in zip(got, ref, strict=True):
                 assert a.dtype == b.dtype
                 assert a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
-            retests += len(repeats)
+            retests += sum(len(r) for _, r in fold)
         assert 0 in widths and 40 in widths
         assert retests
 
@@ -845,7 +850,7 @@ class TestLeafPathCache:
             table = model._leaf_paths
             paths, tree_of, weight = table
             arrays = [*paths[:3], tree_of, weight]
-            arrays += [a for _, *pair in paths.repeats for a in pair]
+            arrays += [a for pair in paths.fold for a in pair]
             assert not any(a.flags.writeable for a in arrays)
             m = explain_matrix(model, X[:3], bg)
             assert model._leaf_paths is table

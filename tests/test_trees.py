@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forecastlab.trees import (
     DRAW_BLOCK,
     DRAW_MAX_COLUMNS,
+    SMALL_NODE_ROWS,
     BoostedModel,
     BoostParams,
     ForestModel,
@@ -14,6 +17,8 @@ from forecastlab.trees import (
     _best_split,
     _ColumnDraw,
     _floyd_sets,
+    _row_sum,
+    _small_split,
     _tree_rng,
     fit_gradient_boosting,
     fit_random_forest,
@@ -155,6 +160,52 @@ def random_node(rng):
     return X, g, feats, reg_lambda, int(rng.integers(1, 4))
 
 
+def special_values(rng, n):
+    """n floats mixing normals with -0.0, 1e200-scale values, inf and NaN."""
+    pool = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e200,
+                     -3e200, 1.5e154, 1.0, -2.5])
+    scale = 10.0 ** rng.integers(-300, 300, size=n)
+    return np.where(rng.uniform(size=n) < 0.4, rng.choice(pool, size=n),
+                    rng.normal(size=n) * scale)
+
+
+def small_split_at(X, g, feature_ids, reg_lambda, min_samples_leaf):
+    """_small_split on the node's rows as lists, G their plain sum."""
+    rows = list(range(len(g)))
+    return _small_split(rows, [int(f) for f in feature_ids], X.T.tolist(),
+                        g.tolist(), _row_sum(g.tolist(), rows), reg_lambda,
+                        min_samples_leaf)
+
+
+def same_split(a, b):
+    """Equal (feature, threshold, gain) results, each float bit for bit."""
+    if a is None or b is None:
+        return a is None and b is None
+    return a[0] == b[0] and all(np.float64(u).tobytes() == np.float64(v).tobytes()
+                                for u, v in zip(a[1:], b[1:]))
+
+
+@st.composite
+def small_nodes(draw):
+    """A split search of at most SMALL_NODE_ROWS rows: ties across
+    thresholds and columns, duplicate rows, min_samples_leaf 1-3,
+    reg_lambda, and gradients with -0.0, NaN and 1e200-scale values."""
+    n = draw(st.integers(2, SMALL_NODE_ROWS))
+    p = draw(st.integers(1, 4))
+    value = (st.sampled_from([0.0, 1.0, 2.0]) if draw(st.booleans())
+             else st.floats(-5, 5, allow_nan=False))
+    X = np.array(draw(st.lists(st.lists(value, min_size=p, max_size=p),
+                               min_size=n, max_size=n)))
+    if n > 2 and draw(st.booleans()):  # a duplicated row
+        X[draw(st.integers(1, n - 1))] = X[0]
+    g = np.array(draw(st.lists(st.one_of(
+        st.floats(-3, 3), st.sampled_from([-0.0, math.nan, 1e200, -2e200])),
+        min_size=n, max_size=n)))
+    feats = np.array(sorted(draw(st.sets(st.integers(0, p - 1), min_size=1))))
+    return (X, g, feats, draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+            draw(st.integers(1, 3)))
+
+
 class TestSplitSearch:
     def test_matches_loop_on_random_nodes(self):
         rng = np.random.default_rng(30)
@@ -206,6 +257,29 @@ class TestSplitSearch:
         X = np.arange(5, dtype=float)[:, None]
         g = np.arange(5, dtype=float)
         assert split_at(X, g, np.arange(1), 0.0, 3) is None
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(node=small_nodes())
+    def test_small_split_equals_best_split(self, node):
+        X, g, feats, reg_lambda, msl = node
+        with np.errstate(over="ignore", invalid="ignore"):  # numpy's side only
+            want = split_at(X, g, feats, reg_lambda, msl)
+        assert same_split(small_split_at(X, g, feats, reg_lambda, msl), want)
+
+    def test_running_sums_equal_accumulate(self):
+        # ties leave one valid threshold, after hl rows, so the gain there
+        # is a function of the running sum at hl alone; _best_split takes
+        # it from np.add.accumulate
+        rng = np.random.default_rng(35)
+        for n in range(2, SMALL_NODE_ROWS + 1):
+            for hl in range(1, n):
+                X = np.repeat([0.0, 1.0], [hl, n - hl])[:, None]
+                for _ in range(150):
+                    g = special_values(rng, n)
+                    lam = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        want = split_at(X, g, np.arange(1), lam, 1)
+                    assert same_split(small_split_at(X, g, [0], lam, 1), want)
 
 
 NODE_ARRAYS = ("feature", "threshold", "children_left", "children_right",
@@ -310,7 +384,7 @@ class TestPreorderGrowth:
     def test_node_arrays_equal_recursive_oracle(self):
         rng = np.random.default_rng(31)
         reached = dict(plain=0, boosting=0, drawn=0, min_leaf=0, overflow=0,
-                       bootstrap=0)
+                       bootstrap=0, small_splits=0, array_splits=0)
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(600):
                 X, kwargs, seed, boot = random_problem(rng)
@@ -332,6 +406,10 @@ class TestPreorderGrowth:
                 reached["bootstrap"] += split and boot
                 reached["overflow"] += mode == "boosting" and not np.isfinite(
                     kwargs["gradients"].sum() ** 2)
+                # the splits made on Python floats and on arrays
+                small = tree.cover[tree.feature >= 0] <= SMALL_NODE_ROWS
+                reached["small_splits"] += int(small.sum())
+                reached["array_splits"] += int((~small).sum())
         # every axis is reached by trees that split (overflow never splits)
         assert min(reached.values()) >= 20, reached
 
@@ -353,6 +431,66 @@ class TestPreorderGrowth:
             for name in NODE_ARRAYS:
                 a, b = getattr(tree, name), getattr(oracle, name)
                 assert a.tobytes() == b.tobytes(), (t, name)
+
+
+class TestSmallNodes:
+    def test_row_sum_equals_reduce(self):
+        # below 8 elements np.add.reduce is a plain loop from +0.0
+        rng = np.random.default_rng(36)
+        for n in range(1, SMALL_NODE_ROWS + 1):
+            for _ in range(2000):
+                a = special_values(rng, n)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = np.add.reduce(a)
+                got = _row_sum(a.tolist(), range(n))
+                assert np.float64(got).tobytes() == want.tobytes(), a
+
+    def test_small_path_equals_array_path(self, monkeypatch):
+        # the same trees and generator states with every node grown on
+        # arrays, over the oracle's problems and inputs it does not reach:
+        # NaN and infinite X, midpoints that overflow to inf and leave a
+        # side empty, and overflow-scale gradients
+        import forecastlab.trees as trees_mod
+
+        rng = np.random.default_rng(37)
+        problems = []
+        for _ in range(300):
+            X, kwargs, seed, _ = random_problem(rng)
+            X = X.copy()
+            if rng.uniform() < 0.3:
+                X.flat[rng.integers(0, X.size, size=2)] = rng.choice(
+                    [math.nan, math.inf, -math.inf, 1e308, 1.7e308], size=2)
+            problems.append((X, kwargs, seed))
+        grown = {}
+        for rows_cutoff in (SMALL_NODE_ROWS, 0):
+            monkeypatch.setattr(trees_mod, "SMALL_NODE_ROWS", rows_cutoff)
+            grown[rows_cutoff] = []
+            for X, kwargs, seed in problems:
+                tree_rng = np.random.default_rng(seed)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    tree = fit_regression_tree(X, rng=tree_rng, **kwargs)
+                grown[rows_cutoff].append((tree, tree_rng.bit_generator.state))
+        small_splits = 0
+        for (tree, state), (ref, ref_state) in zip(grown[SMALL_NODE_ROWS], grown[0]):
+            for name in NODE_ARRAYS:
+                assert getattr(tree, name).tobytes() == getattr(ref, name).tobytes()
+            assert state == ref_state
+            small_splits += int((tree.cover[tree.feature >= 0] <= SMALL_NODE_ROWS).sum())
+        assert small_splits > 100
+
+    def test_overflowed_midpoint_leaves_empty_side(self):
+        # (1e308 + 1.7e308) / 2 is inf: every row goes left, and the empty
+        # right leaf's value is 0/0, NaN with numpy's bits, as the recursive
+        # grower makes it
+        X = np.array([[1e308], [1.7e308], [1e308]])
+        y = np.array([1.0, 2.0, 4.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            tree = fit_regression_tree(X, y, max_depth=2)
+            oracle = recursive_fit_tree(X, y, max_depth=2)
+        assert math.isinf(tree.threshold[0])
+        assert np.isnan(tree.value[tree.cover == 0]).all() and (tree.cover == 0).any()
+        for name in NODE_ARRAYS:
+            assert getattr(tree, name).tobytes() == getattr(oracle, name).tobytes()
 
 
 # (p, k) where numpy's choice runs Floyd's algorithm (p <= 10,000 or
@@ -510,6 +648,16 @@ class TestTreeArguments:
         X = np.arange(12, dtype=float).reshape(6, 2)
         with pytest.raises(ValueError, match=name):
             fit_regression_tree(X, np.arange(6.0), **kwargs)
+
+    @pytest.mark.parametrize("n", [1, 2, SMALL_NODE_ROWS, SMALL_NODE_ROWS + 1, 20])
+    def test_no_columns_rejected(self, n):
+        with pytest.raises(ValueError, match="no feature columns"):
+            fit_regression_tree(np.empty((n, 0)), np.arange(float(n)))
+
+    def test_negative_reg_lambda_rejected(self):
+        X = np.arange(12, dtype=float).reshape(6, 2)
+        with pytest.raises(ValueError, match="reg_lambda"):
+            fit_regression_tree(X, gradients=np.arange(6.0), reg_lambda=-1.0)
 
     def test_negative_depth_params_rejected(self):
         with pytest.raises(ValueError, match="max_depth"):
