@@ -358,21 +358,6 @@ def _small_split(rows, feats, cols, g, G, reg_lambda, min_samples_leaf):
     n = len(rows)
     parent = G * G / (n + reg_lambda)
     best, found = -math.inf, None
-    if n == 2 and min_samples_leaf == 1:  # one threshold; an order is one comparison
-        a, b = rows
-        side = 1 + reg_lambda
-        for f in feats:
-            x = cols[f]
-            xa, xb = x[a], x[b]
-            if xa != xb:
-                gl = g[a] if xa < xb else g[b]
-                d = G - gl
-                gain = (gl * gl / side + d * d / side - parent) * 0.5
-                if gain > best:
-                    best, found = gain, (f, (xa + xb) / 2.0, gain)
-                elif gain != gain:
-                    return None
-        return found
     lo, hi = min_samples_leaf, n - min_samples_leaf  # rows a side may hold
     for f in feats:
         x = cols[f]
@@ -524,10 +509,8 @@ def fit_regression_tree(X, y=None, gradients=None, *, max_depth=6,
                                             (node, None)):
             if len(sub) <= small:
                 stack.append((sub.tolist(), None, None, depth + 1, of))
-            elif len(sub) >= need:
-                stack.append((sub, sub_blk, keep, depth + 1, of))
             else:
-                stack.append((sub, None, None, depth + 1, of))
+                stack.append((sub, sub_blk, keep, depth + 1, of))
     if draw is not None:
         draw.settle()
     return Tree(*zip(*nodes))
