@@ -70,7 +70,7 @@ from dataclasses import dataclass
 from functools import cache
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec, spec_from_file_location
-from itertools import repeat
+from itertools import product, repeat
 from operator import add
 from typing import NamedTuple
 
@@ -530,17 +530,9 @@ def forecast(fit: ArimaFit, y, h: int) -> np.ndarray:
 
 def default_order_candidates(s: int = 12) -> list[ArimaOrder]:
     """p,q in 0..3, d in 0..1, seasonal (P,D,Q) in {0,1}^3 at period s."""
-    out = []
-    for P in (0, 1):
-        for D in (0, 1):
-            for Q in (0, 1):
-                for p in range(4):
-                    for d in (0, 1):
-                        for q in range(4):
-                            seasonal = P or D or Q
-                            out.append(ArimaOrder(
-                                p, d, q, P, D, Q, s if seasonal else 1))
-    return out
+    return [ArimaOrder(p, d, q, P, D, Q, s if P or D or Q else 1)
+            for P, D, Q, p, d, q in product((0, 1), (0, 1), (0, 1),
+                                            range(4), (0, 1), range(4))]
 
 
 def _common_window_aic(fit: ArimaFit, y, drop_front: int) -> float:

@@ -219,25 +219,20 @@ def zero_crossings(fit: PolyFit, x_range) -> CrossingReport:
     if lo > hi:
         raise InterpretationError("empty x range")
     roots: list[float] = []
-    if fit.degree == 1:
-        c0, c1 = fit.coefficients
+    c0, c1, c2 = (*fit.coefficients, 0.0)[:3]  # a line has c2 = 0
+    if c2 == 0.0:
         if c1 != 0.0:
             roots.append(-c0 / c1)
     else:
-        c0, c1, c2 = fit.coefficients
-        if c2 == 0.0:
-            if c1 != 0.0:
-                roots.append(-c0 / c1)
-        else:
-            disc = c1 * c1 - 4.0 * c2 * c0
-            if disc == 0.0:
-                roots.append(-c1 / (2.0 * c2))
-            elif disc > 0.0:
-                # numerically stable form: avoid cancellation in -b +/- sqrt
-                sq = math.sqrt(disc)
-                q = -0.5 * (c1 + math.copysign(sq, c1))
-                roots.extend([q / c2, c0 / q] if q != 0.0 else
-                             [sq / (2 * c2), -sq / (2 * c2)])
+        disc = c1 * c1 - 4.0 * c2 * c0
+        if disc == 0.0:
+            roots.append(-c1 / (2.0 * c2))
+        elif disc > 0.0:
+            # numerically stable form: avoid cancellation in -b +/- sqrt
+            sq = math.sqrt(disc)
+            q = -0.5 * (c1 + math.copysign(sq, c1))
+            roots.extend([q / c2, c0 / q] if q != 0.0 else
+                         [sq / (2 * c2), -sq / (2 * c2)])
     tol = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
     inside = sorted(r for r in roots if lo - tol <= r <= hi + tol)
     return CrossingReport(tuple(float(r) for r in inside), (lo, hi))

@@ -5,11 +5,12 @@ One split kernel serves both families. Boosting mode scores a split by
     gain = 0.5 * (GL^2/(HL + lam) + GR^2/(HR + lam) - G^2/(H + lam))
 
 with leaf weight -G/(H + lam). Squared loss makes every hessian 1, so H
-is a node's row count. Plain mode is the same kernel run on g = -y,
-lam = 0, which makes the gain variance reduction (up to the constant 1/2)
-and the leaf the sample mean. Thresholds sit at the midpoint of adjacent
-sorted values; ties go to the lowest feature index, then the lowest
-threshold, so refits are bit-reproducible.
+is a node's row count. A forest's plain trees run the same kernel on
+g = -y, lam = 0, which makes the gain variance reduction (up to the
+constant 1/2) and the leaf the sample mean, so `fit_regression_tree`
+takes gradients only. Thresholds sit at the midpoint of adjacent sorted
+values; ties go to the lowest feature index, then the lowest threshold,
+so refits are bit-reproducible.
 
 Split search reads presorted column blocks, the exact greedy layout of
 Chen & Guestrin (2016, KDD, sec. 4.1): each tree stable-sorts its columns
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -179,8 +180,8 @@ class BoostedModel(TreeModel):
     base_score: float
     learning_rate: float
     trees: tuple[Tree, ...]
-    params: BoostParams | None = field(repr=False, default=None)
-    n_features: int = 0
+    params: BoostParams | None  # None: reloaded from model.json
+    n_features: int
 
     def predict(self, X) -> np.ndarray:
         X = _as_rows(X, self.n_features)
@@ -379,13 +380,12 @@ def _small_split(rows, feats, cols, g, G, reg_lambda, min_samples_leaf):
     return found
 
 
-def fit_regression_tree(X, y=None, gradients=None, *, max_depth=6,
-                        min_samples_leaf=1, reg_lambda=0.0,
-                        min_split_gain=0.0, max_features=None,
+def fit_regression_tree(X, *, gradients, max_depth=6, min_samples_leaf=1,
+                        reg_lambda=0.0, min_split_gain=0.0, max_features=None,
                         rng=None) -> Tree:
-    """Grow one tree. Pass y for plain mode (mean leaves, variance gain) or
-    gradients for boosting mode (leaf weight -G/(n+lam)); squared loss
-    makes every hessian 1.
+    """Grow one tree on squared-loss gradients, so every hessian is 1: leaf
+    weight -G/(n + reg_lambda). Plain mode (mean leaves, variance gain) is
+    gradients=-y with reg_lambda=0, the default.
 
     Nodes pop from one preorder stack of (rows, parent block, split mask,
     depth, the node whose right child this is). Nodes push their right
@@ -418,13 +418,7 @@ def fit_regression_tree(X, y=None, gradients=None, *, max_depth=6,
         raise ValueError("X must be a nonempty 2-d array")
     if X.shape[1] == 0:
         raise ValueError("X has no feature columns to split on")
-    if y is not None:
-        g = -np.asarray(y, dtype=float)
-        reg_lambda = 0.0
-    elif gradients is None:
-        raise ValueError("provide y or gradients")
-    else:
-        g = np.asarray(gradients, dtype=float)
+    g = np.asarray(gradients, dtype=float)
     if len(g) != X.shape[0]:
         raise ValueError("row count mismatch")
     if max_depth < 0:
@@ -542,7 +536,7 @@ def fit_random_forest(X, y, params: ForestParams) -> ForestModel:
         rng = _tree_rng(params.seed, t)
         idx = rng.integers(0, n, size=n)
         trees.append(fit_regression_tree(
-            X[idx], y[idx], max_depth=params.max_depth,
+            X[idx], gradients=-y[idx], max_depth=params.max_depth,
             min_samples_leaf=params.min_samples_leaf,
             max_features=params.max_features, rng=rng))
     return ForestModel(tuple(trees), params, p)

@@ -113,7 +113,7 @@ def test_criterion_2_axioms():
             X, y, BoostParams(n_estimators=15, max_depth=3, seed=3)),
         "forest": fit_random_forest(
             X, y, ForestParams(n_estimators=8, max_depth=3, seed=3)),
-        "tree": fit_regression_tree(X, y, max_depth=3),
+        "tree": fit_regression_tree(X, gradients=-y, max_depth=3),
         "linear": fit_linear(X, y, PenaltySpec(0.1, 0.5)),
         "svr": fit_svr(X, y, C=5.0, epsilon=0.05,
                        kernel=KernelSpec("rbf", gamma=0.4)),
@@ -128,7 +128,7 @@ def test_criterion_2_axioms():
     f = lambda Z: Z[:, 0] * 2.0 + np.sin(Z[:, 1])
     phi = exact_shapley(f, X[0], background)
     assert phi[2] == 0.0 and phi[3] == 0.0 and phi[4] == 0.0
-    tree = fit_regression_tree(X[:, :2], y, max_depth=2)
+    tree = fit_regression_tree(X[:, :2], gradients=-y, max_depth=2)
     padded = lambda Z: tree.predict(Z[:, :2])
     phi_tree = tree_shap(tree, X[0, :2], BackgroundSet(X[:12, :2]))
     # features absent from every path in a depth-2 stump stay exactly zero

@@ -615,7 +615,7 @@ class TestTreeShap:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 5))
         y = rng.normal(size=40)
-        tree = fit_regression_tree(X, y, max_depth=4)
+        tree = fit_regression_tree(X, gradients=-y, max_depth=4)
         bg = BackgroundSet(X[:7])
         predict = lambda Z: tree.predict(Z)
         for r in range(5):
@@ -777,7 +777,7 @@ def leaf_path_models(rng):
     for _ in range(40):
         n, p = int(rng.integers(4, 30)), int(rng.integers(1, 5))
         X = rng.normal(size=(n, p))
-        trees = tuple(fit_regression_tree(X, rng.normal(size=n),
+        trees = tuple(fit_regression_tree(X, gradients=-rng.normal(size=n),
                                           max_depth=int(rng.integers(0, 2)))
                       for _ in range(int(rng.integers(1, 6))))
         yield ForestModel(trees, ForestParams(n_estimators=len(trees)), p), X
@@ -1160,7 +1160,7 @@ class TestExplainMatrix:
         models = [
             fit_gradient_boosting(X, y, BoostParams(n_estimators=10, max_depth=3)),
             fit_random_forest(X, y, ForestParams(n_estimators=5, max_depth=3)),
-            fit_regression_tree(X, y, max_depth=3),
+            fit_regression_tree(X, gradients=-y, max_depth=3),
             fit_linear(X, y, PenaltySpec(0.1, 0.5)),
             fit_svr(X, y, C=5.0, epsilon=0.05, kernel=KernelSpec("rbf", gamma=0.5)),
         ]

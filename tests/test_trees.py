@@ -321,16 +321,12 @@ def recursive_grow(nodes, X, g, h, depth, max_depth, reg_lambda,
     return index
 
 
-def recursive_fit_tree(X, y=None, gradients=None, *, max_depth=6,
-                       min_samples_leaf=1, reg_lambda=0.0, min_split_gain=0.0,
-                       max_features=None, rng=None) -> Tree:
+def recursive_fit_tree(X, *, gradients, max_depth=6, min_samples_leaf=1,
+                       reg_lambda=0.0, min_split_gain=0.0, max_features=None,
+                       rng=None) -> Tree:
     """fit_regression_tree as the recursive oracle grows it."""
     X = np.asarray(X, dtype=float)
-    if y is not None:
-        g = -np.asarray(y, dtype=float)
-        reg_lambda = 0.0
-    else:
-        g = np.asarray(gradients, dtype=float)
+    g = np.asarray(gradients, dtype=float)
     nodes = []
     recursive_grow(nodes, X, g, np.ones(len(g)), 0, max_depth, reg_lambda,
                    min_split_gain, min_samples_leaf, max_features, rng)
@@ -338,11 +334,12 @@ def recursive_fit_tree(X, y=None, gradients=None, *, max_depth=6,
 
 
 def random_problem(rng):
-    """fit_regression_tree arguments over plain and boosting mode,
-    max_features draws, min_samples_leaf 1-3, reg_lambda, min_split_gain,
-    ties, constant targets, overflow-scale gradients and bootstrap samples
+    """fit_regression_tree arguments over plain mode (gradients=-y,
+    reg_lambda=0, as a forest grows) and boosting mode, max_features
+    draws, min_samples_leaf 1-3, reg_lambda, min_split_gain, ties,
+    constant targets, overflow-scale gradients and bootstrap samples
     (repeated rows, as a forest draws them); returns (X, kwargs, seed,
-    whether the rows were resampled)."""
+    whether the rows were resampled, the mode)."""
     boot = rng.uniform() < 0.3
     n = int(rng.integers(1, 120 if boot else 40))  # bootstraps forest-sized
     p = int(rng.integers(1, 6))
@@ -372,12 +369,14 @@ def random_problem(rng):
         max_features=(None if rng.uniform() < 0.4
                       else int(rng.integers(1, p + 2))))
     if rng.uniform() < 0.5:
-        kwargs["y"] = target
+        mode = "plain"
+        kwargs.update(gradients=-target, reg_lambda=0.0)
     else:
+        mode = "boosting"
         if rng.uniform() < 0.1:  # the parent score overflows: no split
             target = target * 1e200
         kwargs["gradients"] = target
-    return X, kwargs, int(rng.integers(0, 2 ** 31)), boot
+    return X, kwargs, int(rng.integers(0, 2 ** 31)), boot, mode
 
 
 class TestPreorderGrowth:
@@ -387,7 +386,7 @@ class TestPreorderGrowth:
                        bootstrap=0, small_splits=0, array_splits=0)
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(600):
-                X, kwargs, seed, boot = random_problem(rng)
+                X, kwargs, seed, boot, mode = random_problem(rng)
                 tree_rng = np.random.default_rng(seed)
                 oracle_rng = np.random.default_rng(seed)
                 tree = fit_regression_tree(X, rng=tree_rng, **kwargs)
@@ -399,7 +398,6 @@ class TestPreorderGrowth:
                 assert (tree_rng.bit_generator.state
                         == oracle_rng.bit_generator.state)
                 split = len(tree.feature) > 1
-                mode = "plain" if "y" in kwargs else "boosting"
                 reached[mode] += split
                 reached["drawn"] += split and (kwargs["max_features"] or 9) < X.shape[1]
                 reached["min_leaf"] += split and kwargs["min_samples_leaf"] > 1
@@ -426,7 +424,7 @@ class TestPreorderGrowth:
         for t, tree in enumerate(forest.trees):
             tree_rng = _tree_rng(params.seed, t)
             idx = tree_rng.integers(0, 68, size=68)
-            oracle = recursive_fit_tree(X[idx], y[idx], max_depth=6,
+            oracle = recursive_fit_tree(X[idx], gradients=-y[idx], max_depth=6,
                                         max_features=4, rng=tree_rng)
             for name in NODE_ARRAYS:
                 a, b = getattr(tree, name), getattr(oracle, name)
@@ -455,7 +453,7 @@ class TestSmallNodes:
         rng = np.random.default_rng(37)
         problems = []
         for _ in range(300):
-            X, kwargs, seed, _ = random_problem(rng)
+            X, kwargs, seed, _, _ = random_problem(rng)
             X = X.copy()
             if rng.uniform() < 0.3:
                 X.flat[rng.integers(0, X.size, size=2)] = rng.choice(
@@ -485,8 +483,8 @@ class TestSmallNodes:
         X = np.array([[1e308], [1.7e308], [1e308]])
         y = np.array([1.0, 2.0, 4.0])
         with np.errstate(over="ignore", invalid="ignore"):
-            tree = fit_regression_tree(X, y, max_depth=2)
-            oracle = recursive_fit_tree(X, y, max_depth=2)
+            tree = fit_regression_tree(X, gradients=-y, max_depth=2)
+            oracle = recursive_fit_tree(X, gradients=-y, max_depth=2)
         assert math.isinf(tree.threshold[0])
         assert np.isnan(tree.value[tree.cover == 0]).all() and (tree.cover == 0).any()
         for name in NODE_ARRAYS:
@@ -569,10 +567,12 @@ class TestColumnDraw:
         X = rng.normal(size=(400, 6))
         y = X[:, 0] + rng.normal(size=400)
         tree_rng, oracle_rng = (np.random.default_rng(9) for _ in range(2))
-        tree = fit_regression_tree(X, y, max_depth=12, min_samples_leaf=2,
-                                   max_features=3, rng=tree_rng)
-        oracle = recursive_fit_tree(X, y, max_depth=12, min_samples_leaf=2,
-                                    max_features=3, rng=oracle_rng)
+        tree = fit_regression_tree(X, gradients=-y, max_depth=12,
+                                   min_samples_leaf=2, max_features=3,
+                                   rng=tree_rng)
+        oracle = recursive_fit_tree(X, gradients=-y, max_depth=12,
+                                    min_samples_leaf=2, max_features=3,
+                                    rng=oracle_rng)
         for name in NODE_ARRAYS:
             assert getattr(tree, name).tobytes() == getattr(oracle, name).tobytes()
         assert tree_rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -612,10 +612,10 @@ class TestColumnDraw:
             X = rng.normal(size=(60, 8))
             y = X[:, 0] * X[:, 1] + rng.normal(size=60)
             tree_rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
-            tree = fit_regression_tree(X, y, max_depth=depth, max_features=3,
-                                       rng=tree_rng)
-            oracle = recursive_fit_tree(X, y, max_depth=depth, max_features=3,
-                                        rng=oracle_rng)
+            tree = fit_regression_tree(X, gradients=-y, max_depth=depth,
+                                       max_features=3, rng=tree_rng)
+            oracle = recursive_fit_tree(X, gradients=-y, max_depth=depth,
+                                        max_features=3, rng=oracle_rng)
             for name in NODE_ARRAYS:
                 assert getattr(tree, name).tobytes() == getattr(oracle, name).tobytes()
             assert tree_rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -631,7 +631,8 @@ class TestColumnDraw:
                               (dict(max_depth=4, min_samples_leaf=10), True)]:
             tree_rng = np.random.default_rng(5)
             before = tree_rng.bit_generator.state
-            tree = fit_regression_tree(X, y, max_features=2, rng=tree_rng, **kwargs)
+            tree = fit_regression_tree(X, gradients=-y, max_features=2,
+                                       rng=tree_rng, **kwargs)
             assert (tree_rng.bit_generator.state != before) == draws
             assert draws or tree.feature.tolist() == [-1]
 
@@ -647,12 +648,21 @@ class TestTreeArguments:
     def test_invalid_argument_named(self, kwargs, name):
         X = np.arange(12, dtype=float).reshape(6, 2)
         with pytest.raises(ValueError, match=name):
-            fit_regression_tree(X, np.arange(6.0), **kwargs)
+            fit_regression_tree(X, gradients=np.arange(6.0), **kwargs)
 
     @pytest.mark.parametrize("n", [1, 2, SMALL_NODE_ROWS, SMALL_NODE_ROWS + 1, 20])
     def test_no_columns_rejected(self, n):
         with pytest.raises(ValueError, match="no feature columns"):
-            fit_regression_tree(np.empty((n, 0)), np.arange(float(n)))
+            fit_regression_tree(np.empty((n, 0)), gradients=np.arange(float(n)))
+
+    def test_targets_rejected(self):
+        # gradients only: an old positional or y= target fails loudly
+        # instead of growing a negated tree
+        X = np.arange(12, dtype=float).reshape(6, 2)
+        with pytest.raises(TypeError):
+            fit_regression_tree(X, np.arange(6.0))
+        with pytest.raises(TypeError):
+            fit_regression_tree(X, y=np.arange(6.0))
 
     def test_negative_reg_lambda_rejected(self):
         X = np.arange(12, dtype=float).reshape(6, 2)
@@ -672,7 +682,7 @@ class TestTreeArguments:
 class TestSingleTree:
     def test_constant_target_single_leaf(self):
         X = np.arange(10, dtype=float)[:, None]
-        tree = fit_regression_tree(X, np.full(10, 3.7))
+        tree = fit_regression_tree(X, gradients=np.full(10, -3.7))
         assert tree.feature.tolist() == [-1]
         assert tree.value[0] == pytest.approx(3.7)
 
@@ -681,7 +691,7 @@ class TestSingleTree:
         X = np.sort(rng.uniform(0, 1, size=20))[:, None]
         y = (X[:, 0] >= 0.5).astype(float)
         _, f_star, thr_star = brute_force_best_split(X, y)
-        tree = fit_regression_tree(X, y, max_depth=1)
+        tree = fit_regression_tree(X, gradients=-y, max_depth=1)
         assert tree.feature[0] == f_star
         assert tree.threshold[0] == pytest.approx(thr_star)
         # midpoint of the pair straddling the step
@@ -692,7 +702,7 @@ class TestSingleTree:
     def test_max_depth_zero_returns_mean_leaf(self):
         X = np.arange(6, dtype=float)[:, None]
         y = np.array([1.0, 2, 3, 4, 5, 6])
-        tree = fit_regression_tree(X, y, max_depth=0)
+        tree = fit_regression_tree(X, gradients=-y, max_depth=0)
         assert tree.feature.tolist() == [-1]
         assert tree.value[0] == pytest.approx(3.5)
 
@@ -700,7 +710,7 @@ class TestSingleTree:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
-        tree = fit_regression_tree(X, y, max_depth=3)
+        tree = fit_regression_tree(X, gradients=-y, max_depth=3)
         preds = predict_tree(tree, X)
         leaves = set()
 
@@ -716,7 +726,7 @@ class TestSingleTree:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            fit_regression_tree(np.empty((0, 2)), np.empty(0))
+            fit_regression_tree(np.empty((0, 2)), gradients=np.empty(0))
 
 
 class TestRandomForest:
@@ -847,11 +857,24 @@ class TestSerialization:
         X = np.array([[-1.0, 9.0], [0.0, 9.0], [0.5, 9.0]])
         np.testing.assert_array_equal(forest.predict(X), [-1.0, -1.0, 2.0])
 
+    def test_every_ensemble_checks_its_width(self):
+        # n_features has no default: rows of another width raise, fitted,
+        # hand-built or reloaded
+        tree = stump(0, 0.0, -1.0, 2.0)
+        with pytest.raises(TypeError):
+            BoostedModel(0.0, 0.5, (tree,))
+        for model in (ForestModel((tree,), None, 2),
+                      BoostedModel(0.0, 0.5, (tree,), None, 2)):
+            for m in (model, model_from_json(model_to_json(model))):
+                assert m.predict(np.zeros((3, 2))).shape == (3,)
+                with pytest.raises(ValueError, match="feature columns"):
+                    m.predict(np.zeros((3, 3)))
+
     def test_round_trip_all_kinds(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(30, 3))
         y = rng.normal(size=30)
-        tree = fit_regression_tree(X, y, max_depth=3)
+        tree = fit_regression_tree(X, gradients=-y, max_depth=3)
         forest = fit_random_forest(X, y, ForestParams(n_estimators=4, max_depth=2))
         boost = fit_gradient_boosting(X, y, BoostParams(n_estimators=4, max_depth=2))
         for model in (tree, forest, boost):
