@@ -55,28 +55,25 @@ the arguments `scipy.signal.lfilter` passes it whenever the denominator has
 more than one coefficient, as every MA order's does. So each innovation is
 lfilter's to the bit, without lfilter's Python-side checks and without
 running `scipy/signal/__init__.py`, which imports most of scipy. The
-extension is loaded by `_linear_filter_kernel` the first time an order with
-MA terms is built, once per process, and registered under its package name,
-so a later `import scipy.signal` reuses it.
+extension is loaded by `evaluation.scipy_extension`, the loader that also
+gives the DM test its tails, the first time an order with MA terms is built,
+once per process, and registered under its package name, so a later
+`import scipy.signal` reuses it.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
-from importlib.machinery import PathFinder
-from importlib.util import module_from_spec, spec_from_file_location
 from itertools import product, repeat
 from operator import add
 from typing import NamedTuple
 
 import numpy as np
 
-from .evaluation import pow2_scaled
+from .evaluation import pow2_scaled, scipy_extension
 
 # the numerator of every MA filter; the kernel reads it and never writes it
 ONE = np.ones(1)
@@ -206,30 +203,6 @@ def _ma_lags(theta, stheta, s: int) -> np.ndarray:
     return np.array(_expand(theta, stheta, s, 1.0), dtype=float)
 
 
-@cache
-def _linear_filter_kernel():
-    """`_linear_filter(b, a, x, axis)` of scipy.signal._sigtools, loaded
-    from its extension file without running scipy/signal/__init__.py (the
-    module already in sys.modules when scipy.signal was imported first)."""
-    name = "scipy.signal._sigtools"
-    module = sys.modules.get(name)
-    if module is None:
-        import scipy
-        found = PathFinder.find_spec(
-            "_sigtools", [os.path.join(scipy.__path__[0], "signal")])
-        if found is None or found.origin is None:
-            raise ImportError(f"no {name} extension in {scipy.__path__[0]}")
-        spec = spec_from_file_location(name, found.origin)
-        module = module_from_spec(spec)
-        sys.modules[name] = module  # before exec, as the import system does
-        try:
-            spec.loader.exec_module(module)
-        except BaseException:
-            del sys.modules[name]
-            raise
-    return module._linear_filter
-
-
 def _innovations(w, order: ArimaOrder):
     """theta -> conditional innovations of w under `order`, for t >= order.k_ar,
     with pre-sample innovations zero. theta is a list laid out as
@@ -245,7 +218,7 @@ def _innovations(w, order: ArimaOrder):
         lagged, target = w[idx], w[k_ar:]
         dot = lagged.dot
     if has_ma:
-        linear_filter = _linear_filter_kernel()
+        linear_filter = scipy_extension("signal", "_sigtools")._linear_filter
         den = np.ones(1 + order.q + s * order.Q)  # [1, b_1, b_2, ...]
     seasonal_ar, seasonal_ma = bool(order.P), bool(order.Q)
     subtract = np.subtract

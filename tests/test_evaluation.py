@@ -111,6 +111,13 @@ class TestDmTest:
         assert res.statistic == 0.0
         assert res.pvalue == 1.0
 
+    def test_equal_squared_losses(self):
+        # e and -e differ at every step but lose the same: d is all zeros
+        e = np.random.default_rng(1).normal(size=30)
+        for h in (1, 3):
+            res = dm_test(e, -e, h=h)
+            assert (res.statistic, res.pvalue) == (0.0, 1.0)
+
     def test_antisymmetry(self):
         rng = np.random.default_rng(2)
         a = rng.normal(size=40)

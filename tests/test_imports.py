@@ -3,11 +3,17 @@
 Start-up, config loading, data loading, `synth` and `explain` (TreeSHAP for
 random_forest, exact enumeration for ridge on a 12-feature schema) load no
 scipy module. `run` loads what its fits and scores use, when they first use it:
-with AR-only benchmark candidates that is scipy.special (the DM tails) and
-nothing else from scipy. A candidate order with MA terms adds one extension,
-scipy.signal._sigtools (the compiled filter kernel of the MA recursion),
-without scipy.signal itself, and a later `import scipy.signal` in the same
-interpreter reuses that extension and filters to the same bits.
+with AR-only benchmark candidates that is the `scipy` package itself and the
+compiled `scipy.special._ufuncs` extension (the DM tails) with the compiled
+siblings its init imports, all loaded by `evaluation.scipy_extension` without
+running scipy/special/__init__.py. That package import, whose array-API layer
+loads numpy.f2py, numpy.testing and about 250 more modules, takes about 330 ms
+and 26 MB of peak memory in a fresh interpreter; an AR-only `run` loads about
+280 modules instead of about 540. A candidate order with MA terms adds one more
+extension, scipy.signal._sigtools (the compiled filter kernel of the MA
+recursion), without scipy.signal itself. A later `import scipy.special` or
+`import scipy.signal` in the same interpreter reuses those extensions, so its
+ufuncs and kernel are the very objects the package used, and give the same bits.
 
 `explain` loads no numpy.ma either: the outlier filter's quartiles do not go
 through `np.percentile`, whose `np.unique` imports it (about 17 ms).
@@ -17,8 +23,10 @@ import json
 import os
 import subprocess
 import sys
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import pytest
+import scipy
 
 import forecastlab
 from forecastlab.dataset import default_schema
@@ -26,10 +34,14 @@ from forecastlab.dataset import default_schema
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(forecastlab.__file__)))
 QUICKSTART = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                           "quickstart.json")
+SPECIAL_DIR = os.path.join(scipy.__path__[0], "special")
 
-LIST_SCIPY = """
-print(json.dumps(sorted(m for m in sys.modules
-                        if m == "scipy" or m.startswith("scipy."))))
+# what scipy.special's package import loads and the extension loader must not
+PACKAGE_IMPORT = {"scipy.special", "scipy._lib._array_api", "numpy.f2py",
+                  "numpy.testing"}
+
+LIST_MODULES = """
+print(json.dumps(sorted(sys.modules)))
 """
 
 START_UP = """
@@ -46,23 +58,23 @@ assert cli.main(["explain", "--config", tiny, "--out", out,
                  "--model", "random_forest"]) == 0
 assert cli.main(["explain", "--config", narrow, "--out", out + "-ridge",
                  "--model", "ridge"]) == 0
-""" + LIST_SCIPY
+""" + LIST_MODULES
 
 RUN = """
 import json, sys
 from forecastlab import cli
 tiny, out = sys.argv[1:]
 assert cli.main(["run", "--config", tiny, "--out", out]) == 0
-""" + LIST_SCIPY
+""" + LIST_MODULES
 
 SWEEP = """
 import json, sys
 from forecastlab import cli
 config, out = sys.argv[1:]
 assert cli.main(["sweep", "--config", config, "--out", out]) == 0
-""" + LIST_SCIPY
+""" + LIST_MODULES
 
-SPECIAL = "import json, sys\nimport scipy.special\n" + LIST_SCIPY
+SCIPY = "import json, sys\nimport scipy\n" + LIST_MODULES
 
 EXPLAIN_MA = """
 import json, sys
@@ -81,7 +93,8 @@ print(json.dumps([forest, "numpy.ma" in sys.modules]))
 FILTER_ORACLE = """
 import json, sys
 import numpy as np
-from forecastlab.arima import ArimaOrder, _innovations, _linear_filter_kernel
+from forecastlab.arima import ArimaOrder, _innovations
+from forecastlab.evaluation import scipy_extension
 first = sys.argv[1]
 if first == "scipy.signal":
     from scipy.signal import lfilter
@@ -96,7 +109,88 @@ want = lfilter([1.0], [1.0, *b], w - 0.1)
 sigtools = sys.modules["scipy.signal._sigtools"]
 print(json.dumps({"equal": got.tobytes() == want.tobytes(),
                   "one_kernel": signaltools._sigtools is sigtools
-                  and _linear_filter_kernel() is sigtools._linear_filter}))
+                  and scipy_extension("signal", "_sigtools") is sigtools}))
+"""
+
+
+# the p-values of test_evaluation's test_tails_equal_scipy_stats_bitwise
+# cases, with scipy.special imported before dm_test when argv[1] says so;
+# prints whether they are scipy.stats' bytes and the package's ufuncs are
+# the loader's
+TAILS_ORACLE = """
+import json, sys
+import numpy as np
+if sys.argv[1] == "scipy.special":
+    import scipy.special
+from forecastlab.evaluation import EvaluationError, dm_test, scipy_extension
+rng = np.random.default_rng(8)
+scored = []
+for case in range(600):
+    n = int(rng.integers(8, 121))
+    h = int(rng.integers(1, 5))
+    a = rng.normal(size=n) * rng.uniform(0.3, 4.0)
+    b = rng.normal(size=n)
+    small = (None, True, False)[case % 3]
+    try:
+        scored.append((n, dm_test(a, b, h=h, small_sample=small)))
+    except EvaluationError:  # nonpositive long-run variance at h > 1
+        pass
+package_first = "scipy.special" in sys.modules
+from scipy import stats
+import scipy.special
+equal = True
+for n, res in scored:
+    x = abs(res.statistic)
+    if res.small_sample:
+        want = 2.0 * float(stats.t.sf(x, df=n - 1))
+    else:
+        want = 2.0 * float(stats.norm.sf(x))
+    equal &= np.float64(res.pvalue).tobytes() == np.float64(want).tobytes()
+ufuncs = scipy_extension("special", "_ufuncs")
+print(json.dumps({
+    "equal": equal, "package_first": package_first,
+    "small": sum(res.small_sample for _, res in scored),
+    "large": sum(not res.small_sample for _, res in scored),
+    "one_ufunc": scipy.special._ufuncs is ufuncs
+    and scipy.special.stdtr is ufuncs.stdtr
+    and scipy.special.ndtr is ufuncs.ndtr}))
+"""
+
+# stands in for the _ufuncs extension file in the loader's "raising" mode:
+# it imports a compiled sibling through the bare stand-in package, then fails
+FAKE_UFUNCS = """
+import sys
+from . import _ufuncs_cxx
+sys.modules["__main__"].seen = (sys.modules[__package__], _ufuncs_cxx)
+raise RuntimeError("init failed")
+"""
+
+# `run` with the loader's finder replaced: argv[1] "missing" finds no
+# extension file, "raising" finds the FAKE_UFUNCS file at argv[2]; prints
+# what scipy.special is afterwards and what the fake saw
+FALLBACK = """
+import json, os, sys, types
+import forecastlab.evaluation as evaluation
+from forecastlab import cli
+mode, fake, config, out = sys.argv[1:]
+seen = None
+
+class Finder:
+    @staticmethod
+    def find_spec(name, path):
+        return None if mode == "missing" else types.SimpleNamespace(origin=fake)
+
+evaluation.PathFinder = Finder
+assert cli.main(["run", "--config", config, "--out", out]) == 0
+special = sys.modules["scipy.special"]
+ufuncs = evaluation.scipy_extension("special", "_ufuncs")
+print(json.dumps({
+    "package": os.path.basename(special.__file__),
+    "extension": os.path.dirname(ufuncs.__file__) == special.__path__[0],
+    "one_ufunc": special.stdtr is ufuncs.stdtr and special.ndtr is ufuncs.ndtr,
+    "stand_in": seen is not None and not hasattr(seen[0], "__file__"),
+    "sibling_reused": seen is not None
+    and seen[1] is sys.modules["scipy.special._ufuncs_cxx"]}))
 """
 
 
@@ -112,7 +206,27 @@ def last_line(script, *args, cwd):
 
 
 def scipy_modules(script, *args, cwd):
-    return set(last_line(script, *args, cwd=cwd))
+    return {m for m in last_line(script, *args, cwd=cwd)
+            if m == "scipy" or m.startswith("scipy.")}
+
+
+def is_special_extension(name):
+    """Whether `name` is a compiled extension module of scipy.special."""
+    package, _, leaf = name.rpartition(".")
+    return package == "scipy.special" and any(
+        os.path.exists(os.path.join(SPECIAL_DIR, leaf + suffix))
+        for suffix in EXTENSION_SUFFIXES)
+
+
+def assert_only_special_extensions(loaded, cwd):
+    """The scipy modules of `loaded` beyond those `import scipy` loads are
+    `scipy.special._ufuncs` and other compiled extensions of scipy.special,
+    and nothing of scipy.special's package import is among `loaded`."""
+    added = {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+    added -= scipy_modules(SCIPY, cwd=cwd)
+    assert "scipy.special._ufuncs" in added
+    assert all(map(is_special_extension, added)), sorted(added)
+    assert not loaded & PACKAGE_IMPORT
 
 
 def tiny_config(tmp_path, name="tiny", **overrides):
@@ -165,11 +279,10 @@ def test_explain_loads_no_numpy_ma(tmp_path):
     assert (tmp_path / "out-ridge" / "functional_form.json").exists()
 
 
-def test_ar_only_run_loads_only_scipy_special(tmp_path):
-    loaded = scipy_modules(RUN, tiny_config(tmp_path), str(tmp_path / "out"),
-                           cwd=tmp_path)
-    assert "scipy.special" in loaded
-    assert loaded <= scipy_modules(SPECIAL, cwd=tmp_path)
+def test_ar_only_run_loads_only_special_extensions(tmp_path):
+    loaded = set(last_line(RUN, tiny_config(tmp_path), str(tmp_path / "out"),
+                           cwd=tmp_path))
+    assert_only_special_extensions(loaded, tmp_path)
     assert (tmp_path / "out" / "metrics.csv").exists()
 
 
@@ -194,11 +307,12 @@ def test_ma_sweep_loads_only_the_filter_kernel(tmp_path):
 
 
 def test_ma_run_adds_only_the_filter_kernel(tmp_path):
-    loaded = scipy_modules(RUN, ma_config(tmp_path, "run"),
-                           str(tmp_path / "out"), cwd=tmp_path)
+    loaded = set(last_line(RUN, ma_config(tmp_path, "run"),
+                           str(tmp_path / "out"), cwd=tmp_path))
     assert "scipy.signal._sigtools" in loaded
-    assert loaded <= (scipy_modules(SPECIAL, cwd=tmp_path)
-                      | {"scipy.signal._sigtools"})
+    assert "scipy.signal" not in loaded
+    assert_only_special_extensions(loaded - {"scipy.signal._sigtools"},
+                                   tmp_path)
     assert (tmp_path / "out" / "metrics.csv").exists()
 
 
@@ -206,3 +320,31 @@ def test_ma_run_adds_only_the_filter_kernel(tmp_path):
 def test_lfilter_after_the_kernel_filters_to_the_same_bits(tmp_path, first):
     assert last_line(FILTER_ORACLE, first, cwd=tmp_path) == {
         "equal": True, "one_kernel": True}
+
+
+@pytest.mark.parametrize("first", ["forecastlab", "scipy.special"])
+def test_dm_tails_equal_scipy_stats_in_either_import_order(tmp_path, first):
+    got = last_line(TAILS_ORACLE, first, cwd=tmp_path)
+    assert min(got.pop("small"), got.pop("large")) >= 150
+    assert got == {"equal": True, "package_first": first == "scipy.special",
+                   "one_ufunc": True}
+
+
+def output_bytes(out):
+    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+@pytest.mark.parametrize("mode", ["missing", "raising"])
+def test_loader_falls_back_to_the_package_import(tmp_path, mode):
+    fake = tmp_path / "fake_ufuncs.py"
+    fake.write_text(FAKE_UFUNCS)
+    config = tiny_config(tmp_path)
+    got = last_line(FALLBACK, mode, str(fake), config,
+                    str(tmp_path / "fallback"), cwd=tmp_path)
+    raised = mode == "raising"  # the fake ran under the stand-in, then failed
+    assert got == {"package": "__init__.py", "extension": True,
+                   "one_ufunc": True, "stand_in": raised,
+                   "sibling_reused": raised}
+    last_line(RUN, config, str(tmp_path / "loaded"), cwd=tmp_path)
+    assert (output_bytes(tmp_path / "fallback")
+            == output_bytes(tmp_path / "loaded"))
