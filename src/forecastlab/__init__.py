@@ -26,6 +26,7 @@ from .trees import (
     fit_regression_tree,
     model_from_json,
     model_to_json,
+    predict_tree,
 )
 from .tuning import CvPlan, ParamGrid, grid_search, kfold_indices
 

@@ -150,8 +150,8 @@ class ArimaFit:
     converged: bool
     n_eff: int
     start_css: tuple[float, ...]  # objective at each multistart point
-    ar_stationary: bool = True
-    ma_invertible: bool = True
+    ar_stationary: bool
+    ma_invertible: bool
 
     @property
     def theta(self) -> list:

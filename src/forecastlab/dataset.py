@@ -285,6 +285,15 @@ def chrono_split(frame: SeriesFrame, test_months: int) -> tuple[SeriesFrame, Ser
     return train, test
 
 
+def feature_rows(X, n_features: int) -> np.ndarray:
+    """X as 2-d float rows of exactly n_features columns: the row check of
+    every fitted model's predict."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise ValueError(f"expected {n_features} feature columns, got shape {X.shape}")
+    return X
+
+
 @dataclass(frozen=True)
 class Standardization:
     """Per-feature center/scale computed on training data (population sd)."""

@@ -138,8 +138,8 @@ def dm_test(errors_a, errors_b, h: int = 1,
     n = len(a)
     if n < 8:
         raise EvaluationError(f"need at least 8 forecasts, got {n}")
-    if h < 1:
-        raise EvaluationError(f"horizon must be >= 1, got {h}")
+    if not 1 <= h < n:  # lags reach past the sample at h >= n
+        raise EvaluationError(f"horizon must be in [1, {n - 1}], got {h}")
     if small_sample is None:
         small_sample = n < SMALL_SAMPLE_N
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import coerce_fields, finite
+from .dataset import coerce_fields, feature_rows, finite
 
 CONVERGENCE_TOL = 1e-8
 MAX_SWEEPS = 10_000
@@ -68,9 +68,9 @@ class LinearModel:
     intercept: float
     coefficients: np.ndarray
     penalty: PenaltySpec
-    converged: bool = True
-    n_sweeps: int = 0
-    jitter_applied: bool = False
+    converged: bool
+    n_sweeps: int
+    jitter_applied: bool
 
     def __post_init__(self):
         coefs = np.asarray(self.coefficients, dtype=float)
@@ -86,11 +86,7 @@ class LinearModel:
 
     def predict(self, X) -> np.ndarray:
         """b + X beta."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(
-                f"expected {self.n_features} feature columns, got {X.shape}")
-        return self.intercept + X @ self.coefficients
+        return self.intercept + feature_rows(X, self.n_features) @ self.coefficients
 
 
 def _fit_unpenalized(X, y):
@@ -189,4 +185,4 @@ def fit_linear(X, y, penalty: PenaltySpec) -> LinearModel:
             break
 
     return LinearModel(b, np.array(coef, dtype=float), penalty,
-                       converged=converged, n_sweeps=sweeps)
+                       converged=converged, n_sweeps=sweeps, jitter_applied=False)

@@ -13,7 +13,7 @@ elsewhere. Two engines compute the same quantity:
     `predict` must score every row independently of its batch.
   * tree_shap - leaf-wise interventional TreeSHAP (Lundberg et al. 2020;
     Laberge & Pequignot 2022) over one leaf-path table (`LeafPaths`) of
-    the trees a tree model's `tree_terms()` yields, which `leaf_paths`
+    the trees an ensemble's `tree_terms()` yields, which `leaf_paths`
     builds in one walk and the model caches. Background rows that leave a
     leaf's path at the same steps give the same terms, so one array pass
     scores every (query row, leaf, background group) triple, weighted by
@@ -24,7 +24,8 @@ elsewhere. Two engines compute the same quantity:
 
 explain_matrix predicts through the model's `.predict(X)`, or calls a bare
 prediction function. A model with an `attributions(rows, background)` method
-picks its own engine (tree models run TreeSHAP); any other is enumerated.
+picks its own engine (forests and boosted ensembles run TreeSHAP); any
+other is enumerated. A bare `Tree` is a node record, not a model.
 
 Attributions plus the base value (mean model output over the background)
 always sum to the model's prediction for the explained row.
@@ -334,35 +335,34 @@ def _key_words(bits: np.ndarray) -> list[np.ndarray]:
     return words
 
 
-def _one_word(depth: int, n_major: int) -> bool:
-    """Whether `_packed` keys for this depth hold majors below n_major."""
-    return depth <= _KEY_DIGITS and n_major <= 1 << (63 - 2 * depth)
-
-
-def _packed(word: np.ndarray, major, depth: int) -> np.ndarray:
-    """word, in place, as major << 2*depth | word >> (62 - 2*depth). A
-    `_key_words` word of depth <= _KEY_DIGITS keeps every digit in its
-    2*depth top bits, so when `_one_word` holds, the packed keys sort as
-    the (major, word) pairs do."""
-    word >>= 2 * (_KEY_DIGITS - depth)
-    word |= major << 2 * depth
-    return word
+def _pair_order(words: list[np.ndarray], major, n_major: int, depth: int):
+    """(order, keys): the stable order of pairs by major (below n_major,
+    broadcast against each word), then by their `_key_words` words, and
+    the keys that set it. A path of at most _KEY_DIGITS steps has one word,
+    whose digits fill its top 2*depth bits; when the majors fit above
+    them, the word, which must be a fresh array, becomes
+    major << 2*depth | word >> (62 - 2*depth) in place, which sorts as the
+    (major, word) pairs do, and one stable argsort gives the order. Else a
+    lexsort over the major and the words does."""
+    if depth <= _KEY_DIGITS and n_major <= 1 << (63 - 2 * depth):
+        word = words[0]
+        word >>= 2 * (_KEY_DIGITS - depth)
+        word |= major << 2 * depth
+        keys = [word.ravel()]
+        return np.argsort(keys[0], kind="stable"), keys
+    keys = [np.broadcast_to(major, words[0].shape).ravel()] + [w.ravel() for w in words]
+    return np.lexsort(keys[::-1]), keys
 
 
 def _background_groups(back: _PathSide, depth: int):
     """Each leaf's background rows (`back`) grouped by their keys words:
     per group its leaf, row count, and keys, feature_keys, inside and
     by_feature, the same for all its rows. The (leaf, row) pairs, leaf-major,
-    are sorted once: one stable argsort of `_packed` keys when they fit one
-    word, else a lexsort over leaf and key words."""
+    are sorted once (`_pair_order`, leaf major)."""
     B, n_leaves = back.inside.shape
-    if _one_word(depth, n_leaves):
-        key = _packed(back.keys[0].T.copy(), np.arange(n_leaves)[:, None], depth)
-        keys = [key.ravel()]  # a view: the copy is leaf-major
-        order = np.argsort(keys[0], kind="stable")
-    else:
-        keys = [np.repeat(np.arange(n_leaves), B)] + [w.T.ravel() for w in back.keys]
-        order = np.lexsort(keys[::-1])
+    # leaf-major copies, so ravel() is a view
+    order, keys = _pair_order([w.T.copy() for w in back.keys],
+                              np.arange(n_leaves)[:, None], n_leaves, depth)
     changed = np.zeros(order.size - 1, dtype=bool)
     for key in keys:
         ordered = key[order]
@@ -376,7 +376,7 @@ def _background_groups(back: _PathSide, depth: int):
 
 
 def tree_shap(model, X, background: BackgroundSet) -> np.ndarray:
-    """Exact interventional Shapley values of a tree, forest or boosted
+    """Exact interventional Shapley values of a forest or boosted
     ensemble: (rows, p) for a 2-d X, (p,) for one 1-d row. Per-tree
     attributions combine linearly, each tree weighted by the scale the
     model's `tree_terms()` pairs it with.
@@ -397,8 +397,7 @@ def tree_shap(model, X, background: BackgroundSet) -> np.ndarray:
     groups in lexicographic digit-string order. That is the visit order of
     a depth-first recursion that takes the query row's side first, so the
     result equals that recursion bit for bit. A chunk's pairs take that
-    order from one stable argsort of `_packed` keys, (row, tree) above the
-    digits, when they fit one int64 word (`_one_word`), else from a lexsort.
+    order from `_pair_order`, with the major row * n_trees + tree.
     Query rows go through in chunks of about TREE_CHUNK_TRIPLES triples, at
     least one row a chunk."""
     if not hasattr(model, "tree_terms"):
@@ -432,12 +431,10 @@ def tree_shap(model, X, background: BackgroundSet) -> np.ndarray:
         q, g = np.divmod(np.flatnonzero(ok), len(count))
         leaf = g_leaf[g]
         ql = q * n_leaves + leaf
-        keys = [2 * qw.ravel().take(ql) + gw[g] for qw, gw in zip(query.keys, g_keys)]
-        if _one_word(depth, len(block) * n_trees):
-            order = np.argsort(_packed(keys[0], q * n_trees + tree_of[leaf], depth),
-                               kind="stable")
-        else:
-            order = np.lexsort(keys[::-1] + [tree_of[leaf], q])
+        order = _pair_order([2 * qw.ravel().take(ql) + gw[g]
+                             for qw, gw in zip(query.keys, g_keys)],
+                            q * n_trees + tree_of[leaf], len(block) * n_trees,
+                            depth)[0]
         q, g, leaf, ql = q[order], g[order], leaf[order], ql[order]
         w = weight[leaf] * count[g] / B
         uv = (p + 1) * g_u[g] + query.by_feature.sum(axis=2).ravel().take(ql)
@@ -446,7 +443,7 @@ def tree_shap(model, X, background: BackgroundSet) -> np.ndarray:
         in_v = query.by_feature.reshape(-1, depth).take(ql, axis=0).ravel()
         on = np.flatnonzero(in_u | in_v)  # (pair, step) flags of U or V, row-major
         # the term stage sets the call's peak: drop what it does not read
-        del keys, order, g, ql, w, uv, in_v
+        del order, g, ql, w, uv, in_v
         e, k = np.divmod(on, depth)
         term = np.where(in_u.take(on), plus.take(e), minus.take(e))
         del in_u, on, plus, minus

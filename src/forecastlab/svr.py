@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import coerce_fields, finite, integer, optional
+from .dataset import coerce_fields, feature_rows, finite, integer, optional
 
 KKT_TOL = 1e-3
 MAX_PAIR_UPDATES = 100_000
@@ -87,8 +87,8 @@ class SvrModel:
     gamma: float
     C: float
     epsilon: float
-    converged: bool = True
-    n_updates: int = 0
+    converged: bool
+    n_updates: int
 
     @property
     def n_features(self) -> int:
@@ -100,10 +100,7 @@ class SvrModel:
         Rows go through the kernel in blocks of about PREDICT_BLOCK_CELLS
         kernel entries, so a large X keeps its kernel temporaries
         cache-sized instead of rows x support rows at once."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(f"expected {self.n_features} feature columns, "
-                             f"got {X.shape}")
+        X = feature_rows(X, self.n_features)
         # whole groups of 4 rows: BLAS matrix-vector kernels round rows in
         # groups of 4, so aligned blocks keep a row's bits in most cases
         step = max(4, PREDICT_BLOCK_CELLS // self.support_rows.shape[0] // 4 * 4)

@@ -23,11 +23,12 @@ leaves the generator in the state, of a per-node rng.choice draw; within
 numpy's Floyd range one rng.integers call draws a block of nodes' columns
 (`_ColumnDraw`).
 
-A tree is a set of parallel node arrays in preorder (the layout model.json
-stores; cover is the row count), and every model here predicts through
-`.predict(X)`. An explained model caches the TreeSHAP leaf-path table of
-its trees, which `shapley` lays out and builds; no tree keeps a table of
-its own.
+A `Tree` is a node record only: parallel node arrays in preorder (the
+layout model.json stores; cover is the row count), which `predict_tree`
+routes rows through. The models are forests and boosted ensembles, which
+predict through `.predict(X)` and check their rows' width. An explained
+model caches the TreeSHAP leaf-path table of its trees, which `shapley`
+lays out and builds; no tree keeps a table of its own.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import shapley
-from .dataset import coerce_fields, finite, integer, optional
+from .dataset import coerce_fields, feature_rows, finite, integer, optional
 
 _NODE_ARRAYS = (("feature", np.intp), ("threshold", float),
                 ("children_left", np.intp), ("children_right", np.intp),
@@ -62,7 +63,7 @@ class TreeModel:
 
 
 @dataclass(frozen=True, eq=False)
-class Tree(TreeModel):
+class Tree:
     """Node i splits on feature[i] (rows with x <= threshold[i] go to
     children_left[i]) or is a leaf (feature == -1, children -1) predicting
     value[i]. cover is the number of rows that reached the node (its
@@ -94,15 +95,6 @@ class Tree(TreeModel):
         index = np.arange(len(leaf))
         return (np.where(leaf, index, self.children_left),
                 np.where(leaf, index, self.children_right), depth)
-
-    def predict(self, X) -> np.ndarray:
-        return predict_tree(self, _as_rows(X, 0))
-
-    def tree_terms(self):
-        return ((self, 1.0),)
-
-    def to_doc(self) -> dict:
-        return {"kind": "tree", "tree": _tree_arrays(self)}
 
 
 @dataclass(frozen=True)
@@ -162,7 +154,7 @@ class ForestModel(TreeModel):
     n_features: int
 
     def predict(self, X) -> np.ndarray:
-        X = _as_rows(X, self.n_features)
+        X = feature_rows(X, self.n_features)
         per_tree = np.stack([predict_tree(t, X) for t in self.trees])
         return per_tree.mean(axis=0)
 
@@ -184,7 +176,7 @@ class BoostedModel(TreeModel):
     n_features: int
 
     def predict(self, X) -> np.ndarray:
-        X = _as_rows(X, self.n_features)
+        X = feature_rows(X, self.n_features)
         out = np.full(X.shape[0], self.base_score)
         for tree in self.trees:
             out += self.learning_rate * predict_tree(tree, X)
@@ -198,16 +190,6 @@ class BoostedModel(TreeModel):
                 "base_score": self.base_score,
                 "learning_rate": self.learning_rate,
                 "trees": [_tree_arrays(t) for t in self.trees]}
-
-
-def _as_rows(X, n_features: int) -> np.ndarray:
-    """2-d float rows; the column count is checked when n_features is set."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-d")
-    if n_features and X.shape[1] != n_features:
-        raise ValueError(f"expected {n_features} feature columns, got {X.shape[1]}")
-    return X
 
 
 def _tree_rng(seed: int, index: int) -> np.random.Generator:
@@ -511,7 +493,8 @@ def fit_regression_tree(X, *, gradients, max_depth=6, min_samples_leaf=1,
 
 
 def predict_tree(tree: Tree, X) -> np.ndarray:
-    """Route all rows at once, one vectorised step per tree level; a row
+    """The one way to route rows through a tree (its caller checks their
+    width): all rows at once, one vectorised step per tree level; a row
     goes left when x <= threshold. Rows already at a leaf compare against
     the leaf's placeholder split (the last column, threshold 0) and stay."""
     X = np.asarray(X, dtype=float)
@@ -586,8 +569,6 @@ def model_to_json(model) -> str:
 def model_from_json(text: str):
     doc = json.loads(text)
     kind = doc.get("kind")
-    if kind == "tree":
-        return Tree(**doc["tree"])
     trees = tuple(Tree(**t) for t in doc.get("trees", ()))
     if kind == "forest":
         return ForestModel(trees, None, doc["n_features"])

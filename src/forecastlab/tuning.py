@@ -55,8 +55,6 @@ class ParamGrid:
     def cells(self) -> list[dict]:
         """Cartesian product in declaration order; an empty grid is the
         single all-defaults cell."""
-        if not self.axes:
-            return [{}]
         names = [a[0] for a in self.axes]
         combos = itertools.product(*[a[1] for a in self.axes])
         return [dict(zip(names, combo)) for combo in combos]

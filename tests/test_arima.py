@@ -48,7 +48,8 @@ def sim_ma1(theta, c, n, seed):
 def zero_fit(order, intercept=0.0):
     return ArimaFit(order, intercept, (0.0,) * order.p, (0.0,) * order.q,
                     (0.0,) * order.P, (0.0,) * order.Q, sigma2=1.0, css=1.0,
-                    aic=0.0, converged=True, n_eff=10, start_css=(1.0,))
+                    aic=0.0, converged=True, n_eff=10, start_css=(1.0,),
+                    ar_stationary=True, ma_invertible=True)
 
 
 def loop_unpack(theta, order):
@@ -887,7 +888,8 @@ class TestFitCss:
 
     def test_explosive_fit_flagged_not_rejected(self):
         fit = ArimaFit(ArimaOrder(1, 0, 0), 0.0, (1.2,), (), (), (), 1.0, 1.0,
-                       0.0, True, 10, (1.0,), ar_stationary=False)
+                       0.0, True, 10, (1.0,), ar_stationary=False,
+                       ma_invertible=True)
         assert not fit.ar_stationary  # report carries the flag
 
     def test_stationarity_flag_detects_unit_root(self):

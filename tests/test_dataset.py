@@ -15,6 +15,14 @@ from forecastlab.dataset import (
     log_transform,
     synth_generate,
 )
+from forecastlab.linear import PenaltySpec, fit_linear
+from forecastlab.svr import KernelSpec, fit_svr
+from forecastlab.trees import (
+    BoostParams,
+    ForestParams,
+    fit_gradient_boosting,
+    fit_random_forest,
+)
 
 
 def make_frame(values, columns=("y", "a"), start=(2015, 1)):
@@ -185,6 +193,26 @@ def scalar_synth_generate(seed, schema, spec):
             noise[t] = u
         y = y + noise
     return np.column_stack([y, X])
+
+
+class TestFeatureRows:
+    FITS = {
+        "forest": lambda X, y: fit_random_forest(X, y, ForestParams(n_estimators=2)),
+        "boosted": lambda X, y: fit_gradient_boosting(X, y, BoostParams(n_estimators=2)),
+        "linear": lambda X, y: fit_linear(X, y, PenaltySpec(0.1, 0.5)),
+        "svr": lambda X, y: fit_svr(X, y, C=1.0, epsilon=0.1,
+                                    kernel=KernelSpec("linear")),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FITS))
+    def test_every_model_rejects_other_rows(self, kind):
+        rng = np.random.default_rng(62)
+        X = rng.normal(size=(12, 3))
+        model = self.FITS[kind](X, X[:, 0] + rng.normal(size=12))
+        assert model.predict(X).shape == (12,)
+        for rows in (X[0], X[:, :2], np.zeros((2, 4)), X[None]):
+            with pytest.raises(ValueError, match="expected 3 feature columns"):
+                model.predict(rows)
 
 
 class TestSynthGenerate:

@@ -181,6 +181,21 @@ class TestDmTest:
         with pytest.raises(EvaluationError, match="at least 8"):
             dm_test(np.ones(4), np.zeros(4))
 
+    def test_horizon_must_leave_a_lag_inside_the_sample(self):
+        # at h >= n the HLN factor reaches 0 (h = n, n + 1) or the lag
+        # loop reads past the sample (h = 40), and a huge h would loop for
+        # ever; h = n - 1 keeps its bits
+        rng = np.random.default_rng(60)
+        a, b = rng.normal(size=16) * 1.5, rng.normal(size=16)
+        res = dm_test(a, b, h=15)
+        assert (res.statistic, res.pvalue) == (0.41674736796844686,
+                                               0.6827657868598336)
+        for h in (16, 17, 40, 10 ** 18):
+            with pytest.raises(EvaluationError, match=r"horizon must be in \[1, 15\]"):
+                dm_test(a, b, h=h)
+        with pytest.raises(EvaluationError, match="horizon"):
+            dm_test(a, a, h=16)  # equal losses too
+
     def test_tails_equal_scipy_stats_bitwise(self):
         from scipy import stats  # the oracle; dm_test uses scipy.special
 
@@ -273,6 +288,15 @@ class TestMetricTable:
         assert not rows[1].failed
         assert rows[1].rmse_reduction_pct == 50.0
         assert metric_lines(tmp_path, rows)[2] == "ridge,0.5,0.5,50.0,,"
+
+    def test_horizon_past_the_sample_skips_dm(self):
+        rng = np.random.default_rng(61)
+        actual = rng.normal(size=12)
+        rows = metric_table(actual, {"arima": actual + rng.normal(size=12),
+                                     "ridge": actual + 0.5 * rng.normal(size=12)},
+                            benchmark="arima", h=10 ** 9)
+        assert rows[1].dm_stat is None and rows[1].dm_pvalue is None
+        assert rows[1].note == "dm skipped: horizon must be in [1, 11], got 1000000000"
 
     def test_csv_lines_reparse_consistency(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -456,7 +456,8 @@ class TestStandardizedEnumeration:
     def test_model_without_standardization_unchanged(self):
         rng = np.random.default_rng(42)
         X = rng.normal(size=(30, 4))
-        model = LinearModel(0.5, rng.normal(size=4), PenaltySpec(0.0, 0.0))
+        model = LinearModel(0.5, rng.normal(size=4), PenaltySpec(0.0, 0.0),
+                            converged=True, n_sweeps=0, jitter_applied=False)
         self.assert_bytes_equal(model, X[:3], BackgroundSet(X[5:12]))
 
 
@@ -608,18 +609,20 @@ class TestTreeShap:
                     children_left=[1, -1, -1], children_right=[2, -1, -1],
                     value=[0.0, -1.0, 3.0], cover=[0.0, 0.0, 0.0])
         bg = BackgroundSet(np.random.default_rng(2).normal(size=(6, 4)))
-        phi = tree_shap(tree, np.array([0.0, 2.0, 0.0, 0.0]), bg)
+        phi = tree_shap(ForestModel((tree,), None, 4),
+                        np.array([0.0, 2.0, 0.0, 0.0]), bg)
         assert phi[0] == 0.0 and phi[2] == 0.0 and phi[3] == 0.0
 
     def test_matches_exact_on_single_tree(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 5))
         y = rng.normal(size=40)
-        tree = fit_regression_tree(X, gradients=-y, max_depth=4)
+        model = ForestModel((fit_regression_tree(X, gradients=-y, max_depth=4),),
+                            None, 5)
         bg = BackgroundSet(X[:7])
-        predict = lambda Z: tree.predict(Z)
+        predict = lambda Z: model.predict(Z)
         for r in range(5):
-            np.testing.assert_allclose(tree_shap(tree, X[r], bg),
+            np.testing.assert_allclose(tree_shap(model, X[r], bg),
                                        exact_shapley(predict, X[r], bg),
                                        atol=1e-11)
 
@@ -656,7 +659,8 @@ class TestTreeShap:
         x = X[0]
         total = np.zeros(X.shape[1])
         for tree in model.trees:
-            total += model.learning_rate * tree_shap(tree, x, bg)
+            total += model.learning_rate * tree_shap(
+                ForestModel((tree,), None, X.shape[1]), x, bg)
         np.testing.assert_allclose(tree_shap(model, x, bg), total, atol=1e-12)
 
     def test_non_tree_model_rejected(self):
@@ -664,6 +668,17 @@ class TestTreeShap:
         for X in (np.zeros(2), np.zeros((3, 2))):
             with pytest.raises(TypeError, match="tree"):
                 tree_shap(lambda X: X.sum(axis=1), X, bg)
+
+    def test_bare_tree_rejected(self):
+        # a Tree is a node record: TreeSHAP explains it as a one-tree forest
+        tree = Tree(feature=[0, -1, -1], threshold=[0.0, 0.0, 0.0],
+                    children_left=[1, -1, -1], children_right=[2, -1, -1],
+                    value=[0.0, -1.0, 3.0], cover=[0.0, 0.0, 0.0])
+        bg = BackgroundSet(np.zeros((1, 2)))
+        with pytest.raises(TypeError, match="not a tree model: Tree"):
+            tree_shap(tree, np.ones(2), bg)
+        with pytest.raises(TypeError):
+            explain_matrix(tree, np.ones((1, 2)), bg)
 
     def test_uv_tables_read_only(self):
         # every caller shares the cached tables
@@ -781,14 +796,14 @@ def leaf_path_models(rng):
                                           max_depth=int(rng.integers(0, 2)))
                       for _ in range(int(rng.integers(1, 6))))
         yield ForestModel(trees, ForestParams(n_estimators=len(trees)), p), X
-        yield trees[-1], X
+        yield ForestModel(trees[-1:], None, p), X
     chain = chain_tree(40, 3, rng)
     # rows part from the path at many depths; the first ones part beyond
     # step 31 or reach the bottom
     grid = np.linspace(-1.0, 1.1, 8)
     X = np.stack(np.meshgrid(grid, grid[1::2], grid[::-3]),
                  axis=-1).reshape(-1, 3)[::-1]
-    yield chain, X
+    yield ForestModel((chain,), None, 3), X
     yield BoostedModel(0.0, 0.3, (chain, Tree([-1], [0.0], [-1], [-1], [1.5],
                                               [1.0])), None, 3), X
     yield BoostedModel(0.5, 0.1, (), BoostParams(n_estimators=1), 2), X[:, :2]
@@ -845,7 +860,8 @@ class TestLeafPathCache:
         forest = fit_random_forest(X, rng.normal(size=len(X)), ForestParams(
             n_estimators=3, max_depth=4, seed=1))
         bg = BackgroundSet(X[:8])
-        for model in (boosted, forest, forest.trees[0]):
+        for model in (boosted, forest,
+                      ForestModel(forest.trees[:1], None, X.shape[1])):
             first = tree_shap(model, X[0], bg)
             table = model._leaf_paths
             paths, tree_of, weight = table
@@ -895,12 +911,13 @@ class TestArrayTreeShap:
             children_right=[4, 3, -1, -1, 8, 7, -1, -1, -1],
             value=[0.0, 0.0, -2.0, 1.0, 0.0, 0.5, 3.0, -1.5, 4.0],
             cover=[1.0] * 9)
+        model = ForestModel((tree,), None, 2)
         grid = np.array([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5])
         rows = np.array([[a, b] for a in grid for b in grid[::2]])
-        assert_matches_recursion(tree, rows, BackgroundSet(rows[::3]))
+        assert_matches_recursion(model, rows, BackgroundSet(rows[::3]))
         x = np.array([1.5, 0.0])
-        np.testing.assert_allclose(tree_shap(tree, x, BackgroundSet(rows)),
-                                   exact_shapley(tree.predict, x,
+        np.testing.assert_allclose(tree_shap(model, x, BackgroundSet(rows)),
+                                   exact_shapley(model.predict, x,
                                                  BackgroundSet(rows)),
                                    atol=1e-12)
 
@@ -909,7 +926,7 @@ class TestArrayTreeShap:
                     children_right=[-1], value=[2.5], cover=[1.0])
         X = np.random.default_rng(42).normal(size=(5, 3))
         bg = BackgroundSet(X[:3])
-        m = assert_matches_recursion(leaf, X, bg)
+        m = assert_matches_recursion(ForestModel((leaf,), None, 3), X, bg)
         assert not m.phi.any() and m.base_value == 2.5
         no_trees = BoostedModel(1.0, 0.1, (), None, 3)
         assert not explain_matrix(no_trees, X, bg).phi.any()
@@ -946,7 +963,7 @@ class TestArrayTreeShap:
     def test_chain_deeper_than_one_key_word(self):
         rng = np.random.default_rng(45)
         p, depth = 3, 40
-        tree = chain_tree(depth, p, rng)
+        tree = ForestModel((chain_tree(depth, p, rng),), None, p)
         assert tree._leaf_paths[0].feature.shape[1] == depth
         # rows survive to different depths; the all-1.05 rows reach the
         # bottom, so pairs part beyond step 31
@@ -1067,17 +1084,18 @@ class TestGroupedTreeShap:
     def test_lexsort_and_packed_sorts_equal_recursion(self, monkeypatch):
         # chains keep every key in one word, but only 2**(63 - 2 * depth)
         # majors fit above it: 8 at depth 30, 128 at depth 28. A lexsort
-        # over the background has 2 keys (word, leaf), one over a chunk's
-        # pairs 3 (word, tree, row)
+        # has 2 keys, the word and the major: the leaf over the background,
+        # row * n_trees + tree over a chunk's pairs
         rng = np.random.default_rng(52)
         p = 3
         two_chains = BoostedModel(0.0, 0.5, (chain_tree(30, p, rng),
                                              chain_tree(30, p, rng)), None, p)
-        one_chain = chain_tree(28, p, rng)
-        # (model, rows, block sorts, one-row sorts): 62 leaves > 8, so the
-        # background of two_chains takes the lexsort; one_chain's 29 do not,
-        # but a 150-row chunk of it does
-        cases = [(two_chains, 12, [2, 3], [2]), (one_chain, 150, [3], [])]
+        one_chain = ForestModel((chain_tree(28, p, rng),), None, p)
+        # (model, rows, lexsorts of the block, lexsorts of one row): 62
+        # leaves > 8, so the background of two_chains takes the lexsort, and
+        # so do its 12-row chunks (24 majors); one_chain's 29 leaves do
+        # not, but a 150-row chunk of it does
+        cases = [(two_chains, 12, 2, 1), (one_chain, 150, 1, 0)]
         calls = self.counting_lexsort(monkeypatch)
         for model, n_rows, block_sorts, row_sorts in cases:
             rows = rng.uniform(-1.0, 1.1, size=(n_rows, p))
@@ -1085,11 +1103,11 @@ class TestGroupedTreeShap:
             bg = BackgroundSet(rows[:5])
             calls.clear()
             phi = explain_matrix(model, rows, bg).phi
-            assert sorted(set(calls)) == block_sorts
+            assert calls == [2] * block_sorts
             for r, x in enumerate(rows):
                 calls.clear()
                 one = tree_shap(model, x, bg)
-                assert calls == row_sorts
+                assert calls == [2] * row_sorts
                 expected = recursive_tree_shap(model, x, bg).tobytes()
                 assert phi[r].tobytes() == expected and one.tobytes() == expected, r
 
@@ -1160,7 +1178,8 @@ class TestExplainMatrix:
         models = [
             fit_gradient_boosting(X, y, BoostParams(n_estimators=10, max_depth=3)),
             fit_random_forest(X, y, ForestParams(n_estimators=5, max_depth=3)),
-            fit_regression_tree(X, gradients=-y, max_depth=3),
+            ForestModel((fit_regression_tree(X, gradients=-y, max_depth=3),),
+                        None, 4),
             fit_linear(X, y, PenaltySpec(0.1, 0.5)),
             fit_svr(X, y, C=5.0, epsilon=0.05, kernel=KernelSpec("rbf", gamma=0.5)),
         ]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -874,13 +875,27 @@ class TestSerialization:
         rng = np.random.default_rng(12)
         X = rng.normal(size=(30, 3))
         y = rng.normal(size=30)
-        tree = fit_regression_tree(X, gradients=-y, max_depth=3)
+        tree = ForestModel((fit_regression_tree(X, gradients=-y, max_depth=3),),
+                           None, 3)
         forest = fit_random_forest(X, y, ForestParams(n_estimators=4, max_depth=2))
         boost = fit_gradient_boosting(X, y, BoostParams(n_estimators=4, max_depth=2))
         for model in (tree, forest, boost):
             clone = model_from_json(model_to_json(model))
             np.testing.assert_allclose(clone.predict(X),
                                        model.predict(X), atol=1e-15)
+
+    def test_tree_is_a_node_record_not_a_model(self):
+        # a bare tree predicts through predict_tree and is stored inside a
+        # forest or boosted document; there is no document of its own
+        tree = stump(0, 0.0, -1.0, 2.0)
+        for name in ("predict", "tree_terms", "to_doc", "attributions"):
+            assert not hasattr(tree, name)
+        doc = {"kind": "tree", "tree": {"feature": [-1], "threshold": [0.0],
+                                        "children_left": [-1],
+                                        "children_right": [-1],
+                                        "value": [1.0], "cover": [1.0]}}
+        with pytest.raises(ValueError, match="'tree'"):
+            model_from_json(json.dumps(doc))
 
     def test_reloaded_models_claim_no_training_params(self):
         # model.json stores no training parameters, so a reloaded forest or
@@ -938,9 +953,10 @@ class TestFlatArrays:
             n_estimators=4, max_depth=8, seed=3)).trees
         trees.append(stump(1, 0.0, 1.0, 2.0))
         for tree in trees:
-            tree.predict(X)
-            assert "_leaf_paths" not in tree.__dict__
-            assert tree._routing[2] == tree._leaf_paths[0].feature.shape[1]
+            model = ForestModel((tree,), None, 3)
+            model.predict(X)
+            assert "_leaf_paths" not in model.__dict__
+            assert tree._routing[2] == model._leaf_paths[0].feature.shape[1]
 
     def test_row_equal_to_threshold_goes_left(self):
         tree = stump(0, 0.25, -1.0, 2.0)
@@ -950,7 +966,7 @@ class TestFlatArrays:
     def test_zero_rows_empty_output(self):
         tree = random_tree(np.random.default_rng(15), 3, depth=3)
         assert predict_tree(tree, np.empty((0, 3))).shape == (0,)
-        assert tree.predict(np.empty((0, 3))).shape == (0,)
+        assert ForestModel((tree,), None, 3).predict(np.empty((0, 3))).shape == (0,)
 
     def test_colsample_rounds_split_on_global_sampled_columns(self):
         rng = np.random.default_rng(16)

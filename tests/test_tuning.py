@@ -60,6 +60,9 @@ def noisy_collinear(seed, n=60):
 
 
 class TestGridSearch:
+    def test_empty_grid_is_one_default_cell(self):
+        assert ParamGrid.from_dict({}).cells() == [{}]
+
     def test_single_cell(self):
         X, y = noisy_collinear(0)
         best, table = grid_search("ridge", ParamGrid.from_dict({"lam": [0.3]}),
