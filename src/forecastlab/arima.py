@@ -438,9 +438,7 @@ def fit_css(y, order: ArimaOrder, seed: int = 0) -> ArimaFit:
     converged = bool(best.success)
 
     c, phi, th, sphi, sth = order.split(best.x.tolist())
-    n_eff = len(w) - order.k_ar
-    if n_eff < 1:
-        raise ArimaError("no effective observations after conditioning")
+    n_eff = len(w) - order.k_ar  # >= 10 by `needed`
     css = float(best.fun)
     sigma2, aic = _sigma2_aic(css, n_eff, w, unit, dim)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .arima import ArimaError
 from .config import ConfigError, load_config
 from .dataset import DataError
 from .pipeline import PipelineError, cmd_explain, cmd_run, cmd_sweep, cmd_synth
@@ -71,7 +70,7 @@ def main(argv=None) -> int:
     except (ConfigError, PipelineError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, ArimaError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

@@ -287,7 +287,7 @@ def chrono_split(frame: SeriesFrame, test_months: int) -> tuple[SeriesFrame, Ser
 
 def feature_rows(X, n_features: int) -> np.ndarray:
     """X as 2-d float rows of exactly n_features columns: the row check of
-    every fitted model's predict."""
+    every fitted model's predict and of Standardization.transform."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != n_features:
         raise ValueError(f"expected {n_features} feature columns, got shape {X.shape}")
@@ -310,7 +310,7 @@ class Standardization:
         return cls(means, scales)
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=float) - self.means) / self.scales
+        return (feature_rows(X, len(self.means)) - self.means) / self.scales
 
 
 # per synth kind: (coefficients, intercept) unless the spec sets them

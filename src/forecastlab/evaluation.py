@@ -116,9 +116,7 @@ def rmse_reduction(benchmark_rmse: float, model_rmse: float) -> float:
 class DmResult:
     statistic: float
     pvalue: float
-    n: int
-    truncation_lag: int
-    small_sample: bool
+    small_sample: bool  # resolved: n < SMALL_SAMPLE_N when given None
 
 
 def dm_test(errors_a, errors_b, h: int = 1,
@@ -146,7 +144,7 @@ def dm_test(errors_a, errors_b, h: int = 1,
     (a, b), _ = pow2_scaled(a, b)
     d = a * a - b * b
     if not d.any():
-        return DmResult(0.0, 1.0, n, h - 1, small_sample)
+        return DmResult(0.0, 1.0, small_sample)
     dbar = d.mean()
     dc = d - dbar
     lrv = float(dc @ dc) / n
@@ -165,7 +163,7 @@ def dm_test(errors_a, errors_b, h: int = 1,
         pvalue = 2.0 * float(ufuncs.stdtr(n - 1, -abs(stat)))
     else:
         pvalue = 2.0 * float(ufuncs.ndtr(-abs(stat)))
-    return DmResult(float(stat), pvalue, n, h - 1, small_sample)
+    return DmResult(float(stat), pvalue, small_sample)
 
 
 @dataclass(frozen=True)

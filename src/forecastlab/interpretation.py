@@ -29,7 +29,6 @@ class PolyFit:
     coefficients: tuple[float, ...]  # ascending: c0, c1[, c2]
     r2: float
     adj_r2: float
-    n_points: int
 
     def __post_init__(self):
         if self.degree not in (1, 2):
@@ -43,16 +42,9 @@ class PolyFit:
 
 
 @dataclass(frozen=True)
-class CrossingReport:
-    roots: tuple[float, ...]  # ascending, inside the observed feature range
-    x_range: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class FilterResult:
     kept: np.ndarray  # positions of the kept points, ascending
     removed: tuple[int, ...]  # position of each dropped point, as dropped
-    applied: bool  # False when filtering would leave < 4 points
 
 
 def column_stats(X) -> tuple[list[float], np.ndarray]:
@@ -163,7 +155,6 @@ def filter_outliers(x, shap, k: float = 1.5, axis: str = "x") -> FilterResult:
         raise InterpretationError("no points to filter")
     kept = np.arange(len(values))
     removed: list[int] = []
-    applied = False
     while True:
         xs = values[kept]
         q1, q3 = _quartiles(xs)
@@ -171,16 +162,11 @@ def filter_outliers(x, shap, k: float = 1.5, axis: str = "x") -> FilterResult:
         fence_hi = q3 + k * (q3 - q1)
         fenced = (fence_lo <= xs) & (xs <= fence_hi)
         inside = int(np.count_nonzero(fenced))
-        if inside == len(kept):
-            break
-        if inside < 4:
-            if not applied:
-                return FilterResult(np.arange(len(values)), (), applied=False)
+        if inside == len(kept) or inside < 4:
             break
         removed.extend(kept[~fenced].tolist())
         kept = kept[fenced]
-        applied = True
-    return FilterResult(kept, tuple(removed), applied)
+    return FilterResult(kept, tuple(removed))
 
 
 def fit_functional_form(x, y) -> PolyFit:
@@ -206,15 +192,16 @@ def fit_functional_form(x, y) -> PolyFit:
         else:
             r2 = 1.0 if ss_res < 1e-24 else 0.0
         adj = 1.0 - (1.0 - r2) * (n - 1) / (n - 1 - degree)
-        fits[degree] = PolyFit(degree, tuple(float(c) for c in coef), r2, adj, n)
+        fits[degree] = PolyFit(degree, tuple(float(c) for c in coef), r2, adj)
 
     if fits[2].adj_r2 > fits[1].adj_r2 + 1e-9:
         return fits[2]
     return fits[1]
 
 
-def zero_crossings(fit: PolyFit, x_range) -> CrossingReport:
-    """Real roots of the fitted polynomial clipped to the observed range."""
+def zero_crossings(fit: PolyFit, x_range) -> tuple[float, ...]:
+    """Real roots of the fitted polynomial inside the observed range,
+    ascending."""
     lo, hi = float(x_range[0]), float(x_range[1])
     if lo > hi:
         raise InterpretationError("empty x range")
@@ -234,8 +221,7 @@ def zero_crossings(fit: PolyFit, x_range) -> CrossingReport:
             roots.extend([q / c2, c0 / q] if q != 0.0 else
                          [sq / (2 * c2), -sq / (2 * c2)])
     tol = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
-    inside = sorted(r for r in roots if lo - tol <= r <= hi + tol)
-    return CrossingReport(tuple(float(r) for r in inside), (lo, hi))
+    return tuple(sorted(float(r) for r in roots if lo - tol <= r <= hi + tol))
 
 
 def summary_plot_data(m: ShapMatrix, X, feature_names):

@@ -138,17 +138,12 @@ def fit_roster_member(config: RunConfig, family: str, train: SeriesFrame,
     return fit_family(family, X, y, best, seed=seed), table
 
 
-def _stderr(msg: str):
-    print(msg, file=sys.stderr)
-
-
-def evaluate_split(config: RunConfig, frame: SeriesFrame, test_months: int,
-                   warn=_stderr):
+def evaluate_split(config: RunConfig, frame: SeriesFrame, test_months: int):
     """Fit the benchmark and every roster family on the split's training
     window and forecast the held-out months; returns (train, test, cv
     tables, forecasts). A failed family fit (ValueError, the base of every
-    package error and of LinAlgError) degrades to a None forecast; any other
-    exception is a bug and propagates."""
+    package error and of LinAlgError) degrades to a None forecast and a
+    stderr warning; any other exception is a bug and propagates."""
     train, test = chrono_split(frame, test_months)
     y = train.column(config.schema.target)
     try:
@@ -167,18 +162,19 @@ def evaluate_split(config: RunConfig, frame: SeriesFrame, test_months: int,
             forecasts[family] = model.predict(X_test)
             tables[family] = table
         except ValueError as exc:  # degrade, sweeps must finish
-            warn(f"warning: {family} failed on {test_months}-month split: {exc}")
+            print(f"warning: {family} failed on {test_months}-month split: "
+                  f"{exc}", file=sys.stderr)
             forecasts[family] = None
     return train, test, tables, forecasts
 
 
-def cmd_run(config: RunConfig, config_hash: str, warn=_stderr) -> dict:
+def cmd_run(config: RunConfig, config_hash: str) -> dict:
     """Primary-split pipeline: tune, refit, forecast, score; writes
     forecasts.csv, metrics.csv, and one cv_<family>.csv per tuned family."""
     frame = load_data(config)
     _check_splits(config, frame)
     train, test, tables, forecasts = evaluate_split(
-        config, frame, config.primary_split, warn)
+        config, frame, config.primary_split)
     out = OutputDir(config.out_dir, config_hash, config.seed)
 
     actual = test.column(config.schema.target)
@@ -203,15 +199,14 @@ def cmd_run(config: RunConfig, config_hash: str, warn=_stderr) -> dict:
             "train": train, "test": test}
 
 
-def cmd_sweep(config: RunConfig, config_hash: str,
-              warn=_stderr) -> list[tuple]:
+def cmd_sweep(config: RunConfig, config_hash: str) -> list[tuple]:
     """Re-tune and re-score every roster family across all split windows;
     writes split_sweep.csv with one (model, test_months) row each."""
     frame = load_data(config)
     _check_splits(config, frame)
     records = []
     for months in config.split_months:
-        _, test, _, forecasts = evaluate_split(config, frame, months, warn)
+        _, test, _, forecasts = evaluate_split(config, frame, months)
         actual = test.column(config.schema.target)
         for name in config.model_ids:
             pred = forecasts[name]
@@ -244,6 +239,9 @@ def cmd_explain(config: RunConfig, config_hash: str, model_id: str) -> dict:
     if model_id not in config.model_ids:
         raise ConfigError(f"model {model_id!r} not in roster")
     n_features = len(config.schema.features)
+    if not n_features:
+        raise ConfigError(f"explaining {model_id} needs at least one feature; "
+                          f"the schema has none")
     if not FAMILIES[model_id].trees and n_features > EXACT_MAX_FEATURES:
         raise ConfigError(f"explaining {model_id} needs exact coalition "
                           f"enumeration, capped at {EXACT_MAX_FEATURES} "
@@ -307,8 +305,8 @@ def _functional_form_entry(x, shap, config: RunConfig) -> dict:
         fit = fit_functional_form(x, shap)
     except InterpretationError as exc:
         return {"error": str(exc), **counts}
-    report = zero_crossings(fit, (x.min(), x.max()))
+    roots = zero_crossings(fit, (x.min(), x.max()))
     return {"degree": fit.degree,
             "coefficients": [float(c) for c in fit.coefficients],
             "r2": fit.r2, "adj_r2": fit.adj_r2,
-            "crossings": [float(r) for r in report.roots], **counts}
+            "crossings": list(roots), **counts}

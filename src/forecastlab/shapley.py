@@ -473,16 +473,18 @@ def explain_matrix(model, rows, background: BackgroundSet) -> ShapMatrix:
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise ValueError("rows must be a nonempty 2-d array")
     predict = getattr(model, "predict", model)
+    if not callable(predict):
+        raise TypeError(f"explain_matrix needs a fitted model with .predict(X) "
+                        f"or a prediction function, got {type(model).__name__}")
     base = float(np.mean(predict(np.array(background.rows))))
     return ShapMatrix(base, attributions(model, rows, background), predict(rows))
 
 
-def global_importance(m: ShapMatrix, feature_names=None) -> list[tuple[str, float]]:
+def global_importance(m: ShapMatrix, feature_names) -> list[tuple[str, float]]:
     """Mean |phi| per feature, ranked descending; ties keep declaration order."""
     if m.n_rows == 0:
         raise ValueError("empty matrix")
-    names = (tuple(feature_names) if feature_names is not None
-             else tuple(f"x{j}" for j in range(m.n_features)))
+    names = tuple(feature_names)
     if len(names) != m.n_features:
         raise ValueError("feature name count mismatch")
     imp = np.abs(m.phi).mean(axis=0)

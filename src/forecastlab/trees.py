@@ -28,7 +28,9 @@ layout model.json stores; cover is the row count), which `predict_tree`
 routes rows through. The models are forests and boosted ensembles, which
 predict through `.predict(X)` and check their rows' width. An explained
 model caches the TreeSHAP leaf-path table of its trees, which `shapley`
-lays out and builds; no tree keeps a table of its own.
+lays out and builds; no tree keeps a table of its own. A model.json
+document is outside input: `model_from_json` checks each stored tree's
+structure before a row is routed through it.
 """
 
 from __future__ import annotations
@@ -566,13 +568,63 @@ def model_to_json(model) -> str:
     return json.dumps(model.to_doc())
 
 
+_DOC_FIELDS = {"forest": ("n_features", "trees"),
+               "boosted": ("n_features", "trees", "base_score", "learning_rate")}
+
+
+def _stored_tree(fields, n_features: int) -> Tree:
+    """A tree of a model document, checked: node arrays of one length; a
+    leaf has feature -1 and no children; a split reads a feature below
+    n_features, and its children are later nodes; every node but the root
+    is one node's child. A fitted tree meets these by construction; one
+    that does not could send predict_tree out of range or round a cycle."""
+    try:
+        tree = Tree(**fields)
+    except (TypeError, ValueError) as exc:  # a field missing, extra or not numeric
+        raise ValueError(f"stored tree: {exc}") from None
+    n = tree.value.size
+    if n == 0 or any(getattr(tree, name).shape != (n,)
+                     for name, _ in _NODE_ARRAYS):
+        raise ValueError("a stored tree's node arrays must be 1-d, nonempty "
+                         "and of one length")
+    split = tree.feature != -1
+    kids = np.stack([tree.children_left, tree.children_right])
+    if (kids[:, ~split] != -1).any():
+        raise ValueError("a stored leaf has children")
+    if ((tree.feature < -1) | (tree.feature >= n_features)).any():
+        raise ValueError(f"a stored split reads a feature outside "
+                         f"[0, {n_features})")
+    kids = kids[:, split]
+    if ((kids <= np.flatnonzero(split)) | (kids >= n)).any():
+        raise ValueError("a stored split's children must be later nodes")
+    if sorted(kids.ravel().tolist()) != list(range(1, n)):
+        raise ValueError("every stored node but the root must be the child "
+                         "of exactly one split")
+    return tree
+
+
 def model_from_json(text: str):
+    """The forest or boosted model of a model.json document. The document is
+    outside input: what no fitted model writes raises ValueError."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a model document is a JSON object, got {doc!r:.40}")
     kind = doc.get("kind")
-    trees = tuple(Tree(**t) for t in doc.get("trees", ()))
+    if kind not in _DOC_FIELDS:
+        raise ValueError(f"unknown model document kind {kind!r}")
+    missing = [name for name in _DOC_FIELDS[kind] if name not in doc]
+    if missing:
+        raise ValueError(f"{kind} document misses {missing}")
+    n_features = doc["n_features"]
+    if type(n_features) is not int or n_features < 1:
+        raise ValueError(f"n_features must be an integer >= 1, got {n_features!r}")
+    if not isinstance(doc["trees"], list) or (kind == "forest" and not doc["trees"]):
+        raise ValueError("trees must be a list, nonempty for a forest")
+    trees = tuple(_stored_tree(t, n_features) for t in doc["trees"])
     if kind == "forest":
-        return ForestModel(trees, None, doc["n_features"])
-    if kind == "boosted":
-        return BoostedModel(doc["base_score"], doc["learning_rate"], trees,
-                            None, doc["n_features"])
-    raise ValueError(f"unknown model document kind {kind!r}")
+        return ForestModel(trees, None, n_features)
+    try:
+        base_score, rate = finite(doc["base_score"]), finite(doc["learning_rate"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"boosted document: {exc}") from None
+    return BoostedModel(base_score, rate, trees, None, n_features)

@@ -400,13 +400,13 @@ def test_criterion_9_interpretation_pipeline():
     assert fit.degree == 2
     lo = x[filtered.kept].min()
     hi = x[filtered.kept].max()
-    report = zero_crossings(fit, (lo, hi))
+    roots = zero_crossings(fit, (lo, hi))
     # analytic roots of (x-2)(x-7) - base = 0
     mid = (a_root + b_root) / 2.0
     disc = math.sqrt((a_root - b_root) ** 2 / 4.0 + base)
     analytic = sorted([mid - disc, mid + disc])
-    assert len(report.roots) == 2
-    for got, want in zip(report.roots, analytic):
+    assert len(roots) == 2
+    for got, want in zip(roots, analytic):
         assert abs(got - want) <= 0.2, (got, want)
 
     # idempotence on every tested point set

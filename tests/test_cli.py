@@ -217,6 +217,34 @@ class TestExplain:
         assert "capped at 15 features" in err
         assert "Traceback" not in err
 
+    def test_featureless_schema_fails_before_fitting(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # no feature leaves nothing to attribute; an arima-only run still
+        # needs none
+        data = tmp_path / "target_only.csv"
+        data.write_text("date,INF\n" + "".join(
+            f"{2015 + i // 12}-{i % 12 + 1:02d},{2.0 + math.sin(i / 3)}\n"
+            for i in range(70)))
+        common = dict(schema={"target": "INF", "features": []},
+                      data={"csv": str(data)}, split_months=[16])
+        cfg = write_config(tmp_path, **common,
+                           roster={"arima": {"candidates": [[0, 0, 0]]}})
+        assert main(["run", "--config", cfg]) == 0
+
+        def never_fit(*args, **kwargs):
+            raise AssertionError("family fitted before the feature check")
+
+        monkeypatch.setattr(pipeline, "fit_roster_member", never_fit)
+        cfg = write_config(tmp_path, **common, roster={
+            "arima": {"candidates": [[0, 0, 0]]}, "ridge": {},
+            "random_forest": {"grid": {"n_estimators": [5]}}})
+        capsys.readouterr()
+        for family in ("ridge", "random_forest"):
+            assert main(["explain", "--config", cfg, "--model", family]) == 2
+            err = capsys.readouterr().err
+            assert f"explaining {family} needs at least one feature" in err
+            assert "Traceback" not in err
+
     def test_unfittable_family_exits_2(self, tmp_path, capsys):
         # ridge's shrinkage leaves residuals near 1e159, whose squares
         # overflow, so every grid cell scores inf and tuning fails
@@ -276,10 +304,7 @@ class TestEvaluateSplit:
         config, _ = load_config(write_config(tmp_path, roster={
             "arima": {"candidates": [[0, 0, 0]]},
             "lasso": {"grid": {"lam": [0.1]}}}))
-        warnings = []
-        result = pipeline.evaluate_split(config, pipeline.load_data(config),
-                                         16, warn=warnings.append)
-        return result, warnings
+        return pipeline.evaluate_split(config, pipeline.load_data(config), 16)
 
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         with pytest.raises(AttributeError, match="coef_"):
@@ -287,14 +312,14 @@ class TestEvaluateSplit:
                 "'LinearModel' object has no attribute 'coef_'"))
 
     def test_value_error_degrades_to_none_forecast(self, tmp_path,
-                                                   monkeypatch):
-        (_, _, tables, forecasts), warnings = self.split_with_lasso_raising(
+                                                   monkeypatch, capsys):
+        _, _, tables, forecasts = self.split_with_lasso_raising(
             tmp_path, monkeypatch, ValueError("singular design"))
         assert forecasts["lasso"] is None
         assert "lasso" not in tables
         assert len(forecasts["arima"]) == 16
-        assert warnings == ["warning: lasso failed on 16-month split: "
-                            "singular design"]
+        assert capsys.readouterr().err == ("warning: lasso failed on 16-month "
+                                           "split: singular design\n")
 
 
 class TestSynth:

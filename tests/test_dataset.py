@@ -15,6 +15,7 @@ from forecastlab.dataset import (
     log_transform,
     synth_generate,
 )
+from forecastlab.families import fit_family
 from forecastlab.linear import PenaltySpec, fit_linear
 from forecastlab.svr import KernelSpec, fit_svr
 from forecastlab.trees import (
@@ -202,6 +203,9 @@ class TestFeatureRows:
         "linear": lambda X, y: fit_linear(X, y, PenaltySpec(0.1, 0.5)),
         "svr": lambda X, y: fit_svr(X, y, C=1.0, epsilon=0.1,
                                     kernel=KernelSpec("linear")),
+        # Standardized models: rows are checked before they are standardized
+        "standardized-ridge": lambda X, y: fit_family("ridge", X, y, {}),
+        "standardized-svr": lambda X, y: fit_family("svr", X, y, {}),
     }
 
     @pytest.mark.parametrize("kind", sorted(FITS))
@@ -210,7 +214,7 @@ class TestFeatureRows:
         X = rng.normal(size=(12, 3))
         model = self.FITS[kind](X, X[:, 0] + rng.normal(size=12))
         assert model.predict(X).shape == (12,)
-        for rows in (X[0], X[:, :2], np.zeros((2, 4)), X[None]):
+        for rows in (X[0], X[:, :1], X[:, :2], np.zeros((2, 4)), X[None]):
             with pytest.raises(ValueError, match="expected 3 feature columns"):
                 model.predict(rows)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from forecastlab.interpretation import (
-    CrossingReport,
     InterpretationError,
     PolyFit,
     _auto_color,
@@ -220,7 +219,7 @@ class TestFilterOutliers:
     def test_never_below_four_points(self):
         res = filter_outliers(*pts([0.0, 0.0001, 100.0, 10000.0, 1000000.0],
                                    np.zeros(5)))
-        if not res.applied:
+        if not res.removed:
             assert res.kept.tolist() == list(range(5))
         assert len(res.kept) >= 4
 
@@ -323,8 +322,9 @@ class TestFilterMatchesMembershipOracle:
                 # the dropped positions hold its removed row indices
                 assert res.kept.tolist() == positions(kept, oracle)
                 assert tuple(rows[i] for i in res.removed) == removed
-                assert res.applied is ref_applied
-                applied += res.applied
+                # the invariant that lets FilterResult carry no applied flag
+                assert ref_applied is bool(removed)
+                applied += ref_applied
         assert applied > 750  # 250 per input
 
 
@@ -380,32 +380,29 @@ class TestFunctionalForm:
 
 class TestZeroCrossings:
     def test_line_root(self):
-        fit = PolyFit(1, (6.6, -1.0), 1.0, 1.0, 10)
-        report = zero_crossings(fit, (3.0, 9.0))
-        np.testing.assert_allclose(report.roots, [6.6])
+        fit = PolyFit(1, (6.6, -1.0), 1.0, 1.0)
+        np.testing.assert_allclose(zero_crossings(fit, (3.0, 9.0)), [6.6])
 
     def test_no_real_roots(self):
-        fit = PolyFit(2, (1.0, 0.0, 1.0), 1.0, 1.0, 10)  # x^2 + 1
-        assert zero_crossings(fit, (-5.0, 5.0)).roots == ()
+        fit = PolyFit(2, (1.0, 0.0, 1.0), 1.0, 1.0)  # x^2 + 1
+        assert zero_crossings(fit, (-5.0, 5.0)) == ()
 
     def test_quadratic_two_roots(self):
         # (x-1)(x-3) = x^2 - 4x + 3
-        fit = PolyFit(2, (3.0, -4.0, 1.0), 1.0, 1.0, 10)
-        report = zero_crossings(fit, (0.0, 4.0))
-        np.testing.assert_allclose(report.roots, [1.0, 3.0], atol=1e-12)
+        fit = PolyFit(2, (3.0, -4.0, 1.0), 1.0, 1.0)
+        np.testing.assert_allclose(zero_crossings(fit, (0.0, 4.0)), [1.0, 3.0],
+                                   atol=1e-12)
 
     def test_roots_outside_range_clipped(self):
-        fit = PolyFit(2, (3.0, -4.0, 1.0), 1.0, 1.0, 10)
-        report = zero_crossings(fit, (2.0, 4.0))
-        np.testing.assert_allclose(report.roots, [3.0])
+        fit = PolyFit(2, (3.0, -4.0, 1.0), 1.0, 1.0)
+        np.testing.assert_allclose(zero_crossings(fit, (2.0, 4.0)), [3.0])
 
     def test_residual_small_at_reported_roots(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             coefs = rng.normal(size=3)
-            fit = PolyFit(2, tuple(coefs), 1.0, 1.0, 10)
-            report = zero_crossings(fit, (-10.0, 10.0))
-            for root in report.roots:
+            fit = PolyFit(2, tuple(coefs), 1.0, 1.0)
+            for root in zero_crossings(fit, (-10.0, 10.0)):
                 bound = 1e-8 * (1.0 + max(abs(c) for c in coefs))
                 assert abs(fit(root)) <= bound
 

@@ -1137,6 +1137,19 @@ class TestGroupedTreeShap:
 
 
 class TestExplainMatrix:
+    def test_names_what_it_accepts(self):
+        # a bare Tree has no .predict and is not callable
+        tree = Tree(feature=[0, -1, -1], threshold=[0.0, 0.0, 0.0],
+                    children_left=[1, -1, -1], children_right=[2, -1, -1],
+                    value=[0.0, -1.0, 3.0], cover=[1.0, 1.0, 1.0])
+        bg = BackgroundSet(np.zeros((1, 2)))
+        with pytest.raises(TypeError, match=r"a fitted model with \.predict\(X\) "
+                                            r"or a prediction function, got Tree"):
+            explain_matrix(tree, np.ones((1, 2)), bg)
+        m = explain_matrix(lambda X: X @ np.array([2.0, -1.0]),
+                           np.ones((1, 2)), bg)
+        np.testing.assert_allclose(m.phi, [[2.0, -1.0]], atol=1e-12)
+
     def test_forest_explained_by_one_tree_shap_call(self, monkeypatch):
         # tree models reach the engine through the shapley module global, so
         # a wrapper installed there sees the one call of a whole explanation
@@ -1258,7 +1271,8 @@ class TestGlobalImportance:
         m1 = ShapMatrix(1.0, phi, preds)
         perm = rng.permutation(10)
         m2 = ShapMatrix(1.0, phi[perm], preds[perm])
-        r1, r2 = global_importance(m1), global_importance(m2)
+        names = ["a", "b", "c", "d"]
+        r1, r2 = global_importance(m1, names), global_importance(m2, names)
         assert [n for n, _ in r1] == [n for n, _ in r2]
         np.testing.assert_allclose([v for _, v in r1], [v for _, v in r2],
                                    atol=1e-12)

@@ -1,5 +1,6 @@
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -919,6 +920,83 @@ class TestSerialization:
             BoostParams(subsample=0.0)
         with pytest.raises(ValueError):
             BoostParams(colsample_bytree=1.5)
+
+
+
+def stored_stump(**changes):
+    """A stump's model.json fields, with the given node arrays replaced."""
+    return {"feature": [0, -1, -1], "threshold": [0.0, 0.0, 0.0],
+            "children_left": [1, -1, -1], "children_right": [2, -1, -1],
+            "value": [0.0, -1.0, 2.0], "cover": [2.0, 1.0, 1.0], **changes}
+
+
+def forest_doc(*trees, **fields):
+    return json.dumps({"kind": "forest", "n_features": 2,
+                       "trees": list(trees) or [stored_stump()], **fields})
+
+
+class TestModelDocumentChecks:
+    """model.json is outside input: anything no fitted model writes raises
+    ValueError in model_from_json, before a row is routed."""
+
+    @pytest.mark.parametrize("text, match", [
+        ('{"kind": "forest"}', r"misses \['n_features', 'trees'\]"),
+        ("[]", "JSON object"),
+        ('{"kind": "tree", "trees": [{"feature": [0]}]}', "kind 'tree'"),
+        (forest_doc(trees=[]), "nonempty"),
+        (forest_doc(n_features="2"), "n_features"),
+        (json.dumps({"kind": "boosted", "n_features": 2, "trees": [],
+                     "learning_rate": 0.1}), r"misses \['base_score'\]"),
+        (json.dumps({"kind": "boosted", "n_features": 2, "trees": [],
+                     "base_score": "0", "learning_rate": 0.1}), "number"),
+        (forest_doc({k: v for k, v in stored_stump().items() if k != "cover"}),
+         "stored tree: .*'cover'"),
+        (forest_doc([1, 2]), "stored tree: .*mapping"),
+        (forest_doc(stored_stump(value=[0.0, 1.0])), "one length"),
+        (forest_doc(stored_stump(value=1.0)), "one length"),
+        (forest_doc(stored_stump(feature=["a", -1, -1])), "stored tree"),
+        (forest_doc(stored_stump(children_left=[99, -1, -1])), "later nodes"),
+        (forest_doc(stored_stump(children_right=[2, -1, 0])), "leaf has children"),
+        (forest_doc(stored_stump(feature=[2, -1, -1])), r"outside \[0, 2\)"),
+        (forest_doc(stored_stump(feature=[-2, -1, -1])), "outside"),
+        (forest_doc(stored_stump(children_right=[1, -1, -1])), "exactly one"),
+    ], ids=["no-fields", "not-an-object", "unknown-kind-bad-tree", "no-trees",
+            "n_features-string", "boosted-no-base", "boosted-string-base",
+            "tree-no-cover", "tree-not-an-object", "unequal-arrays",
+            "scalar-array", "string-feature", "child-99",
+            "leaf-with-child", "feature-too-wide", "feature-below-leaf",
+            "two-parents"])
+    def test_malformed_document_raises_value_error(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            model_from_json(text)
+
+    def test_self_loop_is_refused_before_predict(self):
+        # a split whose left child is itself would route rows forever
+        def hung(signum, frame):
+            raise TimeoutError("a self-looping tree was loaded and routed")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            with pytest.raises(ValueError, match="later nodes"):
+                model = model_from_json(
+                    forest_doc(stored_stump(children_left=[0, -1, -1])))
+                model.predict(np.zeros((1, 2)))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_fitted_documents_load(self):
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(40, 3))
+        y = rng.normal(size=40)
+        for model in (fit_random_forest(X, y, ForestParams(n_estimators=3)),
+                      fit_gradient_boosting(X, y, BoostParams(
+                          n_estimators=3, colsample_bytree=0.5))):
+            text = model_to_json(model)
+            assert model_to_json(model_from_json(text)) == text
+        assert model_from_json(forest_doc()).predict(
+            np.array([[-1.0, 0.0], [1.0, 0.0]])).tolist() == [-1.0, 2.0]
 
 
 class TestFlatArrays:
