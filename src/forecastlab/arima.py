@@ -19,8 +19,9 @@ filters.
 
 Innovations are linear in w and the intercept. So when w reaches 2**250,
 where its squares would soon overflow, `fit_css` and the selection AIC work
-on w divided by a power of two, exactly, and scale the intercept, the sums
-of squares and the AIC back; `forecast` needs no scaling.
+on w divided by a power of two, exactly: `fit_css` scales the intercept and
+the CSS back, and the selection AIC adds 2 n log(unit) for its n
+innovations; `forecast` needs no scaling.
 
 Each evaluation reads the parameters once, as a list of Python floats,
 and `_expand` expands a lag polynomial from it by scattering each
@@ -138,18 +139,20 @@ class ArimaOrder:
 
 @dataclass(frozen=True)
 class ArimaFit:
+    """The coefficients `forecast` reads, in y's units, and the solver's
+    status: the CSS and convergence of the best simplex walk, and whether
+    the AR and MA roots lie outside the unit circle. The selection AIC is
+    computed over the candidates' common innovation window, so no fit
+    keeps it."""
+
     order: ArimaOrder
     intercept: float
     ar: tuple[float, ...]
     ma: tuple[float, ...]
     sar: tuple[float, ...]
     sma: tuple[float, ...]
-    sigma2: float
     css: float
-    aic: float
     converged: bool
-    n_eff: int
-    start_css: tuple[float, ...]  # objective at each multistart point
     ar_stationary: bool
     ma_invertible: bool
 
@@ -427,9 +430,7 @@ def fit_css(y, order: ArimaOrder, seed: int = 0) -> ArimaFit:
 
     css = _css_objective(w, order)
     best = None
-    start_css = []
     for x0 in starts:
-        start_css.append(css(x0))
         res = _nelder_mead(css, x0, maxiter=600 * dim, xatol=1e-8,
                            fatol=1e-10)
         if best is None or res.fun < best.fun:
@@ -438,23 +439,12 @@ def fit_css(y, order: ArimaOrder, seed: int = 0) -> ArimaFit:
     converged = bool(best.success)
 
     c, phi, th, sphi, sth = order.split(best.x.tolist())
-    n_eff = len(w) - order.k_ar  # >= 10 by `needed`
-    css = float(best.fun)
-    sigma2, aic = _sigma2_aic(css, n_eff, w, unit, dim)
-
     ar_ok = _poly_roots_outside_unit(_ar_lags(phi, sphi, order.s))
     ma_ok = _poly_roots_outside_unit(-_ma_lags(th, sth, order.s))
-    # sums of squares in y's units (inf beyond the float range)
+    # the sum of squares in y's units (inf beyond the float range)
     return ArimaFit(order, float(c) * unit, tuple(phi), tuple(th),
-                    tuple(sphi), tuple(sth), sigma2 * unit * unit,
-                    css * unit * unit, aic, converged, n_eff,
-                    tuple(v * unit * unit for v in start_css), ar_ok, ma_ok)
-
-
-def _sigma2_aic(sse: float, n: int, w, unit: float, n_params: int):
-    """sigma2 and AIC (in y's units) of n innovations of w = y / unit."""
-    sigma2 = max(sse / n, 1e-13 * (1.0 + float(w @ w) / len(w)))  # floor absorbs optimizer noise
-    return sigma2, n * (math.log(sigma2) + 2.0 * math.log(unit)) + 2.0 * (n_params + 1)
+                    tuple(sphi), tuple(sth), float(best.fun) * unit * unit,
+                    converged, ar_ok, ma_ok)
 
 
 def forecast(fit: ArimaFit, y, h: int) -> np.ndarray:
@@ -517,17 +507,21 @@ def _common_window_aic(fit: ArimaFit, y, drop_front: int) -> float:
     # innovation t sits at original index d + D*s + k_ar + t
     skip = drop_front - (order.d + order.D * order.s + order.k_ar)
     e = e[max(skip, 0):]
-    if not len(e):
+    n = len(e)
+    if not n:
         return math.inf
-    return _sigma2_aic(float(e @ e), len(e), w, unit, order.n_params)[1]
+    # the floor absorbs optimizer noise; 2n log(unit) puts sigma2 in y's units
+    sigma2 = max(float(e @ e) / n, 1e-13 * (1.0 + float(w @ w) / len(w)))
+    return n * (math.log(sigma2) + 2.0 * math.log(unit)) + 2.0 * (order.n_params + 1)
 
 
 def select_order(y, candidates, seed: int = 0) -> ArimaFit:
     """Fit of the minimum-AIC converged candidate (its order is `.order`);
     ties prefer fewer parameters, then earlier list position. Candidates
     the series is too short for are skipped. AIC is evaluated over the
-    innovation window shared by every candidate, otherwise conditioning
-    depth would distort the comparison."""
+    innovation window shared by every converged candidate, otherwise
+    conditioning depth would distort the comparison; so it depends on the
+    other candidates, and the fit returned does not keep it."""
     candidates = list(candidates)
     if not candidates:
         raise ArimaError("empty candidate list")

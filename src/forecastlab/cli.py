@@ -6,8 +6,8 @@
     forecastlab synth   --config cfg.json [--seed N] [--out DIR]
 
 Exit codes: 0 success, 2 configuration error, 3 data error. A model
-family failing to fit is a warning, not a failure; its metric row is
-blank and flagged.
+family failing to fit is a warning on stderr, not a failure; its metric
+row is blank.
 """
 
 from __future__ import annotations

@@ -209,6 +209,8 @@ class RunConfig:
         for m in self.split_months:
             if m < 1:
                 raise ConfigError(f"split months must be >= 1, got {m}")
+            if self.split_months.count(m) > 1:
+                raise ConfigError(f"split_months repeats {m}")
         if self.data.synth is not None:
             try:
                 self.data.synth.driver_columns(self.schema)

@@ -174,7 +174,6 @@ class MetricRow:
     rmse_reduction_pct: float | None = None  # None on the benchmark row
     dm_stat: float | None = None
     dm_pvalue: float | None = None
-    failed: bool = False
     note: str = ""
 
 
@@ -183,7 +182,8 @@ def metric_table(actual, forecasts: dict, benchmark: str,
     """One MetricRow per model, benchmark first with blank comparison cells.
 
     `forecasts` maps model id -> forecast vector (or None for a failed
-    family, which degrades to a flagged row instead of aborting).
+    family, which degrades to a row of blank figures noted "fit failed"
+    instead of aborting).
     """
     if benchmark not in forecasts:
         raise EvaluationError(f"benchmark {benchmark!r} missing from forecasts")
@@ -199,8 +199,7 @@ def metric_table(actual, forecasts: dict, benchmark: str,
         if name == benchmark:
             continue
         if pred is None:
-            rows.append(MetricRow(name, math.nan, math.nan, failed=True,
-                                  note="fit failed"))
+            rows.append(MetricRow(name, math.nan, math.nan, note="fit failed"))
             continue
         model_rmse = rmse(actual, pred)
         try:

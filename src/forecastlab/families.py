@@ -121,7 +121,9 @@ class ForestFamily(Family):
 
     def default_grid(self, n_features: int | None = None) -> dict:
         grid = super().default_grid()
-        if n_features is not None:  # clip, drop duplicates, keep the order
+        if n_features == 0:  # unset is all columns: the fit fails, not the config
+            del grid["max_features"]
+        elif n_features is not None:  # clip, drop duplicates, keep the order
             grid["max_features"] = list(dict.fromkeys(
                 min(v, n_features) for v in grid["max_features"]))
         return grid

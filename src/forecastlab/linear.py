@@ -67,7 +67,6 @@ class PenaltySpec:
 class LinearModel:
     intercept: float
     coefficients: np.ndarray
-    penalty: PenaltySpec
     converged: bool
     n_sweeps: int
     jitter_applied: bool
@@ -126,7 +125,7 @@ def fit_linear(X, y, penalty: PenaltySpec) -> LinearModel:
 
     if penalty.lam == 0.0:
         b, beta, jitter = _fit_unpenalized(X, y)
-        return LinearModel(b, beta, penalty, converged=True, n_sweeps=0,
+        return LinearModel(b, beta, converged=True, n_sweeps=0,
                            jitter_applied=jitter)
 
     lam_l1 = penalty.lam * penalty.alpha
@@ -184,5 +183,5 @@ def fit_linear(X, y, penalty: PenaltySpec) -> LinearModel:
             converged = True
             break
 
-    return LinearModel(b, np.array(coef, dtype=float), penalty,
-                       converged=converged, n_sweeps=sweeps, jitter_applied=False)
+    return LinearModel(b, np.array(coef, dtype=float), converged=converged,
+                       n_sweeps=sweeps, jitter_applied=False)

@@ -84,9 +84,7 @@ class SvrModel:
     dual_coef: np.ndarray  # alpha_i - alpha*_i per row
     bias: float
     kernel: KernelSpec
-    gamma: float
-    C: float
-    epsilon: float
+    gamma: float  # kernel.gamma, or the value it resolved to at fit time if None
     converged: bool
     n_updates: int
 
@@ -202,4 +200,4 @@ def fit_svr(X, y, C: float, epsilon: float, kernel: KernelSpec,
         bias = float(neg_sg[free].mean())
     else:
         bias = float((m + M) / 2.0)
-    return SvrModel(X, beta, bias, kernel, gamma, C, epsilon, converged, updates)
+    return SvrModel(X, beta, bias, kernel, gamma, converged, updates)

@@ -26,7 +26,9 @@ numpy's Floyd range one rng.integers call draws a block of nodes' columns
 A `Tree` is a node record only: parallel node arrays in preorder (the
 layout model.json stores; cover is the row count), which `predict_tree`
 routes rows through. The models are forests and boosted ensembles, which
-predict through `.predict(X)` and check their rows' width. An explained
+predict through `.predict(X)` and check their rows' width. A model holds
+only what `predict` reads, so the one `model_from_json` rebuilds from its
+model.json is the same record, field for field. An explained
 model caches the TreeSHAP leaf-path table of its trees, which `shapley`
 lays out and builds; no tree keeps a table of its own. A model.json
 document is outside input: `model_from_json` checks each stored tree's
@@ -152,7 +154,6 @@ class BoostParams:
 @dataclass(frozen=True)
 class ForestModel(TreeModel):
     trees: tuple[Tree, ...]
-    params: ForestParams | None  # None: reloaded from model.json
     n_features: int
 
     def predict(self, X) -> np.ndarray:
@@ -174,7 +175,6 @@ class BoostedModel(TreeModel):
     base_score: float
     learning_rate: float
     trees: tuple[Tree, ...]
-    params: BoostParams | None  # None: reloaded from model.json
     n_features: int
 
     def predict(self, X) -> np.ndarray:
@@ -524,7 +524,7 @@ def fit_random_forest(X, y, params: ForestParams) -> ForestModel:
             X[idx], gradients=-y[idx], max_depth=params.max_depth,
             min_samples_leaf=params.min_samples_leaf,
             max_features=params.max_features, rng=rng))
-    return ForestModel(tuple(trees), params, p)
+    return ForestModel(tuple(trees), p)
 
 
 def fit_gradient_boosting(X, y, params: BoostParams) -> BoostedModel:
@@ -555,7 +555,7 @@ def fit_gradient_boosting(X, y, params: BoostParams) -> BoostedModel:
                                               cols[tree.feature], -1))
         trees.append(tree)
         yhat += params.learning_rate * predict_tree(tree, X)
-    return BoostedModel(base, params.learning_rate, tuple(trees), params, p)
+    return BoostedModel(base, params.learning_rate, tuple(trees), p)
 
 
 # --- JSON serialization: flat node arrays per tree --------------------------
@@ -622,9 +622,9 @@ def model_from_json(text: str):
         raise ValueError("trees must be a list, nonempty for a forest")
     trees = tuple(_stored_tree(t, n_features) for t in doc["trees"])
     if kind == "forest":
-        return ForestModel(trees, None, n_features)
+        return ForestModel(trees, n_features)
     try:
         base_score, rate = finite(doc["base_score"]), finite(doc["learning_rate"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"boosted document: {exc}") from None
-    return BoostedModel(base_score, rate, trees, None, n_features)
+    return BoostedModel(base_score, rate, trees, n_features)

@@ -114,8 +114,7 @@ def test_criterion_2_axioms():
             X, y, BoostParams(n_estimators=15, max_depth=3, seed=3)),
         "forest": fit_random_forest(
             X, y, ForestParams(n_estimators=8, max_depth=3, seed=3)),
-        "tree": ForestModel((fit_regression_tree(X, gradients=-y, max_depth=3),),
-                            None, 5),
+        "tree": ForestModel((fit_regression_tree(X, gradients=-y, max_depth=3),), 5),
         "linear": fit_linear(X, y, PenaltySpec(0.1, 0.5)),
         "svr": fit_svr(X, y, C=5.0, epsilon=0.05,
                        kernel=KernelSpec("rbf", gamma=0.4)),
@@ -131,7 +130,7 @@ def test_criterion_2_axioms():
     phi = exact_shapley(f, X[0], background)
     assert phi[2] == 0.0 and phi[3] == 0.0 and phi[4] == 0.0
     tree = fit_regression_tree(X[:, :2], gradients=-y, max_depth=2)
-    phi_tree = tree_shap(ForestModel((tree,), None, 2), X[0, :2],
+    phi_tree = tree_shap(ForestModel((tree,), 2), X[0, :2],
                          BackgroundSet(X[:12, :2]))
     # features absent from every path in a depth-2 stump stay exactly zero
     read = set()

@@ -47,9 +47,8 @@ def sim_ma1(theta, c, n, seed):
 
 def zero_fit(order, intercept=0.0):
     return ArimaFit(order, intercept, (0.0,) * order.p, (0.0,) * order.q,
-                    (0.0,) * order.P, (0.0,) * order.Q, sigma2=1.0, css=1.0,
-                    aic=0.0, converged=True, n_eff=10, start_css=(1.0,),
-                    ar_stationary=True, ma_invertible=True)
+                    (0.0,) * order.P, (0.0,) * order.Q, css=1.0,
+                    converged=True, ar_stationary=True, ma_invertible=True)
 
 
 def loop_unpack(theta, order):
@@ -307,10 +306,9 @@ def loop_common_window_aic(fit, y, drop_front):
 
 def fit_bytes(fit):
     """Every number of a fit as float64 bytes, so -0.0 and NaN count."""
-    values = [fit.intercept, *fit.ar, *fit.ma, *fit.sar, *fit.sma,
-              fit.sigma2, fit.css, fit.aic, *fit.start_css]
+    values = [fit.intercept, *fit.ar, *fit.ma, *fit.sar, *fit.sma, fit.css]
     return (fit.order, np.array(values, dtype=float).tobytes(),
-            fit.converged, fit.n_eff, fit.ar_stationary, fit.ma_invertible)
+            fit.converged, fit.ar_stationary, fit.ma_invertible)
 
 
 # every CSS order, plus seasonal differencing at the monthly period and a
@@ -856,9 +854,15 @@ class TestFitCss:
             assert abs(fit.ma[0] - 0.5) <= 0.15
 
     def test_css_no_worse_than_any_start(self):
+        # the starts fit_css draws: zero, then four N(0, 0.1) perturbations
         y = sim_ar1(0.6, 0.5, 120, 3)
-        fit = fit_css(y, ArimaOrder(2, 0, 1), seed=7)
-        assert fit.css <= min(fit.start_css) + 1e-9
+        order = ArimaOrder(2, 0, 1)
+        fit = fit_css(y, order, seed=7)
+        rng = np.random.default_rng(7)
+        starts = [np.zeros(order.n_params)] + [
+            rng.normal(0.0, 0.1, size=order.n_params) for _ in range(4)]
+        css = _css_objective(difference(y, order.d), order)
+        assert fit.css <= min(map(css, starts)) + 1e-9
 
     def test_capped_best_walk_not_converged(self, monkeypatch):
         # four of the five walks meet their tolerance near CSS 307, but the
@@ -887,9 +891,8 @@ class TestFitCss:
             fit_css(np.arange(10.0), ArimaOrder(3, 0, 3))
 
     def test_explosive_fit_flagged_not_rejected(self):
-        fit = ArimaFit(ArimaOrder(1, 0, 0), 0.0, (1.2,), (), (), (), 1.0, 1.0,
-                       0.0, True, 10, (1.0,), ar_stationary=False,
-                       ma_invertible=True)
+        fit = ArimaFit(ArimaOrder(1, 0, 0), 0.0, (1.2,), (), (), (), 1.0,
+                       True, ar_stationary=False, ma_invertible=True)
         assert not fit.ar_stationary  # report carries the flag
 
     def test_stationarity_flag_detects_unit_root(self):
@@ -918,8 +921,11 @@ class TestOverflowScale:
             assert fit.intercept == small.intercept * unit
             assert fit.css == small.css * unit * unit
             assert fit.converged == small.converged
-            assert fit.aic == pytest.approx(
-                small.aic + 2 * fit.n_eff * math.log(unit), rel=1e-12)
+            # the selection AIC of the n innovations, in y's units
+            n = len(difference(y, order.d, order.D, order.s)) - order.k_ar
+            assert _common_window_aic(fit, y, 0) == pytest.approx(
+                _common_window_aic(small, y / unit, 0)
+                + 2 * n * math.log(unit), rel=1e-12)
             fc = forecast(fit, y, 12)
             assert np.isfinite(fc).all()
             np.testing.assert_array_equal(fc, forecast(small, y / unit, 12) * unit)
@@ -927,7 +933,9 @@ class TestOverflowScale:
     def test_selection_finite_and_converged(self):
         y = fixture_series(22) * 2.0 ** 530
         best = select_order(y, self.ORDERS, seed=0)
-        assert best.converged and math.isfinite(best.aic)
+        drop_front = max(o.d + o.D * o.s + o.k_ar for o in self.ORDERS)
+        assert best.converged
+        assert math.isfinite(_common_window_aic(best, y, drop_front))
         assert np.isfinite(forecast(best, y, 6)).all()
 
 

@@ -21,7 +21,7 @@ from forecastlab.config import (
     parse_config,
 )
 from forecastlab.dataset import ColumnSchema, SynthSpec, chrono_split, default_schema
-from forecastlab.families import FAMILIES, fit_family
+from forecastlab.families import FAMILIES
 from forecastlab.tuning import CvPlan
 from forecastlab.evaluation import pow2_scaled, rmse_reduction
 
@@ -244,6 +244,27 @@ class TestExplain:
             err = capsys.readouterr().err
             assert f"explaining {family} needs at least one feature" in err
             assert "Traceback" not in err
+
+    def test_featureless_forest_on_its_default_grid_degrades(self, tmp_path,
+                                                             capsys):
+        # the shipped grid leaves max_features unset at width 0, so the
+        # forest fails at fit, as with an explicit grid, not at config load
+        data = tmp_path / "target_only.csv"
+        data.write_text("date,INF\n" + "".join(
+            f"{2015 + i // 12}-{i % 12 + 1:02d},{2.0 + math.sin(i / 3)}\n"
+            for i in range(70)))
+        cfg = write_config(tmp_path, schema={"target": "INF", "features": []},
+                           data={"csv": str(data)}, split_months=[16],
+                           roster={"arima": {"candidates": [[0, 0, 0]]},
+                                   "random_forest": {}, "ridge": {}})
+        assert main(["run", "--config", cfg]) == 0
+        err = capsys.readouterr().err
+        assert "warning: random_forest failed on 16-month split" in err
+        assert "ridge" not in err  # an intercept-only fit needs no column
+        _, rows = read_csv(tmp_path / "out" / "metrics.csv")
+        assert [r[0] for r in rows] == ["arima", "random_forest", "ridge"]
+        assert rows[1][1:] == [""] * 5
+        assert all(rows[0][1:3]) and all(rows[2][1:3])
 
     def test_unfittable_family_exits_2(self, tmp_path, capsys):
         # ridge's shrinkage leaves residuals near 1e159, whose squares
@@ -727,16 +748,13 @@ class TestConfigFields:
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_every_grid_name_is_read(self, family):
-        # each accepted name reaches the fitted model's parameters
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(30, 3))
-        y = X[:, 0] + 0.1 * rng.normal(size=30)
+        # each accepted name reaches the solver's parameters
         for name in FAMILIES[family].grid_names:
             spec = parse_config({"data": {}, "roster": {
                 "arima": {}, family: {"grid": {name: [GRID_VALUES[name]]}}}})
             cell = spec.roster_spec(family).param_grid().cells()[0]
-            model = fit_family(family, X, y, cell)
-            assert read_back(model, name) == GRID_VALUES[name], name
+            params = FAMILIES[family].params(cell)
+            assert read_back(params, name) == GRID_VALUES[name], name
 
 
 GRID_VALUES = {"lam": 0.2, "alpha": 0.3, "n_estimators": 2, "max_depth": 2,
@@ -747,17 +765,12 @@ GRID_VALUES = {"lam": 0.2, "alpha": 0.3, "n_estimators": 2, "max_depth": 2,
                "coef0": 1.0}
 
 
-def read_back(model, name):
-    model = getattr(model, "model", model)  # inside a Standardized
-    if name in ("lam", "alpha"):
-        return getattr(model.penalty, name)
-    if name in ("C", "epsilon"):
-        return getattr(model, name)
-    if name == "kernel":
-        return model.kernel.kind
-    if name in ("degree", "gamma", "coef0"):
-        return getattr(model.kernel, name)
-    return getattr(model.params, name)
+def read_back(params, name):
+    if isinstance(params, tuple):  # svr: C, epsilon, KernelSpec
+        C, epsilon, kernel = params
+        return {"C": C, "epsilon": epsilon, "kernel": kernel.kind}.get(
+            name, getattr(kernel, name, None))
+    return getattr(params, name)  # PenaltySpec, ForestParams or BoostParams
 
 
 class TestConfigParsing:
@@ -791,6 +804,13 @@ class TestConfigParsing:
                 "seed": 1, "data": {"synth": {}},
                 "roster": {"arima": {}, "deep_net": {}},
             })
+
+    def test_repeated_split_month_rejected(self, tmp_path, capsys):
+        # a repeat would refit that split and write its sweep rows twice
+        cfg = write_config(tmp_path, split_months=[16, 16, 6])
+        assert main(["sweep", "--config", cfg]) == 2
+        assert "split_months repeats 16" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_default_grids_used_when_omitted(self):
         config = parse_config({

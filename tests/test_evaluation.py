@@ -275,8 +275,10 @@ class TestMetricTable:
         actual = np.arange(10.0)
         rows = metric_table(actual, {"arima": actual + 1.0, "svr": None},
                             benchmark="arima")
-        assert rows[1].failed
-        assert math.isnan(rows[1].rmse)
+        assert rows[1].note == "fit failed"
+        assert math.isnan(rows[1].mae) and math.isnan(rows[1].rmse)
+        assert rows[1].rmse_reduction_pct is rows[1].dm_stat is None
+        assert rows[1].dm_pvalue is None
 
     def test_dm_skip_reason_kept_in_note(self, tmp_path):
         actual = np.arange(5.0)
@@ -285,7 +287,6 @@ class TestMetricTable:
                             benchmark="arima")
         assert rows[1].dm_stat is None and rows[1].dm_pvalue is None
         assert rows[1].note == "dm skipped: need at least 8 forecasts, got 5"
-        assert not rows[1].failed
         assert rows[1].rmse_reduction_pct == 50.0
         assert metric_lines(tmp_path, rows)[2] == "ridge,0.5,0.5,50.0,,"
 

@@ -86,7 +86,7 @@ def loop_fit_linear(X, y, penalty):
         if max_delta < CONVERGENCE_TOL:
             converged = True
             break
-    return LinearModel(b, beta, penalty, converged=converged, n_sweeps=sweeps,
+    return LinearModel(b, beta, converged=converged, n_sweeps=sweeps,
                        jitter_applied=False)
 
 
@@ -280,18 +280,17 @@ SOLVED = dict(converged=True, n_sweeps=0, jitter_applied=False)
 
 class TestPredict:
     def test_zero_coefficients_constant(self):
-        model = LinearModel(4.5, np.zeros(2), PenaltySpec(1.0, 1.0), **SOLVED)
+        model = LinearModel(4.5, np.zeros(2), **SOLVED)
         np.testing.assert_array_equal(model.predict(np.ones((3, 2))),
                                       [4.5, 4.5, 4.5])
 
     def test_single_active_coefficient(self):
-        model = LinearModel(1.0, np.array([1.0, 0.0]), PenaltySpec(0.0, 0.0),
-                            **SOLVED)
+        model = LinearModel(1.0, np.array([1.0, 0.0]), **SOLVED)
         np.testing.assert_array_equal(
             model.predict(np.array([[3.0, 99.0]])), [4.0])
 
     def test_column_mismatch(self):
-        model = LinearModel(0.0, np.zeros(2), PenaltySpec(0.0, 0.0), **SOLVED)
+        model = LinearModel(0.0, np.zeros(2), **SOLVED)
         with pytest.raises(ValueError, match="feature columns"):
             model.predict(np.ones((3, 5)))
 

@@ -37,6 +37,8 @@ from forecastlab.trees import (
 
 
 def random_boosted_model(rng, n=30, p=6, depth=4, trees=20):
+    # subsample and colsample_bytree are drawn from [0.5, 1.0), so every fit
+    # takes the row and column subsampling branches
     X = rng.normal(size=(n, p))
     y = rng.normal(size=n)
     return fit_gradient_boosting(X, y, BoostParams(
@@ -456,8 +458,8 @@ class TestStandardizedEnumeration:
     def test_model_without_standardization_unchanged(self):
         rng = np.random.default_rng(42)
         X = rng.normal(size=(30, 4))
-        model = LinearModel(0.5, rng.normal(size=4), PenaltySpec(0.0, 0.0),
-                            converged=True, n_sweeps=0, jitter_applied=False)
+        model = LinearModel(0.5, rng.normal(size=4), converged=True,
+                            n_sweeps=0, jitter_applied=False)
         self.assert_bytes_equal(model, X[:3], BackgroundSet(X[5:12]))
 
 
@@ -609,7 +611,7 @@ class TestTreeShap:
                     children_left=[1, -1, -1], children_right=[2, -1, -1],
                     value=[0.0, -1.0, 3.0], cover=[0.0, 0.0, 0.0])
         bg = BackgroundSet(np.random.default_rng(2).normal(size=(6, 4)))
-        phi = tree_shap(ForestModel((tree,), None, 4),
+        phi = tree_shap(ForestModel((tree,), 4),
                         np.array([0.0, 2.0, 0.0, 0.0]), bg)
         assert phi[0] == 0.0 and phi[2] == 0.0 and phi[3] == 0.0
 
@@ -617,8 +619,7 @@ class TestTreeShap:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 5))
         y = rng.normal(size=40)
-        model = ForestModel((fit_regression_tree(X, gradients=-y, max_depth=4),),
-                            None, 5)
+        model = ForestModel((fit_regression_tree(X, gradients=-y, max_depth=4),), 5)
         bg = BackgroundSet(X[:7])
         predict = lambda Z: model.predict(Z)
         for r in range(5):
@@ -660,7 +661,7 @@ class TestTreeShap:
         total = np.zeros(X.shape[1])
         for tree in model.trees:
             total += model.learning_rate * tree_shap(
-                ForestModel((tree,), None, X.shape[1]), x, bg)
+                ForestModel((tree,), X.shape[1]), x, bg)
         np.testing.assert_allclose(tree_shap(model, x, bg), total, atol=1e-12)
 
     def test_non_tree_model_rejected(self):
@@ -783,30 +784,26 @@ def leaf_path_models(rng):
             min_samples_leaf=int(rng.integers(1, 4)),
             seed=int(rng.integers(0, 2**31)))), X
     for _ in range(60):
-        model, X = random_boosted_model(rng, n=int(rng.integers(10, 50)),
-                                        p=int(rng.integers(2, 8)), depth=6,
-                                        trees=12)
-        assert model.params.subsample < 1.0
-        assert model.params.colsample_bytree < 1.0
-        yield model, X
+        yield random_boosted_model(rng, n=int(rng.integers(10, 50)),
+                                   p=int(rng.integers(2, 8)), depth=6, trees=12)
     for _ in range(40):
         n, p = int(rng.integers(4, 30)), int(rng.integers(1, 5))
         X = rng.normal(size=(n, p))
         trees = tuple(fit_regression_tree(X, gradients=-rng.normal(size=n),
                                           max_depth=int(rng.integers(0, 2)))
                       for _ in range(int(rng.integers(1, 6))))
-        yield ForestModel(trees, ForestParams(n_estimators=len(trees)), p), X
-        yield ForestModel(trees[-1:], None, p), X
+        yield ForestModel(trees, p), X
+        yield ForestModel(trees[-1:], p), X
     chain = chain_tree(40, 3, rng)
     # rows part from the path at many depths; the first ones part beyond
     # step 31 or reach the bottom
     grid = np.linspace(-1.0, 1.1, 8)
     X = np.stack(np.meshgrid(grid, grid[1::2], grid[::-3]),
                  axis=-1).reshape(-1, 3)[::-1]
-    yield ForestModel((chain,), None, 3), X
+    yield ForestModel((chain,), 3), X
     yield BoostedModel(0.0, 0.3, (chain, Tree([-1], [0.0], [-1], [-1], [1.5],
-                                              [1.0])), None, 3), X
-    yield BoostedModel(0.5, 0.1, (), BoostParams(n_estimators=1), 2), X[:, :2]
+                                              [1.0])), 3), X
+    yield BoostedModel(0.5, 0.1, (), 2), X[:, :2]
 
 
 def fold_from_first(first):
@@ -861,7 +858,7 @@ class TestLeafPathCache:
             n_estimators=3, max_depth=4, seed=1))
         bg = BackgroundSet(X[:8])
         for model in (boosted, forest,
-                      ForestModel(forest.trees[:1], None, X.shape[1])):
+                      ForestModel(forest.trees[:1], X.shape[1])):
             first = tree_shap(model, X[0], bg)
             table = model._leaf_paths
             paths, tree_of, weight = table
@@ -873,7 +870,7 @@ class TestLeafPathCache:
             assert m.phi[0].tobytes() == first.tobytes()
 
     def test_empty_booster_has_no_table(self):
-        model = BoostedModel(0.5, 0.1, (), BoostParams(n_estimators=1), 2)
+        model = BoostedModel(0.5, 0.1, (), 2)
         assert model._leaf_paths is None
         assert not tree_shap(model, np.zeros(2),
                              BackgroundSet(np.ones((3, 2)))).any()
@@ -897,7 +894,6 @@ class TestArrayTreeShap:
         rng = np.random.default_rng(41)
         for _ in range(6):
             model, X = random_boosted_model(rng, n=40, p=7, depth=5, trees=25)
-            assert model.params.colsample_bytree < 1.0
             bg = BackgroundSet(X[rng.choice(40, size=9, replace=False)])
             assert_matches_recursion(model, X[:6], bg)
 
@@ -911,7 +907,7 @@ class TestArrayTreeShap:
             children_right=[4, 3, -1, -1, 8, 7, -1, -1, -1],
             value=[0.0, 0.0, -2.0, 1.0, 0.0, 0.5, 3.0, -1.5, 4.0],
             cover=[1.0] * 9)
-        model = ForestModel((tree,), None, 2)
+        model = ForestModel((tree,), 2)
         grid = np.array([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5])
         rows = np.array([[a, b] for a in grid for b in grid[::2]])
         assert_matches_recursion(model, rows, BackgroundSet(rows[::3]))
@@ -926,15 +922,15 @@ class TestArrayTreeShap:
                     children_right=[-1], value=[2.5], cover=[1.0])
         X = np.random.default_rng(42).normal(size=(5, 3))
         bg = BackgroundSet(X[:3])
-        m = assert_matches_recursion(ForestModel((leaf,), None, 3), X, bg)
+        m = assert_matches_recursion(ForestModel((leaf,), 3), X, bg)
         assert not m.phi.any() and m.base_value == 2.5
-        no_trees = BoostedModel(1.0, 0.1, (), None, 3)
+        no_trees = BoostedModel(1.0, 0.1, (), 3)
         assert not explain_matrix(no_trees, X, bg).phi.any()
         # a stump next to a single-leaf tree: only the stump attributes
         stump = Tree(feature=[1, -1, -1], threshold=[0.0, 0.0, 0.0],
                      children_left=[1, -1, -1], children_right=[2, -1, -1],
                      value=[0.0, -1.0, 3.0], cover=[0.0, 0.0, 0.0])
-        mixed = ForestModel((leaf, stump), ForestParams(n_estimators=2), 3)
+        mixed = ForestModel((leaf, stump), 3)
         assert_matches_recursion(mixed, X, bg)
 
     def test_single_background_row(self):
@@ -963,7 +959,7 @@ class TestArrayTreeShap:
     def test_chain_deeper_than_one_key_word(self):
         rng = np.random.default_rng(45)
         p, depth = 3, 40
-        tree = ForestModel((chain_tree(depth, p, rng),), None, p)
+        tree = ForestModel((chain_tree(depth, p, rng),), p)
         assert tree._leaf_paths[0].feature.shape[1] == depth
         # rows survive to different depths; the all-1.05 rows reach the
         # bottom, so pairs part beyond step 31
@@ -1089,8 +1085,8 @@ class TestGroupedTreeShap:
         rng = np.random.default_rng(52)
         p = 3
         two_chains = BoostedModel(0.0, 0.5, (chain_tree(30, p, rng),
-                                             chain_tree(30, p, rng)), None, p)
-        one_chain = ForestModel((chain_tree(28, p, rng),), None, p)
+                                             chain_tree(30, p, rng)), p)
+        one_chain = ForestModel((chain_tree(28, p, rng),), p)
         # (model, rows, lexsorts of the block, lexsorts of one row): 62
         # leaves > 8, so the background of two_chains takes the lexsort, and
         # so do its 12-row chunks (24 majors); one_chain's 29 leaves do
@@ -1191,8 +1187,7 @@ class TestExplainMatrix:
         models = [
             fit_gradient_boosting(X, y, BoostParams(n_estimators=10, max_depth=3)),
             fit_random_forest(X, y, ForestParams(n_estimators=5, max_depth=3)),
-            ForestModel((fit_regression_tree(X, gradients=-y, max_depth=3),),
-                        None, 4),
+            ForestModel((fit_regression_tree(X, gradients=-y, max_depth=3),), 4),
             fit_linear(X, y, PenaltySpec(0.1, 0.5)),
             fit_svr(X, y, C=5.0, epsilon=0.05, kernel=KernelSpec("rbf", gamma=0.5)),
         ]

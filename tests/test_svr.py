@@ -90,14 +90,14 @@ def loop_fit_svr(X, y, C, epsilon, kernel, monitor=None, tol=KKT_TOL):
         bias = float(neg_sg[free].mean())
     else:
         bias = float((m + M) / 2.0)
-    return SvrModel(X, beta, bias, kernel, gamma, C, epsilon, converged, updates)
+    return SvrModel(X, beta, bias, kernel, gamma, converged, updates)
 
 
 def assert_same_svr(got, want):
     assert got.support_rows.tobytes() == want.support_rows.tobytes()
     assert got.dual_coef.tobytes() == want.dual_coef.tobytes()
     assert np.float64(got.bias).tobytes() == np.float64(want.bias).tobytes()
-    assert (got.gamma, got.C, got.epsilon) == (want.gamma, want.C, want.epsilon)
+    assert got.gamma == want.gamma
     assert (got.converged, got.n_updates) == (want.converged, want.n_updates)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import signal
@@ -854,8 +855,7 @@ class TestGradientBoosting:
 
 class TestSerialization:
     def test_stump_piecewise_constant(self):
-        forest = ForestModel((stump(0, 0.0, -1.0, 2.0),),
-                             ForestParams(n_estimators=1), 2)
+        forest = ForestModel((stump(0, 0.0, -1.0, 2.0),), 2)
         X = np.array([[-1.0, 9.0], [0.0, 9.0], [0.5, 9.0]])
         np.testing.assert_array_equal(forest.predict(X), [-1.0, -1.0, 2.0])
 
@@ -865,8 +865,8 @@ class TestSerialization:
         tree = stump(0, 0.0, -1.0, 2.0)
         with pytest.raises(TypeError):
             BoostedModel(0.0, 0.5, (tree,))
-        for model in (ForestModel((tree,), None, 2),
-                      BoostedModel(0.0, 0.5, (tree,), None, 2)):
+        for model in (ForestModel((tree,), 2),
+                      BoostedModel(0.0, 0.5, (tree,), 2)):
             for m in (model, model_from_json(model_to_json(model))):
                 assert m.predict(np.zeros((3, 2))).shape == (3,)
                 with pytest.raises(ValueError, match="feature columns"):
@@ -876,8 +876,7 @@ class TestSerialization:
         rng = np.random.default_rng(12)
         X = rng.normal(size=(30, 3))
         y = rng.normal(size=30)
-        tree = ForestModel((fit_regression_tree(X, gradients=-y, max_depth=3),),
-                           None, 3)
+        tree = ForestModel((fit_regression_tree(X, gradients=-y, max_depth=3),), 3)
         forest = fit_random_forest(X, y, ForestParams(n_estimators=4, max_depth=2))
         boost = fit_gradient_boosting(X, y, BoostParams(n_estimators=4, max_depth=2))
         for model in (tree, forest, boost):
@@ -899,18 +898,30 @@ class TestSerialization:
             model_from_json(json.dumps(doc))
 
     def test_reloaded_models_claim_no_training_params(self):
-        # model.json stores no training parameters, so a reloaded forest or
-        # booster reports none, and writes the same bytes again
+        # a model holds only what predict reads, none of its training
+        # parameters, so the reloaded forest or booster is the fitted record
+        # field for field, tree arrays to the bit, and writes the same bytes
         rng = np.random.default_rng(16)
         X = rng.normal(size=(30, 3))
         y = rng.normal(size=30)
         for model in (fit_random_forest(X, y, ForestParams(
                           n_estimators=3, max_depth=2, max_features=2, seed=5)),
-                      fit_gradient_boosting(X, y, BoostParams(n_estimators=3))):
+                      fit_gradient_boosting(X, y, BoostParams(
+                          n_estimators=3, subsample=0.5, seed=5))):
             text = model_to_json(model)
             clone = model_from_json(text)
-            assert model.params is not None and clone.params is None
-            assert clone.n_features == 3
+            assert type(clone) is type(model)
+            for field in dataclasses.fields(model):
+                got, want = getattr(clone, field.name), getattr(model, field.name)
+                if field.name != "trees":
+                    assert type(got) is type(want) and got == want, field.name
+                    continue
+                assert len(got) == len(want) == 3
+                for got_tree, want_tree in zip(got, want):
+                    for node in dataclasses.fields(Tree):
+                        a = getattr(got_tree, node.name)
+                        b = getattr(want_tree, node.name)
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
             assert model_to_json(clone) == text
 
     def test_boosted_params_validated(self):
@@ -1031,7 +1042,7 @@ class TestFlatArrays:
             n_estimators=4, max_depth=8, seed=3)).trees
         trees.append(stump(1, 0.0, 1.0, 2.0))
         for tree in trees:
-            model = ForestModel((tree,), None, 3)
+            model = ForestModel((tree,), 3)
             model.predict(X)
             assert "_leaf_paths" not in model.__dict__
             assert tree._routing[2] == model._leaf_paths[0].feature.shape[1]
@@ -1044,7 +1055,7 @@ class TestFlatArrays:
     def test_zero_rows_empty_output(self):
         tree = random_tree(np.random.default_rng(15), 3, depth=3)
         assert predict_tree(tree, np.empty((0, 3))).shape == (0,)
-        assert ForestModel((tree,), None, 3).predict(np.empty((0, 3))).shape == (0,)
+        assert ForestModel((tree,), 3).predict(np.empty((0, 3))).shape == (0,)
 
     def test_colsample_rounds_split_on_global_sampled_columns(self):
         rng = np.random.default_rng(16)
