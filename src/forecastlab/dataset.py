@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import accumulate
 
 import numpy as np
@@ -294,8 +294,42 @@ def feature_rows(X, n_features: int) -> np.ndarray:
     return X
 
 
-@dataclass(frozen=True)
-class Standardization:
+class FittedRecord:
+    """Base of the fitted records, frozen dataclasses declared eq=False: two
+    are equal when they are of one type and equal field by field. An array
+    field compares by dtype, shape and bytes and a float field by its bytes
+    (a Python float as float64), so -0.0 and 0.0 differ and a NaN equals
+    its own bits;
+    any other field (an int, a bool, a kernel spec, a nested record or a
+    tuple of trees) by its own ==. So a model reloaded from model.json
+    equals the fitted one only when their bits agree, and == never asks an
+    array for its truth value. Equal records need not be one object, so
+    none hashes."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_same_field(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
+
+_BITS = (np.ndarray, float, np.floating)  # compared by their bytes
+
+
+def _same_field(a, b) -> bool:
+    if isinstance(a, _BITS) or isinstance(b, _BITS):
+        if not (isinstance(a, _BITS) and isinstance(b, _BITS)):
+            return False
+        a, b = np.asarray(a), np.asarray(b)
+        return (a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    return a == b
+
+
+@dataclass(frozen=True, eq=False)
+class Standardization(FittedRecord):
     """Per-feature center/scale computed on training data (population sd)."""
 
     means: np.ndarray

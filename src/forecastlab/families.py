@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import shapley
-from .dataset import Standardization, number
+from .dataset import FittedRecord, Standardization, number
 from .linear import PenaltySpec, fit_linear
 from .svr import KernelSpec, fit_svr
 from .trees import BoostParams, ForestParams, fit_gradient_boosting, fit_random_forest
@@ -39,8 +39,8 @@ def _int_logspace(lo: int, hi: int, num: int = 10) -> list[int]:
     return sorted({int(round(v)) for v in _logspace(lo, hi, num)})
 
 
-@dataclass(frozen=True)
-class Standardized:
+@dataclass(frozen=True, eq=False)
+class Standardized(FittedRecord):
     """A linear or SVR model fitted on rows standardized by `stats`, the
     statistics of its training rows; `predict` takes raw rows. It is explained
     in that space: the rows and the background are standardized once, and the

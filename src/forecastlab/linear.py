@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import coerce_fields, feature_rows, finite
+from .dataset import FittedRecord, coerce_fields, feature_rows, finite
 
 CONVERGENCE_TOL = 1e-8
 MAX_SWEEPS = 10_000
@@ -63,8 +63,8 @@ class PenaltySpec:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class LinearModel:
+@dataclass(frozen=True, eq=False)
+class LinearModel(FittedRecord):
     intercept: float
     coefficients: np.ndarray
     converged: bool

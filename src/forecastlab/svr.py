@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import coerce_fields, feature_rows, finite, integer, optional
+from .dataset import FittedRecord, coerce_fields, feature_rows, finite, integer, optional
 
 KKT_TOL = 1e-3
 MAX_PAIR_UPDATES = 100_000
@@ -78,8 +78,8 @@ def kernel_matrix(spec: KernelSpec, A, B, gamma: float) -> np.ndarray:
     return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
-@dataclass(frozen=True)
-class SvrModel:
+@dataclass(frozen=True, eq=False)
+class SvrModel(FittedRecord):
     support_rows: np.ndarray  # all training rows; zero-coef rows are non-SVs
     dual_coef: np.ndarray  # alpha_i - alpha*_i per row
     bias: float

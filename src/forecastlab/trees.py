@@ -45,14 +45,14 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import shapley
-from .dataset import coerce_fields, feature_rows, finite, integer, optional
+from .dataset import FittedRecord, coerce_fields, feature_rows, finite, integer, optional
 
 _NODE_ARRAYS = (("feature", np.intp), ("threshold", float),
                 ("children_left", np.intp), ("children_right", np.intp),
                 ("value", float), ("cover", float))
 
 
-class TreeModel:
+class TreeModel(FittedRecord):
     """Base of the tree models: each yields its (tree, scale) pairs through
     `tree_terms()`, and `attributions` runs `shapley.tree_shap` on them."""
 
@@ -67,7 +67,7 @@ class TreeModel:
 
 
 @dataclass(frozen=True, eq=False)
-class Tree:
+class Tree(FittedRecord):
     """Node i splits on feature[i] (rows with x <= threshold[i] go to
     children_left[i]) or is a leaf (feature == -1, children -1) predicting
     value[i]. cover is the number of rows that reached the node (its
@@ -139,6 +139,8 @@ class BoostParams:
                       reg_lambda=finite, min_split_gain=finite)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
+        if self.n_estimators < 0:  # zero is the empty booster: base_score
+            raise ValueError("n_estimators must be >= 0")
         if self.max_depth < 0:
             raise ValueError("max_depth must be >= 0")
         if not 0.0 < self.subsample <= 1.0:
@@ -151,7 +153,7 @@ class BoostParams:
             raise ValueError("min_split_gain must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForestModel(TreeModel):
     trees: tuple[Tree, ...]
     n_features: int
@@ -170,7 +172,7 @@ class ForestModel(TreeModel):
                 "trees": [_tree_arrays(t) for t in self.trees]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoostedModel(TreeModel):
     base_score: float
     learning_rate: float

@@ -268,17 +268,129 @@ class TestExplain:
 
     def test_unfittable_family_exits_2(self, tmp_path, capsys):
         # ridge's shrinkage leaves residuals near 1e159, whose squares
-        # overflow, so every grid cell scores inf and tuning fails
+        # overflow, so every cell of a grid with a choice scores inf and
+        # tuning fails
+        cfg = write_config(
+            tmp_path, schema={"target": "INF", "features": ["ATMD", "CC", "IR"]},
+            data={"synth": {"kind": "linear", "n": 70, "drivers": ["CC"],
+                            "coefficients": [1e160]}},
+            roster={"arima": {"candidates": [[0, 0, 0]]},
+                    "ridge": {"grid": {"lam": [0.1, 0.2]}}})
+        assert main(["explain", "--config", cfg, "--model", "ridge"]) == 2
+        err = capsys.readouterr().err
+        assert "ridge fit failed: every ridge grid cell failed" in err
+        assert "Traceback" not in err
+
+    def test_one_cell_unfittable_family_is_fitted_once(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # the same data with one cell: there is nothing to choose, so no
+        # fold is scored; the refit succeeds and the attributions' efficiency
+        # check is what fails
+        def never_searched(*args, **kwargs):
+            raise AssertionError("a one-cell grid was cross-validated")
+
+        monkeypatch.setattr(pipeline, "grid_search", never_searched)
         cfg = write_config(
             tmp_path, schema={"target": "INF", "features": ["ATMD", "CC", "IR"]},
             data={"synth": {"kind": "linear", "n": 70, "drivers": ["CC"],
                             "coefficients": [1e160]}},
             roster={"arima": {"candidates": [[0, 0, 0]]},
                     "ridge": {"grid": {"lam": [0.1]}}})
-        assert main(["explain", "--config", cfg, "--model", "ridge"]) == 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["explain", "--config", cfg, "--model", "ridge"]) == 2
         err = capsys.readouterr().err
-        assert "ridge fit failed: every ridge grid cell failed" in err
+        assert "ridge attributions failed: efficiency violated" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("family, grid", [
+        ("random_forest", {"n_estimators": [5], "max_depth": [3],
+                           "max_features": [2]}),
+        ("boosting", {"n_estimators": [8], "max_depth": [2],
+                      "subsample": [0.8]}),
+        ("ridge", {"lam": [0.1]}),
+        ("svr", {"C": [2.0], "kernel": ["rbf"]}),
+    ])
+    def test_one_cell_grid_explained_as_cross_validated(self, tmp_path,
+                                                        monkeypatch, family,
+                                                        grid):
+        # skipping the search changes no byte: the one cell is refitted with
+        # the same seed either way, and explain writes no cv table
+        import forecastlab.tuning as tuning
+
+        cfg = write_config(
+            tmp_path, schema={"target": "INF", "features": ["ATMD", "CC", "IR"]},
+            roster={"arima": {"candidates": [[0, 0, 0]]},
+                    family: {"grid": grid}})
+        fits = []
+
+        def counted(real):
+            def fit_family(*args, **kwargs):
+                fits.append(args[0])
+                return real(*args, **kwargs)
+            return fit_family
+
+        for module in (pipeline, tuning):
+            monkeypatch.setattr(module, "fit_family", counted(module.fit_family))
+        assert main(["explain", "--config", cfg, "--model", family,
+                     "--out", str(tmp_path / "once")]) == 0
+        assert fits == [family]
+
+        real = pipeline.fit_roster_member
+
+        def cross_validated(*args, **kwargs):
+            return real(*args, **{**kwargs, "cv_one_cell": True})
+
+        monkeypatch.setattr(pipeline, "fit_roster_member", cross_validated)
+        assert main(["explain", "--config", cfg, "--model", family,
+                     "--out", str(tmp_path / "cv")]) == 0
+        assert len(fits) == 1 + 3 + 1  # the 3 folds, then the refit
+        names = sorted(os.listdir(tmp_path / "once"))
+        assert names == sorted(os.listdir(tmp_path / "cv"))
+        match, mismatch, errors = filecmp.cmpfiles(
+            tmp_path / "once", tmp_path / "cv", names, shallow=False)
+        assert mismatch == [] and errors == [] and len(match) >= 7
+
+    def test_pinned_winner_explains_as_unpinned(self, tmp_path, monkeypatch):
+        # the paper's order: tune with run, pin run's winning cell, explain
+        # it; the model and every attribution equal those of the unpinned
+        # explain, which only the config hash tells apart
+        roster = {"arima": {"candidates": [[0, 0, 0]]},
+                  "random_forest": {"grid": {"max_depth": [2, 4],
+                                             "max_features": [2, 3],
+                                             "n_estimators": [6]}}}
+        features = {"target": "INF", "features": ["ATMD", "CC", "IR"]}
+        cfg = write_config(tmp_path, schema=features, roster=roster)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        header, rows = read_csv(tmp_path / "run" / "cv_random_forest.csv")
+        (winner,) = [r for r in rows if r[-1] == "1"]
+        names = header[1:-3]
+        pinned = {name: [int(v)] for name, v in zip(names, winner[1:])}
+        assert main(["explain", "--config", cfg, "--model", "random_forest",
+                     "--out", str(tmp_path / "unpinned")]) == 0
+
+        def never_searched(*args, **kwargs):
+            raise AssertionError("a one-cell grid was cross-validated")
+
+        monkeypatch.setattr(pipeline, "grid_search", never_searched)
+        cfg = write_config(tmp_path, schema=features, roster={
+            **roster, "random_forest": {"grid": pinned}})
+        assert main(["explain", "--config", cfg, "--model", "random_forest",
+                     "--out", str(tmp_path / "pinned")]) == 0
+
+        unpinned, pinned_dir = tmp_path / "unpinned", tmp_path / "pinned"
+        names = sorted(os.listdir(unpinned))
+        assert names == sorted(os.listdir(pinned_dir))
+        for name in names:
+            a = (unpinned / name).read_text()
+            b = (pinned_dir / name).read_text()
+            if name.endswith(".csv"):
+                assert a.split("\n", 1)[0] != b.split("\n", 1)[0], name
+                a, b = a.split("\n", 1)[1], b.split("\n", 1)[1]
+            elif name == "functional_form.json":
+                a, b = json.loads(a), json.loads(b)
+                assert a.pop("config_sha256") != b.pop("config_sha256")
+            assert a == b, name
+        assert "model.json" in names
 
     def test_efficiency_violation_exits_2(self, tmp_path, capsys):
         # on a target near 1e160 the ridge fit succeeds, but rounding leaves
@@ -594,6 +706,8 @@ class TestExitCodes:
         {"roster": {"arima": {}, "random_forest": {"grid": {
             "max_depth": [-1]}}}},
         {"roster": {"arima": {}, "boosting": {"grid": {"max_depth": [-2]}}}},
+        {"roster": {"arima": {}, "boosting": {"grid": {
+            "n_estimators": [-3]}}}},
     ], ids=["synth.n", "dm.h", "seed", "split_months", "schema.features",
             "arima.candidates", "data", "explain.background_cap", "cv-list",
             "cv.shuffle-string", "synth.drivers-string",
@@ -620,7 +734,8 @@ class TestExitCodes:
             "seed-numeric-string", "synth.noise_scale-bool",
             "explain.outlier_k-bool", "explain.outlier_k-numeric-string",
             "ridge-lam-bool", "svr-C-numeric-string", "svr-epsilon-bool",
-            "random_forest-max_depth-negative", "boosting-max_depth-negative"])
+            "random_forest-max_depth-negative", "boosting-max_depth-negative",
+            "boosting-n_estimators-negative"])
     def test_malformed_value_exits_2_before_fitting(self, tmp_path, capsys,
                                                     monkeypatch, overrides):
         import forecastlab.pipeline as pipeline
@@ -683,6 +798,24 @@ class TestConfigFields:
             (0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 1), (1, 1, 0))
         for spec in config.roster[1:]:
             assert spec.grid == doc["roster"][spec.family]["grid"]
+
+    def test_quickstart_tuned_pins_one_quickstart_cell(self):
+        # the tuned config is the quickstart with every tuned family pinned
+        # to one cell of its grid (run's rank-1 row, which CI checks), so
+        # explain fits it once
+        tuned_path = os.path.join(os.path.dirname(QUICKSTART),
+                                  "quickstart_tuned.json")
+        tuned, quickstart = json.load(open(tuned_path)), json.load(open(QUICKSTART))
+        roster = tuned.pop("roster")
+        assert tuned == {k: v for k, v in quickstart.items() if k != "roster"}
+        assert list(roster) == list(quickstart["roster"])
+        assert roster["arima"] == quickstart["roster"]["arima"]
+        config, _ = load_config(tuned_path)
+        for spec in config.families:
+            grid = quickstart["roster"][spec.family]["grid"]
+            assert list(spec.grid) == list(grid)
+            assert all(len(v) == 1 and v[0] in grid[name]
+                       for name, v in spec.grid.items())
 
     def test_in_test_document(self, tmp_path):
         config, _ = load_config(write_config(tmp_path))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -311,6 +313,56 @@ class TestPredict:
         y = 2.0 + Z @ np.array([1.0, -1.0])
         model = Standardized(stats, fit_linear(Z, y, PenaltySpec(0.0, 0.0)))
         np.testing.assert_allclose(model.predict(X), y, atol=1e-10)
+
+
+def flip_first_bit(arr):
+    """A copy of the float array with the lowest bit of element 0 flipped."""
+    out = np.array(arr, dtype=float)
+    out.view(np.uint64)[0] ^= 1
+    return out
+
+
+class TestRecordEquality:
+    """Fitted records compare field by field, arrays by dtype, shape and
+    bytes, so == on two models is a bool and never raises."""
+
+    def test_identical_fits_compare_equal(self):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(30, 3))
+        y = X @ np.array([1.0, -0.5, 0.25]) + rng.normal(size=30)
+        penalty = PenaltySpec(0.1, 0.5)
+        a, b = fit_linear(X, y, penalty), fit_linear(X, y, penalty)
+        assert a == b and not a != b
+        stats = Standardization.fit(X)
+        assert stats == Standardization.fit(X)
+        assert (Standardized(stats, fit_linear(stats.transform(X), y, penalty))
+                == Standardized(Standardization.fit(X),
+                                fit_linear(stats.transform(X), y, penalty)))
+
+    def test_one_bit_of_one_coefficient_makes_unequal(self):
+        model = LinearModel(1.0, np.array([0.5, -2.0]), **SOLVED)
+        other = dataclasses.replace(
+            model, coefficients=flip_first_bit(model.coefficients))
+        assert model != other and not model == other
+        stats = Standardization(np.zeros(2), np.ones(2))
+        assert (Standardized(stats, model) != Standardized(stats, other))
+        assert stats != Standardization(np.zeros(2), flip_first_bit(np.ones(2)))
+
+    def test_arrays_compare_by_dtype_and_shape(self):
+        model = LinearModel(1.0, np.array([0.5, -2.0]), **SOLVED)
+        wider = LinearModel(1.0, np.array([0.5, -2.0, 0.0]), **SOLVED)
+        assert model != wider
+        stats = Standardization(np.zeros(2), np.ones(2))
+        assert stats != Standardization(np.zeros(2, dtype=np.float32),
+                                        np.ones(2))
+        assert stats != Standardization(np.zeros((1, 2)), np.ones(2))
+        assert model != "model" and model != Standardized(stats, model)
+
+    def test_float_fields_compare_by_bits(self):
+        model = LinearModel(0.0, np.array([0.5, -2.0]), **SOLVED)
+        assert model != dataclasses.replace(model, intercept=-0.0)
+        assert model == dataclasses.replace(model, intercept=np.float64(0.0))
+        assert model != dataclasses.replace(model, n_sweeps=0.0)
 
 
 class TestPenaltySpec:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -408,6 +410,30 @@ class TestPredict:
         model = Standardized(stats, fit_svr(Z, y, C=10.0, epsilon=0.01,
                                             kernel=KernelSpec("linear")))
         np.testing.assert_allclose(model.predict(X), y, atol=0.1)
+
+    def test_identical_fits_compare_equal(self):
+        # == compares the records field by field, arrays by dtype, shape and
+        # bytes; on two array-holding models it is a bool and never raises
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(25, 2))
+        y = np.sin(X[:, 0]) + X[:, 1]
+
+        def fit():
+            return fit_svr(X, y, C=1.0, epsilon=0.05, kernel=KernelSpec("rbf"))
+
+        model = fit()
+        assert model == fit() and not model != fit()
+        svr = FAMILIES["svr"]
+        assert (svr.fit(X, y, svr.params({"C": 2.0}))
+                == svr.fit(X, y, svr.params({"C": 2.0})))
+        dual = model.dual_coef.copy()
+        dual.view(np.uint64)[0] ^= 1
+        assert dataclasses.replace(model, dual_coef=dual) != model
+        # float fields by their bits: -0.0 is not 0.0, a NaN is its own bits
+        assert dataclasses.replace(model, bias=-0.0) != dataclasses.replace(
+            model, bias=0.0)
+        nan = dataclasses.replace(model, gamma=float("nan"))
+        assert nan == dataclasses.replace(model, gamma=float("nan"))
 
     @pytest.mark.parametrize("kind", ["linear", "polynomial", "rbf"])
     def test_blocked_rows_match_one_kernel_product(self, kind):

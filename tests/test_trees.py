@@ -924,6 +924,25 @@ class TestSerialization:
                         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
             assert model_to_json(clone) == text
 
+    def test_reloaded_models_compare_equal(self):
+        # == compares the records field by field and the node arrays by
+        # dtype, shape and bytes, so a reload equals the fitted model and one
+        # flipped bit of one leaf value does not
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(30, 3))
+        y = rng.normal(size=30)
+        for model in (fit_random_forest(X, y, ForestParams(n_estimators=3,
+                                                           max_depth=2)),
+                      fit_gradient_boosting(X, y, BoostParams(n_estimators=3))):
+            assert model == model_from_json(model_to_json(model))
+            first = model.trees[0]
+            value = first.value.copy()
+            value.view(np.uint64)[-1] ^= 1
+            flipped = dataclasses.replace(model, trees=(
+                dataclasses.replace(first, value=value), *model.trees[1:]))
+            assert flipped != model and not flipped == model
+            assert dataclasses.replace(model, trees=model.trees[1:]) != model
+
     def test_boosted_params_validated(self):
         with pytest.raises(ValueError):
             BoostParams(learning_rate=0.0)
@@ -931,6 +950,14 @@ class TestSerialization:
             BoostParams(subsample=0.0)
         with pytest.raises(ValueError):
             BoostParams(colsample_bytree=1.5)
+
+    def test_boosted_rounds_not_negative(self):
+        # a negative count grew no trees without a word; zero stays the
+        # empty booster, which predicts its base score
+        for n in (-1, -5):
+            with pytest.raises(ValueError, match="n_estimators must be >= 0"):
+                BoostParams(n_estimators=n)
+        assert BoostParams(n_estimators=0).n_estimators == 0
 
 
 
