@@ -160,9 +160,12 @@ FAMILIES = {family.name: family for family in (
 
 def fit_family(family: str, X, y, params: dict, seed: int = 0):
     """Fit one family with the given hyperparameter cell; returns the model,
-    which predicts through `.predict(X)`."""
+    which predicts through `.predict(X)`. X with no columns raises, for
+    every family alike."""
     if family not in FAMILIES:
         raise FamilyError(f"unknown model family {family!r}")
+    X = np.asarray(X, dtype=float)
+    if not X.shape[1]:
+        raise FamilyError("no feature columns to fit on")
     spec = FAMILIES[family]
-    return spec.fit(np.asarray(X, dtype=float), np.asarray(y, dtype=float),
-                    spec.params(params, seed))
+    return spec.fit(X, np.asarray(y, dtype=float), spec.params(params, seed))

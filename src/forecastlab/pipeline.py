@@ -122,23 +122,19 @@ def _check_splits(config: RunConfig, frame: SeriesFrame):
 
 
 def fit_roster_member(config: RunConfig, family: str, train: SeriesFrame,
-                      test_months: int, *, cv_one_cell: bool = True
-                      ) -> tuple[object, list | None]:
+                      test_months: int) -> tuple[object, list | None]:
     """Tune a family on the training window, then refit the winning cell on
     all of it. Returns the model and the cv table (None when no search ran).
 
-    An empty grid is its one all-defaults cell and is fitted without a
-    search. A grid of one cell leaves cross-validation nothing to choose:
-    with `cv_one_cell` false it too is fitted once, with the same seed and
-    cell, so the model is the same whenever its search would succeed.
-    `cv_one_cell` true, the default, is the search every tuning caller
-    runs; only `explain`, which writes no cv table, passes False."""
+    A grid of one cell, the empty grid's all-defaults cell among them,
+    leaves cross-validation nothing to choose, so it is fitted once with
+    the seed a search's refit uses; `run`, `sweep` and `explain` alike."""
     X = train.matrix(config.schema.features)
     y = train.column(config.schema.target)
     seed = derive_seed(config.seed, "fit", family, test_months)
     grid = config.roster_spec(family).param_grid(X.shape[1])
     cells = grid.cells()
-    if grid.axes and (len(cells) > 1 or cv_one_cell):
+    if len(cells) > 1:
         plan = CvPlan(config.cv.k, config.cv.shuffle,
                       derive_seed(config.seed, "cv", test_months))
         best, table = grid_search(family, grid, X, y, plan, seed=seed)
@@ -167,9 +163,6 @@ def evaluate_split(config: RunConfig, frame: SeriesFrame, test_months: int):
     for spec in config.families:
         family = spec.family
         try:
-            # the default cv_one_cell: a one-cell grid is cross-validated
-            # too, since run writes its cv_<family>.csv and a family whose
-            # every fold fails is dropped here, in run and sweep alike
             model, table = fit_roster_member(config, family, train, test_months)
             forecasts[family] = model.predict(X_test)
             tables[family] = table
@@ -182,7 +175,7 @@ def evaluate_split(config: RunConfig, frame: SeriesFrame, test_months: int):
 
 def cmd_run(config: RunConfig, config_hash: str) -> dict:
     """Primary-split pipeline: tune, refit, forecast, score; writes
-    forecasts.csv, metrics.csv, and one cv_<family>.csv per tuned family."""
+    forecasts.csv, metrics.csv, and one cv_<family>.csv per searched grid."""
     frame = load_data(config)
     _check_splits(config, frame)
     train, test, tables, forecasts = evaluate_split(
@@ -245,16 +238,8 @@ def cmd_explain(config: RunConfig, config_hash: str, model_id: str) -> dict:
     """Refit one roster model deterministically and emit attribution
     products: importance.csv, shap_values.csv, predictions.csv, per-feature
     dependence CSVs, summary_plot.csv, and functional_form.json (and
-    model.json for a tree family).
-
-    The model is the one `run` scores on the primary split whenever run's
-    cross-validation of its grid succeeds: the grid is searched as there,
-    except that a grid of one cell is fitted once, without
-    cross-validation, since explain writes no cv table. So a grid pinned
-    to run's winning cell gives the same model, and "every grid cell
-    failed" is only raised for a grid with a choice; a one-cell grid whose
-    folds would all fail, or whose `cv.k` exceeds the training rows, is
-    explained though run drops it."""
+    model.json for a tree family). The model is the one `run` scores on the
+    primary split."""
     if model_id == BENCHMARK_FAMILY:
         raise ConfigError("the univariate arima benchmark has no feature "
                           "attributions to explain")
@@ -273,7 +258,7 @@ def cmd_explain(config: RunConfig, config_hash: str, model_id: str) -> dict:
     train, test = chrono_split(frame, config.primary_split)
     try:
         model, _ = fit_roster_member(config, model_id, train,
-                                     config.primary_split, cv_one_cell=False)
+                                     config.primary_split)
     except ValueError as exc:  # the base of every package error
         raise PipelineError(f"{model_id} fit failed: {exc}") from exc
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from forecastlab.config import (
     parse_config,
 )
 from forecastlab.dataset import ColumnSchema, SynthSpec, chrono_split, default_schema
-from forecastlab.families import FAMILIES
-from forecastlab.tuning import CvPlan
+from forecastlab.families import FAMILIES, fit_family
+from forecastlab.tuning import CvPlan, grid_search
 from forecastlab.evaluation import pow2_scaled, rmse_reduction
 
 
@@ -137,6 +138,32 @@ class TestRun:
         b = open(tmp_path / "b" / "metrics.csv").read()
         assert a != b
 
+    def test_one_cell_grids_fitted_without_search(self, tmp_path, monkeypatch):
+        # pinning lasso to the rank-1 cell of its two-cell grid scores the
+        # same forecasts, with no cross-validation and no cv table; boosting's
+        # grid has one cell in both configs
+        cfg = write_config(tmp_path)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "two")]) == 0
+        _, rows = read_csv(tmp_path / "two" / "cv_lasso.csv")
+        (winner,) = [r for r in rows if r[-1] == "1"]
+
+        def never_searched(*args, **kwargs):
+            raise AssertionError("a one-cell grid was cross-validated")
+
+        monkeypatch.setattr(pipeline, "grid_search", never_searched)
+        cfg = write_config(tmp_path, roster={
+            **json.loads(open(cfg).read())["roster"],
+            "lasso": {"grid": {"lam": [float(winner[1])]}}})
+        for command in ("run", "sweep"):
+            assert main([command, "--config", cfg,
+                         "--out", str(tmp_path / command)]) == 0
+        names = sorted(os.listdir(tmp_path / "run"))
+        assert names == ["forecasts.csv", "metrics.csv"]
+        for name in names:
+            a = (tmp_path / "two" / name).read_text().split("\n", 1)
+            b = (tmp_path / "run" / name).read_text().split("\n", 1)
+            assert a[0] != b[0] and a[1] == b[1], name
+
 
 class TestSweep:
     def test_rows_and_run_consistency(self, tmp_path):
@@ -245,10 +272,7 @@ class TestExplain:
             assert f"explaining {family} needs at least one feature" in err
             assert "Traceback" not in err
 
-    def test_featureless_forest_on_its_default_grid_degrades(self, tmp_path,
-                                                             capsys):
-        # the shipped grid leaves max_features unset at width 0, so the
-        # forest fails at fit, as with an explicit grid, not at config load
+    def featureless_run(self, tmp_path, capsys, roster):
         data = tmp_path / "target_only.csv"
         data.write_text("date,INF\n" + "".join(
             f"{2015 + i // 12}-{i % 12 + 1:02d},{2.0 + math.sin(i / 3)}\n"
@@ -256,15 +280,35 @@ class TestExplain:
         cfg = write_config(tmp_path, schema={"target": "INF", "features": []},
                            data={"csv": str(data)}, split_months=[16],
                            roster={"arima": {"candidates": [[0, 0, 0]]},
-                                   "random_forest": {}, "ridge": {}})
+                                   **roster})
         assert main(["run", "--config", cfg]) == 0
         err = capsys.readouterr().err
-        assert "warning: random_forest failed on 16-month split" in err
-        assert "ridge" not in err  # an intercept-only fit needs no column
         _, rows = read_csv(tmp_path / "out" / "metrics.csv")
-        assert [r[0] for r in rows] == ["arima", "random_forest", "ridge"]
-        assert rows[1][1:] == [""] * 5
-        assert all(rows[0][1:3]) and all(rows[2][1:3])
+        assert [r[0] for r in rows] == ["arima", *roster]
+        assert all(rows[0][1:3])
+        for family, row in zip(roster, rows[1:]):  # no family fits on no column
+            assert f"warning: {family} failed on 16-month split" in err
+            assert row[1:] == [""] * 5
+        return err
+
+    def test_featureless_forest_on_its_default_grid_degrades(self, tmp_path,
+                                                             capsys):
+        # the shipped grid leaves max_features unset at width 0, so the
+        # forest fails at fit, as with an explicit grid, not at config load;
+        # ridge fails there too, not on an intercept-only model
+        self.featureless_run(tmp_path, capsys,
+                             {"random_forest": {}, "ridge": {}})
+
+    def test_featureless_ols_and_svr_degrade_without_warnings(self, tmp_path,
+                                                              capsys):
+        # each is fitted once, without a search, and fails before its solver
+        # sees the empty matrix (the SVR kernel's gamma would take the
+        # variance of no values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            err = self.featureless_run(tmp_path, capsys, {
+                "ols": {}, "svr": {"grid": {"kernel": ["rbf"]}}})
+        assert err.count("no feature columns to fit on") == 2
 
     def test_unfittable_family_exits_2(self, tmp_path, capsys):
         # ridge's shrinkage leaves residuals near 1e159, whose squares
@@ -313,42 +357,34 @@ class TestExplain:
     def test_one_cell_grid_explained_as_cross_validated(self, tmp_path,
                                                         monkeypatch, family,
                                                         grid):
-        # skipping the search changes no byte: the one cell is refitted with
-        # the same seed either way, and explain writes no cv table
-        import forecastlab.tuning as tuning
-
+        # skipping the search changes no model: the one cell is fitted once,
+        # bit for bit the refit of the cell cross-validation would choose
         cfg = write_config(
             tmp_path, schema={"target": "INF", "features": ["ATMD", "CC", "IR"]},
             roster={"arima": {"candidates": [[0, 0, 0]]},
                     family: {"grid": grid}})
+        config, _ = load_config(cfg)
+        train, _ = chrono_split(pipeline.load_data(config), 16)
+        X, y = train.matrix(config.schema.features), train.column("INF")
+        seed = derive_seed(config.seed, "fit", family, 16)
+        plan = CvPlan(config.cv.k, config.cv.shuffle,
+                      derive_seed(config.seed, "cv", 16))
+        best, (cell,) = grid_search(
+            family, config.roster_spec(family).param_grid(3), X, y, plan,
+            seed=seed)
+        assert math.isfinite(cell.mean_mse)
+        searched = fit_family(family, X, y, best, seed=seed)
+
         fits = []
 
-        def counted(real):
-            def fit_family(*args, **kwargs):
-                fits.append(args[0])
-                return real(*args, **kwargs)
-            return fit_family
+        def counted(*args, **kwargs):
+            fits.append(args[0])
+            return fit_family(*args, **kwargs)
 
-        for module in (pipeline, tuning):
-            monkeypatch.setattr(module, "fit_family", counted(module.fit_family))
-        assert main(["explain", "--config", cfg, "--model", family,
-                     "--out", str(tmp_path / "once")]) == 0
-        assert fits == [family]
-
-        real = pipeline.fit_roster_member
-
-        def cross_validated(*args, **kwargs):
-            return real(*args, **{**kwargs, "cv_one_cell": True})
-
-        monkeypatch.setattr(pipeline, "fit_roster_member", cross_validated)
-        assert main(["explain", "--config", cfg, "--model", family,
-                     "--out", str(tmp_path / "cv")]) == 0
-        assert len(fits) == 1 + 3 + 1  # the 3 folds, then the refit
-        names = sorted(os.listdir(tmp_path / "once"))
-        assert names == sorted(os.listdir(tmp_path / "cv"))
-        match, mismatch, errors = filecmp.cmpfiles(
-            tmp_path / "once", tmp_path / "cv", names, shallow=False)
-        assert mismatch == [] and errors == [] and len(match) >= 7
+        monkeypatch.setattr(pipeline, "fit_family", counted)
+        model, table = pipeline.fit_roster_member(config, family, train, 16)
+        assert fits == [family] and table is None
+        assert model == searched
 
     def test_pinned_winner_explains_as_unpinned(self, tmp_path, monkeypatch):
         # the paper's order: tune with run, pin run's winning cell, explain
@@ -537,8 +573,6 @@ OUTPUT_DIGESTS = {
         "40881c262721bc6ad370fd9b61f1f5115e831173c857540ff13586dd97c2cd33",
     "lasso/summary_plot.csv":
         "a14341bec3ff1cc2d7b19f8255bc79e19a7542548d916a68fb97179cfe83a607",
-    "run/cv_boosting.csv":
-        "da02ca1d34041ae5dc21651a23e3fe2a4bc13943d9ddc63cd0d50e4e3d4a2004",
     "run/cv_lasso.csv":
         "d1d162dbdf32baf40298599953a21d05ce05d6ed7e807213a9e402df47203fed",
     "run/cv_random_forest.csv":
