@@ -516,10 +516,13 @@ def _common_window_aic(fit: ArimaFit, y, drop_front: int) -> float:
 
 
 def select_order(y, candidates, seed: int = 0) -> ArimaFit:
-    """Fit of the minimum-AIC converged candidate (its order is `.order`);
-    ties prefer fewer parameters, then earlier list position. Candidates
-    the series is too short for are skipped. AIC is evaluated over the
-    innovation window shared by every converged candidate, otherwise
+    """Fit of the minimum-AIC usable candidate (its order is `.order`):
+    converged, AR part stationary and MA part invertible, as statsmodels'
+    SARIMAX enforces by default (with zero pre-sample innovations, a
+    non-invertible MA part's CSS can undercut the invertible minimum). Ties
+    prefer fewer parameters, then earlier list position. Candidates the
+    series is too short for are skipped. AIC is evaluated over the
+    innovation window shared by every usable candidate, otherwise
     conditioning depth would distort the comparison; so it depends on the
     other candidates, and the fit returned does not keep it."""
     candidates = list(candidates)
@@ -529,16 +532,15 @@ def select_order(y, candidates, seed: int = 0) -> ArimaFit:
     fits = []
     for idx, order in enumerate(candidates):
         try:
-            fits.append((idx, order, fit_css(y, order, seed=seed)))
+            fit = fit_css(y, order, seed=seed)
         except ArimaError:
             continue
-    fits = [(i, o, f) for i, o, f in fits if f.converged]
+        if fit.converged and fit.ar_stationary and fit.ma_invertible:
+            fits.append((idx, fit))
     if not fits:
-        raise ArimaError("no candidate order produced a converged fit")
-    drop_front = max(o.d + o.D * o.s + o.k_ar for _, o, _ in fits)
-    best = None
-    for idx, order, fit in fits:
-        key = (_common_window_aic(fit, y, drop_front), order.n_params, idx)
-        if best is None or key < best[0]:
-            best = (key, fit)
-    return best[1]
+        raise ArimaError("no candidate order produced a converged fit with a "
+                         "stationary AR part and an invertible MA part")
+    drop_front = max(f.order.d + f.order.D * f.order.s + f.order.k_ar
+                     for _, f in fits)
+    return min(fits, key=lambda t: (_common_window_aic(t[1], y, drop_front),
+                                    t[1].order.n_params, t[0]))[1]

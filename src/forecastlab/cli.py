@@ -49,9 +49,9 @@ def main(argv=None) -> int:
     try:
         config, config_hash = load_config(args.config, args.seed, args.out)
         if args.command == "run":
-            result = cmd_run(config, config_hash)
-            ok = sum(1 for f in result["forecasts"].values() if f is not None)
-            print(f"run complete: {ok}/{len(result['forecasts'])} models "
+            forecasts = cmd_run(config, config_hash)
+            ok = sum(1 for f in forecasts.values() if f is not None)
+            print(f"run complete: {ok}/{len(forecasts)} models "
                   f"scored on the {config.primary_split}-month split; "
                   f"outputs in {config.out_dir}")
         elif args.command == "sweep":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shapley import ShapMatrix, global_importance
+from .shapley import ShapMatrix
 
 
 class InterpretationError(ValueError):
@@ -49,21 +49,17 @@ class FilterResult:
 
 def column_stats(X) -> tuple[list[float], np.ndarray]:
     """Each column's std and its centred values as rows of a C-ordered X.T:
-    what `auto` colouring reads of X for any feature, so computed once."""
+    what dependence colouring reads of X for any feature, so computed once."""
     XT = np.ascontiguousarray(np.asarray(X, dtype=float).T)
     return np.std(XT, axis=1).tolist(), XT - XT.mean(axis=1, keepdims=True)
 
 
-def dependence_data(m: ShapMatrix, X, feature: str, feature_names,
-                    color_by: str | None = "auto", stats=None):
+def dependence_data(m: ShapMatrix, X, feature: str, feature_names, stats):
     """The columns (row_index, x_value, shap_value, color_value), one point
-    per explained row; color_value is None when no column colours them.
-
-    color_by: explicit feature name, "auto" (pick the feature whose raw
-    values correlate most with the residuals of a linear shap-vs-x fit),
-    or None for uncolored points. `stats`, column_stats(X), saves "auto"
-    recomputing it.
-    """
+    per explained row. color_value is the raw column that correlates most
+    with the residuals of a linear shap-vs-x fit, found from `stats`,
+    column_stats(X), which serves every feature of X; None when no column
+    does."""
     X = np.asarray(X, dtype=float)
     names = list(feature_names)
     if X.shape[0] != m.n_rows:
@@ -73,15 +69,7 @@ def dependence_data(m: ShapMatrix, X, feature: str, feature_names,
     j = names.index(feature)
     x = X[:, j]
     phi = m.phi[:, j]
-
-    color_idx = None
-    if color_by == "auto":
-        color_idx, _ = _auto_color(column_stats(X) if stats is None else stats,
-                                   x, phi, j)
-    elif color_by is not None:
-        if color_by not in names:
-            raise InterpretationError(f"unknown feature {color_by!r}")
-        color_idx = names.index(color_by)
+    color_idx, _ = _auto_color(stats, x, phi, j)
     return (np.arange(m.n_rows), x, phi,
             None if color_idx is None else X[:, color_idx])
 
@@ -224,15 +212,16 @@ def zero_crossings(fit: PolyFit, x_range) -> tuple[float, ...]:
     return tuple(sorted(float(r) for r in roots if lo - tol <= r <= hi + tol))
 
 
-def summary_plot_data(m: ShapMatrix, X, feature_names):
+def summary_plot_data(m: ShapMatrix, X, feature_names, ranked):
     """The columns (feature, row_index, shap_value, normalized_value), by
-    feature in global-importance order, then by row; raw values min-max
-    scaled into [0, 1] for color mapping, constant columns to 0.5."""
+    feature in the order of `ranked` (global_importance(m, feature_names)),
+    then by row; raw values min-max scaled into [0, 1] for color mapping,
+    constant columns to 0.5."""
     X = np.asarray(X, dtype=float)
     names = list(feature_names)
     if X.shape != (m.n_rows, m.n_features):
         raise InterpretationError("shape mismatch between X and matrix")
-    order = [names.index(feature) for feature, _ in global_importance(m, names)]
+    order = [names.index(feature) for feature, _ in ranked]
     n = m.n_rows
     normalized = [np.empty(0)]  # so that no features gives empty columns
     for j in order:

@@ -145,8 +145,8 @@ def fit_roster_member(config: RunConfig, family: str, train: SeriesFrame,
 
 def evaluate_split(config: RunConfig, frame: SeriesFrame, test_months: int):
     """Fit the benchmark and every roster family on the split's training
-    window and forecast the held-out months; returns (train, test, cv
-    tables, forecasts). A failed family fit (ValueError, the base of every
+    window and forecast the held-out months; returns (test, cv tables,
+    forecasts). A failed family fit (ValueError, the base of every
     package error and of LinAlgError) degrades to a None forecast and a
     stderr warning; any other exception is a bug and propagates."""
     train, test = chrono_split(frame, test_months)
@@ -170,15 +170,16 @@ def evaluate_split(config: RunConfig, frame: SeriesFrame, test_months: int):
             print(f"warning: {family} failed on {test_months}-month split: "
                   f"{exc}", file=sys.stderr)
             forecasts[family] = None
-    return train, test, tables, forecasts
+    return test, tables, forecasts
 
 
 def cmd_run(config: RunConfig, config_hash: str) -> dict:
     """Primary-split pipeline: tune, refit, forecast, score; writes
-    forecasts.csv, metrics.csv, and one cv_<family>.csv per searched grid."""
+    forecasts.csv, metrics.csv, and one cv_<family>.csv per searched grid.
+    Returns the forecasts by model id, None for a failed family."""
     frame = load_data(config)
     _check_splits(config, frame)
-    train, test, tables, forecasts = evaluate_split(
+    test, tables, forecasts = evaluate_split(
         config, frame, config.primary_split)
     out = OutputDir(config.out_dir, config_hash, config.seed)
 
@@ -200,8 +201,7 @@ def cmd_run(config: RunConfig, config_hash: str) -> dict:
                     ((family,) * len(table),
                      *zip(*(map(str, c.params.values()) for c in table)),
                      *zip(*((c.mean_mse, c.sd_mse, c.rank) for c in table))))
-    return {"tables": tables, "forecasts": forecasts, "metrics": rows,
-            "train": train, "test": test}
+    return forecasts
 
 
 def cmd_sweep(config: RunConfig, config_hash: str) -> list[tuple]:
@@ -211,7 +211,7 @@ def cmd_sweep(config: RunConfig, config_hash: str) -> list[tuple]:
     _check_splits(config, frame)
     records = []
     for months in config.split_months:
-        _, test, _, forecasts = evaluate_split(config, frame, months)
+        test, _, forecasts = evaluate_split(config, frame, months)
         actual = test.column(config.schema.target)
         for name in config.model_ids:
             pred = forecasts[name]
@@ -238,8 +238,9 @@ def cmd_explain(config: RunConfig, config_hash: str, model_id: str) -> dict:
     """Refit one roster model deterministically and emit attribution
     products: importance.csv, shap_values.csv, predictions.csv, per-feature
     dependence CSVs, summary_plot.csv, and functional_form.json (and
-    model.json for a tree family). The model is the one `run` scores on the
-    primary split."""
+    model.json when the model has a JSON document, as tree ensembles do).
+    The model is the one `run` scores on the primary split. Returns the
+    attribution matrix and the importance ranking."""
     if model_id == BENCHMARK_FAMILY:
         raise ConfigError("the univariate arima benchmark has no feature "
                           "attributions to explain")
@@ -274,7 +275,7 @@ def cmd_explain(config: RunConfig, config_hash: str, model_id: str) -> dict:
         raise PipelineError(f"{model_id} attributions failed: {exc}") from exc
 
     out = OutputDir(config.out_dir, config_hash, config.seed)
-    if FAMILIES[model_id].trees:
+    if hasattr(model, "to_doc"):
         out.text("model.json", model_to_json(model))
     ranked = global_importance(matrix, features)
     out.csv("importance.csv", ("rank", "feature", "mean_abs_shap"),
@@ -284,13 +285,13 @@ def cmd_explain(config: RunConfig, config_hash: str, model_id: str) -> dict:
             (np.arange(matrix.n_rows), matrix.predictions))
     out.csv("summary_plot.csv",
             ("feature", "row_index", "shap_value", "normalized_value"),
-            summary_plot_data(matrix, X_rows, features))
+            summary_plot_data(matrix, X_rows, features, ranked))
 
     forms = {}
     stats = column_stats(X_rows)
     for feature in features:
         rows, x, shap, color = dependence_data(
-            matrix, X_rows, feature, features, color_by="auto", stats=stats)
+            matrix, X_rows, feature, features, stats)
         out.csv(f"dependence_{feature}.csv",
                 ("row_index", "x_value", "shap_value", "color_value"),
                 (rows, x, shap, (None,) * len(rows) if color is None else color))
@@ -299,8 +300,7 @@ def cmd_explain(config: RunConfig, config_hash: str, model_id: str) -> dict:
     doc = {"config_sha256": config_hash, "seed": config.seed,
            "model": model_id, "features": forms}
     out.text("functional_form.json", json.dumps(doc, indent=2, sort_keys=True))
-    return {"matrix": matrix, "importance": ranked, "model": model,
-            "forms": forms}
+    return {"matrix": matrix, "importance": ranked}
 
 
 def _functional_form_entry(x, shap, config: RunConfig) -> dict:

@@ -4,7 +4,8 @@ Folds default to contiguous time blocks (shuffle=false); cells are scored
 by mean validation MSE across folds and the full cv table is returned so
 the winner can always be audited against it. A fit that fails with a
 ValueError (invalid cell, singular system) records +inf for that cell
-rather than aborting the sweep; any other exception propagates.
+rather than aborting the sweep; any other exception propagates. When every
+cell fails, the error names the first failure's cause.
 """
 
 from __future__ import annotations
@@ -99,6 +100,7 @@ def grid_search(family: str, grid: ParamGrid, X, y, plan: CvPlan,
 
     cells = grid.cells()
     scores = []
+    cause = None  # of the first failed fit, for the all-cells-failed error
     for params in cells:
         fold_mse = []
         for X_train, y_train, X_val, y_val in splits:
@@ -110,8 +112,10 @@ def grid_search(family: str, grid: ParamGrid, X, y, plan: CvPlan,
                     score = float((resid ** 2).mean())
                 if not math.isfinite(score):
                     score = math.inf
-            except ValueError:  # also LinAlgError and the package's errors
+                    cause = cause or "non-finite validation MSE"
+            except ValueError as exc:  # also LinAlgError, the package's errors
                 score = math.inf
+                cause = cause or f"{type(exc).__name__}: {exc}"
             fold_mse.append(score)
         if all(math.isfinite(v) for v in fold_mse):
             scores.append((float(np.mean(fold_mse)), float(np.std(fold_mse))))
@@ -124,5 +128,6 @@ def grid_search(family: str, grid: ParamGrid, X, y, plan: CvPlan,
              for i, params in enumerate(cells)]
     best = table[order[0]]
     if math.isinf(best.mean_mse):
-        raise TuningError(f"every {family} grid cell failed")
+        raise TuningError(f"every {family} grid cell failed, the first "
+                          f"with {cause}")
     return dict(best.params), table

@@ -1003,6 +1003,36 @@ class TestSelectOrder:
         with pytest.raises(ArimaError, match="converged"):
             select_order(np.arange(12.0), [ArimaOrder(3, 0, 3)])
 
+    @staticmethod
+    def quickstart_benchmark_series():
+        """The quickstart's primary-split training target at seed 42, and the
+        seed `evaluate_split` fits its benchmark with."""
+        import os
+        from forecastlab.config import derive_seed, load_config
+        from forecastlab.dataset import chrono_split
+        from forecastlab.pipeline import load_data
+        config, _ = load_config(os.path.join(
+            os.path.dirname(__file__), os.pardir, "configs", "quickstart.json"))
+        train, _ = chrono_split(load_data(config), config.primary_split)
+        return (train.column(config.schema.target),
+                derive_seed(42, "arima", config.primary_split))
+
+    @pytest.mark.parametrize("order, flag", [
+        # the default grid's minimum-AIC converged fit at seed 42, MA -1.324
+        (ArimaOrder(2, 1, 1, 1, 1, 0, 12), "ma_invertible"),
+        # fourth on that grid, seasonal AR -1.021
+        (ArimaOrder(0, 0, 0, 1, 1, 0, 12), "ar_stationary"),
+    ], ids=["non-invertible", "non-stationary"])
+    def test_unusable_fit_never_selected(self, order, flag):
+        y, seed = self.quickstart_benchmark_series()
+        fit = fit_css(y, order, seed=seed)
+        assert fit.converged and not getattr(fit, flag)
+        # by AIC alone this pair selects `order`
+        assert select_order(y, [order, ArimaOrder()], seed=seed).order == ArimaOrder()
+        with pytest.raises(ArimaError, match="converged fit with a stationary "
+                                             "AR part and an invertible MA"):
+            select_order(y, [order], seed=seed)
+
     def test_default_grid_shape(self):
         grid = default_order_candidates()
         assert len(grid) == 256

@@ -221,6 +221,26 @@ class TestExplain:
         bg = BackgroundSet(np.zeros((1, 16)))
         assert tree_shap(clone, np.zeros(16), bg).shape == (16,)
 
+    def test_importance_ranked_once(self, tmp_path, monkeypatch):
+        # importance.csv and summary_plot.csv read one ranking
+        import sys
+        from forecastlab import shapley
+        real, calls = shapley.global_importance, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        binders = [module for name, module in sys.modules.items()
+                   if name.split(".")[0] == "forecastlab"
+                   and getattr(module, "global_importance", None) is real]
+        assert {shapley, pipeline} <= set(binders)
+        for module in binders:
+            monkeypatch.setattr(module, "global_importance", counted)
+        cfg = write_config(tmp_path)
+        assert main(["explain", "--config", cfg, "--model", "boosting"]) == 0
+        assert len(calls) == 1
+
     def test_explaining_benchmark_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["explain", "--config", cfg, "--model", "arima"]) == 2
@@ -310,6 +330,17 @@ class TestExplain:
                 "ols": {}, "svr": {"grid": {"kernel": ["rbf"]}}})
         assert err.count("no feature columns to fit on") == 2
 
+    def test_featureless_searched_grids_name_the_cause(self, tmp_path,
+                                                       capsys):
+        # every cell fails in every fold for one reason, which the warning
+        # names as ols's does
+        err = self.featureless_run(tmp_path, capsys, {
+            "ridge": {"grid": {"lam": [0.1, 0.9]}},
+            "svr": {"grid": {"C": [1.0, 10.0], "kernel": ["rbf"]}}})
+        for family in ("ridge", "svr"):
+            assert (f"every {family} grid cell failed, the first with "
+                    f"FamilyError: no feature columns to fit on\n") in err
+
     def test_unfittable_family_exits_2(self, tmp_path, capsys):
         # ridge's shrinkage leaves residuals near 1e159, whose squares
         # overflow, so every cell of a grid with a choice scores inf and
@@ -322,7 +353,8 @@ class TestExplain:
                     "ridge": {"grid": {"lam": [0.1, 0.2]}}})
         assert main(["explain", "--config", cfg, "--model", "ridge"]) == 2
         err = capsys.readouterr().err
-        assert "ridge fit failed: every ridge grid cell failed" in err
+        assert ("ridge fit failed: every ridge grid cell failed, the first "
+                "with non-finite validation MSE\n") in err
         assert "Traceback" not in err
 
     def test_one_cell_unfittable_family_is_fitted_once(self, tmp_path, capsys,
@@ -482,7 +514,7 @@ class TestEvaluateSplit:
 
     def test_value_error_degrades_to_none_forecast(self, tmp_path,
                                                    monkeypatch, capsys):
-        _, _, tables, forecasts = self.split_with_lasso_raising(
+        _, tables, forecasts = self.split_with_lasso_raising(
             tmp_path, monkeypatch, ValueError("singular design"))
         assert forecasts["lasso"] is None
         assert "lasso" not in tables

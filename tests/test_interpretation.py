@@ -15,7 +15,8 @@ from forecastlab.interpretation import (
     summary_plot_data,
     zero_crossings,
 )
-from forecastlab.shapley import BackgroundSet, ShapMatrix, explain_matrix
+from forecastlab.shapley import (BackgroundSet, ShapMatrix, explain_matrix,
+                                 global_importance)
 
 
 def pts(xs, ys):
@@ -33,21 +34,11 @@ class TestDependenceData:
     def test_one_point_per_row_order_preserved(self):
         m, X = self.make_matrix()
         rows, x, shap, _ = dependence_data(m, X, "b", ["a", "b", "c"],
-                                           color_by=None)
+                                           column_stats(X))
         assert len(rows) == len(x) == len(shap) == m.n_rows
         assert rows.tolist() == list(range(m.n_rows))
         np.testing.assert_allclose(x, X[:, 1])
         np.testing.assert_allclose(shap, m.phi[:, 1])
-
-    def test_color_none_absent(self):
-        m, X = self.make_matrix()
-        *_, color = dependence_data(m, X, "a", ["a", "b", "c"], color_by=None)
-        assert color is None
-
-    def test_explicit_color(self):
-        m, X = self.make_matrix()
-        *_, color = dependence_data(m, X, "a", ["a", "b", "c"], color_by="c")
-        np.testing.assert_allclose(color, X[:, 2])
 
     def test_auto_color_finds_interaction_partner(self):
         # f = x0 * x1 with query rows offset from the background in x0, so
@@ -62,18 +53,13 @@ class TestDependenceData:
         f = lambda Z: Z[:, 0] * Z[:, 1]
         m = explain_matrix(f, X, bg)
         *_, color = dependence_data(m, X, "x0", ["x0", "x1", "x2"],
-                                    color_by="auto")
-        *_, ref = dependence_data(m, X, "x0", ["x0", "x1", "x2"], color_by="x1")
-        np.testing.assert_allclose(color, ref)
-        # precomputed column statistics pick the same column
-        *_, shared = dependence_data(m, X, "x0", ["x0", "x1", "x2"],
-                                     stats=column_stats(X))
-        assert shared.tobytes() == color.tobytes()
+                                    column_stats(X))
+        assert color.tobytes() == X[:, 1].tobytes()
 
     def test_unknown_feature(self):
         m, X = self.make_matrix()
         with pytest.raises(InterpretationError, match="unknown feature"):
-            dependence_data(m, X, "zzz", ["a", "b", "c"])
+            dependence_data(m, X, "zzz", ["a", "b", "c"], column_stats(X))
 
 
 def loop_auto_color(X, x, phi, skip):
@@ -427,7 +413,9 @@ class TestSummaryPlot:
         phi = np.array([[1.0, 0.2], [0.5, -0.2]])
         m = ShapMatrix(0.0, phi, phi.sum(axis=1))
         X = np.array([[7.0, 1.0], [7.0, 2.0]])
-        features, _, _, normalized = summary_plot_data(m, X, ["const", "varying"])
+        names = ["const", "varying"]
+        features, _, _, normalized = summary_plot_data(
+            m, X, names, global_importance(m, names))
         const = [v for f, v in zip(features, normalized) if f == "const"]
         assert const == [0.5, 0.5]
 
@@ -435,22 +423,23 @@ class TestSummaryPlot:
         rng = np.random.default_rng(5)
         phi = rng.normal(size=(6, 4))
         m = ShapMatrix(0.0, phi, phi.sum(axis=1))
-        columns = summary_plot_data(m, rng.normal(size=(6, 4)),
-                                    ["a", "b", "c", "d"])
+        names = ["a", "b", "c", "d"]
+        columns = summary_plot_data(m, rng.normal(size=(6, 4)), names,
+                                    global_importance(m, names))
         assert [len(c) for c in columns] == [24] * 4
 
     def test_feature_order_matches_global_importance(self):
-        from forecastlab.shapley import global_importance
         rng = np.random.default_rng(6)
         phi = rng.normal(size=(8, 3)) * np.array([0.1, 5.0, 1.0])
         m = ShapMatrix(0.0, phi, phi.sum(axis=1))
+        ranked = global_importance(m, ["a", "b", "c"])
         features, *_ = summary_plot_data(m, rng.normal(size=(8, 3)),
-                                         ["a", "b", "c"])
+                                         ["a", "b", "c"], ranked)
         seen = []
         for f in features:
             if f not in seen:
                 seen.append(f)
-        assert seen == [n for n, _ in global_importance(m, ["a", "b", "c"])]
+        assert seen == [n for n, _ in ranked]
 
     def test_columns_equal_record_oracle_bits(self):
         rng = np.random.default_rng(7)
@@ -461,7 +450,8 @@ class TestSummaryPlot:
             X[:, 3] = np.round(X[:, 3])
             phi = rng.normal(size=(n, 5))
             m = ShapMatrix(0.0, phi, phi.sum(axis=1))
-            columns = summary_plot_data(m, X, names)
+            columns = summary_plot_data(m, X, names,
+                                        global_importance(m, names))
             want = list(zip(*loop_summary_records(m, X, names)))
             assert columns[0] == list(want[0])
             assert columns[1].tolist() == list(want[1])
