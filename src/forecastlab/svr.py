@@ -13,21 +13,34 @@ alpha*) stays exactly zero. The prediction bias comes from free support
 vectors, or the midpoint of the KKT interval when none are free.
 
 An update touches two entries of z, so the loop keeps z as Python
-floats, clips and re-classifies (I_up / I_low) only those two, and reads
-the pair's kernel columns from a contiguous copy made once per fit; the
-gradient update over all 2n entries is the only full-length arithmetic.
+floats, clips and re-classifies only those two, and reads the pair's
+kernel columns from a contiguous copy made once per fit; the gradient
+update over all 2n entries is the only full-length arithmetic.
 
-The loop never forms the gradient itself. It keeps -s*grad and s*grad,
-the two rows the pair is chosen from, and updates each in place from
-step = delta * (Kd[:, i] - Kd[:, j]): the row -s*grad loses step and the
-row s*grad gains it. That is the plain update `grad += (s * delta) *
-(Kd[:, i] - Kd[:, j])` to the bit, because s is +-1 and negation is
-exact: s * delta * d rounds to s times the rounding of delta * d, and
--s * (grad + u) rounds as (-s * grad) - s * u. So an update makes four
-full-length ufunc calls (subtract, multiply, subtract, add) besides the
-pair's `np.where` and argmax, where the plain form makes five, and delta
-and -inf go in as 0-d float64 arrays rather than as Python floats, which
-numpy would wrap on every call.
+The pair is chosen from two rows, which are the loop's whole gradient
+state: row 0 holds -s*grad on I_up and -inf off it, row 1 holds s*grad
+on I_low and -inf off it. One argmax per row gives i (the I_up maximum
+of -s*grad) and j (the I_low minimum of -s*grad, with argmin's
+first-index ties), and M is row 1's entry at j, negated. The gradient
+itself is never formed: at z = 0 the rows start as -(eps - y) on alpha
+and -(eps + y) on alpha*, the bits of (-s)*grad and s*grad, and an
+update subtracts step = delta * (Kd[:, i] - Kd[:, j]) from row 0 and
+adds it to row 1, in place; -inf stays -inf. That is the plain update
+`grad += (s * delta) * (Kd[:, i] - Kd[:, j])` to the bit, because s is
++-1 and negation is exact: s * delta * d rounds to s times the rounding
+of delta * d, and -s * (grad + u) rounds as (-s * grad) - s * u.
+
+So row 1 equals row 0 negated wherever both hold an entry, except for
+the sign of an exact zero: x - x is +0.0 in both rows. When an update
+moves entry t into a set, its value is copied, negated, from the row
+that still holds it, and when t leaves a set its entry becomes -inf.
+C > 0 keeps every entry in I_up (z < C on alpha, z > 0 on alpha*) or
+I_low (the reverse), so one row always holds it; two lists of Python
+bools say which. The -inf marks equal the plain masked search only while
+every value is finite, so a kernel matrix with a non-finite entry is
+rejected before the loop. A free entry lies in both sets, so the bias
+reads row 0; a zero bias is returned as +0.0, since its sign depends on
+which row a zero came from.
 """
 
 from __future__ import annotations
@@ -127,38 +140,38 @@ def fit_svr(X, y, C: float, epsilon: float, kernel: KernelSpec,
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
 
     gamma = kernel.resolved_gamma(X)
-    K = kernel_matrix(kernel, X, X, gamma)
+    # an entry can overflow (a high polynomial degree, say); the loop
+    # would then run every update on NaN, and -inf marks need finite rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = kernel_matrix(kernel, X, X, gamma)
+    if not np.isfinite(K).all():
+        raise ValueError(f"the {kernel.kind} kernel matrix has non-finite "
+                         f"entries (gamma {gamma:g})")
     # row t of the doubled problem maps to row t mod n of K; cols[ii] is
     # column ii of that doubled matrix, stored contiguously
     cols = list(np.ascontiguousarray(np.vstack([K, K]).T))
     diag = K.diagonal().tolist()
     cap = MAX_PAIR_UPDATES
     Cf = float(C)
-    where, subtract, multiply, add = np.where, np.subtract, np.multiply, np.add
+    subtract, multiply, add = np.subtract, np.multiply, np.add
 
     z = [0.0] * (2 * n)
-    s = np.concatenate([np.ones(n), -np.ones(n)])
-    grad = np.concatenate([epsilon - y, epsilon + y])
-    # row 0 of sides is -s*grad; row 1 is its negation s*grad, so one
-    # argmax per row finds the I_up maximum and the I_low minimum (same
-    # first-index ties and NaN handling as argmin on row 0). Both rows are
-    # updated in place, never grad (see the module docstring)
-    sides = np.vstack([-s * grad, s * grad])
-    neg_sg, sg = sides
-    # I_up and I_low membership, rows 0 and 1 (all of alpha and all of
-    # alpha* at z = 0); an update can change only the two entries it moves
-    member = np.vstack([s > 0, s < 0])
-    in_up, in_low = member
+    # row 0: -s*grad on I_up (alpha at z = 0), row 1: s*grad on I_low
+    # (alpha*), -inf off each set; up and low say which rows hold entry t
+    sides = np.full((2, 2 * n), -np.inf)
+    sides[0, :n] = -(epsilon - y)
+    sides[1, n:] = -(epsilon + y)
+    up_row, low_row = sides
+    up, low = [True] * n + [False] * n, [False] * n + [True] * n
     step = np.empty(2 * n)
     scalar = np.zeros(())  # delta as a float64 operand
-    ninf = np.array(-np.inf)
 
     converged = False
     updates = 0
     m = M = 0.0
     while True:
-        i, j = where(member, sides, ninf).argmax(1).tolist()
-        m, M = sides.item(0, i), sides.item(0, j)
+        i, j = sides.argmax(1).tolist()
+        m, M = up_row.item(i), -low_row.item(j)
         if m - M <= tol:
             converged = True
             break
@@ -182,12 +195,17 @@ def fit_svr(X, y, C: float, epsilon: float, kernel: KernelSpec,
             zt = z[t]
             if zt > Cf:
                 z[t] = zt = Cf
-            up, low = zt < Cf, zt > 0.0
-            in_up[t], in_low[t] = (up, low) if t < n else (low, up)
+            u, lo = (zt < Cf, zt > 0.0) if t < n else (zt > 0.0, zt < Cf)
+            if u != up[t] or lo != low[t]:
+                # t changed sets: its value, from a row that held it
+                v = up_row.item(t) if up[t] else -low_row.item(t)
+                up_row[t] = v if u else -np.inf
+                low_row[t] = -v if lo else -np.inf
+                up[t], low[t] = u, lo
         scalar[()] = delta
         multiply(subtract(cols[ii], cols[jj], step), scalar, step)
-        subtract(neg_sg, step, neg_sg)
-        add(sg, step, sg)
+        subtract(up_row, step, up_row)
+        add(low_row, step, low_row)
         updates += 1
         if monitor is not None:
             za = np.array(z)
@@ -196,8 +214,9 @@ def fit_svr(X, y, C: float, epsilon: float, kernel: KernelSpec,
     z = np.array(z)
     beta = z[:n] - z[n:]
     free = (z > 1e-9 * C) & (z < C * (1 - 1e-9))
-    if free.any():
-        bias = float(neg_sg[free].mean())
+    if free.any():  # free entries lie in I_up
+        bias = float(up_row[free].mean())
     else:
-        bias = float((m + M) / 2.0)
-    return SvrModel(X, beta, bias, kernel, gamma, converged, updates)
+        bias = (m + M) / 2.0
+    # + 0.0: a zero bias is +0.0, whichever row its zero came from
+    return SvrModel(X, beta, bias + 0.0, kernel, gamma, converged, updates)

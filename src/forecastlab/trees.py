@@ -46,6 +46,7 @@ import numpy as np
 
 from . import shapley
 from .dataset import FittedRecord, coerce_fields, feature_rows, finite, integer, optional
+from .evaluation import pow2_scaled
 
 _NODE_ARRAYS = (("feature", np.intp), ("threshold", float),
                 ("children_left", np.intp), ("children_right", np.intp),
@@ -398,7 +399,21 @@ def fit_regression_tree(X, *, gradients, max_depth=6, min_samples_leaf=1,
     pairwise, with 8 accumulators, hence the cutoff of 7. Both paths take
     the same IEEE operations in the same order, so they grow the same
     tree. sorted() orders NaN otherwise than a stable argsort, so a tree
-    whose X holds NaN grows every node on arrays."""
+    whose X holds NaN grows every node on arrays.
+
+    Gains square gradient sums, which overflow near 1e154. So a tree
+    grows on g / 2**k by `evaluation.pow2_scaled`'s rule: k = 0 while
+    the largest |g| is below 2**250 (such trees keep their bits), else
+    the scaled g peaks in [1, 2). Sums, gains and -G/(n + lam) then scale
+    by exact powers of two (barring underflow below 2**-1022), so the
+    argmax and the thresholds are those of g, and each leaf value is
+    multiplied back by 2**k. Both split paths read the scaled gradients.
+    The floor a gain must beat is
+    computed in the same units: min_split_gain is divided by 4**k (two
+    divisions by 2**k, which never overflow), and its absolute 1.0 is
+    kept, so that it stays relative to the largest gradient, as it is
+    for gradients near unit scale; a 1.0 in g's units would vanish at
+    1e158 and let float noise split a node whose G is near 0."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("X must be a nonempty 2-d array")
@@ -415,6 +430,8 @@ def fit_regression_tree(X, *, gradients, max_depth=6, min_samples_leaf=1,
         raise ValueError(f"max_features must be >= 1, got {max_features}")
     if reg_lambda < 0:
         raise ValueError(f"reg_lambda must be >= 0, got {reg_lambda}")
+    (g,), unit = pow2_scaled(g)  # gains are in units of unit**2
+    min_gain = min_split_gain / unit / unit
     if rng is None:
         rng = np.random.default_rng(0)
     N, p = X.shape
@@ -439,13 +456,15 @@ def fit_regression_tree(X, *, gradients, max_depth=6, min_samples_leaf=1,
              else float(np.add.reduce(g[rows])))
         hess = n + reg_lambda  # 0 only on the empty side of an overflowed midpoint
         node = [-1, 0.0, -1, -1,
-                -G / hess if hess else float(np.divide(-G, hess)), float(n)]
+                (-G / hess if hess else float(np.divide(-G, hess))) * unit,
+                float(n)]
         nodes.append(node)
         if depth >= max_depth or n < min_rows:
             continue
         feats = every if draw is None else draw()
-        # relative epsilon keeps float noise on constant targets from splitting
-        floor = min_split_gain + 1e-12 * (1.0 + abs(G * G / hess))
+        # relative epsilon keeps float noise on constant targets from
+        # splitting; scaled units, like the gains (see the docstring)
+        floor = min_gain + 1e-12 * (1.0 + abs(G * G / hess))
         if n <= small:
             if cols is None:
                 cols = XT.tolist()

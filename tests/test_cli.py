@@ -119,6 +119,49 @@ class TestRun:
         assert np.array(fit.ar).tobytes() == np.array(small.ar).tobytes()
         assert fit.intercept == small.intercept * unit
 
+    def test_target_near_1e158_scored_by_tree_families(self, tmp_path):
+        # the squared gradient sums of the tree gains overflow near 1e154,
+        # so trees grow on gradients scaled by a power of two: the forest
+        # and boosting rows are filled, with no RuntimeWarning
+        doc = dict(
+            schema={"target": "INF", "features": ["ATMD", "CC", "IR"]},
+            roster={"arima": {"candidates": [[1, 0, 0]]},
+                    "random_forest": {"grid": {"n_estimators": [3],
+                                               "max_depth": [3]}},
+                    "boosting": {"grid": {"n_estimators": [5],
+                                          "max_depth": [2]}}})
+        rmse = {}
+        for coef in (1.0, 1e158):
+            cfg = write_config(tmp_path, **doc, data={"synth": {
+                "kind": "linear", "n": 70, "drivers": ["CC"],
+                "coefficients": [coef], "intercept": 0.0,
+                "noise_scale": 0.0}})
+            out = str(tmp_path / str(coef))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(["run", "--config", cfg, "--out", out]) == 0
+            _, rows = read_csv(os.path.join(out, "metrics.csv"))
+            assert [r[0] for r in rows] == ["arima", "random_forest", "boosting"]
+            rmse[coef] = [float(r[2]) for r in rows]
+        # boosting's trees split as at unit scale
+        assert rmse[1e158][2] == pytest.approx(1e158 * rmse[1.0][2], rel=1e-9)
+
+    def test_overflowing_svr_cell_fails_beside_rbf(self, tmp_path):
+        # degree 400 at gamma 10 overflows the polynomial kernel matrix: the
+        # cell fails at once, and the rbf cell is fitted
+        cfg = write_config(tmp_path, roster={
+            "arima": {"candidates": [[0, 0, 0]]},
+            "svr": {"grid": {"kernel": ["polynomial", "rbf"], "degree": [400],
+                             "gamma": [10]}}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--config", cfg]) == 0
+        _, rows = read_csv(tmp_path / "out" / "metrics.csv")
+        assert rows[1][0] == "svr" and all(rows[1][1:4])
+        _, cv = read_csv(tmp_path / "out" / "cv_svr.csv")
+        assert [(r[1], r[4], r[-1]) for r in cv] == [
+            ("polynomial", "inf", "2"), ("rbf", cv[1][4], "1")]
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
         main(["run", "--config", cfg, "--out", str(tmp_path / "a")])

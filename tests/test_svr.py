@@ -1,7 +1,11 @@
 import dataclasses
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import forecastlab.svr as svr_mod
@@ -92,7 +96,8 @@ def loop_fit_svr(X, y, C, epsilon, kernel, monitor=None, tol=KKT_TOL):
         bias = float(neg_sg[free].mean())
     else:
         bias = float((m + M) / 2.0)
-    return SvrModel(X, beta, bias, kernel, gamma, converged, updates)
+    # a zero bias is +0.0, as fit_svr returns it
+    return SvrModel(X, beta, bias + 0.0, kernel, gamma, converged, updates)
 
 
 def assert_same_svr(got, want):
@@ -264,6 +269,77 @@ class TestLoopEquivalence:
             0.5, 0.0)
 
 
+@st.composite
+def integer_problems(draw):
+    """A small fit on integer-valued rows and targets: n 2-12, duplicate
+    rows (zero-curvature pairs), targets at +-epsilon (on the tube's
+    edge), epsilon 0-2, C 0.25-100, and linear, rbf or degree-2
+    polynomial kernels."""
+    n = draw(st.integers(2, 12))
+    p = draw(st.integers(1, 3))
+    X = np.array(draw(st.lists(st.lists(st.integers(-2, 2), min_size=p,
+                                        max_size=p),
+                               min_size=n, max_size=n)), dtype=float)
+    if draw(st.booleans()):  # duplicate rows
+        X = X[draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))]
+    eps = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    y = np.array(draw(st.lists(
+        st.one_of(st.integers(-3, 3).map(float), st.sampled_from([eps, -eps])),
+        min_size=n, max_size=n)))
+    C = draw(st.sampled_from([0.25, 0.5, 1.0, 4.0, 100.0]))
+    spec = draw(st.sampled_from([
+        KernelSpec("linear"), KernelSpec("rbf"), KernelSpec("rbf", gamma=0.5),
+        KernelSpec("polynomial", degree=2, gamma=1.0, coef0=1.0),
+        KernelSpec("polynomial", degree=2, gamma=0.5)]))
+    return X, y, C, eps, spec
+
+
+# two duplicate rows: the first pair has zero curvature, so its step is
+# the full box, and both of its entries go from 0 to C at once
+ZERO_TO_C = (np.array([[1.0], [1.0]]), np.array([0.0, 3.0]), 0.5, 0.5,
+             KernelSpec("linear"))
+
+
+class TestIntegerProblems:
+    """fit_svr against the plain loop on small exact-arithmetic problems,
+    where ties, zero gradients and entries at 0 or C are common."""
+
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(problem=integer_problems())
+    @example(problem=ZERO_TO_C)
+    def test_equals_loop_field_and_iterate(self, problem):
+        X, y, C, eps, spec = problem
+        got_seen, want_seen = [], []
+        # the cap keeps the few slow linear, large-C crawls short
+        with mock.patch.object(svr_mod, "MAX_PAIR_UPDATES", 400):
+            got = fit_svr(X, y, C, eps, spec, monitor=lambda z, b: got_seen.append(
+                (z.tobytes(), b.tobytes())))
+            want = loop_fit_svr(X, y, C, eps, spec, monitor=lambda z, b: want_seen.append(
+                (z.tobytes(), b.tobytes())))
+        assert_same_svr(got, want)
+        assert got_seen == want_seen
+
+    def test_entry_moves_from_zero_to_c_in_one_step(self):
+        X, y, C, eps, spec = ZERO_TO_C
+        seen = []
+        got = fit_svr(X, y, C, eps, spec, monitor=lambda z, b: seen.append(z))
+        assert seen[0].tolist() == [0.0, C, C, 0.0]
+        assert_same_svr(got, loop_fit_svr(X, y, C, eps, spec))
+
+    @pytest.mark.parametrize("X,y,C", [
+        # the plain midpoint is -0.0 here, and row 1's zero negated is -0.0
+        # in the second problem
+        ([[0.0], [0.0], [1.0]], [-2.0, 0.0, 0.0], 0.25),
+        ([[0.0], [1.0]], [0.0, 1.0], 1.0)])
+    def test_zero_bias_is_positive_zero(self, X, y, C):
+        # no free entry: the bias is the midpoint of the KKT interval,
+        # returned as +0.0 whichever sign its zero had
+        got = fit_svr(np.array(X), np.array(y), C, 0.0, KernelSpec("linear"))
+        assert np.float64(got.bias).tobytes() == np.float64(0.0).tobytes()
+        beta = np.abs(got.dual_coef)
+        assert not ((beta > 0) & (beta < C)).any()
+
+
 class TestDegenerate:
     def test_constant_target_all_inside_tube(self):
         X = np.linspace(0, 1, 8)[:, None]
@@ -272,6 +348,22 @@ class TestDegenerate:
         assert np.all(model.dual_coef == 0.0)
         assert model.bias == pytest.approx(3.0)
         np.testing.assert_allclose(model.predict(X), 3.0)
+
+    def test_overflowing_kernel_rejected(self):
+        # a valid grid cell whose kernel matrix overflows on standardized
+        # rows: the fit would run every update on NaN to the cap
+        rng = np.random.default_rng(40)
+        X = Standardization.fit(rng.normal(size=(54, 16))).transform(
+            rng.normal(size=(54, 16)))
+        spec = KernelSpec("polynomial", degree=400, gamma=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="polynomial kernel matrix "
+                               "has non-finite entries"):
+                fit_svr(X, X[:, 0], 1.0, 0.1, spec)
+            with pytest.raises(ValueError, match="polynomial kernel"):
+                FAMILIES["svr"].fit(X, X[:, 0], FAMILIES["svr"].params(
+                    {"kernel": "polynomial", "degree": 400, "gamma": 10}))
 
     def test_parameter_validation(self):
         X = np.zeros((4, 1))

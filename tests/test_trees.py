@@ -2,12 +2,14 @@ import dataclasses
 import json
 import math
 import signal
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forecastlab.evaluation import pow2_scaled
 from forecastlab.trees import (
     DRAW_BLOCK,
     DRAW_MAX_COLUMNS,
@@ -290,14 +292,17 @@ NODE_ARRAYS = ("feature", "threshold", "children_left", "children_right",
 
 
 def recursive_grow(nodes, X, g, h, depth, max_depth, reg_lambda,
-                   min_split_gain, min_samples_leaf, max_features, rng):
+                   min_split_gain, min_samples_leaf, max_features, rng, unit):
     """Reference oracle: the recursive grower the preorder stack replaced.
     It copies X, g and the all-ones hessians h into both children and
     appends [feature, threshold, left, right, value, cover] rows to
-    `nodes`; returns the node's index."""
+    `nodes`; returns the node's index. g is the gradients divided by
+    `unit`, a power of two: leaves are multiplied back, gains and
+    min_split_gain are in units of unit**2, and the floor's 1.0 is not
+    scaled."""
     G = g.sum()
     H = h.sum()
-    node = [-1, 0.0, -1, -1, float(-G / (H + reg_lambda)), float(H)]
+    node = [-1, 0.0, -1, -1, float(-G / (H + reg_lambda)) * unit, float(H)]
     nodes.append(node)
     index = len(nodes) - 1
     if depth >= max_depth or len(g) < 2 * min_samples_leaf or len(g) < 2:
@@ -308,7 +313,8 @@ def recursive_grow(nodes, X, g, h, depth, max_depth, reg_lambda,
     else:
         feats = np.arange(p)
     found = loop_best_split(X, g, h, feats, reg_lambda, min_samples_leaf)
-    gain_floor = min_split_gain + 1e-12 * (1.0 + abs(G * G / (H + reg_lambda)))
+    gain_floor = (min_split_gain / unit / unit
+                  + 1e-12 * (1.0 + abs(G * G / (H + reg_lambda))))
     if found is None or found[2] <= gain_floor:
         return index
     f, thr, _ = found
@@ -317,22 +323,23 @@ def recursive_grow(nodes, X, g, h, depth, max_depth, reg_lambda,
     node[1] = thr
     node[2] = recursive_grow(nodes, X[mask], g[mask], h[mask], depth + 1,
                              max_depth, reg_lambda, min_split_gain,
-                             min_samples_leaf, max_features, rng)
+                             min_samples_leaf, max_features, rng, unit)
     node[3] = recursive_grow(nodes, X[~mask], g[~mask], h[~mask], depth + 1,
                              max_depth, reg_lambda, min_split_gain,
-                             min_samples_leaf, max_features, rng)
+                             min_samples_leaf, max_features, rng, unit)
     return index
 
 
 def recursive_fit_tree(X, *, gradients, max_depth=6, min_samples_leaf=1,
                        reg_lambda=0.0, min_split_gain=0.0, max_features=None,
                        rng=None) -> Tree:
-    """fit_regression_tree as the recursive oracle grows it."""
+    """fit_regression_tree as the recursive oracle grows it, on gradients
+    scaled by evaluation.pow2_scaled's power of two."""
     X = np.asarray(X, dtype=float)
-    g = np.asarray(gradients, dtype=float)
+    (g,), unit = pow2_scaled(np.asarray(gradients, dtype=float))
     nodes = []
     recursive_grow(nodes, X, g, np.ones(len(g)), 0, max_depth, reg_lambda,
-                   min_split_gain, min_samples_leaf, max_features, rng)
+                   min_split_gain, min_samples_leaf, max_features, rng, unit)
     return Tree(*zip(*nodes))
 
 
@@ -405,13 +412,14 @@ class TestPreorderGrowth:
                 reached["drawn"] += split and (kwargs["max_features"] or 9) < X.shape[1]
                 reached["min_leaf"] += split and kwargs["min_samples_leaf"] > 1
                 reached["bootstrap"] += split and boot
-                reached["overflow"] += mode == "boosting" and not np.isfinite(
+                reached["overflow"] += split and not np.isfinite(
                     kwargs["gradients"].sum() ** 2)
                 # the splits made on Python floats and on arrays
                 small = tree.cover[tree.feature >= 0] <= SMALL_NODE_ROWS
                 reached["small_splits"] += int(small.sum())
                 reached["array_splits"] += int((~small).sum())
-        # every axis is reached by trees that split (overflow never splits)
+        # every axis is reached by trees that split, overflow-scale
+        # gradients too: a tree grows on them scaled by a power of two
         assert min(reached.values()) >= 20, reached
 
     def test_forest_trees_equal_recursive_oracle(self):
@@ -432,6 +440,60 @@ class TestPreorderGrowth:
             for name in NODE_ARRAYS:
                 a, b = getattr(tree, name), getattr(oracle, name)
                 assert a.tobytes() == b.tobytes(), (t, name)
+
+
+def leaf_partition(tree, rows):
+    """{row indices that reach a leaf: that leaf's value}"""
+    ids = predict_tree(dataclasses.replace(tree, value=np.arange(len(tree.value))),
+                       rows)
+    return {tuple(np.flatnonzero(ids == leaf)): float(tree.value[int(leaf)])
+            for leaf in np.unique(ids)}
+
+
+class TestGradientScale:
+    def test_1e158_targets_grow_the_unit_scale_trees(self):
+        # squared gradient sums overflow near 1e154; on gradients scaled by
+        # a power of two the gains keep their argmax, so the trees split as
+        # on y = x1 (unscaled, each was a single leaf). Bootstrap repeats
+        # leave small nodes where two columns induce one partition: rounding
+        # decides that tie at either scale, so such a node may split on
+        # another column (its children swapped), and its rows go the same way
+        rng = np.random.default_rng(41)
+        X = rng.normal(size=(54, 3))
+        params = ForestParams(n_estimators=5, max_depth=3, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            unit = fit_random_forest(X, X[:, 0], params)
+            big = fit_random_forest(X, 1e158 * X[:, 0], params)
+        identical = 0
+        for t, (a, b) in enumerate(zip(unit.trees, big.trees)):
+            assert len(a.feature) == len(b.feature) == 15
+            boot = X[_tree_rng(params.seed, t).integers(0, 54, size=54)]
+            leaves = [leaf_partition(tree, boot) for tree in (a, b)]
+            assert sorted(leaves[0]) == sorted(leaves[1])
+            np.testing.assert_allclose([1e158 * v for v in leaves[0].values()],
+                                       [leaves[1][rows] for rows in leaves[0]],
+                                       rtol=1e-12)
+            identical += all(getattr(a, name).tobytes() == getattr(b, name).tobytes()
+                             for name in NODE_ARRAYS[:4] + ("cover",))
+        assert identical >= 2
+
+    def test_power_of_two_scale_keeps_every_bit(self):
+        # a power-of-two multiple of the gradients grows the same tree with
+        # exactly scaled leaves, whether it stays below 2**250 (unscaled)
+        # or is scaled back into [1, 2)
+        rng = np.random.default_rng(42)
+        X = rng.normal(size=(40, 3))
+        g = rng.normal(size=40)
+        tree = fit_regression_tree(X, gradients=g, max_depth=4)
+        for k in (100, 300, 900):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                scaled = fit_regression_tree(X, gradients=g * 2.0 ** k,
+                                             max_depth=4)
+            for name in NODE_ARRAYS[:4] + ("cover",):
+                assert getattr(tree, name).tobytes() == getattr(scaled, name).tobytes()
+            assert (tree.value * 2.0 ** k).tobytes() == scaled.value.tobytes()
 
 
 class TestSmallNodes:
