@@ -23,11 +23,12 @@ on w divided by a power of two, exactly: `fit_css` scales the intercept and
 the CSS back, and the selection AIC adds 2 n log(unit) for its n
 innovations; `forecast` needs no scaling.
 
-Each evaluation reads the parameters once, as a list of Python floats,
-and `_expand` expands a lag polynomial from it by scattering each
-coefficient and each nonseasonal-by-seasonal product to its own lag. No
-two terms share a lag, because `ArimaOrder` rejects p >= s with P >= 1
-and q >= s with Q >= 1, as statsmodels' SARIMAX does. So every lag holds
+Each evaluation reads the parameters as the list of Python floats the
+simplex holds, and `_expand` expands a lag polynomial from it by
+scattering each coefficient and each nonseasonal-by-seasonal product to
+its own lag, as `fit_css`'s root checks and `forecast` do from the fitted
+parameters. No two terms share a lag, because `ArimaOrder` rejects p >= s
+with P >= 1 and q >= s with Q >= 1, as statsmodels' SARIMAX does. So every lag holds
 the value that `np.convolve` of the two factors gives, which adds the one
 product to exact zeros (only the sign of a zero lag may differ).
 
@@ -185,7 +186,10 @@ def difference(y, d: int, D: int = 0, s: int = 1) -> np.ndarray:
 def _expand(coefs, scoefs, s: int, cross: float) -> list:
     """Lags 1.. of (1 + sum_i c_i L^i)(1 + sum_k C_k L^{ks}) for n = len(coefs)
     < s (or no scoefs): c_i at lag i, C_k at lag ks, cross * (c_i * C_k) at
-    lag i + ks and 0.0 at every other lag up to n + s * len(scoefs)."""
+    lag i + ks and 0.0 at every other lag up to n + s * len(scoefs).
+    cross=-1.0 gives the AR lags a_k of w_t = c + sum a_k w_{t-k} + ... from
+    (1 - sum phi_i L^i)(1 - sum Phi_k L^{ks}); cross=1.0 the MA lags b_k of
+    e_t + sum b_k e_{t-k}."""
     lags = list(coefs)
     gap = [0.0] * (s - len(lags) - 1)
     for C in scoefs:
@@ -193,17 +197,6 @@ def _expand(coefs, scoefs, s: int, cross: float) -> list:
         lags.append(C)
         lags += [cross * (c * C) for c in coefs]
     return lags
-
-
-def _ar_lags(phi, sphi, s: int) -> np.ndarray:
-    """a_k such that the AR recursion reads w_t = c + sum a_k w_{t-k} + ...,
-    from (1 - sum phi_i L^i)(1 - sum Phi_k L^{ks})."""
-    return np.array(_expand(phi, sphi, s, -1.0), dtype=float)
-
-
-def _ma_lags(theta, stheta, s: int) -> np.ndarray:
-    """b_k such that the MA part reads e_t + sum b_k e_{t-k}."""
-    return np.array(_expand(theta, stheta, s, 1.0), dtype=float)
 
 
 def _innovations(w, order: ArimaOrder):
@@ -252,11 +245,11 @@ def _innovations(w, order: ArimaOrder):
 
 def _css_objective(w, order: ArimaOrder):
     """theta -> conditional sum of squared innovations of w under `order`
-    (1e300 where theta or the sum is not finite)."""
+    (1e300 where theta or the sum is not finite); theta is a list of
+    Python floats, as `_innovations` reads it."""
     innovations = _innovations(w, order)
 
     def css(theta) -> float:
-        theta = theta.tolist()
         if not all(map(math.isfinite, theta)):
             return 1e300
         z = innovations(theta)
@@ -267,10 +260,9 @@ def _css_objective(w, order: ArimaOrder):
 
 
 class _Simplex(NamedTuple):
-    x: np.ndarray
+    x: list
     fun: float
     nit: int
-    nfev: int
     success: bool
 
 
@@ -307,11 +299,12 @@ def _nelder_mead(func, x0, maxiter: int, xatol: float,
     maxfev or callback, on lists of Python floats: the same initial simplex
     (x0, then x0 with entry k scaled by 1.05, or set to 0.00025 where it is
     0), the same `np.argsort` reorders (twice before the loop, as there),
-    the same reflect/expand/contract/shrink arithmetic, and a fresh
-    float64 array of each vertex handed to `func`. Its coefficients rho=1,
-    chi=2, psi=sigma=0.5 are folded into the constants 2, 3, 1.5 and 0.5
-    that scipy forms from them, and its exact multiplications by rho=1 are
-    dropped, so every rounding step is scipy's. The f-spread is tested
+    the same reflect/expand/contract/shrink arithmetic, and each vertex
+    handed to `func` as the list it holds, where scipy hands a fresh float64
+    array; `func` must not change it. Its coefficients rho=1, chi=2,
+    psi=sigma=0.5 are folded into the constants 2, 3, 1.5 and 0.5 that scipy
+    forms from them, and its exact multiplications by rho=1 are dropped, so
+    every rounding step is scipy's. The f-spread is tested
     first, because both tests are pure, and from the two end values alone:
     fsim is in argsort's order at the top of each pass (ascending, NaN
     last) and rounding is monotone, so `abs(fsim[0] - fsim[-1])` is the
@@ -327,22 +320,15 @@ def _nelder_mead(func, x0, maxiter: int, xatol: float,
     stable or not, gives it: the new vertex is moved to its `bisect_left`
     place instead. Any other reorder (a shrink, a tie, two NaNs) stays on
     `_by_value`."""
-    x0 = np.asarray(x0, dtype=float).flatten().tolist()
+    x0 = list(map(float, x0))
     N = len(x0)
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        nfev += 1
-        return func(np.array(x))  # Python floats: a fresh float64 array
-
     sim = [x0]
     for k in range(N):
         vertex = list(x0)
         vertex[k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
         sim.append(vertex)
 
-    fsim = [f(vertex) for vertex in sim]
+    fsim = [func(vertex) for vertex in sim]
     sim, fsim = _by_value(*_by_value(sim, fsim))  # scipy sorts twice here
     ordered = _ascending(fsim[:-1])  # the N values that stay in place
 
@@ -355,10 +341,10 @@ def _nelder_mead(func, x0, maxiter: int, xatol: float,
             break
         xbar = _centroid(sim[:-1])
         xr = [2 * u - v for u, v in zip(xbar, worst)]
-        fxr = f(xr)
+        fxr = func(xr)
         if fxr < fsim[0]:
             xe = [3 * u - 2 * v for u, v in zip(xbar, worst)]
-            fxe = f(xe)
+            fxe = func(xe)
             if fxe < fxr:
                 sim[-1] = xe
                 fsim[-1] = fxe
@@ -371,11 +357,11 @@ def _nelder_mead(func, x0, maxiter: int, xatol: float,
         else:
             if fxr < fsim[-1]:  # outside contraction
                 xc = [1.5 * u - 0.5 * v for u, v in zip(xbar, worst)]
-                fxc = f(xc)
+                fxc = func(xc)
                 accept = fxc <= fxr
             else:  # inside contraction
                 xc = [0.5 * u + 0.5 * v for u, v in zip(xbar, worst)]
-                fxc = f(xc)
+                fxc = func(xc)
                 accept = fxc < fsim[-1]
             if accept:
                 sim[-1] = xc
@@ -383,7 +369,7 @@ def _nelder_mead(func, x0, maxiter: int, xatol: float,
             else:  # shrink every vertex halfway toward the best
                 for j in range(1, N + 1):
                     sim[j] = [u + 0.5 * (v - u) for u, v in zip(best, sim[j])]
-                    fsim[j] = f(sim[j])
+                    fsim[j] = func(sim[j])
                 ordered = False
         iterations += 1
         if ordered:  # the other N values still strictly ascend
@@ -397,8 +383,8 @@ def _nelder_mead(func, x0, maxiter: int, xatol: float,
             sim, fsim = _by_value(sim, fsim)
             ordered = _ascending(fsim[:-1])
 
-    return _Simplex(np.array(sim[0], dtype=float), np.min(fsim), iterations,
-                    nfev, iterations < maxiter)
+    return _Simplex(sim[0], float(np.min(fsim)), iterations,
+                    iterations < maxiter)
 
 
 def _poly_roots_outside_unit(coefs) -> bool:
@@ -424,27 +410,24 @@ def fit_css(y, order: ArimaOrder, seed: int = 0) -> ArimaFit:
 
     dim = order.n_params
     rng = np.random.default_rng(seed)
-    starts = [np.zeros(dim)]
+    starts = [[0.0] * dim]
     for _ in range(4):
-        starts.append(rng.normal(0.0, 0.1, size=dim))
+        starts.append(rng.normal(0.0, 0.1, size=dim).tolist())
 
     css = _css_objective(w, order)
-    best = None
-    for x0 in starts:
-        res = _nelder_mead(css, x0, maxiter=600 * dim, xatol=1e-8,
-                           fatol=1e-10)
-        if best is None or res.fun < best.fun:
-            best = res
-    # the fit is the best walk's: converged only when that walk met its tolerance
-    converged = bool(best.success)
+    # the first lowest walk; converged only when that walk met its tolerance
+    best = min((_nelder_mead(css, x0, maxiter=600 * dim, xatol=1e-8,
+                             fatol=1e-10) for x0 in starts),
+               key=lambda res: res.fun)
 
-    c, phi, th, sphi, sth = order.split(best.x.tolist())
-    ar_ok = _poly_roots_outside_unit(_ar_lags(phi, sphi, order.s))
-    ma_ok = _poly_roots_outside_unit(-_ma_lags(th, sth, order.s))
+    c, phi, th, sphi, sth = order.split(best.x)
+    ar_ok = _poly_roots_outside_unit(_expand(phi, sphi, order.s, -1.0))
+    ma_ok = _poly_roots_outside_unit(
+        [-b for b in _expand(th, sth, order.s, 1.0)])
     # the sum of squares in y's units (inf beyond the float range)
-    return ArimaFit(order, float(c) * unit, tuple(phi), tuple(th),
-                    tuple(sphi), tuple(sth), float(best.fun) * unit * unit,
-                    converged, ar_ok, ma_ok)
+    return ArimaFit(order, c * unit, tuple(phi), tuple(th), tuple(sphi),
+                    tuple(sth), best.fun * unit * unit, best.success, ar_ok,
+                    ma_ok)
 
 
 def forecast(fit: ArimaFit, y, h: int) -> np.ndarray:
@@ -460,13 +443,13 @@ def forecast(fit: ArimaFit, y, h: int) -> np.ndarray:
     chain = _chain(y, order.d, order.D, order.s)
     w = chain[-1]
 
-    a = _ar_lags(fit.ar, fit.sar, order.s)
-    b = _ma_lags(fit.ma, fit.sma, order.s)
+    a = _expand(fit.ar, fit.sar, order.s, -1.0)
+    b = _expand(fit.ma, fit.sma, order.s, 1.0)
     k_ar, k_ma = len(a), len(b)
     e_in = _innovations(w, order)(fit.theta)
     m = len(w)
-    w_ext = list(w)
-    e_ext = [0.0] * k_ar + list(e_in) + [0.0] * h  # future innovations zero
+    w_ext = w.tolist()
+    e_ext = [0.0] * k_ar + e_in.tolist() + [0.0] * h  # future innovations zero
     for step in range(h):
         t = m + step
         val = fit.intercept

@@ -17,7 +17,7 @@ import sys
 
 from .config import ConfigError, load_config
 from .dataset import DataError
-from .pipeline import PipelineError, cmd_explain, cmd_run, cmd_sweep, cmd_synth
+from .pipeline import cmd_explain, cmd_run, cmd_sweep, cmd_synth
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,7 +67,7 @@ def main(argv=None) -> int:
             path = cmd_synth(config, config_hash)
             print(f"synthetic dataset written to {path}")
         return 0
-    except (ConfigError, PipelineError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:

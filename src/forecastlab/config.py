@@ -263,8 +263,12 @@ def load_config(path: str, seed_override: int | None = None,
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"config {path!r} nests too deeply to parse") from None
     config = parse_config(doc, seed_override, out_override)
     effective = dict(doc)
     effective["seed"] = config.seed

@@ -250,12 +250,16 @@ def load_frame(source: str, schema: ColumnSchema) -> SeriesFrame:
 
 
 def read_frame(path: str, schema: ColumnSchema) -> SeriesFrame:
-    """load_frame on the file at `path`; an unreadable file is a DataError."""
+    """load_frame on the file at `path`; an unreadable or non-UTF-8 file is
+    a DataError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return load_frame(fh.read(), schema)
+            text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path!r} is not UTF-8: {exc}") from None
+    return load_frame(text, schema)
 
 
 def log_transform(frame: SeriesFrame, columns) -> SeriesFrame:

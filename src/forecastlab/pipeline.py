@@ -41,10 +41,6 @@ from .trees import model_to_json
 from .tuning import CvPlan, grid_search
 
 
-class PipelineError(ValueError):
-    pass
-
-
 def _cells(column) -> list[str]:
     """A column's CSV cells, by the rule in the module docstring."""
     if isinstance(column, np.ndarray):
@@ -58,17 +54,25 @@ def _cells(column) -> list[str]:
 
 
 class OutputDir:
-    """The one writer of output files. Making one creates the directory."""
+    """The one writer of output files. Making one creates the directory.
+    An out_dir that cannot be made or written to is a ConfigError."""
 
     def __init__(self, path: str, config_hash: str, seed: int):
-        os.makedirs(path, exist_ok=True)
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {path!r}: "
+                              f"{exc}") from None
         self.path = path
         self.provenance = f"# config_sha256={config_hash} seed={seed}"
 
     def text(self, name: str, text: str) -> str:
         path = os.path.join(self.path, name)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path!r}: {exc}") from None
         return path
 
     def csv(self, name: str, header, columns, comments=()) -> str:
@@ -157,7 +161,7 @@ def evaluate_split(config: RunConfig, frame: SeriesFrame, test_months: int):
             seed=derive_seed(config.seed, "arima", test_months))
         forecasts = {BENCHMARK_FAMILY: arima_mod.forecast(fit, y, test.n_rows)}
     except ValueError as exc:
-        raise PipelineError(f"benchmark fit failed: {exc}") from exc
+        raise ConfigError(f"benchmark fit failed: {exc}") from exc
     X_test = test.matrix(config.schema.features)
     tables = {}
     for spec in config.families:
@@ -261,7 +265,7 @@ def cmd_explain(config: RunConfig, config_hash: str, model_id: str) -> dict:
         model, _ = fit_roster_member(config, model_id, train,
                                      config.primary_split)
     except ValueError as exc:  # the base of every package error
-        raise PipelineError(f"{model_id} fit failed: {exc}") from exc
+        raise ConfigError(f"{model_id} fit failed: {exc}") from exc
 
     features = config.schema.features
     X_train = train.matrix(features)
@@ -272,7 +276,7 @@ def cmd_explain(config: RunConfig, config_hash: str, model_id: str) -> dict:
     try:
         matrix = explain_matrix(model, X_rows, background)
     except ValueError as exc:  # ShapMatrix's efficiency check
-        raise PipelineError(f"{model_id} attributions failed: {exc}") from exc
+        raise ConfigError(f"{model_id} attributions failed: {exc}") from exc
 
     out = OutputDir(config.out_dir, config_hash, config.seed)
     if hasattr(model, "to_doc"):

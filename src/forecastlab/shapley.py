@@ -89,8 +89,9 @@ class ShapMatrix:
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=float)
         pred = np.asarray(self.predictions, dtype=float)
-        gap = np.abs(self.base_value + phi.sum(axis=1) - pred)
-        if gap.size and gap.max() > EFFICIENCY_TOL:
+        with np.errstate(invalid="ignore"):  # inf - inf: a NaN gap
+            gap = np.abs(self.base_value + phi.sum(axis=1) - pred)
+        if not (gap <= EFFICIENCY_TOL).all():  # NaN fails the test too
             raise ValueError(f"efficiency violated by {gap.max():.3g}")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "predictions", pred)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 from scipy.signal import lfilter
 
 from forecastlab import arima
@@ -11,12 +11,11 @@ from forecastlab.arima import (
     ArimaFit,
     ArimaOrder,
     _Simplex,
-    _ar_lags,
     _centroid,
     _common_window_aic,
     _css_objective,
+    _expand,
     _innovations,
-    _ma_lags,
     _nelder_mead,
     _poly_roots_outside_unit,
     default_order_candidates,
@@ -133,7 +132,8 @@ class TestCssEquivalence:
             for _ in range(5):
                 theta = rng.normal(0.0, scale, size=order.n_params)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    got, want = css(theta), loop_css(theta, w, order)
+                    got = css(theta.tolist())
+                    want = loop_css(theta, w, order)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
                 big += got == 1e300
         assert big > 0  # explosive thetas overflowed to the 1e300 sentinel
@@ -144,7 +144,7 @@ class TestCssEquivalence:
         css = _css_objective(w, order)
         for bad in (np.nan, np.inf, -np.inf):
             theta = np.array([0.1, bad, 0.2])
-            assert css(theta) == loop_css(theta, w, order) == 1e300
+            assert css(theta.tolist()) == loop_css(theta, w, order) == 1e300
 
     @pytest.mark.parametrize("order", CSS_ORDERS[::3])
     def test_nelder_mead_walk(self, order):
@@ -153,7 +153,8 @@ class TestCssEquivalence:
         w = difference(y, order.d, order.D, order.s)
         x0 = rng.normal(0.0, 0.1, size=order.n_params)
         opts = {"maxiter": 200 * order.n_params, "xatol": 1e-8, "fatol": 1e-10}
-        got = minimize(_css_objective(w, order), x0, method="Nelder-Mead",
+        css = _css_objective(w, order)
+        got = minimize(lambda x: css(x.tolist()), x0, method="Nelder-Mead",
                        options=opts)
         want = minimize(loop_css, x0, args=(w, order), method="Nelder-Mead",
                         options=opts)
@@ -200,16 +201,16 @@ class TestLagScatter:
             want_css = loop_css_objective(w, order)
             for theta in planted_thetas(rng, order.n_params, 30):
                 with np.errstate(over="ignore", invalid="ignore"):
-                    got, want = got_css(theta), want_css(theta)
+                    got, want = got_css(theta.tolist()), want_css(theta)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
                 seen.append(got)
                 if not np.all(np.isfinite(theta)):
                     continue
                 c, phi, th, sphi, sth = loop_unpack(theta, order)
                 with np.errstate(over="ignore"):
-                    pairs = ((_ar_lags(phi, sphi, order.s),
+                    pairs = ((np.array(_expand(phi, sphi, order.s, -1.0)),
                               loop_ar_lags(phi, sphi, order.s)),
-                             (_ma_lags(th, sth, order.s),
+                             (np.array(_expand(th, sth, order.s, 1.0)),
                               loop_ma_lags(th, sth, order.s)))
                 for lags, loop in pairs:
                     assert lags.dtype == np.float64
@@ -354,7 +355,7 @@ class TestOnePath:
                       ArimaOrder(1, 0, 0, 0, 1, 0, 12)]
         got = select_order(y, candidates, seed=seed)
         monkeypatch.setattr(arima, "_css_objective", lambda w, order: (
-            lambda theta: loop_css(theta, w, order)))
+            lambda theta: loop_css(np.array(theta), w, order)))
         monkeypatch.setattr(arima, "_common_window_aic",
                             loop_common_window_aic)
         assert fit_bytes(got) == fit_bytes(
@@ -362,13 +363,13 @@ class TestOnePath:
 
     @pytest.mark.parametrize("s", [1, 12])
     def test_lags_of_absent_terms_are_empty(self, s):
-        for lags in (_ar_lags((), (), s), _ma_lags((), (), s)):
-            assert lags.dtype == np.float64 and lags.shape == (0,)
+        for lags in (_expand((), (), s, -1.0), _expand((), (), s, 1.0)):
+            assert type(lags) is list and lags == []
             assert _poly_roots_outside_unit(lags)
 
     def test_k_ar_counts_the_expanded_ar_lags(self):
         for order in ONE_PATH_ORDERS:
-            a = _ar_lags((0.1,) * order.p, (0.1,) * order.P, order.s)
+            a = _expand((0.1,) * order.p, (0.1,) * order.P, order.s, -1.0)
             assert order.k_ar == len(a)
 
 MA_EDGE_ORDERS = [ArimaOrder(0, 0, 1), ArimaOrder(0, 0, 3), ArimaOrder(2, 0, 2),
@@ -425,12 +426,12 @@ class TestMaFilterEdges:
 
     def check(self, w, order, theta):
         c, phi, th, sphi, sth = order.split(theta)
-        a = _ar_lags(phi, sphi, order.s) if order.k_ar else np.empty(0)
-        b = _ma_lags(th, sth, order.s)
+        a = np.array(_expand(phi, sphi, order.s, -1.0), dtype=float)
+        b = np.array(_expand(th, sth, order.s, 1.0), dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             got = _innovations(w, order)(theta)
             want = loop_innovations(w, c, a, b)
-            got_css = _css_objective(w, order)(np.array(theta))
+            got_css = _css_objective(w, order)(theta)
             want_css = loop_css_objective(w, order)(np.array(theta))
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -496,14 +497,36 @@ def scipy_nelder_mead(func, x0, maxiter, xatol, fatol):
                              "fatol": fatol})
 
 
+def port_walk(func, x0, maxiter, xatol, fatol):
+    """`_nelder_mead` on func of a float64 array, as scipy calls it: each
+    vertex list goes to func as a fresh array, and the calls are counted
+    as the walk's nfev."""
+    nfev = 0
+
+    def counted(vertex):
+        nonlocal nfev
+        nfev += 1
+        return func(np.array(vertex))
+
+    walk = _nelder_mead(counted, x0, maxiter, xatol, fatol)
+    return walk, nfev
+
+
+def scipy_walk(func, x0, maxiter, xatol, fatol):
+    """scipy's walk in `_nelder_mead`'s place: func reads lists, as
+    `fit_css`'s objective does, and the walk returns a `_Simplex`."""
+    res = scipy_nelder_mead(lambda x: func(x.tolist()), x0, maxiter, xatol,
+                            fatol)
+    return _Simplex(res.x.tolist(), float(res.fun), res.nit, res.success)
+
+
 def same_walk(func, x0, maxiter, xatol=1e-8, fatol=1e-10):
     """Run the port and the oracle from x0; assert they agree bit for bit."""
-    got = _nelder_mead(func, x0, maxiter, xatol, fatol)
+    got, nfev = port_walk(func, x0, maxiter, xatol, fatol)
     want = scipy_nelder_mead(func, x0, maxiter, xatol, fatol)
-    assert got.x.tobytes() == want.x.tobytes()
+    assert np.array(got.x).tobytes() == want.x.tobytes()
     assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
-    assert (got.nit, got.nfev, got.success) == (want.nit, want.nfev,
-                                                 want.success)
+    assert (got.nit, nfev, got.success) == (want.nit, want.nfev, want.success)
     return got
 
 
@@ -572,19 +595,19 @@ def numpy_nelder_mead(func, x0, maxiter, xatol, fatol):
         sim = np.take(sim, ind, 0)
         fsim = np.take(fsim, ind, 0)
 
-    return _Simplex(sim[0], np.min(fsim), iterations, nfev,
-                    iterations < maxiter)
+    return OptimizeResult(x=sim[0], fun=np.min(fsim), nit=iterations,
+                          nfev=nfev, success=iterations < maxiter)
 
 
 def same_as_numpy(func, x0, maxiter, xatol=1e-8, fatol=1e-10):
     """Run the list simplex and the numpy oracle from x0; assert they agree
     bit for bit."""
-    got = _nelder_mead(func, x0, maxiter, xatol, fatol)
+    got, nfev = port_walk(func, x0, maxiter, xatol, fatol)
     want = numpy_nelder_mead(func, x0, maxiter, xatol, fatol)
-    assert got.x.dtype == np.float64 and got.x.tobytes() == want.x.tobytes()
+    assert all(type(v) is float for v in got.x)
+    assert np.array(got.x).tobytes() == want.x.tobytes()
     assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
-    assert (got.nit, got.nfev, got.success) == (want.nit, want.nfev,
-                                                 want.success)
+    assert (got.nit, nfev, got.success) == (want.nit, want.nfev, want.success)
     return got
 
 
@@ -689,7 +712,7 @@ class TestNelderMead:
         css = _css_objective(w, order)
         for x0 in starts(rng, order.n_params)[:3]:
             with np.errstate(over="ignore", invalid="ignore"):
-                same_walk(css, x0, 600 * order.n_params)
+                same_walk(lambda x: css(x.tolist()), x0, 600 * order.n_params)
 
     @pytest.mark.parametrize("dim", range(1, 9))
     def test_synthetic_walks(self, dim, monkeypatch):
@@ -737,7 +760,7 @@ class TestNelderMead:
                 ported[order] = fit_css(y, order, seed=3)
             except ArimaError:
                 pass
-        monkeypatch.setattr(arima, "_nelder_mead", scipy_nelder_mead)
+        monkeypatch.setattr(arima, "_nelder_mead", scipy_walk)
         assert len(ported) == 24
         for order, fit in ported.items():
             assert fit_css(y, order, seed=3) == fit
@@ -764,7 +787,8 @@ class TestPythonSimplex:
         css = _css_objective(w, order)
         for x0 in starts(rng, order.n_params):
             with np.errstate(over="ignore", invalid="ignore"):
-                same_as_numpy(css, x0, 600 * order.n_params)
+                same_as_numpy(lambda x: css(x.tolist()), x0,
+                              600 * order.n_params)
 
     @pytest.mark.parametrize("dim", range(1, 9))
     def test_synthetic_walks(self, dim, monkeypatch):
@@ -862,7 +886,7 @@ class TestFitCss:
         starts = [np.zeros(order.n_params)] + [
             rng.normal(0.0, 0.1, size=order.n_params) for _ in range(4)]
         css = _css_objective(difference(y, order.d), order)
-        assert fit.css <= min(map(css, starts)) + 1e-9
+        assert fit.css <= min(css(x0.tolist()) for x0 in starts) + 1e-9
 
     def test_capped_best_walk_not_converged(self, monkeypatch):
         # four of the five walks meet their tolerance near CSS 307, but the
@@ -1059,5 +1083,5 @@ class TestOrderValidation:
         for kwargs in ({"p": s - 1, "P": 2, "q": s - 1, "Q": 2},
                        {"p": s, "q": 2 * s, "D": 1}):
             order = ArimaOrder(s=s, **kwargs)
-            assert len(_ar_lags((0.1,) * order.p, (0.1,) * order.P, s)) \
-                == order.k_ar
+            assert len(_expand((0.1,) * order.p, (0.1,) * order.P, s,
+                               -1.0)) == order.k_ar

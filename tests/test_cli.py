@@ -730,6 +730,51 @@ class TestExitCodes:
         cfg = write_config(tmp_path, data={"csv": str(bad)})
         assert main(["run", "--config", cfg]) == 3
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200000],
+                             ids=["not-utf8", "nested-past-recursion-limit"])
+    def test_unparseable_config_exits_2(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config {str(cfg)!r}")
+        assert "Traceback" not in err
+
+    def test_non_utf8_csv_exits_3(self, tmp_path, capsys):
+        schema = default_schema()
+        lines = ["date," + ",".join(schema.all_columns)]
+        lines += [f"2015-{mo:02d}," + ",".join(["1.0"] * 17)
+                  for mo in range(1, 4)]
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes("\n".join(lines).encode().replace(b"1.0", b"\xff", 1))
+        cfg = write_config(tmp_path, data={"csv": str(bad)})
+        assert main(["run", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {str(bad)!r} is not UTF-8")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["synth", "run"])
+    def test_file_as_out_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        cfg = write_config(tmp_path)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: cannot make output directory {str(out)!r}")
+        assert "Traceback" not in err
+        assert out.read_text() == "not a directory"
+
+    def test_unwritable_output_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "synth.csv").mkdir(parents=True)  # a directory in its place
+        cfg = write_config(tmp_path)
+        assert main(["synth", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: cannot write {str(out / 'synth.csv')!r}")
+        assert "Traceback" not in err
+
     def test_split_longer_than_series_exits_2(self, tmp_path):
         cfg = write_config(
             tmp_path, split_months=[80, 16], primary_split=16,

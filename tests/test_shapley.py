@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1233,6 +1234,19 @@ class TestExplainMatrix:
     def test_efficiency_violation_detected(self):
         with pytest.raises(ValueError, match="efficiency"):
             ShapMatrix(0.0, np.ones((1, 2)), np.array([0.0]))
+
+    @pytest.mark.parametrize("base, phi, pred", [
+        (0.0, [[np.nan, 1.0]], [1.0]),
+        (np.nan, [[0.0, 1.0]], [1.0]),
+        (0.0, [[np.inf, -np.inf]], [0.0]),
+    ], ids=["nan-phi", "nan-base", "inf-minus-inf"])
+    def test_non_finite_gap_rejected(self, base, phi, pred):
+        # a NaN gap is not > the tolerance, yet breaks efficiency; inf - inf
+        # makes one without a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="efficiency violated by nan"):
+                ShapMatrix(base, np.array(phi), np.array(pred))
 
     def test_linearity_over_predictors(self):
         rng = np.random.default_rng(11)
