@@ -6,6 +6,9 @@ SVR families fit on rows standardized by their own statistics and return a
 `Standardized` model; tree families train on raw values. Each `fit` calls
 its solver by this module's global name at call time, never through a stored
 function object, so a wrapper put in place of that global sees every fit.
+A linear family also fits a grid search's (cell, fold) fits at once
+(`LinearFamily.fit_grid`), through the lockstep solver `fit_linear_lanes`,
+which it calls the same way.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from . import shapley
 from .dataset import FittedRecord, Standardization, number
-from .linear import PenaltySpec, fit_linear
+from .linear import PenaltySpec, fit_linear, fit_linear_lanes
 from .svr import KernelSpec, fit_svr
 from .trees import BoostParams, ForestParams, fit_gradient_boosting, fit_random_forest
 
@@ -91,6 +94,31 @@ class LinearFamily(Family):
     def fit(self, X, y, params):
         stats = Standardization.fit(X)
         return Standardized(stats, fit_linear(stats.transform(X), y, params))
+
+    def fit_grid(self, cells, folds) -> list[list]:
+        """`fit_family` on every (cell, fold) of a grid search at once: per
+        cell, per (X, y) training fold, the model or the ValueError its fit
+        raises. Each fold is standardized once, for every cell."""
+        if not folds[0][0].shape[1]:
+            return [[_no_columns()] * len(folds) for _ in cells]
+        stats = [Standardization.fit(X) for X, _ in folds]
+        designs = [(s.transform(X), y) for s, (X, y) in zip(stats, folds)]
+        penalties = []
+        for cell in cells:
+            try:
+                penalties.append(self.params(cell))
+            except ValueError as exc:
+                penalties.append(exc)
+        fits = iter(fit_linear_lanes([(Z, y, penalty) for penalty in penalties
+                                      if isinstance(penalty, PenaltySpec)
+                                      for Z, y in designs]))
+
+        def wrapped(s, fit):
+            return fit if isinstance(fit, ValueError) else Standardized(s, fit)
+
+        return [[wrapped(s, next(fits)) for s in stats]
+                if isinstance(penalty, PenaltySpec) else [penalty] * len(folds)
+                for penalty in penalties]
 
 
 class SvrFamily(Family):
@@ -166,6 +194,10 @@ def fit_family(family: str, X, y, params: dict, seed: int = 0):
         raise FamilyError(f"unknown model family {family!r}")
     X = np.asarray(X, dtype=float)
     if not X.shape[1]:
-        raise FamilyError("no feature columns to fit on")
+        raise _no_columns()
     spec = FAMILIES[family]
     return spec.fit(X, np.asarray(y, dtype=float), spec.params(params, seed))
+
+
+def _no_columns() -> FamilyError:
+    return FamilyError("no feature columns to fit on")

@@ -66,6 +66,25 @@ class OutputDir:
         self.path = path
         self.provenance = f"# config_sha256={config_hash} seed={seed}"
 
+    @staticmethod
+    def check(path: str):
+        """Raise a ConfigError now if `path` cannot become the output
+        directory, and make nothing: it exists and is no directory, or its
+        nearest existing ancestor is no directory or not writable. The
+        commands that fit check before the first fit."""
+        target = os.path.abspath(path)
+        while not os.path.lexists(target) and os.path.dirname(target) != target:
+            target = os.path.dirname(target)
+        if target == os.path.abspath(path) and not os.path.isdir(target):
+            why = "it exists and is not a directory"
+        elif not os.path.isdir(target):
+            why = f"{target!r} is not a directory"
+        elif not os.access(target, os.W_OK | os.X_OK):
+            why = f"{target!r} is not writable"
+        else:
+            return
+        raise ConfigError(f"cannot make output directory {path!r}: {why}")
+
     def text(self, name: str, text: str) -> str:
         path = os.path.join(self.path, name)
         try:
@@ -181,6 +200,7 @@ def cmd_run(config: RunConfig, config_hash: str) -> dict:
     """Primary-split pipeline: tune, refit, forecast, score; writes
     forecasts.csv, metrics.csv, and one cv_<family>.csv per searched grid.
     Returns the forecasts by model id, None for a failed family."""
+    OutputDir.check(config.out_dir)
     frame = load_data(config)
     _check_splits(config, frame)
     test, tables, forecasts = evaluate_split(
@@ -211,6 +231,7 @@ def cmd_run(config: RunConfig, config_hash: str) -> dict:
 def cmd_sweep(config: RunConfig, config_hash: str) -> list[tuple]:
     """Re-tune and re-score every roster family across all split windows;
     writes split_sweep.csv with one (model, test_months) row each."""
+    OutputDir.check(config.out_dir)
     frame = load_data(config)
     _check_splits(config, frame)
     records = []
@@ -258,6 +279,7 @@ def cmd_explain(config: RunConfig, config_hash: str, model_id: str) -> dict:
         raise ConfigError(f"explaining {model_id} needs exact coalition "
                           f"enumeration, capped at {EXACT_MAX_FEATURES} "
                           f"features; the schema has {n_features}")
+    OutputDir.check(config.out_dir)
     frame = load_data(config)
     _check_splits(config, frame)
     train, test = chrono_split(frame, config.primary_split)

@@ -5,7 +5,9 @@ by mean validation MSE across folds and the full cv table is returned so
 the winner can always be audited against it. A fit that fails with a
 ValueError (invalid cell, singular system) records +inf for that cell
 rather than aborting the sweep; any other exception propagates. When every
-cell fails, the error names the first failure's cause.
+cell fails, the error names the first failure's cause. A linear family
+fits the whole grid at once, in lockstep (`LinearFamily.fit_grid`); every
+other family fits cell by cell through `fit_family`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import boolean, coerce_fields, integer
-from .families import fit_family
+from .families import FAMILIES, LinearFamily, fit_family
 
 
 class TuningError(ValueError):
@@ -101,21 +103,11 @@ def grid_search(family: str, grid: ParamGrid, X, y, plan: CvPlan,
     cells = grid.cells()
     scores = []
     cause = None  # of the first failed fit, for the all-cells-failed error
-    for params in cells:
+    for cell_fits in _fold_fits(family, cells, splits, seed):
         fold_mse = []
-        for X_train, y_train, X_val, y_val in splits:
-            try:
-                model = fit_family(family, X_train, y_train, params,
-                                   seed=seed)
-                resid = model.predict(X_val) - y_val
-                with np.errstate(over="ignore"):  # scored inf below
-                    score = float((resid ** 2).mean())
-                if not math.isfinite(score):
-                    score = math.inf
-                    cause = cause or "non-finite validation MSE"
-            except ValueError as exc:  # also LinAlgError, the package's errors
-                score = math.inf
-                cause = cause or f"{type(exc).__name__}: {exc}"
+        for fit, (_, _, X_val, y_val) in zip(cell_fits, splits):
+            score, why = _fold_score(fit, X_val, y_val)
+            cause = cause or why
             fold_mse.append(score)
         if all(math.isfinite(v) for v in fold_mse):
             scores.append((float(np.mean(fold_mse)), float(np.std(fold_mse))))
@@ -131,3 +123,35 @@ def grid_search(family: str, grid: ParamGrid, X, y, plan: CvPlan,
         raise TuningError(f"every {family} grid cell failed, the first "
                           f"with {cause}")
     return dict(best.params), table
+
+
+def _fold_fits(family: str, cells, splits, seed: int):
+    """Per cell, per fold: the fitted model or the ValueError its fit raised."""
+    spec = FAMILIES.get(family)
+    if isinstance(spec, LinearFamily):
+        return spec.fit_grid(cells, [split[:2] for split in splits])
+    return ([_fit_or_error(family, X_train, y_train, params, seed)
+             for X_train, y_train, _, _ in splits] for params in cells)
+
+
+def _fit_or_error(family, X, y, params, seed):
+    try:
+        return fit_family(family, X, y, params, seed=seed)
+    except ValueError as exc:  # also LinAlgError, the package's errors
+        return exc
+
+
+def _fold_score(fit, X_val, y_val) -> tuple[float, str | None]:
+    """The validation MSE of a fold fit (a model, or the ValueError its fit
+    raised), and, when that is inf, its cause."""
+    if isinstance(fit, ValueError):
+        return math.inf, f"{type(fit).__name__}: {fit}"
+    try:
+        resid = fit.predict(X_val) - y_val
+    except ValueError as exc:
+        return math.inf, f"{type(exc).__name__}: {exc}"
+    with np.errstate(over="ignore"):  # scored inf below
+        score = float((resid ** 2).mean())
+    if not math.isfinite(score):
+        return math.inf, "non-finite validation MSE"
+    return score, None

@@ -765,6 +765,32 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert out.read_text() == "not a directory"
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "explain"])
+    def test_unusable_out_rejected_before_any_fit(self, tmp_path, capsys,
+                                                  monkeypatch, command):
+        import forecastlab.arima as arima
+
+        def never_called(*args, **kwargs):
+            raise AssertionError("fitted before checking --out")
+
+        for module, name in ((pipeline, "grid_search"), (pipeline, "fit_family"),
+                             (arima, "select_order")):
+            monkeypatch.setattr(module, name, never_called)
+        cfg = write_config(tmp_path)
+        model = ["--model", "boosting"] if command == "explain" else []
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        assert main([command, "--config", cfg, "--out", str(out)] + model) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: cannot make output directory {str(out)!r}")
+        assert out.read_text() == "not a directory"
+        # below a file, or below a directory that cannot be written to
+        nested = str(out / "sub")
+        assert main([command, "--config", cfg, "--out", nested] + model) == 2
+        assert f"{str(out)!r} is not a directory" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "taken"]
+
     def test_unwritable_output_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
         (out / "synth.csv").mkdir(parents=True)  # a directory in its place

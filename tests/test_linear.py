@@ -11,6 +11,7 @@ from forecastlab.linear import (
     LinearModel,
     PenaltySpec,
     fit_linear,
+    fit_linear_lanes,
 )
 
 
@@ -179,6 +180,176 @@ class TestLoopEquivalence:
         got = fit_linear(X, y, PenaltySpec(0.01, 0.5))
         assert_same_linear(got, loop_fit_linear(X, y, PenaltySpec(0.01, 0.5)))
         assert (got.converged, got.n_sweeps) == (False, 2)
+
+
+def minus_zero_target(rng, X):
+    """test_benchmark_shapes' target: half-units that sum exactly to zero,
+    with -0.0 zeros."""
+    n, p = X.shape
+    y = np.round(2.0 * (X @ rng.normal(size=p) + rng.normal(size=n))) / 2.0
+    y[:3] = 0.0
+    y[-1] = -y[:-1].sum()
+    y[y == 0.0] = -0.0
+    assert y.mean() == 0.0 and np.signbit(y[:3]).all()
+    return y
+
+
+def lane_set(rng, case):
+    """Lanes as a grid search makes them, (cell, design) pairs, over 1-4
+    designs of mixed row counts and layouts, with lam = 0 cells, zero
+    columns and -0.0 targets; every seventh set adds lanes of other widths."""
+    p = int(rng.integers(1, 9))
+    designs = []
+    for d in range(int(rng.integers(1, 5))):
+        n = int(rng.integers(4, 40))
+        layout = (case + d) % 3
+        if layout == 2:  # a strided view: neither C nor F order
+            X = rng.normal(size=(n, 2 * p))[:, ::2]
+        else:
+            X = rng.normal(size=(n, p))
+            X = np.asfortranarray(X) if layout else X
+        if p >= 2 and case % 2:
+            X[:, 1] = 0.7 * X[:, 0] + 0.3 * X[:, 1]
+        if case % 3 == 0:
+            X = Standardization.fit(X).transform(X)
+        if case % 5 == 0:
+            X[:, -1] = 0.0  # denominator 0 under pure lasso
+        if case % 4 == 1 and n > 4:
+            X = Standardization.fit(X).transform(X)
+            y = minus_zero_target(rng, X)
+        else:
+            y = X @ rng.normal(size=p) + rng.normal(size=n)
+        designs.append((X, y))
+    if case % 7 == 0:
+        X = rng.normal(size=(20, p + 1))
+        designs.append((X, X.sum(axis=1) + rng.normal(size=20)))
+    cells = []
+    for _ in range(int(rng.integers(2, 7))):
+        lam = (0.0 if rng.uniform() < 0.1
+               else float(np.exp(rng.uniform(np.log(1e-3), np.log(2.0)))))
+        alpha = (0.0, 0.5, 1.0, float(rng.uniform()))[int(rng.integers(4))]
+        cells.append(PenaltySpec(lam, alpha))
+    return [(X, y, penalty) for penalty in cells for X, y in designs]
+
+
+def assert_same_fit(got, X, y, penalty):
+    """got is fit_linear's result, bit for bit, or its ValueError; for
+    lam > 0 also the original sweep's."""
+    try:
+        want = fit_linear(X, y, penalty)
+    except ValueError as exc:
+        assert type(got) is type(exc) and str(got) == str(exc)
+        return
+    assert_same_linear(got, want)
+    if penalty.lam > 0:
+        assert_same_linear(got, loop_fit_linear(X, y, penalty))
+
+
+class TestLockstepLanes:
+    """fit_linear_lanes returns fit_linear's model for every lane."""
+
+    def test_random_lane_sets(self, monkeypatch):
+        # 300 lane sets, about 8 s on a 2-core machine
+        monkeypatch.setattr(linear_mod, "MAX_SWEEPS", 150)
+        resumed = []
+        real_descend = linear_mod._descend
+
+        def descend(X, penalty, coef, b, r, sweeps):
+            resumed.append(sweeps)
+            return real_descend(X, penalty, coef, b, r, sweeps)
+
+        monkeypatch.setattr(linear_mod, "_descend", descend)
+        rng = np.random.default_rng(2027)
+        lanes_run = 0
+        for case in range(300):
+            lanes = lane_set(rng, case)
+            lanes_run += len(lanes)
+            for got, lane in zip(fit_linear_lanes(lanes), lanes):
+                assert_same_fit(got, *lane)
+            if case % 10 == 0:  # every sweep's iterate, not only the last
+                for cap in (1, 2, 3):
+                    monkeypatch.setattr(linear_mod, "MAX_SWEEPS", cap)
+                    for got, lane in zip(fit_linear_lanes(lanes), lanes):
+                        assert_same_fit(got, *lane)
+                monkeypatch.setattr(linear_mod, "MAX_SWEEPS", 150)
+        # lanes left the lockstep for the scalar loop at many sweeps
+        assert len({s for s in resumed if s > 0}) >= 20
+        assert lanes_run > 3000
+
+    def test_benchmark_shapes(self, monkeypatch):
+        # five folds of n = 86-87 rows on 16 standardized columns, as a
+        # grid search hands them over, with -0.0 targets on half the folds
+        monkeypatch.setattr(linear_mod, "MAX_SWEEPS", 1000)
+        rng = np.random.default_rng(2028)
+        designs = []
+        for fold in range(5):
+            n = 86 + fold % 2
+            X = rng.normal(size=(n, 16))
+            X[:, 1] = X[:, 0] + 0.01 * X[:, 1]
+            X = Standardization.fit(X).transform(X)
+            y = (minus_zero_target(rng, X) if fold % 2
+                 else X @ rng.normal(size=16) + rng.normal(size=n))
+            designs.append((X, y))
+        lanes = [(X, y, PenaltySpec(lam, alpha)) for lam in (1e-3, 0.1, 0.9)
+                 for alpha in (0.0, 0.05, 0.5, 1.0) for X, y in designs]
+        fits = fit_linear_lanes(lanes)
+        for got, lane in zip(fits, lanes):
+            assert_same_fit(got, *lane)
+        assert max(fit.n_sweeps for fit in fits) >= 100
+
+    def test_non_finite_lane_fails_alone(self):
+        rng = np.random.default_rng(2029)
+        X = Standardization.fit(rng.normal(size=(30, 4))).transform(
+            rng.normal(size=(30, 4)))
+        y = X @ rng.normal(size=4) + rng.normal(size=30)
+        inf_y, nan_y, nan_X = y.copy(), y.copy(), X.copy()
+        inf_y[3] = np.inf
+        nan_y[-1] = np.nan
+        nan_X[5, 2] = np.nan  # column 2 is left out, and the fit succeeds
+        lanes = [(X, y, PenaltySpec(lam, 0.5)) for lam in (0.01, 0.1, 0.3)] * 3
+        lanes[4] = (X, inf_y, PenaltySpec(0.1, 0.5))
+        lanes[6] = (X, nan_y, PenaltySpec(0.3, 0.0))
+        lanes[7] = (nan_X, y, PenaltySpec(0.1, 1.0))
+        fits = fit_linear_lanes(lanes)
+        for k in (4, 6):
+            assert isinstance(fits[k], ValueError)
+            assert str(fits[k]) == "non-finite linear fit"
+        assert fits[7].coefficients[2] == 0.0
+        with np.errstate(all="ignore"):
+            for got, lane in zip(fits, lanes):
+                assert_same_fit(got, *lane)
+
+    def test_invalid_lanes_fail_alone(self):
+        rng = np.random.default_rng(2030)
+        X, y = rng.normal(size=(12, 3)), rng.normal(size=12)
+        lanes = [(X, y, PenaltySpec(0.1, 0.5))] * 8
+        lanes[2] = (X, y[:-1], PenaltySpec(0.1, 0.5))
+        lanes[5] = (X[:1], y[:1], PenaltySpec(0.1, 0.5))
+        fits = fit_linear_lanes(lanes)
+        assert str(fits[2]) == "X has 12 rows but y has 11"
+        assert str(fits[5]) == "need at least 2 rows to fit"
+        for k in (0, 1, 3, 4, 6, 7):
+            assert_same_fit(fits[k], *lanes[k])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_stacked_matmul_is_the_loops_dot(self, order):
+        # rho's matmul of (lanes, 1, n) @ (lanes, n, 1) stacks must take
+        # each product as X[:, j].dot(r) does, on the same stride
+        rng = np.random.default_rng(2031)
+        for _ in range(300):
+            n, p, count = (int(rng.integers(1, 200)), int(rng.integers(1, 17)),
+                           int(rng.integers(1, 30)))
+            j = int(rng.integers(p))
+            block = rng.normal(size=(count, n, p)) * np.exp(
+                3 * rng.normal(size=(count, 1, 1)))
+            R = rng.normal(size=(count, n + 2))
+            rows = (block[:, None, :, j] if order == "C"
+                    else np.ascontiguousarray(block[:, :, j])[:, None, :])
+            got = np.matmul(rows, R[:, :n, None])[:, 0, 0]
+            for k in range(count):
+                X = np.array(block[k], order=order)
+                want = X[:, j].dot(R[k, :n].copy())
+                assert got[k].tobytes() == want.tobytes()
 
 
 class TestExactFits:

@@ -121,6 +121,7 @@ class TestGridSearch:
         assert math.isinf(bad[0].mean_mse)
 
     def test_programming_error_propagates(self, monkeypatch):
+        # forest cells fit one by one through tuning's fit_family
         import forecastlab.tuning as tuning
 
         def broken(*args, **kwargs):
@@ -129,7 +130,20 @@ class TestGridSearch:
         monkeypatch.setattr(tuning, "fit_family", broken)
         X, y = noisy_collinear(6)
         with pytest.raises(AttributeError, match="left"):
-            grid_search("ridge", ParamGrid.from_dict({"lam": [0.1]}), X, y,
+            grid_search("random_forest", ParamGrid.from_dict(
+                {"n_estimators": [2], "max_depth": [2]}), X, y, CvPlan(k=3))
+
+    def test_programming_error_in_lockstep_propagates(self, monkeypatch):
+        # a linear family's cells fit at once through the lockstep solver
+        import forecastlab.families as families
+
+        def broken(*args, **kwargs):
+            raise AttributeError("'LinearModel' object has no attribute 'beta'")
+
+        monkeypatch.setattr(families, "fit_linear_lanes", broken)
+        X, y = noisy_collinear(6)
+        with pytest.raises(AttributeError, match="beta"):
+            grid_search("ridge", ParamGrid.from_dict({"lam": [0.1, 0.2]}), X, y,
                         CvPlan(k=3))
 
     def test_fold_assignment_independent_of_grid(self):
@@ -275,3 +289,128 @@ class TestFamilies:
         from forecastlab.families import FamilyError
         with pytest.raises(FamilyError):
             fit_family("lstm", np.zeros((10, 2)), np.zeros(10), {})
+
+
+def per_cell_grid_search(family, grid, X, y, plan):
+    """Oracle: the cell-by-cell loop through fit_family that grid_search
+    ran for every family before linear grids were fitted in lockstep."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    all_idx = np.arange(len(y))
+    splits = []
+    for val_idx in kfold_indices(len(y), plan):
+        train_idx = np.setdiff1d(all_idx, val_idx, assume_unique=True)
+        splits.append((X[train_idx], y[train_idx], X[val_idx], y[val_idx]))
+    cells, scores, cause = grid.cells(), [], None
+    for params in cells:
+        fold_mse = []
+        for X_train, y_train, X_val, y_val in splits:
+            try:
+                model = fit_family(family, X_train, y_train, params)
+                score = float(((model.predict(X_val) - y_val) ** 2).mean())
+                if not math.isfinite(score):
+                    score = math.inf
+                    cause = cause or "non-finite validation MSE"
+            except ValueError as exc:
+                score = math.inf
+                cause = cause or f"{type(exc).__name__}: {exc}"
+            fold_mse.append(score)
+        scores.append((float(np.mean(fold_mse)), float(np.std(fold_mse)))
+                      if all(map(math.isfinite, fold_mse))
+                      else (math.inf, math.inf))
+    order = sorted(range(len(cells)), key=lambda i: (scores[i][0], i))
+    table = [(cells[i], *scores[i], order.index(i) + 1) for i in range(len(cells))]
+    if math.isinf(scores[order[0]][0]):
+        return None, table, cause
+    return cells[order[0]], table, None
+
+
+def bits(v):
+    return np.float64(v).tobytes()
+
+
+def assert_grid_parity(family, grid, X, y, plan):
+    """grid_search's table, ranks, best cell and all-failed cause equal the
+    per-cell oracle's, mean_mse and sd_mse bit for bit."""
+    with np.errstate(all="ignore"):
+        best, table, cause = per_cell_grid_search(family, grid, X, y, plan)
+        if cause is not None:
+            with pytest.raises(TuningError) as err:
+                grid_search(family, grid, X, y, plan)
+            assert str(err.value) == (f"every {family} grid cell failed, "
+                                      f"the first with {cause}")
+            return
+        got_best, got = grid_search(family, grid, X, y, plan)
+    assert got_best == best
+    assert [(c.params, bits(c.mean_mse), bits(c.sd_mse), c.rank) for c in got] == [
+        (params, bits(mean), bits(sd), rank) for params, mean, sd, rank in table]
+
+
+LINEAR_GRIDS = {"ridge": {"lam": [0.001, 0.01, 0.1, 0.9]},
+                "lasso": {"lam": [0.001, 0.01, 0.1, 0.9]},
+                "elastic_net": {"lam": [0.001, 0.01, 0.1],
+                                "alpha": [0.05, 0.5, 0.95]}}
+
+
+class TestLockstepGridParity:
+    """A linear family's lockstep grid equals the per-cell loop."""
+
+    @pytest.mark.parametrize("family", sorted(LINEAR_GRIDS))
+    def test_random_data(self, family):
+        rng = np.random.default_rng(44)
+        for case in range(6):
+            n, p = int(rng.integers(20, 70)), int(rng.integers(1, 9))
+            X = rng.normal(size=(n, p))
+            y = X @ rng.normal(size=p) + rng.normal(size=n)
+            plan = CvPlan(k=int(rng.integers(2, 6)), shuffle=bool(case % 2),
+                          seed=case)
+            assert_grid_parity(family, ParamGrid.from_dict(LINEAR_GRIDS[family]),
+                               X, y, plan)
+
+    @pytest.mark.parametrize("workload", ["run-quickstart", "explain-forest",
+                                          "explain-exact", "sweep-arima-linear"])
+    def test_workload_training_windows(self, workload):
+        # each benchmark workload's seed-42 training window, with the
+        # shipped ridge and lasso grids and the quickstart's elastic net
+        import os
+        import sys
+        from forecastlab.config import parse_config
+        from forecastlab.dataset import chrono_split
+        from forecastlab.pipeline import load_data
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        sys.path.insert(0, os.path.join(root, "perfbench"))
+        try:
+            from workloads import WORKLOADS
+        finally:
+            sys.path.pop(0)
+        config = parse_config(WORKLOADS[workload].build(42, False))
+        train, _ = chrono_split(load_data(config), config.primary_split)
+        X = train.matrix(config.schema.features)
+        y = train.column(config.schema.target)
+        plan = CvPlan(config.cv.k, config.cv.shuffle)
+        for family, grid in (("ridge", default_grid("ridge")),
+                             ("lasso", default_grid("lasso")),
+                             ("elastic_net", LINEAR_GRIDS["elastic_net"])):
+            assert_grid_parity(family, ParamGrid.from_dict(grid), X, y, plan)
+
+    def test_failing_cells(self):
+        X, y = noisy_collinear(12)
+        plan = CvPlan(k=4)
+        # an invalid cell scores inf beside valid ones
+        grid = ParamGrid.from_dict({"lam": [0.1, -1.0, 0.0, 0.5]})
+        assert_grid_parity("ridge", grid, X, y, plan)
+        _, table = grid_search("ridge", grid, X, y, plan)
+        assert math.isinf(table[1].mean_mse) and table[1].rank == 4
+        # every cell fails: the first cause, a bad cell before a bad fold
+        assert_grid_parity("lasso", ParamGrid.from_dict({"lam": [-1.0, -2.0]}),
+                           X, y, plan)
+        inf_y = y.copy()
+        inf_y[5] = np.inf  # every fold but the first fails its fit
+        assert_grid_parity("elastic_net", ParamGrid.from_dict(
+            {"lam": [0.1, 0.2], "alpha": [0.5]}), X, inf_y, plan)
+        nan_X = X.copy()
+        nan_X[40, 1] = np.nan  # fits succeed; the validation MSE does not
+        assert_grid_parity("ridge", ParamGrid.from_dict({"lam": [0.1, 0.2]}),
+                           nan_X, y, plan)
+        assert_grid_parity("ridge", ParamGrid.from_dict({"lam": [0.1, 0.2]}),
+                           np.zeros((len(y), 0)), y, plan)
