@@ -504,22 +504,27 @@ def select_order(y, candidates, seed: int = 0) -> ArimaFit:
     SARIMAX enforces by default (with zero pre-sample innovations, a
     non-invertible MA part's CSS can undercut the invertible minimum). Ties
     prefer fewer parameters, then earlier list position. Candidates the
-    series is too short for are skipped. AIC is evaluated over the
-    innovation window shared by every usable candidate, otherwise
-    conditioning depth would distort the comparison; so it depends on the
-    other candidates, and the fit returned does not keep it."""
+    series is too short for are skipped; if that is all of them, the error
+    names the first one's need. AIC is evaluated over the innovation window
+    shared by every usable candidate, otherwise conditioning depth would
+    distort the comparison; so it depends on the other candidates, and the
+    fit returned does not keep it."""
     candidates = list(candidates)
     if not candidates:
         raise ArimaError("empty candidate list")
     y = np.asarray(y, dtype=float)
-    fits = []
+    fits, too_short = [], []
     for idx, order in enumerate(candidates):
         try:
             fit = fit_css(y, order, seed=seed)
-        except ArimaError:
+        except ArimaError as exc:  # too short for this order
+            too_short.append(exc)
             continue
         if fit.converged and fit.ar_stationary and fit.ma_invertible:
             fits.append((idx, fit))
+    if len(too_short) == len(candidates):
+        raise ArimaError(f"series too short for every candidate order: "
+                         f"{too_short[0]}")
     if not fits:
         raise ArimaError("no candidate order produced a converged fit with a "
                          "stationary AR part and an invertible MA part")

@@ -37,6 +37,15 @@ def coerce_fields(obj, **conversions):
         object.__setattr__(obj, name, value)
 
 
+def capture(fit, *args, **kwargs):
+    """fit(*args, **kwargs), or the ValueError it raises: a grid search
+    scores a failed fit as inf instead of stopping."""
+    try:
+        return fit(*args, **kwargs)
+    except ValueError as exc:  # also LinAlgError, the package's errors
+        return exc
+
+
 def listed(convert=None):
     """Conversion of a JSON list to a tuple, item by item when `convert` is
     given. A string or a scalar is an error, never split."""
@@ -271,7 +280,7 @@ def log_transform(frame: SeriesFrame, columns) -> SeriesFrame:
         bad = np.nonzero(col <= 0)[0]
         if bad.size:
             raise DataError(
-                f"row {bad[0]}: non-positive value {col[bad[0]]!r} in column "
+                f"row {bad[0]}: non-positive value {float(col[bad[0]])!r} in column "
                 f"{name!r} cannot be log-transformed")
         data[:, j] = np.log(col)
     return frame.with_data(data)

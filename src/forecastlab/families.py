@@ -7,7 +7,7 @@ SVR families fit on rows standardized by their own statistics and return a
 its solver by this module's global name at call time, never through a stored
 function object, so a wrapper put in place of that global sees every fit.
 A linear family also fits a grid search's (cell, fold) fits at once
-(`LinearFamily.fit_grid`), through the lockstep solver `fit_linear_lanes`,
+(`LinearFamily.fit_grid`), through the lockstep solver `fit_linear_grid`,
 which it calls the same way.
 """
 
@@ -19,8 +19,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import shapley
-from .dataset import FittedRecord, Standardization, number
-from .linear import PenaltySpec, fit_linear, fit_linear_lanes
+from .dataset import FittedRecord, Standardization, capture, number
+from .linear import PenaltySpec, fit_linear, fit_linear_grid
 from .svr import KernelSpec, fit_svr
 from .trees import BoostParams, ForestParams, fit_gradient_boosting, fit_random_forest
 
@@ -102,21 +102,12 @@ class LinearFamily(Family):
         if not folds[0][0].shape[1]:
             return [[_no_columns()] * len(folds) for _ in cells]
         stats = [Standardization.fit(X) for X, _ in folds]
-        designs = [(s.transform(X), y) for s, (X, y) in zip(stats, folds)]
-        penalties = []
-        for cell in cells:
-            try:
-                penalties.append(self.params(cell))
-            except ValueError as exc:
-                penalties.append(exc)
-        fits = iter(fit_linear_lanes([(Z, y, penalty) for penalty in penalties
-                                      if isinstance(penalty, PenaltySpec)
-                                      for Z, y in designs]))
-
-        def wrapped(s, fit):
-            return fit if isinstance(fit, ValueError) else Standardized(s, fit)
-
-        return [[wrapped(s, next(fits)) for s in stats]
+        penalties = [capture(self.params, cell) for cell in cells]
+        fits = iter(fit_linear_grid(
+            [(s.transform(X), y) for s, (X, y) in zip(stats, folds)],
+            [penalty for penalty in penalties if isinstance(penalty, PenaltySpec)]))
+        return [[fit if isinstance(fit, ValueError) else Standardized(s, fit)
+                 for s, fit in zip(stats, next(fits))]
                 if isinstance(penalty, PenaltySpec) else [penalty] * len(folds)
                 for penalty in penalties]
 

@@ -34,12 +34,12 @@ call, and each coordinate's fields are one tuple, unpacked into locals.
 At bench shapes (n = 54-86, p = 12-16) a coordinate costs about 2.3 us,
 against 2.6 us with keyword outputs and Python-float operands.
 
-`fit_linear_lanes` fits many (X, y, penalty) lanes at once, such as the
-(cell, fold) fits of a grid search, and keeps every bit of `fit_linear`.
-Its lanes with lam > 0 sweep in lockstep on a (lanes, rows) block R of
-residuals, so a coordinate step is about a dozen numpy calls however many
-lanes there are. A lane of fewer rows than the block's width is padded,
-and only its first n entries are ever read:
+`fit_linear_grid` fits a grid search's (design, penalty) pairs at once and
+keeps every bit of `fit_linear`. Each pair with lam > 0 is a lane, and the
+lanes sweep in lockstep on a (lanes, rows) block R of residuals, so a
+coordinate step is about a dozen numpy calls however many lanes there are.
+A lane of fewer rows than the block's width is padded, and only its first
+n entries are ever read:
 
 * The add-back, the product and the subtract are one ufunc each over the
   block. Where some lanes skip a step (b_j or the new b_j is 0.0), the
@@ -72,12 +72,11 @@ round differently, so they are left out.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FittedRecord, coerce_fields, feature_rows, finite
+from .dataset import FittedRecord, capture, coerce_fields, feature_rows, finite
 
 CONVERGENCE_TOL = 1e-8
 MAX_SWEEPS = 10_000
@@ -248,52 +247,46 @@ def _model(b, coef, converged, sweeps) -> LinearModel:
 SCALAR_FINISH_LANES = 6
 
 
-def fit_linear_lanes(lanes) -> list:
-    """`fit_linear` on many (X, y, penalty) lanes at once. Returns, for each
-    lane, the LinearModel that `fit_linear` returns for it, bit for bit, or
-    the ValueError it raises. Lanes with lam > 0 and a C-ordered X sweep in
-    lockstep, one lockstep per width (see the module docstring);
-    `fit_linear` fits any other."""
-    lanes = list(lanes)
-    results = [None] * len(lanes)
-    blocks = {}
-    for i, (X, y, penalty) in enumerate(lanes):
+def fit_linear_grid(designs, penalties) -> list:
+    """`fit_linear` on every (design, penalty) pair of a grid search: designs
+    are its (X, y) folds, which share one width. Returns results[penalty]
+    [design]: the LinearModel that `fit_linear` returns for the pair, bit for
+    bit, or the ValueError it raises. The pairs with lam > 0 on a C-ordered
+    X sweep in lockstep (see the module docstring); `fit_linear` fits any
+    other."""
+    results = [[None] * len(designs) for _ in penalties]
+    block = []  # (index, X, y) of the designs that sweep in lockstep
+    for d, (X, y) in enumerate(designs):
         try:
             X, y = _rows(X, y)
         except ValueError as exc:
-            results[i] = exc
+            for row in results:
+                row[d] = exc
             continue
-        if penalty.lam == 0.0:
-            _capture(results, i, _unpenalized_model, X, y)
-        elif X.shape[1] and X.flags.c_contiguous:
-            blocks.setdefault(X.shape[1], []).append((i, X, y, penalty))
-        else:  # a column stride that the block does not keep
-            _capture(results, i, fit_linear, X, y, penalty)
-    with np.errstate(all="ignore"):  # a non-finite lane fails alone
-        for block in blocks.values():
-            _lockstep(block, results)
+        in_block = X.shape[1] and X.flags.c_contiguous
+        if in_block:
+            block.append((d, X, y))
+        for row, penalty in zip(results, penalties):
+            if penalty.lam == 0.0:
+                row[d] = capture(_unpenalized_model, X, y)
+            elif not in_block:  # a column stride that the block does not keep
+                row[d] = capture(fit_linear, X, y, penalty)
+    swept = [(c, penalty) for c, penalty in enumerate(penalties) if penalty.lam > 0]
+    if block and swept:
+        with np.errstate(all="ignore"):  # a non-finite lane fails alone
+            _lockstep(block, swept, results)
     return results
 
 
-def _capture(results, i, fit, *args):
-    """results[i] = fit(*args), or the ValueError it raises."""
-    try:
-        results[i] = fit(*args)
-    except ValueError as exc:
-        results[i] = exc
-
-
-def _lockstep(lanes, results):
-    """Sweep `lanes`, (index, X, y, penalty) with lam > 0, a C-ordered X and
-    one width, in lockstep; write each lane's model or error into
-    `results` at its index."""
-    # lanes sorted by row count, and a design's lanes next to each other
-    first = {}
-    for _, X, y, _ in lanes:
-        first.setdefault((id(X), id(y)), len(first))
-    lanes.sort(key=lambda lane: (lane[1].shape[0], first[id(lane[1]), id(lane[2])]))
-    ns = [X.shape[0] for _, X, _, _ in lanes]
-    count, width, p = len(lanes), ns[-1], lanes[0][1].shape[1]
+def _lockstep(designs, penalties, results):
+    """Sweep every pair of `designs`, (index, X, y) with a C-ordered X of one
+    width, and `penalties`, (index, PenaltySpec) with lam > 0, in lockstep;
+    write each pair's model or error into results[penalty][design]."""
+    # lanes by row count, then design, then penalty
+    designs = sorted(designs, key=lambda design: design[1].shape[0])
+    lanes = [(c, d, X, penalty) for d, X, _ in designs for c, penalty in penalties]
+    ns = [X.shape[0] for _, _, X, _ in lanes]
+    count, width, p = len(lanes), ns[-1], designs[0][1].shape[1]
 
     # a (p, lanes, 1) array holds one lane column per coordinate
     R = np.zeros((count, width))  # residual rows, read up to each lane's n
@@ -301,20 +294,16 @@ def _lockstep(lanes, results):
     C = np.zeros((p, count, width))  # each lane's columns, for the products
     b = np.empty((count, 1))
     col_ssq = np.empty((p, count, 1))
-    start = 0
-    for _, run in itertools.groupby(lanes, lambda lane: (id(lane[1]), id(lane[2]))):
-        _, X, y, _ = next(run)
-        ks = slice(start, start + 1 + sum(1 for _ in run))
-        start = ks.stop
+    for k, (_, X, y) in enumerate(designs):
+        ks = slice(k * len(penalties), (k + 1) * len(penalties))
         n = X.shape[0]
         b[ks] = b0 = float(y.mean())
         R[ks, :n] = y - b0
         D[ks, :n] = X
         C[:, ks, :n] = X.T[:, None]
         col_ssq[:, ks] = ((X * X).sum(axis=0) / n)[:, None, None]
-    penalties = [lane[3] for lane in lanes]
-    lam_l1 = np.array([pen.lam * pen.alpha for pen in penalties])[:, None]
-    lam_l2 = np.array([pen.lam * (1.0 - pen.alpha) for pen in penalties])[:, None]
+    lam_l1 = np.array([pen.lam * pen.alpha for *_, pen in lanes])[:, None]
+    lam_l2 = np.array([pen.lam * (1.0 - pen.alpha) for *_, pen in lanes])[:, None]
     denom = col_ssq + lam_l2
     live = denom > 0  # a coordinate that is not stays 0.0, as in `_descend`
     thr = np.where(live, lam_l1, np.inf)  # lam_l1, inf where out
@@ -385,8 +374,9 @@ def _lockstep(lanes, results):
             leave = ~done if sweeps >= MAX_SWEEPS else converged & ~done
             if leave.any():
                 for k in np.flatnonzero(leave).tolist():
-                    _capture(results, lanes[k][0], _model, float(b[k, 0]),
-                             B[:, k, 0], bool(converged[k]), sweeps)
+                    c, d = lanes[k][:2]
+                    results[c][d] = capture(_model, float(b[k, 0]), B[:, k, 0],
+                                            bool(converged[k]), sweeps)
                 done |= leave
                 taken = count_nonzero(done)
         keep = ~done  # drop the finished lanes
@@ -398,6 +388,6 @@ def _lockstep(lanes, results):
         nonzero, thr, scale = nonzero[:, keep], thr[:, keep], scale[:, keep]
         b, nvec, done = b[keep], nvec[keep], done[keep]
 
-    for k, (i, X, _, penalty) in enumerate(lanes):  # the scalar finish
-        _capture(results, i, _descend, X, penalty, B[:, k, 0].tolist(),
-                 float(b[k, 0]), R[k, :ns[k]].copy(), sweeps)
+    for k, (c, d, X, penalty) in enumerate(lanes):  # the scalar finish
+        results[c][d] = capture(_descend, X, penalty, B[:, k, 0].tolist(),
+                                float(b[k, 0]), R[k, :ns[k]].copy(), sweeps)

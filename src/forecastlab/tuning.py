@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import boolean, coerce_fields, integer
+from .dataset import boolean, capture, coerce_fields, integer
 from .families import FAMILIES, LinearFamily, fit_family
 
 
@@ -130,28 +130,18 @@ def _fold_fits(family: str, cells, splits, seed: int):
     spec = FAMILIES.get(family)
     if isinstance(spec, LinearFamily):
         return spec.fit_grid(cells, [split[:2] for split in splits])
-    return ([_fit_or_error(family, X_train, y_train, params, seed)
+    return ([capture(fit_family, family, X_train, y_train, params, seed=seed)
              for X_train, y_train, _, _ in splits] for params in cells)
-
-
-def _fit_or_error(family, X, y, params, seed):
-    try:
-        return fit_family(family, X, y, params, seed=seed)
-    except ValueError as exc:  # also LinAlgError, the package's errors
-        return exc
 
 
 def _fold_score(fit, X_val, y_val) -> tuple[float, str | None]:
     """The validation MSE of a fold fit (a model, or the ValueError its fit
     raised), and, when that is inf, its cause."""
-    if isinstance(fit, ValueError):
-        return math.inf, f"{type(fit).__name__}: {fit}"
-    try:
-        resid = fit.predict(X_val) - y_val
-    except ValueError as exc:
-        return math.inf, f"{type(exc).__name__}: {exc}"
+    pred = fit if isinstance(fit, ValueError) else capture(fit.predict, X_val)
+    if isinstance(pred, ValueError):
+        return math.inf, f"{type(pred).__name__}: {pred}"
     with np.errstate(over="ignore"):  # scored inf below
-        score = float((resid ** 2).mean())
+        score = float(((pred - y_val) ** 2).mean())
     if not math.isfinite(score):
         return math.inf, "non-finite validation MSE"
     return score, None

@@ -1024,8 +1024,14 @@ class TestSelectOrder:
             select_order(np.arange(50.0), [])
 
     def test_all_too_short(self):
-        with pytest.raises(ArimaError, match="converged"):
+        # no fit was tried, so the error names the first candidate's need
+        with pytest.raises(ArimaError, match="too short for every candidate "
+                                             "order: need at least 28"):
             select_order(np.arange(12.0), [ArimaOrder(3, 0, 3)])
+        with pytest.raises(ArimaError) as info:
+            select_order(np.arange(9.0), [ArimaOrder(0, 0, 0), ArimaOrder(1, 0, 0)])
+        assert str(info.value) == ("series too short for every candidate order: "
+                                   "need at least 10 observations for (0,0,0), got 9")
 
     @staticmethod
     def quickstart_benchmark_series():
@@ -1053,9 +1059,11 @@ class TestSelectOrder:
         assert fit.converged and not getattr(fit, flag)
         # by AIC alone this pair selects `order`
         assert select_order(y, [order, ArimaOrder()], seed=seed).order == ArimaOrder()
-        with pytest.raises(ArimaError, match="converged fit with a stationary "
-                                             "AR part and an invertible MA"):
-            select_order(y, [order], seed=seed)
+        # alone, or beside a candidate the series is too short for
+        for candidates in ([order], [ArimaOrder(p=len(y)), order]):
+            with pytest.raises(ArimaError, match="converged fit with a stationary "
+                                                 "AR part and an invertible MA"):
+                select_order(y, candidates, seed=seed)
 
     def test_default_grid_shape(self):
         grid = default_order_candidates()

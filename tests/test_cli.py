@@ -789,7 +789,29 @@ class TestExitCodes:
         nested = str(out / "sub")
         assert main([command, "--config", cfg, "--out", nested] + model) == 2
         assert f"{str(out)!r} is not a directory" in capsys.readouterr().err
+        # root may write anywhere, so the access check is what refuses here
+        monkeypatch.setattr(pipeline.os, "access", lambda *args: False)
+        fresh = str(tmp_path / "fresh" / "sub")
+        assert main([command, "--config", cfg, "--out", fresh] + model) == 2
+        err = capsys.readouterr().err
+        assert f"{str(tmp_path)!r} is not writable" in err
+        assert "Traceback" not in err
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", "taken"]
+
+    def test_series_too_short_for_every_arima_order_exits_2(self, tmp_path,
+                                                           capsys):
+        # 75 of the quickstart's 84 months held out leave 9 training rows
+        with open(QUICKSTART, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc.update(out_dir=str(tmp_path / "out"), split_months=[75],
+                   primary_split=75)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: benchmark fit failed: series too short "
+                       "for every candidate order: need at least 10 "
+                       "observations for (0,0,0), got 9\n")
 
     def test_unwritable_output_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -92,8 +92,10 @@ class TestLogTransform:
 
     def test_non_positive_rejected(self):
         frame = make_frame([[1.0, -3.0]])
-        with pytest.raises(DataError, match="row 0.*'a'"):
+        with pytest.raises(DataError, match="row 0.*'a'") as info:
             log_transform(frame, ["a"])
+        assert "non-positive value -3.0 in column" in str(info.value)
+        assert "np.float64" not in str(info.value)
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)

@@ -11,7 +11,7 @@ from forecastlab.linear import (
     LinearModel,
     PenaltySpec,
     fit_linear,
-    fit_linear_lanes,
+    fit_linear_grid,
 )
 
 
@@ -194,10 +194,10 @@ def minus_zero_target(rng, X):
     return y
 
 
-def lane_set(rng, case):
-    """Lanes as a grid search makes them, (cell, design) pairs, over 1-4
-    designs of mixed row counts and layouts, with lam = 0 cells, zero
-    columns and -0.0 targets; every seventh set adds lanes of other widths."""
+def grid_set(rng, case):
+    """A grid search's (designs, penalties): 1-4 designs of one width and of
+    mixed row counts and layouts, and 2-6 penalties, with lam = 0 cells,
+    zero columns and -0.0 targets."""
     p = int(rng.integers(1, 9))
     designs = []
     for d in range(int(rng.integers(1, 5))):
@@ -220,16 +220,13 @@ def lane_set(rng, case):
         else:
             y = X @ rng.normal(size=p) + rng.normal(size=n)
         designs.append((X, y))
-    if case % 7 == 0:
-        X = rng.normal(size=(20, p + 1))
-        designs.append((X, X.sum(axis=1) + rng.normal(size=20)))
-    cells = []
+    penalties = []
     for _ in range(int(rng.integers(2, 7))):
         lam = (0.0 if rng.uniform() < 0.1
                else float(np.exp(rng.uniform(np.log(1e-3), np.log(2.0)))))
         alpha = (0.0, 0.5, 1.0, float(rng.uniform()))[int(rng.integers(4))]
-        cells.append(PenaltySpec(lam, alpha))
-    return [(X, y, penalty) for penalty in cells for X, y in designs]
+        penalties.append(PenaltySpec(lam, alpha))
+    return designs, penalties
 
 
 def assert_same_fit(got, X, y, penalty):
@@ -245,11 +242,20 @@ def assert_same_fit(got, X, y, penalty):
         assert_same_linear(got, loop_fit_linear(X, y, penalty))
 
 
+def assert_same_grid(results, designs, penalties):
+    """results[penalty][design] is fit_linear's result for every pair."""
+    assert len(results) == len(penalties)
+    for row, penalty in zip(results, penalties):
+        assert len(row) == len(designs)
+        for got, (X, y) in zip(row, designs):
+            assert_same_fit(got, X, y, penalty)
+
+
 class TestLockstepLanes:
-    """fit_linear_lanes returns fit_linear's model for every lane."""
+    """fit_linear_grid returns fit_linear's model for every pair."""
 
     def test_random_lane_sets(self, monkeypatch):
-        # 300 lane sets, about 8 s on a 2-core machine
+        # 300 grids, about 8 s on a 2-core machine
         monkeypatch.setattr(linear_mod, "MAX_SWEEPS", 150)
         resumed = []
         real_descend = linear_mod._descend
@@ -262,15 +268,15 @@ class TestLockstepLanes:
         rng = np.random.default_rng(2027)
         lanes_run = 0
         for case in range(300):
-            lanes = lane_set(rng, case)
-            lanes_run += len(lanes)
-            for got, lane in zip(fit_linear_lanes(lanes), lanes):
-                assert_same_fit(got, *lane)
+            designs, penalties = grid_set(rng, case)
+            lanes_run += len(designs) * len(penalties)
+            assert_same_grid(fit_linear_grid(designs, penalties), designs,
+                             penalties)
             if case % 10 == 0:  # every sweep's iterate, not only the last
                 for cap in (1, 2, 3):
                     monkeypatch.setattr(linear_mod, "MAX_SWEEPS", cap)
-                    for got, lane in zip(fit_linear_lanes(lanes), lanes):
-                        assert_same_fit(got, *lane)
+                    assert_same_grid(fit_linear_grid(designs, penalties),
+                                     designs, penalties)
                 monkeypatch.setattr(linear_mod, "MAX_SWEEPS", 150)
         # lanes left the lockstep for the scalar loop at many sweeps
         assert len({s for s in resumed if s > 0}) >= 20
@@ -290,12 +296,11 @@ class TestLockstepLanes:
             y = (minus_zero_target(rng, X) if fold % 2
                  else X @ rng.normal(size=16) + rng.normal(size=n))
             designs.append((X, y))
-        lanes = [(X, y, PenaltySpec(lam, alpha)) for lam in (1e-3, 0.1, 0.9)
-                 for alpha in (0.0, 0.05, 0.5, 1.0) for X, y in designs]
-        fits = fit_linear_lanes(lanes)
-        for got, lane in zip(fits, lanes):
-            assert_same_fit(got, *lane)
-        assert max(fit.n_sweeps for fit in fits) >= 100
+        penalties = [PenaltySpec(lam, alpha) for lam in (1e-3, 0.1, 0.9)
+                     for alpha in (0.0, 0.05, 0.5, 1.0)]
+        results = fit_linear_grid(designs, penalties)
+        assert_same_grid(results, designs, penalties)
+        assert max(fit.n_sweeps for row in results for fit in row) >= 100
 
     def test_non_finite_lane_fails_alone(self):
         rng = np.random.default_rng(2029)
@@ -306,30 +311,30 @@ class TestLockstepLanes:
         inf_y[3] = np.inf
         nan_y[-1] = np.nan
         nan_X[5, 2] = np.nan  # column 2 is left out, and the fit succeeds
-        lanes = [(X, y, PenaltySpec(lam, 0.5)) for lam in (0.01, 0.1, 0.3)] * 3
-        lanes[4] = (X, inf_y, PenaltySpec(0.1, 0.5))
-        lanes[6] = (X, nan_y, PenaltySpec(0.3, 0.0))
-        lanes[7] = (nan_X, y, PenaltySpec(0.1, 1.0))
-        fits = fit_linear_lanes(lanes)
-        for k in (4, 6):
-            assert isinstance(fits[k], ValueError)
-            assert str(fits[k]) == "non-finite linear fit"
-        assert fits[7].coefficients[2] == 0.0
+        designs = [(X, y), (X, inf_y), (X, y), (X, nan_y), (nan_X, y)]
+        penalties = [PenaltySpec(lam, alpha) for lam in (0.01, 0.1, 0.3)
+                     for alpha in (0.0, 0.5, 1.0)]
+        results = fit_linear_grid(designs, penalties)
+        for row in results:
+            for d in (1, 3):
+                assert isinstance(row[d], ValueError)
+                assert str(row[d]) == "non-finite linear fit"
+            assert row[4].coefficients[2] == 0.0
         with np.errstate(all="ignore"):
-            for got, lane in zip(fits, lanes):
-                assert_same_fit(got, *lane)
+            assert_same_grid(results, designs, penalties)
 
     def test_invalid_lanes_fail_alone(self):
         rng = np.random.default_rng(2030)
         X, y = rng.normal(size=(12, 3)), rng.normal(size=12)
-        lanes = [(X, y, PenaltySpec(0.1, 0.5))] * 8
-        lanes[2] = (X, y[:-1], PenaltySpec(0.1, 0.5))
-        lanes[5] = (X[:1], y[:1], PenaltySpec(0.1, 0.5))
-        fits = fit_linear_lanes(lanes)
-        assert str(fits[2]) == "X has 12 rows but y has 11"
-        assert str(fits[5]) == "need at least 2 rows to fit"
-        for k in (0, 1, 3, 4, 6, 7):
-            assert_same_fit(fits[k], *lanes[k])
+        designs = [(X, y), (X, y[:-1]), (np.asfortranarray(X), y), (X[:1], y[:1]),
+                   (X[1:], y[1:])]
+        penalties = [PenaltySpec(0.0, 0.5)] + [PenaltySpec(lam, 0.5)
+                                               for lam in (0.01, 0.1)] * 3
+        results = fit_linear_grid(designs, penalties)
+        for row in results:
+            assert str(row[1]) == "X has 12 rows but y has 11"
+            assert str(row[3]) == "need at least 2 rows to fit"
+        assert_same_grid(results, designs, penalties)
 
     def test_stacked_matmul_is_the_loops_dot(self):
         # rho's matmul of (lanes, 1, n) @ (lanes, n, 1) stacks must take

@@ -140,7 +140,7 @@ class TestGridSearch:
         def broken(*args, **kwargs):
             raise AttributeError("'LinearModel' object has no attribute 'beta'")
 
-        monkeypatch.setattr(families, "fit_linear_lanes", broken)
+        monkeypatch.setattr(families, "fit_linear_grid", broken)
         X, y = noisy_collinear(6)
         with pytest.raises(AttributeError, match="beta"):
             grid_search("ridge", ParamGrid.from_dict({"lam": [0.1, 0.2]}), X, y,
