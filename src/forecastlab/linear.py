@@ -14,10 +14,11 @@ and updates the residual r in place. Each coordinate costs one BLAS dot and
 at most three in-place ufunc calls, and every step keeps the bits of the
 plain sweep (`r += x_j * b_j; rho = x_j @ r / n; ...; r -= x_j * new`):
 
-* rho is the bound `.dot` of the strided view X[:, j]: the same ddot, on
-  the same stride and length, as `X[:, j] @ r`, without matmul's dispatch.
-  The stride matters, because BLAS sums a contiguous vector in another
-  order.
+* rho is the bound `.dot` of the strided view X[:, j]: for a non-negative
+  row stride the same ddot, on the same stride and length, as
+  `X[:, j] @ r`, without matmul's dispatch. The stride matters, because
+  BLAS sums a contiguous vector in another order. On a negative row stride
+  (X[::-1]) the two differ by an ulp; no caller builds such a design.
 * The add-back of x_j * b_j reuses the product last subtracted for that
   coordinate, kept in a (p, n) buffer: b_j is the value that product was
   made with, and a product rounds the same from any operand layout, so
@@ -152,12 +153,6 @@ def _rows(X, y):
     return X, y
 
 
-def _unpenalized_model(X, y) -> LinearModel:
-    b, beta, jitter = _fit_unpenalized(X, y)
-    return LinearModel(b, beta, converged=True, n_sweeps=0,
-                       jitter_applied=jitter)
-
-
 def fit_linear(X, y, penalty: PenaltySpec) -> LinearModel:
     """Fit the elastic-net objective by cyclic coordinate descent.
 
@@ -167,7 +162,9 @@ def fit_linear(X, y, penalty: PenaltySpec) -> LinearModel:
     """
     X, y = _rows(X, y)
     if penalty.lam == 0.0:
-        return _unpenalized_model(X, y)
+        b, beta, jitter = _fit_unpenalized(X, y)
+        return LinearModel(b, beta, converged=True, n_sweeps=0,
+                           jitter_applied=jitter)
     b = float(y.mean())
     return _descend(X, penalty, [0.0] * X.shape[1], b, y - b, 0)
 
@@ -267,9 +264,7 @@ def fit_linear_grid(designs, penalties) -> list:
         if in_block:
             block.append((d, X, y))
         for row, penalty in zip(results, penalties):
-            if penalty.lam == 0.0:
-                row[d] = capture(_unpenalized_model, X, y)
-            elif not in_block:  # a column stride that the block does not keep
+            if penalty.lam == 0.0 or not in_block:
                 row[d] = capture(fit_linear, X, y, penalty)
     swept = [(c, penalty) for c, penalty in enumerate(penalties) if penalty.lam > 0]
     if block and swept:

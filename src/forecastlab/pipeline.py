@@ -137,11 +137,15 @@ def load_data(config: RunConfig) -> SeriesFrame:
     return frame
 
 
-def _check_splits(config: RunConfig, frame: SeriesFrame):
+def _setup(config: RunConfig) -> SeriesFrame:
+    """A fitting command's setup: check out_dir, load the data, check splits."""
+    OutputDir.check(config.out_dir)
+    frame = load_data(config)
     for m in config.split_months:
         if m >= frame.n_rows:
             raise ConfigError(f"split of {m} test months needs more than "
                               f"{frame.n_rows} rows of data")
+    return frame
 
 
 def fit_roster_member(config: RunConfig, family: str, train: SeriesFrame,
@@ -200,9 +204,7 @@ def cmd_run(config: RunConfig, config_hash: str) -> dict:
     """Primary-split pipeline: tune, refit, forecast, score; writes
     forecasts.csv, metrics.csv, and one cv_<family>.csv per searched grid.
     Returns the forecasts by model id, None for a failed family."""
-    OutputDir.check(config.out_dir)
-    frame = load_data(config)
-    _check_splits(config, frame)
+    frame = _setup(config)
     test, tables, forecasts = evaluate_split(
         config, frame, config.primary_split)
     out = OutputDir(config.out_dir, config_hash, config.seed)
@@ -231,9 +233,7 @@ def cmd_run(config: RunConfig, config_hash: str) -> dict:
 def cmd_sweep(config: RunConfig, config_hash: str) -> list[tuple]:
     """Re-tune and re-score every roster family across all split windows;
     writes split_sweep.csv with one (model, test_months) row each."""
-    OutputDir.check(config.out_dir)
-    frame = load_data(config)
-    _check_splits(config, frame)
+    frame = _setup(config)
     records = []
     for months in config.split_months:
         test, _, forecasts = evaluate_split(config, frame, months)
@@ -279,9 +279,7 @@ def cmd_explain(config: RunConfig, config_hash: str, model_id: str) -> dict:
         raise ConfigError(f"explaining {model_id} needs exact coalition "
                           f"enumeration, capped at {EXACT_MAX_FEATURES} "
                           f"features; the schema has {n_features}")
-    OutputDir.check(config.out_dir)
-    frame = load_data(config)
-    _check_splits(config, frame)
+    frame = _setup(config)
     train, test = chrono_split(frame, config.primary_split)
     try:
         model, _ = fit_roster_member(config, model_id, train,

@@ -45,7 +45,7 @@ which row a zero came from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,23 +72,33 @@ class KernelSpec:
         if self.gamma is not None and self.gamma <= 0:
             raise ValueError("gamma must be > 0")
 
-    def resolved_gamma(self, X: np.ndarray) -> float:
+    def resolve(self, X: np.ndarray) -> KernelSpec:
+        """This spec with gamma set: as given, else 1 / (p * var(X))."""
         if self.gamma is not None:
-            return self.gamma
+            return self
         var = float(np.asarray(X).var())
-        return 1.0 / (X.shape[1] * var) if var > 0 else 1.0
+        return replace(self, gamma=1.0 / (X.shape[1] * var) if var > 0 else 1.0)
 
 
-def kernel_matrix(spec: KernelSpec, A, B, gamma: float) -> np.ndarray:
+def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
+    """K(a, b) for the rows of A and B under a resolved spec. An rbf exponent
+    that overflows gives an exact 0; a non-finite entry (a high polynomial
+    degree, say) is a ValueError, in a prediction as in a fit."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if spec.kind == "linear":
-        return A @ B.T
-    if spec.kind == "polynomial":
-        return (gamma * (A @ B.T) + spec.coef0) ** spec.degree
-    sq = (np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
-          - 2.0 * A @ B.T)
-    return np.exp(-gamma * np.maximum(sq, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind == "linear":
+            K = A @ B.T
+        elif spec.kind == "polynomial":
+            K = (spec.gamma * (A @ B.T) + spec.coef0) ** spec.degree
+        else:
+            sq = (np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
+                  - 2.0 * A @ B.T)
+            K = np.exp(-spec.gamma * np.maximum(sq, 0.0))
+    if not np.isfinite(K).all():
+        raise ValueError(f"the {spec.kind} kernel matrix has non-finite "
+                         f"entries (gamma {spec.gamma:g})")
+    return K
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,8 +106,7 @@ class SvrModel(FittedRecord):
     support_rows: np.ndarray  # all training rows; zero-coef rows are non-SVs
     dual_coef: np.ndarray  # alpha_i - alpha*_i per row
     bias: float
-    kernel: KernelSpec
-    gamma: float  # kernel.gamma, or the value it resolved to at fit time if None
+    kernel: KernelSpec  # resolved at fit time: its gamma is set
     converged: bool
     n_updates: int
 
@@ -117,8 +126,7 @@ class SvrModel(FittedRecord):
         step = max(4, PREDICT_BLOCK_CELLS // self.support_rows.shape[0] // 4 * 4)
         out = np.empty(X.shape[0])
         for lo in range(0, X.shape[0], step):
-            K = kernel_matrix(self.kernel, X[lo:lo + step], self.support_rows,
-                              self.gamma)
+            K = kernel_matrix(self.kernel, X[lo:lo + step], self.support_rows)
             out[lo:lo + step] = K @ self.dual_coef + self.bias
         return out
 
@@ -139,14 +147,8 @@ def fit_svr(X, y, C: float, epsilon: float, kernel: KernelSpec,
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
 
-    gamma = kernel.resolved_gamma(X)
-    # an entry can overflow (a high polynomial degree, say); the loop
-    # would then run every update on NaN, and -inf marks need finite rows
-    with np.errstate(over="ignore", invalid="ignore"):
-        K = kernel_matrix(kernel, X, X, gamma)
-    if not np.isfinite(K).all():
-        raise ValueError(f"the {kernel.kind} kernel matrix has non-finite "
-                         f"entries (gamma {gamma:g})")
+    kernel = kernel.resolve(X)
+    K = kernel_matrix(kernel, X, X)
     # row t of the doubled problem maps to row t mod n of K; cols[ii] is
     # column ii of that doubled matrix, stored contiguously
     cols = list(np.ascontiguousarray(np.vstack([K, K]).T))
@@ -219,4 +221,4 @@ def fit_svr(X, y, C: float, epsilon: float, kernel: KernelSpec,
     else:
         bias = (m + M) / 2.0
     # + 0.0: a zero bias is +0.0, whichever row its zero came from
-    return SvrModel(X, beta, bias + 0.0, kernel, gamma, converged, updates)
+    return SvrModel(X, beta, bias + 0.0, kernel, converged, updates)

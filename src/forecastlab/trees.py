@@ -575,7 +575,11 @@ def fit_gradient_boosting(X, y, params: BoostParams) -> BoostedModel:
         tree = replace(tree, feature=np.where(tree.feature >= 0,
                                               cols[tree.feature], -1))
         trees.append(tree)
-        yhat += params.learning_rate * predict_tree(tree, X)
+        with np.errstate(over="ignore", invalid="ignore"):
+            yhat += params.learning_rate * predict_tree(tree, X)
+        if not np.isfinite(yhat).all():  # the next tree would grow on them
+            raise ValueError(f"boosting diverged: its training predictions "
+                             f"are not finite after {t + 1} trees")
     return BoostedModel(base, params.learning_rate, tuple(trees), p)
 
 

@@ -162,6 +162,33 @@ class TestRun:
         assert [(r[1], r[4], r[-1]) for r in cv] == [
             ("polynomial", "inf", "2"), ("rbf", cv[1][4], "1")]
 
+    def test_extreme_svr_and_boosting_cells_run_without_warnings(
+            self, tmp_path, capsys):
+        # on the quickstart, an rbf gamma of 1e308 overflows the kernel
+        # exponent, whose entries are then exact zeros, and a boosting
+        # learning rate of 1e308 diverges, so that cell scores inf and the
+        # 0.1 cell is refitted
+        with open(QUICKSTART, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["roster"] = {
+            "arima": doc["roster"]["arima"],
+            "boosting": {"grid": {"n_estimators": [20], "max_depth": [2],
+                                  "learning_rate": [1e308, 0.1]}},
+            "svr": {"grid": {"C": [1.0], "kernel": ["rbf"], "gamma": [1e308]}}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = str(tmp_path / "out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--config", str(cfg), "--out", out]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        _, rows = read_csv(os.path.join(out, "metrics.csv"))
+        assert [r[0] for r in rows] == ["arima", "boosting", "svr"]
+        assert all(math.isfinite(float(r[2])) for r in rows)
+        _, cv = read_csv(os.path.join(out, "cv_boosting.csv"))
+        assert [(r[3], r[4], r[-1]) for r in cv] == [
+            ("1e+308", "inf", "2"), ("0.1", cv[1][4], "1")]
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
         main(["run", "--config", cfg, "--out", str(tmp_path / "a")])

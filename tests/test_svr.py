@@ -31,7 +31,7 @@ def dual_objective(beta, K, y, epsilon) -> float:
 def qp_oracle(X, y, C, eps, spec):
     """Independent solve of the same dual with SLSQP over (alpha, alpha*)."""
     n = len(y)
-    K = kernel_matrix(spec, X, X, spec.resolved_gamma(X))
+    K = kernel_matrix(spec.resolve(X), X, X)
 
     def obj(t):
         b = t[:n] - t[n:]
@@ -53,8 +53,8 @@ def loop_fit_svr(X, y, C, epsilon, kernel, monitor=None, tol=KKT_TOL):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = X.shape[0]
-    gamma = kernel.resolved_gamma(X)
-    K = svr_mod.kernel_matrix(kernel, X, X, gamma)
+    kernel = kernel.resolve(X)
+    K = svr_mod.kernel_matrix(kernel, X, X)
     Kd = np.vstack([K, K])
     z = np.zeros(2 * n)
     s = np.concatenate([np.ones(n), -np.ones(n)])
@@ -97,14 +97,14 @@ def loop_fit_svr(X, y, C, epsilon, kernel, monitor=None, tol=KKT_TOL):
     else:
         bias = float((m + M) / 2.0)
     # a zero bias is +0.0, as fit_svr returns it
-    return SvrModel(X, beta, bias + 0.0, kernel, gamma, converged, updates)
+    return SvrModel(X, beta, bias + 0.0, kernel, converged, updates)
 
 
 def assert_same_svr(got, want):
     assert got.support_rows.tobytes() == want.support_rows.tobytes()
     assert got.dual_coef.tobytes() == want.dual_coef.tobytes()
     assert np.float64(got.bias).tobytes() == np.float64(want.bias).tobytes()
-    assert got.gamma == want.gamma
+    assert got.kernel == want.kernel
     assert (got.converged, got.n_updates) == (want.converged, want.n_updates)
 
 
@@ -228,8 +228,8 @@ class TestLoopEquivalence:
         # matrix that is not exactly symmetric must give the same fit
         exact = svr_mod.kernel_matrix
 
-        def skewed(spec, A, B, gamma):
-            K = exact(spec, A, B, gamma)
+        def skewed(spec, A, B):
+            K = exact(spec, A, B)
             return K + 1e-3 * np.triu(np.ones_like(K), 1)
 
         monkeypatch.setattr(svr_mod, "kernel_matrix", skewed)
@@ -365,6 +365,37 @@ class TestDegenerate:
                 FAMILIES["svr"].fit(X, X[:, 0], FAMILIES["svr"].params(
                     {"kernel": "polynomial", "degree": 400, "gamma": 10}))
 
+    def test_rbf_exponent_overflow_is_exact_zero(self):
+        # gamma 1e308 overflows -gamma * sq between distinct rows: the entry
+        # is exp(-inf) = 0, with no warning, in a fit and in a prediction
+        rng = np.random.default_rng(41)
+        X = rng.normal(size=(12, 3))
+        spec = KernelSpec("rbf", gamma=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            K = kernel_matrix(spec, X, X)
+            model = fit_svr(X, X[:, 0], 1.0, 0.1, spec)
+            pred = model.predict(rng.normal(size=(5, 3)))
+        assert np.isfinite(K).all()
+        assert (K[~np.eye(12, dtype=bool)] == 0.0).all()
+        assert pred.tolist() == [model.bias] * 5
+
+    def test_overflowing_block_fails_fit_and_predict_alike(self):
+        # small rows keep a degree-400 kernel finite (its entries underflow);
+        # large ones overflow it, in a fit or in a prediction block
+        rng = np.random.default_rng(42)
+        X = 0.1 * rng.normal(size=(10, 2))
+        spec = KernelSpec("polynomial", degree=400, gamma=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_svr(X, X[:, 0], 1.0, 0.1, spec)
+            with pytest.raises(ValueError) as fit_error:
+                fit_svr(1e3 * X, X[:, 0], 1.0, 0.1, spec)
+            with pytest.raises(ValueError) as predict_error:
+                model.predict(1e3 * X)
+        message = "the polynomial kernel matrix has non-finite entries (gamma 1)"
+        assert str(fit_error.value) == str(predict_error.value) == message
+
     def test_parameter_validation(self):
         X = np.zeros((4, 1))
         y = np.zeros(4)
@@ -402,7 +433,7 @@ class TestAgainstOracle:
         X = rng.normal(size=(8, 2))
         y = rng.normal(size=8)
         spec = KernelSpec("rbf", gamma=0.5)
-        K = kernel_matrix(spec, X, X, 0.5)
+        K = kernel_matrix(spec, X, X)
         beta_qp = qp_oracle(X, y, C=3.0, eps=0.02, spec=spec)
         model = fit_svr(X, y, C=3.0, epsilon=0.02, kernel=spec)
         assert (dual_objective(model.dual_coef, K, y, 0.02)
@@ -434,7 +465,7 @@ class TestIterateInvariants:
         y = rng.normal(size=12)
         eps = 0.01
         spec = KernelSpec("rbf", gamma=1.0)
-        K = kernel_matrix(spec, X, X, 1.0)
+        K = kernel_matrix(spec, X, X)
         values = []
         fit_svr(X, y, C=5.0, epsilon=eps, kernel=spec,
                 monitor=lambda z, beta: values.append(
@@ -524,8 +555,8 @@ class TestPredict:
         # float fields by their bits: -0.0 is not 0.0, a NaN is its own bits
         assert dataclasses.replace(model, bias=-0.0) != dataclasses.replace(
             model, bias=0.0)
-        nan = dataclasses.replace(model, gamma=float("nan"))
-        assert nan == dataclasses.replace(model, gamma=float("nan"))
+        nan = dataclasses.replace(model, bias=float("nan"))
+        assert nan == dataclasses.replace(model, bias=float("nan"))
 
     @pytest.mark.parametrize("kind", ["linear", "polynomial", "rbf"])
     def test_blocked_rows_match_one_kernel_product(self, kind):
@@ -536,8 +567,8 @@ class TestPredict:
         step = PREDICT_BLOCK_CELLS // 60 // 4 * 4
         for rows in (0, 1, step, 3 * step + 5):
             Xq = rng.normal(size=(rows, 4))
-            one = (kernel_matrix(model.kernel, Xq, model.support_rows,
-                                 model.gamma) @ model.dual_coef + model.bias)
+            one = (kernel_matrix(model.kernel, Xq, model.support_rows)
+                   @ model.dual_coef + model.bias)
             got = model.predict(Xq)
             assert got.shape == (rows,)
             if rows <= step:  # a single block is the one product itself

@@ -914,6 +914,21 @@ class TestGradientBoosting:
         with pytest.raises(ValueError, match="feature columns"):
             model.predict(np.zeros((4, 5)))
 
+    def test_divergence_raises_before_any_warning(self):
+        # a learning rate of 1e308 overflows the training predictions: the
+        # fit stops at that round, before a tree grows on inf gradients
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(30, 3))
+        y = 10.0 * rng.normal(size=30)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="^boosting diverged: its "
+                               "training predictions are not finite after 1 "
+                               "trees$"):
+                fit_gradient_boosting(X, y, BoostParams(
+                    learning_rate=1e308, n_estimators=20, max_depth=2))
+        assert [str(w.message) for w in seen] == []
+
 
 class TestSerialization:
     def test_stump_piecewise_constant(self):

@@ -120,6 +120,16 @@ class TestGridSearch:
         bad = [c for c in table if c.params["max_features"] == 99]
         assert math.isinf(bad[0].mean_mse)
 
+    def test_diverging_boosting_cell_records_inf(self):
+        X, y = noisy_collinear(7)
+        grid = ParamGrid.from_dict({"n_estimators": [20], "max_depth": [2],
+                                    "learning_rate": [1e308, 0.1]})
+        best, table = grid_search("boosting", grid, X, y, CvPlan(k=3))
+        assert best["learning_rate"] == 0.1
+        assert [(c.params["learning_rate"], c.rank) for c in table] == [
+            (1e308, 2), (0.1, 1)]
+        assert math.isinf(table[0].mean_mse) and math.isfinite(table[1].mean_mse)
+
     def test_programming_error_propagates(self, monkeypatch):
         # forest cells fit one by one through tuning's fit_family
         import forecastlab.tuning as tuning
