@@ -68,7 +68,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
 from itertools import product, repeat
 from operator import add
 from typing import NamedTuple

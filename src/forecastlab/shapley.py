@@ -14,7 +14,7 @@ elsewhere. Two engines compute the same quantity:
   * tree_shap - leaf-wise interventional TreeSHAP (Lundberg et al. 2020;
     Laberge & Pequignot 2022) over one leaf-path table (`LeafPaths`) of
     the trees an ensemble's `tree_terms()` yields, which `leaf_paths`
-    builds in one walk and the model caches. Background rows that leave a
+    builds in one walk on each call. Background rows that leave a
     leaf's path at the same steps give the same terms, so one array pass
     scores every (query row, leaf, background group) triple, weighted by
     the group's row count; one bincount adds each phi entry's terms to
@@ -410,7 +410,7 @@ def tree_shap(model, X, background: BackgroundSet) -> np.ndarray:
         raise ValueError("background feature count mismatch")
     B = background.size
     phi = np.zeros((n_rows, p))
-    ensemble = model._leaf_paths
+    ensemble = leaf_paths(model.tree_terms())
     if ensemble is None or ensemble[0].feature.shape[1] == 0:
         return phi.reshape(X.shape)  # no trees, or only single leaves: no split
     paths, tree_of, weight = ensemble

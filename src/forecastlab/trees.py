@@ -28,11 +28,11 @@ layout model.json stores; cover is the row count), which `predict_tree`
 routes rows through. The models are forests and boosted ensembles, which
 predict through `.predict(X)` and check their rows' width. A model holds
 only what `predict` reads, so the one `model_from_json` rebuilds from its
-model.json is the same record, field for field. An explained
-model caches the TreeSHAP leaf-path table of its trees, which `shapley`
-lays out and builds; no tree keeps a table of its own. A model.json
-document is outside input: `model_from_json` checks each stored tree's
-structure before a row is routed through it.
+model.json is the same record, field for field. TreeSHAP reads a model
+through `tree_terms()` alone and builds its leaf-path table per call, so
+neither a model nor a tree keeps one. A model.json document is outside
+input: `model_from_json` checks each stored tree's structure before a row
+is routed through it.
 """
 
 from __future__ import annotations
@@ -59,12 +59,6 @@ class TreeModel(FittedRecord):
 
     def attributions(self, rows, background) -> np.ndarray:
         return shapley.tree_shap(self, rows, background)
-
-    @cached_property
-    def _leaf_paths(self) -> tuple[shapley.LeafPaths, np.ndarray, np.ndarray] | None:
-        """TreeSHAP's leaf-path table of tree_terms() (`shapley.leaf_paths`),
-        built on first use, so only explained models pay for it."""
-        return shapley.leaf_paths(self.tree_terms())
 
 
 @dataclass(frozen=True, eq=False)

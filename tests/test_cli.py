@@ -5,12 +5,13 @@ import math
 import os
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from forecastlab.cli import main
-from forecastlab import pipeline
+from forecastlab import families, pipeline
 from forecastlab.arima import ArimaOrder, default_order_candidates, fit_css
 from forecastlab.config import (
     ConfigError,
@@ -233,6 +234,48 @@ class TestRun:
             a = (tmp_path / "two" / name).read_text().split("\n", 1)
             b = (tmp_path / "run" / name).read_text().split("\n", 1)
             assert a[0] != b[0] and a[1] == b[1], name
+
+    def test_solvers_get_the_pinned_layouts(self, tmp_path, monkeypatch):
+        # a grid search's folds are row slices, so they reach the solvers
+        # C-ordered; a refit gets the frame's column selection, F-ordered.
+        # The bits of the linear and SVR solvers depend on this layout.
+        stage, seen = ["refit"], []
+
+        def layout(X):
+            return ("C" if X.flags.c_contiguous else
+                    "F" if X.flags.f_contiguous else "strided")
+
+        def searching(*args, **kwargs):
+            stage.append("fold")
+            try:
+                return grid_search(*args, **kwargs)
+            finally:
+                stage.pop()
+
+        def recording(name, real):
+            def wrapper(X, *args, **kwargs):
+                seen.append((stage[-1], name, layout(X)))
+                return real(X, *args, **kwargs)
+            return wrapper
+
+        def grid_recording(designs, penalties, real=families.fit_linear_grid):
+            seen.extend((stage[-1], "linear grid", layout(X)) for X, _ in designs)
+            return real(designs, penalties)
+
+        monkeypatch.setattr(pipeline, "grid_search", searching)
+        monkeypatch.setattr(families, "fit_linear_grid", grid_recording)
+        for name in ("fit_svr", "fit_linear"):
+            monkeypatch.setattr(families, name,
+                                recording(name, getattr(families, name)))
+        cfg = write_config(tmp_path, roster={
+            "arima": {"candidates": [[0, 0, 0]]},
+            "ridge": {"grid": {"lam": [0.01, 0.1]}},
+            "svr": {"grid": {"C": [0.3, 1.0], "kernel": ["rbf"]}}})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert Counter(seen) == {("fold", "linear grid", "C"): 3,
+                                 ("fold", "fit_svr", "C"): 6,
+                                 ("refit", "fit_svr", "F"): 1,
+                                 ("refit", "fit_linear", "F"): 1}
 
 
 class TestSweep:

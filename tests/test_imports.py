@@ -17,8 +17,12 @@ ufuncs and kernel are the very objects the package used, and give the same bits.
 
 `explain` loads no numpy.ma either: the outlier filter's quartiles do not go
 through `np.percentile`, whose `np.unique` imports it (about 17 ms).
+
+No package module imports a name it never reads (`__init__.py` excepted: its
+imports are the package's re-exports).
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -348,3 +352,40 @@ def test_loader_falls_back_to_the_package_import(tmp_path, mode):
     last_line(RUN, config, str(tmp_path / "loaded"), cwd=tmp_path)
     assert (output_bytes(tmp_path / "fallback")
             == output_bytes(tmp_path / "loaded"))
+
+
+def unread_imports(source):
+    """The names a module's import statements bind and its code never reads
+    as a name or an attribute base, `from __future__` imports excepted."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read)
+
+
+def test_unread_import_is_found():
+    assert unread_imports("from functools import cache\nimport numpy as np\n"
+                          "import os.path\nos.path.join(np.pi)\n") == [
+        (1, "cache")]
+
+
+def test_package_modules_read_every_import():
+    package = os.path.dirname(forecastlab.__file__)
+    modules = sorted(name for name in os.listdir(package)
+                     if name.endswith(".py") and name != "__init__.py")
+    assert "trees.py" in modules
+    unread = {}
+    for name in modules:
+        with open(os.path.join(package, name), encoding="utf-8") as f:
+            if found := unread_imports(f.read()):
+                unread[name] = found
+    assert unread == {}

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from forecastlab.shapley import (
     exact_shapley,
     explain_matrix,
     global_importance,
+    leaf_paths,
     tree_shap,
 )
 from forecastlab.trees import (
@@ -523,7 +525,7 @@ def triple_tree_shap_matrix(model, X, background):
     n_rows, p = X.shape
     B = background.size
     phi = np.zeros((n_rows, p))
-    ensemble = model._leaf_paths
+    ensemble = leaf_paths(model.tree_terms())
     if ensemble is None or ensemble[0].feature.shape[1] == 0:
         return phi
     paths, tree_of, weight = ensemble
@@ -708,7 +710,7 @@ def padded_paths(n_leaves, depth):
             np.tile(np.arange(depth, dtype=np.intp), (n_leaves, 1))]
 
 
-def tree_leaf_paths(tree):
+def tree_path_table(tree):
     """One tree's table, padded to its own depth: its leaves in preorder and
     their paths, from one walk of the tree."""
     feature = tree.feature.tolist()
@@ -744,7 +746,7 @@ def tree_leaf_paths(tree):
     return table
 
 
-def stacked_leaf_paths(model):
+def stacked_path_table(model):
     """Reference oracle: the table built in two stages. Each tree's table is
     padded to the deepest tree and copied into one stacked table, whose leaf
     column looks up the weights. Returns (feature, threshold, go_left,
@@ -754,7 +756,7 @@ def stacked_leaf_paths(model):
     terms = list(model.tree_terms())
     if not terms:
         return None
-    tables = [tree_leaf_paths(tree) for tree, _ in terms]
+    tables = [tree_path_table(tree) for tree, _ in terms]
     out = padded_paths(sum(len(t[0]) for t in tables),
                        max(t[1].shape[1] for t in tables))
     lo = 0
@@ -828,11 +830,12 @@ class TestLeafPathTable:
         assert len(models) >= 200
         widths, retests = set(), 0
         for model in models:
-            want = stacked_leaf_paths(model)
+            want = stacked_path_table(model)
+            table = leaf_paths(model.tree_terms())
             if want is None:
-                assert model._leaf_paths is None
+                assert table is None
                 continue
-            paths, tree_of, weight = model._leaf_paths
+            paths, tree_of, weight = table
             widths.add(paths.feature.shape[1])
             feature, threshold, go_left, first, *rest = want
             got = [*paths[:3], tree_of, weight]
@@ -850,9 +853,9 @@ class TestLeafPathTable:
         assert 0 in widths and 40 in widths
         assert retests
 
-
-class TestLeafPathCache:
-    def test_stacked_once_per_model(self):
+    def test_read_only_and_kept_off_the_model(self):
+        # the table's arrays are read-only, and explaining a model leaves
+        # nothing on it: tree_shap builds the table on each call
         rng = np.random.default_rng(48)
         boosted, X = random_boosted_model(rng, trees=6)
         forest = fit_random_forest(X, rng.normal(size=len(X)), ForestParams(
@@ -861,18 +864,38 @@ class TestLeafPathCache:
         for model in (boosted, forest,
                       ForestModel(forest.trees[:1], X.shape[1])):
             first = tree_shap(model, X[0], bg)
-            table = model._leaf_paths
-            paths, tree_of, weight = table
+            paths, tree_of, weight = leaf_paths(model.tree_terms())
             arrays = [*paths[:3], tree_of, weight]
             arrays += [a for pair in paths.fold for a in pair]
             assert not any(a.flags.writeable for a in arrays)
             m = explain_matrix(model, X[:3], bg)
-            assert model._leaf_paths is table
+            assert set(vars(model)) == {f.name for f in fields(model)}
             assert m.phi[0].tobytes() == first.tobytes()
+
+    def test_reads_only_tree_terms(self):
+        rng = np.random.default_rng(52)
+        boosted, X = random_boosted_model(rng, trees=6)
+        forest = fit_random_forest(X, rng.normal(size=len(X)), ForestParams(
+            n_estimators=3, max_depth=4, max_features=2, seed=3))
+        bg = BackgroundSet(X[:8])
+
+        class Terms:
+            """An ensemble with no method but `tree_terms()`."""
+
+            def __init__(self, terms):
+                self.terms = terms
+
+            def tree_terms(self):
+                return self.terms
+
+        for model in (forest, boosted):
+            want = tree_shap(model, X, bg)
+            got = tree_shap(Terms(model.tree_terms()), X, bg)
+            assert got.tobytes() == want.tobytes()
 
     def test_empty_booster_has_no_table(self):
         model = BoostedModel(0.5, 0.1, (), 2)
-        assert model._leaf_paths is None
+        assert leaf_paths(model.tree_terms()) is None
         assert not tree_shap(model, np.zeros(2),
                              BackgroundSet(np.ones((3, 2)))).any()
 
@@ -961,7 +984,7 @@ class TestArrayTreeShap:
         rng = np.random.default_rng(45)
         p, depth = 3, 40
         tree = ForestModel((chain_tree(depth, p, rng),), p)
-        assert tree._leaf_paths[0].feature.shape[1] == depth
+        assert leaf_paths(tree.tree_terms())[0].feature.shape[1] == depth
         # rows survive to different depths; the all-1.05 rows reach the
         # bottom, so pairs part beyond step 31
         rows = np.vstack([rng.uniform(-1.0, 1.1, size=(8, p)),
@@ -983,7 +1006,7 @@ class TestArrayTreeShap:
         bg = BackgroundSet(X[:40])
         # a chunk holds TREE_CHUNK_TRIPLES // groups rows, a group being the
         # background rows that meet one leaf's path the same way
-        paths = model._leaf_paths[0]
+        paths = leaf_paths(model.tree_terms())[0]
         back = _PathSide(bg.rows, paths)
         words = np.stack([w.T for w in back.keys], axis=-1)  # (leaves, B, words)
         groups = sum(len(np.unique(leaf, axis=0)) for leaf in words)
@@ -1016,8 +1039,9 @@ def oracle_cases(rng):
         else:
             bg = X[rng.integers(0, max(1, n // 4), size=int(rng.integers(2, 40)))]
         rows = [X[:6], bg[:2]]
-        paths = model._leaf_paths[0] if model._leaf_paths else None
-        if paths is not None:
+        table = leaf_paths(model.tree_terms())
+        if table is not None:
+            paths = table[0]
             steps = np.flatnonzero(~np.isnan(paths.threshold))
             if steps.size:
                 at = rng.choice(steps, size=min(3, steps.size), replace=False)
@@ -1072,7 +1096,7 @@ class TestGroupedTreeShap:
         # depth 9 and 5 trees: every pair sort is one argsort of one int64
         # key a pair, not a lexsort
         model, X, bg = self.bench_forest(5)
-        assert model._leaf_paths[0].feature.shape[1] == 9
+        assert leaf_paths(model.tree_terms())[0].feature.shape[1] == 9
         want = triple_tree_shap_matrix(model, X, bg)
         calls = self.counting_lexsort(monkeypatch)
         assert tree_shap(model, X, bg).tobytes() == want.tobytes()

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forecastlab.evaluation import pow2_scaled
+from forecastlab.shapley import leaf_paths
 from forecastlab.trees import (
     DRAW_BLOCK,
     DRAW_MAX_COLUMNS,
@@ -1135,9 +1136,9 @@ class TestFlatArrays:
         for tree in model.trees:
             np.testing.assert_array_equal(predict_tree(tree, X), walk_tree(tree, X))
 
-    def test_routing_depth_leaves_leaf_paths_unbuilt(self):
-        # predicting takes its depth from the child arrays; the leaf-path
-        # table is left for TreeSHAP, and agrees with it on the depth
+    def test_routing_depth_equals_leaf_path_depth(self):
+        # predicting takes its depth from the child arrays, leaves nothing on
+        # the model, and agrees with TreeSHAP's leaf-path table on the depth
         rng = np.random.default_rng(17)
         X = rng.normal(size=(40, 3))
         trees = [random_tree(rng, 3, depth=int(rng.integers(0, 7)))
@@ -1148,8 +1149,9 @@ class TestFlatArrays:
         for tree in trees:
             model = ForestModel((tree,), 3)
             model.predict(X)
-            assert "_leaf_paths" not in model.__dict__
-            assert tree._routing[2] == model._leaf_paths[0].feature.shape[1]
+            assert set(vars(model)) == {f.name for f in dataclasses.fields(model)}
+            paths = leaf_paths(model.tree_terms())[0]
+            assert tree._routing[2] == paths.feature.shape[1]
 
     def test_row_equal_to_threshold_goes_left(self):
         tree = stump(0, 0.25, -1.0, 2.0)
