@@ -6,9 +6,9 @@ SVR families fit on rows standardized by their own statistics and return a
 `Standardized` model; tree families train on raw values. Each `fit` calls
 its solver by this module's global name at call time, never through a stored
 function object, so a wrapper put in place of that global sees every fit.
-A linear family also fits a grid search's (cell, fold) fits at once
-(`LinearFamily.fit_grid`), through the lockstep solver `fit_linear_grid`,
-which it calls the same way.
+The linear families' grid searches on one window fit their (cell, fold)
+fits at once (`fit_linear_grids`), through one call of the lockstep solver
+`fit_linear_grid`, which is looked up the same way.
 """
 
 from __future__ import annotations
@@ -95,22 +95,6 @@ class LinearFamily(Family):
         stats = Standardization.fit(X)
         return Standardized(stats, fit_linear(stats.transform(X), y, params))
 
-    def fit_grid(self, cells, folds) -> list[list]:
-        """`fit_family` on every (cell, fold) of a grid search at once: per
-        cell, per (X, y) training fold, the model or the ValueError its fit
-        raises. Each fold is standardized once, for every cell."""
-        if not folds[0][0].shape[1]:
-            return [[_no_columns()] * len(folds) for _ in cells]
-        stats = [Standardization.fit(X) for X, _ in folds]
-        penalties = [capture(self.params, cell) for cell in cells]
-        fits = iter(fit_linear_grid(
-            [(s.transform(X), y) for s, (X, y) in zip(stats, folds)],
-            [penalty for penalty in penalties if isinstance(penalty, PenaltySpec)]))
-        return [[fit if isinstance(fit, ValueError) else Standardized(s, fit)
-                 for s, fit in zip(stats, next(fits))]
-                if isinstance(penalty, PenaltySpec) else [penalty] * len(folds)
-                for penalty in penalties]
-
 
 class SvrFamily(Family):
     def _build(self, cell, seed, n_features):
@@ -188,6 +172,28 @@ def fit_family(family: str, X, y, params: dict, seed: int = 0):
         raise _no_columns()
     spec = FAMILIES[family]
     return spec.fit(X, np.asarray(y, dtype=float), spec.params(params, seed))
+
+
+def fit_linear_grids(searches, folds) -> list:
+    """`fit_family` on every (cell, fold) of one or more linear grid searches
+    on the same folds, at once: `searches` are (LinearFamily, cells) pairs,
+    and the result holds, per search, per cell, per (X, y) training fold, the
+    model or the ValueError its fit raises. Each fold is standardized once,
+    and every search's penalties go to one `fit_linear_grid` call."""
+    if not folds[0][0].shape[1]:
+        return [[[_no_columns()] * len(folds) for _ in cells]
+                for _, cells in searches]
+    stats = [Standardization.fit(X) for X, _ in folds]
+    penalties = [[capture(family.params, cell) for cell in cells]
+                 for family, cells in searches]
+    fits = iter(fit_linear_grid(
+        [(s.transform(X), y) for s, (X, y) in zip(stats, folds)],
+        [penalty for row in penalties for penalty in row
+         if isinstance(penalty, PenaltySpec)]))
+    return [[[fit if isinstance(fit, ValueError) else Standardized(s, fit)
+              for s, fit in zip(stats, next(fits))]
+             if isinstance(penalty, PenaltySpec) else [penalty] * len(folds)
+             for penalty in row] for row in penalties]
 
 
 def _no_columns() -> FamilyError:

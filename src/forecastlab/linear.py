@@ -35,26 +35,41 @@ call, and each coordinate's fields are one tuple, unpacked into locals.
 At bench shapes (n = 54-86, p = 12-16) a coordinate costs about 2.3 us,
 against 2.6 us with keyword outputs and Python-float operands.
 
-`fit_linear_grid` fits a grid search's (design, penalty) pairs at once and
-keeps every bit of `fit_linear`. Each pair with lam > 0 is a lane, and the
-lanes sweep in lockstep on a (lanes, rows) block R of residuals, so a
-coordinate step is about a dozen numpy calls however many lanes there are.
-A lane of fewer rows than the block's width is padded, and only its first
-n entries are ever read:
+`fit_linear_grid` fits the (design, penalty) pairs of one or more grid
+searches on the same folds at once and keeps every bit of `fit_linear`.
+Each pair with lam > 0 is a lane. The lanes are a (design, penalty) grid,
+designs ordered by row count, and sweep in lockstep on a (designs,
+penalties, rows) block R of residuals, so a coordinate step is about a
+dozen numpy calls however many lanes there are. Each design's X is held
+once and broadcast over its lanes, so beyond R a lane costs one row of a
+buffer of R's shape. A design of fewer rows than the block's width is
+padded, and only its first n entries are ever read:
 
-* The add-back, the product and the subtract are one ufunc each over the
-  block. Where some lanes skip a step (b_j or the new b_j is 0.0), the
-  ufunc is masked with `where=`, so a -0.0 residual keeps its sign.
-* Each lane's rho is one `np.matmul` of (lanes, 1, n) @ (lanes, n, 1)
-  stacks per row count. A stack of vector products is not a gemv: numpy
-  takes each product with the same BLAS ddot call as `X[:, j].dot(r)`, on
-  the same stride, since the block D holds each lane's rows of p values as
-  a C-ordered X does. A test holds matmul to the loop's dot bit for bit.
-  `fit_linear` fits a lane whose X is not C-ordered (a grid search's folds
-  are). The products x_j * b_j, which round the same from any layout, are
-  taken from a second, column-contiguous copy C of the designs: on D's
-  strided columns a product took 1.4x the time at 100 lanes of 87 rows
-  and p = 16, and 6.7x at 500 lanes.
+* The add-back recomputes x_j * b_j into the buffer before it adds it: b_j
+  is the value the product last subtracted was made with, and a product
+  rounds the same from any operand layout, so the recomputed product is
+  the subtracted one, bit for bit, and no (p, lanes, rows) block of
+  products is kept. The add-back, each product and the subtract are one
+  ufunc each over the block. Where some lanes skip a step (b_j or the new
+  b_j is 0.0), the add-back and the subtract are masked with `where=`, so
+  a -0.0 residual keeps its sign. The mask matters only then: r +
+  x_j * 0.0 and r - x_j * 0.0 are r unless r holds -0.0 or x_j is not
+  finite, and under round-to-nearest a sum or difference is -0.0 only
+  from a -0.0 in r. So a block whose designs are finite and whose
+  starting residuals hold no -0.0 runs unmasked. That matters for a block
+  of several families: its lasso lanes keep some coefficients at 0.0, so
+  nearly every step of it would otherwise be masked.
+* Each lane's rho comes from one `np.matmul` of (designs, 1, 1, n) @
+  (designs, penalties, n, 1) stacks per row count, a design's rows
+  broadcast over its lanes. A stack of vector products is not a gemv:
+  numpy takes each product with the same BLAS ddot call as
+  `X[:, j].dot(r)`, on the same stride, since the block D holds each
+  design's rows of p values as a C-ordered X does. Tests hold matmul to the
+  loop's dot bit for bit. `fit_linear` fits a design whose X is not
+  C-ordered (a grid search's folds are). The products are taken from a
+  second, column-contiguous copy C of the designs: on D's strided columns
+  a product took 1.4x the time at 100 lanes of 87 rows and p = 16, and
+  6.7x at 500 lanes.
 * The soft threshold is `where(|rho| > thr, rho - copysign(thr, rho), 0)`
   over the lanes: rho - (-thr) rounds as rho + thr does, and an excluded
   coordinate (denominator not > 0) gets thr = inf, so it stays 0.0.
@@ -62,13 +77,14 @@ n entries are ever read:
   first n columns, which sums a row in the order of the 1-d reduce. A
   lane's divisions are by its own n.
 
-A lane leaves at the sweep where it converges or reaches MAX_SWEEPS. The
-block drops its finished lanes once half of it has finished (they sweep on
-meanwhile, which costs less than a copy at every exit), and once no more
-than SCALAR_FINISH_LANES are left they finish on `_descend`, the loop that
-`fit_linear` runs from sweep 0, from their current state. Covariance
-updates (Friedman, Hastie & Tibshirani 2010) would cost less, but they
-round differently, so they are left out.
+A lane leaves at the sweep where it converges or reaches MAX_SWEEPS, and
+sweeps on until its penalty leaves: the block drops the penalties that
+every design has finished once they are 1/DROP_SHARE of its penalties
+(a copy at every exit would cost more). Once no more than
+SCALAR_FINISH_LANES lanes are left unfinished they finish on `_descend`,
+the loop that `fit_linear` runs from sweep 0, from their current state.
+Covariance updates (Friedman, Hastie & Tibshirani 2010) would cost less,
+but they round differently, so they are left out.
 """
 
 from __future__ import annotations
@@ -238,15 +254,21 @@ def _model(b, coef, converged, sweeps) -> LinearModel:
 
 
 # A lockstep solve hands its lanes to `_descend` once no more than this many
-# are left. A lockstep coordinate costs about 9.5 us plus 0.3 us a lane at
-# bench shapes, the per-lane loop about 1.9 us a lane, so they break even
-# near six lanes.
+# are left unfinished. At bench shapes (5 designs of 86-87 rows, p = 16) a
+# lockstep coordinate costs about 10 us plus 0.3 us a lane, the per-lane
+# loop about 2 us a lane, so they break even near six lanes.
 SCALAR_FINISH_LANES = 6
+# A lockstep solve drops the penalties that every design has finished once
+# they are 1/DROP_SHARE of its penalties. On the run and sweep benchmarks'
+# merged blocks (85 to 600 lanes) shares of 1, 4, 8 and any-penalty were
+# no faster than 2.
+DROP_SHARE = 2
 
 
 def fit_linear_grid(designs, penalties) -> list:
-    """`fit_linear` on every (design, penalty) pair of a grid search: designs
-    are its (X, y) folds, which share one width. Returns results[penalty]
+    """`fit_linear` on every (design, penalty) pair of one or more grid
+    searches on the same folds: designs are the (X, y) folds, which share one
+    width, and penalties every search's cells. Returns results[penalty]
     [design]: the LinearModel that `fit_linear` returns for the pair, bit for
     bit, or the ValueError it raises. The pairs with lam > 0 on a C-ordered
     X sweep in lockstep (see the module docstring); `fit_linear` fits any
@@ -277,36 +299,44 @@ def _lockstep(designs, penalties, results):
     """Sweep every pair of `designs`, (index, X, y) with a C-ordered X of one
     width, and `penalties`, (index, PenaltySpec) with lam > 0, in lockstep;
     write each pair's model or error into results[penalty][design]."""
-    # lanes by row count, then design, then penalty
+    # the lanes are a (design, penalty) grid, designs by row count; a
+    # design's X is held once and broadcast over its lanes
     designs = sorted(designs, key=lambda design: design[1].shape[0])
-    lanes = [(c, d, X, penalty) for d, X, _ in designs for c, penalty in penalties]
-    ns = [X.shape[0] for _, _, X, _ in lanes]
-    count, width, p = len(lanes), ns[-1], designs[0][1].shape[1]
+    ns = [X.shape[0] for _, X, _ in designs]
+    g, width, p = len(designs), ns[-1], designs[0][1].shape[1]
+    groups = []  # [first design, end, n] of each row count
+    for k, n in enumerate(ns):
+        if groups and groups[-1][2] == n:
+            groups[-1][1] = k + 1
+        else:
+            groups.append([k, k + 1, n])
 
-    # a (p, lanes, 1) array holds one lane column per coordinate
-    R = np.zeros((count, width))  # residual rows, read up to each lane's n
-    D = np.zeros((count, width, p))  # each lane's X, C-ordered, for rho
-    C = np.zeros((p, count, width))  # each lane's columns, for the products
-    b = np.empty((count, 1))
-    col_ssq = np.empty((p, count, 1))
+    D = np.zeros((g, width, p))  # each design's X, C-ordered, for rho
+    C = np.zeros((p, g, 1, width))  # each design's columns, for the products
+    R0 = np.zeros((g, 1, width))  # residual rows, read up to each design's n
+    b0 = np.empty((g, 1, 1))
+    col_ssq = np.empty((p, g, 1, 1))
     for k, (_, X, y) in enumerate(designs):
-        ks = slice(k * len(penalties), (k + 1) * len(penalties))
         n = X.shape[0]
-        b[ks] = b0 = float(y.mean())
-        R[ks, :n] = y - b0
-        D[ks, :n] = X
-        C[:, ks, :n] = X.T[:, None]
-        col_ssq[:, ks] = ((X * X).sum(axis=0) / n)[:, None, None]
-    lam_l1 = np.array([pen.lam * pen.alpha for *_, pen in lanes])[:, None]
-    lam_l2 = np.array([pen.lam * (1.0 - pen.alpha) for *_, pen in lanes])[:, None]
-    denom = col_ssq + lam_l2
+        b0[k] = mean = float(y.mean())
+        R0[k, 0, :n] = y - mean
+        D[k, :n] = X
+        C[:, k, 0, :n] = X.T
+        col_ssq[:, k] = ((X * X).sum(axis=0) / n)[:, None, None]
+    nvec = np.array(ns, dtype=float)[:, None, None]  # each design's n
+    lam_l1 = np.array([pen.lam * pen.alpha for _, pen in penalties])[:, None]
+    lam_l2 = np.array([pen.lam * (1.0 - pen.alpha) for _, pen in penalties])[:, None]
+    denom = col_ssq + lam_l2  # (p, designs, penalties, 1), as are the next
     live = denom > 0  # a coordinate that is not stays 0.0, as in `_descend`
     thr = np.where(live, lam_l1, np.inf)  # lam_l1, inf where out
     scale = np.where(live, denom, 1.0)  # the denominator, 1.0 where out
-    B = np.zeros((p, count, 1))  # beta
-    nonzero = np.zeros((p, count, 1), dtype=bool)  # B != 0
-    P = np.empty((p, count, width))  # x_j * b_j as last subtracted from r
-    nvec = np.array(ns, dtype=float)[:, None]
+    B = np.zeros(denom.shape)  # beta
+    nonzero = np.zeros(denom.shape, dtype=bool)  # B != 0
+    R = np.repeat(R0, len(penalties), axis=1)
+    b = np.repeat(b0, len(penalties), axis=1)
+    # no -0.0 in r and finite designs: no step needs a mask (module docstring)
+    unmasked = (not (np.signbit(R0) & (R0 == 0.0)).any()
+                and all(np.isfinite(X).all() for _, X, _ in designs))
 
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     greater, where, not_equal, copysign = (np.greater, np.where, np.not_equal,
@@ -314,75 +344,76 @@ def _lockstep(designs, penalties, results):
     matmul, absolute, fmax, count_nonzero = (np.matmul, np.abs, np.fmax,
                                              np.count_nonzero)
     sweeps = 0
-    done = np.zeros(count, dtype=bool)  # lanes whose model is taken
-    while count > SCALAR_FINISH_LANES:
-        groups = []  # [first lane, end, n] of each row count
-        for k, n in enumerate(ns):
-            if groups and groups[-1][2] == n:
-                groups[-1][1] = k + 1
-            else:
-                groups.append([k, k + 1, n])
-        rho = np.empty((count, 1))
-        # per coordinate and row count: (x_j rows, r columns, rho out), for
-        # one matmul of (lanes, 1, n) @ (lanes, n, 1) stacks
-        dots = [[(D[first:end, None, :n, j], R[first:end, :n, None],
-                  rho[first:end, :, None])
-                 for first, end, n in groups] for j in range(p)]
-        coords = list(zip(range(p), dots, C, P, B, nonzero, thr, scale))
-        active = [count_nonzero(Bj) for Bj in B]  # lanes with b_j != 0
-        T = np.empty((count, width))
-        sums = np.empty((count, 1))
-        taken = 0
-        while 2 * taken < count and count - taken > SCALAR_FINISH_LANES:
-            sweeps += 1
-            B_prev = B.copy()
-            for j, dotj, Cj, Pj, Bj, nzj, thrj, scalej in coords:
-                m = active[j]
-                if m == count:  # add back x_j * b_j
-                    add(R, Pj, R)
-                elif m:
-                    add(R, Pj, R, where=nzj)
-                for x, r, out in dotj:
-                    matmul(x, r, out)
-                divide(rho, nvec, rho)
-                # soft threshold: rho - (-thr) is rho + thr, bit for bit
-                divide(where(greater(absolute(rho), thrj),
-                             rho - copysign(thrj, rho), 0.0), scalej, Bj)
-                active[j] = m = count_nonzero(Bj)
-                if m == count:
-                    subtract(R, multiply(Cj, Bj, Pj), R)
-                elif m:  # nzj is read only while m is neither 0 nor count
-                    not_equal(Bj, 0.0, nzj)
-                    multiply(Cj, Bj, Pj, where=nzj)
-                    subtract(R, Pj, R, where=nzj)
-            # refit intercepts as the means of partial residuals
-            add(R, b, T)
-            for first, end, n in groups:
-                add.reduce(T[first:end, :n], axis=1, out=sums[first:end, 0])
-            new_b = sums / nvec
-            max_delta = fmax.reduce(absolute(B - B_prev), axis=0)
-            fmax(max_delta, absolute(new_b - b), max_delta)
-            fmax(max_delta, 0.0, max_delta)  # a NaN delta is no update
-            add(R, b - new_b, R)
-            b = new_b
-            converged = (max_delta < CONVERGENCE_TOL)[:, 0]
-            leave = ~done if sweeps >= MAX_SWEEPS else converged & ~done
-            if leave.any():
-                for k in np.flatnonzero(leave).tolist():
-                    c, d = lanes[k][:2]
-                    results[c][d] = capture(_model, float(b[k, 0]), B[:, k, 0],
-                                            bool(converged[k]), sweeps)
-                done |= leave
-                taken = count_nonzero(done)
-        keep = ~done  # drop the finished lanes
-        lanes = [lane for lane, kept in zip(lanes, keep.tolist()) if kept]
-        ns = [n for n, kept in zip(ns, keep.tolist()) if kept]
-        count = len(lanes)
-        R, D, C, P = R[keep], D[keep], C[:, keep], P[:, keep]
-        B = B[:, keep]
-        nonzero, thr, scale = nonzero[:, keep], thr[:, keep], scale[:, keep]
-        b, nvec, done = b[keep], nvec[keep], done[keep]
+    done = np.zeros((g, len(penalties)), dtype=bool)  # lanes whose model is taken
+    coords = None
+    while done.size - count_nonzero(done) > SCALAR_FINISH_LANES:
+        if coords is None:  # the block's views, made again after each drop
+            count, lanes = done.size, len(penalties)
+            rho = np.empty((g, lanes, 1))
+            nlanes = np.repeat(nvec, lanes, axis=1)  # each lane's n
+            # per coordinate and row count: (x_j rows, r columns, rho out),
+            # for one matmul of (designs, 1, 1, n) @ (designs, lanes, n, 1)
+            dots = [[(D[first:end, None, None, :n, j], R[first:end, :, :n, None],
+                      rho[first:end, :, :, None])
+                     for first, end, n in groups] for j in range(p)]
+            coords = list(zip(range(p), dots, C, B, nonzero, thr, scale))
+            active = [count_nonzero(Bj) for Bj in B]  # lanes with b_j != 0
+            T = np.empty((g, lanes, width))  # x_j * b_j, then r + b
+            sums = np.empty(count)
+            rows = T.reshape(count, width)
+            totals = [(rows[first * lanes:end * lanes, :n],
+                       sums[first * lanes:end * lanes]) for first, end, n in groups]
+        sweeps += 1
+        B_prev = B.copy()
+        for j, dotj, Cj, Bj, nzj, thrj, scalej in coords:
+            m = active[j]
+            if m == count or m and unmasked:  # add back x_j * b_j
+                add(R, multiply(Cj, Bj, T), R)
+            elif m:
+                add(R, multiply(Cj, Bj, T), R, where=nzj)
+            for x, r, out in dotj:
+                matmul(x, r, out)
+            divide(rho, nlanes, rho)
+            # soft threshold: rho - (-thr) is rho + thr, bit for bit
+            divide(where(greater(absolute(rho), thrj),
+                         rho - copysign(thrj, rho), 0.0), scalej, Bj)
+            active[j] = m = count_nonzero(Bj)
+            if m == count or m and unmasked:
+                subtract(R, multiply(Cj, Bj, T), R)
+            elif m:  # nzj is read only here and in the masked add-back
+                not_equal(Bj, 0.0, nzj)
+                subtract(R, multiply(Cj, Bj, T), R, where=nzj)
+        # refit intercepts as the means of partial residuals
+        add(R, b, T)
+        for total, out in totals:
+            add.reduce(total, axis=1, out=out)
+        new_b = sums.reshape(g, lanes, 1) / nlanes
+        max_delta = fmax.reduce(absolute(B - B_prev), axis=0)
+        fmax(max_delta, absolute(new_b - b), max_delta)
+        fmax(max_delta, 0.0, max_delta)  # a NaN delta is no update
+        add(R, b - new_b, R)
+        b = new_b
+        converged = (max_delta < CONVERGENCE_TOL)[:, :, 0]
+        leave = ~done if sweeps >= MAX_SWEEPS else converged & ~done
+        if not leave.any():
+            continue
+        for k, lane in np.argwhere(leave).tolist():
+            results[penalties[lane][0]][designs[k][0]] = capture(
+                _model, float(b[k, lane, 0]), B[:, k, lane, 0],
+                bool(converged[k, lane]), sweeps)
+        done |= leave
+        finished = done.all(axis=0)
+        if DROP_SHARE * count_nonzero(finished) >= lanes:
+            keep = ~finished  # drop the penalties every design has finished
+            penalties = [pen for pen, kept in zip(penalties, keep.tolist()) if kept]
+            R, b, done = R[:, keep], b[:, keep], done[:, keep]
+            B, nonzero = B[:, :, keep], nonzero[:, :, keep]
+            thr, scale = thr[:, :, keep], scale[:, :, keep]
+            coords = None
 
-    for k, (c, d, X, penalty) in enumerate(lanes):  # the scalar finish
-        results[c][d] = capture(_descend, X, penalty, B[:, k, 0].tolist(),
-                                float(b[k, 0]), R[k, :ns[k]].copy(), sweeps)
+    for k, (d, X, _) in enumerate(designs):  # the scalar finish
+        for lane, (c, penalty) in enumerate(penalties):
+            if not done[k, lane]:
+                results[c][d] = capture(_descend, X, penalty, B[:, k, lane, 0].tolist(),
+                                        float(b[k, lane, 0]), R[k, lane, :ns[k]].copy(),
+                                        sweeps)

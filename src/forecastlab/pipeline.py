@@ -38,7 +38,7 @@ from .interpretation import (
 from .shapley import (EXACT_MAX_FEATURES, BackgroundSet, ShapMatrix,
                       explain_matrix, global_importance)
 from .trees import model_to_json
-from .tuning import CvPlan, grid_search
+from .tuning import CvFolds, CvPlan, grid_search
 
 
 def _cells(column) -> list[str]:
@@ -148,9 +148,26 @@ def _setup(config: RunConfig) -> SeriesFrame:
     return frame
 
 
+def cv_folds(config: RunConfig, train: SeriesFrame, test_months: int,
+             families) -> CvFolds:
+    """The CV folds of a split's training window, shared by the grid
+    searches of `families`: those whose grid has more than one cell."""
+    X = train.matrix(config.schema.features)
+    searches = {}
+    for family in families:
+        cells = config.roster_spec(family).param_grid(X.shape[1]).cells()
+        if len(cells) > 1:
+            searches[family] = cells
+    plan = CvPlan(config.cv.k, config.cv.shuffle,
+                  derive_seed(config.seed, "cv", test_months))
+    return CvFolds(X, train.column(config.schema.target), plan, searches)
+
+
 def fit_roster_member(config: RunConfig, family: str, train: SeriesFrame,
-                      test_months: int) -> tuple[object, list | None]:
-    """Tune a family on the training window, then refit the winning cell on
+                      test_months: int, folds: CvFolds | None = None
+                      ) -> tuple[object, list | None]:
+    """Tune a family on the training window, on the window's `cv_folds`
+    (by default, folds of this family alone), then refit the winning cell on
     all of it. Returns the model and the cv table (None when no search ran).
 
     A grid of one cell, the empty grid's all-defaults cell among them,
@@ -162,9 +179,10 @@ def fit_roster_member(config: RunConfig, family: str, train: SeriesFrame,
     grid = config.roster_spec(family).param_grid(X.shape[1])
     cells = grid.cells()
     if len(cells) > 1:
-        plan = CvPlan(config.cv.k, config.cv.shuffle,
-                      derive_seed(config.seed, "cv", test_months))
-        best, table = grid_search(family, grid, X, y, plan, seed=seed)
+        if folds is None:
+            folds = cv_folds(config, train, test_months, [family])
+        best, table = grid_search(family, grid, X, y, folds.plan, seed=seed,
+                                  folds=folds)
     else:
         (best,), table = cells, None
     return fit_family(family, X, y, best, seed=seed), table
@@ -187,10 +205,12 @@ def evaluate_split(config: RunConfig, frame: SeriesFrame, test_months: int):
         raise ConfigError(f"benchmark fit failed: {exc}") from exc
     X_test = test.matrix(config.schema.features)
     tables = {}
-    for spec in config.families:
-        family = spec.family
+    families = [spec.family for spec in config.families]
+    folds = cv_folds(config, train, test_months, families)
+    for family in families:
         try:
-            model, table = fit_roster_member(config, family, train, test_months)
+            model, table = fit_roster_member(config, family, train,
+                                             test_months, folds)
             forecasts[family] = model.predict(X_test)
             tables[family] = table
         except ValueError as exc:  # degrade, sweeps must finish

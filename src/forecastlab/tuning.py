@@ -5,9 +5,10 @@ by mean validation MSE across folds and the full cv table is returned so
 the winner can always be audited against it. A fit that fails with a
 ValueError (invalid cell, singular system) records +inf for that cell
 rather than aborting the sweep; any other exception propagates. When every
-cell fails, the error names the first failure's cause. A linear family
-fits the whole grid at once, in lockstep (`LinearFamily.fit_grid`); every
-other family fits cell by cell through `fit_family`.
+cell fails, the error names the first failure's cause. The searches on one
+training window share its folds (`CvFolds`): each fold is sliced once, and
+the linear families' grids, together, are fitted at once in one lockstep
+solve; every other family fits cell by cell through `fit_family`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import boolean, capture, coerce_fields, integer
-from .families import FAMILIES, LinearFamily, fit_family
+from .families import FAMILIES, LinearFamily, fit_family, fit_linear_grids
 
 
 class TuningError(ValueError):
@@ -82,30 +83,75 @@ def kfold_indices(n: int, plan: CvPlan) -> list[np.ndarray]:
     return [np.sort(chunk) for chunk in np.array_split(order, plan.k)]
 
 
+class CvFolds:
+    """The k folds of one training window (X, y) under `plan`, shared by the
+    grid searches on that window. `searches` maps each family that searches
+    it to its cells. Each fold's rows are sliced once, on first use, and
+    shared by every cell; no family writes into the arrays it fits on or
+    predicts. The first linear search fits the (cell, fold) fits of every
+    linear family in `searches` at once (`fit_linear_grids`); every other
+    family fits cell by cell through `fit_family`."""
+
+    def __init__(self, X, y, plan: CvPlan, searches: dict):
+        self.X = np.asarray(X, dtype=float)
+        self.y = np.asarray(y, dtype=float)
+        self.plan = plan
+        self._linear = {family: cells for family, cells in searches.items()
+                        if _is_linear(family)}
+        self._splits = None
+        self._linear_fits = None  # family -> per cell, per fold
+
+    @property
+    def splits(self) -> list[tuple]:
+        """(X_train, y_train, X_val, y_val) of each fold. Fold assignment is
+        computed before any cell is evaluated, so it cannot depend on a
+        grid's content."""
+        if self._splits is None:
+            X, y = self.X, self.y
+            all_idx = np.arange(len(y))
+            splits = []
+            for val_idx in kfold_indices(len(y), self.plan):
+                train_idx = np.setdiff1d(all_idx, val_idx, assume_unique=True)
+                splits.append((X[train_idx], y[train_idx], X[val_idx], y[val_idx]))
+            self._splits = splits
+        return self._splits
+
+    def fold_fits(self, family: str, cells, seed: int):
+        """Per cell, per fold: the fitted model or the ValueError its fit
+        raised."""
+        folds = [split[:2] for split in self.splits]
+        if not _is_linear(family):
+            return ([capture(fit_family, family, X_train, y_train, params,
+                             seed=seed) for X_train, y_train in folds]
+                    for params in cells)
+        if self._linear.get(family) != cells:  # a search not declared
+            return fit_linear_grids([(FAMILIES[family], cells)], folds)[0]
+        if self._linear_fits is None:
+            self._linear_fits = dict(zip(self._linear, fit_linear_grids(
+                [(FAMILIES[name], cells) for name, cells in self._linear.items()],
+                folds)))
+        return self._linear_fits[family]
+
+
+def _is_linear(family: str) -> bool:
+    return isinstance(FAMILIES.get(family), LinearFamily)
+
+
 def grid_search(family: str, grid: ParamGrid, X, y, plan: CvPlan,
-                seed: int = 0):
+                seed: int = 0, folds: CvFolds | None = None):
     """Exhaustive search; returns (best params, cv table sorted as declared).
 
-    Fold assignment is computed once, before any cell is evaluated, so it
-    cannot depend on the grid's content.
+    `folds`, the `CvFolds` of (X, y) under `plan` that the window's other
+    searches share, defaults to folds of this search alone.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    folds = kfold_indices(len(y), plan)
-    all_idx = np.arange(len(y))
-    # each fold's rows are sliced once and shared by every cell; no family
-    # writes into the arrays it fits on or predicts
-    splits = []
-    for val_idx in folds:
-        train_idx = np.setdiff1d(all_idx, val_idx, assume_unique=True)
-        splits.append((X[train_idx], y[train_idx], X[val_idx], y[val_idx]))
-
     cells = grid.cells()
+    if folds is None:
+        folds = CvFolds(X, y, plan, {family: cells})
     scores = []
     cause = None  # of the first failed fit, for the all-cells-failed error
-    for cell_fits in _fold_fits(family, cells, splits, seed):
+    for cell_fits in folds.fold_fits(family, cells, seed):
         fold_mse = []
-        for fit, (_, _, X_val, y_val) in zip(cell_fits, splits):
+        for fit, (_, _, X_val, y_val) in zip(cell_fits, folds.splits):
             score, why = _fold_score(fit, X_val, y_val)
             cause = cause or why
             fold_mse.append(score)
@@ -123,15 +169,6 @@ def grid_search(family: str, grid: ParamGrid, X, y, plan: CvPlan,
         raise TuningError(f"every {family} grid cell failed, the first "
                           f"with {cause}")
     return dict(best.params), table
-
-
-def _fold_fits(family: str, cells, splits, seed: int):
-    """Per cell, per fold: the fitted model or the ValueError its fit raised."""
-    spec = FAMILIES.get(family)
-    if isinstance(spec, LinearFamily):
-        return spec.fit_grid(cells, [split[:2] for split in splits])
-    return ([capture(fit_family, family, X_train, y_train, params, seed=seed)
-             for X_train, y_train, _, _ in splits] for params in cells)
 
 
 def _fold_score(fit, X_val, y_val) -> tuple[float, str | None]:

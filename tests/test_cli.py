@@ -278,6 +278,57 @@ class TestRun:
                                  ("refit", "fit_linear", "F"): 1}
 
 
+    def test_one_linear_solve_per_split(self, tmp_path, monkeypatch):
+        # the searching linear families of a split share one lockstep solve
+        # over all their penalties; forest, boosting and svr cells still fit
+        # one by one through tuning.fit_family, and explain searches the
+        # one family it explains
+        import forecastlab.tuning as tuning
+        solves, fits, searched = [], [], []
+
+        def solving(designs, penalties, real=families.fit_linear_grid):
+            solves.append(len(penalties))
+            return real(designs, penalties)
+
+        def fitting(family, *args, real=tuning.fit_family, **kwargs):
+            fits.append(family)
+            return real(family, *args, **kwargs)
+
+        def searching(family, *args, real=grid_search, **kwargs):
+            searched.append(family)
+            return real(family, *args, **kwargs)
+
+        monkeypatch.setattr(families, "fit_linear_grid", solving)
+        monkeypatch.setattr(tuning, "fit_family", fitting)
+        monkeypatch.setattr(pipeline, "grid_search", searching)
+        cfg = write_config(
+            tmp_path, schema={"target": "INF", "features": ["ATMD", "CC", "IR"]},
+            roster={"arima": {"candidates": [[0, 0, 0]]}, "ols": {},
+                    "ridge": {"grid": {"lam": [0.01, 0.1]}},
+                    "lasso": {"grid": {"lam": [0.01, 0.1, 0.5]}},
+                    "elastic_net": {"grid": {"lam": [0.01],
+                                             "alpha": [0.2, 0.8]}},
+                    "random_forest": {"grid": {"n_estimators": [3],
+                                               "max_depth": [2, 3]}},
+                    "boosting": {"grid": {"n_estimators": [5],
+                                          "max_depth": [2, 3]}},
+                    "svr": {"grid": {"C": [0.3, 1.0], "kernel": ["rbf"]}}})
+        searching_families = ["ridge", "lasso", "elastic_net", "random_forest",
+                              "boosting", "svr"]
+        for command, splits in (("run", 1), ("sweep", 2)):
+            solves.clear(), fits.clear(), searched.clear()
+            assert main([command, "--config", cfg,
+                         "--out", str(tmp_path / command)]) == 0
+            assert solves == [2 + 3 + 2] * splits
+            # two cells on each of three folds, per split
+            assert Counter(fits) == {"random_forest": 6 * splits,
+                                     "boosting": 6 * splits, "svr": 6 * splits}
+            assert searched == searching_families * splits
+        solves.clear(), fits.clear(), searched.clear()
+        assert main(["explain", "--config", cfg, "--model", "ridge",
+                     "--out", str(tmp_path / "explain")]) == 0
+        assert (solves, fits, searched) == ([2], [], ["ridge"])
+
 class TestSweep:
     def test_rows_and_run_consistency(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -609,10 +660,10 @@ class TestEvaluateSplit:
         import forecastlab.pipeline as pipeline
         real = pipeline.fit_roster_member
 
-        def lasso_raises(config, family, train, test_months):
+        def lasso_raises(config, family, train, test_months, folds):
             if family == "lasso":
                 raise exc
-            return real(config, family, train, test_months)
+            return real(config, family, train, test_months, folds)
 
         monkeypatch.setattr(pipeline, "fit_roster_member", lasso_raises)
         config, _ = load_config(write_config(tmp_path, roster={
@@ -733,6 +784,23 @@ OUTPUT_DIGESTS = {
 }
 
 
+# sha256 of every output file of test_linear_searches_pinned's config,
+# recorded when each linear family still searched its grid alone
+LINEAR_SEARCH_DIGESTS = {
+    "run/cv_elastic_net.csv":
+        "b112d686bce01f53c1c84be6d33e56c397000aed885384773e6fdee71e66b929",
+    "run/cv_lasso.csv":
+        "7681648ce4040d2646a77d5e959e1c15bc87ce76c2602fe73a62d5c49eb0aee9",
+    "run/cv_ridge.csv":
+        "b3ff1d5d766d76c7f51b476aa1124f92546339de6b75bcdeab887e69727783f4",
+    "run/forecasts.csv":
+        "fecaad97b27ec5288425758f24ae71395540bb642f3d269a2a8e4d2371872a75",
+    "run/metrics.csv":
+        "effa65aa8daf0a948974ad8f555e9622dd1fafe1cfae108591e175662678f4ff",
+    "sweep/split_sweep.csv":
+        "f2bc6825d61fe4049164abd6e89d226b7dce5d7f720f13056d4d41826690e224",
+}
+
 class TestOutputBytes:
     def test_every_file_pinned(self, tmp_path, monkeypatch):
         import forecastlab.pipeline as pipeline
@@ -773,6 +841,30 @@ class TestOutputBytes:
                     (out / name).read_bytes()).hexdigest()
         assert digests == OUTPUT_DIGESTS
 
+
+    def test_linear_searches_pinned(self, tmp_path):
+        # ridge, lasso and elastic net each search several cells on the same
+        # folds: a lam = 0 ridge cell, which fit_linear solves in closed
+        # form, and elastic-net cells at alpha 0 and 1 whose penalties equal
+        # a ridge and a lasso cell's
+        cfg = write_config(
+            tmp_path, seed=11,
+            data={"synth": {"kind": "linear", "n": 60, "noise_scale": 0.5}},
+            schema={"target": "INF", "features": ["ATMD", "CC", "IR", "EM"]},
+            split_months=[12, 6], primary_split=12, cv={"k": 4, "shuffle": False},
+            roster={"arima": {"candidates": [[0, 0, 0]]},
+                    "ridge": {"grid": {"lam": [0.0, 0.01, 0.1, 0.5]}},
+                    "lasso": {"grid": {"lam": [0.01, 0.05, 0.2]}},
+                    "elastic_net": {"grid": {"lam": [0.01, 0.05],
+                                             "alpha": [0.0, 0.5, 1.0]}}})
+        digests = {}
+        for command in ("run", "sweep"):
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            for name in sorted(os.listdir(out)):
+                digests[f"{command}/{name}"] = hashlib.sha256(
+                    (out / name).read_bytes()).hexdigest()
+        assert digests == LINEAR_SEARCH_DIGESTS
 
 class TestExitCodes:
     def test_unknown_config_key_exits_2(self, tmp_path):

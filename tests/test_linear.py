@@ -355,6 +355,95 @@ class TestLockstepLanes:
                 assert got[k].tobytes() == want.tobytes()
 
 
+def sweep_window_folds():
+    """The five standardized training folds (86-87 rows, 16 columns) that a
+    grid search of the sweep benchmark's bench-size window at seed 42 hands
+    over: a 120-row linear series, 12 test months, k = 5."""
+    from forecastlab.config import parse_config
+    from forecastlab.dataset import chrono_split
+    from forecastlab.pipeline import load_data
+    from forecastlab.tuning import CvPlan, kfold_indices
+    config = parse_config({
+        "seed": 42, "split_months": [12], "primary_split": 12,
+        "data": {"synth": {"kind": "linear", "n": 120, "noise_ar": 0.6}},
+        "roster": {"arima": {"candidates": [[0, 0, 0]]}}})
+    train, _ = chrono_split(load_data(config), 12)
+    X, y = train.matrix(config.schema.features), train.column("INF")
+    designs = []
+    for val_idx in kfold_indices(len(y), CvPlan(k=5)):
+        rows = np.setdiff1d(np.arange(len(y)), val_idx)
+        stats = Standardization.fit(X[rows])
+        designs.append((stats.transform(X[rows]), y[rows]))
+    return designs
+
+
+def sweep_family_penalties():
+    """The sweep benchmark's bench-size grids as penalties: the shipped ridge
+    and lasso lambdas and the quickstart's 3 x 3 elastic net."""
+    from forecastlab.families import FAMILIES
+    lams = FAMILIES["ridge"].shipped["lam"]
+    return {"ridge": [PenaltySpec(lam, 0.0) for lam in lams],
+            "lasso": [PenaltySpec(lam, 1.0) for lam in lams],
+            "elastic_net": [PenaltySpec(lam, alpha) for lam in (0.001, 0.01, 0.1)
+                            for alpha in (0.05, 0.5, 0.95)]}
+
+
+class TestMergedBlock:
+    """One lockstep block holds several families' penalties."""
+
+    def test_broadcast_matmul_is_the_loops_dot(self):
+        # rho's matmul of (designs, 1, 1, n) @ (designs, lanes, n, 1), a
+        # design's rows broadcast over its lanes, takes each product as
+        # X[:, j].dot(r) does for a C-ordered X
+        rng = np.random.default_rng(2032)
+        for _ in range(200):
+            g, lanes = int(rng.integers(1, 6)), int(rng.integers(1, 20))
+            n, p = int(rng.integers(1, 120)), int(rng.integers(1, 17))
+            j = int(rng.integers(p))
+            D = rng.normal(size=(g, n + 1, p)) * np.exp(
+                3 * rng.normal(size=(g, 1, 1)))
+            R = rng.normal(size=(g, lanes, n + 2))
+            got = np.empty((g, lanes, 1))
+            np.matmul(D[:, None, None, :n, j], R[:, :, :n, None], got[..., None])
+            for k in range(g):
+                X = np.ascontiguousarray(D[k, :n])
+                for lane in range(lanes):
+                    want = X[:, j].dot(R[k, lane, :n].copy())
+                    assert got[k, lane, 0].tobytes() == want.tobytes()
+
+    def test_families_share_one_block(self):
+        # equal penalties from two families (elastic net at alpha 0 and 1)
+        # sit in one block beside the others, and each pair is fit_linear's
+        designs = sweep_window_folds()
+        grids = sweep_family_penalties()
+        lam = grids["ridge"][3].lam
+        penalties = (grids["ridge"] + grids["lasso"] + grids["elastic_net"]
+                     + [PenaltySpec(lam, 0.0), PenaltySpec(lam, 1.0)])
+        results = fit_linear_grid(designs, penalties)
+        assert_same_grid(results, designs, penalties)
+        assert results[-2] == results[3] and results[-1] == results[13]
+
+    def test_merged_peak_memory(self):
+        # the sweep's three searching families in one call, 145 lanes,
+        # allocate less than one (p, lanes, width) block, and no more than
+        # the largest per-family call of the lockstep that kept one
+        # (2,717,999 bytes, lasso's 50 lanes)
+        import tracemalloc
+        designs = sweep_window_folds()
+        penalties = [pen for pens in sweep_family_penalties().values()
+                     for pen in pens]
+        fit_linear_grid(designs, penalties)  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            fit_linear_grid(designs, penalties)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lanes, width, p = len(designs) * len(penalties), 87, 16
+        assert peak < p * lanes * width * 8
+        assert peak <= 2_717_999
+
+
 class TestExactFits:
     def test_unpenalized_exact_line(self):
         x = np.linspace(-2, 2, 9)[:, None]
