@@ -50,22 +50,20 @@ padded, and only its first n entries are ever read:
   rounds the same from any operand layout, so the recomputed product is
   the subtracted one, bit for bit, and no (p, lanes, rows) block of
   products is kept. The add-back, each product and the subtract are one
-  ufunc each over the block. Where some lanes skip a step (b_j or the new
-  b_j is 0.0), the add-back and the subtract are masked with `where=`, so
-  a -0.0 residual keeps its sign. The mask matters only then: r +
-  x_j * 0.0 and r - x_j * 0.0 are r unless r holds -0.0 or x_j is not
-  finite, and under round-to-nearest a sum or difference is -0.0 only
-  from a -0.0 in r. So a block whose designs are finite and whose
-  starting residuals hold no -0.0 runs unmasked. That matters for a block
-  of several families: its lasso lanes keep some coefficients at 0.0, so
-  nearly every step of it would otherwise be masked.
+  ufunc each over the block, lanes that skip the step (b_j or the new b_j
+  is 0.0) among them. For a finite x_j that changes no bit a fit returns:
+  r + x_j * 0.0 and r - x_j * 0.0 are r but for the sign of a zero in r;
+  such a sign changes rho only where rho is zero, which thresholds to 0.0
+  all the same; and it is gone after the first intercept refit, because a
+  -0.0 in y - mean needs mean = +0.0, and r + 0.0 holds no -0.0. So only
+  finite designs sweep in lockstep; `fit_linear` fits any other.
 * Each lane's rho comes from one `np.matmul` of (designs, 1, 1, n) @
   (designs, penalties, n, 1) stacks per row count, a design's rows
   broadcast over its lanes. A stack of vector products is not a gemv:
   numpy takes each product with the same BLAS ddot call as
   `X[:, j].dot(r)`, on the same stride, since the block D holds each
   design's rows of p values as a C-ordered X does. Tests hold matmul to the
-  loop's dot bit for bit. `fit_linear` fits a design whose X is not
+  loop's dot bit for bit, and `fit_linear` fits a design whose X is not
   C-ordered (a grid search's folds are). The products are taken from a
   second, column-contiguous copy C of the designs: on D's strided columns
   a product took 1.4x the time at 100 lanes of 87 rows and p = 16, and
@@ -270,9 +268,9 @@ def fit_linear_grid(designs, penalties) -> list:
     searches on the same folds: designs are the (X, y) folds, which share one
     width, and penalties every search's cells. Returns results[penalty]
     [design]: the LinearModel that `fit_linear` returns for the pair, bit for
-    bit, or the ValueError it raises. The pairs with lam > 0 on a C-ordered
-    X sweep in lockstep (see the module docstring); `fit_linear` fits any
-    other."""
+    bit, or the ValueError it raises. The pairs with lam > 0 on a finite,
+    C-ordered X sweep in lockstep (see the module docstring); `fit_linear`
+    fits any other."""
     results = [[None] * len(designs) for _ in penalties]
     block = []  # (index, X, y) of the designs that sweep in lockstep
     for d, (X, y) in enumerate(designs):
@@ -282,7 +280,7 @@ def fit_linear_grid(designs, penalties) -> list:
             for row in results:
                 row[d] = exc
             continue
-        in_block = X.shape[1] and X.flags.c_contiguous
+        in_block = X.shape[1] and X.flags.c_contiguous and np.isfinite(X).all()
         if in_block:
             block.append((d, X, y))
         for row, penalty in zip(results, penalties):
@@ -296,9 +294,9 @@ def fit_linear_grid(designs, penalties) -> list:
 
 
 def _lockstep(designs, penalties, results):
-    """Sweep every pair of `designs`, (index, X, y) with a C-ordered X of one
-    width, and `penalties`, (index, PenaltySpec) with lam > 0, in lockstep;
-    write each pair's model or error into results[penalty][design]."""
+    """Sweep every pair of `designs`, (index, X, y) with a finite, C-ordered
+    X of one width, and `penalties`, (index, PenaltySpec) with lam > 0, in
+    lockstep; write each pair's model or error into results[penalty][design]."""
     # the lanes are a (design, penalty) grid, designs by row count; a
     # design's X is held once and broadcast over its lanes
     designs = sorted(designs, key=lambda design: design[1].shape[0])
@@ -331,16 +329,11 @@ def _lockstep(designs, penalties, results):
     thr = np.where(live, lam_l1, np.inf)  # lam_l1, inf where out
     scale = np.where(live, denom, 1.0)  # the denominator, 1.0 where out
     B = np.zeros(denom.shape)  # beta
-    nonzero = np.zeros(denom.shape, dtype=bool)  # B != 0
     R = np.repeat(R0, len(penalties), axis=1)
     b = np.repeat(b0, len(penalties), axis=1)
-    # no -0.0 in r and finite designs: no step needs a mask (module docstring)
-    unmasked = (not (np.signbit(R0) & (R0 == 0.0)).any()
-                and all(np.isfinite(X).all() for _, X, _ in designs))
 
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
-    greater, where, not_equal, copysign = (np.greater, np.where, np.not_equal,
-                                           np.copysign)
+    greater, where, copysign = np.greater, np.where, np.copysign
     matmul, absolute, fmax, count_nonzero = (np.matmul, np.abs, np.fmax,
                                              np.count_nonzero)
     sweeps = 0
@@ -356,7 +349,7 @@ def _lockstep(designs, penalties, results):
             dots = [[(D[first:end, None, None, :n, j], R[first:end, :, :n, None],
                       rho[first:end, :, :, None])
                      for first, end, n in groups] for j in range(p)]
-            coords = list(zip(range(p), dots, C, B, nonzero, thr, scale))
+            coords = list(zip(range(p), dots, C, B, thr, scale))
             active = [count_nonzero(Bj) for Bj in B]  # lanes with b_j != 0
             T = np.empty((g, lanes, width))  # x_j * b_j, then r + b
             sums = np.empty(count)
@@ -365,24 +358,18 @@ def _lockstep(designs, penalties, results):
                        sums[first * lanes:end * lanes]) for first, end, n in groups]
         sweeps += 1
         B_prev = B.copy()
-        for j, dotj, Cj, Bj, nzj, thrj, scalej in coords:
-            m = active[j]
-            if m == count or m and unmasked:  # add back x_j * b_j
+        for j, dotj, Cj, Bj, thrj, scalej in coords:
+            if active[j]:  # add back x_j * b_j
                 add(R, multiply(Cj, Bj, T), R)
-            elif m:
-                add(R, multiply(Cj, Bj, T), R, where=nzj)
             for x, r, out in dotj:
                 matmul(x, r, out)
             divide(rho, nlanes, rho)
             # soft threshold: rho - (-thr) is rho + thr, bit for bit
             divide(where(greater(absolute(rho), thrj),
                          rho - copysign(thrj, rho), 0.0), scalej, Bj)
-            active[j] = m = count_nonzero(Bj)
-            if m == count or m and unmasked:
+            active[j] = count_nonzero(Bj)
+            if active[j]:
                 subtract(R, multiply(Cj, Bj, T), R)
-            elif m:  # nzj is read only here and in the masked add-back
-                not_equal(Bj, 0.0, nzj)
-                subtract(R, multiply(Cj, Bj, T), R, where=nzj)
         # refit intercepts as the means of partial residuals
         add(R, b, T)
         for total, out in totals:
@@ -407,7 +394,7 @@ def _lockstep(designs, penalties, results):
             keep = ~finished  # drop the penalties every design has finished
             penalties = [pen for pen, kept in zip(penalties, keep.tolist()) if kept]
             R, b, done = R[:, keep], b[:, keep], done[:, keep]
-            B, nonzero = B[:, :, keep], nonzero[:, :, keep]
+            B = B[:, :, keep]
             thr, scale = thr[:, :, keep], scale[:, :, keep]
             coords = None
 

@@ -38,7 +38,7 @@ from .interpretation import (
 from .shapley import (EXACT_MAX_FEATURES, BackgroundSet, ShapMatrix,
                       explain_matrix, global_importance)
 from .trees import model_to_json
-from .tuning import CvFolds, CvPlan, grid_search
+from .tuning import CvFolds, CvPlan, grid_search, is_linear
 
 
 def _cells(column) -> list[str]:
@@ -151,16 +151,17 @@ def _setup(config: RunConfig) -> SeriesFrame:
 def cv_folds(config: RunConfig, train: SeriesFrame, test_months: int,
              families) -> CvFolds:
     """The CV folds of a split's training window, shared by the grid
-    searches of `families`: those whose grid has more than one cell."""
+    searches of `families`; the linear ones whose grid has more than one
+    cell fit at once."""
     X = train.matrix(config.schema.features)
-    searches = {}
-    for family in families:
+    linear = {}
+    for family in filter(is_linear, families):
         cells = config.roster_spec(family).param_grid(X.shape[1]).cells()
         if len(cells) > 1:
-            searches[family] = cells
+            linear[family] = cells
     plan = CvPlan(config.cv.k, config.cv.shuffle,
                   derive_seed(config.seed, "cv", test_months))
-    return CvFolds(X, train.column(config.schema.target), plan, searches)
+    return CvFolds(X, train.column(config.schema.target), plan, linear)
 
 
 def fit_roster_member(config: RunConfig, family: str, train: SeriesFrame,
@@ -173,14 +174,13 @@ def fit_roster_member(config: RunConfig, family: str, train: SeriesFrame,
     A grid of one cell, the empty grid's all-defaults cell among them,
     leaves cross-validation nothing to choose, so it is fitted once with
     the seed a search's refit uses; `run`, `sweep` and `explain` alike."""
-    X = train.matrix(config.schema.features)
-    y = train.column(config.schema.target)
+    if folds is None:
+        folds = cv_folds(config, train, test_months, [family])
+    X, y = folds.X, folds.y
     seed = derive_seed(config.seed, "fit", family, test_months)
     grid = config.roster_spec(family).param_grid(X.shape[1])
     cells = grid.cells()
     if len(cells) > 1:
-        if folds is None:
-            folds = cv_folds(config, train, test_months, [family])
         best, table = grid_search(family, grid, X, y, folds.plan, seed=seed,
                                   folds=folds)
     else:

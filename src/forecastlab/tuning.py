@@ -85,19 +85,18 @@ def kfold_indices(n: int, plan: CvPlan) -> list[np.ndarray]:
 
 class CvFolds:
     """The k folds of one training window (X, y) under `plan`, shared by the
-    grid searches on that window. `searches` maps each family that searches
-    it to its cells. Each fold's rows are sliced once, on first use, and
-    shared by every cell; no family writes into the arrays it fits on or
-    predicts. The first linear search fits the (cell, fold) fits of every
-    linear family in `searches` at once (`fit_linear_grids`); every other
+    grid searches on that window. `linear` maps each linear family that
+    searches it to its cells. Each fold's rows are sliced once, on first
+    use, and shared by every cell; no family writes into the arrays it fits
+    on or predicts. The first linear search fits the (cell, fold) fits of
+    every family in `linear` at once (`fit_linear_grids`); every other
     family fits cell by cell through `fit_family`."""
 
-    def __init__(self, X, y, plan: CvPlan, searches: dict):
+    def __init__(self, X, y, plan: CvPlan, linear: dict):
         self.X = np.asarray(X, dtype=float)
         self.y = np.asarray(y, dtype=float)
         self.plan = plan
-        self._linear = {family: cells for family, cells in searches.items()
-                        if _is_linear(family)}
+        self._linear = linear
         self._splits = None
         self._linear_fits = None  # family -> per cell, per fold
 
@@ -118,14 +117,12 @@ class CvFolds:
 
     def fold_fits(self, family: str, cells, seed: int):
         """Per cell, per fold: the fitted model or the ValueError its fit
-        raised."""
+        raised. A linear family's cells are those it was declared with."""
         folds = [split[:2] for split in self.splits]
-        if not _is_linear(family):
+        if not is_linear(family):
             return ([capture(fit_family, family, X_train, y_train, params,
                              seed=seed) for X_train, y_train in folds]
                     for params in cells)
-        if self._linear.get(family) != cells:  # a search not declared
-            return fit_linear_grids([(FAMILIES[family], cells)], folds)[0]
         if self._linear_fits is None:
             self._linear_fits = dict(zip(self._linear, fit_linear_grids(
                 [(FAMILIES[name], cells) for name, cells in self._linear.items()],
@@ -133,7 +130,9 @@ class CvFolds:
         return self._linear_fits[family]
 
 
-def _is_linear(family: str) -> bool:
+def is_linear(family: str) -> bool:
+    """Whether `family`'s grid search fits on `CvFolds` with the other
+    linear families' at once."""
     return isinstance(FAMILIES.get(family), LinearFamily)
 
 
@@ -141,12 +140,15 @@ def grid_search(family: str, grid: ParamGrid, X, y, plan: CvPlan,
                 seed: int = 0, folds: CvFolds | None = None):
     """Exhaustive search; returns (best params, cv table sorted as declared).
 
-    `folds`, the `CvFolds` of (X, y) under `plan` that the window's other
-    searches share, defaults to folds of this search alone.
+    `folds` defaults to folds of this search alone. Given, it is the
+    `CvFolds` that the window's other searches share, and X, y and plan are
+    its own `folds.X`, `folds.y` and `folds.plan`.
     """
     cells = grid.cells()
     if folds is None:
-        folds = CvFolds(X, y, plan, {family: cells})
+        folds = CvFolds(X, y, plan, {family: cells} if is_linear(family) else {})
+    elif folds.X is not X or folds.y is not y or folds.plan is not plan:
+        raise TypeError("folds must be the CvFolds of X and y under plan")
     scores = []
     cause = None  # of the first failed fit, for the all-cells-failed error
     for cell_fits in folds.fold_fits(family, cells, seed):

@@ -8,6 +8,7 @@ from forecastlab.linear import LinearModel
 from forecastlab.svr import SvrModel
 from forecastlab.trees import BoostedModel, ForestModel
 from forecastlab.tuning import (
+    CvFolds,
     CvPlan,
     ParamGrid,
     TuningError,
@@ -155,6 +156,23 @@ class TestGridSearch:
         with pytest.raises(AttributeError, match="beta"):
             grid_search("ridge", ParamGrid.from_dict({"lam": [0.1, 0.2]}), X, y,
                         CvPlan(k=3))
+
+    def test_shared_folds_are_of_the_searched_window(self):
+        # given folds, grid_search searches the folds' own X, y and plan,
+        # and a mismatch is a programming error, not a failed cell
+        X, y = noisy_collinear(11)
+        plan = CvPlan(k=3)
+        grid = ParamGrid.from_dict({"lam": [0.1, 0.2]})
+        cells = grid.cells()
+        folds = CvFolds(X, y, plan, {"ridge": cells, "lasso": cells})
+        assert (grid_search("ridge", grid, folds.X, folds.y, plan, folds=folds)
+                == grid_search("ridge", grid, X, y, plan))
+        for args in ((X.copy(), folds.y, plan), (folds.X, y.copy(), plan),
+                     (folds.X, folds.y, CvPlan(k=3))):
+            with pytest.raises(TypeError, match="folds must be"):
+                grid_search("ridge", grid, *args, folds=folds)
+        with pytest.raises(KeyError):  # a linear search must be declared
+            grid_search("elastic_net", grid, folds.X, folds.y, plan, folds=folds)
 
     def test_fold_assignment_independent_of_grid(self):
         plan = CvPlan(k=4, shuffle=True, seed=5)
