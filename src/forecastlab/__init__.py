@@ -28,6 +28,6 @@ from .trees import (
     model_to_json,
     predict_tree,
 )
-from .tuning import CvPlan, ParamGrid, grid_search, kfold_indices
+from .tuning import CvFolds, CvPlan, ParamGrid, grid_search, kfold_indices
 
 __version__ = "0.1.0"

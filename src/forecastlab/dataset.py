@@ -260,9 +260,10 @@ def load_frame(source: str, schema: ColumnSchema) -> SeriesFrame:
 
 def read_frame(path: str, schema: ColumnSchema) -> SeriesFrame:
     """load_frame on the file at `path`; an unreadable or non-UTF-8 file is
-    a DataError."""
+    a DataError. A leading byte-order mark, which spreadsheets write in
+    "CSV UTF-8", is dropped."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path!r}: {exc}") from None

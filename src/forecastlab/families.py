@@ -7,7 +7,8 @@ SVR families fit on rows standardized by their own statistics and return a
 its solver by this module's global name at call time, never through a stored
 function object, so a wrapper put in place of that global sees every fit.
 The linear families' grid searches on one window fit their (cell, fold)
-fits at once (`fit_linear_grids`), through one call of the lockstep solver
+fits at once (`fit_linear_grids`, from a `{family: cells}` mapping to a
+`{family: fits}` one), through one call of the lockstep solver
 `fit_linear_grid`, which is looked up the same way.
 """
 
@@ -174,26 +175,26 @@ def fit_family(family: str, X, y, params: dict, seed: int = 0):
     return spec.fit(X, np.asarray(y, dtype=float), spec.params(params, seed))
 
 
-def fit_linear_grids(searches, folds) -> list:
+def fit_linear_grids(searches: dict, folds) -> dict:
     """`fit_family` on every (cell, fold) of one or more linear grid searches
-    on the same folds, at once: `searches` are (LinearFamily, cells) pairs,
-    and the result holds, per search, per cell, per (X, y) training fold, the
-    model or the ValueError its fit raises. Each fold is standardized once,
-    and every search's penalties go to one `fit_linear_grid` call."""
+    on the same folds, at once: `searches` maps each linear family's name to
+    its cells, and the result maps it to, per cell, per (X, y) training fold,
+    the model or the ValueError its fit raises. Each fold is standardized
+    once, and every search's penalties go to one `fit_linear_grid` call."""
     if not folds[0][0].shape[1]:
-        return [[[_no_columns()] * len(folds) for _ in cells]
-                for _, cells in searches]
+        return {family: [[_no_columns()] * len(folds) for _ in cells]
+                for family, cells in searches.items()}
     stats = [Standardization.fit(X) for X, _ in folds]
-    penalties = [[capture(family.params, cell) for cell in cells]
-                 for family, cells in searches]
+    penalties = {family: [capture(FAMILIES[family].params, cell) for cell in cells]
+                 for family, cells in searches.items()}
     fits = iter(fit_linear_grid(
         [(s.transform(X), y) for s, (X, y) in zip(stats, folds)],
-        [penalty for row in penalties for penalty in row
+        [penalty for row in penalties.values() for penalty in row
          if isinstance(penalty, PenaltySpec)]))
-    return [[[fit if isinstance(fit, ValueError) else Standardized(s, fit)
-              for s, fit in zip(stats, next(fits))]
-             if isinstance(penalty, PenaltySpec) else [penalty] * len(folds)
-             for penalty in row] for row in penalties]
+    return {family: [[fit if isinstance(fit, ValueError) else Standardized(s, fit)
+                      for s, fit in zip(stats, next(fits))]
+                     if isinstance(penalty, PenaltySpec) else [penalty] * len(folds)
+                     for penalty in row] for family, row in penalties.items()}
 
 
 def _no_columns() -> FamilyError:

@@ -38,7 +38,7 @@ from .interpretation import (
 from .shapley import (EXACT_MAX_FEATURES, BackgroundSet, ShapMatrix,
                       explain_matrix, global_importance)
 from .trees import model_to_json
-from .tuning import CvFolds, CvPlan, grid_search, is_linear
+from .tuning import CvFolds, CvPlan, grid_search
 
 
 def _cells(column) -> list[str]:
@@ -150,18 +150,17 @@ def _setup(config: RunConfig) -> SeriesFrame:
 
 def cv_folds(config: RunConfig, train: SeriesFrame, test_months: int,
              families) -> CvFolds:
-    """The CV folds of a split's training window, shared by the grid
-    searches of `families`; the linear ones whose grid has more than one
-    cell fit at once."""
+    """The CV folds of a split's training window, with the grid searches of
+    those `families` whose grid has more than one cell."""
     X = train.matrix(config.schema.features)
-    linear = {}
-    for family in filter(is_linear, families):
+    searches = {}
+    for family in families:
         cells = config.roster_spec(family).param_grid(X.shape[1]).cells()
         if len(cells) > 1:
-            linear[family] = cells
+            searches[family] = cells
     plan = CvPlan(config.cv.k, config.cv.shuffle,
                   derive_seed(config.seed, "cv", test_months))
-    return CvFolds(X, train.column(config.schema.target), plan, linear)
+    return CvFolds(X, train.column(config.schema.target), plan, searches)
 
 
 def fit_roster_member(config: RunConfig, family: str, train: SeriesFrame,
@@ -172,19 +171,18 @@ def fit_roster_member(config: RunConfig, family: str, train: SeriesFrame,
     all of it. Returns the model and the cv table (None when no search ran).
 
     A grid of one cell, the empty grid's all-defaults cell among them,
-    leaves cross-validation nothing to choose, so it is fitted once with
-    the seed a search's refit uses; `run`, `sweep` and `explain` alike."""
+    leaves cross-validation nothing to choose, so `cv_folds` declares no
+    search for it and it is fitted once with the seed a search's refit uses;
+    `run`, `sweep` and `explain` alike."""
     if folds is None:
         folds = cv_folds(config, train, test_months, [family])
     X, y = folds.X, folds.y
     seed = derive_seed(config.seed, "fit", family, test_months)
-    grid = config.roster_spec(family).param_grid(X.shape[1])
-    cells = grid.cells()
-    if len(cells) > 1:
-        best, table = grid_search(family, grid, X, y, folds.plan, seed=seed,
-                                  folds=folds)
+    if family in folds.searches:
+        best, table = grid_search(family, folds, seed=seed)
     else:
-        (best,), table = cells, None
+        (best,) = config.roster_spec(family).param_grid(X.shape[1]).cells()
+        table = None
     return fit_family(family, X, y, best, seed=seed), table
 
 

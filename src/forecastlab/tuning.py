@@ -6,9 +6,10 @@ the winner can always be audited against it. A fit that fails with a
 ValueError (invalid cell, singular system) records +inf for that cell
 rather than aborting the sweep; any other exception propagates. When every
 cell fails, the error names the first failure's cause. The searches on one
-training window share its folds (`CvFolds`): each fold is sliced once, and
-the linear families' grids, together, are fitted at once in one lockstep
-solve; every other family fits cell by cell through `fit_family`.
+training window share its folds (`CvFolds`), which hold every search's cells:
+each fold is sliced once, and the linear families' grids, together, are
+fitted at once in one lockstep solve; every other family fits cell by cell
+through `fit_family`.
 """
 
 from __future__ import annotations
@@ -84,19 +85,21 @@ def kfold_indices(n: int, plan: CvPlan) -> list[np.ndarray]:
 
 
 class CvFolds:
-    """The k folds of one training window (X, y) under `plan`, shared by the
-    grid searches on that window. `linear` maps each linear family that
-    searches it to its cells. Each fold's rows are sliced once, on first
-    use, and shared by every cell; no family writes into the arrays it fits
-    on or predicts. The first linear search fits the (cell, fold) fits of
-    every family in `linear` at once (`fit_linear_grids`); every other
-    family fits cell by cell through `fit_family`."""
+    """The k folds of one training window (X, y) under `plan`, and the grid
+    searches on that window: `searches` maps every family that searches it
+    to its cells. Each fold's rows are sliced once, on first use, and shared
+    by every cell; no family writes into the arrays it fits on or predicts.
+    The first linear search fits the (cell, fold) fits of every linear
+    family in `searches` at once (`fit_linear_grids`); every other family
+    fits cell by cell through `fit_family`."""
 
-    def __init__(self, X, y, plan: CvPlan, linear: dict):
+    def __init__(self, X, y, plan: CvPlan, searches: dict):
         self.X = np.asarray(X, dtype=float)
         self.y = np.asarray(y, dtype=float)
         self.plan = plan
-        self._linear = linear
+        self.searches = searches
+        self._linear = {family: cells for family, cells in searches.items()
+                        if isinstance(FAMILIES.get(family), LinearFamily)}
         self._splits = None
         self._linear_fits = None  # family -> per cell, per fold
 
@@ -115,43 +118,27 @@ class CvFolds:
             self._splits = splits
         return self._splits
 
-    def fold_fits(self, family: str, cells, seed: int):
-        """Per cell, per fold: the fitted model or the ValueError its fit
-        raised. A linear family's cells are those it was declared with."""
+    def fold_fits(self, family: str, seed: int):
+        """Per cell of `family`'s search, per fold: the fitted model or the
+        ValueError its fit raised. A family not in `searches` is a KeyError."""
+        cells = self.searches[family]
         folds = [split[:2] for split in self.splits]
-        if not is_linear(family):
+        if family not in self._linear:
             return ([capture(fit_family, family, X_train, y_train, params,
                              seed=seed) for X_train, y_train in folds]
                     for params in cells)
         if self._linear_fits is None:
-            self._linear_fits = dict(zip(self._linear, fit_linear_grids(
-                [(FAMILIES[name], cells) for name, cells in self._linear.items()],
-                folds)))
+            self._linear_fits = fit_linear_grids(self._linear, folds)
         return self._linear_fits[family]
 
 
-def is_linear(family: str) -> bool:
-    """Whether `family`'s grid search fits on `CvFolds` with the other
-    linear families' at once."""
-    return isinstance(FAMILIES.get(family), LinearFamily)
-
-
-def grid_search(family: str, grid: ParamGrid, X, y, plan: CvPlan,
-                seed: int = 0, folds: CvFolds | None = None):
-    """Exhaustive search; returns (best params, cv table sorted as declared).
-
-    `folds` defaults to folds of this search alone. Given, it is the
-    `CvFolds` that the window's other searches share, and X, y and plan are
-    its own `folds.X`, `folds.y` and `folds.plan`.
-    """
-    cells = grid.cells()
-    if folds is None:
-        folds = CvFolds(X, y, plan, {family: cells} if is_linear(family) else {})
-    elif folds.X is not X or folds.y is not y or folds.plan is not plan:
-        raise TypeError("folds must be the CvFolds of X and y under plan")
+def grid_search(family: str, folds: CvFolds, seed: int = 0):
+    """Exhaustive search of `family`'s cells in `folds.searches` on the
+    folds; returns (best params, cv table sorted as declared)."""
+    cells = folds.searches[family]
     scores = []
     cause = None  # of the first failed fit, for the all-cells-failed error
-    for cell_fits in folds.fold_fits(family, cells, seed):
+    for cell_fits in folds.fold_fits(family, seed):
         fold_mse = []
         for fit, (_, _, X_val, y_val) in zip(cell_fits, folds.splits):
             score, why = _fold_score(fit, X_val, y_val)

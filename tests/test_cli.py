@@ -24,7 +24,7 @@ from forecastlab.config import (
 )
 from forecastlab.dataset import ColumnSchema, SynthSpec, chrono_split, default_schema
 from forecastlab.families import FAMILIES, fit_family
-from forecastlab.tuning import CvPlan, grid_search
+from forecastlab.tuning import CvFolds, CvPlan, grid_search
 from forecastlab.evaluation import pow2_scaled, rmse_reduction
 
 
@@ -565,8 +565,8 @@ class TestExplain:
         seed = derive_seed(config.seed, "fit", family, 16)
         plan = CvPlan(config.cv.k, config.cv.shuffle,
                       derive_seed(config.seed, "cv", 16))
-        best, (cell,) = grid_search(
-            family, config.roster_spec(family).param_grid(3), X, y, plan,
+        best, (cell,) = grid_search(family, CvFolds(
+            X, y, plan, {family: config.roster_spec(family).param_grid(3).cells()}),
             seed=seed)
         assert math.isfinite(cell.mean_mse)
         searched = fit_family(family, X, y, best, seed=seed)
@@ -685,6 +685,27 @@ class TestEvaluateSplit:
         assert len(forecasts["arima"]) == 16
         assert capsys.readouterr().err == ("warning: lasso failed on 16-month "
                                            "split: singular design\n")
+
+    def test_k_above_training_rows_fails_only_searching_families(
+            self, tmp_path, capsys):
+        # folds are sliced inside each family's search: k above the
+        # window's 38 rows fails lasso's search alone, and the one-cell
+        # boosting grid and arima are still scored; explaining lasso exits 2
+        cfg = write_config(
+            tmp_path, schema={"target": "INF", "features": ["ATMD", "CC", "IR"]},
+            cv={"k": 60, "shuffle": False},
+            data={"synth": {"kind": "nonlinear", "n": 54, "noise_scale": 0.25}})
+        assert main(["run", "--config", cfg]) == 0
+        assert capsys.readouterr().err == ("warning: lasso failed on 16-month "
+                                           "split: k=60 exceeds n=38\n")
+        _, rows = read_csv(tmp_path / "out" / "metrics.csv")
+        assert [(r[0], r[2] != "") for r in rows] == [
+            ("arima", True), ("lasso", False), ("boosting", True)]
+        assert main(["explain", "--config", cfg, "--model", "lasso",
+                     "--out", str(tmp_path / "explain")]) == 2
+        err = capsys.readouterr().err
+        assert "lasso fit failed: k=60 exceeds n=38" in err
+        assert "Traceback" not in err
 
 
 class TestSynth:
@@ -1325,17 +1346,17 @@ class TestConfigParsing:
             "schema": {"target": "INF", "features": ["ATMD", "CC", "IR"]},
             "roster": {"arima": {}, "random_forest": {}},
         })
-        grids = []
+        searched = []
 
-        def first_cell(family, grid, *args, **kwargs):
-            grids.append(grid)
-            return grid.cells()[0], None
+        def first_cell(family, folds, seed=0):
+            searched.append(folds.searches[family])
+            return folds.searches[family][0], None
 
         monkeypatch.setattr(pipeline, "grid_search", first_cell)
         frame = pipeline.load_data(config)
         pipeline.fit_roster_member(config, "random_forest", frame, 12)
-        (grid,) = grids
-        assert dict(grid.axes)["max_features"] == (2, 3)
+        (cells,) = searched
+        assert list(dict.fromkeys(c["max_features"] for c in cells)) == [2, 3]
 
     def test_hash_stable_under_out_dir(self, tmp_path):
         cfg = write_config(tmp_path)

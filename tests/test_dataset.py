@@ -13,6 +13,7 @@ from forecastlab.dataset import (
     default_schema,
     load_frame,
     log_transform,
+    read_frame,
     synth_generate,
 )
 from forecastlab.families import fit_family
@@ -76,6 +77,17 @@ class TestLoadFrame:
         frame = load_frame("\n".join(lines), schema)
         assert frame.columns == schema.all_columns
         assert frame.n_rows == 3
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" starts with a byte-order mark
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(SMALL_CSV.encode("utf-8"))
+        marked.write_bytes(SMALL_CSV.encode("utf-8-sig"))
+        want = read_frame(str(plain), SCHEMA_YA)
+        got = read_frame(str(marked), SCHEMA_YA)
+        assert ((got.start_year, got.start_month, got.columns)
+                == (want.start_year, want.start_month, want.columns))
+        np.testing.assert_array_equal(got.data, want.data)
 
     def test_year_rollover_is_contiguous(self):
         text = "date,y,a\n2015-12,1,1\n2016-01,2,2\n"

@@ -50,6 +50,12 @@ class TestKfold:
             CvPlan(k=1)
 
 
+def search(family, grid, X, y, plan, seed=0):
+    """`grid_search` on folds of X and y that hold this one search."""
+    return grid_search(family, CvFolds(X, y, plan, {family: grid.cells()}),
+                       seed=seed)
+
+
 def noisy_collinear(seed, n=60):
     rng = np.random.default_rng(seed)
     x0 = rng.normal(size=n)
@@ -66,8 +72,8 @@ class TestGridSearch:
 
     def test_single_cell(self):
         X, y = noisy_collinear(0)
-        best, table = grid_search("ridge", ParamGrid.from_dict({"lam": [0.3]}),
-                                  X, y, CvPlan(k=4))
+        best, table = search("ridge", ParamGrid.from_dict({"lam": [0.3]}),
+                             X, y, CvPlan(k=4))
         assert best == {"lam": 0.3}
         assert len(table) == 1
         assert table[0].rank == 1
@@ -84,21 +90,21 @@ class TestGridSearch:
         wins = 0
         for seed in range(20):
             X, y = collinear(seed + 500)
-            best, _ = grid_search("ridge", grid, X, y, CvPlan(k=5), seed=seed)
+            best, _ = search("ridge", grid, X, y, CvPlan(k=5), seed=seed)
             wins += best == {"lam": 0.5}
         assert wins >= 18
 
     def test_deterministic_tables(self):
         X, y = noisy_collinear(1)
         grid = ParamGrid.from_dict({"lam": [0.01, 0.1, 1.0]})
-        _, t1 = grid_search("lasso", grid, X, y, CvPlan(k=5), seed=9)
-        _, t2 = grid_search("lasso", grid, X, y, CvPlan(k=5), seed=9)
+        _, t1 = search("lasso", grid, X, y, CvPlan(k=5), seed=9)
+        _, t2 = search("lasso", grid, X, y, CvPlan(k=5), seed=9)
         assert t1 == t2
 
     def test_best_equals_table_minimum(self):
         X, y = noisy_collinear(2)
         grid = ParamGrid.from_dict({"lam": [0.001, 0.05, 0.3, 0.9]})
-        best, table = grid_search("ridge", grid, X, y, CvPlan(k=5))
+        best, table = search("ridge", grid, X, y, CvPlan(k=5))
         winner = min(table, key=lambda c: c.mean_mse)
         assert best == winner.params
         assert winner.rank == 1
@@ -106,7 +112,7 @@ class TestGridSearch:
     def test_every_cell_appears_exactly_once(self):
         X, y = noisy_collinear(3)
         grid = ParamGrid.from_dict({"lam": [0.1, 0.2], "alpha": [0.3, 0.7]})
-        _, table = grid_search("elastic_net", grid, X, y, CvPlan(k=3))
+        _, table = search("elastic_net", grid, X, y, CvPlan(k=3))
         assert len(table) == 4
         seen = {tuple(sorted(c.params.items())) for c in table}
         assert len(seen) == 4
@@ -116,7 +122,7 @@ class TestGridSearch:
         # max_features beyond the column count fails per-fold, not fatally
         grid = ParamGrid.from_dict({"max_features": [2, 99],
                                     "n_estimators": [5], "max_depth": [2]})
-        best, table = grid_search("random_forest", grid, X, y, CvPlan(k=3))
+        best, table = search("random_forest", grid, X, y, CvPlan(k=3))
         assert best["max_features"] == 2
         bad = [c for c in table if c.params["max_features"] == 99]
         assert math.isinf(bad[0].mean_mse)
@@ -125,7 +131,7 @@ class TestGridSearch:
         X, y = noisy_collinear(7)
         grid = ParamGrid.from_dict({"n_estimators": [20], "max_depth": [2],
                                     "learning_rate": [1e308, 0.1]})
-        best, table = grid_search("boosting", grid, X, y, CvPlan(k=3))
+        best, table = search("boosting", grid, X, y, CvPlan(k=3))
         assert best["learning_rate"] == 0.1
         assert [(c.params["learning_rate"], c.rank) for c in table] == [
             (1e308, 2), (0.1, 1)]
@@ -141,7 +147,7 @@ class TestGridSearch:
         monkeypatch.setattr(tuning, "fit_family", broken)
         X, y = noisy_collinear(6)
         with pytest.raises(AttributeError, match="left"):
-            grid_search("random_forest", ParamGrid.from_dict(
+            search("random_forest", ParamGrid.from_dict(
                 {"n_estimators": [2], "max_depth": [2]}), X, y, CvPlan(k=3))
 
     def test_programming_error_in_lockstep_propagates(self, monkeypatch):
@@ -154,25 +160,21 @@ class TestGridSearch:
         monkeypatch.setattr(families, "fit_linear_grid", broken)
         X, y = noisy_collinear(6)
         with pytest.raises(AttributeError, match="beta"):
-            grid_search("ridge", ParamGrid.from_dict({"lam": [0.1, 0.2]}), X, y,
-                        CvPlan(k=3))
+            search("ridge", ParamGrid.from_dict({"lam": [0.1, 0.2]}), X, y,
+                   CvPlan(k=3))
 
     def test_shared_folds_are_of_the_searched_window(self):
-        # given folds, grid_search searches the folds' own X, y and plan,
-        # and a mismatch is a programming error, not a failed cell
+        # a search on shared folds equals a search on folds of its own, and
+        # a search the folds do not hold is a programming error, not a
+        # failed cell
         X, y = noisy_collinear(11)
         plan = CvPlan(k=3)
         grid = ParamGrid.from_dict({"lam": [0.1, 0.2]})
         cells = grid.cells()
         folds = CvFolds(X, y, plan, {"ridge": cells, "lasso": cells})
-        assert (grid_search("ridge", grid, folds.X, folds.y, plan, folds=folds)
-                == grid_search("ridge", grid, X, y, plan))
-        for args in ((X.copy(), folds.y, plan), (folds.X, y.copy(), plan),
-                     (folds.X, folds.y, CvPlan(k=3))):
-            with pytest.raises(TypeError, match="folds must be"):
-                grid_search("ridge", grid, *args, folds=folds)
+        assert grid_search("ridge", folds) == search("ridge", grid, X, y, plan)
         with pytest.raises(KeyError):  # a linear search must be declared
-            grid_search("elastic_net", grid, folds.X, folds.y, plan, folds=folds)
+            grid_search("elastic_net", folds)
 
     def test_fold_assignment_independent_of_grid(self):
         plan = CvPlan(k=4, shuffle=True, seed=5)
@@ -364,11 +366,11 @@ def assert_grid_parity(family, grid, X, y, plan):
         best, table, cause = per_cell_grid_search(family, grid, X, y, plan)
         if cause is not None:
             with pytest.raises(TuningError) as err:
-                grid_search(family, grid, X, y, plan)
+                search(family, grid, X, y, plan)
             assert str(err.value) == (f"every {family} grid cell failed, "
                                       f"the first with {cause}")
             return
-        got_best, got = grid_search(family, grid, X, y, plan)
+        got_best, got = search(family, grid, X, y, plan)
     assert got_best == best
     assert [(c.params, bits(c.mean_mse), bits(c.sd_mse), c.rank) for c in got] == [
         (params, bits(mean), bits(sd), rank) for params, mean, sd, rank in table]
@@ -427,7 +429,7 @@ class TestLockstepGridParity:
         # an invalid cell scores inf beside valid ones
         grid = ParamGrid.from_dict({"lam": [0.1, -1.0, 0.0, 0.5]})
         assert_grid_parity("ridge", grid, X, y, plan)
-        _, table = grid_search("ridge", grid, X, y, plan)
+        _, table = search("ridge", grid, X, y, plan)
         assert math.isinf(table[1].mean_mse) and table[1].rank == 4
         # every cell fails: the first cause, a bad cell before a bad fold
         assert_grid_parity("lasso", ParamGrid.from_dict({"lam": [-1.0, -2.0]}),
