@@ -162,10 +162,23 @@ class ArimaFit:
         return [self.intercept, *self.ar, *self.ma, *self.sar, *self.sma]
 
 
+def _series(y) -> np.ndarray:
+    """y as a float array, or ArimaError unless it is 1-d and finite."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ArimaError(f"series must be 1-d, got shape {y.shape}")
+    if not np.isfinite(y).all():
+        raise ArimaError(f"series holds a non-finite value at index "
+                         f"{int(np.argmin(np.isfinite(y)))}")
+    return y
+
+
 def _chain(y, d: int, D: int, s: int) -> list[np.ndarray]:
     """y and each series after it along the differencing chain: D seasonal
-    differences, then d ordinary ones. The last is the differenced series."""
-    y = np.asarray(y, dtype=float)
+    differences, then d ordinary ones. The last is the differenced series.
+    Every fit, forecast and AIC differences its series here, so a series
+    that is not 1-d and finite fails here (`_series`)."""
+    y = _series(y)
     if len(y) <= d + D * s:
         raise ArimaError(f"series of length {len(y)} too short for "
                          f"d={d}, D={D}, s={s}")
@@ -398,7 +411,7 @@ def _poly_roots_outside_unit(coefs) -> bool:
 
 def fit_css(y, order: ArimaOrder, seed: int = 0) -> ArimaFit:
     """Minimize the conditional sum of squares by Nelder-Mead multistart."""
-    y = np.asarray(y, dtype=float)
+    y = _series(y)
     needed = order.d + order.D * order.s + 3 * (
         order.p + order.q + order.s * (order.P + order.Q)) + 10
     if len(y) < needed:
@@ -511,7 +524,7 @@ def select_order(y, candidates, seed: int = 0) -> ArimaFit:
     candidates = list(candidates)
     if not candidates:
         raise ArimaError("empty candidate list")
-    y = np.asarray(y, dtype=float)
+    y = _series(y)  # so that a bad series is not "too short" for every order
     fits, too_short = [], []
     for idx, order in enumerate(candidates):
         try:

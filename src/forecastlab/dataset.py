@@ -308,6 +308,22 @@ def feature_rows(X, n_features: int) -> np.ndarray:
     return X
 
 
+def fit_rows(X, y):
+    """X and y as float arrays: the training-rows check of every fit. X must
+    be 2-d with at least one row and one column, y 1-d with X's row count."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or not X.shape[0]:
+        raise ValueError(f"X must be a nonempty 2-d array, got shape {X.shape}")
+    if not X.shape[1]:
+        raise ValueError("X has no feature columns")
+    if y.ndim != 1:
+        raise ValueError(f"y must be 1-d, got shape {y.shape}")
+    if X.shape[0] != y.shape[0]:
+        raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
+    return X, y
+
+
 class FittedRecord:
     """Base of the fitted records, frozen dataclasses declared eq=False: two
     are equal when they are of one type and equal field by field. An array

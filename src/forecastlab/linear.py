@@ -8,6 +8,9 @@ Objective, for an n x p design X and target y:
 alpha mixes the penalties (0 = ridge, 1 = lasso); the intercept b is never
 penalized and is refitted as the mean of partial residuals each sweep.
 The lam = 0 path is solved by normal equations instead of iterating.
+Every fit checks its rows by `dataset.fit_rows` (X 2-d with at least one
+column, y 1-d of X's row count) and then asks for at least 2 rows, so a
+design with no columns is a ValueError, not an intercept-only model.
 
 A sweep holds beta as Python floats (an array once, after the last sweep)
 and updates the residual r in place. Each coordinate costs one BLAS dot and
@@ -91,7 +94,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FittedRecord, capture, coerce_fields, feature_rows, finite
+from .dataset import (FittedRecord, capture, coerce_fields, feature_rows, finite,
+                      fit_rows)
 
 CONVERGENCE_TOL = 1e-8
 MAX_SWEEPS = 10_000
@@ -156,13 +160,9 @@ def _fit_unpenalized(X, y):
 
 
 def _rows(X, y):
-    """X and y as float arrays, checked as every fit checks them."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, _ = X.shape
-    if n != len(y):
-        raise ValueError(f"X has {n} rows but y has {len(y)}")
-    if n < 2:
+    """`fit_rows`, and at least 2 rows: the check of every linear fit."""
+    X, y = fit_rows(X, y)
+    if X.shape[0] < 2:
         raise ValueError("need at least 2 rows to fit")
     return X, y
 
@@ -280,7 +280,7 @@ def fit_linear_grid(designs, penalties) -> list:
             for row in results:
                 row[d] = exc
             continue
-        in_block = X.shape[1] and X.flags.c_contiguous and np.isfinite(X).all()
+        in_block = X.flags.c_contiguous and np.isfinite(X).all()
         if in_block:
             block.append((d, X, y))
         for row, penalty in zip(results, penalties):

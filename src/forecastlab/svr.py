@@ -49,7 +49,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import FittedRecord, coerce_fields, feature_rows, finite, integer, optional
+from .dataset import (FittedRecord, coerce_fields, feature_rows, finite, fit_rows,
+                      integer, optional)
 
 KKT_TOL = 1e-3
 MAX_PAIR_UPDATES = 100_000
@@ -136,12 +137,12 @@ def fit_svr(X, y, C: float, epsilon: float, kernel: KernelSpec,
     """SMO fit; terminates when the worst KKT violation is <= tol (1e-3
     default), or returns the best iterate with converged=False after
     100,000 pair updates. `monitor(z, beta)`, when given, observes every
-    iterate."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    iterate. The rows are checked by `dataset.fit_rows`, and at least 2 are
+    needed."""
+    X, y = fit_rows(X, y)
     n = X.shape[0]
     if n < 2:
-        raise ValueError("need at least 2 rows")
+        raise ValueError("need at least 2 rows to fit")
     if not C > 0:  # NaN too
         raise ValueError(f"C must be > 0, got {C}")
     if epsilon < 0:

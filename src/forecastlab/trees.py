@@ -45,7 +45,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import shapley
-from .dataset import FittedRecord, coerce_fields, feature_rows, finite, integer, optional
+from .dataset import (FittedRecord, coerce_fields, feature_rows, finite, fit_rows,
+                      integer, optional)
 from .evaluation import pow2_scaled
 
 _NODE_ARRAYS = (("feature", np.intp), ("threshold", float),
@@ -366,7 +367,9 @@ def fit_regression_tree(X, *, gradients, max_depth=6, min_samples_leaf=1,
                         rng=None) -> Tree:
     """Grow one tree on squared-loss gradients, so every hessian is 1: leaf
     weight -G/(n + reg_lambda). Plain mode (mean leaves, variance gain) is
-    gradients=-y with reg_lambda=0, the default.
+    gradients=-y with reg_lambda=0, the default. X and the gradients are
+    checked as every fit's rows are, by `dataset.fit_rows`: a single row
+    grows a leaf.
 
     Nodes pop from one preorder stack of (rows, parent block, split mask,
     depth, the node whose right child this is). Nodes push their right
@@ -408,14 +411,7 @@ def fit_regression_tree(X, *, gradients, max_depth=6, min_samples_leaf=1,
     kept, so that it stays relative to the largest gradient, as it is
     for gradients near unit scale; a 1.0 in g's units would vanish at
     1e158 and let float noise split a node whose G is near 0."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("X must be a nonempty 2-d array")
-    if X.shape[1] == 0:
-        raise ValueError("X has no feature columns to split on")
-    g = np.asarray(gradients, dtype=float)
-    if len(g) != X.shape[0]:
-        raise ValueError("row count mismatch")
+    X, g = fit_rows(X, gradients)
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     if min_samples_leaf < 1:
@@ -526,8 +522,7 @@ def predict_tree(tree: Tree, X) -> np.ndarray:
 
 def fit_random_forest(X, y, params: ForestParams) -> ForestModel:
     """Bagged plain trees: size-n bootstrap per tree, features sampled per split."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y = fit_rows(X, y)
     n, p = X.shape
     if params.max_features is not None and params.max_features > p:
         raise ValueError(f"max_features {params.max_features} > {p} columns")
@@ -546,8 +541,7 @@ def fit_gradient_boosting(X, y, params: BoostParams) -> BoostedModel:
     """Squared-loss boosting: g = yhat - y, h = 1, sequential rounds. A
     column-subsampled round grows on its column slice and then maps the
     slice's feature ids back to global column ids."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y = fit_rows(X, y)
     n, p = X.shape
     base = float(y.mean())
     yhat = np.full(n, base)

@@ -854,6 +854,44 @@ class TestDifference:
         np.testing.assert_allclose(w_ext[:len(w)], w, atol=1e-10)
 
 
+class TestSeriesRule:
+    """A series that is not 1-d and finite is an ArimaError at every entry,
+    not a converged fit at the CSS sentinel or numpy's shape error."""
+
+    y = np.cumsum(np.random.default_rng(3).normal(size=60))
+    FIT = zero_fit(ArimaOrder(1, 0, 0))
+    ENTRIES = {
+        "fit_css": lambda y: fit_css(y, ArimaOrder(1, 0, 0)),
+        "select_order": lambda y: select_order(
+            y, [ArimaOrder(0, 0, 0), ArimaOrder(1, 0, 0)]),
+        "forecast": lambda y: forecast(TestSeriesRule.FIT, y, 3),
+        "difference": lambda y: difference(y, 1),
+        "selection AIC": lambda y: _common_window_aic(TestSeriesRule.FIT, y, 0),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("plant", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, entry, plant):
+        y = self.y.copy()
+        y[30] = plant
+        with pytest.raises(ArimaError,
+                           match="^series holds a non-finite value at index 30$"):
+            self.ENTRIES[entry](y)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_two_dimensions_rejected(self, entry):
+        with pytest.raises(ArimaError,
+                           match=r"^series must be 1-d, got shape \(60, 2\)$"):
+            self.ENTRIES[entry](np.column_stack([self.y, self.y]))
+
+    def test_selection_names_the_series_before_its_length(self):
+        # too short for both orders, but the NaN is what it reports
+        y = self.y[:9].copy()
+        y[4] = np.nan
+        with pytest.raises(ArimaError, match="non-finite value at index 4"):
+            self.ENTRIES["select_order"](y)
+
+
 class TestFitCss:
     def test_ar1_recovery_twenty_seeds(self):
         errs = []

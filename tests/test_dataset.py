@@ -11,19 +11,21 @@ from forecastlab.dataset import (
     SynthSpec,
     chrono_split,
     default_schema,
+    fit_rows,
     load_frame,
     log_transform,
     read_frame,
     synth_generate,
 )
 from forecastlab.families import fit_family
-from forecastlab.linear import PenaltySpec, fit_linear
+from forecastlab.linear import PenaltySpec, fit_linear, fit_linear_grid
 from forecastlab.svr import KernelSpec, fit_svr
 from forecastlab.trees import (
     BoostParams,
     ForestParams,
     fit_gradient_boosting,
     fit_random_forest,
+    fit_regression_tree,
 )
 
 
@@ -231,6 +233,71 @@ class TestFeatureRows:
         for rows in (X[0], X[:, :1], X[:, :2], np.zeros((2, 4)), X[None]):
             with pytest.raises(ValueError, match="expected 3 feature columns"):
                 model.predict(rows)
+
+
+def raised(result):
+    """A grid's captured error, raised; any other result returned."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+class TestFitRows:
+    """Every solver checks its training rows by `fit_rows`: a malformed X or
+    y is a ValueError, never a TypeError, an IndexError or a fitted model."""
+
+    FITS = {
+        "fit_linear": lambda X, y: fit_linear(X, y, PenaltySpec(0.1, 0.5)),
+        "fit_linear_grid": lambda X, y: [
+            raised(fit) for row in fit_linear_grid(
+                [(X, y)], [PenaltySpec(0.0, 0.5), PenaltySpec(0.1, 0.5)])
+            for fit in row],
+        "fit_svr": lambda X, y: fit_svr(X, y, C=1.0, epsilon=0.1,
+                                        kernel=KernelSpec("rbf")),
+        "fit_random_forest": lambda X, y: fit_random_forest(
+            X, y, ForestParams(n_estimators=2)),
+        "fit_gradient_boosting": lambda X, y: fit_gradient_boosting(
+            X, y, BoostParams(n_estimators=2)),
+        "fit_regression_tree": lambda X, y: fit_regression_tree(X, gradients=y),
+    }
+    X = np.random.default_rng(63).normal(size=(12, 3))
+    y = X[:, 0] + 0.5
+    MALFORMED = {
+        "1-d X": (X[:, 0], y),
+        "0-row X": (X[:0], y[:0]),
+        "0-column X": (X[:, :0], y),
+        "2-d y": (X, y[:, None]),
+        "y one row short": (X, y[:-1]),
+        "one-element y": (X, y[:1]),
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    @pytest.mark.parametrize("solver", FITS)
+    def test_malformed_rows_are_value_errors(self, solver, case):
+        with pytest.raises(ValueError):
+            self.FITS[solver](*self.MALFORMED[case])
+
+    @pytest.mark.parametrize("solver", ["fit_linear", "fit_linear_grid", "fit_svr"])
+    def test_one_row_is_too_few(self, solver):
+        with pytest.raises(ValueError, match="^need at least 2 rows to fit$"):
+            self.FITS[solver](self.X[:1], self.y[:1])
+
+    def test_messages(self):
+        for (X, y), message in [
+                (self.MALFORMED["0-row X"], r"nonempty 2-d array, got shape \(0, 3\)"),
+                (self.MALFORMED["0-column X"], "no feature columns"),
+                (self.MALFORMED["2-d y"], r"y must be 1-d, got shape \(12, 1\)"),
+                (self.MALFORMED["one-element y"], "^X has 12 rows but y has 1$")]:
+            with pytest.raises(ValueError, match=message):
+                fit_rows(X, y)
+
+    def test_float_rows_pass_through(self):
+        # valid float rows come back as the very arrays, layout and all
+        F = np.asfortranarray(self.X)
+        got_X, got_y = fit_rows(F, self.y)
+        assert got_X is F and got_y is self.y
+        got_X, got_y = fit_rows([[1, 2]], [3])
+        assert got_X.dtype == got_y.dtype == np.float64
 
 
 class TestSynthGenerate:

@@ -19,7 +19,8 @@ ufuncs and kernel are the very objects the package used, and give the same bits.
 through `np.percentile`, whose `np.unique` imports it (about 17 ms).
 
 No package module imports a name it never reads (`__init__.py` excepted: its
-imports are the package's re-exports).
+imports are the package's re-exports). The solvers' modules hold no
+training-rows message of their own: `dataset.fit_rows` is the one rule.
 """
 
 import ast
@@ -389,3 +390,35 @@ def test_package_modules_read_every_import():
             if found := unread_imports(f.read()):
                 unread[name] = found
     assert unread == {}
+
+
+# the messages of `dataset.fit_rows`, which no solver module repeats
+ROW_RULE = ("rows but y has", "nonempty 2-d", "row count mismatch",
+            "no feature columns")
+SOLVERS = ("linear.py", "svr.py", "trees.py")
+
+
+def row_rule_strings(source):
+    """(line, phrase) for each ROW_RULE phrase in a string of the module,
+    f-string pieces included."""
+    return sorted((node.lineno, phrase) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  for phrase in ROW_RULE if phrase in node.value)
+
+
+def test_row_rule_string_is_found():
+    assert row_rule_strings('x = 1\nif x:\n    raise ValueError(\n'
+                            '        f"X has {x} rows but y has {x}")\n') == [
+        (4, "rows but y has")]
+
+
+def test_solvers_leave_the_rows_rule_to_dataset():
+    package = os.path.dirname(forecastlab.__file__)
+
+    def strings(name):
+        with open(os.path.join(package, name), encoding="utf-8") as f:
+            return row_rule_strings(f.read())
+
+    assert {name: strings(name) for name in SOLVERS} == dict.fromkeys(SOLVERS, [])
+    assert {phrase for _, phrase in strings("dataset.py")} == {
+        "rows but y has", "nonempty 2-d", "no feature columns"}
